@@ -4,7 +4,8 @@ Assignments are enumerated in lexicographic order over one orientation of the
 edges.  Each row records connectivity (breadth-first search, cross-checked
 against the generated-subgroup criterion), Picard invariant factors, the set
 of vanishing mod-p L-values, and verdict summaries.  Output is one JSON
-object per line; reruns skip keys already present, so runs are resumable.
+object per line; reruns skip keys already present, so runs are resumable,
+also after a crash that left a partly written last line.
 """
 
 from __future__ import annotations
@@ -58,6 +59,31 @@ def census_row(
     return row
 
 
+def _resume_keys(out_path: str) -> set[str]:
+    """Keys of the rows already in the output file, which may not exist.
+
+    A run killed mid-write leaves a last line without its newline; the file
+    is cut back to its last complete line, so that row is computed again and
+    the next row does not land on the fragment.
+    """
+    try:
+        with open(out_path, "rb+") as fh:
+            data = fh.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                fh.truncate(end)
+    except FileNotFoundError:
+        return set()
+    done: set[str] = set()
+    for line in data[:end].decode("utf-8").splitlines():
+        line = line.strip()
+        if line:
+            doc = json.loads(line)
+            if "key" in doc:
+                done.add(doc["key"])
+    return done
+
+
 def run_census(
     base: SerreGraph,
     p: int,
@@ -74,18 +100,7 @@ def run_census(
         raise ValueError("census base graph must be connected")
     num_edges = base.num_undirected_edges
     total = (p - 1) ** num_edges
-    done: set[str] = set()
-    try:
-        with open(out_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                if "key" in doc:
-                    done.add(doc["key"])
-    except OSError:
-        pass
+    done = _resume_keys(out_path)
     processed = 0
     written = 0
     cursor = None

@@ -3,7 +3,8 @@
 Subcommands: ``analyze`` a cover spec and emit a verification report,
 ``dot`` render base and cover, ``census`` sweep all assignments on a base,
 ``examples`` list the bundled fixtures.  Exit codes: 0 success, 2 parse
-error, 3 disconnected cover, 4 verification failure.
+error (including a disconnected base graph and a precision below 1),
+3 disconnected cover, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -35,24 +36,46 @@ PRECISION_ENV = "HERBRAND_PRECISION"
 
 
 def _resolve_precision(value: int | None) -> int | None:
-    if value is not None:
-        return value
-    env = os.environ.get(PRECISION_ENV)
-    if env:
+    """The --precision flag, else HERBRAND_PRECISION, else None (default rule).
+
+    A non-integer environment value is ignored with a warning; a value below
+    1 from either source raises ValueError.
+    """
+    source = "--precision"
+    if value is None:
+        env = os.environ.get(PRECISION_ENV)
+        if not env:
+            return None
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             print(f"warning: ignoring non-integer {PRECISION_ENV}={env!r}", file=sys.stderr)
-    return None
+            return None
+        source = PRECISION_ENV
+    if value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value}")
+    return value
+
+
+def _derive(spec):
+    """The derived cover, or None after an error line if the base is disconnected."""
+    try:
+        return derive(spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_analyze(args) -> int:
     try:
+        precision = _resolve_precision(args.precision)
         spec = load_spec(args.spec)
-    except SpecFileError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    cover = derive(spec)
+    cover = _derive(spec)
+    if cover is None:
+        return EXIT_PARSE
     try:
         require_connected_cover(cover)
     except DisconnectedCover as exc:
@@ -60,7 +83,7 @@ def cmd_analyze(args) -> int:
         return EXIT_DISCONNECTED
     report = build_report(
         cover,
-        precision=_resolve_precision(args.precision),
+        precision=precision,
         enumeration_budget=args.enumeration_budget,
     )
     if args.table:
@@ -83,7 +106,9 @@ def cmd_dot(args) -> int:
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    cover = derive(spec)
+    cover = _derive(spec)
+    if cover is None:
+        return EXIT_PARSE
     if not cover.is_connected():
         print("warning: derived cover is disconnected", file=sys.stderr)
     text = spec.base.to_dot("base") + "\n" + cover.total.to_dot("cover")
@@ -104,6 +129,9 @@ def cmd_census(args) -> int:
     p = args.p or file_p
     if p is None:
         print("error: prime p must come from --p or the base file", file=sys.stderr)
+        return EXIT_PARSE
+    if not base.is_connected():
+        print("error: census base graph must be connected", file=sys.stderr)
         return EXIT_PARSE
     summary = run_census(
         base,

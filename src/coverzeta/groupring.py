@@ -161,15 +161,14 @@ class GroupRingElement:
         """Image under the ring morphism sending sigma to character.value(sigma).
 
         Returns an element of F_p (a plain int in [0, p)) or a PAdicInt,
-        depending on the character's codomain.
+        depending on the character's codomain.  The sum runs over the
+        character's cached value table for this element's generator.
         """
-        total = None
-        for k, a in enumerate(self.coeffs):
-            term = character.value(self.group.element(k)) * a
-            total = term if total is None else total + term
-        if isinstance(total, PAdicInt):
+        table = character.table(self.group)
+        total = sum(a * v for a, v in zip(self.coeffs, table)) % character.modulus
+        if character.precision is None:
             return total
-        return total % self.group.p
+        return PAdicInt(self.group.p, character.precision, total)
 
     def __str__(self):
         terms = []
@@ -300,7 +299,10 @@ class GroupRingMatrix:
         return ring_determinant(self.entries, GroupRingElement.zero(self.group))
 
     def evaluate(self, character):
-        """Entrywise character evaluation; returns a list-of-lists matrix."""
+        """Entrywise character evaluation; returns a list-of-lists matrix.
+
+        Every entry reads the same cached value table of the character.
+        """
         return [[e.evaluate(character) for e in row] for row in self.entries]
 
 

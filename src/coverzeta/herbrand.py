@@ -32,7 +32,7 @@ from .picard import (
     trivial_character_check,
 )
 from .voltage import DerivedCover, require_connected_cover
-from .zeta import duality_check, eta_at_one, l_value
+from .zeta import duality_check, equivariant_laplacian, eta_at_one, l_value
 
 RETRY_DOUBLINGS = 4
 
@@ -67,8 +67,14 @@ def default_precision(pm: PicardModule) -> int:
 class CoverAnalysis:
     """Shared intermediates for the individual verification passes.
 
+    Computed once per analysis: the Picard module and its Sylow part, the
+    elementary quotient, the equivariant Laplacian and the special value
+    eta(1), whose Laplacian-against-polynomial check runs here.
     Per-character quantities are computed on demand and cached, so the
-    verification passes can share one analysis without recomputation.
+    verification passes can share one analysis without recomputation; in
+    particular each L-value, with its eta-against-determinant check, is
+    computed once per (character, precision), and the valuation retries and
+    the report's p-adic expansion read the same cached value.
     """
 
     def __init__(
@@ -77,6 +83,8 @@ class CoverAnalysis:
         precision: int | None = None,
         enumeration_budget: int = ENUMERATION_BUDGET,
     ):
+        if precision is not None and precision < 1:
+            raise ValueError(f"precision must be at least 1, got {precision}")
         require_connected_cover(cover)
         self.cover = cover
         self.p = cover.p
@@ -84,21 +92,25 @@ class CoverAnalysis:
         self.pic: PicardModule = picard_module(cover)
         self.sylow: SylowPModule = sylow_p_module(self.pic, self.p)
         self.elemq: ElementaryQuotient = elementary_quotient(cover)
-        self.eta1 = eta_at_one(cover)
-        self.precision = precision if precision else default_precision(self.pic)
+        self.lap = equivariant_laplacian(cover)
+        self.eta1 = eta_at_one(cover, self.lap)
+        self.precision = precision if precision is not None else default_precision(self.pic)
         self.precision = max(self.precision, self.sylow.exponent, 1)
         self.enumeration_budget = enumeration_budget
-        self._h_fp: dict[int, int] = {}
+        self._l_values: dict[tuple[int, int | None], object] = {}
         self._dims: dict[int, int] = {}
         self._orders: dict[int, int] = {}
         self._valuations: dict[int, tuple[int | None, int]] = {}
 
+    def _l_value(self, i: int, precision: int | None):
+        key = (i, precision)
+        if key not in self._l_values:
+            chi = Character(self.group, i, precision)
+            self._l_values[key] = l_value(self.cover, chi, self.eta1, self.lap).value
+        return self._l_values[key]
+
     def fp_value(self, i: int) -> int:
-        if i not in self._h_fp:
-            self._h_fp[i] = l_value(
-                self.cover, Character(self.group, i, None), self.eta1
-            ).value
-        return self._h_fp[i]
+        return self._l_value(i, None)
 
     def dim_C(self, i: int) -> int:
         if i not in self._dims:
@@ -118,9 +130,7 @@ class CoverAnalysis:
         return self._orders[i]
 
     def zp_value(self, i: int, precision: int):
-        return l_value(
-            self.cover, Character(self.group, i, precision), self.eta1
-        ).value
+        return self._l_value(i, precision)
 
     def valuation_with_retry(self, i: int) -> tuple[int | None, int]:
         """(valuation or None, precision used) with capped doubling retries."""
@@ -336,7 +346,7 @@ def build_report(
         "main11": _combine([m11[i] for i in m11]),
         "fitting": verify_fitting_identity(cover, analysis=a),
         "duality": Verdict(PASS, "L-values match at contragredient pairs")
-        if duality_check(cover, precision=min(a.precision, 3))
+        if duality_check(cover, precision=min(a.precision, 3), eta1=a.eta1)
         else Verdict(FAIL, "a contragredient pair disagrees"),
         "dim_inequality": dim_verdict,
         "trivial_character": Verdict(

@@ -129,20 +129,24 @@ class SerreGraph:
         return count == self._n
 
     def laplacian_matrix(self, ordering: Optional[Sequence[int]] = None) -> list[list[int]]:
-        """Valence-minus-adjacency matrix in the given vertex ordering."""
-        if ordering is None:
-            ordering = list(self.vertices)
-        else:
+        """Valence-minus-adjacency matrix in the given vertex ordering.
+
+        Built in one pass over the directed edges: an edge from w2 to w
+        subtracts 1 at (row of w, column of w2).
+        """
+        n = self._n
+        position = list(range(n))
+        if ordering is not None:
             ordering = list(ordering)
-            if sorted(ordering) != list(range(self._n)):
+            if sorted(ordering) != position:
                 raise ValueError("ordering must be a permutation of the vertices")
-        out = []
-        for i, vi in enumerate(ordering):
-            row = []
-            for j, vj in enumerate(ordering):
-                a = self.adjacency_count(vi, vj)
-                row.append((self.valence(vi) if i == j else 0) - a)
-            out.append(row)
+            for i, w in enumerate(ordering):
+                position[w] = i
+        out = [[0] * n for _ in range(n)]
+        for w in range(n):
+            out[position[w]][position[w]] = len(self._out[w])
+        for e in self._edges:
+            out[position[e.terminus]][position[e.origin]] -= 1
         return out
 
     def to_dot(self, name: str = "G") -> str:

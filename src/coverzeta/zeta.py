@@ -6,6 +6,11 @@ Everything is exact.  Two computation routes exist by construction --
 evaluate the character after taking the group-ring determinant, or evaluate
 entrywise first and take an ordinary determinant -- and both are run and
 compared whenever an L-value is produced.
+
+The functions take the cover's equivariant Laplacian and special value as
+optional arguments, so a caller that holds them (``herbrand.CoverAnalysis``)
+builds the Laplacian and runs ``eta_at_one`` once per cover; each function
+computes what it is not given.
 """
 
 from __future__ import annotations
@@ -173,14 +178,17 @@ def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
     return poly
 
 
-def eta_at_one(cover: DerivedCover) -> GroupRingElement:
+def eta_at_one(cover: DerivedCover, lap: GroupRingMatrix | None = None) -> GroupRingElement:
     """Special value at u = 1: the group-ring determinant of the Laplacian.
 
     Computed both as the polynomial evaluated at 1 and directly as the
     determinant of degree-minus-adjacency; the results must agree exactly.
+    ``lap`` is the cover's equivariant Laplacian, built here when omitted.
     """
     require_connected_cover(cover)
-    direct = equivariant_laplacian(cover).determinant()
+    if lap is None:
+        lap = equivariant_laplacian(cover)
+    direct = lap.determinant()
     via_poly = eta_polynomial(cover).at_one()
     assert direct == via_poly, "polynomial and Laplacian routes disagree"
     return direct
@@ -197,12 +205,22 @@ def _square_det(rows, chi: Character):
     return PAdicInt(p, chi.precision, integer_determinant(lifted) % modulus)
 
 
-def l_value(cover: DerivedCover, chi: Character, eta1: GroupRingElement | None = None) -> LValue:
-    """Character L-value at u = 1, cross-checked along both routes."""
+def l_value(
+    cover: DerivedCover,
+    chi: Character,
+    eta1: GroupRingElement | None = None,
+    lap: GroupRingMatrix | None = None,
+) -> LValue:
+    """Character L-value at u = 1, cross-checked along both routes.
+
+    ``eta1`` and ``lap`` are the cover's special value and equivariant
+    Laplacian; each is computed here when omitted.
+    """
+    if lap is None:
+        lap = equivariant_laplacian(cover)
     if eta1 is None:
-        eta1 = eta_at_one(cover)
+        eta1 = eta_at_one(cover, lap)
     by_eta = eta1.evaluate(chi)
-    lap = equivariant_laplacian(cover)
     by_det = _square_det(lap.evaluate(chi), chi)
     if isinstance(by_eta, PAdicInt):
         assert by_eta == by_det, "character of determinant != determinant of evaluation"
@@ -211,9 +229,15 @@ def l_value(cover: DerivedCover, chi: Character, eta1: GroupRingElement | None =
     return LValue(chi, by_eta)
 
 
-def duality_check(cover: DerivedCover, precision: int = 2) -> bool:
-    """L-values at a character and its contragredient always coincide."""
-    eta1 = eta_at_one(cover)
+def duality_check(
+    cover: DerivedCover, precision: int = 2, eta1: GroupRingElement | None = None
+) -> bool:
+    """L-values at a character and its contragredient always coincide.
+
+    ``eta1`` is the cover's special value, computed here when omitted.
+    """
+    if eta1 is None:
+        eta1 = eta_at_one(cover)
     group = CyclicGroup.for_prime(cover.p)
     for i in range(group.order):
         chi = Character(group, i, None)

@@ -57,6 +57,31 @@ def test_analyze_disconnected_cover(tmp_path):
     assert main(["analyze", write(tmp_path, "t.json", doc)]) == 3
 
 
+def test_analyze_disconnected_base(tmp_path, capsys):
+    doc = {
+        "p": 5,
+        "vertices": ["a", "b"],
+        "edges": [{"from": "a", "to": "a", "voltage": 2}],
+    }
+    path = write(tmp_path, "split.json", doc)
+    assert main(["analyze", path]) == 2
+    assert "error: base graph must be connected" in capsys.readouterr().err
+    assert main(["dot", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_census_disconnected_base(tmp_path, capsys):
+    base_path = write(
+        tmp_path,
+        "base.json",
+        {"vertices": ["u", "v"], "edges": [{"from": "u", "to": "u"}]},
+    )
+    out = tmp_path / "c.ndjson"
+    assert main(["census", base_path, "--p", "5", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_verification_failure_exit_code(tmp_path, monkeypatch):
     import coverzeta.cli as cli_mod
     from coverzeta.herbrand import build_report as real_build
@@ -84,6 +109,30 @@ def test_analyze_precision_flag_and_env(tmp_path, monkeypatch, capsys):
     assert main(["analyze", "example2", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["precision"] == 3
     assert "ignoring" in capsys.readouterr().err
+
+
+def test_analyze_rejects_nonpositive_precision_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+    out = tmp_path / "r.json"
+    for value in ("-3", "0"):
+        assert main(["analyze", "example2", "--out", str(out), "--precision", value]) == 2
+        assert f"--precision must be a positive integer, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+    # The flag wins over the environment, so a valid flag masks a bad variable.
+    monkeypatch.setenv("HERBRAND_PRECISION", "0")
+    assert main(["analyze", "example2", "--out", str(out), "--precision", "4"]) == 0
+    assert json.loads(out.read_text())["precision"] == 4
+
+
+def test_analyze_rejects_nonpositive_precision_env(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
+    for value in ("0", "-2"):
+        monkeypatch.setenv("HERBRAND_PRECISION", value)
+        assert main(["analyze", "example2", "--out", str(out)]) == 2
+        assert f"HERBRAND_PRECISION must be a positive integer, got {value}" in (
+            capsys.readouterr().err
+        )
+    assert not out.exists()
 
 
 def test_dot_bundled_example(capsys):
@@ -152,6 +201,23 @@ def test_census_is_resumable(tmp_path):
     summary2 = run_census(bouquet(2), 5, str(out))
     assert summary2["written"] == 0
     assert len(read_census(str(out))) == 16
+
+
+def test_census_resumes_after_a_truncated_last_line(tmp_path):
+    full = tmp_path / "full.ndjson"
+    run_census(bouquet(2), 5, str(full))
+    lines = full.read_text().splitlines(keepends=True)
+    for cut in (0, 7):
+        crashed = tmp_path / f"crashed{cut}.ndjson"
+        crashed.write_text("".join(lines[:cut]) + lines[cut][:9])
+        summary = run_census(bouquet(2), 5, str(crashed))
+        assert summary["written"] == 16 - cut
+        text = crashed.read_text()
+        assert text.endswith("\n")
+        assert all(json.loads(line) for line in text.splitlines())
+        assert {row["key"]: row for row in read_census(str(crashed))} == {
+            row["key"]: row for row in read_census(str(full))
+        }
 
 
 def test_census_budget_cursor(tmp_path):

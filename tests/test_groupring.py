@@ -12,6 +12,7 @@ from coverzeta import (
     idempotent_mod,
     zp_characters,
 )
+from coverzeta.arith import multiplicative_order
 from coverzeta.padic import PrecisionExhausted
 
 G5 = CyclicGroup.for_prime(5)
@@ -280,3 +281,48 @@ def test_evaluate_returns_padic_for_lifted_characters():
     assert isinstance(out, PAdicInt)
     assert out.precision == 2
     assert out.value % 5 == a.evaluate(Character(G5, 1, None))
+
+
+def _generators(p):
+    return [g for g in range(2, p) if multiplicative_order(g, p) == p - 1]
+
+
+@st.composite
+def evaluation_cases(draw):
+    """An element over F_p^x presented by any generator, and a character."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    group = CyclicGroup(p, draw(st.sampled_from(_generators(p))))
+    coeffs = draw(st.lists(st.integers(-60, 60), min_size=p - 1, max_size=p - 1))
+    exponent = draw(st.integers(0, p - 2))
+    precision = draw(st.one_of(st.none(), st.integers(1, 6)))
+    chi = Character(CyclicGroup.for_prime(p), exponent, precision)
+    return GroupRingElement(group, tuple(coeffs)), chi
+
+
+@settings(max_examples=200)
+@given(evaluation_cases())
+def test_table_evaluation_matches_termwise_character_values(case):
+    a, chi = case
+    terms = [chi.value(a.group.element(k)) * c for k, c in enumerate(a.coeffs)]
+    want = sum(terms[1:], terms[0])
+    if chi.precision is None:
+        want %= a.group.p
+    assert a.evaluate(chi) == want
+
+
+def test_evaluation_does_not_depend_on_the_presentation():
+    # The same group-ring element written over two generators of F_11^x.
+    rng = random.Random(11)
+    counts = {sigma: rng.randint(-9, 9) for sigma in range(1, 11)}
+    groups = [CyclicGroup(11, g) for g in _generators(11)]
+    assert len(groups) == 4
+    for exponent in range(10):
+        for precision in (None, 1, 4):
+            chi = Character(groups[0], exponent, precision)
+            values = {GroupRingElement.from_unit_counts(g, counts).evaluate(chi) for g in groups}
+            assert len(values) == 1
+
+
+def test_evaluation_rejects_a_character_of_another_prime():
+    with pytest.raises(ValueError):
+        elem(G5, 1, 0, 0, 0).evaluate(Character(G7, 1, None))

@@ -105,6 +105,12 @@ def test_precision_retry_recovers(ex3_cover):
     assert [row["valuation"] for row in report.rows] == [2, 0, 0, 0, 0, 0, 0, 0, 2]
 
 
+def test_nonpositive_precision_rejected(ex2_cover):
+    for precision in (0, -3):
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            CoverAnalysis(ex2_cover, precision)
+
+
 def test_table_rendering(ex3_cover):
     table = build_report(ex3_cover).format_table()
     lines = table.strip().splitlines()
@@ -134,8 +140,40 @@ def test_json_schema_keys(ex2_cover):
 def test_failed_report_carries_diagnostics(ex2_cover, monkeypatch):
     import coverzeta.herbrand as hb
 
-    monkeypatch.setattr(hb, "duality_check", lambda cover, precision=2: False)
+    monkeypatch.setattr(hb, "duality_check", lambda cover, precision=2, eta1=None: False)
     report = build_report(ex2_cover)
     assert not report.all_ok
     assert report.diagnostics is not None
     assert "invariant_factors" in report.diagnostics
+
+
+@pytest.mark.parametrize("precision", [None, 1])
+def test_report_computes_each_l_value_once(ex3_cover, monkeypatch, precision):
+    import coverzeta.herbrand as hb
+    import coverzeta.zeta as zeta
+
+    calls = {"eta_at_one": 0, "equivariant_laplacian": 0}
+    l_keys = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (hb, zeta):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    real_l_value = hb.l_value
+
+    def l_value(cover, chi, *args, **kwargs):
+        l_keys.append((chi.exponent, chi.precision))
+        return real_l_value(cover, chi, *args, **kwargs)
+
+    monkeypatch.setattr(hb, "l_value", l_value)
+    report = build_report(ex3_cover, precision=precision)
+    assert report.all_ok
+    assert calls == {"eta_at_one": 1, "equivariant_laplacian": 1}
+    assert len(l_keys) == len(set(l_keys))
+    assert {key for key in l_keys if key[1] is None} == {(i, None) for i in range(1, 10)}
