@@ -4,19 +4,9 @@ Ihara zeta special values over the group ring, and the character-by-character
 comparison of eigenspace sizes with p-adic absolute values of L-values.
 """
 
-from .arith import is_odd_prime, p_part, smallest_primitive_root
-from .characters import Character, character_value, fp_characters, zp_characters
-from .groupring import (
-    CyclicGroup,
-    GroupRingElement,
-    GroupRingMatrix,
-    augmentation,
-    eval_character,
-    gr_det,
-    gr_mul,
-    idempotent_mod,
-    involution,
-)
+from .arith import VerificationError, is_odd_prime, p_part, smallest_primitive_root
+from .characters import Character, zp_characters
+from .groupring import CyclicGroup, GroupRingElement, GroupRingMatrix, idempotent_mod
 from .herbrand import (
     TheoremReport,
     Verdict,
@@ -26,7 +16,7 @@ from .herbrand import (
     verify_main11,
     verify_main22,
 )
-from .padic import PAdicInt, PrecisionExhausted, abs_p_inverse, teichmuller, valuation
+from .padic import PAdicInt, PrecisionExhausted, abs_p_inverse, teichmuller
 from .picard import (
     ElementaryQuotient,
     PicardModule,
@@ -40,18 +30,7 @@ from .picard import (
     sylow_p_module,
     trivial_character_check,
 )
-from .serre import (
-    DirectedEdge,
-    SerreGraph,
-    adjacency_count,
-    bouquet,
-    cycle_graph,
-    euler_characteristic,
-    is_connected,
-    laplacian_matrix,
-    path_graph,
-    valence,
-)
+from .serre import DirectedEdge, SerreGraph, bouquet, cycle_graph, path_graph
 from .snf import (
     CokernelDescription,
     SmithDecomposition,
@@ -65,10 +44,8 @@ from .voltage import (
     DerivedCover,
     DisconnectedCover,
     VoltageSpec,
-    base_transversal,
     connected_by_voltage_criterion,
     cycle_voltage_subgroup,
-    deck_act,
     derive,
     require_connected_cover,
 )

@@ -1,8 +1,22 @@
-"""Small exact number-theory helpers shared across the package."""
+"""Small exact number-theory helpers shared across the package, and the
+error every layer raises when one of its cross-checks fails."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+
+class VerificationError(Exception):
+    """An internal cross-check between two routes to one quantity failed.
+
+    ``check`` names the check as ``<layer>.<name>``.  A failure means a bug,
+    so none of the numbers the check guarded can be reported.
+    """
+
+    def __init__(self, check: str, message: str):
+        super().__init__(f"check {check} failed: {message}")
+        self.check = check
+        self.message = message
 
 
 def is_odd_prime(n: int) -> bool:

@@ -5,7 +5,9 @@ edges.  Each row records connectivity (breadth-first search, cross-checked
 against the generated-subgroup criterion), Picard invariant factors, the set
 of vanishing mod-p L-values, and verdict summaries.  Output is one JSON
 object per line; reruns skip keys already present, so runs are resumable,
-also after a crash that left a partly written last line.
+also after a crash that left a partly written last line.  A run cut short by
+its budget ends with a cursor line, and the next run starts at the last cursor
+in the file, so repeated budgeted runs advance through the assignments.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def census_row(
     return row
 
 
-def _resume_keys(out_path: str) -> set[str]:
-    """Keys of the rows already in the output file, which may not exist.
+def _resume_state(out_path: str) -> tuple[set[str], int]:
+    """Keys of the rows already in the output file, which may not exist, and
+    the index of the last cursor in it (0 without one).
 
     A run killed mid-write leaves a last line without its newline; the file
     is cut back to its last complete line, so that row is computed again and
@@ -73,15 +76,18 @@ def _resume_keys(out_path: str) -> set[str]:
             if end < len(data):
                 fh.truncate(end)
     except FileNotFoundError:
-        return set()
+        return set(), 0
     done: set[str] = set()
+    start = 0
     for line in data[:end].decode("utf-8").splitlines():
         line = line.strip()
         if line:
             doc = json.loads(line)
             if "key" in doc:
                 done.add(doc["key"])
-    return done
+            elif "cursor" in doc:
+                start = doc["cursor"]["next_index"]
+    return done, start
 
 
 def run_census(
@@ -93,21 +99,23 @@ def run_census(
 ) -> dict:
     """Append census rows to a newline-delimited JSON file; resumable.
 
-    Returns a summary dict; when the assignment count exceeds the budget the
-    run is partial and the summary carries the cursor of the next assignment.
+    The run starts at the file's last cursor and takes at most ``budget``
+    assignments.  Returns a summary dict; when the run stops before the last
+    assignment it is partial, and both the file and the summary carry the
+    cursor of the next assignment.
     """
     if not base.is_connected():
         raise ValueError("census base graph must be connected")
     num_edges = base.num_undirected_edges
     total = (p - 1) ** num_edges
-    done = _resume_keys(out_path)
+    done, start = _resume_state(out_path)
     processed = 0
     written = 0
     cursor = None
-    limit = total if budget is None else min(total, budget)
+    stop = total if budget is None else min(total, start + budget)
     with open(out_path, "a", encoding="utf-8") as fh:
         iterator = product(range(1, p), repeat=num_edges)
-        for idx, voltages in enumerate(islice(iterator, limit)):
+        for voltages in islice(iterator, start, stop):
             processed += 1
             key = assignment_key(voltages)
             if key in done:
@@ -115,8 +123,8 @@ def run_census(
             row = census_row(base, p, tuple(voltages), enumeration_budget)
             fh.write(json.dumps(row, sort_keys=True) + "\n")
             written += 1
-        if limit < total:
-            cursor = limit
+        if stop < total:
+            cursor = stop
             fh.write(json.dumps({"cursor": {"next_index": cursor, "total": total}}) + "\n")
     return {
         "total_assignments": total,

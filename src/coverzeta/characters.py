@@ -93,14 +93,5 @@ class Character:
         return Character(self.group, self.exponent, None)
 
 
-def character_value(chi: Character, sigma: int):
-    return chi.value(sigma)
-
-
-def fp_characters(group: CyclicGroup) -> tuple[Character, ...]:
-    """All F_p-valued characters, indexed by exponent 0..p-2."""
-    return tuple(Character(group, i, None) for i in range(group.order))
-
-
 def zp_characters(group: CyclicGroup, precision: int) -> tuple[Character, ...]:
     return tuple(Character(group, i, precision) for i in range(group.order))

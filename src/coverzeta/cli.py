@@ -3,8 +3,10 @@
 Subcommands: ``analyze`` a cover spec and emit a verification report,
 ``dot`` render base and cover, ``census`` sweep all assignments on a base,
 ``examples`` list the bundled fixtures.  Exit codes: 0 success, 2 parse
-error (including a disconnected base graph and a precision below 1),
-3 disconnected cover, 4 verification failure.
+error (including a disconnected base graph, a precision below 1, a census
+prime that is not an odd prime and a negative census budget), 3 disconnected
+cover, 4 verification failure: a FAIL verdict, or an internal cross-check
+that raised ``VerificationError``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import os
 import sys
 
+from .arith import VerificationError, is_odd_prime
 from .census import run_census
 from .herbrand import build_report
 from .picard import ENUMERATION_BUDGET
@@ -126,9 +129,15 @@ def cmd_census(args) -> int:
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    p = args.p or file_p
+    p = file_p if args.p is None else args.p
     if p is None:
         print("error: prime p must come from --p or the base file", file=sys.stderr)
+        return EXIT_PARSE
+    if not is_odd_prime(p):
+        print(f"error: p must be an odd prime, got {p}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.budget is not None and args.budget < 0:
+        print(f"error: --budget must not be negative, got {args.budget}", file=sys.stderr)
         return EXIT_PARSE
     if not base.is_connected():
         print("error: census base graph must be connected", file=sys.stderr)
@@ -211,7 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VerificationError as exc:  # raised by build_report in analyze and census
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -180,10 +180,6 @@ class GroupRingElement:
         return " + ".join(terms) if terms else "0"
 
 
-def eval_character(a: GroupRingElement, character):
-    return a.evaluate(character)
-
-
 def idempotent_mod(character, k: int) -> GroupRingElement:
     """Reduction mod p^k of the idempotent attached to a character.
 
@@ -304,19 +300,3 @@ class GroupRingMatrix:
         Every entry reads the same cached value table of the character.
         """
         return [[e.evaluate(character) for e in row] for row in self.entries]
-
-
-def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
-def involution(a: GroupRingElement) -> GroupRingElement:
-    return a.involution()
-
-
-def augmentation(a: GroupRingElement) -> int:
-    return a.augmentation()
-
-
-def gr_det(m: GroupRingMatrix) -> GroupRingElement:
-    return m.determinant()

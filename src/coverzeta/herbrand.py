@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .arith import p_part, p_valuation
@@ -65,16 +66,17 @@ def default_precision(pm: PicardModule) -> int:
 
 
 class CoverAnalysis:
-    """Shared intermediates for the individual verification passes.
+    """Owner of every intermediate the verification passes share.
 
     Computed once per analysis: the Picard module and its Sylow part, the
-    elementary quotient, the equivariant Laplacian and the special value
-    eta(1), whose Laplacian-against-polynomial check runs here.
-    Per-character quantities are computed on demand and cached, so the
-    verification passes can share one analysis without recomputation; in
-    particular each L-value, with its eta-against-determinant check, is
-    computed once per (character, precision), and the valuation retries and
-    the report's p-adic expansion read the same cached value.
+    elementary quotient (from the Picard module's Laplacian), the equivariant
+    Laplacian and the special value eta(1), whose Laplacian-against-polynomial
+    check runs here.  Per-character quantities are computed on demand and
+    cached, so the verification passes can share one analysis without
+    recomputation; in particular each L-value, with its eta-against-determinant
+    check, is computed once per (character, precision), the valuation retries
+    and the report's p-adic expansion read the same cached value, and the
+    Fitting-identity pass reads the main22 verdicts.
     """
 
     def __init__(
@@ -91,7 +93,7 @@ class CoverAnalysis:
         self.group = CyclicGroup.for_prime(self.p)
         self.pic: PicardModule = picard_module(cover)
         self.sylow: SylowPModule = sylow_p_module(self.pic, self.p)
-        self.elemq: ElementaryQuotient = elementary_quotient(cover)
+        self.elemq: ElementaryQuotient = elementary_quotient(self.pic)
         self.lap = equivariant_laplacian(cover)
         self.eta1 = eta_at_one(cover, self.lap)
         self.precision = precision if precision is not None else default_precision(self.pic)
@@ -116,7 +118,7 @@ class CoverAnalysis:
         if i not in self._dims:
             self._dims[i] = eigenspace_dim_C(
                 self.elemq,
-                self.pic,
+                self.sylow,
                 Character(self.group, i, None),
                 self.enumeration_budget,
             )
@@ -149,28 +151,32 @@ class CoverAnalysis:
         self._valuations[i] = result
         return result
 
+    @cached_property
+    def main22(self) -> dict[int, Verdict]:
+        """Per nontrivial character: eigenspace order of A versus p^valuation."""
+        out: dict[int, Verdict] = {}
+        for i in range(1, self.p - 1):
+            order = self.order_A(i)
+            val, used = self.valuation_with_retry(i)
+            if val is None:
+                out[i] = Verdict(
+                    FAIL,
+                    f"L-value vanished mod {self.p}^{used} after retries; order side is {order}",
+                )
+                continue
+            side = self.p**val
+            if side == order:
+                out[i] = Verdict(PASS, f"#component = {order} = p^{val}")
+            else:
+                out[i] = Verdict(FAIL, f"#component = {order} but |h|^-1 = {side}")
+        return out
+
 
 def verify_main22(
     cover: DerivedCover, precision: int | None = None, analysis: CoverAnalysis | None = None
 ) -> dict[int, Verdict]:
     """Per nontrivial character: eigenspace order of A versus p^valuation."""
-    a = analysis or CoverAnalysis(cover, precision)
-    out: dict[int, Verdict] = {}
-    for i in range(1, a.p - 1):
-        order = a.order_A(i)
-        val, used = a.valuation_with_retry(i)
-        if val is None:
-            out[i] = Verdict(
-                FAIL,
-                f"L-value vanished mod {a.p}^{used} after retries; order side is {order}",
-            )
-            continue
-        side = a.p**val
-        if side == order:
-            out[i] = Verdict(PASS, f"#component = {order} = p^{val}")
-        else:
-            out[i] = Verdict(FAIL, f"#component = {order} but |h|^-1 = {side}")
-    return out
+    return (analysis or CoverAnalysis(cover, precision)).main22
 
 
 def verify_main11(
@@ -196,21 +202,21 @@ def verify_fitting_identity(
 
     (a) the special value annihilates the whole Picard group through the deck
     action; (b) for each nontrivial character the ideal generated by the
-    L-value matches the order of the character component.
+    L-value matches the order of the character component.  Part (b) is the
+    main22 comparison, so it reads the analysis' main22 verdicts.
     """
     if not cover.is_connected():
         return Verdict(SKIPPED, "cover is disconnected, not Galois with the full group")
     a = analysis or CoverAnalysis(cover, precision)
     if not a.pic.annihilated_by(a.eta1):
         return Verdict(FAIL, "special value does not annihilate the Picard group")
-    for i in range(1, a.p - 1):
-        order = a.order_A(i)
-        val, used = a.valuation_with_retry(i)
-        if val is None:
-            return Verdict(FAIL, f"character {i}: L-value vanished mod p^{used}")
-        if a.p**val != order:
+    for i, verdict in a.main22.items():
+        if verdict.status == FAIL:
+            val, used = a.valuation_with_retry(i)
+            if val is None:
+                return Verdict(FAIL, f"character {i}: L-value vanished mod p^{used}")
             return Verdict(
-                FAIL, f"character {i}: ideal p^{val} != component order {order}"
+                FAIL, f"character {i}: ideal p^{val} != component order {a.order_A(i)}"
             )
     return Verdict(PASS, "annihilation and per-character ideals verified")
 
@@ -339,7 +345,7 @@ def build_report(
             )
     dim_verdict, strict = _dimension_inequality(a)
     kappa_base = spanning_tree_count(cover.base)
-    trivial_ok = trivial_character_check(a.sylow, cover.base, a.p)
+    trivial_ok = trivial_character_check(a.sylow, kappa_base)
     order_product = prod(a.order_A(i) for i in range(1, a.p - 1)) * p_part(kappa_base, a.p)
     global_verdicts = {
         "main22": _combine([m22[i] for i in m22]),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_odd_prime
+from .arith import VerificationError, is_odd_prime
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -150,12 +150,11 @@ def teichmuller(a: int, p: int, precision: int) -> PAdicInt:
         if nxt == x:
             break
         x = nxt
-    assert pow(x, p, modulus) == x
+    if pow(x, p, modulus) != x:
+        raise VerificationError(
+            "padic.teichmuller", f"{x} is not fixed by x -> x^{p} mod {p}^{precision}"
+        )
     return PAdicInt(p, precision, x)
-
-
-def valuation(x: PAdicInt) -> int:
-    return x.valuation()
 
 
 def abs_p_inverse(x: PAdicInt) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from math import prod
 
-from .arith import p_part, p_valuation
+from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement, idempotent_mod
 from .padic import PAdicInt, PrecisionExhausted
@@ -36,7 +36,8 @@ def spanning_tree_count(g: SerreGraph) -> int:
     lap = g.laplacian_matrix()
     minor = [row[: n - 1] for row in lap[: n - 1]]
     kappa = integer_determinant(minor)
-    assert kappa > 0
+    if kappa <= 0:
+        raise VerificationError("picard.tree_count", f"reduced Laplacian determinant {kappa}")
     return kappa
 
 
@@ -45,8 +46,9 @@ def picard_factors(g: SerreGraph) -> tuple[int, ...]:
     if not g.is_connected():
         raise ValueError("graph must be connected")
     dec = smith_normal_form(g.laplacian_matrix())
-    zeros = [d for d in dec.diagonal if d == 0]
-    assert len(zeros) == 1, "connected graph Laplacian has corank 1"
+    corank = dec.diagonal.count(0)
+    if corank != 1:
+        raise VerificationError("picard.corank", f"connected graph Laplacian has corank {corank}")
     return tuple(d for d in dec.diagonal if d > 1)
 
 
@@ -67,7 +69,6 @@ class PicardModule:
         self.full_diagonal = dec.diagonal
         self.torsion_indices = tuple(i for i, d in enumerate(dec.diagonal) if d > 1)
         self.factors = tuple(dec.diagonal[i] for i in self.torsion_indices)
-        self.generators = tuple(dec.generator(i) for i in self.torsion_indices)
         self.order = prod(self.factors) if self.factors else 1
 
         # Transported action on coker(L): T = U * Pi * U^-1 per unit.
@@ -96,8 +97,10 @@ class PicardModule:
             self._support_actions[tau] = block
         r = len(self.torsion_indices)
         for tau, block in self._support_actions.items():
-            for j in range(r):
-                assert block[r][j] == 0, "torsion class acquired a free component"
+            if any(block[r][:r]):
+                raise VerificationError(
+                    "picard.free_component", f"deck element {tau} moves torsion into the free part"
+                )
 
         self.actions: dict[int, tuple[tuple[int, ...], ...]] = {}
         for tau, block in self._support_actions.items():
@@ -106,7 +109,8 @@ class PicardModule:
             )
             self.actions[tau] = mat
         iden = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        assert self.actions.get(1, iden) == iden, "identity deck element must act trivially"
+        if self.actions.get(1, iden) != iden:
+            raise VerificationError("picard.identity_action", "deck element 1 acts nontrivially")
 
     @property
     def p(self) -> int:
@@ -114,22 +118,6 @@ class PicardModule:
 
     def rank(self) -> int:
         return len(self.factors)
-
-    def act_matrix(self, tau: int) -> tuple[tuple[int, ...], ...]:
-        return self.actions[tau % self.p]
-
-    def apply_group_ring(self, elem: GroupRingElement) -> list[list[int]]:
-        """Integer matrix of elem acting on the torsion generators."""
-        r = self.rank()
-        out = [[0] * r for _ in range(r)]
-        for k, c in enumerate(elem.coeffs):
-            if c == 0:
-                continue
-            mat = self.actions[elem.group.element(k)]
-            for i in range(r):
-                for j in range(r):
-                    out[i][j] += c * mat[i][j]
-        return out
 
     def annihilated_by(self, elem: GroupRingElement) -> bool:
         """Whether elem kills the whole cokernel of the Laplacian.
@@ -247,9 +235,13 @@ def eigenspace_order_A(m: SylowPModule, chi: Character) -> int:
     ]
     dec = smith_normal_form(aug)
     index = prod(dec.diagonal)
-    assert index != 0
+    if index == 0:
+        raise VerificationError("picard.image_index", "projector image has infinite index")
     order, rem = divmod(m.order, index)
-    assert rem == 0, "image index must divide the module order"
+    if rem:
+        raise VerificationError(
+            "picard.index_divides", f"image index {index} does not divide {m.order}"
+        )
     return order
 
 
@@ -321,7 +313,7 @@ class _ModPSpan:
 
 @dataclass(frozen=True)
 class ElementaryQuotient:
-    """The mod-p quotient C presented on explicit degree-zero divisors.
+    """The mod-p quotient C of a cover, presented on explicit degree-zero divisors.
 
     ``basis`` lifts an F_p-basis of C to integer divisors.  Because the
     sublattice p*Div0 + Pr contains p*Div0, membership only depends on the
@@ -329,9 +321,13 @@ class ElementaryQuotient:
     columns in the difference coordinates w_i - w_0.
     """
 
-    p: int
+    cover: DerivedCover
     basis: tuple[tuple[int, ...], ...]
     membership: _ModPSpan
+
+    @property
+    def p(self) -> int:
+        return self.cover.p
 
     @property
     def dimension(self) -> int:
@@ -348,10 +344,10 @@ class ElementaryQuotient:
         return self.membership.contains(self.delta_coords(divisor))
 
 
-def elementary_quotient(cover: DerivedCover) -> ElementaryQuotient:
-    require_connected_cover(cover)
-    p = cover.p
-    lap = cover.total.laplacian_matrix()
+def elementary_quotient(pm: PicardModule) -> ElementaryQuotient:
+    """C = Pic0 / p, read off the Laplacian the Picard module was built from."""
+    p = pm.p
+    lap = pm.laplacian
     n = len(lap)
     # Columns of the Laplacian in difference coordinates span the image of
     # the principal divisors inside Div0/p*Div0.
@@ -362,7 +358,7 @@ def elementary_quotient(cover: DerivedCover) -> ElementaryQuotient:
             eps = [0] * n
             eps[0], eps[j + 1] = -1, 1
             basis.append(tuple(eps))
-    return ElementaryQuotient(p=p, basis=tuple(basis), membership=span)
+    return ElementaryQuotient(cover=pm.cover, basis=tuple(basis), membership=span)
 
 
 def act_divisor(cover: DerivedCover, elem: GroupRingElement, divisor) -> list[int]:
@@ -417,41 +413,39 @@ def _fixed_point_count(
 
 def eigenspace_dim_C(
     q: ElementaryQuotient,
-    pm: PicardModule,
+    sylow: SylowPModule,
     chi: Character,
     enumeration_budget: int = ENUMERATION_BUDGET,
 ) -> int:
     """F_p-dimension of the chi-component of C, via the mod-p projector rank.
 
-    When p^dim(C) fits in the budget, the fixed-point sweep of the lifted
+    ``sylow`` is the p-primary part of the same cover's Picard module.  When
+    p^dim(C) fits in the budget, the fixed-point sweep of the lifted
     idempotent over all classes recomputes the dimension independently and
     the two answers are required to agree.
     """
     if chi.precision is not None:
         raise ValueError("eigenspace_dim_C expects an F_p-valued character")
     p = chi.group.p
-    if pm.p != p:
+    if sylow.p != p:
         raise ValueError("character prime does not match the cover")
-    sylow = sylow_p_module(pm, p)
     if sylow.rank() == 0:
         return 0
     proj = _projector_matrix(sylow, chi, p)
     dim = _rank_mod_p(proj, p)
     if p**q.dimension <= enumeration_budget:
         f_lift = idempotent_mod(chi, 1)
-        count = _fixed_point_count(pm.cover, q, f_lift)
-        assert count == p**dim, (
-            f"projector rank {dim} disagrees with fixed-point count {count}"
-        )
+        count = _fixed_point_count(q.cover, q, f_lift)
+        if count != p**dim:
+            raise VerificationError(
+                "picard.fixed_point_sweep",
+                f"projector rank {dim} disagrees with fixed-point count {count}",
+            )
     return dim
 
 
-def trivial_character_check(m: SylowPModule, base: SerreGraph, p: int) -> bool:
-    """Order of the trivial-character piece of A against the base tree count."""
-    if not base.is_connected():
-        raise ValueError("base graph must be connected")
-    if m.p != p:
-        raise ValueError("module prime does not match")
-    chi0 = Character(CyclicGroup.for_prime(p), 0, max(m.exponent, 1))
-    order = eigenspace_order_A(m, chi0)
-    return order == p_part(spanning_tree_count(base), p)
+def trivial_character_check(m: SylowPModule, kappa_base: int) -> bool:
+    """Order of the trivial-character piece of A against the p-part of the
+    base graph's spanning tree count ``kappa_base``."""
+    chi0 = Character(CyclicGroup.for_prime(m.p), 0, max(m.exponent, 1))
+    return eigenspace_order_A(m, chi0) == p_part(kappa_base, m.p)

@@ -56,6 +56,7 @@ class SerreGraph:
         for e in self._edges:
             out[e.origin].append(e)
         self._out = tuple(tuple(es) for es in out)
+        self._connected: Optional[bool] = None
 
     @property
     def num_vertices(self) -> int:
@@ -112,7 +113,16 @@ class SerreGraph:
         return self._n - self.num_undirected_edges
 
     def is_connected(self) -> bool:
-        """Connectivity of the underlying undirected graph (empty: False)."""
+        """Connectivity of the underlying undirected graph (empty: False).
+
+        The graph is immutable, so the search runs once and its answer is kept.
+        """
+        if self._connected is None:
+            self._connected = self._reaches_every_vertex()
+        return self._connected
+
+    def _reaches_every_vertex(self) -> bool:
+        """Breadth-first search from vertex 0."""
         if self._n == 0:
             return False
         seen = [False] * self._n
@@ -178,23 +188,3 @@ def path_graph(n: int) -> SerreGraph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
     return SerreGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def valence(g: SerreGraph, w: int) -> int:
-    return g.valence(w)
-
-
-def adjacency_count(g: SerreGraph, w: int, w2: int) -> int:
-    return g.adjacency_count(w, w2)
-
-
-def euler_characteristic(g: SerreGraph) -> int:
-    return g.euler_characteristic()
-
-
-def is_connected(g: SerreGraph) -> bool:
-    return g.is_connected()
-
-
-def laplacian_matrix(g: SerreGraph, ordering: Optional[Sequence[int]] = None) -> list[list[int]]:
-    return g.laplacian_matrix(ordering)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
+from .arith import VerificationError
+
 Matrix = list[list[int]]
 
 
@@ -278,16 +280,20 @@ def _verify(dec: SmithDecomposition, d: Matrix) -> None:
     for i in range(m):
         for j in range(n):
             want = dec.diagonal[i] if i == j and i < len(dec.diagonal) else 0
-            assert uav[i][j] == want, "U*A*V != D"
-            assert d[i][j] == want, "worked matrix not diagonal"
+            if uav[i][j] != want:
+                raise VerificationError("snf.transform", f"U*A*V != D at ({i}, {j})")
+            if d[i][j] != want:
+                raise VerificationError("snf.diagonal", f"worked matrix not diagonal at ({i}, {j})")
     for i in range(len(dec.diagonal) - 1):
         a, b = dec.diagonal[i], dec.diagonal[i + 1]
-        assert a >= 0 and b >= 0, "negative invariant factor"
-        assert (a == 0 and b == 0) or (a != 0 and b % a == 0), "divisibility chain broken"
-    ident_m = _identity(m)
-    ident_n = _identity(n)
-    assert _mat_mul([list(r) for r in dec.left], [list(r) for r in dec.left_inverse]) == ident_m
-    assert _mat_mul([list(r) for r in dec.right], [list(r) for r in dec.right_inverse]) == ident_n
+        if a < 0 or b < 0:
+            raise VerificationError("snf.sign", f"negative invariant factor among {a}, {b}")
+        if not ((a == 0 and b == 0) or (a != 0 and b % a == 0)):
+            raise VerificationError("snf.divisibility", f"{a} does not divide {b}")
+    if _mat_mul([list(r) for r in dec.left], [list(r) for r in dec.left_inverse]) != _identity(m):
+        raise VerificationError("snf.left_unimodular", "U * U^-1 is not the identity")
+    if _mat_mul([list(r) for r in dec.right], [list(r) for r in dec.right_inverse]) != _identity(n):
+        raise VerificationError("snf.right_unimodular", "V * V^-1 is not the identity")
 
 
 @dataclass(frozen=True)

@@ -20,28 +20,46 @@ class SpecFileError(ValueError):
     """Malformed or inconsistent cover-specification input."""
 
 
-def spec_from_dict(doc: dict) -> VoltageSpec:
+def _prime(doc: dict) -> int:
     try:
-        p = int(doc["p"])
+        return int(doc["p"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecFileError(f"missing or malformed field 'p': {exc}") from exc
+
+
+def _graph(doc: dict) -> tuple[SerreGraph, list]:
+    """The labeled graph of a spec or base document, and its edge records.
+
+    Labels are compared as the strings the graph stores, so 1 and "1" clash.
+    """
+    try:
         vertices = list(doc["vertices"])
         edges = list(doc["edges"])
+        index = {label: i for i, label in enumerate(vertices)}
     except (KeyError, TypeError) as exc:
         raise SpecFileError(f"missing or malformed field: {exc}") from exc
-    if len(set(vertices)) != len(vertices):
+    if len({str(label) for label in vertices}) != len(vertices):
         raise SpecFileError("vertex labels must be unique")
-    index = {label: i for i, label in enumerate(vertices)}
     pairs = []
+    for rec in edges:
+        try:
+            pairs.append((index[rec["from"]], index[rec["to"]]))
+        except (KeyError, TypeError) as exc:
+            raise SpecFileError(
+                f"bad edge record {rec!r}: missing field or unknown vertex {exc}"
+            ) from exc
+    return SerreGraph(len(vertices), pairs, labels=vertices), edges
+
+
+def spec_from_dict(doc: dict) -> VoltageSpec:
+    p = _prime(doc)
+    base, edges = _graph(doc)
     voltages = []
     for rec in edges:
         try:
-            u, v, a = rec["from"], rec["to"], int(rec["voltage"])
-        except (KeyError, TypeError) as exc:
+            voltages.append(int(rec["voltage"]))
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpecFileError(f"bad edge record {rec!r}") from exc
-        if u not in index or v not in index:
-            raise SpecFileError(f"edge endpoint not among vertices: {rec!r}")
-        pairs.append((index[u], index[v]))
-        voltages.append(a)
-    base = SerreGraph(len(vertices), pairs, labels=vertices)
     try:
         return VoltageSpec(base, p, tuple(voltages))
     except ValueError as exc:
@@ -97,22 +115,8 @@ def bundled_spec(name: str) -> VoltageSpec:
 
 def base_from_dict(doc: dict) -> tuple[SerreGraph, int | None]:
     """Parse a voltage-free base description (for census runs)."""
-    try:
-        vertices = list(doc["vertices"])
-        edges = list(doc["edges"])
-    except (KeyError, TypeError) as exc:
-        raise SpecFileError(f"missing or malformed field: {exc}") from exc
-    p = int(doc["p"]) if "p" in doc else None
-    index = {label: i for i, label in enumerate(vertices)}
-    if len(index) != len(vertices):
-        raise SpecFileError("vertex labels must be unique")
-    pairs = []
-    for rec in edges:
-        u, v = rec["from"], rec["to"]
-        if u not in index or v not in index:
-            raise SpecFileError(f"edge endpoint not among vertices: {rec!r}")
-        pairs.append((index[u], index[v]))
-    return SerreGraph(len(vertices), pairs, labels=vertices), p
+    base, _ = _graph(doc)
+    return base, _prime(doc) if "p" in doc else None
 
 
 def load_base(path: str) -> tuple[SerreGraph, int | None]:

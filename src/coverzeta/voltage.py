@@ -11,7 +11,6 @@ exactly when the derived graph is connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .arith import is_odd_prime
 from .serre import SerreGraph
@@ -135,14 +134,6 @@ def require_connected_cover(cover: DerivedCover) -> DerivedCover:
     return cover
 
 
-def deck_act(cover: DerivedCover, tau: int, w: int) -> int:
-    return cover.deck_act(tau, w)
-
-
-def base_transversal(cover: DerivedCover) -> tuple[int, ...]:
-    return cover.base_transversal()
-
-
 def cycle_voltage_subgroup(spec: VoltageSpec) -> frozenset[int]:
     """Subgroup of units generated by net voltages of fundamental cycles.
 
@@ -185,29 +176,3 @@ def cycle_voltage_subgroup(spec: VoltageSpec) -> frozenset[int]:
 
 def connected_by_voltage_criterion(spec: VoltageSpec) -> bool:
     return len(cycle_voltage_subgroup(spec)) == spec.p - 1
-
-
-def trivial_cover_components(cover: DerivedCover) -> int:
-    """Number of connected components of the total graph."""
-    g = cover.total
-    seen = [False] * g.num_vertices
-    comps = 0
-    for start in g.vertices:
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            w = stack.pop()
-            for e in g.edges_from(w):
-                if not seen[e.terminus]:
-                    seen[e.terminus] = True
-                    stack.append(e.terminus)
-    return comps
-
-
-def make_spec(
-    base: SerreGraph, p: int, voltages: Sequence[int]
-) -> VoltageSpec:
-    return VoltageSpec(base, p, tuple(voltages))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import VerificationError
 from .characters import Character
 from .groupring import (
     CyclicGroup,
@@ -174,7 +175,10 @@ def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
     det = ring_determinant(entries, _RingPoly([], zero))
     coeffs = det.coeffs if det.coeffs else (zero,)
     poly = EtaPolynomial(group, tuple(coeffs))
-    assert poly.coefficient(0) == one, "constant term must be the ring identity"
+    if poly.coefficient(0) != one:
+        raise VerificationError(
+            "zeta.constant_term", f"constant term {poly.coefficient(0)} is not the ring identity"
+        )
     return poly
 
 
@@ -190,7 +194,10 @@ def eta_at_one(cover: DerivedCover, lap: GroupRingMatrix | None = None) -> Group
         lap = equivariant_laplacian(cover)
     direct = lap.determinant()
     via_poly = eta_polynomial(cover).at_one()
-    assert direct == via_poly, "polynomial and Laplacian routes disagree"
+    if direct != via_poly:
+        raise VerificationError(
+            "zeta.eta_routes", f"Laplacian determinant {direct} != polynomial at 1 {via_poly}"
+        )
     return direct
 
 
@@ -222,10 +229,12 @@ def l_value(
         eta1 = eta_at_one(cover, lap)
     by_eta = eta1.evaluate(chi)
     by_det = _square_det(lap.evaluate(chi), chi)
-    if isinstance(by_eta, PAdicInt):
-        assert by_eta == by_det, "character of determinant != determinant of evaluation"
-    else:
-        assert by_eta == by_det % chi.group.p
+    if by_eta != by_det:
+        raise VerificationError(
+            "zeta.l_routes",
+            f"character {chi.exponent}: value of eta(1) {by_eta} != "
+            f"determinant of the evaluated Laplacian {by_det}",
+        )
     return LValue(chi, by_eta)
 
 
@@ -361,7 +370,8 @@ def log_zeta_path_counts(g: SerreGraph, max_length: int) -> list[int]:
     q = [Fraction(0)] * (max_length + 1)
     for i, x in enumerate(poly[: max_length + 1]):
         q[i] = x
-    assert q[0] == 1
+    if q[0] != 1:
+        raise VerificationError("zeta.log_constant", f"determinant polynomial starts with {q[0]}")
     q[0] = Fraction(0)
     log_coeffs = [Fraction(0)] * (max_length + 1)
     term = [Fraction(0)] * (max_length + 1)
@@ -380,6 +390,7 @@ def log_zeta_path_counts(g: SerreGraph, max_length: int) -> list[int]:
     counts = []
     for m in range(1, max_length + 1):
         n_m = -m * log_coeffs[m]
-        assert n_m.denominator == 1
+        if n_m.denominator != 1:
+            raise VerificationError("zeta.log_integral", f"path count {n_m} at length {m}")
         counts.append(int(n_m))
     return counts

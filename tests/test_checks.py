@@ -1,0 +1,77 @@
+"""The internal cross-checks are named errors that no interpreter flag removes."""
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import coverzeta
+import coverzeta.zeta as zeta
+from coverzeta.cli import main
+from coverzeta.specfile import BUNDLED
+
+PACKAGE = pathlib.Path(coverzeta.__file__).parent
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+
+# Adds the constant term of the eta polynomial to its u-coefficient, so the
+# polynomial route to eta(1) is wrong while the Laplacian route is not.
+SABOTAGE = """
+import coverzeta.zeta as zeta
+from coverzeta.zeta import EtaPolynomial
+
+real_eta_polynomial = zeta.eta_polynomial
+
+def eta_polynomial(cover):
+    c = list(real_eta_polynomial(cover).coeffs)
+    c[1] = c[1] + c[0]
+    return EtaPolynomial(c[0].group, tuple(c))
+"""
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_failed_check_exits_4_with_its_name(tmp_path, monkeypatch, capsys):
+    namespace = {}
+    exec(SABOTAGE, namespace)
+    monkeypatch.setattr(zeta, "eta_polynomial", namespace["eta_polynomial"])
+    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+    assert main(["analyze", "example3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: check zeta.eta_routes failed:" in captured.err
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
+    assert main(["census", str(base), "--p", "5", "--out", str(tmp_path / "c.ndjson")]) == 4
+    assert "error: check zeta.eta_routes failed:" in capsys.readouterr().err
+
+
+def _run_optimized(*args):
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("HERBRAND_PRECISION", None)
+    return subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_checks_survive_python_O():
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + SABOTAGE
+    script += "zeta.eta_polynomial = eta_polynomial\nfrom coverzeta.cli import main\n"
+    script += "sys.exit(main(['analyze', 'example3']))\n"
+    sabotaged = _run_optimized("-c", script)
+    assert sabotaged.returncode == 4, sabotaged.stderr
+    assert "error: check zeta.eta_routes failed:" in sabotaged.stderr
+    for name in BUNDLED:
+        run = _run_optimized("-m", "coverzeta.cli", "analyze", name)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (GOLDENS / f"{name}_report.json").read_text()

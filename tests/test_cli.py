@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coverzeta import bundled_spec, spec_from_dict, spec_to_dict
 from coverzeta.census import read_census, run_census
 from coverzeta.cli import main
@@ -233,6 +235,21 @@ def test_census_budget_cursor(tmp_path):
     assert len(read_census(str(out))) == 16
 
 
+def test_census_budgeted_runs_advance(tmp_path):
+    out = tmp_path / "census.ndjson"
+    for k in (1, 2, 3):
+        summary = run_census(bouquet(2), 5, str(out), budget=5)
+        assert summary["cursor"] == 5 * k
+        assert len(read_census(str(out))) == 5 * k
+    summary = run_census(bouquet(2), 5, str(out), budget=5)
+    assert summary["cursor"] is None
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [doc["cursor"]["next_index"] for doc in docs if "cursor" in doc] == [5, 10, 15]
+    full = tmp_path / "full.ndjson"
+    run_census(bouquet(2), 5, str(full))
+    assert read_census(str(out)) == read_census(str(full))
+
+
 def test_census_of_two_vertex_base(tmp_path):
     base = bundled_spec("example2").base
     out = tmp_path / "census2.ndjson"
@@ -257,6 +274,46 @@ def test_census_requires_prime(tmp_path):
         tmp_path, "base.json", {"vertices": ["v"], "edges": [{"from": "v", "to": "v"}]}
     )
     assert main(["census", base_path, "--out", str(tmp_path / "c.ndjson")]) == 2
+
+
+LOOP = {"from": "v", "to": "v"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags",
+    [
+        ("census", {"vertices": ["v"], "edges": [LOOP]}, ["--p", "4"]),
+        ("census", {"vertices": ["v"], "edges": [LOOP]}, ["--p", "9"]),
+        ("census", {"p": 5, "vertices": ["v"], "edges": [LOOP]}, ["--p", "0"]),
+        ("census", {"p": "x", "vertices": ["v"], "edges": [LOOP]}, []),
+        ("census", {"p": 5, "vertices": ["v"], "edges": [{"from": "v"}]}, []),
+        ("census", {"p": 5, "vertices": ["v"], "edges": [LOOP]}, ["--budget", "-1"]),
+        ("census", {"p": 5, "vertices": [1, "1"], "edges": [{"from": 1, "to": "1"}]}, []),
+        (
+            "dot",
+            {"p": 5, "vertices": [1, "1"], "edges": [{"from": 1, "to": "1", "voltage": 2}]},
+            [],
+        ),
+        ("dot", {"p": 5, "vertices": [["v"]], "edges": []}, []),
+    ],
+    ids=[
+        "p_4",
+        "p_9",
+        "p_0_over_file_p",
+        "p_not_an_integer",
+        "edge_without_to",
+        "negative_budget",
+        "census_labels_clash",
+        "dot_labels_clash",
+        "dot_unhashable_label",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, command, doc, flags):
+    out = tmp_path / "out.txt"
+    path = write(tmp_path, "input.json", doc)
+    assert main([command, path, "--out", str(out), *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_examples_listing(capsys, tmp_path):

@@ -148,12 +148,24 @@ def test_failed_report_carries_diagnostics(ex2_cover, monkeypatch):
 
 
 @pytest.mark.parametrize("precision", [None, 1])
-def test_report_computes_each_l_value_once(ex3_cover, monkeypatch, precision):
+def test_report_computes_each_l_value_once(monkeypatch, precision):
     import coverzeta.herbrand as hb
+    import coverzeta.picard as picard
     import coverzeta.zeta as zeta
+    from coverzeta.serre import SerreGraph
 
-    calls = {"eta_at_one": 0, "equivariant_laplacian": 0}
+    # A fresh cover: its graphs have not yet searched for their connectivity.
+    cover = derive(bundled_spec("example4"))
+    targets = {
+        "eta_at_one": (hb, zeta),
+        "equivariant_laplacian": (hb, zeta),
+        "sylow_p_module": (hb, picard),
+        "spanning_tree_count": (hb, picard),
+    }
+    calls = dict.fromkeys(targets, 0)
     l_keys = []
+    searched = []
+    total_laplacians = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -162,8 +174,8 @@ def test_report_computes_each_l_value_once(ex3_cover, monkeypatch, precision):
 
         return wrapper
 
-    for module in (hb, zeta):
-        for name in calls:
+    for name, modules in targets.items():
+        for module in modules:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     real_l_value = hb.l_value
 
@@ -171,9 +183,30 @@ def test_report_computes_each_l_value_once(ex3_cover, monkeypatch, precision):
         l_keys.append((chi.exponent, chi.precision))
         return real_l_value(cover, chi, *args, **kwargs)
 
+    real_search = SerreGraph._reaches_every_vertex
+    real_laplacian = SerreGraph.laplacian_matrix
+
+    def search(graph):
+        searched.append(id(graph))
+        return real_search(graph)
+
+    def laplacian_matrix(graph, *args, **kwargs):
+        if graph is cover.total:
+            total_laplacians.append(graph)
+        return real_laplacian(graph, *args, **kwargs)
+
     monkeypatch.setattr(hb, "l_value", l_value)
-    report = build_report(ex3_cover, precision=precision)
+    monkeypatch.setattr(SerreGraph, "_reaches_every_vertex", search)
+    monkeypatch.setattr(SerreGraph, "laplacian_matrix", laplacian_matrix)
+    report = build_report(cover, precision=precision)
     assert report.all_ok
-    assert calls == {"eta_at_one": 1, "equivariant_laplacian": 1}
+    assert calls == {
+        "eta_at_one": 1,
+        "equivariant_laplacian": 1,
+        "sylow_p_module": 1,
+        "spanning_tree_count": 1,
+    }
     assert len(l_keys) == len(set(l_keys))
     assert {key for key in l_keys if key[1] is None} == {(i, None) for i in range(1, 10)}
+    assert searched == [id(cover.total)]  # the base was searched by derive
+    assert len(total_laplacians) == 1

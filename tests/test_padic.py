@@ -7,7 +7,6 @@ from coverzeta import (
     PAdicInt,
     PrecisionExhausted,
     abs_p_inverse,
-    character_value,
     teichmuller,
 )
 
@@ -100,11 +99,11 @@ def test_character_values():
     g5 = CyclicGroup.for_prime(5)
     trivial = Character(g5, 0, None)
     for sigma in (1, 2, 3, 4):
-        assert character_value(trivial, sigma) == 1
+        assert trivial.value(sigma) == 1
     identity_char = Character(g5, 1, None)
-    assert character_value(identity_char, 2) == 2
+    assert identity_char.value(2) == 2
     lifted = Character(g5, 1, 2)
-    assert character_value(lifted, 2).value == 7
+    assert lifted.value(2).value == 7
 
 
 def test_character_reduction_compatibility():

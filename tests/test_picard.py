@@ -134,14 +134,14 @@ def test_eigenspace_order_requires_precision(ex3_cover):
 
 def test_elementary_quotient_dimensions(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
     for cover in (ex1_cover, ex2_cover, ex3_cover, ex4_cover):
-        q = elementary_quotient(cover)
         pm = picard_module(cover)
+        q = elementary_quotient(pm)
         p_divisible = sum(1 for d in pm.factors if d % cover.p == 0)
         assert q.dimension == p_divisible
 
 
 def test_elementary_quotient_membership(ex2_cover):
-    q = elementary_quotient(ex2_cover)
+    q = elementary_quotient(picard_module(ex2_cover))
     n = ex2_cover.total.num_vertices
     p = ex2_cover.p
     lap = ex2_cover.total.laplacian_matrix()
@@ -161,44 +161,44 @@ def test_elementary_quotient_membership(ex2_cover):
 
 def test_eigenspace_dims_worked_examples(ex1_cover, ex4_cover):
     g5 = CyclicGroup.for_prime(5)
-    q1 = elementary_quotient(ex1_cover)
     pm1 = picard_module(ex1_cover)
+    q1, sylow1 = elementary_quotient(pm1), sylow_p_module(pm1, 5)
     for i in range(1, 4):
-        assert eigenspace_dim_C(q1, pm1, Character(g5, i, None)) == 0
+        assert eigenspace_dim_C(q1, sylow1, Character(g5, i, None)) == 0
     g11 = CyclicGroup.for_prime(11)
-    q4 = elementary_quotient(ex4_cover)
     pm4 = picard_module(ex4_cover)
-    assert eigenspace_dim_C(q4, pm4, Character(g11, 3, None)) == 2
-    assert eigenspace_dim_C(q4, pm4, Character(g11, 7, None)) == 2
-    assert eigenspace_dim_C(q4, pm4, Character(g11, 1, None)) == 0
+    q4, sylow4 = elementary_quotient(pm4), sylow_p_module(pm4, 11)
+    assert eigenspace_dim_C(q4, sylow4, Character(g11, 3, None)) == 2
+    assert eigenspace_dim_C(q4, sylow4, Character(g11, 7, None)) == 2
+    assert eigenspace_dim_C(q4, sylow4, Character(g11, 1, None)) == 0
 
 
 def test_eigenspace_dims_sum_to_total(ex3_cover, ex4_cover):
     for cover in (ex3_cover, ex4_cover):
         p = cover.p
         g = CyclicGroup.for_prime(p)
-        q = elementary_quotient(cover)
         pm = picard_module(cover)
-        dims = [eigenspace_dim_C(q, pm, Character(g, i, None)) for i in range(p - 1)]
+        q, sylow = elementary_quotient(pm), sylow_p_module(pm, p)
+        dims = [eigenspace_dim_C(q, sylow, Character(g, i, None)) for i in range(p - 1)]
         assert sum(dims) == q.dimension
 
 
 def test_eigenspace_dim_rejects_lifted_characters(ex2_cover):
-    q = elementary_quotient(ex2_cover)
     pm = picard_module(ex2_cover)
+    q, sylow = elementary_quotient(pm), sylow_p_module(pm, 5)
     with pytest.raises(ValueError):
-        eigenspace_dim_C(q, pm, Character(CyclicGroup.for_prime(5), 1, 2))
+        eigenspace_dim_C(q, sylow, Character(CyclicGroup.for_prime(5), 1, 2))
 
 
 def test_fixed_point_sweep_agrees_with_projector(ex4_cover):
-    # The sweep runs whenever p^dim fits the budget; the helper asserts
-    # agreement internally, so this exercises the check end to end.
+    # The sweep runs whenever p^dim fits the budget; the helper raises
+    # VerificationError on disagreement, so this exercises the check end to end.
     g11 = CyclicGroup.for_prime(11)
-    q = elementary_quotient(ex4_cover)
     pm = picard_module(ex4_cover)
+    q, sylow = elementary_quotient(pm), sylow_p_module(pm, 11)
     for i in (2, 3, 7):
-        small = eigenspace_dim_C(q, pm, Character(g11, i, None), enumeration_budget=10**6)
-        projector_only = eigenspace_dim_C(q, pm, Character(g11, i, None), enumeration_budget=0)
+        small = eigenspace_dim_C(q, sylow, Character(g11, i, None), enumeration_budget=10**6)
+        projector_only = eigenspace_dim_C(q, sylow, Character(g11, i, None), enumeration_budget=0)
         assert small == projector_only
 
 
@@ -212,16 +212,13 @@ def test_act_divisor_permutes_coordinates(ex1_cover):
 
 
 def test_trivial_character_check_examples(ex1_cover, ex3_cover):
-    assert trivial_character_check(
-        sylow_p_module(picard_module(ex3_cover), 11), ex3_cover.base, 11
-    )
-    assert trivial_character_check(
-        sylow_p_module(picard_module(ex1_cover), 5), ex1_cover.base, 5
-    )
+    for cover in (ex3_cover, ex1_cover):
+        sylow = sylow_p_module(picard_module(cover), cover.p)
+        assert trivial_character_check(sylow, spanning_tree_count(cover.base))
     cover = c6_over_c3_cover()
     sylow = sylow_p_module(picard_module(cover), 3)
     assert sylow.factors == (3,)
-    assert trivial_character_check(sylow, cover.base, 3)
+    assert trivial_character_check(sylow, spanning_tree_count(cover.base))
 
 
 def test_trivial_component_orders(ex3_cover):

@@ -15,9 +15,9 @@ from coverzeta import (
     derive,
     picard_factors,
     require_connected_cover,
+    smith_normal_form,
     spanning_tree_count,
 )
-from coverzeta.voltage import trivial_cover_components
 
 
 def test_derive_sizes_first_example(ex1_cover):
@@ -33,7 +33,9 @@ def test_derive_sizes_third_example(ex3_cover):
 def test_trivial_voltages_give_disjoint_copies():
     base = bouquet(2)
     cover = derive(VoltageSpec(base, 5, (1, 1)))
-    assert trivial_cover_components(cover) == 4
+    # Four components: the Laplacian's corank, which PicardModule relies on,
+    # counts them.
+    assert smith_normal_form(cover.total.laplacian_matrix()).diagonal.count(0) == 4
     assert cover.total.num_undirected_edges == 4 * base.num_undirected_edges
     with pytest.raises(DisconnectedCover):
         require_connected_cover(cover)
