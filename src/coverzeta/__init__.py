@@ -31,14 +31,7 @@ from .picard import (
     trivial_character_check,
 )
 from .serre import DirectedEdge, SerreGraph, bouquet, cycle_graph, path_graph
-from .snf import (
-    CokernelDescription,
-    SmithDecomposition,
-    cokernel,
-    image_membership,
-    integer_determinant,
-    smith_normal_form,
-)
+from .snf import SmithDecomposition, integer_determinant, smith_normal_form
 from .specfile import bundled_spec, load_spec, spec_from_dict, spec_to_dict
 from .voltage import (
     DerivedCover,

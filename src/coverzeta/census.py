@@ -17,7 +17,6 @@ from itertools import islice, product
 from typing import Iterable
 
 from .herbrand import build_report
-from .picard import ENUMERATION_BUDGET
 from .serre import SerreGraph
 from .voltage import VoltageSpec, connected_by_voltage_criterion, derive
 
@@ -26,12 +25,7 @@ def assignment_key(voltages: Iterable[int]) -> str:
     return ",".join(str(a) for a in voltages)
 
 
-def census_row(
-    base: SerreGraph,
-    p: int,
-    voltages: tuple[int, ...],
-    enumeration_budget: int = ENUMERATION_BUDGET,
-) -> dict:
+def census_row(base: SerreGraph, p: int, voltages: tuple[int, ...]) -> dict:
     spec = VoltageSpec(base, p, voltages)
     cover = derive(spec)
     connected = cover.is_connected()
@@ -51,7 +45,7 @@ def census_row(
             for name in ("main11", "main22", "fitting", "duality", "dim_inequality")
         }
         return row
-    report = build_report(cover, enumeration_budget=enumeration_budget)
+    report = build_report(cover)
     row["pic0"] = list(report.pic0)
     row["vanishing"] = [r["i"] for r in report.rows if r["h_mod_p"] == 0]
     row["verdicts"] = {
@@ -90,13 +84,7 @@ def _resume_state(out_path: str) -> tuple[set[str], int]:
     return done, start
 
 
-def run_census(
-    base: SerreGraph,
-    p: int,
-    out_path: str,
-    budget: int | None = None,
-    enumeration_budget: int = ENUMERATION_BUDGET,
-) -> dict:
+def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = None) -> dict:
     """Append census rows to a newline-delimited JSON file; resumable.
 
     The run starts at the file's last cursor and takes at most ``budget``
@@ -120,7 +108,7 @@ def run_census(
             key = assignment_key(voltages)
             if key in done:
                 continue
-            row = census_row(base, p, tuple(voltages), enumeration_budget)
+            row = census_row(base, p, tuple(voltages))
             fh.write(json.dumps(row, sort_keys=True) + "\n")
             written += 1
         if stop < total:

@@ -18,7 +18,6 @@ import sys
 from .arith import VerificationError, is_odd_prime
 from .census import run_census
 from .herbrand import build_report
-from .picard import ENUMERATION_BUDGET
 from .specfile import (
     BUNDLED,
     SpecFileError,
@@ -84,11 +83,7 @@ def cmd_analyze(args) -> int:
     except DisconnectedCover as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    report = build_report(
-        cover,
-        precision=precision,
-        enumeration_budget=args.enumeration_budget,
-    )
+    report = build_report(cover, precision=precision)
     if args.table:
         print(report.format_table())
     if args.dot:
@@ -142,13 +137,7 @@ def cmd_census(args) -> int:
     if not base.is_connected():
         print("error: census base graph must be connected", file=sys.stderr)
         return EXIT_PARSE
-    summary = run_census(
-        base,
-        p,
-        args.out,
-        budget=args.budget,
-        enumeration_budget=args.enumeration_budget,
-    )
+    summary = run_census(base, p, args.out, budget=args.budget)
     print(
         f"census: {summary['written']} new rows of {summary['total_assignments']} "
         f"assignments -> {args.out}"
@@ -189,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--dot", action="store_true", help="also print DOT drawings")
     pa.add_argument("--out", help="write the JSON report here instead of stdout")
     pa.add_argument("--precision", type=int, help="working p-adic precision override")
-    pa.add_argument(
-        "--enumeration-budget",
-        type=int,
-        default=ENUMERATION_BUDGET,
-        help="largest class count swept by the fixed-point cross-check",
-    )
     pa.set_defaults(func=cmd_analyze)
 
     pd = sub.add_parser("dot", help="render base and derived cover as DOT")
@@ -207,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p", type=int, help="odd prime (may also come from the file)")
     pc.add_argument("--out", default="census.ndjson", help="newline-delimited output file")
     pc.add_argument("--budget", type=int, help="maximum number of assignments to process")
-    pc.add_argument(
-        "--enumeration-budget", type=int, default=ENUMERATION_BUDGET, help=argparse.SUPPRESS
-    )
     pc.set_defaults(func=cmd_census)
 
     pe = sub.add_parser("examples", help="list bundled example fixtures")

@@ -19,7 +19,6 @@ from .characters import Character
 from .groupring import CyclicGroup
 from .padic import PrecisionExhausted
 from .picard import (
-    ENUMERATION_BUDGET,
     ElementaryQuotient,
     PicardModule,
     SylowPModule,
@@ -79,12 +78,7 @@ class CoverAnalysis:
     Fitting-identity pass reads the main22 verdicts.
     """
 
-    def __init__(
-        self,
-        cover: DerivedCover,
-        precision: int | None = None,
-        enumeration_budget: int = ENUMERATION_BUDGET,
-    ):
+    def __init__(self, cover: DerivedCover, precision: int | None = None):
         if precision is not None and precision < 1:
             raise ValueError(f"precision must be at least 1, got {precision}")
         require_connected_cover(cover)
@@ -98,7 +92,6 @@ class CoverAnalysis:
         self.eta1 = eta_at_one(cover, self.lap)
         self.precision = precision if precision is not None else default_precision(self.pic)
         self.precision = max(self.precision, self.sylow.exponent, 1)
-        self.enumeration_budget = enumeration_budget
         self._l_values: dict[tuple[int, int | None], object] = {}
         self._dims: dict[int, int] = {}
         self._orders: dict[int, int] = {}
@@ -117,10 +110,7 @@ class CoverAnalysis:
     def dim_C(self, i: int) -> int:
         if i not in self._dims:
             self._dims[i] = eigenspace_dim_C(
-                self.elemq,
-                self.sylow,
-                Character(self.group, i, None),
-                self.enumeration_budget,
+                self.elemq, self.sylow, Character(self.group, i, None)
             )
         return self._dims[i]
 
@@ -299,13 +289,9 @@ class TheoremReport:
         return "\n".join(lines) + "\n"
 
 
-def build_report(
-    cover: DerivedCover,
-    precision: int | None = None,
-    enumeration_budget: int = ENUMERATION_BUDGET,
-) -> TheoremReport:
+def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremReport:
     """Run every verification on a connected cover and assemble the report."""
-    a = CoverAnalysis(cover, precision, enumeration_budget)
+    a = CoverAnalysis(cover, precision)
     m22 = verify_main22(cover, analysis=a)
     m11 = verify_main11(cover, analysis=a)
     rows = []

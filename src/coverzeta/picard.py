@@ -5,14 +5,14 @@ the cokernel of L has free rank 1 (connected graph) and its torsion is the
 degree-zero part.  A deck transformation permutes vertices, hence acts on
 divisors by a permutation matrix; conjugating through the Smith transform
 expresses the action on the cokernel generators.  Character pieces of the
-p-primary part A and of the mod-p quotient C are computed from projectors,
-with the fixed-point sweep over C available as an independent cross-check.
+p-primary part A and of the mod-p quotient C are computed from projectors;
+the number of classes of C fixed by the idempotent, counted as a kernel on
+explicit divisors, checks every dimension of C independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from math import prod
 
 from .arith import VerificationError, p_part, p_valuation
@@ -22,8 +22,6 @@ from .padic import PAdicInt, PrecisionExhausted
 from .serre import SerreGraph
 from .snf import integer_determinant, smith_normal_form
 from .voltage import DerivedCover, DisconnectedCover, require_connected_cover
-
-ENUMERATION_BUDGET = 10**6
 
 
 def spanning_tree_count(g: SerreGraph) -> int:
@@ -382,65 +380,40 @@ def _fixed_point_count(
 ) -> int:
     """Number of classes of C fixed by the lifted idempotent.
 
-    The defect f*alpha - alpha is linear in the coefficients of alpha, so the
-    sweep over all of C combines precomputed residuals of the basis defects.
+    The defect f*alpha - alpha is linear in the coefficients of alpha, and so
+    is its residual against the principal divisors, so the fixed classes form
+    the kernel of the map sending basis class k to its residual r_k; there
+    are p^(dim C - rank(r_1, ..., r_m)) of them.
     """
-    p = q.p
-    m = q.dimension
     residuals = []
-    support: set[int] = set()
     for eps in q.basis:
         defect = act_divisor(cover, f_lift, eps)
         defect = [a - b for a, b in zip(defect, eps)]
-        resid = q.membership.reduce(q.delta_coords(defect))
-        residuals.append(resid)
-        support.update(j for j, x in enumerate(resid) if x)
-    positions = sorted(support)
-    vecs = [[resid[j] for j in positions] for resid in residuals]
-    count = 0
-    for lam in iter_product(range(p), repeat=m):
-        ok = True
-        for col in range(len(positions)):
-            s = 0
-            for k in range(m):
-                s += lam[k] * vecs[k][col]
-            if s % p != 0:
-                ok = False
-                break
-        count += ok
-    return count
+        residuals.append(q.membership.reduce(q.delta_coords(defect)))
+    return q.p ** (q.dimension - _ModPSpan(q.p, residuals).rank)
 
 
-def eigenspace_dim_C(
-    q: ElementaryQuotient,
-    sylow: SylowPModule,
-    chi: Character,
-    enumeration_budget: int = ENUMERATION_BUDGET,
-) -> int:
+def eigenspace_dim_C(q: ElementaryQuotient, sylow: SylowPModule, chi: Character) -> int:
     """F_p-dimension of the chi-component of C, via the mod-p projector rank.
 
-    ``sylow`` is the p-primary part of the same cover's Picard module.  When
-    p^dim(C) fits in the budget, the fixed-point sweep of the lifted
-    idempotent over all classes recomputes the dimension independently and
-    the two answers are required to agree.
+    ``sylow`` is the p-primary part of the same cover's Picard module.  The
+    number of classes of C fixed by the lifted idempotent recomputes the
+    dimension independently, and p^dim is required to equal it.
     """
     if chi.precision is not None:
         raise ValueError("eigenspace_dim_C expects an F_p-valued character")
     p = chi.group.p
     if sylow.p != p:
         raise ValueError("character prime does not match the cover")
-    if sylow.rank() == 0:
-        return 0
     proj = _projector_matrix(sylow, chi, p)
     dim = _rank_mod_p(proj, p)
-    if p**q.dimension <= enumeration_budget:
-        f_lift = idempotent_mod(chi, 1)
-        count = _fixed_point_count(q.cover, q, f_lift)
-        if count != p**dim:
-            raise VerificationError(
-                "picard.fixed_point_sweep",
-                f"projector rank {dim} disagrees with fixed-point count {count}",
-            )
+    f_lift = idempotent_mod(chi, 1)
+    count = _fixed_point_count(q.cover, q, f_lift)
+    if count != p**dim:
+        raise VerificationError(
+            "picard.fixed_point_sweep",
+            f"projector rank {dim} disagrees with fixed-point count {count}",
+        )
     return dim
 
 

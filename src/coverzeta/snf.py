@@ -1,4 +1,4 @@
-"""Smith normal form over Z with transformation matrices and cokernel data.
+"""Smith normal form over Z with transformation matrices.
 
 All arithmetic uses Python integers, so there is no overflow.  Pivots are the
 nonzero entries of least absolute value (ties: lowest row, then column), which
@@ -10,7 +10,6 @@ tracked inverses multiply to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
 
 from .arith import VerificationError
 
@@ -83,32 +82,6 @@ class SmithDecomposition:
     @property
     def cols(self) -> int:
         return len(self.right)
-
-    def transform(self, x: list[int]) -> list[int]:
-        """Coordinates U*x of a vector in the cokernel's diagonal basis."""
-        if len(x) != self.rows:
-            raise ValueError("dimension mismatch")
-        return [sum(r[j] * x[j] for j in range(len(x))) for r in self.left]
-
-    def generator(self, i: int) -> tuple[int, ...]:
-        """Preimage in the ambient Z^m of the i-th diagonal basis vector."""
-        return tuple(row[i] for row in self.left_inverse)
-
-    def image_contains(self, x: list[int], modulus: int | None = None) -> bool:
-        """Whether x lies in the column span of A (plus modulus*Z^m if given)."""
-        if len(x) != self.rows:
-            raise ValueError("dimension mismatch")
-        c = self.transform(x)
-        for i, ci in enumerate(c):
-            d = self.diagonal[i] if i < len(self.diagonal) else 0
-            if modulus is not None:
-                d = gcd(d, modulus)
-            if d == 0:
-                if ci != 0:
-                    return False
-            elif ci % d != 0:
-                return False
-        return True
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -294,36 +267,3 @@ def _verify(dec: SmithDecomposition, d: Matrix) -> None:
         raise VerificationError("snf.left_unimodular", "U * U^-1 is not the identity")
     if _mat_mul([list(r) for r in dec.right], [list(r) for r in dec.right_inverse]) != _identity(n):
         raise VerificationError("snf.right_unimodular", "V * V^-1 is not the identity")
-
-
-@dataclass(frozen=True)
-class CokernelDescription:
-    """coker(A) = Z^m / col-span(A) as invariant factors plus free rank."""
-
-    decomposition: SmithDecomposition
-    invariant_factors: tuple[int, ...]
-    free_rank: int
-
-    @property
-    def torsion_order(self) -> int:
-        return prod(self.invariant_factors) if self.invariant_factors else 1
-
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Ambient representatives of the torsion generators, one per factor."""
-        dec = self.decomposition
-        idx = [i for i, d in enumerate(dec.diagonal) if d > 1]
-        return tuple(dec.generator(i) for i in idx)
-
-
-def cokernel(a) -> CokernelDescription:
-    dec = smith_normal_form(a)
-    m = dec.rows
-    nonzero = [d for d in dec.diagonal if d != 0]
-    factors = tuple(d for d in nonzero if d > 1)
-    free = m - len(nonzero)
-    return CokernelDescription(dec, factors, free)
-
-
-def image_membership(a, x: list[int], modulus: int | None = None) -> bool:
-    """Whether x lies in the integer column span of A (+ modulus lattice)."""
-    return smith_normal_form(a).image_contains(x, modulus)

@@ -68,6 +68,7 @@ class DerivedCover:
             for s in range(1, p):
                 pairs.append((self.vertex_at(u, s), self.vertex_at(v, s * a % p)))
         self.total = SerreGraph(base.num_vertices * fiber, pairs, labels)
+        self._deck_maps: dict[int, tuple[int, ...]] = {}
 
     @property
     def base(self) -> SerreGraph:
@@ -105,6 +106,16 @@ class DerivedCover:
         return self.vertex_at(v, tau * sigma % self.p)
 
     def deck_vertex_map(self, tau: int) -> tuple[int, ...]:
+        """Images of all total vertices under the deck transformation of tau.
+
+        The cover is immutable, so each map is built once and kept.
+        """
+        tau %= self.p
+        if tau not in self._deck_maps:
+            self._deck_maps[tau] = self._build_deck_map(tau)
+        return self._deck_maps[tau]
+
+    def _build_deck_map(self, tau: int) -> tuple[int, ...]:
         return tuple(self.deck_act(tau, w) for w in self.total.vertices)
 
     def base_transversal(self) -> tuple[int, ...]:

@@ -108,7 +108,7 @@ def test_criterion_5_randomized_property_suite():
             for _ in range(67):
                 cover = random_connected_cover(rng, p)
                 instances += 1
-                analysis = CoverAnalysis(cover, enumeration_budget=1000)
+                analysis = CoverAnalysis(cover)
                 assert all(
                     v.status == PASS
                     for v in verify_main22(cover, analysis=analysis).values()

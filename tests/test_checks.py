@@ -7,13 +7,18 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import coverzeta
+import coverzeta.picard as picard
 import coverzeta.zeta as zeta
+from coverzeta import VerificationError, build_report, derive, elementary_quotient, picard_module
 from coverzeta.cli import main
-from coverzeta.specfile import BUNDLED
+from coverzeta.specfile import BUNDLED, load_spec
 
 PACKAGE = pathlib.Path(coverzeta.__file__).parent
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 # Adds the constant term of the eta polynomial to its u-coefficient, so the
 # polynomial route to eta(1) is wrong while the Laplacian route is not.
@@ -40,6 +45,25 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_readme_documents_every_check():
+    raised = {
+        node.args[0].value
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "VerificationError"
+    }
+    section = README.read_text(encoding="utf-8").split("### Exit code 4\n", 1)[1].split("\n#", 1)[0]
+    documented = {
+        name.strip().strip("`")
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for name in line.split("|")[1].split(",")
+    }
+    assert raised and raised == documented
+
+
 def test_failed_check_exits_4_with_its_name(tmp_path, monkeypatch, capsys):
     namespace = {}
     exec(SABOTAGE, namespace)
@@ -53,6 +77,28 @@ def test_failed_check_exits_4_with_its_name(tmp_path, monkeypatch, capsys):
     base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
     assert main(["census", str(base), "--p", "5", "--out", str(tmp_path / "c.ndjson")]) == 4
     assert "error: check zeta.eta_routes failed:" in capsys.readouterr().err
+
+
+def test_fixed_point_check_runs_when_C_is_large(tmp_path, monkeypatch, capsys):
+    # A star of seven triple edges with a loop at its center, p = 3: C has
+    # 3^14 classes, too many to list one by one, and the check still runs.
+    leaves = [f"l{k}" for k in range(7)]
+    edges = [{"from": "c", "to": "c", "voltage": 2}]
+    edges += [{"from": "c", "to": leaf, "voltage": 1} for leaf in leaves for _ in range(3)]
+    spec = tmp_path / "star.json"
+    spec.write_text(json.dumps({"p": 3, "vertices": ["c", *leaves], "edges": edges}))
+    cover = derive(load_spec(str(spec)))
+    assert elementary_quotient(picard_module(cover)).dimension == 14
+    real_count = picard._fixed_point_count
+    monkeypatch.setattr(
+        picard, "_fixed_point_count", lambda cover, q, f_lift: q.p * real_count(cover, q, f_lift)
+    )
+    with pytest.raises(VerificationError) as exc:
+        build_report(cover)
+    assert exc.value.check == "picard.fixed_point_sweep"
+    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+    assert main(["analyze", str(spec)]) == 4
+    assert "error: check picard.fixed_point_sweep failed:" in capsys.readouterr().err
 
 
 def _run_optimized(*args):

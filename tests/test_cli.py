@@ -88,7 +88,7 @@ def test_analyze_verification_failure_exit_code(tmp_path, monkeypatch):
     import coverzeta.cli as cli_mod
     from coverzeta.herbrand import build_report as real_build
 
-    def sabotaged(cover, precision=None, enumeration_budget=0):
+    def sabotaged(cover, precision=None):
         report = real_build(cover)
         report.global_verdicts["duality"] = type(
             report.global_verdicts["duality"]
@@ -314,6 +314,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, doc, flags):
     assert main([command, path, "--out", str(out), *flags]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "example1"], ["census", "base.json", "--p", "5"]],
+    ids=["analyze", "census"],
+)
+def test_enumeration_budget_flag_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--enumeration-budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --enumeration-budget 5" in capsys.readouterr().err
 
 
 def test_examples_listing(capsys, tmp_path):

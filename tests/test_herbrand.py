@@ -153,6 +153,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     import coverzeta.picard as picard
     import coverzeta.zeta as zeta
     from coverzeta.serre import SerreGraph
+    from coverzeta.voltage import DerivedCover
 
     # A fresh cover: its graphs have not yet searched for their connectivity.
     cover = derive(bundled_spec("example4"))
@@ -166,6 +167,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     l_keys = []
     searched = []
     total_laplacians = []
+    deck_maps = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -195,7 +197,14 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
             total_laplacians.append(graph)
         return real_laplacian(graph, *args, **kwargs)
 
+    real_deck_map = DerivedCover._build_deck_map
+
+    def build_deck_map(cover, tau):
+        deck_maps.append(tau)
+        return real_deck_map(cover, tau)
+
     monkeypatch.setattr(hb, "l_value", l_value)
+    monkeypatch.setattr(DerivedCover, "_build_deck_map", build_deck_map)
     monkeypatch.setattr(SerreGraph, "_reaches_every_vertex", search)
     monkeypatch.setattr(SerreGraph, "laplacian_matrix", laplacian_matrix)
     report = build_report(cover, precision=precision)
@@ -210,3 +219,4 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     assert {key for key in l_keys if key[1] is None} == {(i, None) for i in range(1, 10)}
     assert searched == [id(cover.total)]  # the base was searched by derive
     assert len(total_laplacians) == 1
+    assert sorted(deck_maps) == list(range(1, cover.p))  # one build per unit

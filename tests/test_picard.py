@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -21,8 +22,8 @@ from coverzeta import (
     sylow_p_module,
     trivial_character_check,
 )
-from coverzeta.picard import act_divisor
-from coverzeta.groupring import GroupRingElement
+from coverzeta.picard import _fixed_point_count, act_divisor
+from coverzeta.groupring import GroupRingElement, idempotent_mod
 
 
 def c6_over_c3_cover():
@@ -190,16 +191,48 @@ def test_eigenspace_dim_rejects_lifted_characters(ex2_cover):
         eigenspace_dim_C(q, sylow, Character(CyclicGroup.for_prime(5), 1, 2))
 
 
-def test_fixed_point_sweep_agrees_with_projector(ex4_cover):
-    # The sweep runs whenever p^dim fits the budget; the helper raises
-    # VerificationError on disagreement, so this exercises the check end to end.
-    g11 = CyclicGroup.for_prime(11)
-    pm = picard_module(ex4_cover)
-    q, sylow = elementary_quotient(pm), sylow_p_module(pm, 11)
-    for i in (2, 3, 7):
-        small = eigenspace_dim_C(q, sylow, Character(g11, i, None), enumeration_budget=10**6)
-        projector_only = eigenspace_dim_C(q, sylow, Character(g11, i, None), enumeration_budget=0)
-        assert small == projector_only
+def enumerated_fixed_points(cover, q, f_lift) -> int:
+    """Reference count: try every combination of the basis classes of C."""
+    p = q.p
+    residuals = []
+    for eps in q.basis:
+        defect = [a - b for a, b in zip(act_divisor(cover, f_lift, eps), eps)]
+        residuals.append(q.membership.reduce(q.delta_coords(defect)))
+    support = [j for j in range(cover.total.num_vertices - 1) if any(r[j] for r in residuals)]
+    count = 0
+    for lam in product(range(p), repeat=q.dimension):
+        count += not any(sum(c * r[j] for c, r in zip(lam, residuals)) % p for j in support)
+    return count
+
+
+def check_fixed_point_counts(cover, max_classes=None) -> int:
+    """Compare the kernel count, the enumeration and p^(projector rank) for
+    every character of a cover; returns dim C, or None when C has more than
+    ``max_classes`` classes."""
+    p = cover.p
+    pm = picard_module(cover)
+    q, sylow = elementary_quotient(pm), sylow_p_module(pm, p)
+    if max_classes is not None and p**q.dimension > max_classes:
+        return None
+    g = CyclicGroup.for_prime(p)
+    for i in range(p - 1):
+        chi = Character(g, i, None)
+        count = _fixed_point_count(cover, q, idempotent_mod(chi, 1))
+        assert count == enumerated_fixed_points(cover, q, idempotent_mod(chi, 1))
+        assert count == p ** eigenspace_dim_C(q, sylow, chi)
+    return q.dimension
+
+
+def test_fixed_point_sweep_agrees_with_projector(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
+    for cover in (ex1_cover, ex2_cover, ex3_cover, ex4_cover):
+        check_fixed_point_counts(cover)
+    rng = random.Random(42)
+    dims = [
+        check_fixed_point_counts(random_connected_cover(rng, p), max_classes=10**4)
+        for p in (3, 5, 7)
+        for _ in range(12)
+    ]
+    assert sum(1 for d in dims if d) >= 8
 
 
 def test_act_divisor_permutes_coordinates(ex1_cover):
