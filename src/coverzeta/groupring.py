@@ -2,8 +2,8 @@
 
 Elements are integer coefficient vectors indexed by powers of a fixed
 generator, so multiplication is cyclic convolution in Z[x]/(x^(p-1) - 1).
-Determinants are computed by cofactor expansion: the group ring has zero
-divisors, so fraction-free elimination would be unsound.
+Determinants are computed by Berkowitz's division-free algorithm: the group
+ring has zero divisors, so elimination, even fraction-free, would be unsound.
 """
 
 from __future__ import annotations
@@ -208,11 +208,15 @@ def idempotent_mod(character, k: int) -> GroupRingElement:
     return GroupRingElement(group, tuple(coeffs))
 
 
-def ring_determinant(entries, zero):
+def ring_determinant(entries, zero, one):
     """Determinant of a square matrix over any commutative ring.
 
-    Cofactor expansion memoized over column subsets (bitmask), valid in rings
-    with zero divisors.  Entries only need +, - and *.
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984): the
+    characteristic polynomial of each trailing principal submatrix follows
+    from that of the next smaller one through the Toeplitz column
+    1, -a, -R C, -R A C, -R A^2 C, ...  It takes O(n^4) ring operations and
+    needs only +, - and *, so it is sound in rings with zero divisors.  The
+    matrix-vector products skip zero entries.
     """
     n = len(entries)
     if n == 0:
@@ -220,32 +224,28 @@ def ring_determinant(entries, zero):
     for row in entries:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    memo: dict[int, object] = {}
+    sparse = [[(j, x) for j, x in enumerate(row) if x != zero] for row in entries]
 
-    def minor(mask: int):
-        count = bin(mask).count("1")
-        row = n - count
-        if count == 1:
-            j = mask.bit_length() - 1
-            return entries[row][j]
-        if mask in memo:
-            return memo[mask]
-        acc = None
-        pos = 0
-        for j in range(n):
-            if not (mask >> j) & 1:
-                continue
-            a = entries[row][j]
-            term = a * minor(mask & ~(1 << j))
-            if acc is None:
-                acc = term if pos % 2 == 0 else zero - term
-            else:
-                acc = acc + term if pos % 2 == 0 else acc - term
-            pos += 1
-        memo[mask] = acc
-        return acc
+    def dot(row, vec):
+        return sum((x * vec[j] for j, x in row if j in vec), zero)
 
-    return minor((1 << n) - 1)
+    # Characteristic polynomial of the trailing submatrix, leading coefficient first.
+    poly = [one, zero - entries[n - 1][n - 1]]
+    for k in range(n - 2, -1, -1):
+        # vec runs through C, A C, A^2 C, ... below row k, its zeros dropped.
+        vec = {i: entries[i][k] for i in range(k + 1, n) if entries[i][k] != zero}
+        col = [zero - entries[k][k]]
+        for step in range(n - k - 1):
+            if step:
+                vec = {i: y for i in range(k + 1, n) if (y := dot(sparse[i], vec)) != zero}
+            col.append(zero - dot(sparse[k], vec))
+        # poly <- T poly, T lower-triangular Toeplitz with column (1, *col).
+        out = poly + [zero]
+        for i in range(1, len(out)):
+            for j in range(i):
+                out[i] = out[i] + col[i - j - 1] * poly[j]
+        poly = out
+    return poly[n] if n % 2 == 0 else zero - poly[n]
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,9 @@ class GroupRingMatrix:
     def determinant(self) -> GroupRingElement:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return ring_determinant(self.entries, GroupRingElement.zero(self.group))
+        return ring_determinant(
+            self.entries, GroupRingElement.zero(self.group), GroupRingElement.one(self.group)
+        )
 
     def evaluate(self, character):
         """Entrywise character evaluation; returns a list-of-lists matrix.

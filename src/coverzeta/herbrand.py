@@ -68,14 +68,16 @@ class CoverAnalysis:
     """Owner of every intermediate the verification passes share.
 
     Computed once per analysis: the Picard module and its Sylow part, the
-    elementary quotient (from the Picard module's Laplacian), the equivariant
-    Laplacian and the special value eta(1), whose Laplacian-against-polynomial
-    check runs here.  Per-character quantities are computed on demand and
-    cached, so the verification passes can share one analysis without
-    recomputation; in particular each L-value, with its eta-against-determinant
-    check, is computed once per (character, precision), the valuation retries
-    and the report's p-adic expansion read the same cached value, and the
-    Fitting-identity pass reads the main22 verdicts.
+    elementary quotient (from the Picard module's Laplacian), the base
+    graph's Laplacian (for its Picard factors and tree count), the
+    equivariant Laplacian and the special value eta(1), whose
+    Berkowitz-against-substitution check runs here.  Per-character
+    quantities are computed on demand and cached, so the verification passes
+    can share one analysis without recomputation; in particular each
+    L-value, with its eta-against-determinant check, is computed once per
+    (character, precision), the valuation retries and the report's p-adic
+    expansion read the same cached value, and the Fitting-identity pass reads
+    the main22 verdicts.
     """
 
     def __init__(self, cover: DerivedCover, precision: int | None = None):
@@ -88,6 +90,7 @@ class CoverAnalysis:
         self.pic: PicardModule = picard_module(cover)
         self.sylow: SylowPModule = sylow_p_module(self.pic, self.p)
         self.elemq: ElementaryQuotient = elementary_quotient(self.pic)
+        self.base_lap = cover.base.laplacian_matrix()
         self.lap = equivariant_laplacian(cover)
         self.eta1 = eta_at_one(cover, self.lap)
         self.precision = precision if precision is not None else default_precision(self.pic)
@@ -212,7 +215,7 @@ def verify_fitting_identity(
 
 
 def _dimension_inequality(a: CoverAnalysis) -> tuple[Verdict, bool]:
-    base_factors = picard_factors(a.cover.base)
+    base_factors = picard_factors(a.cover.base, a.base_lap)
     base_dim = sum(1 for d in base_factors if d % a.p == 0)
     vanishing = sum(1 for i in range(1, a.p - 1) if a.fp_value(i) == 0)
     dim_c = a.elemq.dimension
@@ -330,7 +333,7 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
                 }
             )
     dim_verdict, strict = _dimension_inequality(a)
-    kappa_base = spanning_tree_count(cover.base)
+    kappa_base = spanning_tree_count(cover.base, a.base_lap)
     trivial_ok = trivial_character_check(a.sylow, kappa_base)
     order_product = prod(a.order_A(i) for i in range(1, a.p - 1)) * p_part(kappa_base, a.p)
     global_verdicts = {

@@ -24,14 +24,18 @@ from .snf import integer_determinant, smith_normal_form
 from .voltage import DerivedCover, DisconnectedCover, require_connected_cover
 
 
-def spanning_tree_count(g: SerreGraph) -> int:
-    """Number of spanning trees, as a principal minor of the Laplacian."""
+def spanning_tree_count(g: SerreGraph, lap: list[list[int]] | None = None) -> int:
+    """Number of spanning trees, as a principal minor of the Laplacian.
+
+    ``lap`` is the graph's Laplacian, built here when omitted.
+    """
     if not g.is_connected():
         raise ValueError("spanning trees are only counted for connected graphs")
     n = g.num_vertices
     if n == 1:
         return 1
-    lap = g.laplacian_matrix()
+    if lap is None:
+        lap = g.laplacian_matrix()
     minor = [row[: n - 1] for row in lap[: n - 1]]
     kappa = integer_determinant(minor)
     if kappa <= 0:
@@ -39,11 +43,16 @@ def spanning_tree_count(g: SerreGraph) -> int:
     return kappa
 
 
-def picard_factors(g: SerreGraph) -> tuple[int, ...]:
-    """Invariant factors (> 1) of the degree-zero Picard group of a graph."""
+def picard_factors(g: SerreGraph, lap: list[list[int]] | None = None) -> tuple[int, ...]:
+    """Invariant factors (> 1) of the degree-zero Picard group of a graph.
+
+    ``lap`` is the graph's Laplacian, built here when omitted.
+    """
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    dec = smith_normal_form(g.laplacian_matrix())
+    if lap is None:
+        lap = g.laplacian_matrix()
+    dec = smith_normal_form(lap)
     corank = dec.diagonal.count(0)
     if corank != 1:
         raise VerificationError("picard.corank", f"connected graph Laplacian has corank {corank}")

@@ -5,7 +5,9 @@ the Laplacian), and character L-values.
 Everything is exact.  Two computation routes exist by construction --
 evaluate the character after taking the group-ring determinant, or evaluate
 entrywise first and take an ordinary determinant -- and both are run and
-compared whenever an L-value is produced.
+compared whenever an L-value is produced.  The special value itself is
+taken twice: by Berkowitz's algorithm over the group ring, and by Bareiss
+elimination over the integers after Kronecker substitution.
 
 The functions take the cover's equivariant Laplacian and special value as
 optional arguments, so a caller that holds them (``herbrand.CoverAnalysis``)
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arith import VerificationError
 from .characters import Character
@@ -43,6 +46,9 @@ class _RingPoly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
         self.zero = zero
+
+    def __eq__(self, other):
+        return isinstance(other, _RingPoly) and self.coeffs == other.coeffs
 
     def _pad(self, k):
         return self.coeffs + (self.zero,) * (k - len(self.coeffs))
@@ -86,12 +92,6 @@ class EtaPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def at_one(self) -> GroupRingElement:
-        total = GroupRingElement.zero(self.group)
-        for c in self.coeffs:
-            total = total + c
-        return total
 
     def involution_applied(self) -> "EtaPolynomial":
         return EtaPolynomial(self.group, tuple(c.involution() for c in self.coeffs))
@@ -172,7 +172,7 @@ def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
             else:
                 row.append(_RingPoly([zero, zero - adj[i, j]], zero))
         entries.append(row)
-    det = ring_determinant(entries, _RingPoly([], zero))
+    det = ring_determinant(entries, _RingPoly([], zero), _RingPoly([one], zero))
     coeffs = det.coeffs if det.coeffs else (zero,)
     poly = EtaPolynomial(group, tuple(coeffs))
     if poly.coefficient(0) != one:
@@ -185,20 +185,53 @@ def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
 def eta_at_one(cover: DerivedCover, lap: GroupRingMatrix | None = None) -> GroupRingElement:
     """Special value at u = 1: the group-ring determinant of the Laplacian.
 
-    Computed both as the polynomial evaluated at 1 and directly as the
-    determinant of degree-minus-adjacency; the results must agree exactly.
-    ``lap`` is the cover's equivariant Laplacian, built here when omitted.
+    At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  Its
+    determinant is taken by Berkowitz over the group ring and again by
+    Bareiss over the integers after Kronecker substitution; the results must
+    agree exactly.  ``lap`` is the cover's equivariant Laplacian, built here
+    when omitted.
     """
     require_connected_cover(cover)
     if lap is None:
         lap = equivariant_laplacian(cover)
     direct = lap.determinant()
-    via_poly = eta_polynomial(cover).at_one()
-    if direct != via_poly:
+    substituted = _substitution_determinant(lap)
+    if direct != substituted:
         raise VerificationError(
-            "zeta.eta_routes", f"Laplacian determinant {direct} != polynomial at 1 {via_poly}"
+            "zeta.eta_routes",
+            f"Berkowitz determinant {direct} != Kronecker-substituted determinant {substituted}",
         )
     return direct
+
+
+def _substitution_determinant(mat: GroupRingMatrix) -> GroupRingElement:
+    """Group-ring determinant through the ring map Z[G] -> Z/(B^(p-1) - 1).
+
+    sigma_g^k maps to B^k.  Every Leibniz term is a product of one entry per
+    row, so the absolute values of the determinant's coefficients c_k sum to
+    at most beta, the product of the rows' l1 norms.  With B = 2 beta + 1 the
+    integer sum of c_k B^k lies strictly between -M/2 and M/2, M = B^(p-1) - 1,
+    so it is the symmetric residue of the Bareiss determinant of the
+    substituted matrix, and its balanced base-B digits are the c_k.
+    """
+    m = mat.group.order
+    beta = max(prod(sum(sum(map(abs, e.coeffs)) for e in row) for row in mat.entries), 1)
+    base = 2 * beta + 1
+    modulus = base**m - 1
+    powers = [base**k for k in range(m)]
+    det = integer_determinant(
+        [[sum(c * b for c, b in zip(e.coeffs, powers)) for e in row] for row in mat.entries]
+    ) % modulus
+    if det > modulus // 2:
+        det -= modulus
+    coeffs = []
+    for _ in range(m):
+        digit = det % base
+        if digit > beta:
+            digit -= base
+        coeffs.append(digit)
+        det = (det - digit) // base
+    return GroupRingElement(mat.group, tuple(coeffs))
 
 
 def _square_det(rows, chi: Character):
@@ -271,7 +304,7 @@ def _int_poly_det(g: SerreGraph) -> list[int]:
             c2 = g.valence(i) - 1 if i == j else 0
             row.append(_RingPoly([c0, -a, c2], 0))
         entries.append(row)
-    det = ring_determinant(entries, _RingPoly([], 0))
+    det = ring_determinant(entries, _RingPoly([], 0), _RingPoly([1], 0))
     return list(det.coeffs) if det.coeffs else [0]
 
 

@@ -11,7 +11,6 @@ import pytest
 
 import coverzeta
 import coverzeta.picard as picard
-import coverzeta.zeta as zeta
 from coverzeta import VerificationError, build_report, derive, elementary_quotient, picard_module
 from coverzeta.cli import main
 from coverzeta.specfile import BUNDLED, load_spec
@@ -20,19 +19,33 @@ PACKAGE = pathlib.Path(coverzeta.__file__).parent
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
-# Adds the constant term of the eta polynomial to its u-coefficient, so the
-# polynomial route to eta(1) is wrong while the Laplacian route is not.
-SABOTAGE = """
-import coverzeta.zeta as zeta
-from coverzeta.zeta import EtaPolynomial
+# Each sabotage corrupts one side of the eta(1) check, so that check alone
+# fails: a coefficient of the Kronecker-substitution route, or the result of
+# the Berkowitz group-ring determinant.  Each defines the attribute it
+# replaces (``module``, ``name``) and its replacement (``corrupted``).
+SABOTAGES = {
+    "substitution": """
+import coverzeta.zeta as module
+from coverzeta.groupring import GroupRingElement
 
-real_eta_polynomial = zeta.eta_polynomial
+name = "_substitution_determinant"
+real = module._substitution_determinant
 
-def eta_polynomial(cover):
-    c = list(real_eta_polynomial(cover).coeffs)
-    c[1] = c[1] + c[0]
-    return EtaPolynomial(c[0].group, tuple(c))
-"""
+def corrupted(mat):
+    c = list(real(mat).coeffs)
+    c[1] += 1
+    return GroupRingElement(mat.group, tuple(c))
+""",
+    "berkowitz": """
+import coverzeta.groupring as module
+
+name = "ring_determinant"
+real = module.ring_determinant
+
+def corrupted(entries, zero, one):
+    return real(entries, zero, one) + one
+""",
+}
 
 
 def test_package_has_no_assert_statements():
@@ -65,18 +78,21 @@ def test_readme_documents_every_check():
 
 
 def test_failed_check_exits_4_with_its_name(tmp_path, monkeypatch, capsys):
-    namespace = {}
-    exec(SABOTAGE, namespace)
-    monkeypatch.setattr(zeta, "eta_polynomial", namespace["eta_polynomial"])
     monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
-    assert main(["analyze", "example3"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: check zeta.eta_routes failed:" in captured.err
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
-    assert main(["census", str(base), "--p", "5", "--out", str(tmp_path / "c.ndjson")]) == 4
-    assert "error: check zeta.eta_routes failed:" in capsys.readouterr().err
+    for case, sabotage in SABOTAGES.items():
+        namespace = {}
+        exec(sabotage, namespace)
+        with monkeypatch.context() as m:
+            m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+            assert main(["analyze", "example3"]) == 4, case
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: check zeta.eta_routes failed:" in captured.err
+            out = tmp_path / f"{case}.ndjson"
+            assert main(["census", str(base), "--p", "5", "--out", str(out)]) == 4, case
+            assert "error: check zeta.eta_routes failed:" in capsys.readouterr().err
 
 
 def test_fixed_point_check_runs_when_C_is_large(tmp_path, monkeypatch, capsys):
@@ -111,12 +127,13 @@ def _run_optimized(*args):
 
 
 def test_checks_survive_python_O():
-    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + SABOTAGE
-    script += "zeta.eta_polynomial = eta_polynomial\nfrom coverzeta.cli import main\n"
-    script += "sys.exit(main(['analyze', 'example3']))\n"
-    sabotaged = _run_optimized("-c", script)
-    assert sabotaged.returncode == 4, sabotaged.stderr
-    assert "error: check zeta.eta_routes failed:" in sabotaged.stderr
+    for sabotage in SABOTAGES.values():
+        script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
+        script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
+        script += "sys.exit(main(['analyze', 'example3']))\n"
+        sabotaged = _run_optimized("-c", script)
+        assert sabotaged.returncode == 4, sabotaged.stderr
+        assert "error: check zeta.eta_routes failed:" in sabotaged.stderr
     for name in BUNDLED:
         run = _run_optimized("-m", "coverzeta.cli", "analyze", name)
         assert run.returncode == 0, run.stderr

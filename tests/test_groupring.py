@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,9 @@ from coverzeta import (
     zp_characters,
 )
 from coverzeta.arith import multiplicative_order
+from coverzeta.groupring import ring_determinant
 from coverzeta.padic import PrecisionExhausted
+from coverzeta.zeta import _RingPoly, _substitution_determinant
 
 G5 = CyclicGroup.for_prime(5)
 G7 = CyclicGroup.for_prime(7)
@@ -326,3 +330,145 @@ def test_evaluation_does_not_depend_on_the_presentation():
 def test_evaluation_rejects_a_character_of_another_prime():
     with pytest.raises(ValueError):
         elem(G5, 1, 0, 0, 0).evaluate(Character(G7, 1, None))
+
+
+def _leibniz(entries, zero):
+    """Reference determinant: the signed sum over all permutations."""
+    total = zero
+    for perm in itertools.permutations(range(len(entries))):
+        term = entries[0][perm[0]]
+        for i in range(1, len(perm)):
+            term = term * entries[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _special_elements(group):
+    """Zero, one, a group element, 1 - sigma and the norm: zero divisors included."""
+    one = GroupRingElement.one(group)
+    sigma = GroupRingElement.of(group, group.generator)
+    norm = GroupRingElement(group, (1,) * group.order)
+    return [GroupRingElement.zero(group), one, sigma, one - sigma, norm, sigma * 3 - norm]
+
+
+def _random_entry(rng, group, spread=3):
+    if rng.random() < 0.5:
+        return rng.choice(_special_elements(group))
+    return GroupRingElement(group, tuple(rng.randint(-spread, spread) for _ in range(group.order)))
+
+
+def _random_matrix(rng, group, n, spread=3):
+    return [[_random_entry(rng, group, spread) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_berkowitz_matches_leibniz_over_the_group_ring(p, n):
+    rng = random.Random(1000 * p + n)
+    group = CyclicGroup.for_prime(p)
+    zero, one = GroupRingElement.zero(group), GroupRingElement.one(group)
+    for _ in range(4):
+        entries = _random_matrix(rng, group, n)
+        assert ring_determinant(entries, zero, one) == _leibniz(entries, zero)
+
+
+def test_berkowitz_finds_zero_divisor_determinants():
+    # (1 - sigma) * norm = 0 in Z[G], so these determinants vanish although
+    # no entry does.
+    group = CyclicGroup.for_prime(7)
+    zero, one, sigma, delta, norm, _ = _special_elements(group)
+    cases = [
+        [[delta, zero], [zero, norm]],
+        [[delta, one], [zero, norm]],
+        [[sigma, norm, one], [zero, delta, norm], [delta, zero, sigma]],
+    ]
+    for entries in cases:
+        assert ring_determinant(entries, zero, one) == _leibniz(entries, zero)
+    assert ring_determinant([[delta, zero], [zero, norm]], zero, one).is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_berkowitz_matches_leibniz_over_polynomials_in_u(n):
+    rng = random.Random(50 + n)
+    zero = GroupRingElement.zero(G5)
+    poly_zero, poly_one = _RingPoly([], zero), _RingPoly([GroupRingElement.one(G5)], zero)
+    for _ in range(2):
+        entries = [
+            [_RingPoly([_random_entry(rng, G5, 2) for _ in range(rng.randint(0, 3))], zero)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert ring_determinant(entries, poly_zero, poly_one) == _leibniz(entries, poly_zero)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_berkowitz_matches_leibniz_over_the_integers(n):
+    from coverzeta.snf import integer_determinant
+
+    rng = random.Random(n)
+    for _ in range(20):
+        entries = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+        det = ring_determinant(entries, 0, 1)
+        assert det == _leibniz(entries, 0) == integer_determinant(entries)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_substitution_route_matches_berkowitz(p, n):
+    rng = random.Random(7000 + 100 * p + n)
+    group = CyclicGroup.for_prime(p)
+    for spread in (1, 4, 50):
+        m = GroupRingMatrix.from_rows(group, _random_matrix(rng, group, n, spread))
+        assert _substitution_determinant(m) == m.determinant()
+
+
+def _monomial(group, coefficient, k):
+    return GroupRingElement.of(group, group.element(k), coefficient)
+
+
+@pytest.mark.parametrize("p", [3, 5, 11])
+def test_substitution_route_at_the_l1_bound(p):
+    # Monomial entries make the l1 norm of the determinant equal the product
+    # of the row norms, so its one nonzero coefficient is a balanced digit of
+    # largest absolute value, on either sign.
+    group = CyclicGroup.for_prime(p)
+    zero = GroupRingElement.zero(group)
+    rng = random.Random(p)
+    signs = set()
+    for sign in (1, -1):
+        m = GroupRingMatrix.from_rows(group, [[_monomial(group, sign * 7, 1)]])
+        assert _substitution_determinant(m) == m.determinant() == _monomial(group, sign * 7, 1)
+        for n in (2, 3, 4):
+            cs = [rng.randint(1, 9) for _ in range(n)]
+            ks = [rng.randrange(group.order) for _ in range(n)]
+            cs[0] *= sign
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows = [[zero] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][perm[i]] = _monomial(group, cs[i], ks[i])
+            m = GroupRingMatrix.from_rows(group, rows)
+            det = m.determinant()
+            assert sum(map(abs, det.coeffs)) == prod(abs(c) for c in cs)
+            assert _substitution_determinant(m) == det
+            signs.add(sum(det.coeffs) > 0)
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_substitution_route_with_every_coefficient_negative(p):
+    group = CyclicGroup.for_prime(p)
+    zero, one, sigma, delta, norm, _ = _special_elements(group)
+    rng = random.Random(p)
+    negative = GroupRingElement(group, tuple(-rng.randint(1, 9) for _ in range(group.order)))
+    cases = [
+        [[negative]],
+        [[zero - one - sigma, zero], [zero, norm]],  # -(1 + sigma) * norm = -2 norm
+        [[zero, negative], [zero - one - sigma * 2, delta]],  # negative * (1 + 2 sigma)
+    ]
+    for rows in cases:
+        m = GroupRingMatrix.from_rows(group, rows)
+        det = m.determinant()
+        assert all(c < 0 for c in det.coeffs)
+        assert _substitution_determinant(m) == det

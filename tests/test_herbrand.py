@@ -149,6 +149,7 @@ def test_failed_report_carries_diagnostics(ex2_cover, monkeypatch):
 
 @pytest.mark.parametrize("precision", [None, 1])
 def test_report_computes_each_l_value_once(monkeypatch, precision):
+    import coverzeta.groupring as groupring
     import coverzeta.herbrand as hb
     import coverzeta.picard as picard
     import coverzeta.zeta as zeta
@@ -162,11 +163,14 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "equivariant_laplacian": (hb, zeta),
         "sylow_p_module": (hb, picard),
         "spanning_tree_count": (hb, picard),
+        "ring_determinant": (groupring, zeta),
+        "eta_polynomial": (zeta,),
     }
     calls = dict.fromkeys(targets, 0)
     l_keys = []
     searched = []
     total_laplacians = []
+    base_laplacians = []
     deck_maps = []
 
     def counted(name, fn):
@@ -195,6 +199,8 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     def laplacian_matrix(graph, *args, **kwargs):
         if graph is cover.total:
             total_laplacians.append(graph)
+        if graph is cover.base:
+            base_laplacians.append(graph)
         return real_laplacian(graph, *args, **kwargs)
 
     real_deck_map = DerivedCover._build_deck_map
@@ -214,9 +220,35 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "equivariant_laplacian": 1,
         "sylow_p_module": 1,
         "spanning_tree_count": 1,
+        "ring_determinant": 1,
+        "eta_polynomial": 0,
     }
     assert len(l_keys) == len(set(l_keys))
     assert {key for key in l_keys if key[1] is None} == {(i, None) for i in range(1, 10)}
     assert searched == [id(cover.total)]  # the base was searched by derive
     assert len(total_laplacians) == 1
+    assert len(base_laplacians) == 1
     assert sorted(deck_maps) == list(range(1, cover.p))  # one build per unit
+
+
+def test_report_on_a_24_vertex_base():
+    # A spanning tree on 24 vertices plus 3 edges at p = 5: far past what a
+    # determinant over all column subsets could take.
+    import random
+    from math import prod
+
+    from coverzeta import SerreGraph
+    from coverzeta.picard import spanning_tree_count
+
+    rng = random.Random(1)
+    while True:
+        pairs = [(rng.randrange(v), v) for v in range(1, 24)]
+        pairs += [tuple(rng.sample(range(24), 2)) for _ in range(3)]
+        spec = VoltageSpec(SerreGraph(24, pairs), 5, tuple(rng.randint(1, 4) for _ in pairs))
+        cover = derive(spec)
+        if cover.is_connected():
+            break
+    report = build_report(cover)
+    assert report.all_ok
+    assert report.sylow_factors == (25, 25)
+    assert prod(report.pic0) == spanning_tree_count(cover.total)
