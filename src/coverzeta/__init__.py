@@ -45,15 +45,12 @@ from .voltage import (
 from .zeta import (
     EtaPolynomial,
     LValue,
-    closed_path_counts,
     duality_check,
     equivariant_adjacency,
     equivariant_laplacian,
     eta_at_one,
     eta_polynomial,
-    ihara_zeta_inverse_base,
     l_value,
-    log_zeta_path_counts,
 )
 
 __version__ = "0.1.0"

@@ -36,10 +36,6 @@ class Character:
         return "Fp" if self.precision is None else "Zp"
 
     @property
-    def is_trivial(self) -> bool:
-        return self.exponent == 0
-
-    @property
     def modulus(self) -> int:
         """p for an F_p-valued character, p^precision for a lift."""
         p = self.group.p

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
-from .arith import p_part, p_valuation
+from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup
 from .padic import PrecisionExhausted
@@ -31,6 +31,7 @@ from .picard import (
     sylow_p_module,
     trivial_character_check,
 )
+from .snf import integer_determinant
 from .voltage import DerivedCover, require_connected_cover
 from .zeta import duality_check, equivariant_laplacian, eta_at_one, l_value
 
@@ -69,9 +70,10 @@ class CoverAnalysis:
 
     Computed once per analysis: the Picard module and its Sylow part, the
     elementary quotient (from the Picard module's Laplacian), the base
-    graph's Laplacian (for its Picard factors and tree count), the
+    graph's Laplacian (for its Picard factors) and tree count, the
     equivariant Laplacian and the special value eta(1), whose
-    Berkowitz-against-substitution check runs here.  Per-character
+    Berkowitz-against-substitution check runs here, as does the class-number
+    check that ties the order of Pic0 to eta(1).  Per-character
     quantities are computed on demand and cached, so the verification passes
     can share one analysis without recomputation; in particular each
     L-value, with its eta-against-determinant check, is computed once per
@@ -91,14 +93,35 @@ class CoverAnalysis:
         self.sylow: SylowPModule = sylow_p_module(self.pic, self.p)
         self.elemq: ElementaryQuotient = elementary_quotient(self.pic)
         self.base_lap = cover.base.laplacian_matrix()
+        self.kappa_base = spanning_tree_count(cover.base, self.base_lap)
         self.lap = equivariant_laplacian(cover)
         self.eta1 = eta_at_one(cover, self.lap)
+        self._check_class_number()
         self.precision = precision if precision is not None else default_precision(self.pic)
         self.precision = max(self.precision, self.sylow.exponent, 1)
         self._l_values: dict[tuple[int, int | None], object] = {}
         self._dims: dict[int, int] = {}
         self._orders: dict[int, int] = {}
         self._valuations: dict[int, tuple[int | None, int]] = {}
+
+    def _check_class_number(self) -> None:
+        """Check (p - 1) #Pic0(Y) = kappa(X) det(C + J)/(p - 1).
+
+        C is the circulant of eta(1) and J is all ones, so C + J has the
+        eigenvalue chi(eta(1)) at each nontrivial chi and aug(eta(1)) + p - 1
+        = p - 1 at the trivial one: the quotient is the product of the
+        nontrivial L-values at u = 1.
+        """
+        m = self.p - 1
+        c = self.eta1.coeffs
+        circulant = [[c[i - j] + 1 for j in range(m)] for i in range(m)]  # c[-k] = c[m - k]
+        norm, rem = divmod(integer_determinant(circulant), m)
+        if rem or m * self.pic.order != self.kappa_base * norm:
+            raise VerificationError(
+                "picard.class_number",
+                f"(p - 1) #Pic0 = {m * self.pic.order}, kappa(X) = {self.kappa_base}, "
+                f"det(C + J) = {norm * m + rem}",
+            )
 
     def _l_value(self, i: int, precision: int | None):
         key = (i, precision)
@@ -333,9 +356,8 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
                 }
             )
     dim_verdict, strict = _dimension_inequality(a)
-    kappa_base = spanning_tree_count(cover.base, a.base_lap)
-    trivial_ok = trivial_character_check(a.sylow, kappa_base)
-    order_product = prod(a.order_A(i) for i in range(1, a.p - 1)) * p_part(kappa_base, a.p)
+    trivial_ok = trivial_character_check(a.sylow, a.kappa_base)
+    order_product = prod(a.order_A(i) for i in range(1, a.p - 1)) * p_part(a.kappa_base, a.p)
     global_verdicts = {
         "main22": _combine([m22[i] for i in m22]),
         "main11": _combine([m11[i] for i in m11]),
@@ -345,7 +367,7 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
         else Verdict(FAIL, "a contragredient pair disagrees"),
         "dim_inequality": dim_verdict,
         "trivial_character": Verdict(
-            PASS, f"trivial component order equals p-part of kappa(X) = {kappa_base}"
+            PASS, f"trivial component order equals p-part of kappa(X) = {a.kappa_base}"
         )
         if trivial_ok
         else Verdict(FAIL, "trivial component order differs from p-part of kappa(X)"),
@@ -367,7 +389,7 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
         pic0=a.pic.factors,
         sylow_factors=a.sylow.factors,
         dim_C=a.elemq.dimension,
-        kappa_base=kappa_base,
+        kappa_base=a.kappa_base,
         rows=rows,
         global_verdicts=global_verdicts,
         strict_dimension_inequality=strict,

@@ -1,13 +1,15 @@
 """Degree-zero Picard groups of covers, deck actions, and character pieces.
 
-The Picard group is read off the Smith form of the total graph's Laplacian:
-the cokernel of L has free rank 1 (connected graph) and its torsion is the
-degree-zero part.  A deck transformation permutes vertices, hence acts on
-divisors by a permutation matrix; conjugating through the Smith transform
-expresses the action on the cokernel generators.  Character pieces of the
-p-primary part A and of the mod-p quotient C are computed from projectors;
-the number of classes of C fixed by the idempotent, counted as a kernel on
-explicit divisors, checks every dimension of C independently.
+Pic0 of the total graph is the cokernel of the reduced Laplacian L0 (last
+vertex deleted) in the basis e_v - e_last of the degree-zero divisors.  Its
+determinant kappa, the number of spanning trees, kills that cokernel, so
+its invariant factors and generators come from an elimination modulo kappa
+(``snf.cokernel_mod``).  A deck transformation permutes vertices, hence
+acts on degree-zero divisors; reading the image of each generator with the
+cokernel's coordinate forms expresses the action on Pic0.  Character pieces
+of the p-primary part A and of the mod-p quotient C are computed from
+projectors; the number of classes of C fixed by the idempotent, counted as
+a kernel on explicit divisors, checks every dimension of C independently.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement, idempotent_mod
 from .padic import PAdicInt, PrecisionExhausted
 from .serre import SerreGraph
-from .snf import integer_determinant, smith_normal_form
-from .voltage import DerivedCover, DisconnectedCover, require_connected_cover
+from .snf import cokernel_mod, integer_determinant, smith_normal_form
+from .voltage import DerivedCover, require_connected_cover
 
 
 def spanning_tree_count(g: SerreGraph, lap: list[list[int]] | None = None) -> int:
@@ -31,13 +33,14 @@ def spanning_tree_count(g: SerreGraph, lap: list[list[int]] | None = None) -> in
     """
     if not g.is_connected():
         raise ValueError("spanning trees are only counted for connected graphs")
-    n = g.num_vertices
-    if n == 1:
-        return 1
     if lap is None:
         lap = g.laplacian_matrix()
-    minor = [row[: n - 1] for row in lap[: n - 1]]
-    kappa = integer_determinant(minor)
+    return _tree_count([row[:-1] for row in lap[:-1]])
+
+
+def _tree_count(reduced: list[list[int]]) -> int:
+    """Determinant of a Laplacian with its last row and column deleted."""
+    kappa = integer_determinant(reduced)
     if kappa <= 0:
         raise VerificationError("picard.tree_count", f"reduced Laplacian determinant {kappa}")
     return kappa
@@ -60,68 +63,48 @@ def picard_factors(g: SerreGraph, lap: list[list[int]] | None = None) -> tuple[i
 
 
 class PicardModule:
-    """Torsion of coker(Laplacian) together with the deck action on it."""
+    """Pic0 of the total graph together with the deck action on it.
+
+    ``factors`` are the invariant factors above 1 and ``actions[tau]`` the
+    matrix of deck element tau on their generators, row i modulo factor i.
+    ``full_diagonal`` is the Smith diagonal of the whole Laplacian,
+    (1, ..., 1, factors, 0), kept for failure diagnostics.
+    """
 
     def __init__(self, cover: DerivedCover):
         require_connected_cover(cover)
         self.cover = cover
-        total = cover.total
-        n = total.num_vertices
-        self.laplacian = total.laplacian_matrix()
-        dec = smith_normal_form(self.laplacian)
-        self.decomposition = dec
-        zero_idx = [i for i, d in enumerate(dec.diagonal) if d == 0]
-        if len(zero_idx) != 1:
-            raise DisconnectedCover("Laplacian corank exceeds 1")
-        self.full_diagonal = dec.diagonal
-        self.torsion_indices = tuple(i for i, d in enumerate(dec.diagonal) if d > 1)
-        self.factors = tuple(dec.diagonal[i] for i in self.torsion_indices)
-        self.order = prod(self.factors) if self.factors else 1
-
-        # Transported action on coker(L): T = U * Pi * U^-1 per unit.
-        # Coordinates with invariant factor 1 are zero classes, so only the
-        # torsion block plus the free coordinate are ever needed.
-        u = [list(r) for r in dec.left]
-        uinv = [list(r) for r in dec.left_inverse]
-        free = zero_idx[0]
-        support = self.torsion_indices + (free,)
-        self._support_indices = support
-        self._support_factors = self.factors + (0,)
-        self._support_actions: dict[int, list[list[int]]] = {}
+        self.laplacian = cover.total.laplacian_matrix()
+        reduced = [row[:-1] for row in self.laplacian[:-1]]
+        coker = cokernel_mod(reduced, _tree_count(reduced))
+        self.factors = coker.factors
+        self.full_diagonal = (1,) * (len(reduced) - len(self.factors)) + self.factors + (0,)
+        # A form extended by 0 at the last vertex reads e_w - e_last at w for
+        # every w.  pi(e_v - e_last) = (e_pi(v) - e_last) - (e_pi(last) - e_last),
+        # so form f reads pi(w) as the sum of w_v (f[pi(v)] - f[pi(last)])
+        # over the support of w, which is small.
+        self._forms = tuple(f + (0,) for f in coker.forms)
+        r = len(self.factors)
+        last = len(reduced)
+        gens = [[(v, x) for v, x in enumerate(g) if x] for g in coker.generators]
+        self.actions: dict[int, tuple[tuple[int, ...], ...]] = {}
         for tau in range(1, cover.p):
             perm = cover.deck_vertex_map(tau)
-            # (Pi * Uinv)[w][j] = Uinv[perm^-1(w)][j]; gather rows by pullback.
-            inv_positions = [0] * n
-            for w, img in enumerate(perm):
-                inv_positions[img] = w
-            block = [
-                [
-                    sum(u[i][k] * uinv[inv_positions[k]][j] for k in range(n))
-                    for j in support
-                ]
-                for i in support
-            ]
-            self._support_actions[tau] = block
-        r = len(self.torsion_indices)
-        for tau, block in self._support_actions.items():
-            if any(block[r][:r]):
-                raise VerificationError(
-                    "picard.free_component", f"deck element {tau} moves torsion into the free part"
-                )
-
-        self.actions: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for tau, block in self._support_actions.items():
-            mat = tuple(
-                tuple(block[i][j] % self.factors[i] for j in range(r)) for i in range(r)
-            )
-            self.actions[tau] = mat
-        iden = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        if self.actions.get(1, iden) != iden:
+            mat = []
+            for d, f in zip(self.factors, self._forms):
+                shift = f[perm[last]]
+                mat.append(tuple(sum(x * (f[perm[v]] - shift) for v, x in g) % d for g in gens))
+            self.actions[tau] = tuple(mat)
+        if self.actions[1] != tuple(tuple(int(i == j) for j in range(r)) for i in range(r)):
             raise VerificationError("picard.identity_action", "deck element 1 acts nontrivially")
 
     @property
     def p(self) -> int:
         return self.cover.p
+
+    @property
+    def order(self) -> int:
+        return prod(self.factors)
 
     def rank(self) -> int:
         return len(self.factors)
@@ -129,32 +112,19 @@ class PicardModule:
     def annihilated_by(self, elem: GroupRingElement) -> bool:
         """Whether elem kills the whole cokernel of the Laplacian.
 
-        Classes with invariant factor 1 are trivially killed, so the check
-        runs on the torsion block plus the free coordinate: entries must
-        vanish modulo the row's factor, exactly on the free row.
+        The divisor group is spanned by the degree-zero divisors and one
+        vertex, so elem must have augmentation 0, kill every generator of
+        Pic0, and send the last vertex to a degree-zero divisor of class 0.
         """
         if elem.augmentation() != 0:
             return False
-        size = len(self._support_indices)
-        combined = [[0] * size for _ in range(size)]
-        for k, c in enumerate(elem.coeffs):
-            if c == 0:
-                continue
-            block = self._support_actions[elem.group.element(k)]
-            for i in range(size):
-                row = block[i]
-                ci = combined[i]
-                for j in range(size):
-                    ci[j] += c * row[j]
-        for i in range(size):
-            d = self._support_factors[i]
-            for j in range(size):
-                v = combined[i][j]
-                if d == 0:
-                    if v != 0:
-                        return False
-                elif v % d != 0:
-                    return False
+        last = len(self.laplacian) - 1
+        terms = [(c, elem.group.element(k)) for k, c in enumerate(elem.coeffs) if c]
+        for i, (d, f) in enumerate(zip(self.factors, self._forms)):
+            vertex = sum(c * f[self.cover.deck_vertex_map(tau)[last]] for c, tau in terms)
+            row = [sum(c * self.actions[tau][i][j] for c, tau in terms) for j in range(self.rank())]
+            if any(x % d for x in (vertex, *row)):
+                return False
         return True
 
 
@@ -250,32 +220,6 @@ def eigenspace_order_A(m: SylowPModule, chi: Character) -> int:
             "picard.index_divides", f"image index {index} does not divide {m.order}"
         )
     return order
-
-
-def _rank_mod_p(mat: list[list[int]], p: int) -> int:
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if m[i][col] % p != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col] % p, -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col] % p != 0:
-                c = m[i][col] % p
-                m[i] = [(x - c * y) % p for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 class _ModPSpan:
@@ -415,7 +359,7 @@ def eigenspace_dim_C(q: ElementaryQuotient, sylow: SylowPModule, chi: Character)
     if sylow.p != p:
         raise ValueError("character prime does not match the cover")
     proj = _projector_matrix(sylow, chi, p)
-    dim = _rank_mod_p(proj, p)
+    dim = _ModPSpan(p, proj).rank
     f_lift = idempotent_mod(chi, 1)
     count = _fixed_point_count(q.cover, q, f_lift)
     if count != p**dim:

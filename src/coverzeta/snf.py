@@ -1,15 +1,23 @@
-"""Smith normal form over Z with transformation matrices.
+"""Smith normal forms over Z, and cokernels of nonsingular matrices modulo
+their determinant; all arithmetic is in Python integers.
 
-All arithmetic uses Python integers, so there is no overflow.  Pivots are the
-nonzero entries of least absolute value (ties: lowest row, then column), which
-keeps coefficient growth modest and makes runs reproducible.  Every call
-verifies U*A*V = D and certifies unimodularity of U and V by checking the
-tracked inverses multiply to the identity.
+``smith_normal_form`` is the dense route with full transforms, for small
+matrices.  Pivots are the nonzero entries of least absolute value (ties:
+lowest row, then column), and every call verifies U*A*V = D and that the
+tracked inverses of U and V multiply to the identity.
+
+``cokernel_mod`` presents coker A for a square A with kappa = |det A| > 0,
+which kills coker A, so entries stay below kappa (the modulus method of
+Domich, Kannan and Trotter).  It eliminates on sparse rows (Dumas, Saunders
+and Villard), replays the few rows of U and columns of U^-1 it needs from a
+record of row operations, and certifies the result without transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
+from operator import mul
 
 from .arith import VerificationError
 
@@ -21,47 +29,49 @@ def _identity(n: int) -> Matrix:
 
 
 def _mat_mul(a, b) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                oi[j] += c * bk[j]
+    out = []
+    for ai in a:
+        oi = [0] * (len(b[0]) if b else 0)
+        for c, bk in zip(ai, b):
+            if c:
+                oi = [x + c * y for x, y in zip(oi, bk)]
+        out.append(oi)
     return out
 
 
 def integer_determinant(a) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in a]
-    for row in m:
-        if len(row) != n:
+    """Exact determinant via fraction-free (Bareiss) elimination.
+
+    Step k sets row_i = (P_k row_i - row_i[k] pivot_row) / P_(k-1), P_k the
+    k-th pivot, so a row that is zero in the pivot column is only scaled.
+    That scaling is deferred: a row stored with divisor P_s stands for
+    itself times P_k / P_s.
+    """
+    m = [(list(map(int, row)), 1) for row in a]
+    for row, _ in m:
+        if len(row) != len(m):
             raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    if not m:
+        return 1
+    sign, prev = 1, 1
+    while len(m) > 1:
+        k = next((k for k, (row, _) in enumerate(m) if row[0]), None)
+        if k is None:
+            return 0
+        if k:
+            m[0], m[k] = m[k], m[0]
+            sign = -sign
+        (top, s), rest = m[0], m[1:]
+        pivot, tail = top[0] * prev // s, [x * prev // s for x in top[1:]]
+        m = [
+            ([(x * pivot - row[0] * y) // t for x, y in zip(row[1:], tail)], pivot)
+            if row[0]
+            else (row[1:], t)
+            for row, t in rest
+        ]
+        prev = pivot
+    [(row, s)] = m
+    return sign * row[0] * prev // s
 
 
 @dataclass(frozen=True)
@@ -74,14 +84,6 @@ class SmithDecomposition:
     right: tuple[tuple[int, ...], ...]
     right_inverse: tuple[tuple[int, ...], ...]
     diagonal: tuple[int, ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.left)
-
-    @property
-    def cols(self) -> int:
-        return len(self.right)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -247,9 +249,8 @@ def smith_normal_form(a) -> SmithDecomposition:
 
 
 def _verify(dec: SmithDecomposition, d: Matrix) -> None:
-    m, n = dec.rows, dec.cols
-    uav = _mat_mul(_mat_mul([list(r) for r in dec.left], [list(r) for r in dec.matrix]),
-                   [list(r) for r in dec.right])
+    m, n = len(dec.left), len(dec.right)
+    uav = _mat_mul(_mat_mul(dec.left, dec.matrix), dec.right)
     for i in range(m):
         for j in range(n):
             want = dec.diagonal[i] if i == j and i < len(dec.diagonal) else 0
@@ -263,7 +264,168 @@ def _verify(dec: SmithDecomposition, d: Matrix) -> None:
             raise VerificationError("snf.sign", f"negative invariant factor among {a}, {b}")
         if not ((a == 0 and b == 0) or (a != 0 and b % a == 0)):
             raise VerificationError("snf.divisibility", f"{a} does not divide {b}")
-    if _mat_mul([list(r) for r in dec.left], [list(r) for r in dec.left_inverse]) != _identity(m):
+    if _mat_mul(dec.left, dec.left_inverse) != _identity(m):
         raise VerificationError("snf.left_unimodular", "U * U^-1 is not the identity")
-    if _mat_mul([list(r) for r in dec.right], [list(r) for r in dec.right_inverse]) != _identity(n):
+    if _mat_mul(dec.right, dec.right_inverse) != _identity(n):
         raise VerificationError("snf.right_unimodular", "V * V^-1 is not the identity")
+
+
+@dataclass(frozen=True)
+class Cokernel:
+    """coker a = Z^n / a Z^n as the sum of Z/d_i over ``factors`` d_i > 1.
+
+    Row vector ``forms[i]`` (mod d_i) reads coordinate i of a class; column
+    vector ``generators[j]`` (mod kappa) represents the j-th generator.
+    """
+
+    factors: tuple[int, ...]
+    forms: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
+
+
+def cokernel_mod(a, kappa: int) -> Cokernel:
+    """Cokernel of a square integer matrix with |det a| = kappa > 0.
+
+    Each pivot x of the elimination mod kappa contributes a summand
+    Z/gcd(x, kappa), each row left zero a summand Z/kappa.  The dense Smith
+    form of the small diagonal of summands above 1 sorts them into
+    invariant factors, and its transforms give the rows of U and columns of
+    U^-1 to replay.
+    """
+    n = len(a)
+    summands, ops = _eliminate_mod(a, kappa)
+    torsion = [(r, g) for r, g in summands if g > 1]
+    dec = smith_normal_form([[g * (r == s) for s, _ in torsion] for r, g in torsion])
+    keep = [i for i, d in enumerate(dec.diagonal) if d > 1]
+    forms, gens = [[0] * n for _ in keep], [[0] * n for _ in keep]
+    for f, w, i in zip(forms, gens, keep):
+        for k, (r, _) in enumerate(torsion):
+            f[r], w[r] = dec.left[i][k], dec.left_inverse[k][i]
+        _replay(ops, f, w, kappa)
+    factors = tuple(dec.diagonal[i] for i in keep)
+    coker = Cokernel(
+        factors,
+        tuple(tuple(x % d for x in f) for f, d in zip(forms, factors)),
+        tuple(map(tuple, gens)),
+    )
+    _certify(a, kappa, coker)
+    return coker
+
+
+def _eliminate_mod(a, kappa: int):
+    """Diagonalize a modulo kappa by sparse row and column operations.
+
+    Returns ``(summands, ops)``: ``summands`` lists (row, gcd(pivot, kappa))
+    per pivot and (row, kappa) per row left zero; ``ops`` records the row
+    operations in order, ``(i, r, m)`` for row_i -= m row_r and
+    ``(r, i, s, t, u, v)`` for (row_r, row_i) <- (s row_r + t row_i,
+    u row_r + v row_i).  Column operations go unrecorded: the cokernel's
+    forms and generators only need U.
+
+    The pivot x is an entry of least gcd g with kappa, ties broken by the
+    Markowitz count (row length - 1)(column length - 1).  While g does not
+    divide some entry y of its row or column, a Bezout step on the two rows
+    or columns replaces x by gcd(x, y), which strictly lowers g.  Then one
+    row step clears each column entry, and column steps that touch nothing
+    else clear the row.
+    """
+    rows = [{j: x % kappa for j, x in enumerate(row) if x % kappa} for row in a]
+    cols: list[set[int]] = [set() for _ in a]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    active, ops, summands = set(range(len(a))), [], []
+
+    def put(i, j, x):
+        x %= kappa
+        if x:
+            rows[i][j] = x
+            cols[j].add(i)
+        else:
+            rows[i].pop(j, None)
+            cols[j].discard(i)
+
+    while any(rows[i] for i in active):
+        best = (kappa, 0, 0, 0)
+        for i in active:
+            for j, x in rows[i].items():
+                cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+                if best[0] > 1 or cost < best[1]:  # no gcd is below 1
+                    best = min(best, (gcd(x, kappa), cost, i, j))
+        _, _, r, c = best
+        while True:
+            x = rows[r][c]
+            g = gcd(x, kappa)
+            bad = [(i, c) for i in cols[c] if rows[i][c] % g] or [
+                (r, j) for j, y in rows[r].items() if y % g
+            ]
+            if not bad:
+                break
+            i, j = bad[0]
+            y = rows[i][j]
+            h, s, t = _xgcd(x, y)
+            u, v = -(y // h), x // h
+            if j == c:
+                pairs = [((r, k), (i, k)) for k in rows[r].keys() | rows[i].keys()]
+                ops.append((r, i, s, t, u, v))
+            else:
+                pairs = [((k, c), (k, j)) for k in cols[c] | cols[j]]
+            for (i1, j1), (i2, j2) in pairs:
+                p, q = rows[i1].get(j1, 0), rows[i2].get(j2, 0)
+                put(i1, j1, s * p + t * q)
+                put(i2, j2, u * p + v * q)
+        modulus = kappa // g
+        inverse = pow(x // g, -1, modulus)
+        for i in cols[c] - {r}:
+            m = rows[i][c] // g * inverse % modulus
+            for j, y in rows[r].items():
+                put(i, j, rows[i].get(j, 0) - m * y)
+            ops.append((i, r, m))
+        for j in rows[r]:
+            cols[j].discard(r)
+        active.discard(r)
+        summands.append((r, g))
+    return summands + [(r, kappa) for r in sorted(active)], ops
+
+
+def _replay(ops, f: list[int], w: list[int], kappa: int) -> None:
+    """Turn f into f^T U and w into U^-1 w, modulo kappa, in place.
+
+    U = E_T ... E_1 is the product of the recorded row operations, so
+    f^T U = f^T E_T ... E_1 and U^-1 w = E_1^-1 ... E_T^-1 w: both replay
+    the record backwards, touching two entries per operation.
+    """
+    for op in reversed(ops):
+        if len(op) == 3:
+            i, k, m = op  # E = I - m e_i e_k^T
+            f[k] = (f[k] - m * f[i]) % kappa
+            w[i] = (w[i] + m * w[k]) % kappa
+        else:
+            i, k, s, t, u, v = op  # E = [[s, t], [u, v]] on rows i, k
+            f[i], f[k] = (s * f[i] + u * f[k]) % kappa, (t * f[i] + v * f[k]) % kappa
+            w[i], w[k] = (v * w[i] - t * w[k]) % kappa, (s * w[k] - u * w[i]) % kappa
+
+
+def _certify(a, kappa: int, coker: Cokernel) -> None:
+    """Certify coker a = sum of Z/d_i without any transform.
+
+    phi = (forms[i] mod d_i) kills the columns of a, so it is well defined
+    on coker a; it sends generator j to the j-th unit vector, so it is onto;
+    and both groups have order kappa = |det a|, so it is an isomorphism.
+    """
+    factors = coker.factors
+    for x, y in zip(factors, factors[1:]):
+        if y % x:
+            raise VerificationError("snf.cokernel_divisibility", f"{x} does not divide {y}")
+    if prod(factors) != kappa:
+        raise VerificationError(
+            "snf.cokernel_order", f"invariant factors multiply to {prod(factors)}, not {kappa}"
+        )
+    columns = [[(i, row[j]) for i, row in enumerate(a) if row[j]] for j in range(len(a))]
+    for i, (d, f) in enumerate(zip(factors, coker.forms)):
+        if any(sum(f[k] * x for k, x in col) % d for col in columns):
+            raise VerificationError("snf.cokernel_relations", f"form {i} does not kill a mod {d}")
+        if any((sum(map(mul, f, w)) - (i == j)) % d for j, w in enumerate(coker.generators)):
+            raise VerificationError(
+                "snf.cokernel_generators", f"form {i} misreads a generator mod {d}"
+            )

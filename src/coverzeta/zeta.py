@@ -18,7 +18,6 @@ computes what it is not given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .arith import VerificationError
@@ -306,124 +305,3 @@ def _int_poly_det(g: SerreGraph) -> list[int]:
         entries.append(row)
     det = ring_determinant(entries, _RingPoly([], 0), _RingPoly([1], 0))
     return list(det.coeffs) if det.coeffs else [0]
-
-
-def ihara_zeta_inverse_base(g: SerreGraph, u) -> Fraction:
-    """Reciprocal zeta value of the bare graph at a rational point u.
-
-    This is the determinant polynomial times (1 - u^2) to the power of minus
-    the Euler characteristic; for positive Euler characteristic the division
-    is exact on the polynomial level (trees have trivial zeta).
-    """
-    if g.num_vertices == 0:
-        raise ValueError("empty graph")
-    u = Fraction(u)
-    coeffs = [Fraction(c) for c in _int_poly_det(g)]
-    chi = g.euler_characteristic()
-    euler = [Fraction(1), Fraction(0), Fraction(-1)]  # 1 - u^2
-
-    def poly_mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def poly_divmod_exact(a, b):
-        a = a[:]
-        while a and a[-1] == 0:
-            a.pop()
-        q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-        for k in range(len(q) - 1, -1, -1):
-            q[k] = a[k + len(b) - 1] / b[-1]
-            for j in range(len(b)):
-                a[k + j] -= q[k] * b[j]
-        if any(x != 0 for x in a):
-            raise ArithmeticError("polynomial division is not exact")
-        return q
-
-    if chi <= 0:
-        poly = coeffs
-        for _ in range(-chi):
-            poly = poly_mul(poly, euler)
-    else:
-        poly = coeffs
-        for _ in range(chi):
-            poly = poly_divmod_exact(poly, euler)
-    return sum(c * u**k for k, c in enumerate(poly))
-
-
-def closed_path_counts(g: SerreGraph, max_length: int) -> list[int]:
-    """Counts of closed non-backtracking edge paths of lengths 1..max_length.
-
-    Walks the directed-edge adjacency (successor edge must not be the
-    reversal of the current one); the count of length m is the trace of the
-    m-th power of that 0/1 matrix.
-    """
-    edges = g.directed_edges
-    k = len(edges)
-    b = [
-        [
-            1 if edges[i].terminus == edges[j].origin and edges[i].inverse_id != edges[j].id else 0
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    counts = []
-    power = [row[:] for row in b]
-    for m in range(1, max_length + 1):
-        if m > 1:
-            power = [
-                [sum(power[i][t] * b[t][j] for t in range(k)) for j in range(k)]
-                for i in range(k)
-            ]
-        counts.append(sum(power[i][i] for i in range(k)))
-    return counts
-
-
-def log_zeta_path_counts(g: SerreGraph, max_length: int) -> list[int]:
-    """Path counts recovered from the determinant formula via a formal log.
-
-    The reciprocal zeta function is expanded as a power series; its negated
-    logarithmic derivative coefficients are the closed reduced path counts.
-    """
-    coeffs = [Fraction(c) for c in _int_poly_det(g)]
-    chi = g.euler_characteristic()
-    if chi > 0:
-        return [0] * max_length  # trees carry no closed reduced paths
-    poly = coeffs
-    for _ in range(-chi):
-        out = [Fraction(0)] * (len(poly) + 2)
-        for i, x in enumerate(poly):
-            out[i] += x
-            out[i + 2] -= x
-        poly = out
-    # Power series of log(1/poly): with poly = 1 + q, use
-    # log(1 + q) = q - q^2/2 + ... truncated at max_length.
-    q = [Fraction(0)] * (max_length + 1)
-    for i, x in enumerate(poly[: max_length + 1]):
-        q[i] = x
-    if q[0] != 1:
-        raise VerificationError("zeta.log_constant", f"determinant polynomial starts with {q[0]}")
-    q[0] = Fraction(0)
-    log_coeffs = [Fraction(0)] * (max_length + 1)
-    term = [Fraction(0)] * (max_length + 1)
-    term[0] = Fraction(1)
-    for k in range(1, max_length + 1):
-        nxt = [Fraction(0)] * (max_length + 1)
-        for i in range(max_length + 1):
-            if term[i] == 0:
-                continue
-            for j in range(1, max_length + 1 - i):
-                nxt[i + j] += term[i] * q[j]
-        term = nxt
-        sign = Fraction(1) if k % 2 == 1 else Fraction(-1)
-        for i in range(max_length + 1):
-            log_coeffs[i] += sign * term[i] / k
-    counts = []
-    for m in range(1, max_length + 1):
-        n_m = -m * log_coeffs[m]
-        if n_m.denominator != 1:
-            raise VerificationError("zeta.log_integral", f"path count {n_m} at length {m}")
-        counts.append(int(n_m))
-    return counts

@@ -48,6 +48,40 @@ def corrupted(entries, zero, one):
 }
 
 
+# Each corrupts the cokernel presentation that ``snf.cokernel_mod`` hands to
+# its certificate, as (factors, forms, generators), so that exactly one named
+# check of the certificate fails on example1, whose Pic0 is Z/3 + Z/12.
+CERTIFICATE_SABOTAGES = {
+    "snf.cokernel_divisibility": lambda f, forms, gens: (f[::-1], forms[::-1], gens[::-1]),
+    "snf.cokernel_order": lambda f, forms, gens: (f[:-1] + (2 * f[-1],), forms, gens),
+    "snf.cokernel_relations": lambda f, forms, gens: (
+        f,
+        ((forms[0][0] + 1,) + forms[0][1:],) + forms[1:],
+        gens,
+    ),
+    "snf.cokernel_generators": lambda f, forms, gens: (
+        f,
+        forms,
+        (tuple(2 * x for x in gens[0]),) + gens[1:],
+    ),
+}
+
+# Doubles the first invariant factor of Pic0 prime to p after the Picard
+# module is built and certified, so that only the class-number identity sees it.
+CLASS_NUMBER_SABOTAGE = """
+import coverzeta.herbrand as module
+
+name = "picard_module"
+real = module.picard_module
+
+def corrupted(cover):
+    pm = real(cover)
+    i = next(i for i, d in enumerate(pm.factors) if d % cover.p)
+    pm.factors = pm.factors[:i] + (2 * pm.factors[i],) + pm.factors[i + 1:]
+    return pm
+"""
+
+
 def test_package_has_no_assert_statements():
     found = [
         f"{path.name}:{node.lineno}"
@@ -138,3 +172,34 @@ def test_checks_survive_python_O():
         run = _run_optimized("-m", "coverzeta.cli", "analyze", name)
         assert run.returncode == 0, run.stderr
         assert run.stdout == (GOLDENS / f"{name}_report.json").read_text()
+
+
+@pytest.mark.parametrize("check", sorted(CERTIFICATE_SABOTAGES))
+def test_certificate_checks_exit_4(check, monkeypatch, capsys):
+    import coverzeta.snf as snf
+
+    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+    real = snf.Cokernel
+    corrupt = CERTIFICATE_SABOTAGES[check]
+    monkeypatch.setattr(snf, "Cokernel", lambda *parts: real(*corrupt(*parts)))
+    assert main(["analyze", "example1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: check {check} failed:" in captured.err
+
+
+def test_class_number_check_exits_4(monkeypatch, capsys):
+    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+    namespace = {}
+    exec(CLASS_NUMBER_SABOTAGE, namespace)
+    monkeypatch.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+    # example2 has Pic0 = Z/7 + Z/420 at p = 5: the 7 is doubled, the
+    # p-primary part and every check that reads it are unchanged.
+    assert main(["analyze", "example2"]) == 4
+    assert "error: check picard.class_number failed:" in capsys.readouterr().err
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + CLASS_NUMBER_SABOTAGE
+    script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
+    script += "sys.exit(main(['analyze', 'example2']))\n"
+    sabotaged = _run_optimized("-c", script)
+    assert sabotaged.returncode == 4, sabotaged.stderr
+    assert "error: check picard.class_number failed:" in sabotaged.stderr

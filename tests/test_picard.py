@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import random
 from itertools import product
 from math import prod
@@ -7,6 +9,8 @@ import pytest
 from conftest import random_connected_cover
 from coverzeta import (
     Character,
+    build_report,
+    bundled_spec,
     CyclicGroup,
     PrecisionExhausted,
     VoltageSpec,
@@ -22,8 +26,13 @@ from coverzeta import (
     sylow_p_module,
     trivial_character_check,
 )
-from coverzeta.picard import _fixed_point_count, act_divisor
+from coverzeta.picard import _fixed_point_count, _ModPSpan, _projector_matrix, act_divisor
 from coverzeta.groupring import GroupRingElement, idempotent_mod
+from coverzeta.snf import integer_determinant, smith_normal_form
+from coverzeta.specfile import spec_from_dict
+from coverzeta.zeta import eta_at_one
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def c6_over_c3_cover():
@@ -266,3 +275,125 @@ def test_trivial_component_orders(ex3_cover):
     sylow3 = sylow_p_module(picard_module(cover), 3)
     g3 = CyclicGroup.for_prime(3)
     assert eigenspace_order_A(sylow3, Character(g3, 0, 1)) == 3
+
+
+class DensePicardReference:
+    """The Picard module as the integer Smith form U L V = D of the whole
+    Laplacian gives it.  The deck action is U Pi U^-1 on the torsion
+    coordinates plus the free one, and an element annihilates coker L when
+    that block vanishes modulo each row's factor (exactly on the free row)."""
+
+    def __init__(self, cover):
+        lap = cover.total.laplacian_matrix()
+        dec = smith_normal_form(lap)
+        self.full_diagonal = dec.diagonal
+        torsion = [i for i, d in enumerate(dec.diagonal) if d > 1]
+        support = torsion + [dec.diagonal.index(0)]
+        self.factors = tuple(dec.diagonal[i] for i in torsion)
+        self.support_factors = self.factors + (0,)
+        self.blocks = {}
+        for tau in range(1, cover.p):
+            pre = [0] * len(lap)
+            for w, image in enumerate(cover.deck_vertex_map(tau)):
+                pre[image] = w
+            u, uinv = dec.left, dec.left_inverse
+            self.blocks[tau] = [
+                [sum(x * uinv[pre[k]][j] for k, x in enumerate(u[i])) for j in support]
+                for i in support
+            ]
+        r = len(torsion)
+        self.actions = {
+            tau: tuple(tuple(b[i][j] % self.factors[i] for j in range(r)) for i in range(r))
+            for tau, b in self.blocks.items()
+        }
+
+    def annihilated_by(self, elem):
+        if elem.augmentation() != 0:
+            return False
+        terms = [(c, self.blocks[elem.group.element(k)]) for k, c in enumerate(elem.coeffs) if c]
+        size = len(self.support_factors)
+        for i, d in enumerate(self.support_factors):
+            for j in range(size):
+                v = sum(c * block[i][j] for c, block in terms)
+                if (v != 0) if d == 0 else (v % d != 0):
+                    return False
+        return True
+
+
+def route_covers():
+    """Examples 1-4 and 45 random covers at p in {3, 5, 7, 11, 13}."""
+    rng = random.Random(61)
+    covers = [derive(bundled_spec(f"example{k}")) for k in range(1, 5)]
+    for p, count, size in ((3, 10, 4), (5, 10, 4), (7, 10, 4), (11, 8, 3), (13, 7, 3)):
+        covers += [random_connected_cover(rng, p, size) for _ in range(count)]
+    return covers
+
+
+@pytest.fixture(scope="module")
+def route_pairs():
+    return [(cover, picard_module(cover), DensePicardReference(cover)) for cover in route_covers()]
+
+
+def test_modular_route_matches_dense_smith_form(route_pairs):
+    assert len(route_pairs) >= 49
+    for cover, pm, ref in route_pairs:
+        assert pm.factors == ref.factors
+        assert pm.full_diagonal == ref.full_diagonal
+        assert pm.order == spanning_tree_count(cover.total)
+
+
+def test_modular_route_gives_the_same_character_pieces(route_pairs):
+    nontrivial = 0
+    for cover, pm, ref in route_pairs:
+        p = cover.p
+        new, old = sylow_p_module(pm, p), sylow_p_module(ref, p)
+        assert new.exponents == old.exponents
+        g = CyclicGroup.for_prime(p)
+        for i in range(p - 1):
+            lifted = Character(g, i, max(new.exponent, 1))
+            assert eigenspace_order_A(new, lifted) == eigenspace_order_A(old, lifted)
+            chi = Character(g, i, None)
+            ranks = [_ModPSpan(p, _projector_matrix(m, chi, p)).rank for m in (new, old)]
+            assert ranks[0] == ranks[1]
+            nontrivial += ranks[0] > 0
+    assert nontrivial >= 10
+
+
+def test_annihilation_matches_dense_route(route_pairs):
+    rng = random.Random(62)
+    verdicts = set()
+    for cover, pm, ref in route_pairs:
+        group = CyclicGroup.for_prime(cover.p)
+        m = group.order
+        eta = eta_at_one(cover)
+        exponent = ref.factors[-1] if ref.factors else 1
+        elems = [eta, GroupRingElement.one(group)]
+        for _ in range(3):
+            coeffs = [rng.randint(-4, 4) for _ in range(m - 1)]
+            x = GroupRingElement(group, tuple(coeffs + [-sum(coeffs)]))
+            y = GroupRingElement(group, tuple(rng.randint(-3, 3) for _ in range(m)))
+            sigma = GroupRingElement.of(group, group.element(rng.randrange(1, m)))
+            elems += [x, eta * y, (sigma - GroupRingElement.one(group)) * exponent, x * exponent]
+        for elem in elems:
+            verdict = pm.annihilated_by(elem)
+            assert verdict == ref.annihilated_by(elem)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def bench_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("p, n", [(19, 4), (29, 2)])
+def test_covers_past_the_dense_smith_form(p, n):
+    # At these sizes the transforms of the dense Smith form of the whole
+    # Laplacian reach tens of thousands of bits; kappa has under 100.
+    inputs = bench_inputs()
+    doc = inputs.random_cover(random.Random(1), p, n, 3)
+    report = build_report(derive(spec_from_dict(doc)))
+    assert report.all_ok
+    assert prod(report.pic0) == inputs.cover_trees(doc, integer_determinant)

@@ -2,10 +2,11 @@ import random
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coverzeta import cycle_graph, integer_determinant, smith_normal_form
 from coverzeta.serre import SerreGraph
+from coverzeta.snf import _eliminate_mod, cokernel_mod
 
 
 @st.composite
@@ -99,3 +100,65 @@ def test_integer_determinant():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2], [3]])
+
+
+def dense_factors(a):
+    """Reference: invariant factors above 1 from the dense integer Smith form."""
+    return tuple(d for d in smith_normal_form(a).diagonal if d > 1)
+
+
+@st.composite
+def smooth_nonsingular(draw, max_dim=5):
+    """A diagonal of products of 2s and 3s under random unimodular row and
+    column steps: the determinant carries repeated small primes, so pivots
+    that are not units modulo it, and Bezout steps, occur."""
+    n = draw(st.integers(1, max_dim))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 8, 9, 12, 18, 36]))
+    for _ in range(draw(st.integers(0, 3 * n * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3))
+        if i != j and draw(st.booleans()):
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        elif i != j:
+            for row in a:
+                row[i] += c * row[j]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(smooth_nonsingular())
+def test_cokernel_mod_matches_dense_smith_form(a):
+    kappa = abs(integer_determinant(a))
+    assert cokernel_mod(a, kappa).factors == dense_factors(a)
+
+
+@st.composite
+def square_matrices(draw, max_dim=5, bound=12):
+    n = draw(st.integers(1, max_dim))
+    return [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_cokernel_mod_matches_dense_smith_form_on_random_matrices(a):
+    kappa = abs(integer_determinant(a))
+    assume(kappa != 0)
+    coker = cokernel_mod(a, kappa)
+    assert coker.factors == dense_factors(a)
+    assert len(coker.forms) == len(coker.generators) == len(coker.factors)
+
+
+def test_cokernel_mod_of_a_unimodular_matrix_is_trivial():
+    assert cokernel_mod([[2, 1], [1, 1]], 1).factors == ()
+    assert cokernel_mod([], 1).factors == ()
+
+
+def test_cokernel_mod_bezout_steps():
+    # kappa = 6 and the pivot 2 does not divide the 3 below it (a recorded
+    # Bezout row step) or beside it (an unrecorded Bezout column step).
+    _, ops = _eliminate_mod([[2, 0], [3, 3]], 6)
+    assert any(len(op) == 6 for op in ops)
+    for a in ([[2, 0], [3, 3]], [[2, 3], [0, 3]]):
+        assert cokernel_mod(a, 6).factors == (6,)

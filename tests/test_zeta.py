@@ -10,7 +10,6 @@ from coverzeta import (
     GroupRingElement,
     VoltageSpec,
     bouquet,
-    closed_path_counts,
     cycle_graph,
     derive,
     duality_check,
@@ -18,12 +17,12 @@ from coverzeta import (
     equivariant_laplacian,
     eta_at_one,
     eta_polynomial,
-    ihara_zeta_inverse_base,
     l_value,
-    log_zeta_path_counts,
     path_graph,
     picard_module,
 )
+from coverzeta.groupring import ring_determinant
+from coverzeta.zeta import _int_poly_det, _RingPoly
 
 
 def brute_force_closed_reduced_paths(g, max_length):
@@ -168,18 +167,49 @@ def test_self_contragredient_middle_character(ex2_cover):
     assert chi.contragredient() == chi
 
 
+def reciprocal_zeta(g, u):
+    """Ihara's formula: 1/zeta(u) = (1 - u^2)^(E - V) det(I - A u + (D - I) u^2)."""
+    u = Fraction(u)
+    det = sum(c * u**k for k, c in enumerate(_int_poly_det(g)))
+    return det * (1 - u * u) ** -g.euler_characteristic()
+
+
+def hashimoto_traces(g, max_length):
+    """tr B^m, m = 1..max_length, for the non-backtracking edge matrix B."""
+    edges = g.directed_edges
+    b = [[int(e.terminus == f.origin and e.inverse_id != f.id) for f in edges] for e in edges]
+    power, traces = b, []
+    for _ in range(max_length):
+        traces.append(sum(power[i][i] for i in range(len(edges))))
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in power]
+    return traces
+
+
+def path_counts_from_determinant(g, max_length):
+    """N_m, the coefficients of u d/du log zeta(u), by Newton's identities on
+    the reciprocal zeta polynomial f: sum_{k < m} f_k N_(m-k) = -m f_m."""
+    f = _int_poly_det(g)
+    for _ in range(-g.euler_characteristic()):
+        f = [a - b for a, b in zip(f + [0, 0], [0, 0] + f)]  # times 1 - u^2
+    f += [0] * max_length
+    counts = []
+    for m in range(1, max_length + 1):
+        counts.append(-m * f[m] - sum(f[k] * counts[m - k - 1] for k in range(1, m)))
+    return counts
+
+
 def test_zeta_inverse_at_zero_is_one():
     for g in (bouquet(2), cycle_graph(3), cycle_graph(5), path_graph(3)):
-        assert ihara_zeta_inverse_base(g, 0) == 1
+        assert reciprocal_zeta(g, 0) == 1
 
 
 def test_zeta_inverse_cycle_at_one_vanishes():
-    assert ihara_zeta_inverse_base(cycle_graph(3), 1) == 0
+    assert reciprocal_zeta(cycle_graph(3), 1) == 0
 
 
 def test_zeta_inverse_of_tree_is_trivial():
     for u in (Fraction(1, 2), Fraction(-2, 3), 2):
-        assert ihara_zeta_inverse_base(path_graph(4), u) == 1
+        assert reciprocal_zeta(path_graph(4), u) == 1
 
 
 def test_zeta_inverse_cycle_closed_form():
@@ -187,21 +217,47 @@ def test_zeta_inverse_cycle_closed_form():
     for n in (3, 4, 5):
         for u in (Fraction(1, 2), 2, -1):
             expected = (1 - Fraction(u) ** n) ** 2
-            assert ihara_zeta_inverse_base(cycle_graph(n), u) == expected
+            assert reciprocal_zeta(cycle_graph(n), u) == expected
 
 
 def test_path_counts_three_ways():
     for g in (bouquet(2), cycle_graph(3), bouquet(1)):
         brute = brute_force_closed_reduced_paths(g, 6)
-        assert closed_path_counts(g, 6) == brute
-        assert log_zeta_path_counts(g, 6) == brute
+        assert hashimoto_traces(g, 6) == brute
+        assert path_counts_from_determinant(g, 6) == brute
 
 
 def test_path_counts_on_a_cover():
     cover = derive(VoltageSpec(bouquet(2), 5, (2, 4)))
     brute = brute_force_closed_reduced_paths(cover.total, 5)
-    assert closed_path_counts(cover.total, 5) == brute
-    assert log_zeta_path_counts(cover.total, 5) == brute
+    assert hashimoto_traces(cover.total, 5) == brute
+    assert path_counts_from_determinant(cover.total, 5) == brute
+
+
+def circulant_determinant(poly):
+    """Z[u]-determinant of the circulant of an element of Z[G][u]."""
+    m = poly.group.order
+    entries = [
+        [_RingPoly([c.coeffs[(i - j) % m] for c in poly.coeffs], 0) for j in range(m)]
+        for i in range(m)
+    ]
+    det = ring_determinant(entries, _RingPoly([], 0), _RingPoly([1], 0))
+    return list(det.coeffs)
+
+
+def test_total_determinant_is_norm_of_eta_polynomial(ex1_cover, ex2_cover):
+    # det(I - A_Y u + Q_Y u^2) over Z[u] is the determinant of the regular
+    # representation of its group-ring determinant: for commuting blocks
+    # det(M) = det(det_R M) (Kovacs, Silver and Williams, 1999).
+    rng = random.Random(8)
+    covers = [ex1_cover, ex2_cover]
+    covers += [random_connected_cover(rng, p, 3, 5) for p in (3, 5, 7) for _ in range(6)]
+    checked = 0
+    for cover in covers:
+        if cover.total.num_vertices <= 20:
+            assert _int_poly_det(cover.total) == circulant_determinant(eta_polynomial(cover))
+            checked += 1
+    assert checked >= 15
 
 
 def test_l_value_cross_check_runs_for_lifted_characters(ex3_cover):
