@@ -23,8 +23,8 @@ from .picard import (
     PicardModule,
     SylowPModule,
     eigenspace_dim_C,
-    eigenspace_order_A,
     elementary_quotient,
+    layer_ranks,
     picard_factors,
     picard_module,
     spanning_tree_count,
@@ -69,17 +69,19 @@ class CoverAnalysis:
     """Owner of every intermediate the verification passes share.
 
     Computed once per analysis: the Picard module and its Sylow part, the
-    elementary quotient (from the Picard module's Laplacian), the base
-    graph's Laplacian (for its Picard factors) and tree count, the
-    equivariant Laplacian and the special value eta(1), whose
-    Berkowitz-against-substitution check runs here, as does the class-number
-    check that ties the order of Pic0 to eta(1).  Per-character
-    quantities are computed on demand and cached, so the verification passes
-    can share one analysis without recomputation; in particular each
-    L-value, with its eta-against-determinant check, is computed once per
-    (character, precision), the valuation retries and the report's p-adic
-    expansion read the same cached value, and the Fitting-identity pass reads
-    the main22 verdicts.
+    elementary quotient (from the Picard module's Laplacian, its dimension
+    checked against the Sylow part's rank), the base graph's Laplacian (for
+    its Picard factors) and tree count, the equivariant Laplacian and the
+    special value eta(1), whose Berkowitz-against-substitution check runs
+    here, as does the class-number check that ties the order of Pic0 to
+    eta(1).  Per-character quantities are computed on demand and cached, so
+    the verification passes can share one analysis without recomputation;
+    in particular each character's layer ranks come from one projector and
+    give both its order of A and its dimension of C, each L-value, with its
+    eta-against-determinant check, is computed once per (character,
+    precision), the valuation retries and the report's p-adic expansion read
+    the same cached value, and the Fitting-identity pass reads the main22
+    verdicts.
     """
 
     def __init__(self, cover: DerivedCover, precision: int | None = None):
@@ -92,6 +94,12 @@ class CoverAnalysis:
         self.pic: PicardModule = picard_module(cover)
         self.sylow: SylowPModule = sylow_p_module(self.pic, self.p)
         self.elemq: ElementaryQuotient = elementary_quotient(self.pic)
+        if self.elemq.dimension != self.sylow.rank():
+            raise VerificationError(
+                "picard.quotient_dimension",
+                f"mod-{self.p} span of the Laplacian leaves dim C = {self.elemq.dimension}, "
+                f"but A has {self.sylow.rank()} cyclic summands",
+            )
         self.base_lap = cover.base.laplacian_matrix()
         self.kappa_base = spanning_tree_count(cover.base, self.base_lap)
         self.lap = equivariant_laplacian(cover)
@@ -100,8 +108,8 @@ class CoverAnalysis:
         self.precision = precision if precision is not None else default_precision(self.pic)
         self.precision = max(self.precision, self.sylow.exponent, 1)
         self._l_values: dict[tuple[int, int | None], object] = {}
+        self._ranks: dict[int, tuple[int, ...]] = {}
         self._dims: dict[int, int] = {}
-        self._orders: dict[int, int] = {}
         self._valuations: dict[int, tuple[int | None, int]] = {}
 
     def _check_class_number(self) -> None:
@@ -133,19 +141,20 @@ class CoverAnalysis:
     def fp_value(self, i: int) -> int:
         return self._l_value(i, None)
 
+    def ranks(self, i: int) -> tuple[int, ...]:
+        """Layer ranks of the i-th component of A, from one projector mod p."""
+        if i not in self._ranks:
+            self._ranks[i] = layer_ranks(self.sylow, Character(self.group, i))
+        return self._ranks[i]
+
     def dim_C(self, i: int) -> int:
         if i not in self._dims:
-            self._dims[i] = eigenspace_dim_C(
-                self.elemq, self.sylow, Character(self.group, i, None)
-            )
+            chi = Character(self.group, i)
+            self._dims[i] = eigenspace_dim_C(self.elemq, self.sylow, chi, self.ranks(i))
         return self._dims[i]
 
     def order_A(self, i: int) -> int:
-        if i not in self._orders:
-            self._orders[i] = eigenspace_order_A(
-                self.sylow, Character(self.group, i, self.precision)
-            )
-        return self._orders[i]
+        return self.p ** sum(self.ranks(i))
 
     def zp_value(self, i: int, precision: int):
         return self._l_value(i, precision)
@@ -322,39 +331,21 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
     m11 = verify_main11(cover, analysis=a)
     rows = []
     for i in range(1, a.p - 1):
-        try:
-            val, used = a.valuation_with_retry(i)
-            rows.append(
-                {
-                    "i": i,
-                    "dimC": a.dim_C(i),
-                    "h_mod_p": a.fp_value(i),
-                    "orderA": a.order_A(i),
-                    "valuation": val,
-                    "h_padic": a.zp_value(i, used).expansion_str()
-                    if val is not None
-                    else None,
-                    "verdicts": {
-                        "main11": m11[i].to_dict(),
-                        "main22": m22[i].to_dict(),
-                    },
-                }
-            )
-        except PrecisionExhausted as exc:
-            rows.append(
-                {
-                    "i": i,
-                    "dimC": None,
-                    "h_mod_p": None,
-                    "orderA": None,
-                    "valuation": None,
-                    "h_padic": None,
-                    "verdicts": {
-                        "main11": Verdict(SKIPPED, str(exc)).to_dict(),
-                        "main22": Verdict(SKIPPED, str(exc)).to_dict(),
-                    },
-                }
-            )
+        val, used = a.valuation_with_retry(i)
+        rows.append(
+            {
+                "i": i,
+                "dimC": a.dim_C(i),
+                "h_mod_p": a.fp_value(i),
+                "orderA": a.order_A(i),
+                "valuation": val,
+                "h_padic": a.zp_value(i, used).expansion_str() if val is not None else None,
+                "verdicts": {
+                    "main11": m11[i].to_dict(),
+                    "main22": m22[i].to_dict(),
+                },
+            }
+        )
     dim_verdict, strict = _dimension_inequality(a)
     trivial_ok = trivial_character_check(a.sylow, a.kappa_base)
     order_product = prod(a.order_A(i) for i in range(1, a.p - 1)) * p_part(a.kappa_base, a.p)

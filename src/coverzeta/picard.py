@@ -1,15 +1,19 @@
 """Degree-zero Picard groups of covers, deck actions, and character pieces.
 
-Pic0 of the total graph is the cokernel of the reduced Laplacian L0 (last
+Pic0 of a connected graph is the cokernel of the reduced Laplacian L0 (last
 vertex deleted) in the basis e_v - e_last of the degree-zero divisors.  Its
 determinant kappa, the number of spanning trees, kills that cokernel, so
 its invariant factors and generators come from an elimination modulo kappa
-(``snf.cokernel_mod``).  A deck transformation permutes vertices, hence
-acts on degree-zero divisors; reading the image of each generator with the
-cokernel's coordinate forms expresses the action on Pic0.  Character pieces
-of the p-primary part A and of the mod-p quotient C are computed from
-projectors; the number of classes of C fixed by the idempotent, counted as
-a kernel on explicit divisors, checks every dimension of C independently.
+(``snf.cokernel_mod``), for base graphs and covers alike.  A deck
+transformation permutes vertices, hence acts on degree-zero divisors;
+reading the image of each generator with the cokernel's coordinate forms
+expresses the action on Pic0.  Character pieces come from one projector
+mod p per character: e_chi A is a direct summand of the p-primary part A,
+so the projector's rank on the layer p^(j-1) A / p^j A counts the summands
+of e_chi A of order at least p^j.  Those layer ranks give the order of
+e_chi A and, at j = 1, the dimension of e_chi C for the mod-p quotient C;
+the number of classes of C fixed by the idempotent, counted as a kernel on
+explicit divisors, checks every dimension of C independently.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from math import prod
 from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement, idempotent_mod
-from .padic import PAdicInt, PrecisionExhausted
 from .serre import SerreGraph
-from .snf import cokernel_mod, integer_determinant, smith_normal_form
+from .snf import Cokernel, cokernel_mod, integer_determinant
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -46,6 +49,12 @@ def _tree_count(reduced: list[list[int]]) -> int:
     return kappa
 
 
+def _reduced_cokernel(lap: list[list[int]]) -> Cokernel:
+    """Pic0 of a connected graph from its Laplacian, modulo the tree count."""
+    reduced = [row[:-1] for row in lap[:-1]]
+    return cokernel_mod(reduced, _tree_count(reduced))
+
+
 def picard_factors(g: SerreGraph, lap: list[list[int]] | None = None) -> tuple[int, ...]:
     """Invariant factors (> 1) of the degree-zero Picard group of a graph.
 
@@ -55,11 +64,7 @@ def picard_factors(g: SerreGraph, lap: list[list[int]] | None = None) -> tuple[i
         raise ValueError("graph must be connected")
     if lap is None:
         lap = g.laplacian_matrix()
-    dec = smith_normal_form(lap)
-    corank = dec.diagonal.count(0)
-    if corank != 1:
-        raise VerificationError("picard.corank", f"connected graph Laplacian has corank {corank}")
-    return tuple(d for d in dec.diagonal if d > 1)
+    return _reduced_cokernel(lap).factors
 
 
 class PicardModule:
@@ -75,17 +80,16 @@ class PicardModule:
         require_connected_cover(cover)
         self.cover = cover
         self.laplacian = cover.total.laplacian_matrix()
-        reduced = [row[:-1] for row in self.laplacian[:-1]]
-        coker = cokernel_mod(reduced, _tree_count(reduced))
+        coker = _reduced_cokernel(self.laplacian)
         self.factors = coker.factors
-        self.full_diagonal = (1,) * (len(reduced) - len(self.factors)) + self.factors + (0,)
+        last = len(self.laplacian) - 1
+        self.full_diagonal = (1,) * (last - len(self.factors)) + self.factors + (0,)
         # A form extended by 0 at the last vertex reads e_w - e_last at w for
         # every w.  pi(e_v - e_last) = (e_pi(v) - e_last) - (e_pi(last) - e_last),
         # so form f reads pi(w) as the sum of w_v (f[pi(v)] - f[pi(last)])
         # over the support of w, which is small.
         self._forms = tuple(f + (0,) for f in coker.forms)
         r = len(self.factors)
-        last = len(reduced)
         gens = [[(v, x) for v, x in enumerate(g) if x] for g in coker.generators]
         self.actions: dict[int, tuple[tuple[int, ...], ...]] = {}
         for tau in range(1, cover.p):
@@ -170,56 +174,44 @@ def sylow_p_module(pm: PicardModule, p: int) -> SylowPModule:
     return SylowPModule(p=p, exponents=exponents, actions=actions)
 
 
-def _projector_matrix(m: SylowPModule, chi: Character, modulus: int) -> list[list[int]]:
-    """Integer lift of the idempotent's action on the module, mod modulus."""
-    p = m.p
-    r = m.rank()
-    inv_order = pow(p - 1, -1, modulus)
+def _projector_matrix(m: SylowPModule, chi: Character) -> list[list[int]]:
+    """The idempotent's action on the module's generators, mod p.
+
+    Only chi mod p enters, so a lifted character gives the same matrix.
+    """
+    p, r = m.p, m.rank()
     out = [[0] * r for _ in range(r)]
     for sigma in range(1, p):
-        v = chi.value(sigma)
-        v = v.value if isinstance(v, PAdicInt) else v
+        v = pow(sigma, chi.exponent, p)
         mat = m.actions[pow(sigma, -1, p)]
         for i in range(r):
             for j in range(r):
                 out[i][j] += v * mat[i][j]
-    return [[x * inv_order % modulus for x in row] for row in out]
+    return [[-x % p for x in row] for row in out]  # 1/(p - 1) = -1 mod p
+
+
+def layer_ranks(m: SylowPModule, chi: Character) -> tuple[int, ...]:
+    """Ranks r_1, ..., r_k (k the exponent) of the chi-component of A.
+
+    p^(j-1) A / p^j A is the F_p-space on the generators of exponent at
+    least j, and e_chi A is a direct summand of A, so the projector's rank
+    on that layer is r_j = dim p^(j-1) e_chi A / p^j e_chi A, the number of
+    summands of e_chi A of order at least p^j.  No projector is built when
+    A = 0.
+    """
+    if m.rank() == 0:
+        return ()
+    proj = _projector_matrix(m, chi)
+    ranks = []
+    for j in range(1, m.exponent + 1):
+        layer = [i for i, a in enumerate(m.exponents) if a >= j]
+        ranks.append(_ModPSpan(m.p, ([proj[i][k] for k in layer] for i in layer)).rank)
+    return tuple(ranks)
 
 
 def eigenspace_order_A(m: SylowPModule, chi: Character) -> int:
-    """Order of the chi-component of the p-primary part A.
-
-    The idempotent's image inside A = Z^r / diag(p^a) is the lattice spanned
-    by the projector columns together with the relations; its order is the
-    quotient of #A by that lattice's index in Z^r.
-    """
-    if m.rank() == 0:
-        return 1
-    k = m.exponent
-    if chi.precision is None:
-        if k > 1:
-            raise PrecisionExhausted("module exponent exceeds F_p character precision")
-    elif chi.precision < k:
-        raise PrecisionExhausted(
-            f"character precision {chi.precision} below module exponent {k}"
-        )
-    modulus = m.p**k
-    proj = _projector_matrix(m, chi, modulus)
-    r = m.rank()
-    # Image inside Z^r / diag(p^{a_i}): adjoin the relation columns.
-    aug = [
-        proj[i] + [m.factors[i] if i == j else 0 for j in range(r)] for i in range(r)
-    ]
-    dec = smith_normal_form(aug)
-    index = prod(dec.diagonal)
-    if index == 0:
-        raise VerificationError("picard.image_index", "projector image has infinite index")
-    order, rem = divmod(m.order, index)
-    if rem:
-        raise VerificationError(
-            "picard.index_divides", f"image index {index} does not divide {m.order}"
-        )
-    return order
+    """Order of the chi-component of the p-primary part A: p^(r_1 + ... + r_k)."""
+    return m.p ** sum(layer_ranks(m, chi))
 
 
 class _ModPSpan:
@@ -346,10 +338,16 @@ def _fixed_point_count(
     return q.p ** (q.dimension - _ModPSpan(q.p, residuals).rank)
 
 
-def eigenspace_dim_C(q: ElementaryQuotient, sylow: SylowPModule, chi: Character) -> int:
-    """F_p-dimension of the chi-component of C, via the mod-p projector rank.
+def eigenspace_dim_C(
+    q: ElementaryQuotient,
+    sylow: SylowPModule,
+    chi: Character,
+    ranks: tuple[int, ...] | None = None,
+) -> int:
+    """F_p-dimension of the chi-component of C: the first layer rank r_1.
 
-    ``sylow`` is the p-primary part of the same cover's Picard module.  The
+    ``sylow`` is the p-primary part of the same cover's Picard module and
+    ``ranks`` its ``layer_ranks`` for chi, computed here when omitted.  The
     number of classes of C fixed by the lifted idempotent recomputes the
     dimension independently, and p^dim is required to equal it.
     """
@@ -358,8 +356,9 @@ def eigenspace_dim_C(q: ElementaryQuotient, sylow: SylowPModule, chi: Character)
     p = chi.group.p
     if sylow.p != p:
         raise ValueError("character prime does not match the cover")
-    proj = _projector_matrix(sylow, chi, p)
-    dim = _ModPSpan(p, proj).rank
+    if ranks is None:
+        ranks = layer_ranks(sylow, chi)
+    dim = ranks[0] if ranks else 0
     f_lift = idempotent_mod(chi, 1)
     count = _fixed_point_count(q.cover, q, f_lift)
     if count != p**dim:
@@ -373,5 +372,5 @@ def eigenspace_dim_C(q: ElementaryQuotient, sylow: SylowPModule, chi: Character)
 def trivial_character_check(m: SylowPModule, kappa_base: int) -> bool:
     """Order of the trivial-character piece of A against the p-part of the
     base graph's spanning tree count ``kappa_base``."""
-    chi0 = Character(CyclicGroup.for_prime(m.p), 0, max(m.exponent, 1))
+    chi0 = Character(CyclicGroup.for_prime(m.p), 0)
     return eigenspace_order_A(m, chi0) == p_part(kappa_base, m.p)

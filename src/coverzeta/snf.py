@@ -2,7 +2,7 @@
 their determinant; all arithmetic is in Python integers.
 
 ``smith_normal_form`` is the dense route with full transforms, for small
-matrices.  Pivots are the nonzero entries of least absolute value (ties:
+matrices; in the package it only sorts ``cokernel_mod``'s summands.  Pivots are the nonzero entries of least absolute value (ties:
 lowest row, then column), and every call verifies U*A*V = D and that the
 tracked inverses of U and V multiply to the identity.
 

@@ -81,6 +81,20 @@ def corrupted(cover):
     return pm
 """
 
+# Drops one basis class of C, so that the mod-p span of the Laplacian and the
+# elimination modulo kappa disagree on the dimension of C.
+QUOTIENT_SABOTAGE = """
+import dataclasses
+import coverzeta.herbrand as module
+
+name = "elementary_quotient"
+real = module.elementary_quotient
+
+def corrupted(pm):
+    q = real(pm)
+    return dataclasses.replace(q, basis=q.basis[:-1])
+"""
+
 
 def test_package_has_no_assert_statements():
     found = [
@@ -188,18 +202,33 @@ def test_certificate_checks_exit_4(check, monkeypatch, capsys):
     assert f"error: check {check} failed:" in captured.err
 
 
-def test_class_number_check_exits_4(monkeypatch, capsys):
+def _assert_sabotage_exits_4(sabotage, example, check, monkeypatch, capsys):
+    """Install a sabotage and require exit 4 naming the check, in process and under -O."""
     monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     namespace = {}
-    exec(CLASS_NUMBER_SABOTAGE, namespace)
-    monkeypatch.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
-    # example2 has Pic0 = Z/7 + Z/420 at p = 5: the 7 is doubled, the
-    # p-primary part and every check that reads it are unchanged.
-    assert main(["analyze", "example2"]) == 4
-    assert "error: check picard.class_number failed:" in capsys.readouterr().err
-    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + CLASS_NUMBER_SABOTAGE
+    exec(sabotage, namespace)
+    with monkeypatch.context() as m:
+        m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+        assert main(["analyze", example]) == 4
+    assert f"error: check {check} failed:" in capsys.readouterr().err
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
     script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
-    script += "sys.exit(main(['analyze', 'example2']))\n"
+    script += f"sys.exit(main(['analyze', '{example}']))\n"
     sabotaged = _run_optimized("-c", script)
     assert sabotaged.returncode == 4, sabotaged.stderr
-    assert "error: check picard.class_number failed:" in sabotaged.stderr
+    assert f"error: check {check} failed:" in sabotaged.stderr
+
+
+def test_class_number_check_exits_4(monkeypatch, capsys):
+    # example2 has Pic0 = Z/7 + Z/420 at p = 5: the 7 is doubled, the
+    # p-primary part and every check that reads it are unchanged.
+    _assert_sabotage_exits_4(
+        CLASS_NUMBER_SABOTAGE, "example2", "picard.class_number", monkeypatch, capsys
+    )
+
+
+def test_quotient_dimension_check_exits_4(monkeypatch, capsys):
+    # example4 has A = (Z/11)^4, so C loses one of its four basis classes.
+    _assert_sabotage_exits_4(
+        QUOTIENT_SABOTAGE, "example4", "picard.quotient_dimension", monkeypatch, capsys
+    )

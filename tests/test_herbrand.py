@@ -231,6 +231,26 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     assert sorted(deck_maps) == list(range(1, cover.p))  # one build per unit
 
 
+def test_report_builds_one_projector_per_character(monkeypatch, ex1_cover, ex4_cover):
+    import coverzeta.picard as picard
+
+    built = []
+    real = picard._projector_matrix
+
+    def projector(m, chi):
+        built.append(chi.exponent)
+        return real(m, chi)
+
+    monkeypatch.setattr(picard, "_projector_matrix", projector)
+    # A = 0 for example1: no projector at all.
+    assert build_report(ex1_cover).all_ok
+    assert built == []
+    # A = (Z/11)^4 for example4: the order of A and the dimension of C of
+    # each character read one projector, and the trivial check one more.
+    assert build_report(ex4_cover).all_ok
+    assert sorted(built) == list(range(10))
+
+
 def test_report_on_a_24_vertex_base():
     # A spanning tree on 24 vertices plus 3 edges at p = 5: far past what a
     # determinant over all column subsets could take.

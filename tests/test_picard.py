@@ -6,13 +6,12 @@ from math import prod
 
 import pytest
 
-from conftest import random_connected_cover
+from conftest import random_connected_base, random_connected_cover
 from coverzeta import (
     Character,
     build_report,
     bundled_spec,
     CyclicGroup,
-    PrecisionExhausted,
     VoltageSpec,
     cycle_graph,
     derive,
@@ -26,7 +25,8 @@ from coverzeta import (
     sylow_p_module,
     trivial_character_check,
 )
-from coverzeta.picard import _fixed_point_count, _ModPSpan, _projector_matrix, act_divisor
+from coverzeta.picard import _fixed_point_count, act_divisor, layer_ranks
+from coverzeta.arith import p_valuation
 from coverzeta.groupring import GroupRingElement, idempotent_mod
 from coverzeta.snf import integer_determinant, smith_normal_form
 from coverzeta.specfile import spec_from_dict
@@ -45,6 +45,19 @@ def test_picard_factors_of_plain_graphs():
     assert picard_factors(cycle_graph(3)) == (3,)
     assert picard_factors(cycle_graph(6)) == (6,)
     assert picard_factors(path_graph(4)) == ()
+
+
+def test_picard_factors_match_dense_smith_form():
+    rng = random.Random(63)
+    noncyclic = 0
+    for _ in range(80):
+        g = random_connected_base(rng, 8, 14)
+        diagonal = smith_normal_form(g.laplacian_matrix()).diagonal
+        assert diagonal.count(0) == 1
+        factors = picard_factors(g)
+        assert factors == tuple(d for d in diagonal if d > 1)
+        noncyclic += len(factors) > 1
+    assert noncyclic >= 5
 
 
 def test_picard_module_first_example(ex1_cover):
@@ -136,10 +149,16 @@ def test_eigenspace_orders_multiply_to_module_order(ex3_cover, ex4_cover):
         assert prod(orders) == sylow.order
 
 
-def test_eigenspace_order_requires_precision(ex3_cover):
+def test_eigenspace_order_reads_only_chi_mod_p(ex3_cover):
+    # A = Z/121 + Z/121: a character at precision 1 or in F_p sees the
+    # whole component, not only its p-torsion.
     sylow = sylow_p_module(picard_module(ex3_cover), 11)
-    with pytest.raises(PrecisionExhausted):
-        eigenspace_order_A(sylow, Character(CyclicGroup.for_prime(11), 1, 1))
+    g11 = CyclicGroup.for_prime(11)
+    assert sylow.exponent == 2
+    assert eigenspace_order_A(sylow, Character(g11, 1, 1)) == 121
+    for i in range(10):
+        orders = {eigenspace_order_A(sylow, Character(g11, i, k)) for k in (None, 1, 2, 5)}
+        assert len(orders) == 1
 
 
 def test_elementary_quotient_dimensions(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
@@ -353,9 +372,9 @@ def test_modular_route_gives_the_same_character_pieces(route_pairs):
             lifted = Character(g, i, max(new.exponent, 1))
             assert eigenspace_order_A(new, lifted) == eigenspace_order_A(old, lifted)
             chi = Character(g, i, None)
-            ranks = [_ModPSpan(p, _projector_matrix(m, chi, p)).rank for m in (new, old)]
-            assert ranks[0] == ranks[1]
-            nontrivial += ranks[0] > 0
+            ranks = layer_ranks(new, chi)
+            assert ranks == layer_ranks(old, chi)
+            nontrivial += bool(ranks) and ranks[0] > 0
     assert nontrivial >= 10
 
 
@@ -379,6 +398,77 @@ def test_annihilation_matches_dense_route(route_pairs):
             assert verdict == ref.annihilated_by(elem)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def smith_index_order(m, chi):
+    """#e_chi A as #A over the index in Z^r of the lattice spanned by the
+    projector columns mod p^k, for chi lifted to precision k, and the
+    relations diag(p^a): the image of e_chi in A = Z^r / diag(p^a)."""
+    if m.rank() == 0:
+        return 1
+    p, r, modulus = m.p, m.rank(), m.p**m.exponent
+    lifted = chi.lift(m.exponent)
+    proj = [[0] * r for _ in range(r)]
+    for sigma in range(1, p):
+        v = lifted.value(sigma).value
+        mat = m.actions[pow(sigma, -1, p)]
+        for i in range(r):
+            for j in range(r):
+                proj[i][j] += v * mat[i][j]
+    inv = pow(p - 1, -1, modulus)
+    aug = [
+        [x * inv % modulus for x in row] + [m.factors[i] * (i == j) for j in range(r)]
+        for i, row in enumerate(proj)
+    ]
+    index = prod(smith_normal_form(aug).diagonal)
+    assert index and m.order % index == 0
+    return m.order // index
+
+
+@pytest.fixture(scope="module")
+def layered_covers():
+    """route_covers(), then random covers with up to 6 vertices and 10 edges at
+    p in {3, 5, 7}: the first 20 whose A has mixed exponents, e.g. Z/3 + Z/9,
+    and the first 20 whose A does not."""
+    rng = random.Random(64)
+    mixed, plain = [], []
+    for draw in range(6000):
+        cover = random_connected_cover(rng, (3, 5, 7)[draw % 3], 6, 10)
+        # Mixed exponents need #A >= p^3; skip the module when the tree count rules that out.
+        if len(plain) == 20 and p_valuation(spanning_tree_count(cover.total), cover.p) < 3:
+            continue
+        sylow = sylow_p_module(picard_module(cover), cover.p)
+        kind = mixed if len(set(sylow.exponents)) > 1 else plain
+        if len(kind) < 20:
+            kind.append((cover, sylow))
+        if len(mixed) == 20 and len(plain) == 20:
+            break
+    assert len(mixed) == 20 and len(plain) == 20
+    fixed = [(cover, sylow_p_module(picard_module(cover), cover.p)) for cover in route_covers()]
+    return fixed + mixed + plain
+
+
+def test_layer_ranks_match_smith_index(layered_covers):
+    mixed = 0
+    for cover, sylow in layered_covers:
+        g = CyclicGroup.for_prime(cover.p)
+        mixed += len(set(sylow.exponents)) > 1
+        for i in range(cover.p - 1):
+            chi = Character(g, i, None)
+            assert eigenspace_order_A(sylow, chi) == smith_index_order(sylow, chi)
+    assert mixed >= 20
+
+
+def test_layer_ranks_partition_each_layer(layered_covers):
+    # The idempotents sum to 1, so on each layer p^(j-1) A / p^j A the
+    # character pieces split the generators of exponent at least j.
+    for cover, sylow in layered_covers:
+        g = CyclicGroup.for_prime(cover.p)
+        ranks = [layer_ranks(sylow, Character(g, i, None)) for i in range(cover.p - 1)]
+        for j in range(1, sylow.exponent + 1):
+            assert sum(r[j - 1] for r in ranks) == sum(a >= j for a in sylow.exponents)
+        if sylow.rank() == 0:
+            assert ranks == [()] * (cover.p - 1)
 
 
 def bench_inputs():
