@@ -11,9 +11,10 @@ expresses the action on Pic0.  Character pieces come from one projector
 mod p per character: e_chi A is a direct summand of the p-primary part A,
 so the projector's rank on the layer p^(j-1) A / p^j A counts the summands
 of e_chi A of order at least p^j.  Those layer ranks give the order of
-e_chi A and, at j = 1, the dimension of e_chi C for the mod-p quotient C;
-the number of classes of C fixed by the idempotent, counted as a kernel on
-explicit divisors, checks every dimension of C independently.
+e_chi A and, at j = 1, the dimension of e_chi C for the mod-p quotient C.
+The deck group has order p - 1, prime to p, so a generator g acts
+diagonalizably on C and e_chi C is the chi(g)-eigenspace of g; one matrix
+of g on explicit divisors of C checks every dimension of C independently.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import prod
 
 from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
-from .groupring import CyclicGroup, GroupRingElement, idempotent_mod
+from .groupring import CyclicGroup, GroupRingElement
 from .serre import SerreGraph
 from .snf import Cokernel, cokernel_mod, integer_determinant
 from .voltage import DerivedCover, require_connected_cover
@@ -224,16 +225,11 @@ class _ModPSpan:
             self.add(vec)
 
     def add(self, vec) -> None:
-        p = self.p
-        row = [x % p for x in vec]
-        for pivot, basis_row in self.rows.items():
-            c = row[pivot]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, basis_row)]
+        row = self.reduce(vec)
         for j, x in enumerate(row):
             if x:
-                inv = pow(x, -1, p)
-                self.rows[j] = [v * inv % p for v in row]
+                inv = pow(x, -1, self.p)
+                self.rows[j] = [v * inv % self.p for v in row]
                 return
 
     @property
@@ -241,7 +237,11 @@ class _ModPSpan:
         return len(self.rows)
 
     def reduce(self, vec) -> list[int]:
-        """Residual of vec against the echelon rows (linear in vec)."""
+        """Residual of vec against the echelon rows (linear in vec).
+
+        Each row is zero at the pivots added before it, so the residual is
+        zero at every pivot coordinate.
+        """
         p = self.p
         row = [x % p for x in vec]
         for pivot, basis_row in self.rows.items():
@@ -261,12 +261,16 @@ class ElementaryQuotient:
     ``basis`` lifts an F_p-basis of C to integer divisors.  Because the
     sublattice p*Div0 + Pr contains p*Div0, membership only depends on the
     divisor mod p, so ``membership`` is the mod-p span of the Laplacian
-    columns in the difference coordinates w_i - w_0.
+    columns in the difference coordinates w_i - w_0.  ``deck[k]`` holds the
+    coordinates of ``generator`` . basis[k] in the basis: the deck
+    generator's matrix N on C.
     """
 
     cover: DerivedCover
     basis: tuple[tuple[int, ...], ...]
     membership: _ModPSpan
+    generator: int
+    deck: tuple[tuple[int, ...], ...]
 
     @property
     def p(self) -> int:
@@ -295,47 +299,25 @@ def elementary_quotient(pm: PicardModule) -> ElementaryQuotient:
     # Columns of the Laplacian in difference coordinates span the image of
     # the principal divisors inside Div0/p*Div0.
     span = _ModPSpan(p, ([lap[i][j] for i in range(1, n)] for j in range(n)))
-    basis = []
-    for j in range(n - 1):
-        if j not in span.rows:
-            eps = [0] * n
-            eps[0], eps[j + 1] = -1, 1
-            basis.append(tuple(eps))
-    return ElementaryQuotient(cover=pm.cover, basis=tuple(basis), membership=span)
-
-
-def act_divisor(cover: DerivedCover, elem: GroupRingElement, divisor) -> list[int]:
-    """Apply a group-ring element to a divisor through the deck action."""
-    n = cover.total.num_vertices
-    out = [0] * n
-    for k, c in enumerate(elem.coeffs):
-        if c == 0:
-            continue
-        perm = cover.deck_vertex_map(elem.group.element(k))
-        for w, x in enumerate(divisor):
-            if x:
-                out[perm[w]] += c * x
-    return out
-
-
-def _fixed_point_count(
-    cover: DerivedCover,
-    q: ElementaryQuotient,
-    f_lift: GroupRingElement,
-) -> int:
-    """Number of classes of C fixed by the lifted idempotent.
-
-    The defect f*alpha - alpha is linear in the coefficients of alpha, and so
-    is its residual against the principal divisors, so the fixed classes form
-    the kernel of the map sending basis class k to its residual r_k; there
-    are p^(dim C - rank(r_1, ..., r_m)) of them.
-    """
-    residuals = []
-    for eps in q.basis:
-        defect = act_divisor(cover, f_lift, eps)
-        defect = [a - b for a, b in zip(defect, eps)]
-        residuals.append(q.membership.reduce(q.delta_coords(defect)))
-    return q.p ** (q.dimension - _ModPSpan(q.p, residuals).rank)
+    free = [j for j in range(n - 1) if j not in span.rows]
+    # basis[k] is the unit vector at free[k] in difference coordinates and a
+    # residual is zero at every pivot, so a residual's coordinates in the
+    # basis are its entries at the free coordinates.
+    g = CyclicGroup.for_prime(p).generator
+    perm = pm.cover.deck_vertex_map(g)
+    basis, deck = [], []
+    for j in free:
+        eps = [0] * n
+        eps[0], eps[j + 1] = -1, 1
+        basis.append(tuple(eps))
+        image = [0] * n
+        image[perm[0]] -= 1
+        image[perm[j + 1]] += 1
+        residual = span.reduce(image[1:])
+        deck.append(tuple(residual[k] for k in free))
+    return ElementaryQuotient(
+        cover=pm.cover, basis=tuple(basis), membership=span, generator=g, deck=tuple(deck)
+    )
 
 
 def eigenspace_dim_C(
@@ -348,8 +330,9 @@ def eigenspace_dim_C(
 
     ``sylow`` is the p-primary part of the same cover's Picard module and
     ``ranks`` its ``layer_ranks`` for chi, computed here when omitted.  The
-    number of classes of C fixed by the lifted idempotent recomputes the
-    dimension independently, and p^dim is required to equal it.
+    classes of C fixed by the idempotent form the chi(g)-eigenspace of the
+    deck generator g, whose dimension dim C - rank(N - chi(g) I) recomputes
+    the dimension independently and is required to equal it.
     """
     if chi.precision is not None:
         raise ValueError("eigenspace_dim_C expects an F_p-valued character")
@@ -359,12 +342,14 @@ def eigenspace_dim_C(
     if ranks is None:
         ranks = layer_ranks(sylow, chi)
     dim = ranks[0] if ranks else 0
-    f_lift = idempotent_mod(chi, 1)
-    count = _fixed_point_count(q.cover, q, f_lift)
-    if count != p**dim:
+    lam = chi.value(q.generator)
+    shifted = ([x - lam * (j == k) for j, x in enumerate(row)] for k, row in enumerate(q.deck))
+    eigen = q.dimension - _ModPSpan(p, shifted).rank
+    if eigen != dim:
         raise VerificationError(
             "picard.fixed_point_sweep",
-            f"projector rank {dim} disagrees with fixed-point count {count}",
+            f"projector rank {dim} disagrees with the {lam}-eigenspace of the deck "
+            f"generator {q.generator} on C, of dimension {eigen}",
         )
     return dim
 

@@ -10,7 +10,6 @@ import sys
 import pytest
 
 import coverzeta
-import coverzeta.picard as picard
 from coverzeta import VerificationError, build_report, derive, elementary_quotient, picard_module
 from coverzeta.cli import main
 from coverzeta.specfile import BUNDLED, load_spec
@@ -95,6 +94,21 @@ def corrupted(pm):
     return dataclasses.replace(q, basis=q.basis[:-1])
 """
 
+# Makes the deck generator act on C as the identity, so the eigenspace of
+# every nontrivial character value is 0 while the projector ranks stand.
+DECK_SABOTAGE = """
+import dataclasses
+import coverzeta.herbrand as module
+
+name = "elementary_quotient"
+real = module.elementary_quotient
+
+def corrupted(pm):
+    q = real(pm)
+    identity = tuple(tuple(int(i == j) for j in range(q.dimension)) for i in range(q.dimension))
+    return dataclasses.replace(q, deck=identity)
+"""
+
 
 def test_package_has_no_assert_statements():
     found = [
@@ -153,16 +167,16 @@ def test_fixed_point_check_runs_when_C_is_large(tmp_path, monkeypatch, capsys):
     spec.write_text(json.dumps({"p": 3, "vertices": ["c", *leaves], "edges": edges}))
     cover = derive(load_spec(str(spec)))
     assert elementary_quotient(picard_module(cover)).dimension == 14
-    real_count = picard._fixed_point_count
-    monkeypatch.setattr(
-        picard, "_fixed_point_count", lambda cover, q, f_lift: q.p * real_count(cover, q, f_lift)
-    )
-    with pytest.raises(VerificationError) as exc:
-        build_report(cover)
+    namespace = {}
+    exec(DECK_SABOTAGE, namespace)
+    with monkeypatch.context() as m:
+        m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+        with pytest.raises(VerificationError) as exc:
+            build_report(cover)
     assert exc.value.check == "picard.fixed_point_sweep"
-    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
-    assert main(["analyze", str(spec)]) == 4
-    assert "error: check picard.fixed_point_sweep failed:" in capsys.readouterr().err
+    _assert_sabotage_exits_4(
+        DECK_SABOTAGE, str(spec), "picard.fixed_point_sweep", monkeypatch, capsys
+    )
 
 
 def _run_optimized(*args):

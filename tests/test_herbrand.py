@@ -162,12 +162,13 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "eta_at_one": (hb, zeta),
         "equivariant_laplacian": (hb, zeta),
         "sylow_p_module": (hb, picard),
-        "spanning_tree_count": (hb, picard),
+        "picard_factors": (hb, picard),
         "ring_determinant": (groupring, zeta),
         "eta_polynomial": (zeta,),
     }
     calls = dict.fromkeys(targets, 0)
     l_keys = []
+    tree_counts = []
     searched = []
     total_laplacians = []
     base_laplacians = []
@@ -188,6 +189,12 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     def l_value(cover, chi, *args, **kwargs):
         l_keys.append((chi.exponent, chi.precision))
         return real_l_value(cover, chi, *args, **kwargs)
+
+    real_tree_count = picard._tree_count
+
+    def tree_count(reduced):
+        tree_counts.append(len(reduced) + 1)
+        return real_tree_count(reduced)
 
     real_search = SerreGraph._reaches_every_vertex
     real_laplacian = SerreGraph.laplacian_matrix
@@ -210,6 +217,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         return real_deck_map(cover, tau)
 
     monkeypatch.setattr(hb, "l_value", l_value)
+    monkeypatch.setattr(picard, "_tree_count", tree_count)
     monkeypatch.setattr(DerivedCover, "_build_deck_map", build_deck_map)
     monkeypatch.setattr(SerreGraph, "_reaches_every_vertex", search)
     monkeypatch.setattr(SerreGraph, "laplacian_matrix", laplacian_matrix)
@@ -219,12 +227,14 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "eta_at_one": 1,
         "equivariant_laplacian": 1,
         "sylow_p_module": 1,
-        "spanning_tree_count": 1,
+        "picard_factors": 1,
         "ring_determinant": 1,
         "eta_polynomial": 0,
     }
     assert len(l_keys) == len(set(l_keys))
-    assert {key for key in l_keys if key[1] is None} == {(i, None) for i in range(1, 10)}
+    assert not [key for key in l_keys if key[1] is None]
+    # One tree-count determinant per graph: the cover's and the base's.
+    assert sorted(tree_counts) == [cover.base.num_vertices, cover.total.num_vertices]
     assert searched == [id(cover.total)]  # the base was searched by derive
     assert len(total_laplacians) == 1
     assert len(base_laplacians) == 1
@@ -249,6 +259,36 @@ def test_report_builds_one_projector_per_character(monkeypatch, ex1_cover, ex4_c
     # each character read one projector, and the trivial check one more.
     assert build_report(ex4_cover).all_ok
     assert sorted(built) == list(range(10))
+
+
+def test_report_reduces_each_basis_class_of_C_once(monkeypatch):
+    import coverzeta.picard as picard
+
+    # example4 has dim C = 4 and nine nontrivial characters.  Apart from
+    # building echelon forms, a report reduces only the image of each basis
+    # class of C under the deck generator against the Laplacian span.
+    cover = derive(bundled_spec("example4"))
+    reduced = []
+    adding = []
+    real_add, real_reduce = picard._ModPSpan.add, picard._ModPSpan.reduce
+
+    def add(span, vec):
+        adding.append(vec)
+        try:
+            real_add(span, vec)
+        finally:
+            adding.pop()
+
+    def reduce(span, vec):
+        if not adding:
+            reduced.append(len(vec))
+        return real_reduce(span, vec)
+
+    monkeypatch.setattr(picard._ModPSpan, "add", add)
+    monkeypatch.setattr(picard._ModPSpan, "reduce", reduce)
+    report = build_report(cover)
+    assert report.all_ok and report.dim_C == 4
+    assert reduced == [cover.total.num_vertices - 1] * 4
 
 
 def test_report_on_a_24_vertex_base():

@@ -25,7 +25,7 @@ from coverzeta import (
     sylow_p_module,
     trivial_character_check,
 )
-from coverzeta.picard import _fixed_point_count, act_divisor, layer_ranks
+from coverzeta.picard import layer_ranks
 from coverzeta.arith import p_valuation
 from coverzeta.groupring import GroupRingElement, idempotent_mod
 from coverzeta.snf import integer_determinant, smith_normal_form
@@ -219,6 +219,17 @@ def test_eigenspace_dim_rejects_lifted_characters(ex2_cover):
         eigenspace_dim_C(q, sylow, Character(CyclicGroup.for_prime(5), 1, 2))
 
 
+def act_divisor(cover, elem, divisor) -> list[int]:
+    """Apply a group-ring element to a divisor through the deck action."""
+    out = [0] * cover.total.num_vertices
+    for k, c in enumerate(elem.coeffs):
+        if c:
+            perm = cover.deck_vertex_map(elem.group.element(k))
+            for w, x in enumerate(divisor):
+                out[perm[w]] += c * x
+    return out
+
+
 def enumerated_fixed_points(cover, q, f_lift) -> int:
     """Reference count: try every combination of the basis classes of C."""
     p = q.p
@@ -234,9 +245,9 @@ def enumerated_fixed_points(cover, q, f_lift) -> int:
 
 
 def check_fixed_point_counts(cover, max_classes=None) -> int:
-    """Compare the kernel count, the enumeration and p^(projector rank) for
-    every character of a cover; returns dim C, or None when C has more than
-    ``max_classes`` classes."""
+    """Compare the enumerated fixed points of each idempotent with p^dim of
+    its piece of C, for every character of a cover; returns dim C, or None
+    when C has more than ``max_classes`` classes."""
     p = cover.p
     pm = picard_module(cover)
     q, sylow = elementary_quotient(pm), sylow_p_module(pm, p)
@@ -245,8 +256,7 @@ def check_fixed_point_counts(cover, max_classes=None) -> int:
     g = CyclicGroup.for_prime(p)
     for i in range(p - 1):
         chi = Character(g, i, None)
-        count = _fixed_point_count(cover, q, idempotent_mod(chi, 1))
-        assert count == enumerated_fixed_points(cover, q, idempotent_mod(chi, 1))
+        count = enumerated_fixed_points(cover, q, idempotent_mod(chi, 1))
         assert count == p ** eigenspace_dim_C(q, sylow, chi)
     return q.dimension
 
@@ -270,6 +280,59 @@ def test_act_divisor_permutes_coordinates(ex1_cover):
     out = act_divisor(ex1_cover, elem, vec)
     assert sum(out) == 1
     assert out[ex1_cover.deck_act(2, 0)] == 1
+
+
+def _mat_mul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _kernel_dim(mat, p) -> int:
+    """Dimension of the kernel of a square matrix over F_p."""
+    rows = [list(row) for row in mat]
+    rank = 0
+    for col in range(len(mat)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                c = rows[r][col] * inv
+                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return len(mat) - rank
+
+
+def test_deck_matrix_on_C_is_diagonalizable(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
+    # The deck generator has order p - 1, prime to p: its matrix N on C has
+    # N^(p-1) = I, and its eigenspaces, one per character, fill C.
+    rng = random.Random(8)
+    covers = [ex1_cover, ex2_cover, ex3_cover, ex4_cover]
+    covers += [random_connected_cover(rng, p, 5, 9) for p in (3, 5, 7, 11, 13) for _ in range(8)]
+    split = 0
+    for cover in covers:
+        p = cover.p
+        pm = picard_module(cover)
+        q, sylow = elementary_quotient(pm), sylow_p_module(pm, p)
+        n = q.dimension
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        power = identity
+        for _ in range(p - 1):
+            power = _mat_mul(power, q.deck, p)
+        assert power == identity
+        g = CyclicGroup.for_prime(p)
+        dims = []
+        for i in range(p - 1):
+            lam = pow(q.generator, i, p)
+            shifted = [
+                [x - lam * (j == k) for j, x in enumerate(row)] for k, row in enumerate(q.deck)
+            ]
+            dims.append(_kernel_dim(shifted, p))
+            assert dims[-1] == eigenspace_dim_C(q, sylow, Character(g, i, None))
+        assert sum(dims) == n
+        split += sum(1 for d in dims if d) > 1
+    assert split >= 3
 
 
 def test_trivial_character_check_examples(ex1_cover, ex3_cover):
