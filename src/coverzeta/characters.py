@@ -32,10 +32,6 @@ class Character:
             raise ValueError("precision must be at least 1")
 
     @property
-    def codomain(self) -> str:
-        return "Fp" if self.precision is None else "Zp"
-
-    @property
     def modulus(self) -> int:
         """p for an F_p-valued character, p^precision for a lift."""
         p = self.group.p
@@ -84,9 +80,6 @@ class Character:
     def lift(self, precision: int) -> "Character":
         """Teichmuller lift of an F_p character (or re-precision of a lift)."""
         return Character(self.group, self.exponent, precision)
-
-    def reduction(self) -> "Character":
-        return Character(self.group, self.exponent, None)
 
 
 def zp_characters(group: CyclicGroup, precision: int) -> tuple[Character, ...]:

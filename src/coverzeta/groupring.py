@@ -60,10 +60,6 @@ class CyclicGroup:
     def inverse(self, sigma: int) -> int:
         return self.element(-self.index_of(sigma))
 
-    def units(self) -> tuple[int, ...]:
-        """All units mod p in residue order 1, 2, ..., p-1."""
-        return tuple(range(1, self.p))
-
 
 @dataclass(frozen=True)
 class GroupRingElement:

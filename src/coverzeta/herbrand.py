@@ -67,18 +67,20 @@ def default_precision(pm: PicardModule) -> int:
 class CoverAnalysis:
     """Owner of every intermediate the verification passes share.
 
-    Computed once per analysis: the Picard module and its Sylow part, the
-    elementary quotient with the deck generator's matrix on it (from the
-    Picard module's Laplacian, its dimension checked against the Sylow
-    part's rank), the base graph's Picard factors, whose product is its tree
-    count, the equivariant Laplacian and the special value eta(1), whose
+    Computed once per analysis: the Picard module with the deck generator's
+    matrix on Pic0 and its Sylow part, the elementary quotient with the deck
+    generator's matrix on it (from the Picard module's Laplacian, its
+    dimension checked against the Sylow part's rank), the base graph's
+    Picard factors, whose product is its tree count, the equivariant
+    Laplacian and the special value eta(1), whose
     Berkowitz-against-substitution check runs here, as does the
     class-number check that ties the order of Pic0 to eta(1).
     Per-character quantities are computed on demand and cached, so the
     verification passes can share one analysis without recomputation; in
-    particular each character's layer ranks come from one projector and give
-    both its order of A and its dimension of C, which is checked against an
-    eigenspace of the one deck matrix on C; each L-value, with its
+    particular each character's layer ranks come from eigenspaces of the
+    deck generator's matrix on the layers of A and give both its order of A
+    and its dimension of C, which is checked against an eigenspace of the
+    deck generator's matrix on C; each L-value, with its
     eta-against-determinant check, is computed once per (character,
     precision), and the F_p value, the valuation retries and the report's
     p-adic expansion read the same cached value; the Fitting-identity pass
@@ -144,7 +146,7 @@ class CoverAnalysis:
         return self.zp_value(i, self.precision).value % self.p
 
     def ranks(self, i: int) -> tuple[int, ...]:
-        """Layer ranks of the i-th component of A, from one projector mod p."""
+        """Layer ranks of the i-th component of A: eigenspaces of the deck generator."""
         if i not in self._ranks:
             self._ranks[i] = layer_ranks(self.sylow, Character(self.group, i))
         return self._ranks[i]

@@ -7,14 +7,15 @@ its invariant factors and generators come from an elimination modulo kappa
 (``snf.cokernel_mod``), for base graphs and covers alike.  A deck
 transformation permutes vertices, hence acts on degree-zero divisors;
 reading the image of each generator with the cokernel's coordinate forms
-expresses the action on Pic0.  Character pieces come from one projector
-mod p per character: e_chi A is a direct summand of the p-primary part A,
-so the projector's rank on the layer p^(j-1) A / p^j A counts the summands
-of e_chi A of order at least p^j.  Those layer ranks give the order of
-e_chi A and, at j = 1, the dimension of e_chi C for the mod-p quotient C.
-The deck group has order p - 1, prime to p, so a generator g acts
-diagonalizably on C and e_chi C is the chi(g)-eigenspace of g; one matrix
-of g on explicit divisors of C checks every dimension of C independently.
+expresses the action on Pic0.  Only the deck generator g is transported:
+the deck group is cyclic of order p - 1, prime to p, so g acts
+diagonalizably on each layer p^(j-1) A / p^j A of the p-primary part A,
+and e_chi is the projection onto its chi(g)-eigenspace there.  The
+dimension of that eigenspace counts the summands of e_chi A of order at
+least p^j; those layer ranks give the order of e_chi A and, at j = 1, the
+dimension of e_chi C for the mod-p quotient C.  One matrix of g on
+explicit divisors of C gives every e_chi C as an eigenspace independently,
+and checks every dimension of C.
 """
 
 from __future__ import annotations
@@ -30,16 +31,11 @@ from .snf import Cokernel, cokernel_mod, integer_determinant
 from .voltage import DerivedCover, require_connected_cover
 
 
-def spanning_tree_count(g: SerreGraph, lap: list[list[int]] | None = None) -> int:
-    """Number of spanning trees, as a principal minor of the Laplacian.
-
-    ``lap`` is the graph's Laplacian, built here when omitted.
-    """
+def spanning_tree_count(g: SerreGraph) -> int:
+    """Number of spanning trees, as a principal minor of the Laplacian."""
     if not g.is_connected():
         raise ValueError("spanning trees are only counted for connected graphs")
-    if lap is None:
-        lap = g.laplacian_matrix()
-    return _tree_count([row[:-1] for row in lap[:-1]])
+    return _tree_count([row[:-1] for row in g.laplacian_matrix()[:-1]])
 
 
 def _tree_count(reduced: list[list[int]]) -> int:
@@ -56,23 +52,19 @@ def _reduced_cokernel(lap: list[list[int]]) -> Cokernel:
     return cokernel_mod(reduced, _tree_count(reduced))
 
 
-def picard_factors(g: SerreGraph, lap: list[list[int]] | None = None) -> tuple[int, ...]:
-    """Invariant factors (> 1) of the degree-zero Picard group of a graph.
-
-    ``lap`` is the graph's Laplacian, built here when omitted.
-    """
+def picard_factors(g: SerreGraph) -> tuple[int, ...]:
+    """Invariant factors (> 1) of the degree-zero Picard group of a graph."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    if lap is None:
-        lap = g.laplacian_matrix()
-    return _reduced_cokernel(lap).factors
+    return _reduced_cokernel(g.laplacian_matrix()).factors
 
 
 class PicardModule:
     """Pic0 of the total graph together with the deck action on it.
 
-    ``factors`` are the invariant factors above 1 and ``actions[tau]`` the
-    matrix of deck element tau on their generators, row i modulo factor i.
+    ``factors`` are the invariant factors above 1 and ``action`` the matrix
+    of the deck generator ``generator`` on their generators, row i modulo
+    factor i; the deck group is cyclic, so g's matrix determines the action.
     ``full_diagonal`` is the Smith diagonal of the whole Laplacian,
     (1, ..., 1, factors, 0), kept for failure diagnostics.
     """
@@ -85,23 +77,38 @@ class PicardModule:
         self.factors = coker.factors
         last = len(self.laplacian) - 1
         self.full_diagonal = (1,) * (last - len(self.factors)) + self.factors + (0,)
-        # A form extended by 0 at the last vertex reads e_w - e_last at w for
-        # every w.  pi(e_v - e_last) = (e_pi(v) - e_last) - (e_pi(last) - e_last),
-        # so form f reads pi(w) as the sum of w_v (f[pi(v)] - f[pi(last)])
-        # over the support of w, which is small.
         self._forms = tuple(f + (0,) for f in coker.forms)
-        r = len(self.factors)
-        gens = [[(v, x) for v, x in enumerate(g) if x] for g in coker.generators]
-        self.actions: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for tau in range(1, cover.p):
-            perm = cover.deck_vertex_map(tau)
-            mat = []
-            for d, f in zip(self.factors, self._forms):
+        self._gens = tuple(tuple((v, x) for v, x in enumerate(g) if x) for g in coker.generators)
+        self.generator = CyclicGroup.for_prime(cover.p).generator
+        self.action = tuple(
+            tuple(x % d for x in row[1:])
+            for d, row in zip(self.factors, self._transport([(1, self.generator)]))
+        )
+
+    def _transport(self, terms: list[tuple[int, int]]) -> list[list[int]]:
+        """The coordinate forms read on x = sum of c tau over ``terms``.
+
+        Row i holds form i read on the sum of c (e_tau(last) - e_last), which
+        is x e_last when x has augmentation 0, then on x w_j for each
+        generator w_j of Pic0; the integers are not reduced.
+
+        A form extended by 0 at the last vertex reads e_w - e_last at w for
+        every w.  pi(e_v - e_last) = (e_pi(v) - e_last) - (e_pi(last) - e_last),
+        so form f reads pi(w) as the sum of w_v (f[pi(v)] - f[pi(last)])
+        over the support of w, which is small.
+        """
+        last = len(self.laplacian) - 1
+        perms = [(c, self.cover.deck_vertex_map(tau)) for c, tau in terms]
+        out = []
+        for f in self._forms:
+            row = [0] * (len(self._gens) + 1)
+            for c, perm in perms:
                 shift = f[perm[last]]
-                mat.append(tuple(sum(x * (f[perm[v]] - shift) for v, x in g) % d for g in gens))
-            self.actions[tau] = tuple(mat)
-        if self.actions[1] != tuple(tuple(int(i == j) for j in range(r)) for i in range(r)):
-            raise VerificationError("picard.identity_action", "deck element 1 acts nontrivially")
+                row[0] += c * shift
+                for j, g in enumerate(self._gens, 1):
+                    row[j] += c * sum(x * (f[perm[v]] - shift) for v, x in g)
+            out.append(row)
+        return out
 
     @property
     def p(self) -> int:
@@ -123,14 +130,9 @@ class PicardModule:
         """
         if elem.augmentation() != 0:
             return False
-        last = len(self.laplacian) - 1
         terms = [(c, elem.group.element(k)) for k, c in enumerate(elem.coeffs) if c]
-        for i, (d, f) in enumerate(zip(self.factors, self._forms)):
-            vertex = sum(c * f[self.cover.deck_vertex_map(tau)[last]] for c, tau in terms)
-            row = [sum(c * self.actions[tau][i][j] for c, tau in terms) for j in range(self.rank())]
-            if any(x % d for x in (vertex, *row)):
-                return False
-        return True
+        rows = self._transport(terms)
+        return not any(x % d for d, row in zip(self.factors, rows) for x in row)
 
 
 def picard_module(cover: DerivedCover) -> PicardModule:
@@ -139,11 +141,13 @@ def picard_module(cover: DerivedCover) -> PicardModule:
 
 @dataclass(frozen=True)
 class SylowPModule:
-    """p-primary part of the Picard module: p-power factors plus the action."""
+    """p-primary part of the Picard module: p-power factors and the matrix
+    ``action`` of the deck generator ``generator``, modulo p^exponent."""
 
     p: int
     exponents: tuple[int, ...]
-    actions: dict[int, tuple[tuple[int, ...], ...]]
+    generator: int
+    action: tuple[tuple[int, ...], ...]
 
     @property
     def exponent(self) -> int:
@@ -167,46 +171,34 @@ def sylow_p_module(pm: PicardModule, p: int) -> SylowPModule:
     exponents = tuple(p_valuation(pm.factors[i], p) for i in keep)
     k = max(exponents) if exponents else 0
     modulus = p**k if k else 1
-    actions: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for tau, mat in pm.actions.items():
-        actions[tau] = tuple(
-            tuple(mat[i][j] % modulus for j in keep) for i in keep
-        )
-    return SylowPModule(p=p, exponents=exponents, actions=actions)
+    action = tuple(tuple(pm.action[i][j] % modulus for j in keep) for i in keep)
+    return SylowPModule(p=p, exponents=exponents, generator=pm.generator, action=action)
 
 
-def _projector_matrix(m: SylowPModule, chi: Character) -> list[list[int]]:
-    """The idempotent's action on the module's generators, mod p.
-
-    Only chi mod p enters, so a lifted character gives the same matrix.
-    """
-    p, r = m.p, m.rank()
-    out = [[0] * r for _ in range(r)]
-    for sigma in range(1, p):
-        v = pow(sigma, chi.exponent, p)
-        mat = m.actions[pow(sigma, -1, p)]
-        for i in range(r):
-            for j in range(r):
-                out[i][j] += v * mat[i][j]
-    return [[-x % p for x in row] for row in out]  # 1/(p - 1) = -1 mod p
+def _eigenspace_dim(mat, lam: int, p: int) -> int:
+    """Dimension of the lam-eigenspace of a square matrix over F_p."""
+    shifted = ([x - lam * (j == k) for j, x in enumerate(row)] for k, row in enumerate(mat))
+    return len(mat) - _ModPSpan(p, shifted).rank
 
 
 def layer_ranks(m: SylowPModule, chi: Character) -> tuple[int, ...]:
     """Ranks r_1, ..., r_k (k the exponent) of the chi-component of A.
 
     p^(j-1) A / p^j A is the F_p-space on the generators of exponent at
-    least j, and e_chi A is a direct summand of A, so the projector's rank
-    on that layer is r_j = dim p^(j-1) e_chi A / p^j e_chi A, the number of
-    summands of e_chi A of order at least p^j.  No projector is built when
+    least j, on which the deck generator g acts by the matching block of
+    its matrix.  e_chi A is a direct summand of A and e_chi projects onto
+    the chi(g)-eigenspace of g, so that eigenspace has dimension r_j = dim
+    p^(j-1) e_chi A / p^j e_chi A, the number of summands of e_chi A of
+    order at least p^j.  Only chi mod p enters, and nothing is read when
     A = 0.
     """
     if m.rank() == 0:
         return ()
-    proj = _projector_matrix(m, chi)
+    lam = pow(m.generator, chi.exponent, m.p)
     ranks = []
     for j in range(1, m.exponent + 1):
         layer = [i for i, a in enumerate(m.exponents) if a >= j]
-        ranks.append(_ModPSpan(m.p, ([proj[i][k] for k in layer] for i in layer)).rank)
+        ranks.append(_eigenspace_dim([[m.action[i][k] for k in layer] for i in layer], lam, m.p))
     return tuple(ranks)
 
 
@@ -220,7 +212,7 @@ class _ModPSpan:
 
     def __init__(self, p: int, vectors):
         self.p = p
-        self.rows: dict[int, list[int]] = {}  # pivot coordinate -> echelon row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot -> nonzero entries of its row
         for vec in vectors:
             self.add(vec)
 
@@ -229,7 +221,7 @@ class _ModPSpan:
         for j, x in enumerate(row):
             if x:
                 inv = pow(x, -1, self.p)
-                self.rows[j] = [v * inv % self.p for v in row]
+                self.rows[j] = {k: v * inv % self.p for k, v in enumerate(row) if v}
                 return
 
     @property
@@ -247,7 +239,8 @@ class _ModPSpan:
         for pivot, basis_row in self.rows.items():
             c = row[pivot]
             if c:
-                row = [(x - c * y) % p for x, y in zip(row, basis_row)]
+                for k, y in basis_row.items():
+                    row[k] = (row[k] - c * y) % p
         return row
 
     def contains(self, vec) -> bool:
@@ -303,7 +296,7 @@ def elementary_quotient(pm: PicardModule) -> ElementaryQuotient:
     # basis[k] is the unit vector at free[k] in difference coordinates and a
     # residual is zero at every pivot, so a residual's coordinates in the
     # basis are its entries at the free coordinates.
-    g = CyclicGroup.for_prime(p).generator
+    g = pm.generator
     perm = pm.cover.deck_vertex_map(g)
     basis, deck = [], []
     for j in free:
@@ -331,8 +324,9 @@ def eigenspace_dim_C(
     ``sylow`` is the p-primary part of the same cover's Picard module and
     ``ranks`` its ``layer_ranks`` for chi, computed here when omitted.  The
     classes of C fixed by the idempotent form the chi(g)-eigenspace of the
-    deck generator g, whose dimension dim C - rank(N - chi(g) I) recomputes
-    the dimension independently and is required to equal it.
+    deck generator g, whose dimension dim C - rank(N - chi(g) I), with N
+    g's matrix on explicit divisors of C, recomputes the dimension
+    independently and is required to equal it.
     """
     if chi.precision is not None:
         raise ValueError("eigenspace_dim_C expects an F_p-valued character")
@@ -343,13 +337,12 @@ def eigenspace_dim_C(
         ranks = layer_ranks(sylow, chi)
     dim = ranks[0] if ranks else 0
     lam = chi.value(q.generator)
-    shifted = ([x - lam * (j == k) for j, x in enumerate(row)] for k, row in enumerate(q.deck))
-    eigen = q.dimension - _ModPSpan(p, shifted).rank
+    eigen = _eigenspace_dim(q.deck, lam, p)
     if eigen != dim:
         raise VerificationError(
             "picard.fixed_point_sweep",
-            f"projector rank {dim} disagrees with the {lam}-eigenspace of the deck "
-            f"generator {q.generator} on C, of dimension {eigen}",
+            f"layer rank r_1 = {dim} of A disagrees with the {lam}-eigenspace of the "
+            f"deck generator {q.generator} on C, of dimension {eigen}",
         )
     return dim
 

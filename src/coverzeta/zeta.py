@@ -104,10 +104,6 @@ class LValue:
     character: Character
     value: object  # int mod p, or PAdicInt
 
-    @property
-    def codomain(self) -> str:
-        return self.character.codomain
-
 
 def equivariant_adjacency(cover: DerivedCover) -> GroupRingMatrix:
     """Adjacency of the cover as a matrix over the group ring.

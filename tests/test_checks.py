@@ -94,8 +94,23 @@ def corrupted(pm):
     return dataclasses.replace(q, basis=q.basis[:-1])
 """
 
+# Puts the identity in place of the deck generator's matrix on Pic0, so every
+# layer rank of A lands on the trivial character while C keeps its eigenspaces.
+ACTION_SABOTAGE = """
+import coverzeta.herbrand as module
+
+name = "picard_module"
+real = module.picard_module
+
+def corrupted(cover):
+    pm = real(cover)
+    r = pm.rank()
+    pm.action = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    return pm
+"""
+
 # Makes the deck generator act on C as the identity, so the eigenspace of
-# every nontrivial character value is 0 while the projector ranks stand.
+# every nontrivial character value is 0 while the layer ranks of A stand.
 DECK_SABOTAGE = """
 import dataclasses
 import coverzeta.herbrand as module
@@ -238,6 +253,14 @@ def test_class_number_check_exits_4(monkeypatch, capsys):
     # p-primary part and every check that reads it are unchanged.
     _assert_sabotage_exits_4(
         CLASS_NUMBER_SABOTAGE, "example2", "picard.class_number", monkeypatch, capsys
+    )
+
+
+def test_generator_action_check_exits_4(monkeypatch, capsys):
+    # example4 has A = (Z/11)^4, whose pieces at characters 3 and 7 are
+    # planes: with g acting as the identity, their layer ranks read 0.
+    _assert_sabotage_exits_4(
+        ACTION_SABOTAGE, "example4", "picard.fixed_point_sweep", monkeypatch, capsys
     )
 
 

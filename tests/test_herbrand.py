@@ -158,6 +158,12 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
 
     # A fresh cover: its graphs have not yet searched for their connectivity.
     cover = derive(bundled_spec("example4"))
+    # Deck maps are needed for the generator, whose matrix is read on Pic0
+    # and on C, and for the units in the support of eta(1), which the
+    # annihilation test transports: 6 of the 10 units of example4.
+    eta = zeta.eta_at_one(derive(bundled_spec("example4")))
+    units = {eta.group.generator} | {eta.group.element(k) for k, c in enumerate(eta.coeffs) if c}
+    assert len(units) == 6
     targets = {
         "eta_at_one": (hb, zeta),
         "equivariant_laplacian": (hb, zeta),
@@ -238,27 +244,48 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     assert searched == [id(cover.total)]  # the base was searched by derive
     assert len(total_laplacians) == 1
     assert len(base_laplacians) == 1
-    assert sorted(deck_maps) == list(range(1, cover.p))  # one build per unit
+    assert sorted(deck_maps) == sorted(units)  # one build per unit used
 
 
-def test_report_builds_one_projector_per_character(monkeypatch, ex1_cover, ex4_cover):
+def test_report_reads_one_transport_and_one_eigenspace_per_character(
+    monkeypatch, ex1_cover, ex4_cover
+):
     import coverzeta.picard as picard
+    from coverzeta.zeta import eta_at_one
 
-    built = []
-    real = picard._projector_matrix
+    transported, eigenspaces = [], []
+    real_transport, real_eigenspace = picard.PicardModule._transport, picard._eigenspace_dim
 
-    def projector(m, chi):
-        built.append(chi.exponent)
-        return real(m, chi)
+    def transport(pm, terms):
+        transported.append(sorted(tau for _, tau in terms))
+        return real_transport(pm, terms)
 
-    monkeypatch.setattr(picard, "_projector_matrix", projector)
-    # A = 0 for example1: no projector at all.
-    assert build_report(ex1_cover).all_ok
-    assert built == []
-    # A = (Z/11)^4 for example4: the order of A and the dimension of C of
-    # each character read one projector, and the trivial check one more.
-    assert build_report(ex4_cover).all_ok
-    assert sorted(built) == list(range(10))
+    def eigenspace(mat, lam, p):
+        eigenspaces.append((len(mat), lam))
+        return real_eigenspace(mat, lam, p)
+
+    monkeypatch.setattr(picard.PicardModule, "_transport", transport)
+    monkeypatch.setattr(picard, "_eigenspace_dim", eigenspace)
+
+    def run(cover):
+        transported.clear()
+        eigenspaces.clear()
+        assert build_report(cover).all_ok
+        # The Picard module transports the generator g = 2 alone; the
+        # annihilation test transports eta(1) once.
+        eta = eta_at_one(cover)
+        support = sorted(eta.group.element(k) for k, c in enumerate(eta.coeffs) if c)
+        assert transported == [[2], support]
+
+    # A = 0 and C = 0 for example1: no eigenspace of a nonempty matrix.
+    run(ex1_cover)
+    assert eigenspaces and all(size == 0 for size, _ in eigenspaces)
+    # A = (Z/11)^4 for example4: the order of A and the dimension of C of each
+    # nontrivial character read one eigenspace of g on A / pA and one on C,
+    # and the trivial check one more on A / pA.
+    run(ex4_cover)
+    on_A = [(4, pow(2, i, 11)) for i in range(10)]
+    assert sorted(eigenspaces) == sorted(on_A + on_A[1:])
 
 
 def test_report_reduces_each_basis_class_of_C_once(monkeypatch):

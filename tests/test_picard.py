@@ -25,7 +25,7 @@ from coverzeta import (
     sylow_p_module,
     trivial_character_check,
 )
-from coverzeta.picard import layer_ranks
+from coverzeta.picard import _reduced_cokernel, layer_ranks
 from coverzeta.arith import p_valuation
 from coverzeta.groupring import GroupRingElement, idempotent_mod
 from coverzeta.snf import integer_determinant, smith_normal_form
@@ -91,25 +91,6 @@ def test_order_matches_tree_count_randomly():
             cover = random_connected_cover(rng, p)
             pm = picard_module(cover)
             assert pm.order == spanning_tree_count(cover.total)
-
-
-def test_action_matrices_satisfy_group_law(ex2_cover):
-    pm = picard_module(ex2_cover)
-    p = ex2_cover.p
-    r = pm.rank()
-    for s in range(1, p):
-        for t in range(1, p):
-            st_mat = pm.actions[s * t % p]
-            prod_mat = [
-                [
-                    sum(pm.actions[s][i][k] * pm.actions[t][k][j] for k in range(r))
-                    for j in range(r)
-                ]
-                for i in range(r)
-            ]
-            for i in range(r):
-                for j in range(r):
-                    assert (prod_mat[i][j] - st_mat[i][j]) % pm.factors[i] == 0
 
 
 def test_sylow_modules_of_examples(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
@@ -361,16 +342,18 @@ def test_trivial_component_orders(ex3_cover):
 
 class DensePicardReference:
     """The Picard module as the integer Smith form U L V = D of the whole
-    Laplacian gives it.  The deck action is U Pi U^-1 on the torsion
-    coordinates plus the free one, and an element annihilates coker L when
-    that block vanishes modulo each row's factor (exactly on the free row)."""
+    Laplacian gives it.  The deck action of every unit tau is U Pi_tau U^-1
+    on the torsion coordinates plus the free one, ``action`` is its torsion
+    block at the generator, and an element annihilates coker L when that
+    block vanishes modulo each row's factor (exactly on the free row)."""
 
     def __init__(self, cover):
         lap = cover.total.laplacian_matrix()
         dec = smith_normal_form(lap)
         self.full_diagonal = dec.diagonal
         torsion = [i for i, d in enumerate(dec.diagonal) if d > 1]
-        support = torsion + [dec.diagonal.index(0)]
+        self.support = support = torsion + [dec.diagonal.index(0)]
+        self.left = dec.left
         self.factors = tuple(dec.diagonal[i] for i in torsion)
         self.support_factors = self.factors + (0,)
         self.blocks = {}
@@ -384,10 +367,15 @@ class DensePicardReference:
                 for i in support
             ]
         r = len(torsion)
-        self.actions = {
-            tau: tuple(tuple(b[i][j] % self.factors[i] for j in range(r)) for i in range(r))
-            for tau, b in self.blocks.items()
-        }
+        self.generator = CyclicGroup.for_prime(cover.p).generator
+        block = self.blocks[self.generator]
+        self.action = tuple(
+            tuple(block[i][j] % self.factors[i] for j in range(r)) for i in range(r)
+        )
+
+    def coordinates(self, divisor):
+        """The coordinates U x of a divisor x at the torsion rows and the free row."""
+        return [sum(u * x for u, x in zip(self.left[i], divisor)) for i in self.support]
 
     def annihilated_by(self, elem):
         if elem.augmentation() != 0:
@@ -422,6 +410,31 @@ def test_modular_route_matches_dense_smith_form(route_pairs):
         assert pm.factors == ref.factors
         assert pm.full_diagonal == ref.full_diagonal
         assert pm.order == spanning_tree_count(cover.total)
+
+
+def test_generator_powers_match_dense_transport(route_pairs):
+    # tau = g^k acts on Pic0 by action^k, composed with row i modulo factor
+    # i.  In the dense route's Smith coordinates, U Pi_tau U^-1 must send
+    # each generator w_j of the modular route to sum_i (action^k)_ij w_i.
+    checked = 0
+    for cover, pm, ref in route_pairs:
+        p, r = cover.p, pm.rank()
+        gens = [list(w) + [-sum(w)] for w in _reduced_cokernel(pm.laplacian).generators]
+        coords = [ref.coordinates(w) for w in gens]
+        power = [[int(i == j) for j in range(r)] for i in range(r)]
+        for k in range(p - 1):
+            block = ref.blocks[pow(pm.generator, k, p)]
+            for j in range(r):
+                moved = [sum(b * x for b, x in zip(row, coords[j])) for row in block]
+                image = [sum(row[j] * x for row, x in zip(power, col)) for col in zip(*coords)]
+                for d, a, b in zip(ref.support_factors, moved, image):
+                    assert (a - b) % d == 0 if d else a == b
+            power = [
+                [sum(x * y for x, y in zip(row, col)) % d for col in zip(*power)]
+                for d, row in zip(pm.factors, pm.action)
+            ]
+            checked += r > 1 and k > 0
+    assert checked >= 100
 
 
 def test_modular_route_gives_the_same_character_pieces(route_pairs):
@@ -471,10 +484,13 @@ def smith_index_order(m, chi):
         return 1
     p, r, modulus = m.p, m.rank(), m.p**m.exponent
     lifted = chi.lift(m.exponent)
+    # powers[k] is the matrix of g^k, the inverse of sigma = g^-k.
+    powers = [[[int(i == j) for j in range(r)] for i in range(r)]]
+    while len(powers) < p - 1:
+        powers.append(_mat_mul(m.action, powers[-1], modulus))
     proj = [[0] * r for _ in range(r)]
-    for sigma in range(1, p):
-        v = lifted.value(sigma).value
-        mat = m.actions[pow(sigma, -1, p)]
+    for k, mat in enumerate(powers):
+        v = lifted.value(pow(m.generator, -k, p)).value
         for i in range(r):
             for j in range(r):
                 proj[i][j] += v * mat[i][j]
