@@ -27,7 +27,7 @@ from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement
 from .serre import SerreGraph
-from .snf import Cokernel, cokernel_mod, integer_determinant
+from .snf import Cokernel, cokernel_mod, sparse_determinant
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -39,8 +39,12 @@ def spanning_tree_count(g: SerreGraph) -> int:
 
 
 def _tree_count(reduced: list[list[int]]) -> int:
-    """Determinant of a Laplacian with its last row and column deleted."""
-    kappa = integer_determinant(reduced)
+    """Tree count kappa of a connected graph, from its reduced Laplacian.
+
+    The reduced Laplacian has about valence + 1 nonzeros per row, so kappa,
+    the modulus of the cokernel's elimination, is the sparse determinant.
+    """
+    kappa = sparse_determinant(reduced)
     if kappa <= 0:
         raise VerificationError("picard.tree_count", f"reduced Laplacian determinant {kappa}")
     return kappa

@@ -2,9 +2,17 @@
 their determinant; all arithmetic is in Python integers.
 
 ``smith_normal_form`` is the dense route with full transforms, for small
-matrices; in the package it only sorts ``cokernel_mod``'s summands.  Pivots are the nonzero entries of least absolute value (ties:
-lowest row, then column), and every call verifies U*A*V = D and that the
-tracked inverses of U and V multiply to the identity.
+matrices; in the package it only sorts ``cokernel_mod``'s summands.  Pivots
+are the nonzero entries of least absolute value (ties: lowest row, then
+column), and every call verifies U*A*V = D and that the tracked inverses of
+U and V multiply to the identity.
+
+Two Bareiss determinants serve different matrices.  ``sparse_determinant``
+pivots by Markowitz's rule on sparse rows; it computes the tree count kappa
+of a reduced Laplacian, which has about valence + 1 nonzeros per row.
+``integer_determinant`` eliminates dense rows; it serves the small dense
+matrices (class-number circulants, character-evaluated Laplacians, the
+substitution route of eta(1)) and is the independent reference for kappa.
 
 ``cokernel_mod`` presents coker A for a square A with kappa = |det A| > 0,
 which kills coker A, so entries stay below kappa (the modulus method of
@@ -72,6 +80,65 @@ def integer_determinant(a) -> int:
         prev = pivot
     [(row, s)] = m
     return sign * row[0] * prev // s
+
+
+def sparse_determinant(a) -> int:
+    """Exact determinant by Bareiss elimination on sparse rows.
+
+    Rows are {column: value} dicts.  Each step pivots on the shortest active
+    row, at its column with the fewest active rows (Markowitz), and updates
+    only the rows with an entry in that column.  Bareiss's step is exact
+    under any pivot order: after k steps every entry is a (k+1)-minor on
+    the chosen rows and columns.  Scaling is deferred as in
+    ``integer_determinant``: a row stored with divisor t stands for itself
+    times prev / t.
+    """
+    n = len(a)
+    rows, count = {}, [0] * n  # count[j]: active rows with an entry in column j
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        rows[i] = {j: x for j, x in enumerate(row) if x}
+        for j in rows[i]:
+            count[j] += 1
+    div, size = [1] * n, [len(row) for row in rows.values()]
+    prev, match = 1, [0] * n  # match[r] = c for the pivot at (r, c)
+    while rows:
+        r = min(rows, key=size.__getitem__)
+        top, s = rows.pop(r), div[r]
+        if not top:
+            return 0
+        c = min(top, key=count.__getitem__)
+        match[r] = c
+        pivot = top.pop(c) * prev // s
+        tail = {j: y * prev // s for j, y in top.items()}
+        for j in top:
+            count[j] -= 1
+        for i, row in rows.items():
+            x = row.pop(c, 0)
+            if not x:
+                continue
+            for j in tail.keys() - row.keys():
+                row[j] = 0
+                count[j] += 1
+            t = div[i]
+            row = {j: (y * pivot - x * tail.get(j, 0)) // t for j, y in row.items()}
+            if 0 in row.values():
+                for j in [j for j, y in row.items() if not y]:
+                    del row[j]
+                    count[j] -= 1
+            rows[i], div[i], size[i] = row, pivot, len(row)
+        prev = pivot
+    # det a = sign(match) * prev, and a permutation with k cycles has sign (-1)^(n - k).
+    seen, cycles = [False] * n, 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = match[j]
+    return (-1) ** (n - cycles) * prev
 
 
 @dataclass(frozen=True)

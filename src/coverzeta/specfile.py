@@ -20,10 +20,17 @@ class SpecFileError(ValueError):
     """Malformed or inconsistent cover-specification input."""
 
 
+def _integer(value) -> int:
+    """A JSON integer as is; ``int()`` would truncate 2.5 and parse "2"."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _prime(doc: dict) -> int:
     try:
-        return int(doc["p"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return _integer(doc["p"])
+    except (KeyError, TypeError) as exc:
         raise SpecFileError(f"missing or malformed field 'p': {exc}") from exc
 
 
@@ -57,8 +64,8 @@ def spec_from_dict(doc: dict) -> VoltageSpec:
     voltages = []
     for rec in edges:
         try:
-            voltages.append(int(rec["voltage"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            voltages.append(_integer(rec["voltage"]))
+        except (KeyError, TypeError) as exc:
             raise SpecFileError(f"bad edge record {rec!r}") from exc
     try:
         return VoltageSpec(base, p, tuple(voltages))

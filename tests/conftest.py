@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coverzeta import SerreGraph, VoltageSpec, bundled_spec, derive
+from coverzeta.snf import integer_determinant
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,9 @@ def random_connected_cover(rng: random.Random, p: int, max_vertices=4, max_edges
         cover = derive(spec)
         if cover.is_connected():
             return cover
+
+
+def dense_tree_count(g: SerreGraph) -> int:
+    """Matrix-Tree count by the dense Bareiss determinant of the reduced
+    Laplacian, independent of the sparse determinant the library uses."""
+    return integer_determinant([row[:-1] for row in g.laplacian_matrix()[:-1]])

@@ -295,6 +295,14 @@ LOOP = {"from": "v", "to": "v"}
             [],
         ),
         ("dot", {"p": 5, "vertices": [["v"]], "edges": []}, []),
+        ("analyze", {"p": 5, "vertices": ["v"], "edges": [{**LOOP, "voltage": 2.5}]}, []),
+        ("analyze", {"p": 5, "vertices": ["v"], "edges": [{**LOOP, "voltage": "2"}]}, []),
+        ("analyze", {"p": 5, "vertices": ["v"], "edges": [{**LOOP, "voltage": True}]}, []),
+        ("analyze", {"p": 7.9, "vertices": ["v"], "edges": [{**LOOP, "voltage": 2}]}, []),
+        ("analyze", {"p": 5.0, "vertices": ["v"], "edges": [{**LOOP, "voltage": 2}]}, []),
+        ("dot", {"p": 5.0, "vertices": ["v"], "edges": [{**LOOP, "voltage": 2}]}, []),
+        ("census", {"p": 5.0, "vertices": ["v"], "edges": [LOOP]}, []),
+        ("census", {"p": True, "vertices": ["v"], "edges": [LOOP]}, ["--p", "5"]),
     ],
     ids=[
         "p_4",
@@ -306,6 +314,14 @@ LOOP = {"from": "v", "to": "v"}
         "census_labels_clash",
         "dot_labels_clash",
         "dot_unhashable_label",
+        "voltage_float",
+        "voltage_string",
+        "voltage_bool",
+        "p_float_truncated",
+        "p_float_integral",
+        "dot_p_float",
+        "census_p_float",
+        "census_p_bool_under_flag",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, doc, flags):

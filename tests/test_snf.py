@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coverzeta import cycle_graph, integer_determinant, smith_normal_form
 from coverzeta.serre import SerreGraph
-from coverzeta.snf import _eliminate_mod, cokernel_mod
+from coverzeta.snf import _eliminate_mod, cokernel_mod, sparse_determinant
 
 
 @st.composite
@@ -95,6 +95,69 @@ def test_integer_determinant():
             + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
         )
         assert integer_determinant(a) == cofactor
+
+
+@st.composite
+def square_matrices(draw, max_dim=6, bound=9):
+    """Square matrices from dense to mostly zero, 0x0 and 1x1 included."""
+    n = draw(st.integers(0, max_dim))
+    zeros = draw(st.integers(0, 4))  # an entry is zero with chance ~ zeros / (zeros + 1)
+    return [
+        [0 if draw(st.integers(0, zeros)) else draw(st.integers(-bound, bound)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def singular_matrices(draw, max_dim=6):
+    """A zero row, a repeated row, or a product through a narrower middle,
+    whose rank deficiency may show only after some elimination steps."""
+    n = draw(st.integers(2, max_dim))
+    a = draw(square_matrices(max_dim=n).filter(lambda m: len(m) == n))
+    i, j = draw(st.permutations(range(n)))[:2]
+    kind = draw(st.sampled_from(["zero", "repeat", "low_rank"]))
+    if kind == "zero":
+        a[i] = [0] * n
+    elif kind == "repeat":
+        a[i] = list(a[j])
+    else:
+        r = draw(st.integers(1, n - 1))
+        b = [[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(n)]
+        c = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(r)]
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_sparse_determinant_matches_bareiss(a):
+    assert sparse_determinant(a) == integer_determinant(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(singular_matrices())
+def test_sparse_determinant_of_singular_matrices(a):
+    assert sparse_determinant(a) == 0 == integer_determinant(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.permutations(range(n))), st.data())
+def test_sparse_determinant_sign_of_signed_permutations(perm, data):
+    n = len(perm)
+    signs = [data.draw(st.sampled_from([-1, 1])) for _ in perm]
+    a = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    expected = (-1) ** inversions * prod(signs)
+    assert sparse_determinant(a) == expected == integer_determinant(a)
+
+
+def test_sparse_determinant_small_and_non_square():
+    assert sparse_determinant([]) == 1
+    assert sparse_determinant([[0]]) == 0
+    assert sparse_determinant([[-7]]) == -7
+    for a in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            sparse_determinant(a)
 
 
 def test_ragged_matrix_rejected():
