@@ -4,6 +4,7 @@ Elements are integer coefficient vectors indexed by powers of a fixed
 generator, so multiplication is cyclic convolution in Z[x]/(x^(p-1) - 1).
 Determinants are computed by Berkowitz's division-free algorithm: the group
 ring has zero divisors, so elimination, even fraction-free, would be unsound.
+The algorithm runs on coefficient vectors, each ring given by its product.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ class CyclicGroup:
 
     def inverse(self, sigma: int) -> int:
         return self.element(-self.index_of(sigma))
+
+    @cached_property
+    def product(self):
+        return convolution(self.order)
 
 
 @dataclass(frozen=True)
@@ -120,14 +125,8 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check(other)
-        n = self.group.order
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % n] += a * b
+        out = [0] * self.group.order
+        self.group.product(out, self.coeffs, other.coeffs)
         return GroupRingElement(self.group, tuple(out))
 
     def __rmul__(self, other):
@@ -204,8 +203,35 @@ def idempotent_mod(character, k: int) -> GroupRingElement:
     return GroupRingElement(group, tuple(coeffs))
 
 
-def ring_determinant(entries, zero, one):
-    """Determinant of a square matrix over any commutative ring.
+def convolution(order: int, degrees: int = 1):
+    """The product of Z[G][u]/(u^degrees): ``product(out, x, y)`` adds x * y into ``out``.
+
+    G is cyclic of the given order, and the coefficient of u^d g^k sits at
+    index d * order + k, so the product is cyclic in k and truncated in d.
+    """
+    # Row i: the index of basis vector i times j, for each j it keeps below u^degrees.
+    targets = [
+        [(di + dj) * order + (ki + kj) % order for dj in range(degrees - di) for kj in range(order)]
+        for di in range(degrees)
+        for ki in range(order)
+    ]
+
+    def product(out, x, y):
+        for a, row in zip(x, targets):
+            if a:
+                for k, b in zip(row, y):
+                    if b:
+                        out[k] += a * b
+
+    return product
+
+
+def ring_determinant(entries, product):
+    """Determinant of a square matrix over a commutative ring given by its product.
+
+    Elements are integer coefficient vectors of one length that add
+    coefficientwise, with the first basis vector as the identity;
+    ``product(out, x, y)`` adds x * y into the list ``out``.  Returns a tuple.
 
     Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984): the
     characteristic polynomial of each trailing principal submatrix follows
@@ -220,28 +246,33 @@ def ring_determinant(entries, zero, one):
     for row in entries:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    sparse = [[(j, x) for j, x in enumerate(row) if x != zero] for row in entries]
+    size = len(entries[0][0])
+    sparse = [[(j, x) for j, x in enumerate(row) if any(x)] for row in entries]
 
     def dot(row, vec):
-        return sum((x * vec[j] for j, x in row if j in vec), zero)
+        acc = [0] * size
+        for j, x in row:
+            if j in vec:
+                product(acc, x, vec[j])
+        return acc
 
     # Characteristic polynomial of the trailing submatrix, leading coefficient first.
-    poly = [one, zero - entries[n - 1][n - 1]]
+    poly = [[1] + [0] * (size - 1), [-c for c in entries[n - 1][n - 1]]]
     for k in range(n - 2, -1, -1):
         # vec runs through C, A C, A^2 C, ... below row k, its zeros dropped.
-        vec = {i: entries[i][k] for i in range(k + 1, n) if entries[i][k] != zero}
-        col = [zero - entries[k][k]]
+        vec = {i: entries[i][k] for i in range(k + 1, n) if any(entries[i][k])}
+        col = [[-c for c in entries[k][k]]]
         for step in range(n - k - 1):
             if step:
-                vec = {i: y for i in range(k + 1, n) if (y := dot(sparse[i], vec)) != zero}
-            col.append(zero - dot(sparse[k], vec))
+                vec = {i: y for i in range(k + 1, n) if any(y := dot(sparse[i], vec))}
+            col.append([-c for c in dot(sparse[k], vec)])
         # poly <- T poly, T lower-triangular Toeplitz with column (1, *col).
-        out = poly + [zero]
+        out = [list(c) for c in poly] + [[0] * size]
         for i in range(1, len(out)):
             for j in range(i):
-                out[i] = out[i] + col[i - j - 1] * poly[j]
+                product(out[i], col[i - j - 1], poly[j])
         poly = out
-    return poly[n] if n % 2 == 0 else zero - poly[n]
+    return tuple(poly[n]) if n % 2 == 0 else tuple(-c for c in poly[n])
 
 
 @dataclass(frozen=True)
@@ -288,9 +319,8 @@ class GroupRingMatrix:
     def determinant(self) -> GroupRingElement:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return ring_determinant(
-            self.entries, GroupRingElement.zero(self.group), GroupRingElement.one(self.group)
-        )
+        coeffs = [[e.coeffs for e in row] for row in self.entries]
+        return GroupRingElement(self.group, ring_determinant(coeffs, self.group.product))
 
     def evaluate(self, character):
         """Entrywise character evaluation; returns a list-of-lists matrix.

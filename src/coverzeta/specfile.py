@@ -37,20 +37,25 @@ def _prime(doc: dict) -> int:
 def _graph(doc: dict) -> tuple[SerreGraph, list]:
     """The labeled graph of a spec or base document, and its edge records.
 
+    Both fields are JSON arrays.  Labels are strings or integers, and an edge
+    names its ends by label and type (true and 1.0 do not name vertex 1).
     Labels are compared as the strings the graph stores, so 1 and "1" clash.
     """
     try:
-        vertices = list(doc["vertices"])
-        edges = list(doc["edges"])
-        index = {label: i for i, label in enumerate(vertices)}
+        vertices, edges = doc["vertices"], doc["edges"]
     except (KeyError, TypeError) as exc:
         raise SpecFileError(f"missing or malformed field: {exc}") from exc
+    if type(vertices) is not list or type(edges) is not list:
+        raise SpecFileError("fields 'vertices' and 'edges' must be JSON arrays")
+    if any(type(label) not in (str, int) for label in vertices):
+        raise SpecFileError("vertex labels must be strings or integers")
+    index = {(type(label), label): i for i, label in enumerate(vertices)}
     if len({str(label) for label in vertices}) != len(vertices):
         raise SpecFileError("vertex labels must be unique")
     pairs = []
     for rec in edges:
         try:
-            pairs.append((index[rec["from"]], index[rec["to"]]))
+            pairs.append(tuple(index[type(end), end] for end in (rec["from"], rec["to"])))
         except (KeyError, TypeError) as exc:
             raise SpecFileError(
                 f"bad edge record {rec!r}: missing field or unknown vertex {exc}"

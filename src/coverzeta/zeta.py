@@ -1,6 +1,7 @@
-"""Equivariant Ihara zeta data for a cover: the three-term determinant
-polynomial over the group ring, its value at 1 (the group-ring determinant of
-the Laplacian), and character L-values.
+"""Equivariant Ihara zeta data for a cover: the determinant polynomial
+det(I - A u + (D - I) u^2), of degree at most 2n, taken by Berkowitz's
+algorithm in Z[G][u]/(u^(2n+1)); its value at 1 (the group-ring determinant
+of the Laplacian); and character L-values.
 
 Everything is exact.  Two computation routes exist by construction --
 evaluate the character after taking the group-ring determinant, or evaluate
@@ -26,54 +27,13 @@ from .groupring import (
     CyclicGroup,
     GroupRingElement,
     GroupRingMatrix,
+    convolution,
     ring_determinant,
 )
 from .padic import PAdicInt
 from .serre import SerreGraph
 from .snf import integer_determinant
 from .voltage import DerivedCover, require_connected_cover
-
-
-class _RingPoly:
-    """Polynomial with coefficients in any commutative ring (duck-typed)."""
-
-    __slots__ = ("coeffs", "zero")
-
-    def __init__(self, coeffs, zero):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == zero:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-        self.zero = zero
-
-    def __eq__(self, other):
-        return isinstance(other, _RingPoly) and self.coeffs == other.coeffs
-
-    def _pad(self, k):
-        return self.coeffs + (self.zero,) * (k - len(self.coeffs))
-
-    def __add__(self, other):
-        k = max(len(self.coeffs), len(other.coeffs))
-        return _RingPoly(
-            [a + b for a, b in zip(self._pad(k), other._pad(k))], self.zero
-        )
-
-    def __sub__(self, other):
-        k = max(len(self.coeffs), len(other.coeffs))
-        return _RingPoly(
-            [a - b for a, b in zip(self._pad(k), other._pad(k))], self.zero
-        )
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return _RingPoly([], self.zero)
-        out = [self.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == self.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return _RingPoly(out, self.zero)
 
 
 @dataclass(frozen=True)
@@ -149,28 +109,40 @@ def equivariant_laplacian(cover: DerivedCover) -> GroupRingMatrix:
     return equivariant_degree(cover) - equivariant_adjacency(cover)
 
 
+def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]:
+    """det(I - A u + (D - I) u^2) over Z[G], G cyclic of the given order, with
+    ``adjacency[i][j]`` the coefficient vector of A's entry (i, j).
+
+    It is taken in Z[G][u]/(u^(2n+1)), which loses nothing since its degree is
+    at most 2n.  Returns its coefficients of u^0, u^1, ..., trailing zeros dropped.
+    """
+    width = 2 * len(valences) + 1
+    entries = [
+        [[0] * order + [-c for c in a] + [0] * ((width - 2) * order) for a in row]
+        for row in adjacency
+    ]
+    for i, valence in enumerate(valences):
+        entries[i][i][0], entries[i][i][2 * order] = 1, valence - 1
+    det = ring_determinant(entries, convolution(order, width))
+    coeffs = [det[d * order : (d + 1) * order] for d in range(width)]
+    while len(coeffs) > 1 and not any(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
+
+
 def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
     """The determinant polynomial of the cover over the group ring."""
     require_connected_cover(cover)
     adj = equivariant_adjacency(cover)
     group = adj.group
-    zero = GroupRingElement.zero(group)
-    one = GroupRingElement.one(group)
-    g = cover.base.num_vertices
-    entries = []
-    for i in range(g):
-        row = []
-        for j in range(g):
-            if i == j:
-                quad = one * (cover.base.valence(i) - 1)
-                row.append(_RingPoly([one, zero - adj[i, j], quad], zero))
-            else:
-                row.append(_RingPoly([zero, zero - adj[i, j]], zero))
-        entries.append(row)
-    det = ring_determinant(entries, _RingPoly([], zero), _RingPoly([one], zero))
-    coeffs = det.coeffs if det.coeffs else (zero,)
-    poly = EtaPolynomial(group, tuple(coeffs))
-    if poly.coefficient(0) != one:
+    base = cover.base
+    coeffs = _ihara_determinant(
+        group.order,
+        [[e.coeffs for e in row] for row in adj.entries],
+        [base.valence(i) for i in range(base.num_vertices)],
+    )
+    poly = EtaPolynomial(group, tuple(GroupRingElement(group, c) for c in coeffs))
+    if poly.coefficient(0) != GroupRingElement.one(group):
         raise VerificationError(
             "zeta.constant_term", f"constant term {poly.coefficient(0)} is not the ring identity"
         )
@@ -290,14 +262,5 @@ def duality_check(
 def _int_poly_det(g: SerreGraph) -> list[int]:
     """Coefficients of det(I - A u + (D - I) u^2) over the integers."""
     n = g.num_vertices
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a = g.adjacency_count(i, j)
-            c0 = 1 if i == j else 0
-            c2 = g.valence(i) - 1 if i == j else 0
-            row.append(_RingPoly([c0, -a, c2], 0))
-        entries.append(row)
-    det = ring_determinant(entries, _RingPoly([], 0), _RingPoly([1], 0))
-    return list(det.coeffs) if det.coeffs else [0]
+    adjacency = [[(g.adjacency_count(i, j),) for j in range(n)] for i in range(n)]
+    return [c for (c,) in _ihara_determinant(1, adjacency, [g.valence(i) for i in range(n)])]

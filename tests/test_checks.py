@@ -41,8 +41,9 @@ import coverzeta.groupring as module
 name = "ring_determinant"
 real = module.ring_determinant
 
-def corrupted(entries, zero, one):
-    return real(entries, zero, one) + one
+def corrupted(entries, product):
+    det = real(entries, product)
+    return (det[0] + 1,) + det[1:]
 """,
 }
 

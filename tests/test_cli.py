@@ -303,6 +303,23 @@ LOOP = {"from": "v", "to": "v"}
         ("dot", {"p": 5.0, "vertices": ["v"], "edges": [{**LOOP, "voltage": 2}]}, []),
         ("census", {"p": 5.0, "vertices": ["v"], "edges": [LOOP]}, []),
         ("census", {"p": True, "vertices": ["v"], "edges": [LOOP]}, ["--p", "5"]),
+        ("analyze", {"p": 5, "vertices": "v", "edges": [{**LOOP, "voltage": 2}]}, []),
+        (
+            "census",
+            {"p": 5, "vertices": "ab", "edges": [{"from": "a", "to": "b"}, {"from": "a", "to": "a"}]},
+            [],
+        ),
+        ("analyze", {"p": 5, "vertices": {"v": 0}, "edges": [{**LOOP, "voltage": 2}]}, []),
+        ("census", {"p": 5, "vertices": ["v"], "edges": ""}, []),
+        ("dot", {"p": 5, "vertices": ["v"], "edges": {**LOOP, "voltage": 2}}, []),
+        (
+            "analyze",
+            {"p": 5, "vertices": [1, True], "edges": [{"from": 1, "to": True, "voltage": 2}]},
+            [],
+        ),
+        ("census", {"p": 5, "vertices": ["v", None], "edges": [{"from": "v", "to": None}]}, []),
+        ("analyze", {"p": 5, "vertices": [1], "edges": [{"from": 1, "to": True, "voltage": 2}]}, []),
+        ("census", {"p": 5, "vertices": [1], "edges": [{"from": 1.0, "to": 1}]}, []),
     ],
     ids=[
         "p_4",
@@ -322,6 +339,15 @@ LOOP = {"from": "v", "to": "v"}
         "dot_p_float",
         "census_p_float",
         "census_p_bool_under_flag",
+        "vertices_string",
+        "census_vertices_string",
+        "vertices_object",
+        "census_edges_string",
+        "dot_edges_object",
+        "label_bool",
+        "census_label_null",
+        "edge_end_bool",
+        "census_edge_end_float",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, doc, flags):

@@ -15,9 +15,9 @@ from coverzeta import (
     zp_characters,
 )
 from coverzeta.arith import multiplicative_order
-from coverzeta.groupring import ring_determinant
+from coverzeta.groupring import convolution, ring_determinant
 from coverzeta.padic import PrecisionExhausted
-from coverzeta.zeta import _RingPoly, _substitution_determinant
+from coverzeta.zeta import _substitution_determinant
 
 G5 = CyclicGroup.for_prime(5)
 G7 = CyclicGroup.for_prime(7)
@@ -362,15 +362,20 @@ def _random_matrix(rng, group, n, spread=3):
     return [[_random_entry(rng, group, spread) for _ in range(n)] for _ in range(n)]
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+def _coeffs(entries):
+    return [[e.coeffs for e in row] for row in entries]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 29])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_berkowitz_matches_leibniz_over_the_group_ring(p, n):
     rng = random.Random(1000 * p + n)
     group = CyclicGroup.for_prime(p)
-    zero, one = GroupRingElement.zero(group), GroupRingElement.one(group)
+    zero = GroupRingElement.zero(group)
     for _ in range(4):
         entries = _random_matrix(rng, group, n)
-        assert ring_determinant(entries, zero, one) == _leibniz(entries, zero)
+        det = ring_determinant(_coeffs(entries), convolution(group.order))
+        assert det == _leibniz(entries, zero).coeffs
 
 
 def test_berkowitz_finds_zero_divisor_determinants():
@@ -378,28 +383,64 @@ def test_berkowitz_finds_zero_divisor_determinants():
     # no entry does.
     group = CyclicGroup.for_prime(7)
     zero, one, sigma, delta, norm, _ = _special_elements(group)
+    product = convolution(group.order)
     cases = [
         [[delta, zero], [zero, norm]],
         [[delta, one], [zero, norm]],
         [[sigma, norm, one], [zero, delta, norm], [delta, zero, sigma]],
     ]
     for entries in cases:
-        assert ring_determinant(entries, zero, one) == _leibniz(entries, zero)
-    assert ring_determinant([[delta, zero], [zero, norm]], zero, one).is_zero()
+        assert ring_determinant(_coeffs(entries), product) == _leibniz(entries, zero).coeffs
+    assert not any(ring_determinant(_coeffs(cases[0]), product))
+
+
+class _Poly(tuple):
+    """A polynomial in u over Z[G], as the tuple of its coefficients."""
+
+    def _pad(self, k):
+        return (*self, *(self[0] * 0,) * (k - len(self)))
+
+    def __add__(self, other):
+        k = max(len(self), len(other))
+        return _Poly(a + b for a, b in zip(self._pad(k), other._pad(k)))
+
+    def __sub__(self, other):
+        return self + _Poly(-b for b in other)
+
+    def __mul__(self, other):
+        out = [self[0] * 0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other):
+                out[i + j] = out[i + j] + a * b
+        return _Poly(out)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_berkowitz_matches_leibniz_over_polynomials_in_u(n):
+    # Entries of degree at most 2 have a determinant of degree at most 2n, so
+    # Z[G][u]/(u^(2n+1)) holds it exactly.  In the tight matrices the
+    # off-diagonal entries have degree at most 1 and the diagonal ones end in a
+    # group element, so the determinant's u^(2n) coefficient is a unit.
     rng = random.Random(50 + n)
-    zero = GroupRingElement.zero(G5)
-    poly_zero, poly_one = _RingPoly([], zero), _RingPoly([GroupRingElement.one(G5)], zero)
-    for _ in range(2):
-        entries = [
-            [_RingPoly([_random_entry(rng, G5, 2) for _ in range(rng.randint(0, 3))], zero)
-             for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert ring_determinant(entries, poly_zero, poly_one) == _leibniz(entries, poly_zero)
+    width = 2 * n + 1
+
+    def flat(poly):
+        return tuple(c for e in poly._pad(width) for c in e.coeffs)
+
+    for tight in (False, False, True, True):
+        entries = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                coeffs = [_random_entry(rng, G5, 2) for _ in range(2 if tight else rng.randint(1, 3))]
+                if tight and i == j:
+                    coeffs.append(GroupRingElement.of(G5, rng.choice(G5.elements)))
+                row.append(_Poly(coeffs))
+            entries.append(row)
+        det = ring_determinant([[flat(e) for e in row] for row in entries], convolution(4, width))
+        assert det == flat(_leibniz(entries, _Poly([GroupRingElement.zero(G5)])))
+        if tight:
+            assert sorted(det[-4:]) == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -409,7 +450,7 @@ def test_berkowitz_matches_leibniz_over_the_integers(n):
     rng = random.Random(n)
     for _ in range(20):
         entries = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
-        det = ring_determinant(entries, 0, 1)
+        (det,) = ring_determinant([[(x,) for x in row] for row in entries], convolution(1))
         assert det == _leibniz(entries, 0) == integer_determinant(entries)
 
 

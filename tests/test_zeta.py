@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -21,8 +22,8 @@ from coverzeta import (
     path_graph,
     picard_module,
 )
-from coverzeta.groupring import ring_determinant
-from coverzeta.zeta import _int_poly_det, _RingPoly
+from coverzeta.groupring import convolution, ring_determinant
+from coverzeta.zeta import _int_poly_det
 
 
 def brute_force_closed_reduced_paths(g, max_length):
@@ -237,12 +238,15 @@ def test_path_counts_on_a_cover():
 def circulant_determinant(poly):
     """Z[u]-determinant of the circulant of an element of Z[G][u]."""
     m = poly.group.order
+    width = m * poly.degree + 1  # the determinant's degree is at most m * poly.degree
     entries = [
-        [_RingPoly([c.coeffs[(i - j) % m] for c in poly.coeffs], 0) for j in range(m)]
+        [[c.coeffs[(i - j) % m] for c in poly.coeffs] + [0] * (width - len(poly.coeffs)) for j in range(m)]
         for i in range(m)
     ]
-    det = ring_determinant(entries, _RingPoly([], 0), _RingPoly([1], 0))
-    return list(det.coeffs)
+    det = list(ring_determinant(entries, convolution(1, width)))
+    while len(det) > 1 and not det[-1]:
+        det.pop()
+    return det
 
 
 def test_total_determinant_is_norm_of_eta_polynomial(ex1_cover, ex2_cover):
@@ -258,6 +262,25 @@ def test_total_determinant_is_norm_of_eta_polynomial(ex1_cover, ex2_cover):
             assert _int_poly_det(cover.total) == circulant_determinant(eta_polynomial(cover))
             checked += 1
     assert checked >= 15
+
+
+def test_eta_polynomial_reaches_degree_2n(ex1_cover, ex2_cover):
+    # The u^(2n) coefficient is det(D - I), the product of the base valences
+    # less one.  When none of them is 1 the degree is 2n, so the truncation at
+    # u^(2n+1) keeps every coefficient.
+    rng = random.Random(29)
+    covers = [ex1_cover, ex2_cover, derive(VoltageSpec(bouquet(2), 5, (2, 4)))]
+    covers += [random_connected_cover(rng, p, 4, 8) for p in (3, 5, 7) for _ in range(8)]
+    tight = 0
+    for cover in covers:
+        base = cover.base
+        n = base.num_vertices
+        top = prod(base.valence(i) - 1 for i in range(n))
+        poly = eta_polynomial(cover)
+        assert poly.coefficient(2 * n) == GroupRingElement.one(poly.group) * top
+        assert _int_poly_det(base)[2 * n :] == ([top] if top else [])
+        tight += top != 0
+    assert tight >= 8
 
 
 def test_l_value_cross_check_runs_for_lifted_characters(ex3_cover):
