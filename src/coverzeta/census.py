@@ -5,20 +5,24 @@ edges.  Each row records connectivity (breadth-first search, cross-checked
 against the generated-subgroup criterion), Picard invariant factors, the set
 of vanishing mod-p L-values, and verdict summaries.  Output is one JSON
 object per line; reruns skip keys already present, so runs are resumable,
-also after a crash that left a partly written last line.  A run cut short by
-its budget ends with a cursor line, and the next run starts at the last cursor
-in the file, so repeated budgeted runs advance through the assignments.
+also after a crash that left a partly written last line; a file with any
+other line that is not a row or a cursor is refused.  A run cut short by its
+budget ends with a cursor line, and the next run starts at the last cursor in
+the file, so repeated budgeted runs advance through the assignments.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from itertools import islice, product
 from typing import Iterable
 
 from .herbrand import build_report
 from .serre import SerreGraph
 from .voltage import VoltageSpec, connected_by_voltage_criterion, derive
+
+VERDICTS = ("main11", "main22", "fitting", "duality", "dim_inequality")
 
 
 def assignment_key(voltages: Iterable[int]) -> str:
@@ -40,19 +44,17 @@ def census_row(base: SerreGraph, p: int, voltages: tuple[int, ...]) -> dict:
     if not connected:
         row["pic0"] = None
         row["vanishing"] = None
-        row["verdicts"] = {
-            name: "SKIPPED"
-            for name in ("main11", "main22", "fitting", "duality", "dim_inequality")
-        }
+        row["verdicts"] = dict.fromkeys(VERDICTS, "SKIPPED")
         return row
     report = build_report(cover)
     row["pic0"] = list(report.pic0)
     row["vanishing"] = [r["i"] for r in report.rows if r["h_mod_p"] == 0]
-    row["verdicts"] = {
-        name: report.global_verdicts[name].status
-        for name in ("main11", "main22", "fitting", "duality", "dim_inequality")
-    }
+    row["verdicts"] = {name: report.global_verdicts[name].status for name in VERDICTS}
     return row
+
+
+class CensusFileError(ValueError):
+    """A census output file with a complete line that is not a row or a cursor."""
 
 
 def _resume_state(out_path: str) -> tuple[set[str], int]:
@@ -61,26 +63,29 @@ def _resume_state(out_path: str) -> tuple[set[str], int]:
 
     A run killed mid-write leaves a last line without its newline; the file
     is cut back to its last complete line, so that row is computed again and
-    the next row does not land on the fragment.
+    the next row does not land on the fragment.  Any other line that is not
+    a row or a cursor raises ``CensusFileError`` and leaves the file as it is.
     """
-    try:
-        with open(out_path, "rb+") as fh:
-            data = fh.read()
-            end = data.rfind(b"\n") + 1
-            if end < len(data):
-                fh.truncate(end)
-    except FileNotFoundError:
-        return set(), 0
-    done: set[str] = set()
-    start = 0
-    for line in data[:end].decode("utf-8").splitlines():
-        line = line.strip()
-        if line:
-            doc = json.loads(line)
-            if "key" in doc:
+    done, start = set(), 0
+    with suppress(FileNotFoundError), open(out_path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        for number, line in enumerate(data[:end].splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line.decode("utf-8"))
+            except ValueError:  # not UTF-8, or not JSON
+                doc = None
+            if isinstance(doc, dict) and type(doc.get("key")) is str:
                 done.add(doc["key"])
-            elif "cursor" in doc:
-                start = doc["cursor"]["next_index"]
+                continue
+            cursor = doc.get("cursor") if isinstance(doc, dict) else None
+            start = cursor.get("next_index") if isinstance(cursor, dict) else None
+            if type(start) is not int or start < 0:
+                raise CensusFileError(f"{out_path}, line {number}: not a census row or cursor")
+        if end < len(data):
+            fh.truncate(end)
     return done, start
 
 

@@ -4,9 +4,10 @@ Subcommands: ``analyze`` a cover spec and emit a verification report,
 ``dot`` render base and cover, ``census`` sweep all assignments on a base,
 ``examples`` list the bundled fixtures.  Exit codes: 0 success, 2 parse
 error (including a disconnected base graph, a precision below 1, a census
-prime that is not an odd prime and a negative census budget), 3 disconnected
-cover, 4 verification failure: a FAIL verdict, or an internal cross-check
-that raised ``VerificationError``.
+prime that is not an odd prime, a negative census budget, an output file
+that cannot be written and a census file to resume that is not a census), 3
+disconnected cover, 4 verification failure: a FAIL verdict, or an internal
+cross-check that raised ``VerificationError``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 
 from .arith import VerificationError, is_odd_prime
-from .census import run_census
+from .census import CensusFileError, run_census
 from .herbrand import build_report
 from .specfile import (
     BUNDLED,
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:  # raised by build_report in analyze and census
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except (OSError, CensusFileError) as exc:  # an --out file that cannot be written or resumed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -71,8 +71,8 @@ class CoverAnalysis:
     matrix on Pic0 and its Sylow part, the elementary quotient with the deck
     generator's matrix on it (from the Picard module's Laplacian, its
     dimension checked against the Sylow part's rank), the base graph's
-    Picard factors, whose product is its tree count, the equivariant
-    Laplacian and the special value eta(1), whose
+    Picard factors (kept on the graph), whose product is its tree count,
+    the equivariant Laplacian and the special value eta(1), whose
     Berkowitz-against-substitution check runs here, as does the
     class-number check that ties the order of Pic0 to eta(1).
     Per-character quantities are computed on demand and cached, so the

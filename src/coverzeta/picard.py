@@ -57,10 +57,13 @@ def _reduced_cokernel(lap: list[list[int]]) -> Cokernel:
 
 
 def picard_factors(g: SerreGraph) -> tuple[int, ...]:
-    """Invariant factors (> 1) of the degree-zero Picard group of a graph."""
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    return _reduced_cokernel(g.laplacian_matrix()).factors
+    """Invariant factors (> 1) of the degree-zero Picard group of a graph,
+    kept on the graph, which is immutable: a census shares one base graph."""
+    if g._picard_factors is None:
+        if not g.is_connected():
+            raise ValueError("graph must be connected")
+        g._picard_factors = _reduced_cokernel(g.laplacian_matrix()).factors
+    return g._picard_factors
 
 
 class PicardModule:
@@ -247,9 +250,6 @@ class _ModPSpan:
                     row[k] = (row[k] - c * y) % p
         return row
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
 
 @dataclass(frozen=True)
 class ElementaryQuotient:
@@ -276,16 +276,6 @@ class ElementaryQuotient:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def delta_coords(self, divisor) -> list[int]:
-        """Difference-basis coordinates of a degree-zero divisor."""
-        if sum(divisor) != 0:
-            raise ValueError("divisor must have degree zero")
-        return list(divisor[1:])
-
-    def contains(self, divisor: list[int]) -> bool:
-        """Whether an (integer, degree-zero) divisor lies in p*Div0 + Pr."""
-        return self.membership.contains(self.delta_coords(divisor))
 
 
 def elementary_quotient(pm: PicardModule) -> ElementaryQuotient:

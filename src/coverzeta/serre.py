@@ -57,6 +57,7 @@ class SerreGraph:
             out[e.origin].append(e)
         self._out = tuple(tuple(es) for es in out)
         self._connected: Optional[bool] = None
+        self._picard_factors: Optional[tuple[int, ...]] = None  # kept by picard.picard_factors
 
     @property
     def num_vertices(self) -> int:

@@ -14,16 +14,17 @@ of a reduced Laplacian, which has about valence + 1 nonzeros per row.
 matrices (class-number circulants, character-evaluated Laplacians, the
 substitution route of eta(1)) and is the independent reference for kappa.
 
-``cokernel_mod`` presents coker A for a square A with kappa = |det A| > 0,
-which kills coker A, so entries stay below kappa (the modulus method of
-Domich, Kannan and Trotter).  It eliminates on sparse rows (Dumas, Saunders
-and Villard), replays the few rows of U and columns of U^-1 it needs from a
-record of row operations, and certifies the result without transforms.
+``cokernel_mod`` presents coker A for a square A with kappa = |det A| > 0.
+On sparse rows (Dumas, Saunders and Villard) it pivots on entries +-1 over
+Z, then on the small core left modulo kappa, which kills coker A (the
+modulus method of Domich, Kannan and Trotter); it replays the rows of U it
+needs from its row operations and certifies the result without transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd, prod
 from operator import mul
 
@@ -389,14 +390,18 @@ def _eliminate_mod(a, kappa: int):
     u row_r + v row_i).  Column operations go unrecorded: the cokernel's
     forms and generators only need U.
 
-    The pivot x is an entry of least gcd g with kappa, ties broken by the
-    Markowitz count (row length - 1)(column length - 1).  While g does not
+    Phase 1 pivots over Z on entries +-1, which are unimodular: the
+    shortest live row of a heap keyed by length pivots at its +-1 column
+    with the fewest active rows (ties: the lowest), or, holding none, leaves
+    the heap until an update pushes it back.  The core left has the same
+    cokernel; its entries are minors of a.  Phase 2 reduces it modulo kappa
+    and pivots on an entry x of least gcd g with kappa, ties broken by the
+    Markowitz count (row length - 1)(column length - 1); while g does not
     divide some entry y of its row or column, a Bezout step on the two rows
-    or columns replaces x by gcd(x, y), which strictly lowers g.  Then one
-    row step clears each column entry, and column steps that touch nothing
-    else clear the row.
+    or columns replaces x by gcd(x, y), which strictly lowers g.  Each
+    phase clears the pivot column by row steps and its row by column steps.
     """
-    rows = [{j: x % kappa for j, x in enumerate(row) if x % kappa} for row in a]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
     cols: list[set[int]] = [set() for _ in a]
     for i, row in enumerate(rows):
         for j in row:
@@ -404,7 +409,6 @@ def _eliminate_mod(a, kappa: int):
     active, ops, summands = set(range(len(a))), [], []
 
     def put(i, j, x):
-        x %= kappa
         if x:
             rows[i][j] = x
             cols[j].add(i)
@@ -412,6 +416,29 @@ def _eliminate_mod(a, kappa: int):
             rows[i].pop(j, None)
             cols[j].discard(i)
 
+    def retire(r, g):
+        for j in rows[r]:
+            cols[j].discard(r)
+        active.discard(r)
+        summands.append((r, g))
+
+    heap = sorted((len(row), i) for i, row in enumerate(rows))  # sorted, so a heap
+    while heap:  # phase 1
+        size, r = heappop(heap)
+        live = r in active and size == len(rows[r])  # not pivoted, nor pushed again since
+        units = [j for j, x in rows[r].items() if x in (1, -1)] if live else ()
+        if units:
+            c = min(units, key=lambda j: (len(cols[j]), j))
+            for i in cols[c] - {r}:
+                m = rows[i][c] * rows[r][c]  # the pivot +-1 is its own inverse
+                for j, y in rows[r].items():
+                    put(i, j, rows[i].get(j, 0) - m * y)
+                ops.append((i, r, m))
+                heappush(heap, (len(rows[i]), i))
+            retire(r, 1)
+    for i in active:  # phase 2
+        for j, x in list(rows[i].items()):
+            put(i, j, x % kappa)
     while any(rows[i] for i in active):
         best = (kappa, 0, 0, 0)
         for i in active:
@@ -439,19 +466,16 @@ def _eliminate_mod(a, kappa: int):
                 pairs = [((k, c), (k, j)) for k in cols[c] | cols[j]]
             for (i1, j1), (i2, j2) in pairs:
                 p, q = rows[i1].get(j1, 0), rows[i2].get(j2, 0)
-                put(i1, j1, s * p + t * q)
-                put(i2, j2, u * p + v * q)
+                put(i1, j1, (s * p + t * q) % kappa)
+                put(i2, j2, (u * p + v * q) % kappa)
         modulus = kappa // g
         inverse = pow(x // g, -1, modulus)
         for i in cols[c] - {r}:
             m = rows[i][c] // g * inverse % modulus
             for j, y in rows[r].items():
-                put(i, j, rows[i].get(j, 0) - m * y)
+                put(i, j, (rows[i].get(j, 0) - m * y) % kappa)
             ops.append((i, r, m))
-        for j in rows[r]:
-            cols[j].discard(r)
-        active.discard(r)
-        summands.append((r, g))
+        retire(r, g)
     return summands + [(r, kappa) for r in sorted(active)], ops
 
 

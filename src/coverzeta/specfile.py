@@ -98,17 +98,17 @@ def load_spec(path_or_name: str) -> VoltageSpec:
     """Load a spec from a filesystem path, or by bundled example name."""
     text = None
     try:
-        with open(path_or_name, "r", encoding="utf-8") as fh:
+        with open(path_or_name, "rb") as fh:
             text = fh.read()
     except OSError:
         name = path_or_name.removesuffix(".json")
         if name in BUNDLED:
-            text = resources.files("coverzeta").joinpath(f"data/{name}.json").read_text()
+            text = resources.files("coverzeta").joinpath(f"data/{name}.json").read_bytes()
     if text is None:
         raise SpecFileError(f"cannot read {path_or_name}: no such file or bundled example")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise SpecFileError(f"invalid JSON in {path_or_name}: {exc}") from exc
     return spec_from_dict(doc)
 
@@ -133,10 +133,10 @@ def base_from_dict(doc: dict) -> tuple[SerreGraph, int | None]:
 
 def load_base(path: str) -> tuple[SerreGraph, int | None]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise SpecFileError(f"invalid JSON in {path}: {exc}") from exc
     return base_from_dict(doc)

@@ -250,6 +250,102 @@ def test_census_budgeted_runs_advance(tmp_path):
     assert read_census(str(out)) == read_census(str(full))
 
 
+def test_census_computes_the_base_picard_group_once(tmp_path, monkeypatch):
+    # The covers of a census share one base graph, which keeps its Pic0: one
+    # base tree count per run, however many of its covers are connected.
+    import coverzeta.picard as picard
+
+    sizes = []
+    real = picard._tree_count
+
+    def tree_count(reduced):
+        sizes.append(len(reduced) + 1)
+        return real(reduced)
+
+    monkeypatch.setattr(picard, "_tree_count", tree_count)
+    out = tmp_path / "census.ndjson"
+    for runs in (1, 2):
+        base = bundled_spec("example2").base
+        run_census(base, 5, str(out), budget=12)
+        assert sizes.count(base.num_vertices) == runs
+    assert sizes.count(4 * base.num_vertices) == sum(row["connected"] for row in read_census(str(out)))
+    assert len(sizes) > 8
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"not json",
+        b"[1, 2]",
+        b'"a row"',
+        b"null",
+        b'{"key": 5}',
+        b'{"rows": 3}',
+        b'{"cursor": 5}',
+        b'{"cursor": {"total": 16}}',
+        b'{"cursor": {"next_index": -1, "total": 16}}',
+        b'{"cursor": {"next_index": "5", "total": 16}}',
+        b'{"cursor": {"next_index": 5.0, "total": 16}}',
+        b'{"cursor": {"next_index": true, "total": 16}}',
+        b'{"key": "1,\xff"}',
+    ],
+    ids=[
+        "not_json",
+        "array",
+        "string",
+        "null",
+        "key_not_string",
+        "neither_key_nor_cursor",
+        "cursor_not_object",
+        "cursor_without_index",
+        "negative_index",
+        "string_index",
+        "float_index",
+        "bool_index",
+        "not_utf8",
+    ],
+)
+def test_census_refuses_an_output_file_that_is_not_a_census(tmp_path, capsys, line):
+    base = write(tmp_path, "base.json", {"vertices": ["v"], "edges": [LOOP, LOOP]})
+    out = tmp_path / "census.ndjson"
+    run_census(bouquet(2), 5, str(out), budget=3)
+    out.write_bytes(out.read_bytes() + line + b'\n{"key": "4,')  # and a torn last line
+    before = out.read_bytes()
+    assert main(["census", base, "--p", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 5" in err
+    assert out.read_bytes() == before
+
+
+def test_census_redoes_a_torn_last_line_that_is_not_utf8(tmp_path):
+    out = tmp_path / "census.ndjson"
+    run_census(bouquet(2), 5, str(out), budget=3)
+    out.write_bytes(out.read_bytes() + b'{"key": "4,\xff')
+    assert run_census(bouquet(2), 5, str(out))["written"] == 13
+    assert len(read_census(str(out))) == 16
+
+
+@pytest.mark.parametrize("command", ["analyze", "dot", "census"])
+def test_output_in_a_missing_directory_exits_2(tmp_path, capsys, command):
+    spec = "example1"
+    if command == "census":
+        spec = write(tmp_path, "base.json", {"p": 5, "vertices": ["v"], "edges": [LOOP, LOOP]})
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "dot", "census"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"p": 5, "vertices": ["\xff"], "edges": []}')
+    assert main([command, str(path), "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_census_of_two_vertex_base(tmp_path):
     base = bundled_spec("example2").base
     out = tmp_path / "census2.ndjson"

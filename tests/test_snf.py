@@ -4,7 +4,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverzeta import cycle_graph, integer_determinant, smith_normal_form
+from coverzeta import cycle_graph, integer_determinant, smith_normal_form, snf
 from coverzeta.serre import SerreGraph
 from coverzeta.snf import _eliminate_mod, cokernel_mod, sparse_determinant
 
@@ -225,3 +225,111 @@ def test_cokernel_mod_bezout_steps():
     assert any(len(op) == 6 for op in ops)
     for a in ([[2, 0], [3, 3]], [[2, 3], [0, 3]]):
         assert cokernel_mod(a, 6).factors == (6,)
+
+
+@st.composite
+def reduced_laplacians(draw, max_vertices=8):
+    """Reduced Laplacian of a random connected multigraph, loops included:
+    a random spanning tree plus random extra edges, some of them repeated."""
+    n = draw(st.integers(2, max_vertices))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs += draw(st.lists(extra, max_size=3 * n))
+    pairs += pairs[: draw(st.integers(0, len(pairs)))]  # multiple edges
+    lap = SerreGraph(n, pairs).laplacian_matrix()
+    return [row[:-1] for row in lap[:-1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_laplacians())
+def test_cokernel_mod_of_reduced_laplacians(a):
+    kappa = integer_determinant(a)
+    assert kappa > 0
+    assert cokernel_mod(a, kappa).factors == dense_factors(a)
+
+
+def counting(calls, real):
+    """``real`` wrapped to append its arguments to ``calls``."""
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    return wrapper
+
+
+def reduced_gcd(kappa):
+    """math.gcd, refusing any first argument not reduced modulo kappa: phase
+    2 takes gcd(x, kappa) of every core entry x it searches."""
+
+    def checked(x, y):
+        assert y == kappa and 0 < x < kappa, f"gcd({x}, {y})"
+        return gcd(x, y)
+
+    return checked
+
+
+@st.composite
+def unit_seeded(draw, max_dim=7, bound=30):
+    """Square integer matrices with some entries +-1 among larger ones, so
+    that phase 1 takes some pivots and leaves a core for phase 2."""
+    n = draw(st.integers(1, max_dim))
+    a = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(1, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i][j] = draw(st.sampled_from([-1, 1]))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_seeded())
+def test_cokernel_mod_of_unit_seeded_matrices(a):
+    kappa = abs(integer_determinant(a))
+    assume(kappa != 0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(snf, "gcd", reduced_gcd(kappa))
+        assert cokernel_mod(a, kappa).factors == dense_factors(a)
+
+
+def test_cokernel_mod_phase_1_clears_a_unimodular_matrix(monkeypatch):
+    # A product of unitriangular matrices, det -1.  Every pivot over Z is
+    # +-1, so phase 1 empties the matrix and phase 2, whose pivot search
+    # takes gcds with kappa, never starts; 7 also kills the trivial cokernel.
+    a = [[1, 3, 0, -2], [2, 7, 5, -4], [-3, -8, 4, 8], [0, 4, 22, -3]]
+    assert integer_determinant(a) == -1
+    searched = []
+    monkeypatch.setattr(snf, "gcd", counting(searched, snf.gcd))
+    summands, ops = _eliminate_mod(a, 7)
+    assert searched == []
+    assert sorted(summands) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+    assert ops == [(1, 0, 2), (2, 0, -3), (2, 1, 1), (3, 1, 4), (3, 2, -2)]
+    assert cokernel_mod(a, 1).factors == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(max_dim=5, bound=9))
+def test_cokernel_mod_without_unit_entries(a):
+    # With no entry +-1 phase 1 takes no pivot, so it pushes no row back
+    # on its heap, and the core is all of a.
+    a = [[2 * x if abs(x) == 1 else x for x in row] for row in a]
+    kappa = abs(integer_determinant(a))
+    assume(kappa != 0)
+    pushed = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(snf, "heappush", counting(pushed, snf.heappush))
+        assert cokernel_mod(a, kappa).factors == dense_factors(a)
+    assert pushed == []
+
+
+def test_cokernel_mod_core_needs_bezout_steps(monkeypatch):
+    # Phase 1 pivots at (0, 0) and leaves the core [[-2, 0], [3, 3]], which
+    # phase 2 reduces modulo kappa = 6 to [[4, 0], [3, 3]]; its pivot 4 has
+    # gcd 2 with kappa, which does not divide the 3 below it.
+    a = [[1, 1, 1], [4, 2, 4], [3, 6, 6]]
+    assert integer_determinant(a) == -6
+    monkeypatch.setattr(snf, "gcd", reduced_gcd(6))
+    summands, ops = _eliminate_mod(a, 6)
+    assert ops[:2] == [(1, 0, 4), (2, 0, 3)]
+    assert any(len(op) == 6 for op in ops[2:])
+    assert summands[0] == (0, 1)
+    assert cokernel_mod(a, 6).factors == (6,) == dense_factors(a)
