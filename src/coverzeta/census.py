@@ -6,7 +6,8 @@ against the generated-subgroup criterion), Picard invariant factors, the set
 of vanishing mod-p L-values, and verdict summaries.  Output is one JSON
 object per line; reruns skip keys already present, so runs are resumable,
 also after a crash that left a partly written last line; a file with any
-other line that is not a row or a cursor is refused.  A run cut short by its
+other line that is not a row or a cursor is refused, as is a row for another
+prime or a cursor over another number of assignments.  A run cut short by its
 budget ends with a cursor line, and the next run starts at the last cursor in
 the file, so repeated budgeted runs advance through the assignments.
 """
@@ -57,7 +58,7 @@ class CensusFileError(ValueError):
     """A census output file with a complete line that is not a row or a cursor."""
 
 
-def _resume_state(out_path: str) -> tuple[set[str], int]:
+def _resume_state(out_path: str, p: int, total: int) -> tuple[set[str], int]:
     """Keys of the rows already in the output file, which may not exist, and
     the index of the last cursor in it (0 without one).
 
@@ -65,6 +66,8 @@ def _resume_state(out_path: str) -> tuple[set[str], int]:
     is cut back to its last complete line, so that row is computed again and
     the next row does not land on the fragment.  Any other line that is not
     a row or a cursor raises ``CensusFileError`` and leaves the file as it is.
+    So do a row for a prime other than ``p`` and a cursor over other than
+    ``total`` assignments, whose keys and indices belong to another census.
     """
     done, start = set(), 0
     with suppress(FileNotFoundError), open(out_path, "rb+") as fh:
@@ -77,13 +80,16 @@ def _resume_state(out_path: str) -> tuple[set[str], int]:
                 doc = json.loads(line.decode("utf-8"))
             except ValueError:  # not UTF-8, or not JSON
                 doc = None
-            if isinstance(doc, dict) and type(doc.get("key")) is str:
+            if isinstance(doc, dict) and type(doc.get("key")) is str and doc.get("p") == p:
                 done.add(doc["key"])
                 continue
             cursor = doc.get("cursor") if isinstance(doc, dict) else None
             start = cursor.get("next_index") if isinstance(cursor, dict) else None
-            if type(start) is not int or start < 0:
-                raise CensusFileError(f"{out_path}, line {number}: not a census row or cursor")
+            if type(start) is not int or start < 0 or cursor.get("total") != total:
+                raise CensusFileError(
+                    f"{out_path}, line {number}: not a row or cursor of the census "
+                    f"at p = {p} over {total} assignments"
+                )
         if end < len(data):
             fh.truncate(end)
     return done, start
@@ -101,7 +107,7 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
         raise ValueError("census base graph must be connected")
     num_edges = base.num_undirected_edges
     total = (p - 1) ** num_edges
-    done, start = _resume_state(out_path)
+    done, start = _resume_state(out_path, p, total)
     processed = 0
     written = 0
     cursor = None

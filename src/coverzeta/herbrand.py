@@ -387,7 +387,7 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
     )
     if not report.all_ok:
         report.diagnostics = {
-            "laplacian": a.pic.laplacian,
+            "laplacian": cover.total.laplacian_matrix(),
             "invariant_factors": list(a.pic.full_diagonal),
             "precision": a.precision,
             "eta_at_one_coeffs": list(a.eta1.coeffs),

@@ -1,19 +1,20 @@
 """Degree-zero Picard groups of covers, deck actions, and character pieces.
 
 Pic0 of a connected graph is the cokernel of the reduced Laplacian L0 (last
-vertex deleted) in the basis e_v - e_last of the degree-zero divisors.  Its
-determinant kappa, the number of spanning trees, kills that cokernel, so
-its invariant factors and generators come from an elimination modulo kappa
-(``snf.cokernel_mod``), for base graphs and covers alike.  A deck
-transformation permutes vertices, hence acts on degree-zero divisors;
-reading the image of each generator with the cokernel's coordinate forms
-expresses the action on Pic0.  Only the deck generator g is transported:
-the deck group is cyclic of order p - 1, prime to p, so g acts
-diagonalizably on each layer p^(j-1) A / p^j A of the p-primary part A,
-and e_chi is the projection onto its chi(g)-eigenspace there.  The
-dimension of that eigenspace counts the summands of e_chi A of order at
-least p^j; those layer ranks give the order of e_chi A and, at j = 1, the
-dimension of e_chi C for the mod-p quotient C.  One matrix of g on
+vertex deleted) in the basis e_v - e_last of the degree-zero divisors, read
+as sparse rows built once per graph.  Its determinant kappa, the number of
+spanning trees, comes from an elimination with diagonal pivots, as L0 is
+positive definite; kappa kills the cokernel, so its invariant factors and
+generators come from an elimination modulo kappa (``snf.cokernel_mod``), for
+base graphs and covers alike.  A deck transformation permutes vertices,
+hence acts on degree-zero divisors; reading the image of each generator with
+the cokernel's coordinate forms expresses the action on Pic0.  Only the deck
+generator g is transported: the deck group is cyclic of order p - 1, prime
+to p, so g acts diagonalizably on each layer p^(j-1) A / p^j A of the
+p-primary part A, and e_chi is the projection onto its chi(g)-eigenspace
+there.  The dimension of that eigenspace counts the summands of e_chi A of
+order at least p^j; those layer ranks give the order of e_chi A and, at
+j = 1, the dimension of e_chi C for the mod-p quotient C.  One matrix of g on
 explicit divisors of C gives every e_chi C as an eigenspace independently,
 and checks every dimension of C.
 """
@@ -27,7 +28,7 @@ from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement
 from .serre import SerreGraph
-from .snf import Cokernel, cokernel_mod, sparse_determinant
+from .snf import Cokernel, cokernel_mod
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -35,24 +36,54 @@ def spanning_tree_count(g: SerreGraph) -> int:
     """Number of spanning trees, as a principal minor of the Laplacian."""
     if not g.is_connected():
         raise ValueError("spanning trees are only counted for connected graphs")
-    return _tree_count([row[:-1] for row in g.laplacian_matrix()[:-1]])
+    return _tree_count(_reduced(g.laplacian_rows()))
 
 
-def _tree_count(reduced: list[list[int]]) -> int:
-    """Tree count kappa of a connected graph, from its reduced Laplacian.
+def _reduced(lap: list[dict[int, int]]) -> list[dict[int, int]]:
+    """L0: the Laplacian without the last vertex's row and column."""
+    last = len(lap) - 1
+    return [{j: x for j, x in row.items() if j != last} for row in lap[:-1]]
 
-    The reduced Laplacian has about valence + 1 nonzeros per row, so kappa,
-    the modulus of the cokernel's elimination, is the sparse determinant.
+
+def _tree_count(reduced: list[dict[int, int]]) -> int:
+    """Tree count kappa of a connected graph: det L0, from the sparse rows
+    of its reduced Laplacian, by Bareiss elimination with diagonal pivots.
+
+    Each step pivots at (r, r) of the shortest active row r (ties: the
+    lowest) and, as diagonal pivots keep L0's pattern symmetric, updates
+    only the rows that row r names.  The k-th pivot is a leading principal
+    minor in pivot order, so the last is det L0, and all are positive when
+    L0 is positive definite, as for a connected graph (Sylvester); the
+    first that is not raises.  Scaling is deferred as in
+    ``integer_determinant``: a row stored with divisor t stands for itself
+    times prev / t.
     """
-    kappa = sparse_determinant(reduced)
-    if kappa <= 0:
-        raise VerificationError("picard.tree_count", f"reduced Laplacian determinant {kappa}")
-    return kappa
+    rows = {i: dict(row) for i, row in enumerate(reduced)}
+    div, prev = [1] * len(reduced), 1
+    while rows:
+        r = min(rows, key=lambda i: len(rows[i]))
+        top, s = rows.pop(r), div[r]
+        pivot = top.pop(r, 0) * prev // s
+        if pivot <= 0:
+            raise VerificationError(
+                "picard.tree_count", f"pivot {pivot} at row {r}: L0 is not positive definite"
+            )
+        tail = {j: y * prev // s for j, y in top.items()}
+        for i in top:
+            row, t = rows[i], div[i]
+            x = row.pop(r)
+            for j, z in tail.items():
+                row[j] = row.get(j, 0) * pivot - x * z
+            # Entries outside the tail are nonzero and only take the scaling.
+            rows[i] = {j: (y if j in tail else y * pivot) // t for j, y in row.items() if y}
+            div[i] = pivot
+        prev = pivot
+    return prev
 
 
-def _reduced_cokernel(lap: list[list[int]]) -> Cokernel:
-    """Pic0 of a connected graph from its Laplacian, modulo the tree count."""
-    reduced = [row[:-1] for row in lap[:-1]]
+def _reduced_cokernel(lap: list[dict[int, int]]) -> Cokernel:
+    """Pic0 of a connected graph from its Laplacian rows, modulo the tree count."""
+    reduced = _reduced(lap)
     return cokernel_mod(reduced, _tree_count(reduced))
 
 
@@ -62,7 +93,7 @@ def picard_factors(g: SerreGraph) -> tuple[int, ...]:
     if g._picard_factors is None:
         if not g.is_connected():
             raise ValueError("graph must be connected")
-        g._picard_factors = _reduced_cokernel(g.laplacian_matrix()).factors
+        g._picard_factors = _reduced_cokernel(g.laplacian_rows()).factors
     return g._picard_factors
 
 
@@ -73,13 +104,14 @@ class PicardModule:
     of the deck generator ``generator`` on their generators, row i modulo
     factor i; the deck group is cyclic, so g's matrix determines the action.
     ``full_diagonal`` is the Smith diagonal of the whole Laplacian,
-    (1, ..., 1, factors, 0), kept for failure diagnostics.
+    (1, ..., 1, factors, 0), kept for failure diagnostics.  ``laplacian``
+    holds the total graph's Laplacian rows, which ``elementary_quotient`` reads.
     """
 
     def __init__(self, cover: DerivedCover):
         require_connected_cover(cover)
         self.cover = cover
-        self.laplacian = cover.total.laplacian_matrix()
+        self.laplacian = cover.total.laplacian_rows()
         coker = _reduced_cokernel(self.laplacian)
         self.factors = coker.factors
         last = len(self.laplacian) - 1
@@ -283,9 +315,9 @@ def elementary_quotient(pm: PicardModule) -> ElementaryQuotient:
     p = pm.p
     lap = pm.laplacian
     n = len(lap)
-    # Columns of the Laplacian in difference coordinates span the image of
-    # the principal divisors inside Div0/p*Div0.
-    span = _ModPSpan(p, ([lap[i][j] for i in range(1, n)] for j in range(n)))
+    # Columns of the Laplacian, its rows by symmetry, in difference
+    # coordinates span the image of the principal divisors inside Div0/p*Div0.
+    span = _ModPSpan(p, ([row.get(i, 0) for i in range(1, n)] for row in lap))
     free = [j for j in range(n - 1) if j not in span.rows]
     # basis[k] is the unit vector at free[k] in difference coordinates and a
     # residual is zero at every pivot, so a residual's coordinates in the

@@ -139,26 +139,34 @@ class SerreGraph:
                     queue.append(e.terminus)
         return count == self._n
 
-    def laplacian_matrix(self, ordering: Optional[Sequence[int]] = None) -> list[list[int]]:
-        """Valence-minus-adjacency matrix in the given vertex ordering.
+    def laplacian_matrix(self) -> list[list[int]]:
+        """Valence-minus-adjacency matrix, dense.
 
         Built in one pass over the directed edges: an edge from w2 to w
-        subtracts 1 at (row of w, column of w2).
+        subtracts 1 at (w, w2).  The analysis reads ``laplacian_rows``; this
+        form is the independent reference for tests and failure diagnostics.
         """
         n = self._n
-        position = list(range(n))
-        if ordering is not None:
-            ordering = list(ordering)
-            if sorted(ordering) != position:
-                raise ValueError("ordering must be a permutation of the vertices")
-            for i, w in enumerate(ordering):
-                position[w] = i
         out = [[0] * n for _ in range(n)]
         for w in range(n):
-            out[position[w]][position[w]] = len(self._out[w])
+            out[w][w] = len(self._out[w])
         for e in self._edges:
-            out[position[e.terminus]][position[e.origin]] -= 1
+            out[e.terminus][e.origin] -= 1
         return out
+
+    def laplacian_rows(self) -> list[dict[int, int]]:
+        """The same matrix as sparse rows {column: entry}; row w is also column w.
+
+        One pass over the directed edges skips loops, which cancel on the
+        diagonal, so no zero is stored and an isolated vertex has an empty row.
+        """
+        rows: list[dict[int, int]] = [{} for _ in range(self._n)]
+        for e in self._edges:
+            w, w2 = e.terminus, e.origin
+            if w != w2:
+                rows[w2][w2] = rows[w2].get(w2, 0) + 1
+                rows[w][w2] = rows[w].get(w2, 0) - 1
+        return rows
 
     def to_dot(self, name: str = "G") -> str:
         """Undirected DOT rendering, one line per undirected edge."""

@@ -7,18 +7,17 @@ are the nonzero entries of least absolute value (ties: lowest row, then
 column), and every call verifies U*A*V = D and that the tracked inverses of
 U and V multiply to the identity.
 
-Two Bareiss determinants serve different matrices.  ``sparse_determinant``
-pivots by Markowitz's rule on sparse rows; it computes the tree count kappa
-of a reduced Laplacian, which has about valence + 1 nonzeros per row.
-``integer_determinant`` eliminates dense rows; it serves the small dense
-matrices (class-number circulants, character-evaluated Laplacians, the
-substitution route of eta(1)) and is the independent reference for kappa.
+``integer_determinant`` is a dense Bareiss determinant; it serves the small
+dense matrices (class-number circulants, character-evaluated Laplacians,
+the substitution route of eta(1)) and is the independent reference for the
+tree count kappa, which ``picard`` takes from sparse rows.
 
-``cokernel_mod`` presents coker A for a square A with kappa = |det A| > 0.
-On sparse rows (Dumas, Saunders and Villard) it pivots on entries +-1 over
-Z, then on the small core left modulo kappa, which kills coker A (the
-modulus method of Domich, Kannan and Trotter); it replays the rows of U it
-needs from its row operations and certifies the result without transforms.
+``cokernel_mod`` presents coker A for a square A, given as sparse rows
+{column: entry}, with kappa = |det A| > 0.  On those rows (Dumas, Saunders
+and Villard) it pivots on entries +-1 over Z, then on the small core left
+modulo kappa, which kills coker A (the modulus method of Domich, Kannan and
+Trotter); it replays the rows of U it needs from its row operations and
+certifies the result without transforms.
 """
 
 from __future__ import annotations
@@ -81,65 +80,6 @@ def integer_determinant(a) -> int:
         prev = pivot
     [(row, s)] = m
     return sign * row[0] * prev // s
-
-
-def sparse_determinant(a) -> int:
-    """Exact determinant by Bareiss elimination on sparse rows.
-
-    Rows are {column: value} dicts.  Each step pivots on the shortest active
-    row, at its column with the fewest active rows (Markowitz), and updates
-    only the rows with an entry in that column.  Bareiss's step is exact
-    under any pivot order: after k steps every entry is a (k+1)-minor on
-    the chosen rows and columns.  Scaling is deferred as in
-    ``integer_determinant``: a row stored with divisor t stands for itself
-    times prev / t.
-    """
-    n = len(a)
-    rows, count = {}, [0] * n  # count[j]: active rows with an entry in column j
-    for i, row in enumerate(a):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        rows[i] = {j: x for j, x in enumerate(row) if x}
-        for j in rows[i]:
-            count[j] += 1
-    div, size = [1] * n, [len(row) for row in rows.values()]
-    prev, match = 1, [0] * n  # match[r] = c for the pivot at (r, c)
-    while rows:
-        r = min(rows, key=size.__getitem__)
-        top, s = rows.pop(r), div[r]
-        if not top:
-            return 0
-        c = min(top, key=count.__getitem__)
-        match[r] = c
-        pivot = top.pop(c) * prev // s
-        tail = {j: y * prev // s for j, y in top.items()}
-        for j in top:
-            count[j] -= 1
-        for i, row in rows.items():
-            x = row.pop(c, 0)
-            if not x:
-                continue
-            for j in tail.keys() - row.keys():
-                row[j] = 0
-                count[j] += 1
-            t = div[i]
-            row = {j: (y * pivot - x * tail.get(j, 0)) // t for j, y in row.items()}
-            if 0 in row.values():
-                for j in [j for j, y in row.items() if not y]:
-                    del row[j]
-                    count[j] -= 1
-            rows[i], div[i], size[i] = row, pivot, len(row)
-        prev = pivot
-    # det a = sign(match) * prev, and a permutation with k cycles has sign (-1)^(n - k).
-    seen, cycles = [False] * n, 0
-    for start in range(n):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = match[j]
-    return (-1) ** (n - cycles) * prev
 
 
 @dataclass(frozen=True)
@@ -351,8 +291,9 @@ class Cokernel:
     generators: tuple[tuple[int, ...], ...]
 
 
-def cokernel_mod(a, kappa: int) -> Cokernel:
-    """Cokernel of a square integer matrix with |det a| = kappa > 0.
+def cokernel_mod(a: list[dict[int, int]], kappa: int) -> Cokernel:
+    """Cokernel of a square integer matrix with |det a| = kappa > 0, given
+    as sparse rows {column: entry} with columns in range(len(a)).
 
     Each pivot x of the elimination mod kappa contributes a summand
     Z/gcd(x, kappa), each row left zero a summand Z/kappa.  The dense Smith
@@ -380,8 +321,9 @@ def cokernel_mod(a, kappa: int) -> Cokernel:
     return coker
 
 
-def _eliminate_mod(a, kappa: int):
-    """Diagonalize a modulo kappa by sparse row and column operations.
+def _eliminate_mod(a: list[dict[int, int]], kappa: int):
+    """Diagonalize a, given as sparse rows, modulo kappa by sparse row and
+    column operations.
 
     Returns ``(summands, ops)``: ``summands`` lists (row, gcd(pivot, kappa))
     per pivot and (row, kappa) per row left zero; ``ops`` records the row
@@ -401,7 +343,7 @@ def _eliminate_mod(a, kappa: int):
     or columns replaces x by gcd(x, y), which strictly lowers g.  Each
     phase clears the pivot column by row steps and its row by column steps.
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    rows = [{j: x for j, x in row.items() if x} for row in a]
     cols: list[set[int]] = [set() for _ in a]
     for i, row in enumerate(rows):
         for j in row:
@@ -497,7 +439,7 @@ def _replay(ops, f: list[int], w: list[int], kappa: int) -> None:
             w[i], w[k] = (v * w[i] - t * w[k]) % kappa, (s * w[k] - u * w[i]) % kappa
 
 
-def _certify(a, kappa: int, coker: Cokernel) -> None:
+def _certify(a: list[dict[int, int]], kappa: int, coker: Cokernel) -> None:
     """Certify coker a = sum of Z/d_i without any transform.
 
     phi = (forms[i] mod d_i) kills the columns of a, so it is well defined
@@ -512,7 +454,10 @@ def _certify(a, kappa: int, coker: Cokernel) -> None:
         raise VerificationError(
             "snf.cokernel_order", f"invariant factors multiply to {prod(factors)}, not {kappa}"
         )
-    columns = [[(i, row[j]) for i, row in enumerate(a) if row[j]] for j in range(len(a))]
+    columns: list[list[tuple[int, int]]] = [[] for _ in a]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            columns[j].append((i, x))
     for i, (d, f) in enumerate(zip(factors, coker.forms)):
         if any(sum(f[k] * x for k, x in col) % d for col in columns):
             raise VerificationError("snf.cokernel_relations", f"form {i} does not kill a mod {d}")

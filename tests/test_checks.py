@@ -125,6 +125,21 @@ def corrupted(pm):
     return dataclasses.replace(q, deck=identity)
 """
 
+# Zeroes the first diagonal entry of every Laplacian read as sparse rows.  The
+# cover's is read first, and its reduced Laplacian is then not positive
+# definite, so some pivot of the tree count's elimination is not positive.
+TREE_COUNT_SABOTAGE = """
+from coverzeta.serre import SerreGraph as module
+
+name = "laplacian_rows"
+real = module.laplacian_rows
+
+def corrupted(graph):
+    rows = real(graph)
+    del rows[0][0]
+    return rows
+"""
+
 
 def test_package_has_no_assert_statements():
     found = [
@@ -269,4 +284,10 @@ def test_quotient_dimension_check_exits_4(monkeypatch, capsys):
     # example4 has A = (Z/11)^4, so C loses one of its four basis classes.
     _assert_sabotage_exits_4(
         QUOTIENT_SABOTAGE, "example4", "picard.quotient_dimension", monkeypatch, capsys
+    )
+
+
+def test_tree_count_check_exits_4(monkeypatch, capsys):
+    _assert_sabotage_exits_4(
+        TREE_COUNT_SABOTAGE, "example1", "picard.tree_count", monkeypatch, capsys
     )

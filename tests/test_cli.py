@@ -317,6 +317,32 @@ def test_census_refuses_an_output_file_that_is_not_a_census(tmp_path, capsys, li
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "first, second, line",
+    [
+        ((3, "5", "20"), (3, "7", "5"), "line 1"),  # rows and cursor of another prime
+        ((2, "5", "3"), (3, "5", "5"), "line 4"),  # a cursor over another base's 16
+    ],
+    ids=["other_prime", "other_total"],
+)
+def test_census_refuses_to_resume_another_census(tmp_path, capsys, first, second, line):
+    # Keys and cursor indices of one census mean nothing in another: a run
+    # at p = 7 would start at index 20 of its own enumeration and skip the
+    # assignments whose keys match p = 5 rows.
+    def census(loops, p, budget):
+        base = write(tmp_path, f"base{loops}.json", {"vertices": ["v"], "edges": [LOOP] * loops})
+        return main(["census", base, "--p", p, "--out", str(out), "--budget", budget])
+
+    out = tmp_path / "census.ndjson"
+    assert census(*first) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert census(*second) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line in err
+    assert out.read_bytes() == before
+
+
 def test_census_redoes_a_torn_last_line_that_is_not_utf8(tmp_path):
     out = tmp_path / "census.ndjson"
     run_census(bouquet(2), 5, str(out), budget=3)

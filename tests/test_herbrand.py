@@ -203,18 +203,18 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         return real_tree_count(reduced)
 
     real_search = SerreGraph._reaches_every_vertex
-    real_laplacian = SerreGraph.laplacian_matrix
+    real_laplacian = SerreGraph.laplacian_rows
 
     def search(graph):
         searched.append(id(graph))
         return real_search(graph)
 
-    def laplacian_matrix(graph, *args, **kwargs):
+    def laplacian_rows(graph):
         if graph is cover.total:
             total_laplacians.append(graph)
         if graph is cover.base:
             base_laplacians.append(graph)
-        return real_laplacian(graph, *args, **kwargs)
+        return real_laplacian(graph)
 
     real_deck_map = DerivedCover._build_deck_map
 
@@ -226,7 +226,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     monkeypatch.setattr(picard, "_tree_count", tree_count)
     monkeypatch.setattr(DerivedCover, "_build_deck_map", build_deck_map)
     monkeypatch.setattr(SerreGraph, "_reaches_every_vertex", search)
-    monkeypatch.setattr(SerreGraph, "laplacian_matrix", laplacian_matrix)
+    monkeypatch.setattr(SerreGraph, "laplacian_rows", laplacian_rows)
     report = build_report(cover, precision=precision)
     assert report.all_ok
     assert calls == {
@@ -242,9 +242,30 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     # One tree-count determinant per graph: the cover's and the base's.
     assert sorted(tree_counts) == [cover.base.num_vertices, cover.total.num_vertices]
     assert searched == [id(cover.total)]  # the base was searched by derive
+    # One sparse Laplacian per graph, shared by its tree count and its Pic0.
     assert len(total_laplacians) == 1
     assert len(base_laplacians) == 1
     assert sorted(deck_maps) == sorted(units)  # one build per unit used
+
+
+def test_report_builds_no_dense_laplacian(tmp_path, monkeypatch):
+    # The dense Laplacian is the tests' reference and the diagnostics of a
+    # failing report; a passing report and a census read sparse rows only.
+    from coverzeta.census import read_census, run_census
+    from coverzeta.serre import SerreGraph
+
+    def refuse(graph):
+        raise AssertionError("dense Laplacian built")
+
+    monkeypatch.setattr(SerreGraph, "laplacian_matrix", refuse)
+    for k in range(1, 5):
+        assert build_report(derive(bundled_spec(f"example{k}"))).all_ok
+    out = tmp_path / "census.ndjson"
+    summary = run_census(bundled_spec("example2").base, 5, str(out), budget=12)
+    assert summary["processed"] == 12
+    rows = read_census(str(out))
+    assert len(rows) == 12 and any(row["connected"] for row in rows)
+    assert all(set(row["verdicts"].values()) <= {"PASS", "SKIPPED"} for row in rows)
 
 
 def test_report_reads_one_transport_and_one_eigenspace_per_character(

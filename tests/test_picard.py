@@ -25,8 +25,9 @@ from coverzeta import (
     sylow_p_module,
     trivial_character_check,
 )
-from coverzeta.picard import _reduced_cokernel, layer_ranks
-from coverzeta.arith import p_valuation
+from coverzeta.picard import _reduced, _reduced_cokernel, _tree_count, layer_ranks
+from coverzeta.serre import SerreGraph
+from coverzeta.arith import VerificationError, p_valuation
 from coverzeta.groupring import GroupRingElement, idempotent_mod
 from coverzeta.snf import integer_determinant, smith_normal_form
 from coverzeta.specfile import spec_from_dict
@@ -78,10 +79,24 @@ def test_spanning_tree_counts(ex1_cover):
 
 
 def test_spanning_tree_count_rejects_disconnected():
-    from coverzeta.serre import SerreGraph
-
     with pytest.raises(ValueError):
         spanning_tree_count(SerreGraph(2, [(0, 0), (1, 1)]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: 1, 1: 2}, {0: 2, 1: 1}],  # symmetric, det -3: the second pivot is negative
+        [{0: 2, 1: -1, 2: -1}, {0: -1, 1: 2, 2: -3}, {0: -1, 1: -3, 2: 2}],
+        _reduced(SerreGraph(3, [(1, 2), (1, 1)]).laplacian_rows()),  # vertex 0 isolated
+        _reduced(SerreGraph(4, [(0, 1), (2, 3), (0, 1)]).laplacian_rows()),  # two components
+    ],
+    ids=["indefinite_2x2", "indefinite_3x3", "isolated_vertex", "two_components"],
+)
+def test_tree_count_refuses_a_matrix_that_is_not_positive_definite(rows):
+    with pytest.raises(VerificationError) as exc:
+        _tree_count(rows)
+    assert exc.value.check == "picard.tree_count"
 
 
 def test_order_matches_tree_count_randomly():

@@ -118,18 +118,27 @@ def test_laplacian_zero_sums_and_symmetry(g):
             assert lap[i][j] == lap[j][i]
 
 
-def test_laplacian_rejects_bad_ordering():
-    with pytest.raises(ValueError):
-        cycle_graph(3).laplacian_matrix([0, 1])
-    with pytest.raises(ValueError):
-        cycle_graph(3).laplacian_matrix([0, 1, 1])
+def sparse_equals_dense(g):
+    """Whether g's sparse Laplacian rows hold exactly the nonzero entries
+    of its dense Laplacian."""
+    dense = g.laplacian_matrix()
+    nonzero = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    return g.laplacian_rows() == nonzero
 
 
-def test_laplacian_custom_ordering():
-    g = SerreGraph(2, [(0, 1), (0, 1), (0, 0)])
-    default = g.laplacian_matrix()
-    swapped = g.laplacian_matrix([1, 0])
-    assert swapped == [[default[1][1], default[1][0]], [default[0][1], default[0][0]]]
+@given(small_graphs())
+def test_laplacian_rows_match_the_dense_laplacian(g):
+    assert sparse_equals_dense(g)
+
+
+def test_laplacian_rows_of_loops_and_isolated_vertices():
+    # Vertex 2 carries only loops, which cancel on its diagonal; vertex 3
+    # is isolated.  Both rows are empty, and no zero is stored.
+    g = SerreGraph(4, [(0, 1), (1, 1), (2, 2), (2, 2), (0, 1)])
+    assert g.laplacian_rows() == [{0: 2, 1: -2}, {0: -2, 1: 2}, {}, {}]
+    assert g.laplacian_matrix()[2] == [0, 0, 0, 0]
+    assert sparse_equals_dense(g)
+    assert bouquet(3).laplacian_rows() == [{}]
 
 
 def test_constructor_validation():

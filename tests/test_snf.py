@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coverzeta import cycle_graph, integer_determinant, smith_normal_form, snf
+from coverzeta.picard import _reduced, _tree_count
 from coverzeta.serre import SerreGraph
-from coverzeta.snf import _eliminate_mod, cokernel_mod, sparse_determinant
+from coverzeta.snf import _eliminate_mod, cokernel_mod
 
 
 @st.composite
@@ -97,69 +98,6 @@ def test_integer_determinant():
         assert integer_determinant(a) == cofactor
 
 
-@st.composite
-def square_matrices(draw, max_dim=6, bound=9):
-    """Square matrices from dense to mostly zero, 0x0 and 1x1 included."""
-    n = draw(st.integers(0, max_dim))
-    zeros = draw(st.integers(0, 4))  # an entry is zero with chance ~ zeros / (zeros + 1)
-    return [
-        [0 if draw(st.integers(0, zeros)) else draw(st.integers(-bound, bound)) for _ in range(n)]
-        for _ in range(n)
-    ]
-
-
-@st.composite
-def singular_matrices(draw, max_dim=6):
-    """A zero row, a repeated row, or a product through a narrower middle,
-    whose rank deficiency may show only after some elimination steps."""
-    n = draw(st.integers(2, max_dim))
-    a = draw(square_matrices(max_dim=n).filter(lambda m: len(m) == n))
-    i, j = draw(st.permutations(range(n)))[:2]
-    kind = draw(st.sampled_from(["zero", "repeat", "low_rank"]))
-    if kind == "zero":
-        a[i] = [0] * n
-    elif kind == "repeat":
-        a[i] = list(a[j])
-    else:
-        r = draw(st.integers(1, n - 1))
-        b = [[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(n)]
-        c = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(r)]
-        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
-    return a
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_matrices())
-def test_sparse_determinant_matches_bareiss(a):
-    assert sparse_determinant(a) == integer_determinant(a)
-
-
-@settings(max_examples=150, deadline=None)
-@given(singular_matrices())
-def test_sparse_determinant_of_singular_matrices(a):
-    assert sparse_determinant(a) == 0 == integer_determinant(a)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 7).flatmap(lambda n: st.permutations(range(n))), st.data())
-def test_sparse_determinant_sign_of_signed_permutations(perm, data):
-    n = len(perm)
-    signs = [data.draw(st.sampled_from([-1, 1])) for _ in perm]
-    a = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
-    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-    expected = (-1) ** inversions * prod(signs)
-    assert sparse_determinant(a) == expected == integer_determinant(a)
-
-
-def test_sparse_determinant_small_and_non_square():
-    assert sparse_determinant([]) == 1
-    assert sparse_determinant([[0]]) == 0
-    assert sparse_determinant([[-7]]) == -7
-    for a in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
-        with pytest.raises(ValueError):
-            sparse_determinant(a)
-
-
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2], [3]])
@@ -168,6 +106,12 @@ def test_ragged_matrix_rejected():
 def dense_factors(a):
     """Reference: invariant factors above 1 from the dense integer Smith form."""
     return tuple(d for d in smith_normal_form(a).diagonal if d > 1)
+
+
+def rows(a):
+    """A dense matrix as the sparse rows {column: entry} that the
+    elimination modulo kappa takes, without zero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 @st.composite
@@ -194,7 +138,7 @@ def smooth_nonsingular(draw, max_dim=5):
 @given(smooth_nonsingular())
 def test_cokernel_mod_matches_dense_smith_form(a):
     kappa = abs(integer_determinant(a))
-    assert cokernel_mod(a, kappa).factors == dense_factors(a)
+    assert cokernel_mod(rows(a), kappa).factors == dense_factors(a)
 
 
 @st.composite
@@ -208,44 +152,47 @@ def square_matrices(draw, max_dim=5, bound=12):
 def test_cokernel_mod_matches_dense_smith_form_on_random_matrices(a):
     kappa = abs(integer_determinant(a))
     assume(kappa != 0)
-    coker = cokernel_mod(a, kappa)
+    coker = cokernel_mod(rows(a), kappa)
     assert coker.factors == dense_factors(a)
     assert len(coker.forms) == len(coker.generators) == len(coker.factors)
 
 
 def test_cokernel_mod_of_a_unimodular_matrix_is_trivial():
-    assert cokernel_mod([[2, 1], [1, 1]], 1).factors == ()
+    assert cokernel_mod(rows([[2, 1], [1, 1]]), 1).factors == ()
     assert cokernel_mod([], 1).factors == ()
 
 
 def test_cokernel_mod_bezout_steps():
     # kappa = 6 and the pivot 2 does not divide the 3 below it (a recorded
     # Bezout row step) or beside it (an unrecorded Bezout column step).
-    _, ops = _eliminate_mod([[2, 0], [3, 3]], 6)
+    _, ops = _eliminate_mod(rows([[2, 0], [3, 3]]), 6)
     assert any(len(op) == 6 for op in ops)
     for a in ([[2, 0], [3, 3]], [[2, 3], [0, 3]]):
-        assert cokernel_mod(a, 6).factors == (6,)
+        assert cokernel_mod(rows(a), 6).factors == (6,)
 
 
 @st.composite
-def reduced_laplacians(draw, max_vertices=8):
-    """Reduced Laplacian of a random connected multigraph, loops included:
-    a random spanning tree plus random extra edges, some of them repeated."""
+def connected_multigraphs(draw, max_vertices=8):
+    """A random connected multigraph, loops included: a random spanning
+    tree plus random extra edges, some of them repeated."""
     n = draw(st.integers(2, max_vertices))
     pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     pairs += draw(st.lists(extra, max_size=3 * n))
     pairs += pairs[: draw(st.integers(0, len(pairs)))]  # multiple edges
-    lap = SerreGraph(n, pairs).laplacian_matrix()
-    return [row[:-1] for row in lap[:-1]]
+    return SerreGraph(n, pairs)
 
 
 @settings(max_examples=200, deadline=None)
-@given(reduced_laplacians())
-def test_cokernel_mod_of_reduced_laplacians(a):
+@given(connected_multigraphs())
+def test_cokernel_mod_of_reduced_laplacians(g):
+    # The library's sparse L0 against the dense reduced Laplacian.
+    a = [row[:-1] for row in g.laplacian_matrix()[:-1]]
+    reduced = _reduced(g.laplacian_rows())
     kappa = integer_determinant(a)
     assert kappa > 0
-    assert cokernel_mod(a, kappa).factors == dense_factors(a)
+    assert _tree_count(reduced) == kappa
+    assert cokernel_mod(reduced, kappa).factors == dense_factors(a)
 
 
 def counting(calls, real):
@@ -288,7 +235,7 @@ def test_cokernel_mod_of_unit_seeded_matrices(a):
     assume(kappa != 0)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(snf, "gcd", reduced_gcd(kappa))
-        assert cokernel_mod(a, kappa).factors == dense_factors(a)
+        assert cokernel_mod(rows(a), kappa).factors == dense_factors(a)
 
 
 def test_cokernel_mod_phase_1_clears_a_unimodular_matrix(monkeypatch):
@@ -299,11 +246,11 @@ def test_cokernel_mod_phase_1_clears_a_unimodular_matrix(monkeypatch):
     assert integer_determinant(a) == -1
     searched = []
     monkeypatch.setattr(snf, "gcd", counting(searched, snf.gcd))
-    summands, ops = _eliminate_mod(a, 7)
+    summands, ops = _eliminate_mod(rows(a), 7)
     assert searched == []
     assert sorted(summands) == [(0, 1), (1, 1), (2, 1), (3, 1)]
     assert ops == [(1, 0, 2), (2, 0, -3), (2, 1, 1), (3, 1, 4), (3, 2, -2)]
-    assert cokernel_mod(a, 1).factors == ()
+    assert cokernel_mod(rows(a), 1).factors == ()
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,7 +264,7 @@ def test_cokernel_mod_without_unit_entries(a):
     pushed = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(snf, "heappush", counting(pushed, snf.heappush))
-        assert cokernel_mod(a, kappa).factors == dense_factors(a)
+        assert cokernel_mod(rows(a), kappa).factors == dense_factors(a)
     assert pushed == []
 
 
@@ -328,8 +275,8 @@ def test_cokernel_mod_core_needs_bezout_steps(monkeypatch):
     a = [[1, 1, 1], [4, 2, 4], [3, 6, 6]]
     assert integer_determinant(a) == -6
     monkeypatch.setattr(snf, "gcd", reduced_gcd(6))
-    summands, ops = _eliminate_mod(a, 6)
+    summands, ops = _eliminate_mod(rows(a), 6)
     assert ops[:2] == [(1, 0, 4), (2, 0, 3)]
     assert any(len(op) == 6 for op in ops[2:])
     assert summands[0] == (0, 1)
-    assert cokernel_mod(a, 6).factors == (6,) == dense_factors(a)
+    assert cokernel_mod(rows(a), 6).factors == (6,) == dense_factors(a)
