@@ -6,7 +6,7 @@ comparison of eigenspace sizes with p-adic absolute values of L-values.
 
 from .arith import VerificationError, is_odd_prime, p_part, smallest_primitive_root
 from .characters import Character, zp_characters
-from .groupring import CyclicGroup, GroupRingElement, GroupRingMatrix, idempotent_mod
+from .groupring import CyclicGroup, GroupRingElement, idempotent_mod
 from .herbrand import (
     TheoremReport,
     Verdict,

@@ -67,7 +67,8 @@ def _resume_state(out_path: str, p: int, total: int) -> tuple[set[str], int]:
     the next row does not land on the fragment.  Any other line that is not
     a row or a cursor raises ``CensusFileError`` and leaves the file as it is.
     So do a row for a prime other than ``p`` and a cursor over other than
-    ``total`` assignments, whose keys and indices belong to another census.
+    ``total`` assignments, whose keys and indices belong to another census,
+    and a cursor at ``total`` or past it, which no run writes.
     """
     done, start = set(), 0
     with suppress(FileNotFoundError), open(out_path, "rb+") as fh:
@@ -85,7 +86,7 @@ def _resume_state(out_path: str, p: int, total: int) -> tuple[set[str], int]:
                 continue
             cursor = doc.get("cursor") if isinstance(doc, dict) else None
             start = cursor.get("next_index") if isinstance(cursor, dict) else None
-            if type(start) is not int or start < 0 or cursor.get("total") != total:
+            if type(start) is not int or not 0 <= start < total or cursor.get("total") != total:
                 raise CensusFileError(
                     f"{out_path}, line {number}: not a row or cursor of the census "
                     f"at p = {p} over {total} assignments"

@@ -2,6 +2,9 @@
 
 Elements are integer coefficient vectors indexed by powers of a fixed
 generator, so multiplication is cyclic convolution in Z[x]/(x^(p-1) - 1).
+A matrix over Z[G] is a list of rows of such vectors; the cover's Laplacian
+is built that way from the base graph, a base edge j -> i with voltage a
+adding the group element a to entry (i, j) of A.
 Determinants are computed by Berkowitz's division-free algorithm: the group
 ring has zero divisors, so elimination, even fraction-free, would be unsound.
 The algorithm runs on coefficient vectors, each ring given by its product.
@@ -88,13 +91,6 @@ class GroupRingElement:
         """coefficient * sigma for a single group element sigma."""
         c = [0] * group.order
         c[group.index_of(sigma)] = coefficient
-        return cls(group, tuple(c))
-
-    @classmethod
-    def from_unit_counts(cls, group: CyclicGroup, counts: dict[int, int]) -> "GroupRingElement":
-        c = [0] * group.order
-        for sigma, m in counts.items():
-            c[group.index_of(sigma)] += m
         return cls(group, tuple(c))
 
     def coefficient(self, sigma: int) -> int:
@@ -273,58 +269,3 @@ def ring_determinant(entries, product):
                 product(out[i], col[i - j - 1], poly[j])
         poly = out
     return tuple(poly[n]) if n % 2 == 0 else tuple(-c for c in poly[n])
-
-
-@dataclass(frozen=True)
-class GroupRingMatrix:
-    group: CyclicGroup
-    entries: tuple[tuple[GroupRingElement, ...], ...]
-
-    def __post_init__(self):
-        width = {len(r) for r in self.entries}
-        if len(width) > 1:
-            raise ValueError("ragged matrix")
-        for row in self.entries:
-            for e in row:
-                if e.group != self.group:
-                    raise ValueError("entry from a different group ring")
-
-    @classmethod
-    def from_rows(cls, group: CyclicGroup, rows) -> "GroupRingMatrix":
-        return cls(group, tuple(tuple(r) for r in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __sub__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        if self.group != other.group or self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape or group mismatch")
-        return GroupRingMatrix(
-            self.group,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def determinant(self) -> GroupRingElement:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        coeffs = [[e.coeffs for e in row] for row in self.entries]
-        return GroupRingElement(self.group, ring_determinant(coeffs, self.group.product))
-
-    def evaluate(self, character):
-        """Entrywise character evaluation; returns a list-of-lists matrix.
-
-        Every entry reads the same cached value table of the character.
-        """
-        return [[e.evaluate(character) for e in row] for row in self.entries]

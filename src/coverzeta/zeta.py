@@ -3,6 +3,11 @@ det(I - A u + (D - I) u^2), of degree at most 2n, taken by Berkowitz's
 algorithm in Z[G][u]/(u^(2n+1)); its value at 1 (the group-ring determinant
 of the Laplacian); and character L-values.
 
+Matrices over Z[G] are lists of rows of integer coefficient vectors, read
+off the base graph: a base edge j -> i with voltage a adds the group element
+a to entry (i, j) of the adjacency A, and the Laplacian is D - A with the
+valences on the diagonal.
+
 Everything is exact.  Two computation routes exist by construction --
 evaluate the character after taking the group-ring determinant, or evaluate
 entrywise first and take an ordinary determinant -- and both are run and
@@ -23,13 +28,7 @@ from math import prod
 
 from .arith import VerificationError
 from .characters import Character
-from .groupring import (
-    CyclicGroup,
-    GroupRingElement,
-    GroupRingMatrix,
-    convolution,
-    ring_determinant,
-)
+from .groupring import CyclicGroup, GroupRingElement, convolution, ring_determinant
 from .padic import PAdicInt
 from .serre import SerreGraph
 from .snf import integer_determinant
@@ -65,48 +64,28 @@ class LValue:
     value: object  # int mod p, or PAdicInt
 
 
-def equivariant_adjacency(cover: DerivedCover) -> GroupRingMatrix:
-    """Adjacency of the cover as a matrix over the group ring.
+def equivariant_adjacency(cover: DerivedCover) -> list[list[list[int]]]:
+    """Adjacency of the cover as a matrix over Z[G], read off the base graph.
 
-    Entry (i, j) collects, for each directed edge of the total graph landing
-    on the unit-1 transversal point over base vertex i from the fiber point
-    (j, s), the group element s^(-1).
+    Entries are coefficient vectors over the powers of the group's generator.
+    A base edge j -> i with voltage a adds the group element a to entry (i, j)
+    (Gross-Tucker): its lift landing on the unit-1 point over i starts at the
+    point of unit a^(-1) over j.
     """
     group = CyclicGroup.for_prime(cover.p)
-    g = cover.base.num_vertices
-    counts = [[dict() for _ in range(g)] for _ in range(g)]
-    for e in cover.total.directed_edges:
-        v_to, s_to = cover.fiber_coords(e.terminus)
-        if s_to != 1:
-            continue
-        v_from, s_from = cover.fiber_coords(e.origin)
-        tally = counts[v_to][v_from]
-        sigma_inv = pow(s_from, -1, cover.p)
-        tally[sigma_inv] = tally.get(sigma_inv, 0) + 1
-    rows = [
-        [GroupRingElement.from_unit_counts(group, counts[i][j]) for j in range(g)]
-        for i in range(g)
-    ]
-    return GroupRingMatrix.from_rows(group, rows)
+    n = cover.base.num_vertices
+    adjacency = [[[0] * group.order for _ in range(n)] for _ in range(n)]
+    for e in cover.base.directed_edges:
+        adjacency[e.terminus][e.origin][group.index_of(cover.spec.voltage(e.id))] += 1
+    return adjacency
 
 
-def equivariant_degree(cover: DerivedCover) -> GroupRingMatrix:
-    group = CyclicGroup.for_prime(cover.p)
-    g = cover.base.num_vertices
-    rows = [
-        [
-            GroupRingElement.one(group) * cover.base.valence(i)
-            if i == j
-            else GroupRingElement.zero(group)
-            for j in range(g)
-        ]
-        for i in range(g)
-    ]
-    return GroupRingMatrix.from_rows(group, rows)
-
-
-def equivariant_laplacian(cover: DerivedCover) -> GroupRingMatrix:
-    return equivariant_degree(cover) - equivariant_adjacency(cover)
+def equivariant_laplacian(cover: DerivedCover) -> list[list[list[int]]]:
+    """D - A over Z[G] as coefficient vectors, the valences at the identity."""
+    lap = [[[-c for c in x] for x in row] for row in equivariant_adjacency(cover)]
+    for i, row in enumerate(lap):
+        row[i][0] += cover.base.valence(i)
+    return lap
 
 
 def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]:
@@ -133,13 +112,10 @@ def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]
 def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
     """The determinant polynomial of the cover over the group ring."""
     require_connected_cover(cover)
-    adj = equivariant_adjacency(cover)
-    group = adj.group
+    group = CyclicGroup.for_prime(cover.p)
     base = cover.base
     coeffs = _ihara_determinant(
-        group.order,
-        [[e.coeffs for e in row] for row in adj.entries],
-        [base.valence(i) for i in range(base.num_vertices)],
+        group.order, equivariant_adjacency(cover), [base.valence(i) for i in base.vertices]
     )
     poly = EtaPolynomial(group, tuple(GroupRingElement(group, c) for c in coeffs))
     if poly.coefficient(0) != GroupRingElement.one(group):
@@ -149,7 +125,7 @@ def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
     return poly
 
 
-def eta_at_one(cover: DerivedCover, lap: GroupRingMatrix | None = None) -> GroupRingElement:
+def eta_at_one(cover: DerivedCover, lap=None) -> GroupRingElement:
     """Special value at u = 1: the group-ring determinant of the Laplacian.
 
     At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  Its
@@ -159,10 +135,11 @@ def eta_at_one(cover: DerivedCover, lap: GroupRingMatrix | None = None) -> Group
     when omitted.
     """
     require_connected_cover(cover)
+    group = CyclicGroup.for_prime(cover.p)
     if lap is None:
         lap = equivariant_laplacian(cover)
-    direct = lap.determinant()
-    substituted = _substitution_determinant(lap)
+    direct = GroupRingElement(group, ring_determinant(lap, group.product))
+    substituted = _substitution_determinant(lap, group)
     if direct != substituted:
         raise VerificationError(
             "zeta.eta_routes",
@@ -171,7 +148,7 @@ def eta_at_one(cover: DerivedCover, lap: GroupRingMatrix | None = None) -> Group
     return direct
 
 
-def _substitution_determinant(mat: GroupRingMatrix) -> GroupRingElement:
+def _substitution_determinant(mat, group: CyclicGroup) -> GroupRingElement:
     """Group-ring determinant through the ring map Z[G] -> Z/(B^(p-1) - 1).
 
     sigma_g^k maps to B^k.  Every Leibniz term is a product of one entry per
@@ -181,13 +158,13 @@ def _substitution_determinant(mat: GroupRingMatrix) -> GroupRingElement:
     so it is the symmetric residue of the Bareiss determinant of the
     substituted matrix, and its balanced base-B digits are the c_k.
     """
-    m = mat.group.order
-    beta = max(prod(sum(sum(map(abs, e.coeffs)) for e in row) for row in mat.entries), 1)
+    m = group.order
+    beta = max(prod(sum(sum(map(abs, x)) for x in row) for row in mat), 1)
     base = 2 * beta + 1
     modulus = base**m - 1
     powers = [base**k for k in range(m)]
     det = integer_determinant(
-        [[sum(c * b for c, b in zip(e.coeffs, powers)) for e in row] for row in mat.entries]
+        [[sum(c * b for c, b in zip(x, powers)) for x in row] for row in mat]
     ) % modulus
     if det > modulus // 2:
         det -= modulus
@@ -198,37 +175,35 @@ def _substitution_determinant(mat: GroupRingMatrix) -> GroupRingElement:
             digit -= base
         coeffs.append(digit)
         det = (det - digit) // base
-    return GroupRingElement(mat.group, tuple(coeffs))
+    return GroupRingElement(group, tuple(coeffs))
 
 
 def _square_det(rows, chi: Character):
     """Determinant of an entrywise-evaluated matrix, in the chi codomain."""
-    p = chi.group.p
-    if chi.precision is None:
-        lifted = [[int(x) % p for x in row] for row in rows]
-        return integer_determinant(lifted) % p
-    modulus = p**chi.precision
-    lifted = [[x.value if isinstance(x, PAdicInt) else int(x) for x in row] for row in rows]
-    return PAdicInt(p, chi.precision, integer_determinant(lifted) % modulus)
+    det = integer_determinant(rows) % chi.modulus
+    return det if chi.precision is None else PAdicInt(chi.group.p, chi.precision, det)
 
 
 def l_value(
     cover: DerivedCover,
     chi: Character,
     eta1: GroupRingElement | None = None,
-    lap: GroupRingMatrix | None = None,
+    lap=None,
 ) -> LValue:
     """Character L-value at u = 1, cross-checked along both routes.
 
     ``eta1`` and ``lap`` are the cover's special value and equivariant
-    Laplacian; each is computed here when omitted.
+    Laplacian; each is computed here when omitted.  The Laplacian is
+    evaluated entrywise by one dot product with the character's value table.
     """
     if lap is None:
         lap = equivariant_laplacian(cover)
     if eta1 is None:
         eta1 = eta_at_one(cover, lap)
+    table, modulus = chi.table(eta1.group), chi.modulus
+    evaluated = [[sum(c * v for c, v in zip(x, table)) % modulus for x in row] for row in lap]
     by_eta = eta1.evaluate(chi)
-    by_det = _square_det(lap.evaluate(chi), chi)
+    by_det = _square_det(evaluated, chi)
     if by_eta != by_det:
         raise VerificationError(
             "zeta.l_routes",

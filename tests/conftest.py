@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coverzeta import SerreGraph, VoltageSpec, bundled_spec, derive
+from coverzeta import GroupRingElement, SerreGraph, VoltageSpec, bundled_spec, derive
 from coverzeta.snf import integer_determinant
 
 
@@ -54,3 +54,8 @@ def dense_tree_count(g: SerreGraph) -> int:
     """Matrix-Tree count by the dense Bareiss determinant of the reduced
     Laplacian, independent of the sparse determinant the library uses."""
     return integer_determinant([row[:-1] for row in g.laplacian_matrix()[:-1]])
+
+
+def evaluate_matrix(group, matrix, chi):
+    """Entrywise character values of a matrix of coefficient vectors over Z[G]."""
+    return [[GroupRingElement(group, tuple(x)).evaluate(chi) for x in row] for row in matrix]

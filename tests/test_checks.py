@@ -21,7 +21,8 @@ README = pathlib.Path(__file__).parent.parent / "README.md"
 # Each sabotage corrupts one side of the eta(1) check, so that check alone
 # fails: a coefficient of the Kronecker-substitution route, or the result of
 # the Berkowitz group-ring determinant.  Each defines the attribute it
-# replaces (``module``, ``name``) and its replacement (``corrupted``).
+# replaces (``module``, ``name``) and its replacement (``corrupted``); both
+# are names in ``zeta``, which ``eta_at_one`` looks up when it runs.
 SABOTAGES = {
     "substitution": """
 import coverzeta.zeta as module
@@ -30,13 +31,13 @@ from coverzeta.groupring import GroupRingElement
 name = "_substitution_determinant"
 real = module._substitution_determinant
 
-def corrupted(mat):
-    c = list(real(mat).coeffs)
+def corrupted(mat, group):
+    c = list(real(mat, group).coeffs)
     c[1] += 1
-    return GroupRingElement(mat.group, tuple(c))
+    return GroupRingElement(group, tuple(c))
 """,
     "berkowitz": """
-import coverzeta.groupring as module
+import coverzeta.zeta as module
 
 name = "ring_determinant"
 real = module.ring_determinant

@@ -287,6 +287,8 @@ def test_census_computes_the_base_picard_group_once(tmp_path, monkeypatch):
         b'{"cursor": {"next_index": "5", "total": 16}}',
         b'{"cursor": {"next_index": 5.0, "total": 16}}',
         b'{"cursor": {"next_index": true, "total": 16}}',
+        b'{"cursor": {"next_index": 16, "total": 16}}',
+        b'{"cursor": {"next_index": 99, "total": 16}}',
         b'{"key": "1,\xff"}',
     ],
     ids=[
@@ -302,6 +304,8 @@ def test_census_computes_the_base_picard_group_once(tmp_path, monkeypatch):
         "string_index",
         "float_index",
         "bool_index",
+        "index_at_total",
+        "index_past_total",
         "not_utf8",
     ],
 )

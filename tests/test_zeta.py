@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from conftest import random_connected_cover
+from conftest import evaluate_matrix, random_connected_cover
 from coverzeta import (
     Character,
     CyclicGroup,
@@ -80,31 +80,43 @@ def test_eta_augmentation_vanishes_on_random_covers():
             assert eta_at_one(cover).augmentation() == 0
 
 
-def test_adjacency_matches_base_voltage_tally(ex2_cover, ex3_cover):
-    # Entry (i, j) must collect one group element per base edge from j to i,
-    # namely the voltage of that directed edge.
-    for cover in (ex2_cover, ex3_cover):
-        spec = cover.spec
-        group = CyclicGroup.for_prime(cover.p)
-        adj = equivariant_adjacency(cover)
-        g = cover.base.num_vertices
-        for i in range(g):
-            for j in range(g):
-                expected = GroupRingElement.zero(group)
-                for e in cover.base.directed_edges:
-                    if e.origin == j and e.terminus == i:
-                        expected = expected + GroupRingElement.of(
-                            group, spec.voltage(e.id)
-                        )
-                assert adj[i, j] == expected
+def _total_graph_adjacency(cover):
+    """A over Z[G] read from the total graph: entry (i, j) collects s^(-1) for
+    each directed edge from the point (j, s) to the unit-1 point over i."""
+    group = CyclicGroup.for_prime(cover.p)
+    n = cover.base.num_vertices
+    adjacency = [[[0] * group.order for _ in range(n)] for _ in range(n)]
+    for e in cover.total.directed_edges:
+        i, t = cover.fiber_coords(e.terminus)
+        if t == 1:
+            j, s = cover.fiber_coords(e.origin)
+            adjacency[i][j][group.index_of(pow(s, -1, cover.p))] += 1
+    return adjacency
+
+
+def test_adjacency_matches_the_total_graph(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
+    # The base-edge rule against the edges of the total graph, entry by entry.
+    # The transpose of A has the same determinant, so eta(1) and the L-values
+    # would not notice a builder that swapped i and j; this comparison does.
+    rng = random.Random(14)
+    covers = [ex1_cover, ex2_cover, ex3_cover, ex4_cover]
+    covers += [random_connected_cover(rng, p) for p in (3, 5, 7, 11) for _ in range(10)]
+    pairs = [sorted(pair) for cover in covers[4:] for pair in cover.base.edge_pairs]
+    assert any(u == v for u, v in pairs)
+    assert any(pairs.count(pair) > 1 for pair in pairs if pair[0] != pair[1])
+    for cover in covers:
+        assert equivariant_adjacency(cover) == _total_graph_adjacency(cover)
 
 
 def test_adjacency_transpose_is_involution(ex3_cover):
-    adj = equivariant_adjacency(ex3_cover)
+    group = CyclicGroup.for_prime(ex3_cover.p)
+    adj = [
+        [GroupRingElement(group, tuple(x)) for x in row] for row in equivariant_adjacency(ex3_cover)
+    ]
     g = ex3_cover.base.num_vertices
     for i in range(g):
         for j in range(g):
-            assert adj[j, i] == adj[i, j].involution()
+            assert adj[j][i] == adj[i][j].involution()
 
 
 def test_l_values_first_example(ex1_cover):
@@ -304,6 +316,6 @@ def test_equivariant_laplacian_evaluates_to_base_laplacian(ex2_cover):
     # The trivial character turns the group-ring Laplacian into the base one.
     g5 = CyclicGroup.for_prime(5)
     lap = equivariant_laplacian(ex2_cover)
-    evaluated = lap.evaluate(Character(g5, 0, None))
+    evaluated = evaluate_matrix(g5, lap, Character(g5, 0, None))
     base_lap = ex2_cover.base.laplacian_matrix()
     assert [[x % 5 for x in row] for row in base_lap] == evaluated
