@@ -4,15 +4,16 @@ The F_p-valued character of exponent i sends sigma to sigma^i mod p.  Its
 canonical lift replaces sigma by its Teichmuller representative, so reduction
 mod p recovers the F_p value on every group element.
 
-Each character caches its value table chi(h^k), k = 0, ..., p-2, for the
-generator h of every presentation it is evaluated against; group-ring
-evaluation is then one integer dot product.
+Value tables chi(h^k), k = 0, ..., p-2, for the generator h of the
+presentation a character is evaluated against are kept in one module-level
+cache keyed by (p, h, exponent, precision), shared by every character with
+those data; group-ring evaluation is then one integer dot product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 from .groupring import CyclicGroup
 from .padic import teichmuller
@@ -37,32 +38,15 @@ class Character:
         p = self.group.p
         return p if self.precision is None else p**self.precision
 
-    @cached_property
-    def _tables(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
     def table(self, group: CyclicGroup) -> tuple[int, ...]:
         """Values chi(h^k) mod the modulus for k = 0, ..., p-2.
 
         h is the generator of ``group``, so the table lines up with the
-        coefficient vectors of that group's ring elements.  It is built from
-        one Teichmuller lift of h, since chi(h^k) = omega(h)^(i k) with omega
-        multiplicative.
+        coefficient vectors of that group's ring elements.
         """
         if group.p != self.group.p:
             raise ValueError(f"character mod {self.group.p} on a group mod {group.p}")
-        table = self._tables.get(group.generator)
-        if table is None:
-            modulus = self.modulus
-            h = group.generator
-            if self.precision is not None:
-                h = teichmuller(h, group.p, self.precision).value
-            step = pow(h, self.exponent, modulus)
-            values = [1]
-            for _ in range(group.order - 1):
-                values.append(values[-1] * step % modulus)
-            table = self._tables[group.generator] = tuple(values)
-        return table
+        return _table(group.p, group.generator, self.exponent, self.precision)
 
     def value(self, sigma: int):
         """Character value on a unit sigma mod p."""
@@ -80,6 +64,20 @@ class Character:
     def lift(self, precision: int) -> "Character":
         """Teichmuller lift of an F_p character (or re-precision of a lift)."""
         return Character(self.group, self.exponent, precision)
+
+
+@lru_cache(maxsize=1024)
+def _table(p: int, h: int, exponent: int, precision: int | None) -> tuple[int, ...]:
+    """chi(h^k) for k = 0, ..., p-2, from one Teichmuller lift of h when
+    lifted, since chi(h^k) = omega(h)^(i k) with omega multiplicative."""
+    modulus = p if precision is None else p**precision
+    if precision is not None:
+        h = teichmuller(h, p, precision).value
+    step = pow(h, exponent, modulus)
+    values = [1]
+    for _ in range(p - 2):
+        values.append(values[-1] * step % modulus)
+    return tuple(values)
 
 
 def zp_characters(group: CyclicGroup, precision: int) -> tuple[Character, ...]:

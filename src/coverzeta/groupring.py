@@ -153,7 +153,7 @@ class GroupRingElement:
 
         Returns an element of F_p (a plain int in [0, p)) or a PAdicInt,
         depending on the character's codomain.  The sum runs over the
-        character's cached value table for this element's generator.
+        character's shared value table for this element's generator.
         """
         table = character.table(self.group)
         total = sum(a * v for a, v in zip(self.coeffs, table)) % character.modulus

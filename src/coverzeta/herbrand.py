@@ -30,9 +30,8 @@ from .picard import (
     sylow_p_module,
     trivial_character_check,
 )
-from .snf import integer_determinant
 from .voltage import DerivedCover, require_connected_cover
-from .zeta import duality_check, equivariant_laplacian, eta_at_one, l_value
+from .zeta import duality_check, equivariant_laplacian, eta_at_one, l_value, orbit_norms
 
 RETRY_DOUBLINGS = 4
 
@@ -69,12 +68,14 @@ class CoverAnalysis:
 
     Computed once per analysis: the Picard module with the deck generator's
     matrix on Pic0 and its Sylow part, the elementary quotient with the deck
-    generator's matrix on it (from the Picard module's Laplacian, its
-    dimension checked against the Sylow part's rank), the base graph's
-    Picard factors (kept on the graph), whose product is its tree count,
-    the equivariant Laplacian and the special value eta(1), whose
-    Berkowitz-against-substitution check runs here, as does the
-    class-number check that ties the order of Pic0 to eta(1).
+    generator's matrix on it (from a sparse echelon form mod p of the Picard
+    module's Laplacian, its dimension checked against the Sylow part's
+    rank), the base graph's Picard factors (kept on the graph), whose
+    product is its tree count, the equivariant Laplacian and the special
+    value eta(1), whose Berkowitz-against-substitution check runs here, the
+    norms N_d of eta(1) at the rational orbits of characters (those of order
+    d, for each d > 1 dividing p - 1), and the class-number check that ties
+    the order of Pic0 to their product.
     Per-character quantities are computed on demand and cached, so the
     verification passes can share one analysis without recomputation; in
     particular each character's layer ranks come from eigenspaces of the
@@ -107,6 +108,7 @@ class CoverAnalysis:
         self.kappa_base = prod(self.base_factors)  # certified by snf.cokernel_order
         self.lap = equivariant_laplacian(cover)
         self.eta1 = eta_at_one(cover, self.lap)
+        self.orbit_norms = orbit_norms(self.eta1)
         self._check_class_number()
         self.precision = precision if precision is not None else default_precision(self.pic)
         self.precision = max(self.precision, self.sylow.exponent, 1)
@@ -116,22 +118,18 @@ class CoverAnalysis:
         self._valuations: dict[int, tuple[int | None, int]] = {}
 
     def _check_class_number(self) -> None:
-        """Check (p - 1) #Pic0(Y) = kappa(X) det(C + J)/(p - 1).
+        """Check (p - 1) #Pic0(Y) = kappa(X) prod of N_d over d | p - 1, d > 1.
 
-        C is the circulant of eta(1) and J is all ones, so C + J has the
-        eigenvalue chi(eta(1)) at each nontrivial chi and aug(eta(1)) + p - 1
-        = p - 1 at the trivial one: the quotient is the product of the
-        nontrivial L-values at u = 1.
+        N_d, kept in ``orbit_norms``, is the product of chi(eta(1)) over the
+        characters of order d, so the product of the N_d is the product of
+        the nontrivial L-values at u = 1.
         """
-        m = self.p - 1
-        c = self.eta1.coeffs
-        circulant = [[c[i - j] + 1 for j in range(m)] for i in range(m)]  # c[-k] = c[m - k]
-        norm, rem = divmod(integer_determinant(circulant), m)
-        if rem or m * self.pic.order != self.kappa_base * norm:
+        norms = prod(self.orbit_norms.values())
+        if (self.p - 1) * self.pic.order != self.kappa_base * norms:
             raise VerificationError(
                 "picard.class_number",
-                f"(p - 1) #Pic0 = {m * self.pic.order}, kappa(X) = {self.kappa_base}, "
-                f"det(C + J) = {norm * m + rem}",
+                f"(p - 1) #Pic0 = {(self.p - 1) * self.pic.order}, kappa(X) = {self.kappa_base}, "
+                f"orbit norms {self.orbit_norms}",
             )
 
     def zp_value(self, i: int, precision: int):

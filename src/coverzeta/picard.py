@@ -14,13 +14,17 @@ to p, so g acts diagonalizably on each layer p^(j-1) A / p^j A of the
 p-primary part A, and e_chi is the projection onto its chi(g)-eigenspace
 there.  The dimension of that eigenspace counts the summands of e_chi A of
 order at least p^j; those layer ranks give the order of e_chi A and, at
-j = 1, the dimension of e_chi C for the mod-p quotient C.  One matrix of g on
-explicit divisors of C gives every e_chi C as an eigenspace independently,
-and checks every dimension of C.
+j = 1, the dimension of e_chi C for the mod-p quotient C.  C itself is read
+independently, with no arithmetic shared with the elimination modulo kappa:
+from a sparse echelon form mod p of the Laplacian's rows with Markowitz
+pivots (``ModPEchelon``), which also gives every eigenspace dimension over
+F_p.  One matrix of g on explicit divisors of C gives every e_chi C as an
+eigenspace, and checks every dimension of C.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import prod
 
@@ -216,8 +220,8 @@ def sylow_p_module(pm: PicardModule, p: int) -> SylowPModule:
 
 def _eigenspace_dim(mat, lam: int, p: int) -> int:
     """Dimension of the lam-eigenspace of a square matrix over F_p."""
-    shifted = ([x - lam * (j == k) for j, x in enumerate(row)] for k, row in enumerate(mat))
-    return len(mat) - _ModPSpan(p, shifted).rank
+    shifted = ({**dict(enumerate(row)), k: row[k] - lam} for k, row in enumerate(mat))
+    return len(mat) - ModPEchelon(p, shifted).rank
 
 
 def layer_ranks(m: SylowPModule, chi: Character) -> tuple[int, ...]:
@@ -246,41 +250,74 @@ def eigenspace_order_A(m: SylowPModule, chi: Character) -> int:
     return m.p ** sum(layer_ranks(m, chi))
 
 
-class _ModPSpan:
-    """Row-echelon basis of a subspace of F_p^k with linear reduction."""
+class ModPEchelon:
+    """Echelon basis of the span over F_p of sparse rows {column: entry}.
 
-    def __init__(self, p: int, vectors):
+    Elimination pivots on the shortest active row, at its column with the
+    fewest other active rows (Markowitz; ties: the lowest row, then column),
+    and clears that column from every other active row, so each pivot row is
+    zero at every earlier pivot column.  ``pivots`` maps the pivot columns,
+    in pivot order, to their rows scaled to 1 there, stored without that
+    entry.
+    """
+
+    def __init__(self, p: int, rows):
         self.p = p
-        self.rows: dict[int, dict[int, int]] = {}  # pivot -> nonzero entries of its row
-        for vec in vectors:
-            self.add(vec)
-
-    def add(self, vec) -> None:
-        row = self.reduce(vec)
-        for j, x in enumerate(row):
-            if x:
-                inv = pow(x, -1, self.p)
-                self.rows[j] = {k: v * inv % self.p for k, v in enumerate(row) if v}
-                return
+        active: dict[int, dict[int, int]] = {}
+        where: defaultdict[int, set[int]] = defaultdict(set)  # column -> active rows there
+        for i, row in enumerate(rows):
+            row = {j: y for j, x in row.items() if (y := x % p)}
+            if row:
+                active[i] = row
+                for j in row:
+                    where[j].add(i)
+        self.pivots: dict[int, dict[int, int]] = {}
+        while active:
+            i = min(zip(map(len, active.values()), active))[1]
+            row = active.pop(i)
+            for j in row:
+                where[j].discard(i)
+            c = min(zip(map(len, map(where.__getitem__, row)), row))[1]
+            inv = pow(row.pop(c), -1, p)
+            tail = {j: x * inv % p for j, x in row.items()}
+            for k in where.pop(c):
+                other = active[k]
+                f = other.pop(c)
+                for j, y in tail.items():
+                    if j in other:
+                        z = (other[j] - f * y) % p
+                        if z:
+                            other[j] = z
+                        else:
+                            del other[j]
+                            where[j].discard(k)
+                    else:
+                        other[j] = -f * y % p
+                        where[j].add(k)
+                if not other:
+                    del active[k]
+            self.pivots[c] = tail
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, vec) -> list[int]:
-        """Residual of vec against the echelon rows (linear in vec).
-
-        Each row is zero at the pivots added before it, so the residual is
-        zero at every pivot coordinate.
-        """
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """Residual of a sparse vector against the pivot rows, taken in pivot
+        order: linear in vec, congruent to it modulo the span, and zero at
+        every pivot column, as each row is zero at the pivots before it."""
         p = self.p
-        row = [x % p for x in vec]
-        for pivot, basis_row in self.rows.items():
-            c = row[pivot]
-            if c:
-                for k, y in basis_row.items():
-                    row[k] = (row[k] - c * y) % p
-        return row
+        out = {j: y for j, x in vec.items() if (y := x % p)}
+        for c, tail in self.pivots.items():
+            x = out.pop(c, 0)
+            if x:
+                for j, y in tail.items():
+                    z = (out.get(j, 0) - x * y) % p
+                    if z:
+                        out[j] = z
+                    else:
+                        del out[j]
+        return out
 
 
 @dataclass(frozen=True)
@@ -289,15 +326,16 @@ class ElementaryQuotient:
 
     ``basis`` lifts an F_p-basis of C to integer divisors.  Because the
     sublattice p*Div0 + Pr contains p*Div0, membership only depends on the
-    divisor mod p, so ``membership`` is the mod-p span of the Laplacian
-    columns in the difference coordinates w_i - w_0.  ``deck[k]`` holds the
-    coordinates of ``generator`` . basis[k] in the basis: the deck
-    generator's matrix N on C.
+    divisor mod p: v -> v - deg(v) e_0 maps F_p^N onto C with kernel the
+    span of the Laplacian columns and e_0, which ``membership`` holds, so a
+    degree-zero divisor lies in the sublattice exactly when its residual is
+    empty.  ``deck[k]`` holds the coordinates of ``generator`` . basis[k] in
+    the basis: the deck generator's matrix N on C.
     """
 
     cover: DerivedCover
     basis: tuple[tuple[int, ...], ...]
-    membership: _ModPSpan
+    membership: ModPEchelon
     generator: int
     deck: tuple[tuple[int, ...], ...]
 
@@ -315,25 +353,21 @@ def elementary_quotient(pm: PicardModule) -> ElementaryQuotient:
     p = pm.p
     lap = pm.laplacian
     n = len(lap)
-    # Columns of the Laplacian, its rows by symmetry, in difference
-    # coordinates span the image of the principal divisors inside Div0/p*Div0.
-    span = _ModPSpan(p, ([row.get(i, 0) for i in range(1, n)] for row in lap))
-    free = [j for j in range(n - 1) if j not in span.rows]
-    # basis[k] is the unit vector at free[k] in difference coordinates and a
-    # residual is zero at every pivot, so a residual's coordinates in the
-    # basis are its entries at the free coordinates.
+    # The Laplacian's columns, its rows by symmetry, and the unit row e_0.
+    span = ModPEchelon(p, [{0: 1}, *lap])
+    free = [v for v in range(n) if v not in span.pivots]
+    # The free unit vectors e_v, congruent to e_v - e_0, are a basis of C,
+    # and a residual is zero at every pivot, so a residual's coordinates in
+    # the basis are its entries at the free coordinates.
     g = pm.generator
     perm = pm.cover.deck_vertex_map(g)
     basis, deck = [], []
-    for j in free:
+    for v in free:
         eps = [0] * n
-        eps[0], eps[j + 1] = -1, 1
+        eps[0], eps[v] = -1, 1
         basis.append(tuple(eps))
-        image = [0] * n
-        image[perm[0]] -= 1
-        image[perm[j + 1]] += 1
-        residual = span.reduce(image[1:])
-        deck.append(tuple(residual[k] for k in free))
+        residual = span.reduce({perm[v]: 1, perm[0]: -1})
+        deck.append(tuple(residual.get(w, 0) for w in free))
     return ElementaryQuotient(
         cover=pm.cover, basis=tuple(basis), membership=span, generator=g, deck=tuple(deck)
     )

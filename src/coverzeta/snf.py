@@ -8,9 +8,10 @@ column), and every call verifies U*A*V = D and that the tracked inverses of
 U and V multiply to the identity.
 
 ``integer_determinant`` is a dense Bareiss determinant; it serves the small
-dense matrices (class-number circulants, character-evaluated Laplacians,
-the substitution route of eta(1)) and is the independent reference for the
-tree count kappa, which ``picard`` takes from sparse rows.
+dense matrices (the multiplication matrices of the class number's orbit
+norms, character-evaluated Laplacians, the substitution route of eta(1)) and
+is the independent reference for the tree count kappa, which ``picard``
+takes from sparse rows.
 
 ``cokernel_mod`` presents coker A for a square A, given as sparse rows
 {column: entry}, with kappa = |det A| > 0.  On those rows (Dumas, Saunders

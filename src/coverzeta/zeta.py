@@ -15,6 +15,10 @@ compared whenever an L-value is produced.  The special value itself is
 taken twice: by Berkowitz's algorithm over the group ring, and by Bareiss
 elimination over the integers after Kronecker substitution.
 
+Over Q the group ring splits as the product of the cyclotomic fields
+Q(zeta_d), d dividing p - 1, one for each rational orbit of characters (those
+of order d); ``orbit_norms`` reads an element's norm in each of them.
+
 The functions take the cover's equivariant Laplacian and special value as
 optional arguments, so a caller that holds them (``herbrand.CoverAnalysis``)
 builds the Laplacian and runs ``eta_at_one`` once per cover; each function
@@ -24,6 +28,7 @@ computes what it is not given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from .arith import VerificationError
@@ -239,3 +244,55 @@ def _int_poly_det(g: SerreGraph) -> list[int]:
     n = g.num_vertices
     adjacency = [[(g.adjacency_count(i, j),) for j in range(n)] for i in range(n)]
     return [c for (c,) in _ihara_determinant(1, adjacency, [g.valence(i) for i in range(n)])]
+
+
+@cache
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Coefficients of the cyclotomic polynomial Phi_d, constant term first:
+    x^d - 1 divided exactly by Phi_e for each proper divisor e of d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            den = cyclotomic(e)
+            k = len(den) - 1
+            quotient = [0] * (len(poly) - k)
+            for i in range(len(quotient) - 1, -1, -1):
+                c = quotient[i] = poly[i + k]
+                for j, y in enumerate(den):
+                    poly[i + j] -= c * y
+            poly = quotient
+    return tuple(poly)
+
+
+def orbit_norms(elem: GroupRingElement) -> dict[int, int]:
+    """Norm N_d of elem at the characters of order d, for each divisor d > 1
+    of the group order.
+
+    With f = sum of c_k x^k over the coefficients c_k of elem at g^k, a
+    character chi of order d sends elem to f(chi(g)), chi(g) a primitive
+    d-th root of unity, so the product of chi(elem) over those characters
+    is the resultant Res(Phi_d, f): the determinant of multiplication by f
+    on Z[x]/Phi_d, taken in the basis 1, x, ..., x^(phi(d) - 1).  f is
+    first folded modulo x^d - 1, which Phi_d divides.
+    """
+    m = elem.group.order
+    norms = {}
+    for d in range(2, m + 1):
+        if m % d:
+            continue
+        phi = cyclotomic(d)
+        k = len(phi) - 1
+        col = [0] * d
+        for i, c in enumerate(elem.coeffs):
+            col[i % d] += c
+        for i in range(d - 1, k - 1, -1):  # reduce modulo the monic Phi_d
+            c = col.pop()
+            for j, y in enumerate(phi[:-1], i - k):
+                col[j] -= c * y
+        cols = []
+        for _ in range(k):
+            cols.append(col)
+            c = col[-1]  # x * col, reduced by x^k = -(phi[0] + ... + phi[k-1] x^(k-1))
+            col = [-c * phi[0]] + [a - c * y for a, y in zip(col, phi[1:-1])]
+        norms[d] = integer_determinant(cols)
+    return norms

@@ -5,6 +5,7 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dense_tree_count, random_connected_base, random_connected_cover
 from coverzeta import (
@@ -25,7 +26,7 @@ from coverzeta import (
     sylow_p_module,
     trivial_character_check,
 )
-from coverzeta.picard import _reduced, _reduced_cokernel, _tree_count, layer_ranks
+from coverzeta.picard import ModPEchelon, _reduced, _reduced_cokernel, _tree_count, layer_ranks
 from coverzeta.serre import SerreGraph
 from coverzeta.arith import VerificationError, p_valuation
 from coverzeta.groupring import GroupRingElement, idempotent_mod
@@ -165,11 +166,11 @@ def test_elementary_quotient_dimensions(ex1_cover, ex2_cover, ex3_cover, ex4_cov
         assert q.dimension == p_divisible
 
 
-def residual(q, divisor) -> list[int]:
+def residual(q, divisor) -> dict[int, int]:
     """Residual mod p of a degree-zero divisor against the span of the
-    Laplacian columns, in the difference coordinates w_i - w_0."""
+    Laplacian columns and e_0."""
     assert sum(divisor) == 0
-    return q.membership.reduce(divisor[1:])
+    return q.membership.reduce(dict(enumerate(divisor)))
 
 
 def in_sublattice(q, divisor) -> bool:
@@ -227,6 +228,67 @@ def test_eigenspace_dim_rejects_lifted_characters(ex2_cover):
         eigenspace_dim_C(q, sylow, Character(CyclicGroup.for_prime(5), 1, 2))
 
 
+def dense_rank_mod(rows, p) -> int:
+    """Rank over F_p of dense integer rows, by Gauss-Jordan elimination in
+    column order."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def multigraph_laplacians(draw, max_vertices=8):
+    """Laplacian rows of a multigraph with loops and parallel edges, not
+    necessarily connected, and a prime."""
+    n = draw(st.integers(1, max_vertices))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair, max_size=3 * n))
+    pairs += [pairs[0]] * draw(st.integers(0, 2)) if pairs else []  # parallel edges
+    pairs += [(v, v) for v in draw(st.lists(st.integers(0, n - 1), max_size=2))]  # loops
+    rows = SerreGraph(n, pairs).laplacian_rows()
+    if draw(st.booleans()):
+        rows = [{0: 1}, *rows]  # the unit row elementary_quotient adds
+    return n, rows, draw(st.sampled_from([2, 3, 5, 7, 11]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraph_laplacians(), st.data())
+def test_mod_p_echelon_matches_dense_elimination(case, data):
+    n, rows, p = case
+    dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+    span = ModPEchelon(p, rows)
+    assert span.rank == dense_rank_mod(dense, p)
+    # The unit vectors at the free columns complete the span to F_p^n.
+    free = [j for j in range(n) if j not in span.pivots]
+    units = [[int(j == k) for j in range(n)] for k in free]
+    assert len(free) == n - span.rank
+    assert dense_rank_mod(dense + units, p) == n
+    vector = st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n)
+    v, w = data.draw(vector), data.draw(vector)
+    a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    rv, rw = span.reduce(dict(enumerate(v))), span.reduce(dict(enumerate(w)))
+    combined = span.reduce({j: a * x + b * y for j, (x, y) in enumerate(zip(v, w))})
+    # Linear, zero at every pivot, and congruent to the vector modulo the span.
+    for j in range(n):
+        assert combined.get(j, 0) == (a * rv.get(j, 0) + b * rw.get(j, 0)) % p
+    assert not set(rv) & set(span.pivots)
+    assert all(0 < x < p for x in rv.values())
+    difference = [x - rv.get(j, 0) for j, x in enumerate(v)]
+    assert dense_rank_mod(dense + [difference], p) == span.rank
+
+
 def act_divisor(cover, elem, divisor) -> list[int]:
     """Apply a group-ring element to a divisor through the deck action."""
     out = [0] * cover.total.num_vertices
@@ -245,10 +307,10 @@ def enumerated_fixed_points(cover, q, f_lift) -> int:
     for eps in q.basis:
         defect = [a - b for a, b in zip(act_divisor(cover, f_lift, eps), eps)]
         residuals.append(residual(q, defect))
-    support = [j for j in range(cover.total.num_vertices - 1) if any(r[j] for r in residuals)]
+    support = set().union(*residuals)
     count = 0
     for lam in product(range(p), repeat=q.dimension):
-        count += not any(sum(c * r[j] for c, r in zip(lam, residuals)) % p for j in support)
+        count += not any(sum(c * r.get(j, 0) for c, r in zip(lam, residuals)) % p for j in support)
     return count
 
 
@@ -594,3 +656,14 @@ def test_covers_past_the_dense_smith_form(p, n):
     report = build_report(derive(spec_from_dict(doc)))
     assert report.all_ok
     assert prod(report.pic0) == inputs.cover_trees(doc, integer_determinant)
+
+
+def test_quotient_of_a_wide_ladder_cover():
+    # p = 23 over a 24-vertex base, N = 528: a dense mod-p span took over a
+    # second here.  dim C, from the span, matches the Sylow rank, from the
+    # elimination modulo kappa.
+    doc = bench_inputs().random_cover(random.Random(1), 23, 24, 3)
+    report = build_report(derive(spec_from_dict(doc)))
+    assert report.total_vertices == 528
+    assert report.all_ok
+    assert report.dim_C == len(report.sylow_factors)

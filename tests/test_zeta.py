@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -23,7 +23,8 @@ from coverzeta import (
     picard_module,
 )
 from coverzeta.groupring import convolution, ring_determinant
-from coverzeta.zeta import _int_poly_det
+from coverzeta.snf import integer_determinant
+from coverzeta.zeta import _int_poly_det, cyclotomic, orbit_norms
 
 
 def brute_force_closed_reduced_paths(g, max_length):
@@ -319,3 +320,58 @@ def test_equivariant_laplacian_evaluates_to_base_laplacian(ex2_cover):
     evaluated = evaluate_matrix(g5, lap, Character(g5, 0, None))
     base_lap = ex2_cover.base.laplacian_matrix()
     assert [[x % 5 for x in row] for row in base_lap] == evaluated
+
+
+def orbit_norm_covers(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
+    """Examples 1-4 and random covers with p - 1 = 2q (p = 23, 47) and with
+    p - 1 highly composite (p = 31, 61)."""
+    rng = random.Random(15)
+    covers = [ex1_cover, ex2_cover, ex3_cover, ex4_cover]
+    return covers + [random_connected_cover(rng, p, 3, 4) for p in (23, 47, 31, 61) for _ in range(2)]
+
+
+def test_orbit_norms_multiply_to_the_circulant_determinant(
+    ex1_cover, ex2_cover, ex3_cover, ex4_cover
+):
+    # C + J, with C the circulant of eta(1) and J all ones, has the value
+    # chi(eta(1)) at each nontrivial chi and aug(eta(1)) + p - 1 = p - 1 at
+    # the trivial one, so det(C + J)/(p - 1) is the product of the
+    # nontrivial values, which the orbit norms group by character order.
+    for cover in orbit_norm_covers(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
+        eta1 = eta_at_one(cover)
+        c, m = eta1.coeffs, len(eta1.coeffs)
+        det = integer_determinant([[c[(i - j) % m] + 1 for j in range(m)] for i in range(m)])
+        norms = orbit_norms(eta1)
+        assert sorted(norms) == [d for d in range(2, m + 1) if m % d == 0]
+        assert det % m == 0 and prod(norms.values()) == det // m
+
+
+def test_each_orbit_norm_is_the_product_of_its_character_values(
+    ex1_cover, ex2_cover, ex3_cover, ex4_cover
+):
+    # Mod p^K, at the Teichmuller lifts of the characters of order d.
+    for cover in orbit_norm_covers(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
+        eta1 = eta_at_one(cover)
+        group, m, modulus = eta1.group, eta1.group.order, cover.p**3
+        for d, norm in orbit_norms(eta1).items():
+            value = 1
+            for i in range(m):
+                if m // gcd(i, m) == d:
+                    value = value * eta1.evaluate(Character(group, i, 3)).value % modulus
+            assert norm % modulus == value
+
+
+def test_cyclotomic_polynomials_factor_x_to_the_d_minus_one():
+    # x^d - 1 is the product of Phi_e over the divisors e of d.
+    for d in range(1, 61):
+        product = [1]
+        for e in range(1, d + 1):
+            if d % e == 0:
+                phi = cyclotomic(e)
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, a in enumerate(product):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                product = out
+        assert product == [-1] + [0] * (d - 1) + [1]
+    assert cyclotomic(12) == (1, 0, -1, 0, 1)
