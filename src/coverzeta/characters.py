@@ -61,10 +61,6 @@ class Character:
     def contragredient(self) -> "Character":
         return Character(self.group, -self.exponent % self.group.order, self.precision)
 
-    def lift(self, precision: int) -> "Character":
-        """Teichmuller lift of an F_p character (or re-precision of a lift)."""
-        return Character(self.group, self.exponent, precision)
-
 
 @lru_cache(maxsize=1024)
 def _table(p: int, h: int, exponent: int, precision: int | None) -> tuple[int, ...]:

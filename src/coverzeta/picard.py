@@ -2,11 +2,11 @@
 
 Pic0 of a connected graph is the cokernel of the reduced Laplacian L0 (last
 vertex deleted) in the basis e_v - e_last of the degree-zero divisors, read
-as sparse rows built once per graph.  Its determinant kappa, the number of
-spanning trees, comes from an elimination with diagonal pivots, as L0 is
-positive definite; kappa kills the cokernel, so its invariant factors and
-generators come from an elimination modulo kappa (``snf.cokernel_mod``), for
-base graphs and covers alike.  A deck transformation permutes vertices,
+as sparse rows built once per graph.  One elimination (``snf.cokernel``),
+for base graphs and covers alike, gives its determinant kappa, the number of
+spanning trees, which must be positive as L0 is positive definite, and,
+modulo kappa, which kills the cokernel, its invariant factors and
+generators.  A deck transformation permutes vertices,
 hence acts on degree-zero divisors; reading the image of each generator with
 the cokernel's coordinate forms expresses the action on Pic0.  Only the deck
 generator g is transported: the deck group is cyclic of order p - 1, prime
@@ -32,7 +32,7 @@ from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement
 from .serre import SerreGraph
-from .snf import Cokernel, cokernel_mod
+from .snf import Cokernel, cokernel
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -40,7 +40,7 @@ def spanning_tree_count(g: SerreGraph) -> int:
     """Number of spanning trees, as a principal minor of the Laplacian."""
     if not g.is_connected():
         raise ValueError("spanning trees are only counted for connected graphs")
-    return _tree_count(_reduced(g.laplacian_rows()))
+    return _pic0(_reduced(g.laplacian_rows()))[0]
 
 
 def _reduced(lap: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -49,46 +49,14 @@ def _reduced(lap: list[dict[int, int]]) -> list[dict[int, int]]:
     return [{j: x for j, x in row.items() if j != last} for row in lap[:-1]]
 
 
-def _tree_count(reduced: list[dict[int, int]]) -> int:
-    """Tree count kappa of a connected graph: det L0, from the sparse rows
-    of its reduced Laplacian, by Bareiss elimination with diagonal pivots.
-
-    Each step pivots at (r, r) of the shortest active row r (ties: the
-    lowest) and, as diagonal pivots keep L0's pattern symmetric, updates
-    only the rows that row r names.  The k-th pivot is a leading principal
-    minor in pivot order, so the last is det L0, and all are positive when
-    L0 is positive definite, as for a connected graph (Sylvester); the
-    first that is not raises.  Scaling is deferred as in
-    ``integer_determinant``: a row stored with divisor t stands for itself
-    times prev / t.
-    """
-    rows = {i: dict(row) for i, row in enumerate(reduced)}
-    div, prev = [1] * len(reduced), 1
-    while rows:
-        r = min(rows, key=lambda i: len(rows[i]))
-        top, s = rows.pop(r), div[r]
-        pivot = top.pop(r, 0) * prev // s
-        if pivot <= 0:
-            raise VerificationError(
-                "picard.tree_count", f"pivot {pivot} at row {r}: L0 is not positive definite"
-            )
-        tail = {j: y * prev // s for j, y in top.items()}
-        for i in top:
-            row, t = rows[i], div[i]
-            x = row.pop(r)
-            for j, z in tail.items():
-                row[j] = row.get(j, 0) * pivot - x * z
-            # Entries outside the tail are nonzero and only take the scaling.
-            rows[i] = {j: (y if j in tail else y * pivot) // t for j, y in row.items() if y}
-            div[i] = pivot
-        prev = pivot
-    return prev
-
-
-def _reduced_cokernel(lap: list[dict[int, int]]) -> Cokernel:
-    """Pic0 of a connected graph from its Laplacian rows, modulo the tree count."""
-    reduced = _reduced(lap)
-    return cokernel_mod(reduced, _tree_count(reduced))
+def _pic0(reduced: list[dict[int, int]]) -> tuple[int, Cokernel]:
+    """The tree count kappa = det L0 and Pic0 = coker L0 of a connected
+    graph, from the sparse rows of its reduced Laplacian L0, which is
+    positive definite (Sylvester), so det L0 > 0 is required."""
+    kappa, coker = cokernel(reduced)
+    if kappa <= 0:
+        raise VerificationError("picard.tree_count", f"det L0 = {kappa} is not positive")
+    return kappa, coker
 
 
 def picard_factors(g: SerreGraph) -> tuple[int, ...]:
@@ -97,7 +65,7 @@ def picard_factors(g: SerreGraph) -> tuple[int, ...]:
     if g._picard_factors is None:
         if not g.is_connected():
             raise ValueError("graph must be connected")
-        g._picard_factors = _reduced_cokernel(g.laplacian_rows()).factors
+        g._picard_factors = _pic0(_reduced(g.laplacian_rows()))[1].factors
     return g._picard_factors
 
 
@@ -116,7 +84,7 @@ class PicardModule:
         require_connected_cover(cover)
         self.cover = cover
         self.laplacian = cover.total.laplacian_rows()
-        coker = _reduced_cokernel(self.laplacian)
+        coker = _pic0(_reduced(self.laplacian))[1]
         self.factors = coker.factors
         last = len(self.laplacian) - 1
         self.full_diagonal = (1,) * (last - len(self.factors)) + self.factors + (0,)

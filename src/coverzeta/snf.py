@@ -1,24 +1,23 @@
-"""Smith normal forms over Z, and cokernels of nonsingular matrices modulo
-their determinant; all arithmetic is in Python integers.
+"""Smith normal forms over Z, determinants modulo M, and cokernels of
+nonsingular matrices; all arithmetic is in Python integers.
 
 ``smith_normal_form`` is the dense route with full transforms, for small
-matrices; in the package it only sorts ``cokernel_mod``'s summands.  Pivots
+matrices; in the package it only sorts ``cokernel``'s summands.  Pivots
 are the nonzero entries of least absolute value (ties: lowest row, then
 column), and every call verifies U*A*V = D and that the tracked inverses of
 U and V multiply to the identity.
 
-``integer_determinant`` is a dense Bareiss determinant; it serves the small
-dense matrices (the multiplication matrices of the class number's orbit
-norms, character-evaluated Laplacians, the substitution route of eta(1)) and
-is the independent reference for the tree count kappa, which ``picard``
-takes from sparse rows.
+``integer_determinant`` is a dense Bareiss determinant.  ``det_mod`` takes
+a determinant modulo M by one dense elimination modulo M (``_eliminate``)
+on units and, where none is left, after Bezout steps of determinant 1
+(Cohen, GTM 138, 2.4).
 
-``cokernel_mod`` presents coker A for a square A, given as sparse rows
-{column: entry}, with kappa = |det A| > 0.  On those rows (Dumas, Saunders
-and Villard) it pivots on entries +-1 over Z, then on the small core left
-modulo kappa, which kills coker A (the modulus method of Domich, Kannan and
-Trotter); it replays the rows of U it needs from its row operations and
-certifies the result without transforms.
+``cokernel`` gives det A and coker A for a square A given as sparse rows
+{column: entry} (Dumas, Saunders and Villard): pivots +-1 over Z leave a
+dense core whose Bareiss determinant gives det A, and ``_eliminate``
+reduces the core modulo kappa = |det A|, which kills coker A (Domich,
+Kannan and Trotter).  The rows of U it needs are replayed from its row
+operations, and the result is certified without transforms.
 """
 
 from __future__ import annotations
@@ -292,19 +291,25 @@ class Cokernel:
     generators: tuple[tuple[int, ...], ...]
 
 
-def cokernel_mod(a: list[dict[int, int]], kappa: int) -> Cokernel:
-    """Cokernel of a square integer matrix with |det a| = kappa > 0, given
-    as sparse rows {column: entry} with columns in range(len(a)).
+def cokernel(a: list[dict[int, int]]) -> tuple[int, Cokernel | None]:
+    """det a and coker a (None when det a = 0) for a square integer matrix
+    given as sparse rows {column: entry} with columns in range(len(a)).
 
-    Each pivot x of the elimination mod kappa contributes a summand
-    Z/gcd(x, kappa), each row left zero a summand Z/kappa.  The dense Smith
-    form of the small diagonal of summands above 1 sorts them into
-    invariant factors, and its transforms give the rows of U and columns of
-    U^-1 to replay.
+    Each pivot x of the core's elimination modulo kappa = |det a| gives a
+    summand Z/gcd(x, kappa), each row left zero Z/kappa.  The dense Smith
+    form of the diagonal of summands above 1 sorts them into invariant
+    factors, and its transforms give the rows of U and columns of U^-1 to
+    replay.
     """
     n = len(a)
-    summands, ops = _eliminate_mod(a, kappa)
-    torsion = [(r, g) for r, g in summands if g > 1]
+    unit, ids, core, ops = _unit_pivots(a)
+    det = unit * integer_determinant(core)
+    if not det:
+        return 0, None
+    kappa = abs(det)
+    summands = dict.fromkeys(ids, kappa)
+    summands.update((r, gcd(x, kappa)) for r, x in _eliminate(core, kappa, ids, ops)[1])
+    torsion = [(r, g) for r, g in summands.items() if g > 1]
     dec = smith_normal_form([[g * (r == s) for s, _ in torsion] for r, g in torsion])
     keep = [i for i, d in enumerate(dec.diagonal) if d > 1]
     forms, gens = [[0] * n for _ in keep], [[0] * n for _ in keep]
@@ -319,107 +324,140 @@ def cokernel_mod(a: list[dict[int, int]], kappa: int) -> Cokernel:
         tuple(map(tuple, gens)),
     )
     _certify(a, kappa, coker)
-    return coker
+    return det, coker
 
 
-def _eliminate_mod(a: list[dict[int, int]], kappa: int):
-    """Diagonalize a, given as sparse rows, modulo kappa by sparse row and
-    column operations.
+def _unit_pivots(a: list[dict[int, int]]):
+    """Phase 1 of ``cokernel``: pivots over Z on entries +-1, which are
+    unimodular, so the core left has the cokernel of a.
 
-    Returns ``(summands, ops)``: ``summands`` lists (row, gcd(pivot, kappa))
-    per pivot and (row, kappa) per row left zero; ``ops`` records the row
-    operations in order, ``(i, r, m)`` for row_i -= m row_r and
-    ``(r, i, s, t, u, v)`` for (row_r, row_i) <- (s row_r + t row_i,
-    u row_r + v row_i).  Column operations go unrecorded: the cokernel's
-    forms and generators only need U.
-
-    Phase 1 pivots over Z on entries +-1, which are unimodular: the
-    shortest live row of a heap keyed by length pivots at its +-1 column
-    with the fewest active rows (ties: the lowest), or, holding none, leaves
-    the heap until an update pushes it back.  The core left has the same
-    cokernel; its entries are minors of a.  Phase 2 reduces it modulo kappa
-    and pivots on an entry x of least gcd g with kappa, ties broken by the
-    Markowitz count (row length - 1)(column length - 1); while g does not
-    divide some entry y of its row or column, a Bezout step on the two rows
-    or columns replaces x by gcd(x, y), which strictly lowers g.  Each
-    phase clears the pivot column by row steps and its row by column steps.
+    The shortest live row of a heap keyed by length pivots at its +-1 column
+    with the fewest active rows (ties: the lowest) and clears that column by
+    row steps, ``(i, r, m)`` in ``ops`` for row_i -= m row_r; a row holding
+    no +-1 leaves the heap until an update pushes it back.  The rows ``ids``
+    left, on the columns left, both in order, form the dense ``core``, and
+    det a = unit * det(core): unit is the product of the pivots times the
+    sign of the permutation matching each row with its pivot column, and
+    the core's rows with its columns in order.
     """
     rows = [{j: x for j, x in row.items() if x} for row in a]
     cols: list[set[int]] = [set() for _ in a]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    active, ops, summands = set(range(len(a))), [], []
-
-    def put(i, j, x):
-        if x:
-            rows[i][j] = x
-            cols[j].add(i)
-        else:
-            rows[i].pop(j, None)
-            cols[j].discard(i)
-
-    def retire(r, g):
-        for j in rows[r]:
-            cols[j].discard(r)
-        active.discard(r)
-        summands.append((r, g))
-
+    match, unit, ops = {}, 1, []  # match: row -> column
     heap = sorted((len(row), i) for i, row in enumerate(rows))  # sorted, so a heap
-    while heap:  # phase 1
+    while heap:
         size, r = heappop(heap)
-        live = r in active and size == len(rows[r])  # not pivoted, nor pushed again since
-        units = [j for j, x in rows[r].items() if x in (1, -1)] if live else ()
+        top = rows[r]
+        live = r not in match and size == len(top)  # not pivoted, nor pushed again since
+        units = [j for j, x in top.items() if x in (1, -1)] if live else ()
         if units:
             c = min(units, key=lambda j: (len(cols[j]), j))
             for i in cols[c] - {r}:
-                m = rows[i][c] * rows[r][c]  # the pivot +-1 is its own inverse
-                for j, y in rows[r].items():
-                    put(i, j, rows[i].get(j, 0) - m * y)
+                row = rows[i]
+                m = row[c] * top[c]  # the pivot +-1 is its own inverse
+                for j, y in top.items():
+                    if x := row.get(j, 0) - m * y:
+                        row[j] = x
+                        cols[j].add(i)
+                    else:  # only an entry present cancels, as m y != 0
+                        del row[j]
+                        cols[j].discard(i)
                 ops.append((i, r, m))
-                heappush(heap, (len(rows[i]), i))
-            retire(r, 1)
-    for i in active:  # phase 2
-        for j, x in list(rows[i].items()):
-            put(i, j, x % kappa)
-    while any(rows[i] for i in active):
-        best = (kappa, 0, 0, 0)
-        for i in active:
-            for j, x in rows[i].items():
-                cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-                if best[0] > 1 or cost < best[1]:  # no gcd is below 1
-                    best = min(best, (gcd(x, kappa), cost, i, j))
-        _, _, r, c = best
-        while True:
-            x = rows[r][c]
-            g = gcd(x, kappa)
-            bad = [(i, c) for i in cols[c] if rows[i][c] % g] or [
-                (r, j) for j, y in rows[r].items() if y % g
-            ]
-            if not bad:
+                heappush(heap, (len(row), i))
+            for j in top:
+                cols[j].discard(r)
+            unit *= top[c]
+            match[r] = c
+    ids = [i for i in range(len(a)) if i not in match]
+    free = sorted(set(range(len(a))) - set(match.values()))
+    match.update(zip(ids, free))
+    for i in range(len(a)):  # a cycle of length L flips unit L + 1 times, its sign
+        if i in match:
+            unit = -unit
+            while i in match:
+                i, unit = match.pop(i), -unit
+    return unit, ids, [[rows[i].get(j, 0) for j in free] for i in ids], ops
+
+
+def det_mod(rows, modulus: int) -> int:
+    """Determinant of a square integer matrix modulo ``modulus`` >= 1, in
+    range(modulus), by ``_eliminate``."""
+    mat = [list(row) for row in rows]
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
+    det, pivots = _eliminate(mat, modulus, range(n), [])
+    for _, x in pivots:
+        det = det * x % modulus
+    return det % modulus if len(pivots) == n else 0
+
+
+def _eliminate(mat: Matrix, modulus: int, ids, ops: list):
+    """Eliminate a square integer matrix modulo ``modulus``, consuming ``mat``,
+    whose row k has id ``ids[k]``.
+
+    Each step pivots on the first entry x, in row order, that is a unit.
+    With none left it takes an entry x of least gcd g with the modulus and,
+    while g does not divide some y in x's column or row, a Bezout step of
+    determinant 1 on the two rows or columns replaces x by gcd(x, y), which
+    strictly lowers g.  Row steps clear x's column; x's row goes with it, as
+    g divides the row, and det = +-x det(rest).  Rows are reduced as the
+    search reads them; a cleared row takes m times the reduced pivot row, so
+    its entries grow by less than modulus^2 a step.
+
+    Row steps are appended to ``ops`` as ``_replay`` reads them.
+    Returns ``(sign, pivots)``, pivots listing (id, x) in order: the rows not
+    listed are left zero, and if none is, det = sign * prod(x) mod modulus.
+    """
+    ids = list(ids)
+    sign, pivots = 1, []
+    while mat:
+        g, k = modulus, None
+        for i, row in enumerate(mat):
+            row[:] = [x % modulus for x in row]
+            for j, x in enumerate(row):
+                if x and (h := gcd(x, modulus)) < g:
+                    g, k, c = h, i, j
+                    if g == 1:
+                        break
+            if g == 1 and k is not None:
                 break
-            i, j = bad[0]
-            y = rows[i][j]
-            h, s, t = _xgcd(x, y)
-            u, v = -(y // h), x // h
-            if j == c:
-                pairs = [((r, k), (i, k)) for k in rows[r].keys() | rows[i].keys()]
-                ops.append((r, i, s, t, u, v))
-            else:
-                pairs = [((k, c), (k, j)) for k in cols[c] | cols[j]]
-            for (i1, j1), (i2, j2) in pairs:
-                p, q = rows[i1].get(j1, 0), rows[i2].get(j2, 0)
-                put(i1, j1, (s * p + t * q) % kappa)
-                put(i2, j2, (u * p + v * q) % kappa)
-        modulus = kappa // g
-        inverse = pow(x // g, -1, modulus)
-        for i in cols[c] - {r}:
-            m = rows[i][c] // g * inverse % modulus
-            for j, y in rows[r].items():
-                put(i, j, (rows[i].get(j, 0) - m * y) % kappa)
-            ops.append((i, r, m))
-        retire(r, g)
-    return summands + [(r, kappa) for r in sorted(active)], ops
+        else:  # every row is reduced and holds no unit
+            if k is None:  # every entry is 0
+                break
+            while bad := [(i, c) for i, row in enumerate(mat) if row[c] % g] or [
+                (k, j) for j, y in enumerate(mat[k]) if y % g
+            ]:
+                (i, j), x = bad[0], mat[k][c]
+                y = mat[i][j]
+                h, s, t = _xgcd(x, y)
+                u, v = -(y // h), x // h
+                if j == c:
+                    p, q = mat[k], mat[i]
+                    mat[k] = [(s * a + t * b) % modulus for a, b in zip(p, q)]
+                    mat[i] = [(u * a + v * b) % modulus for a, b in zip(p, q)]
+                    ops.append((ids[k], ids[i], s, t, u, v))
+                else:
+                    for row in mat:
+                        a, b = row[c], row[j]
+                        row[c], row[j] = (s * a + t * b) % modulus, (u * a + v * b) % modulus
+                g = gcd(mat[k][c], modulus)
+        top, r = mat.pop(k), ids.pop(k)
+        x = top.pop(c)
+        reduced = modulus // g
+        inverse = pow(x // g, -1, reduced)
+        for i, row in enumerate(mat):
+            y = row.pop(c) % modulus
+            if y:
+                m = y // g * inverse % reduced
+                mat[i] = [a - m * b for a, b in zip(row, top)]
+                ops.append((ids[i], r, m))
+        if (k + c) % 2:
+            sign = -sign
+        pivots.append((r, x))
+    return sign, pivots
 
 
 def _replay(ops, f: list[int], w: list[int], kappa: int) -> None:

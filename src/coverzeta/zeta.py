@@ -11,9 +11,10 @@ valences on the diagonal.
 Everything is exact.  Two computation routes exist by construction --
 evaluate the character after taking the group-ring determinant, or evaluate
 entrywise first and take an ordinary determinant -- and both are run and
-compared whenever an L-value is produced.  The special value itself is
-taken twice: by Berkowitz's algorithm over the group ring, and by Bareiss
-elimination over the integers after Kronecker substitution.
+compared whenever an L-value is produced, the ordinary determinant by
+elimination modulo the character's modulus p or p^K.  The special value
+itself is taken twice: by Berkowitz's algorithm over the group ring, and by
+elimination modulo B^(p-1) - 1 after Kronecker substitution (``snf.det_mod``).
 
 Over Q the group ring splits as the product of the cyclotomic fields
 Q(zeta_d), d dividing p - 1, one for each rational orbit of characters (those
@@ -30,13 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import prod
+from operator import mul
 
 from .arith import VerificationError
 from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement, convolution, ring_determinant
 from .padic import PAdicInt
 from .serre import SerreGraph
-from .snf import integer_determinant
+from .snf import det_mod, integer_determinant
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -135,8 +137,8 @@ def eta_at_one(cover: DerivedCover, lap=None) -> GroupRingElement:
 
     At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  Its
     determinant is taken by Berkowitz over the group ring and again by
-    Bareiss over the integers after Kronecker substitution; the results must
-    agree exactly.  ``lap`` is the cover's equivariant Laplacian, built here
+    elimination modulo B^(p-1) - 1 after Kronecker substitution; the results
+    must agree exactly.  ``lap`` is the cover's equivariant Laplacian, built here
     when omitted.
     """
     require_connected_cover(cover)
@@ -160,17 +162,15 @@ def _substitution_determinant(mat, group: CyclicGroup) -> GroupRingElement:
     row, so the absolute values of the determinant's coefficients c_k sum to
     at most beta, the product of the rows' l1 norms.  With B = 2 beta + 1 the
     integer sum of c_k B^k lies strictly between -M/2 and M/2, M = B^(p-1) - 1,
-    so it is the symmetric residue of the Bareiss determinant of the
-    substituted matrix, and its balanced base-B digits are the c_k.
+    so it is the symmetric residue of the substituted matrix's determinant
+    modulo M, and its balanced base-B digits are the c_k.
     """
     m = group.order
     beta = max(prod(sum(sum(map(abs, x)) for x in row) for row in mat), 1)
     base = 2 * beta + 1
     modulus = base**m - 1
     powers = [base**k for k in range(m)]
-    det = integer_determinant(
-        [[sum(c * b for c, b in zip(x, powers)) for x in row] for row in mat]
-    ) % modulus
+    det = det_mod([[sum(map(mul, x, powers)) for x in row] for row in mat], modulus)
     if det > modulus // 2:
         det -= modulus
     coeffs = []
@@ -181,12 +181,6 @@ def _substitution_determinant(mat, group: CyclicGroup) -> GroupRingElement:
         coeffs.append(digit)
         det = (det - digit) // base
     return GroupRingElement(group, tuple(coeffs))
-
-
-def _square_det(rows, chi: Character):
-    """Determinant of an entrywise-evaluated matrix, in the chi codomain."""
-    det = integer_determinant(rows) % chi.modulus
-    return det if chi.precision is None else PAdicInt(chi.group.p, chi.precision, det)
 
 
 def l_value(
@@ -206,9 +200,11 @@ def l_value(
     if eta1 is None:
         eta1 = eta_at_one(cover, lap)
     table, modulus = chi.table(eta1.group), chi.modulus
-    evaluated = [[sum(c * v for c, v in zip(x, table)) % modulus for x in row] for row in lap]
+    evaluated = [[sum(map(mul, x, table)) for x in row] for row in lap]
     by_eta = eta1.evaluate(chi)
-    by_det = _square_det(evaluated, chi)
+    by_det = det_mod(evaluated, modulus)
+    if chi.precision is not None:
+        by_det = PAdicInt(chi.group.p, chi.precision, by_det)
     if by_eta != by_det:
         raise VerificationError(
             "zeta.l_routes",
@@ -223,20 +219,16 @@ def duality_check(
 ) -> bool:
     """L-values at a character and its contragredient always coincide.
 
-    ``eta1`` is the cover's special value, computed here when omitted.
+    chi*(x) = chi(x*), x* the image of x under g -> g^(-1), and the table of
+    the characters modulo p^precision is invertible (a Vandermonde matrix of
+    roots of unity distinct mod p), so every pair agrees there, and mod p,
+    exactly when eta(1) = eta(1)* modulo p^precision.  ``eta1`` is the
+    cover's special value, computed here when omitted.
     """
     if eta1 is None:
         eta1 = eta_at_one(cover)
-    group = CyclicGroup.for_prime(cover.p)
-    for i in range(group.order):
-        chi = Character(group, i, None)
-        star = chi.contragredient()
-        if eta1.evaluate(chi) != eta1.evaluate(star):
-            return False
-        lift = chi.lift(precision)
-        if eta1.evaluate(lift) != eta1.evaluate(star.lift(precision)):
-            return False
-    return True
+    modulus = cover.p**precision
+    return all((a - b) % modulus == 0 for a, b in zip(eta1.coeffs, eta1.involution().coeffs))
 
 
 def _int_poly_det(g: SerreGraph) -> list[int]:

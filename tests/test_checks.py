@@ -127,8 +127,10 @@ def corrupted(pm):
 """
 
 # Zeroes the first diagonal entry of every Laplacian read as sparse rows.  The
-# cover's is read first, and its reduced Laplacian is then not positive
-# definite, so some pivot of the tree count's elimination is not positive.
+# cover's is read first, and its reduced Laplacian L0 then loses d_0 e_0 e_0^T:
+# a rank-one drop leaves at most one eigenvalue below 0, and the zero
+# diagonal entry beside a nonzero one forces one, so det L0 < 0 (or det L0 = 0
+# when vertex 0 only meets the deleted vertex).
 TREE_COUNT_SABOTAGE = """
 from coverzeta.serre import SerreGraph as module
 
@@ -140,6 +142,35 @@ def corrupted(graph):
     del rows[0][0]
     return rows
 """
+
+# Each corrupts what phase 1 of the Pic0 elimination (``snf._unit_pivots``)
+# hands on, for the base graph and the cover alike.  Doubling the first row of
+# the dense core doubles det L0, so the cokernel taken modulo it is larger
+# than coker L0 and no coordinate forms of it kill L0; negating the sign of
+# the pivot permutation makes det L0 negative.
+CORE_SABOTAGES = {
+    "snf.cokernel_relations": """
+import coverzeta.snf as module
+
+name = "_unit_pivots"
+real = module._unit_pivots
+
+def corrupted(a):
+    unit, ids, core, ops = real(a)
+    core[:1] = [[2 * x for x in row] for row in core[:1]]
+    return unit, ids, core, ops
+""",
+    "picard.tree_count": """
+import coverzeta.snf as module
+
+name = "_unit_pivots"
+real = module._unit_pivots
+
+def corrupted(a):
+    unit, ids, core, ops = real(a)
+    return -unit, ids, core, ops
+""",
+}
 
 
 def test_package_has_no_assert_statements():
@@ -292,3 +323,9 @@ def test_tree_count_check_exits_4(monkeypatch, capsys):
     _assert_sabotage_exits_4(
         TREE_COUNT_SABOTAGE, "example1", "picard.tree_count", monkeypatch, capsys
     )
+
+
+@pytest.mark.parametrize("check", sorted(CORE_SABOTAGES))
+def test_phase_1_faults_exit_4(check, monkeypatch, capsys):
+    # example2's base graph and cover both leave a core after phase 1.
+    _assert_sabotage_exits_4(CORE_SABOTAGES[check], "example2", check, monkeypatch, capsys)

@@ -252,17 +252,18 @@ def test_census_budgeted_runs_advance(tmp_path):
 
 def test_census_computes_the_base_picard_group_once(tmp_path, monkeypatch):
     # The covers of a census share one base graph, which keeps its Pic0: one
-    # base tree count per run, however many of its covers are connected.
+    # base cokernel, with its tree count, per run, however many of its
+    # covers are connected.
     import coverzeta.picard as picard
 
     sizes = []
-    real = picard._tree_count
+    real = picard.cokernel
 
-    def tree_count(reduced):
+    def cokernel(reduced):
         sizes.append(len(reduced) + 1)
         return real(reduced)
 
-    monkeypatch.setattr(picard, "_tree_count", tree_count)
+    monkeypatch.setattr(picard, "cokernel", cokernel)
     out = tmp_path / "census.ndjson"
     for runs in (1, 2):
         base = bundled_spec("example2").base

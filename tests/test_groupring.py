@@ -163,7 +163,7 @@ def test_det_functoriality_across_primes_and_sizes(p, size):
         for i in range(p - 1):
             chi = Character(group, i, None)
             assert det.evaluate(chi) == integer_determinant(_evaluate(rows, chi)) % p
-            lifted = chi.lift(2)
+            lifted = Character(group, i, 2)
             direct = integer_determinant(
                 [[x.value for x in row] for row in _evaluate(rows, lifted)]
             ) % p**2

@@ -174,7 +174,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     }
     calls = dict.fromkeys(targets, 0)
     l_keys = []
-    tree_counts = []
+    cokernels = []
     searched = []
     total_laplacians = []
     base_laplacians = []
@@ -196,11 +196,11 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         l_keys.append((chi.exponent, chi.precision))
         return real_l_value(cover, chi, *args, **kwargs)
 
-    real_tree_count = picard._tree_count
+    real_cokernel = picard.cokernel
 
-    def tree_count(reduced):
-        tree_counts.append(len(reduced) + 1)
-        return real_tree_count(reduced)
+    def cokernel(reduced):
+        cokernels.append(len(reduced) + 1)
+        return real_cokernel(reduced)
 
     real_search = SerreGraph._reaches_every_vertex
     real_laplacian = SerreGraph.laplacian_rows
@@ -223,7 +223,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         return real_deck_map(cover, tau)
 
     monkeypatch.setattr(hb, "l_value", l_value)
-    monkeypatch.setattr(picard, "_tree_count", tree_count)
+    monkeypatch.setattr(picard, "cokernel", cokernel)
     monkeypatch.setattr(DerivedCover, "_build_deck_map", build_deck_map)
     monkeypatch.setattr(SerreGraph, "_reaches_every_vertex", search)
     monkeypatch.setattr(SerreGraph, "laplacian_rows", laplacian_rows)
@@ -239,8 +239,8 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     }
     assert len(l_keys) == len(set(l_keys))
     assert not [key for key in l_keys if key[1] is None]
-    # One tree-count determinant per graph: the cover's and the base's.
-    assert sorted(tree_counts) == [cover.base.num_vertices, cover.total.num_vertices]
+    # One cokernel, with its tree count, per graph: the cover's and the base's.
+    assert sorted(cokernels) == [cover.base.num_vertices, cover.total.num_vertices]
     assert searched == [id(cover.total)]  # the base was searched by derive
     # One sparse Laplacian per graph, shared by its tree count and its Pic0.
     assert len(total_laplacians) == 1

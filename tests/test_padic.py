@@ -111,7 +111,7 @@ def test_character_reduction_compatibility():
         group = CyclicGroup.for_prime(p)
         for i in range(p - 1):
             fp = Character(group, i, None)
-            zp = fp.lift(4)
+            zp = Character(group, i, 4)
             for sigma in range(1, p):
                 assert zp.value(sigma).value % p == fp.value(sigma)
 

@@ -26,7 +26,7 @@ from coverzeta import (
     sylow_p_module,
     trivial_character_check,
 )
-from coverzeta.picard import ModPEchelon, _reduced, _reduced_cokernel, _tree_count, layer_ranks
+from coverzeta.picard import ModPEchelon, _pic0, _reduced, layer_ranks
 from coverzeta.serre import SerreGraph
 from coverzeta.arith import VerificationError, p_valuation
 from coverzeta.groupring import GroupRingElement, idempotent_mod
@@ -87,8 +87,8 @@ def test_spanning_tree_count_rejects_disconnected():
 @pytest.mark.parametrize(
     "rows",
     [
-        [{0: 1, 1: 2}, {0: 2, 1: 1}],  # symmetric, det -3: the second pivot is negative
-        [{0: 2, 1: -1, 2: -1}, {0: -1, 1: 2, 2: -3}, {0: -1, 1: -3, 2: 2}],
+        [{0: 1, 1: 2}, {0: 2, 1: 1}],  # symmetric, det -3
+        [{0: 2, 1: -1, 2: -1}, {0: -1, 1: 2, 2: -3}, {0: -1, 1: -3, 2: 2}],  # det -20
         _reduced(SerreGraph(3, [(1, 2), (1, 1)]).laplacian_rows()),  # vertex 0 isolated
         _reduced(SerreGraph(4, [(0, 1), (2, 3), (0, 1)]).laplacian_rows()),  # two components
     ],
@@ -96,7 +96,7 @@ def test_spanning_tree_count_rejects_disconnected():
 )
 def test_tree_count_refuses_a_matrix_that_is_not_positive_definite(rows):
     with pytest.raises(VerificationError) as exc:
-        _tree_count(rows)
+        _pic0(rows)
     assert exc.value.check == "picard.tree_count"
 
 
@@ -508,7 +508,7 @@ def test_generator_powers_match_dense_transport(route_pairs):
     checked = 0
     for cover, pm, ref in route_pairs:
         p, r = cover.p, pm.rank()
-        gens = [list(w) + [-sum(w)] for w in _reduced_cokernel(pm.laplacian).generators]
+        gens = [list(w) + [-sum(w)] for w in _pic0(_reduced(pm.laplacian))[1].generators]
         coords = [ref.coordinates(w) for w in gens]
         power = [[int(i == j) for j in range(r)] for i in range(r)]
         for k in range(p - 1):
@@ -572,7 +572,7 @@ def smith_index_order(m, chi):
     if m.rank() == 0:
         return 1
     p, r, modulus = m.p, m.rank(), m.p**m.exponent
-    lifted = chi.lift(m.exponent)
+    lifted = Character(chi.group, chi.exponent, m.exponent)
     # powers[k] is the matrix of g^k, the inverse of sigma = g^-k.
     powers = [[[int(i == j) for j in range(r)] for i in range(r)]]
     while len(powers) < p - 1:

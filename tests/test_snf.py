@@ -4,10 +4,10 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coverzeta import cycle_graph, integer_determinant, smith_normal_form, snf
-from coverzeta.picard import _reduced, _tree_count
+from coverzeta import VerificationError, cycle_graph, integer_determinant, smith_normal_form, snf
+from coverzeta.picard import _reduced
 from coverzeta.serre import SerreGraph
-from coverzeta.snf import _eliminate_mod, cokernel_mod
+from coverzeta.snf import _eliminate, _unit_pivots, cokernel, det_mod
 
 
 @st.composite
@@ -137,8 +137,9 @@ def smooth_nonsingular(draw, max_dim=5):
 @settings(max_examples=150, deadline=None)
 @given(smooth_nonsingular())
 def test_cokernel_mod_matches_dense_smith_form(a):
-    kappa = abs(integer_determinant(a))
-    assert cokernel_mod(rows(a), kappa).factors == dense_factors(a)
+    det, coker = cokernel(rows(a))
+    assert det == integer_determinant(a)
+    assert coker.factors == dense_factors(a)
 
 
 @st.composite
@@ -150,25 +151,28 @@ def square_matrices(draw, max_dim=5, bound=12):
 @settings(max_examples=150, deadline=None)
 @given(square_matrices())
 def test_cokernel_mod_matches_dense_smith_form_on_random_matrices(a):
-    kappa = abs(integer_determinant(a))
-    assume(kappa != 0)
-    coker = cokernel_mod(rows(a), kappa)
+    det, coker = cokernel(rows(a))
+    assert det == integer_determinant(a)  # negative values included
+    if det == 0:
+        assert coker is None
+        return
     assert coker.factors == dense_factors(a)
     assert len(coker.forms) == len(coker.generators) == len(coker.factors)
 
 
 def test_cokernel_mod_of_a_unimodular_matrix_is_trivial():
-    assert cokernel_mod(rows([[2, 1], [1, 1]]), 1).factors == ()
-    assert cokernel_mod([], 1).factors == ()
+    for a, det in (([[2, 1], [1, 1]], 1), ([[2, 3], [3, 5]], 1), ([[3, 5], [2, 3]], -1), ([], 1)):
+        assert cokernel(rows(a)) == (det, snf.Cokernel((), (), ()))
 
 
 def test_cokernel_mod_bezout_steps():
     # kappa = 6 and the pivot 2 does not divide the 3 below it (a recorded
     # Bezout row step) or beside it (an unrecorded Bezout column step).
-    _, ops = _eliminate_mod(rows([[2, 0], [3, 3]]), 6)
+    ops = []
+    _eliminate([[2, 0], [3, 3]], 6, range(2), ops)
     assert any(len(op) == 6 for op in ops)
     for a in ([[2, 0], [3, 3]], [[2, 3], [0, 3]]):
-        assert cokernel_mod(rows(a), 6).factors == (6,)
+        assert cokernel(rows(a))[1].factors == (6,)
 
 
 @st.composite
@@ -186,13 +190,50 @@ def connected_multigraphs(draw, max_vertices=8):
 @settings(max_examples=200, deadline=None)
 @given(connected_multigraphs())
 def test_cokernel_mod_of_reduced_laplacians(g):
-    # The library's sparse L0 against the dense reduced Laplacian.
+    # The library's sparse L0 against the dense reduced Laplacian, and its
+    # determinant against the tree count by diagonal pivots.
     a = [row[:-1] for row in g.laplacian_matrix()[:-1]]
     reduced = _reduced(g.laplacian_rows())
     kappa = integer_determinant(a)
     assert kappa > 0
-    assert _tree_count(reduced) == kappa
-    assert cokernel_mod(reduced, kappa).factors == dense_factors(a)
+    assert tree_count(reduced) == kappa
+    det, coker = cokernel(reduced)
+    assert det == kappa
+    assert coker.factors == dense_factors(a)
+
+
+def tree_count(reduced):
+    """Reference tree count kappa = det L0 of a connected graph, from the
+    sparse rows of its reduced Laplacian, by Bareiss elimination with
+    diagonal pivots.
+
+    Each step pivots at (r, r) of the shortest active row r (ties: the
+    lowest) and, as diagonal pivots keep L0's pattern symmetric, updates
+    only the rows that row r names.  The k-th pivot is a leading principal
+    minor in pivot order, so the last is det L0, and all are positive when
+    L0 is positive definite, as for a connected graph (Sylvester); the
+    first that is not raises.  A row stored with divisor t stands for
+    itself times prev / t.
+    """
+    rows = {i: dict(row) for i, row in enumerate(reduced)}
+    div, prev = [1] * len(reduced), 1
+    while rows:
+        r = min(rows, key=lambda i: len(rows[i]))
+        top, s = rows.pop(r), div[r]
+        pivot = top.pop(r, 0) * prev // s
+        if pivot <= 0:
+            raise VerificationError("picard.tree_count", f"pivot {pivot} at row {r}")
+        tail = {j: y * prev // s for j, y in top.items()}
+        for i in top:
+            row, t = rows[i], div[i]
+            x = row.pop(r)
+            for j, z in tail.items():
+                row[j] = row.get(j, 0) * pivot - x * z
+            # Entries outside the tail are nonzero and only take the scaling.
+            rows[i] = {j: (y if j in tail else y * pivot) // t for j, y in row.items() if y}
+            div[i] = pivot
+        prev = pivot
+    return prev
 
 
 def counting(calls, real):
@@ -207,7 +248,7 @@ def counting(calls, real):
 
 def reduced_gcd(kappa):
     """math.gcd, refusing any first argument not reduced modulo kappa: phase
-    2 takes gcd(x, kappa) of every core entry x it searches."""
+    2 takes gcd(x, kappa) of the core entries x it searches."""
 
     def checked(x, y):
         assert y == kappa and 0 < x < kappa, f"gcd({x}, {y})"
@@ -231,26 +272,28 @@ def unit_seeded(draw, max_dim=7, bound=30):
 @settings(max_examples=200, deadline=None)
 @given(unit_seeded())
 def test_cokernel_mod_of_unit_seeded_matrices(a):
-    kappa = abs(integer_determinant(a))
-    assume(kappa != 0)
+    det = integer_determinant(a)
+    assume(det != 0)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(snf, "gcd", reduced_gcd(kappa))
-        assert cokernel_mod(rows(a), kappa).factors == dense_factors(a)
+        m.setattr(snf, "gcd", reduced_gcd(abs(det)))
+        got, coker = cokernel(rows(a))
+    assert got == det
+    assert coker.factors == dense_factors(a)
 
 
 def test_cokernel_mod_phase_1_clears_a_unimodular_matrix(monkeypatch):
     # A product of unitriangular matrices, det -1.  Every pivot over Z is
     # +-1, so phase 1 empties the matrix and phase 2, whose pivot search
-    # takes gcds with kappa, never starts; 7 also kills the trivial cokernel.
+    # takes gcds with kappa, never starts.
     a = [[1, 3, 0, -2], [2, 7, 5, -4], [-3, -8, 4, 8], [0, 4, 22, -3]]
     assert integer_determinant(a) == -1
     searched = []
     monkeypatch.setattr(snf, "gcd", counting(searched, snf.gcd))
-    summands, ops = _eliminate_mod(rows(a), 7)
-    assert searched == []
-    assert sorted(summands) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+    unit, ids, core, ops = _unit_pivots(rows(a))
+    assert (unit, ids, core) == (-1, [], [])
     assert ops == [(1, 0, 2), (2, 0, -3), (2, 1, 1), (3, 1, 4), (3, 2, -2)]
-    assert cokernel_mod(rows(a), 1).factors == ()
+    assert cokernel(rows(a)) == (-1, snf.Cokernel((), (), ()))
+    assert searched == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,7 +307,8 @@ def test_cokernel_mod_without_unit_entries(a):
     pushed = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(snf, "heappush", counting(pushed, snf.heappush))
-        assert cokernel_mod(rows(a), kappa).factors == dense_factors(a)
+        assert _unit_pivots(rows(a))[1:3] == (list(range(len(a))), a)
+        assert cokernel(rows(a))[1].factors == dense_factors(a)
     assert pushed == []
 
 
@@ -275,8 +319,77 @@ def test_cokernel_mod_core_needs_bezout_steps(monkeypatch):
     a = [[1, 1, 1], [4, 2, 4], [3, 6, 6]]
     assert integer_determinant(a) == -6
     monkeypatch.setattr(snf, "gcd", reduced_gcd(6))
-    summands, ops = _eliminate_mod(rows(a), 6)
-    assert ops[:2] == [(1, 0, 4), (2, 0, 3)]
+    unit, ids, core, ops = _unit_pivots(rows(a))
+    assert (unit, ids, core, ops) == (1, [1, 2], [[-2, 0], [3, 3]], [(1, 0, 4), (2, 0, 3)])
+    _, pivots = _eliminate(core, 6, ids, ops)
     assert any(len(op) == 6 for op in ops[2:])
-    assert summands[0] == (0, 1)
-    assert cokernel_mod(rows(a), 6).factors == (6,) == dense_factors(a)
+    assert pivots[0][0] == 1
+    det, coker = cokernel(rows(a))
+    assert det == -6
+    assert coker.factors == (6,) == dense_factors(a)
+
+
+@st.composite
+def moduli(draw):
+    """Moduli of each kind ``det_mod`` serves: powers of 2, prime powers p^K
+    (the L-values), B^m - 1 with B odd (the substitution route, always
+    even) and composites of small primes (kappa)."""
+    kind = draw(st.sampled_from(["2^k", "p^K", "B^m - 1", "composite"]))
+    if kind == "2^k":
+        return 2 ** draw(st.integers(1, 70))
+    if kind == "p^K":
+        return draw(st.sampled_from([3, 5, 7, 11, 13])) ** draw(st.integers(1, 6))
+    if kind == "B^m - 1":
+        return (2 * draw(st.integers(1, 60)) + 1) ** draw(st.integers(1, 6)) - 1
+    return prod(draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 9, 12]), min_size=1, max_size=6)))
+
+
+@st.composite
+def matrices_mod(draw, max_dim=6):
+    """A square matrix and a modulus m.  Entries run past m and below 0, some
+    columns are multiples of m's least prime factor, so they hold no unit
+    and the Bezout steps run, and the rows are permuted, so that odd pivot
+    permutations occur."""
+    m = draw(moduli())
+    n = draw(st.integers(1, max_dim))
+    a = [[draw(st.integers(-3 * m, 3 * m)) for _ in range(n)] for _ in range(n)]
+    f = next(q for q in range(2, m + 1) if m % q == 0)
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        for row in a:
+            row[j] *= f
+    return [a[i] for i in draw(st.permutations(range(n)))], m
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices_mod())
+def test_det_mod_matches_the_integer_determinant(case):
+    a, m = case
+    assert det_mod(a, m) == integer_determinant(a) % m
+
+
+def test_det_mod_bezout_steps_and_signs(monkeypatch):
+    # No entry of these is a unit: the first needs a Bezout row step, the
+    # second a column step (2 does not divide the 3 beside it).
+    steps = []
+    monkeypatch.setattr(snf, "_xgcd", counting(steps, snf._xgcd))
+    for a, m in (
+        ([[2, 3], [3, 2]], 6),
+        ([[2, 3], [0, 2]], 6),
+        ([[4, 6, 9], [6, 9, 4], [9, 4, 6]], 36),
+        ([[6, 10, 15], [10, 15, 6], [15, 6, 10]], 30),
+    ):
+        assert det_mod(a, m) == integer_determinant(a) % m
+    assert len(steps) >= 4
+    # Every pivot of a permutation matrix is 1, so only the sign remains.
+    for perm, sign in (((1, 0), -1), ((1, 2, 0), 1), ((3, 0, 1, 2), -1), ((0, 2, 1, 4, 3), 1)):
+        a = [[int(j == k) for j in range(len(perm))] for k in perm]
+        assert det_mod(a, 2**64) == sign % 2**64
+        assert det_mod(a, 7**3) == sign % 7**3
+
+
+def test_det_mod_edge_cases():
+    assert det_mod([], 5) == 1
+    assert det_mod([[3]], 1) == det_mod([], 1) == 0
+    assert det_mod([[4, 2], [2, 1]], 8) == 0
+    with pytest.raises(ValueError):
+        det_mod([[1, 2]], 5)

@@ -169,6 +169,50 @@ def test_duality_on_examples(ex1_cover, ex4_cover):
     assert h1 == h3
 
 
+def duality_by_characters(eta1, precision):
+    """Reference for ``duality_check``: chi(eta(1)) against chi*(eta(1)) for
+    each of the p - 1 characters with values in F_p and for its Teichmuller
+    lift modulo p^precision, 4(p - 1) evaluations in all."""
+    group = eta1.group
+    for i in range(group.order):
+        chi = Character(group, i, None)
+        star = chi.contragredient()
+        if eta1.evaluate(chi) != eta1.evaluate(star):
+            return False
+        lifted = Character(group, i, precision)
+        if eta1.evaluate(lifted) != eta1.evaluate(lifted.contragredient()):
+            return False
+    return True
+
+
+def test_duality_check_matches_the_character_loop():
+    # On eta(1) of random covers, and on random elements: arbitrary ones,
+    # ones symmetric only modulo p^precision, and ones symmetric only
+    # modulo p^(precision - 1), which the lifted characters tell apart.
+    rng = random.Random(41)
+    verdicts = []
+    for p in (3, 5, 7, 11, 13):
+        group = CyclicGroup.for_prime(p)
+        for precision in (1, 2, 3):
+            cover = random_connected_cover(rng, p)
+            elements = [eta_at_one(cover)]
+            for shift in (None, precision, precision - 1):
+                y = GroupRingElement(group, tuple(rng.randint(-50, 50) for _ in range(p - 1)))
+                r = [rng.randint(-50, 50) for _ in range(p - 1)]
+                if shift is None:
+                    elements.append(y)
+                else:
+                    s = y + y.involution()
+                    c = tuple(a + p**shift * b for a, b in zip(s.coeffs, r))
+                    elements.append(GroupRingElement(group, c))
+            for x in elements:
+                verdict = duality_check(cover, precision, eta1=x)
+                assert verdict == duality_by_characters(x, precision)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    assert verdicts.count(False) >= 20
+
+
 def test_palindromic_table_fourth_example(ex4_cover):
     g11 = CyclicGroup.for_prime(11)
     values = [l_value(ex4_cover, Character(g11, i, None)).value for i in range(1, 10)]
