@@ -13,6 +13,7 @@ cross-check that raised ``VerificationError``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -163,6 +164,7 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coverzeta",

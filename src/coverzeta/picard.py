@@ -89,7 +89,8 @@ class PicardModule:
         last = len(self.laplacian) - 1
         self.full_diagonal = (1,) * (last - len(self.factors)) + self.factors + (0,)
         self._forms = tuple(f + (0,) for f in coker.forms)
-        self._gens = tuple(tuple((v, x) for v, x in enumerate(g) if x) for g in coker.generators)
+        divisors = ((0,) * last + (1,), *(w + (-sum(w),) for w in coker.generators))
+        self._divisors = tuple(tuple((v, x) for v, x in enumerate(w) if x) for w in divisors)
         self.generator = CyclicGroup.for_prime(cover.p).generator
         self.action = tuple(
             tuple(x % d for x in row[1:])
@@ -104,22 +105,19 @@ class PicardModule:
         generator w_j of Pic0; the integers are not reduced.
 
         A form extended by 0 at the last vertex reads e_w - e_last at w for
-        every w.  pi(e_v - e_last) = (e_pi(v) - e_last) - (e_pi(last) - e_last),
-        so form f reads pi(w) as the sum of w_v (f[pi(v)] - f[pi(last)])
-        over the support of w, which is small.
+        every w, so it reads a divisor of degree 0 as a dot product.  Each
+        image x e_last and x (w_j - |w_j| e_last) is built once, on a small
+        support, where every form reads it.
         """
-        last = len(self.laplacian) - 1
         perms = [(c, self.cover.deck_vertex_map(tau)) for c, tau in terms]
-        out = []
-        for f in self._forms:
-            row = [0] * (len(self._gens) + 1)
+        reads = []
+        for divisor in self._divisors:
+            image = defaultdict(int)
             for c, perm in perms:
-                shift = f[perm[last]]
-                row[0] += c * shift
-                for j, g in enumerate(self._gens, 1):
-                    row[j] += c * sum(x * (f[perm[v]] - shift) for v, x in g)
-            out.append(row)
-        return out
+                for v, x in divisor:
+                    image[perm[v]] += c * x
+            reads.append([(v, x) for v, x in image.items() if x])
+        return [[sum(f[v] * x for v, x in read) for read in reads] for f in self._forms]
 
     @property
     def p(self) -> int:

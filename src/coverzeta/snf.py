@@ -2,10 +2,9 @@
 nonsingular matrices; all arithmetic is in Python integers.
 
 ``smith_normal_form`` is the dense route with full transforms, for small
-matrices; in the package it only sorts ``cokernel``'s summands.  Pivots
-are the nonzero entries of least absolute value (ties: lowest row, then
-column), and every call verifies U*A*V = D and that the tracked inverses of
-U and V multiply to the identity.
+matrices and the tests' reference; no report calls it.  Pivots are the
+nonzero entries of least absolute value (ties: lowest row, then column), and
+it verifies U*A*V = D and that the tracked inverses of U and V are inverses.
 
 ``integer_determinant`` is a dense Bareiss determinant.  ``det_mod`` takes
 a determinant modulo M by one dense elimination modulo M (``_eliminate``)
@@ -16,8 +15,9 @@ on units and, where none is left, after Bezout steps of determinant 1
 {column: entry} (Dumas, Saunders and Villard): pivots +-1 over Z leave a
 dense core whose Bareiss determinant gives det A, and ``_eliminate``
 reduces the core modulo kappa = |det A|, which kills coker A (Domich,
-Kannan and Trotter).  The rows of U it needs are replayed from its row
-operations, and the result is certified without transforms.
+Kannan and Trotter).  2x2 gcd/lcm steps sort its summands into invariant
+factors, one replay of its row operations modulo the exponent d_r gives the
+forms and generators, and the result is certified without transforms.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd, prod
-from operator import mul
 
 from .arith import VerificationError
 
@@ -283,7 +282,7 @@ class Cokernel:
     """coker a = Z^n / a Z^n as the sum of Z/d_i over ``factors`` d_i > 1.
 
     Row vector ``forms[i]`` (mod d_i) reads coordinate i of a class; column
-    vector ``generators[j]`` (mod kappa) represents the j-th generator.
+    vector ``generators[j]`` (mod d_r, which kills coker a) is generator j.
     """
 
     factors: tuple[int, ...]
@@ -296,12 +295,10 @@ def cokernel(a: list[dict[int, int]]) -> tuple[int, Cokernel | None]:
     given as sparse rows {column: entry} with columns in range(len(a)).
 
     Each pivot x of the core's elimination modulo kappa = |det a| gives a
-    summand Z/gcd(x, kappa), each row left zero Z/kappa.  The dense Smith
-    form of the diagonal of summands above 1 sorts them into invariant
-    factors, and its transforms give the rows of U and columns of U^-1 to
-    replay.
+    summand Z/gcd(x, kappa), each row left zero Z/kappa.  ``_sort_diagonal``
+    sorts the summands above 1 into invariant factors, and one ``_replay``
+    carries its rows of U and columns of U^-1 back to a, modulo the exponent.
     """
-    n = len(a)
     unit, ids, core, ops = _unit_pivots(a)
     det = unit * integer_determinant(core)
     if not det:
@@ -310,21 +307,42 @@ def cokernel(a: list[dict[int, int]]) -> tuple[int, Cokernel | None]:
     summands = dict.fromkeys(ids, kappa)
     summands.update((r, gcd(x, kappa)) for r, x in _eliminate(core, kappa, ids, ops)[1])
     torsion = [(r, g) for r, g in summands.items() if g > 1]
-    dec = smith_normal_form([[g * (r == s) for s, _ in torsion] for r, g in torsion])
-    keep = [i for i, d in enumerate(dec.diagonal) if d > 1]
-    forms, gens = [[0] * n for _ in keep], [[0] * n for _ in keep]
-    for f, w, i in zip(forms, gens, keep):
-        for k, (r, _) in enumerate(torsion):
-            f[r], w[r] = dec.left[i][k], dec.left_inverse[k][i]
-        _replay(ops, f, w, kappa)
-    factors = tuple(dec.diagonal[i] for i in keep)
+    diagonal, left, right = _sort_diagonal([g for _, g in torsion], kappa)
+    keep = [i for i, d in enumerate(diagonal) if d > 1]
+    factors = tuple(diagonal[i] for i in keep)
+    e = factors[-1] if factors else 1
+    # Entry k of either list holds coordinate k of every form, or generator.
+    forms, gens = [[0] * len(keep) for _ in a], [[0] * len(keep) for _ in a]
+    for k, (r, _) in enumerate(torsion):
+        forms[r], gens[r] = ([m[i][k] % e for i in keep] for m in (left, right))
+    _replay(ops, forms, gens, e)
     coker = Cokernel(
         factors,
-        tuple(tuple(x % d for x in f) for f, d in zip(forms, factors)),
-        tuple(map(tuple, gens)),
+        tuple(tuple(x % d for x in f) for f, d in zip(zip(*forms), factors)),
+        tuple(zip(*gens)),
     )
     _certify(a, kappa, coker)
     return det, coker
+
+
+def _sort_diagonal(summands: list[int], modulus: int):
+    """Sort D = diag(summands) into U D V = diag(d), d_1 | d_2 | ..., by steps
+    (a, b) -> (g, ab/g) that make entry i divide each later one: s a + t b = g,
+    U = [[s, t], [-b/g, a/g]], U^-1 = [[a/g, -t], [b/g, s]] and V = [[1, -t b/g],
+    [1, s a/g]].  Returns d, the rows of U and the columns of U^-1 mod ``modulus``."""
+    d, rows, cols = list(summands), _identity(len(summands)), _identity(len(summands))
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                d[i], d[j], x, y = g, a // g * b, a // g, b // g
+                ri, rj, ci, cj = rows[i], rows[j], cols[i], cols[j]
+                rows[i] = [(s * p + t * q) % modulus for p, q in zip(ri, rj)]
+                rows[j] = [(x * q - y * p) % modulus for p, q in zip(ri, rj)]
+                cols[i] = [(x * p + y * q) % modulus for p, q in zip(ci, cj)]
+                cols[j] = [(s * q - t * p) % modulus for p, q in zip(ci, cj)]
+    return d, rows, cols
 
 
 def _unit_pivots(a: list[dict[int, int]]):
@@ -460,22 +478,30 @@ def _eliminate(mat: Matrix, modulus: int, ids, ops: list):
     return sign, pivots
 
 
-def _replay(ops, f: list[int], w: list[int], kappa: int) -> None:
-    """Turn f into f^T U and w into U^-1 w, modulo kappa, in place.
+def _replay(ops, forms: list[list[int]], gens: list[list[int]], modulus: int) -> None:
+    """Turn each form f into f^T U and each generator w into U^-1 w, modulo
+    ``modulus``, in place; ``forms[k]`` and ``gens[k]`` list their coordinate k.
 
     U = E_T ... E_1 is the product of the recorded row operations, so
-    f^T U = f^T E_T ... E_1 and U^-1 w = E_1^-1 ... E_T^-1 w: both replay
-    the record backwards, touching two entries per operation.
+    f^T U = f^T E_T ... E_1 and U^-1 w = E_1^-1 ... E_T^-1 w: both replay the
+    record once backwards.  The generators start on the core, and phase 1
+    never changes a row it has pivoted on, so its steps leave them unchanged.
     """
+    width = range(len(forms[0]) if forms else 0)
     for op in reversed(ops):
+        fi, fk, wi, wk = forms[op[0]], forms[op[1]], gens[op[0]], gens[op[1]]
         if len(op) == 3:
-            i, k, m = op  # E = I - m e_i e_k^T
-            f[k] = (f[k] - m * f[i]) % kappa
-            w[i] = (w[i] + m * w[k]) % kappa
+            m = op[2]  # E = I - m e_i e_k^T
+            for c in width:
+                fk[c] = (fk[c] - m * fi[c]) % modulus
+            if any(wk):
+                for c in width:
+                    wi[c] = (wi[c] + m * wk[c]) % modulus
         else:
-            i, k, s, t, u, v = op  # E = [[s, t], [u, v]] on rows i, k
-            f[i], f[k] = (s * f[i] + u * f[k]) % kappa, (t * f[i] + v * f[k]) % kappa
-            w[i], w[k] = (v * w[i] - t * w[k]) % kappa, (s * w[k] - u * w[i]) % kappa
+            s, t, u, v = op[2:]  # E = [[s, t], [u, v]] on rows i, k
+            for c in width:
+                fi[c], fk[c] = (s * fi[c] + u * fk[c]) % modulus, (t * fi[c] + v * fk[c]) % modulus
+                wi[c], wk[c] = (v * wi[c] - t * wk[c]) % modulus, (s * wk[c] - u * wi[c]) % modulus
 
 
 def _certify(a: list[dict[int, int]], kappa: int, coker: Cokernel) -> None:
@@ -493,14 +519,16 @@ def _certify(a: list[dict[int, int]], kappa: int, coker: Cokernel) -> None:
         raise VerificationError(
             "snf.cokernel_order", f"invariant factors multiply to {prod(factors)}, not {kappa}"
         )
-    columns: list[list[tuple[int, int]]] = [[] for _ in a]
-    for i, row in enumerate(a):
-        for j, x in row.items():
-            columns[j].append((i, x))
+    gens = [[(k, x) for k, x in enumerate(w) if x] for w in coker.generators]
     for i, (d, f) in enumerate(zip(factors, coker.forms)):
-        if any(sum(f[k] * x for k, x in col) % d for col in columns):
+        image = [0] * len(a)  # f^T a, read through the rows of a
+        for c, row in zip(f, a):
+            if c:
+                for j, x in row.items():
+                    image[j] += c * x
+        if any(x % d for x in image):
             raise VerificationError("snf.cokernel_relations", f"form {i} does not kill a mod {d}")
-        if any((sum(map(mul, f, w)) - (i == j)) % d for j, w in enumerate(coker.generators)):
+        if any((sum(f[k] * x for k, x in w) - (i == j)) % d for j, w in enumerate(gens)):
             raise VerificationError(
                 "snf.cokernel_generators", f"form {i} misreads a generator mod {d}"
             )

@@ -116,7 +116,9 @@ class DerivedCover:
         return self._deck_maps[tau]
 
     def _build_deck_map(self, tau: int) -> tuple[int, ...]:
-        return tuple(self.deck_act(tau, w) for w in self.total.vertices)
+        """``deck_act`` at every vertex: tau rotates each fiber, (v, s) -> (v, tau s)."""
+        rotation = [self.vertex_at(0, tau * s) for s in range(1, self.p)]
+        return tuple(v * self._fiber + x for v in self.base.vertices for x in rotation)
 
     def base_transversal(self) -> tuple[int, ...]:
         """One vertex per fiber: the unit-1 point over each base vertex."""

@@ -49,7 +49,7 @@ def corrupted(entries, product):
 }
 
 
-# Each corrupts the cokernel presentation that ``snf.cokernel_mod`` hands to
+# Each corrupts the cokernel presentation that ``snf.cokernel`` hands to
 # its certificate, as (factors, forms, generators), so that exactly one named
 # check of the certificate fails on example1, whose Pic0 is Z/3 + Z/12.
 CERTIFICATE_SABOTAGES = {
@@ -171,6 +171,22 @@ def corrupted(a):
     return -unit, ids, core, ops
 """,
 }
+
+
+# Adds 1 to the Bezout coefficient s of the diagonal sort's step on the
+# summands (420, 7) of example2's Pic0, so that s 420 + t 7 is no longer
+# gcd = 7: U loses determinant 1, and form 0 misreads generator 0.  The pair
+# needs one gcd/lcm step; example1's (3, 12) needs none.
+SORT_SABOTAGE = """
+import coverzeta.snf as module
+
+name = "_xgcd"
+real = module._xgcd
+
+def corrupted(a, b):
+    g, s, t = real(a, b)
+    return (g, s + 1, t) if (a, b) == (420, 7) else (g, s, t)
+"""
 
 
 def test_package_has_no_assert_statements():
@@ -329,3 +345,17 @@ def test_tree_count_check_exits_4(monkeypatch, capsys):
 def test_phase_1_faults_exit_4(check, monkeypatch, capsys):
     # example2's base graph and cover both leave a core after phase 1.
     _assert_sabotage_exits_4(CORE_SABOTAGES[check], "example2", check, monkeypatch, capsys)
+
+
+def test_diagonal_sort_fault_exits_4(monkeypatch, capsys):
+    import coverzeta.snf as snf
+
+    steps = []
+    real = snf._sort_diagonal
+    monkeypatch.setattr(snf, "_sort_diagonal", lambda gs, m: steps.append(gs) or real(gs, m))
+    assert main(["analyze", "example2"]) == 0
+    assert [420, 7] in steps
+    capsys.readouterr()
+    _assert_sabotage_exits_4(
+        SORT_SABOTAGE, "example2", "snf.cokernel_generators", monkeypatch, capsys
+    )

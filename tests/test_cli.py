@@ -517,3 +517,41 @@ def test_spec_round_trip(tmp_path):
     again = load_spec(str(path))
     assert spec_to_dict(again) == spec_to_dict(spec)
     assert spec_from_dict(spec_to_dict(spec)).voltages == spec.voltages
+
+
+def test_repeated_main_calls_match_fresh_ones(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a parse error, then analyze,
+    # then census must give the same outputs and exit codes with the kept
+    # parser as with one built afresh for every call.
+    from coverzeta.cli import build_parser
+
+    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+    loops = {"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}
+    base = write(tmp_path, "base.json", loops)
+    calls = [
+        ["analyze", "example1", "--bogus"],
+        ["analyze", "example1"],
+        ["census", base, "--p", "5", "--out", str(tmp_path / "census.ndjson")],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        (tmp_path / "census.ndjson").unlink(missing_ok=True)
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    kept = [run(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [2, 0, 0]
+    assert "unrecognized arguments: --bogus" in kept[0][2]
+    assert json.loads(kept[1][1])["pic0"] == [3, 12]
+    assert kept[2][1].startswith("census: 16 new rows")

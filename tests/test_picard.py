@@ -565,6 +565,46 @@ def test_annihilation_matches_dense_route(route_pairs):
     assert verdicts == {True, False}
 
 
+def transport_per_form(pm, coker, terms):
+    """Reference for ``PicardModule._transport`` on Pic0 = ``coker``: each
+    form f, extended by 0 at the last vertex, reads each deck element tau on
+    each generator w as the sum of w_v (f[tau(v)] - f[tau(last)]) over the
+    support of w, and row 0 as f[tau(last)]; all unreduced."""
+    last = len(pm.laplacian) - 1
+    perms = [(c, pm.cover.deck_vertex_map(tau)) for c, tau in terms]
+    gens = [[(v, x) for v, x in enumerate(w) if x] for w in coker.generators]
+    out = []
+    for f in coker.forms:
+        f = f + (0,)
+        row = [0] * (len(gens) + 1)
+        for c, perm in perms:
+            shift = f[perm[last]]
+            row[0] += c * shift
+            for j, g in enumerate(gens, 1):
+                row[j] += c * sum(x * (f[perm[v]] - shift) for v, x in g)
+        out.append(row)
+    return out
+
+
+def test_transport_matches_the_per_form_reference(route_pairs):
+    rng = random.Random(63)
+    augmentations = set()
+    for cover, pm, _ in route_pairs:
+        group = CyclicGroup.for_prime(cover.p)
+        m = group.order
+        coker = _pic0(_reduced(pm.laplacian))[1]
+        eta = eta_at_one(cover)
+        elems = [eta.coeffs, [int(k == 1) for k in range(m)]]
+        for _ in range(3):
+            coeffs = [rng.randint(-4, 4) for _ in range(m - 1)]
+            elems += [coeffs + [-sum(coeffs)], [rng.randint(-3, 3) for _ in range(m)]]
+        for coeffs in elems:
+            terms = [(c, group.element(k)) for k, c in enumerate(coeffs) if c]
+            assert pm._transport(terms) == transport_per_form(pm, coker, terms)
+            augmentations.add(sum(coeffs) != 0)
+    assert augmentations == {True, False}
+
+
 def smith_index_order(m, chi):
     """#e_chi A as #A over the index in Z^r of the lattice spanned by the
     projector columns mod p^k, for chi lifted to precision k, and the

@@ -2,12 +2,21 @@ import random
 from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from coverzeta import VerificationError, cycle_graph, integer_determinant, smith_normal_form, snf
+from conftest import random_connected_cover
+from coverzeta import (
+    VerificationError,
+    bundled_spec,
+    cycle_graph,
+    derive,
+    integer_determinant,
+    smith_normal_form,
+    snf,
+)
 from coverzeta.picard import _reduced
 from coverzeta.serre import SerreGraph
-from coverzeta.snf import _eliminate, _unit_pivots, cokernel, det_mod
+from coverzeta.snf import _eliminate, _replay, _sort_diagonal, _unit_pivots, cokernel, det_mod
 
 
 @st.composite
@@ -173,6 +182,84 @@ def test_cokernel_mod_bezout_steps():
     assert any(len(op) == 6 for op in ops)
     for a in ([[2, 0], [3, 3]], [[2, 3], [0, 3]]):
         assert cokernel(rows(a))[1].factors == (6,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 25, 27, 36]), max_size=6))
+@example([4, 6, 9])
+@example([2, 2, 3, 8])
+@example([420, 7])
+def test_sort_diagonal_matches_dense_smith_form(summands):
+    # The gcd/lcm steps give the Smith diagonal of diag(summands), 1s first;
+    # U times the U^-1 of the tracked columns is the identity modulo kappa,
+    # and row i of U kills every relation g_k e_k modulo d_i.
+    kappa = prod(summands)
+    diagonal, rows, cols = _sort_diagonal(summands, kappa)
+    n = len(summands)
+    dense = [[g * (i == k) for k in range(n)] for i, g in enumerate(summands)]
+    assert tuple(diagonal) == (smith_normal_form(dense).diagonal if n else ())
+    for i, row in enumerate(rows):
+        assert [sum(x * y for x, y in zip(row, col)) % kappa for col in cols] == [
+            int(i == j) % kappa for j in range(n)
+        ]
+        assert all(x * g % diagonal[i] == 0 for x, g in zip(row, summands))
+
+
+def replay_per_factor(ops, f: list[int], w: list[int], kappa: int) -> None:
+    """Reference: one form f and one generator w replayed on their own,
+    modulo kappa, as f^T U and U^-1 w."""
+    for op in reversed(ops):
+        if len(op) == 3:
+            i, k, m = op  # E = I - m e_i e_k^T
+            f[k] = (f[k] - m * f[i]) % kappa
+            w[i] = (w[i] + m * w[k]) % kappa
+        else:
+            i, k, s, t, u, v = op  # E = [[s, t], [u, v]] on rows i, k
+            f[i], f[k] = (s * f[i] + u * f[k]) % kappa, (t * f[i] + v * f[k]) % kappa
+            w[i], w[k] = (v * w[i] - t * w[k]) % kappa, (s * w[k] - u * w[i]) % kappa
+
+
+def assert_one_replay_matches_per_factor_replays(a) -> snf.Cokernel:
+    """Run ``cokernel`` on sparse rows a, capturing its one replay modulo the
+    exponent, and replay each factor's starting form and generator on its
+    own modulo kappa: they must agree modulo d_i and the exponent, and with
+    the certified presentation, which is returned."""
+    seen = []
+
+    def capture(ops, forms, gens, modulus):
+        start = [list(map(list, zip(*forms))), list(map(list, zip(*gens)))]
+        _replay(ops, forms, gens, modulus)
+        seen.append((list(ops), start, forms, gens, modulus))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(snf, "_replay", capture)
+        det, coker = cokernel(a)
+    [(ops, (forms0, gens0), forms, gens, e)] = seen
+    assert e == (coker.factors[-1] if coker.factors else 1)
+    for c, d in enumerate(coker.factors):
+        f, w = forms0[c], gens0[c]
+        replay_per_factor(ops, f, w, abs(det))
+        assert [x % d for x in f] == [row[c] % d for row in forms] == list(coker.forms[c])
+        assert [x % e for x in w] == [row[c] for row in gens] == list(coker.generators[c])
+    return coker
+
+
+def test_one_replay_matches_per_factor_replays_on_covers():
+    rng = random.Random(23)
+    covers = [derive(bundled_spec(f"example{k}")) for k in range(1, 5)]
+    covers += [random_connected_cover(rng, p, 4, 7) for p in (3, 5, 7, 11, 13) for _ in range(8)]
+    ranks = []
+    for cover in covers:
+        coker = assert_one_replay_matches_per_factor_replays(_reduced(cover.total.laplacian_rows()))
+        ranks.append(len(coker.factors))
+    assert max(ranks) >= 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(smooth_nonsingular())
+@example([[1, 1, 1], [4, 2, 4], [3, 6, 6]])  # its core needs a Bezout row step
+def test_one_replay_matches_per_factor_replays_with_bezout_steps(a):
+    assert_one_replay_matches_per_factor_replays(rows(a))
 
 
 @st.composite

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_connected_base
+from conftest import random_connected_base, random_connected_cover
 from coverzeta import (
     DisconnectedCover,
     SerreGraph,
@@ -118,6 +118,21 @@ def test_deck_action_is_graph_automorphism(ex2_cover):
         for u in g.vertices:
             for v in g.vertices:
                 assert g.adjacency_count(perm[u], perm[v]) == g.adjacency_count(u, v)
+
+
+def test_deck_maps_rotate_fibers_as_deck_act():
+    # The maps are built by rotating each fiber; deck_act reads one vertex
+    # through its fiber coordinates.
+    rng = random.Random(17)
+    covers = [derive(bundled_spec(f"example{k}")) for k in range(1, 5)]
+    covers += [random_connected_cover(rng, p) for p in (3, 5, 7, 11, 13, 29) for _ in range(3)]
+    for cover in covers:
+        vertices = cover.total.vertices
+        for tau in range(1, 2 * cover.p):
+            if tau % cover.p:
+                assert cover.deck_vertex_map(tau) == tuple(cover.deck_act(tau, w) for w in vertices)
+        with pytest.raises(ValueError):
+            cover.deck_vertex_map(cover.p)
 
 
 def test_transversal_is_unit_section(ex2_cover):
