@@ -12,9 +12,6 @@ from .herbrand import (
     Verdict,
     build_report,
     default_precision,
-    verify_fitting_identity,
-    verify_main11,
-    verify_main22,
 )
 from .padic import PAdicInt, PrecisionExhausted, abs_p_inverse, teichmuller
 from .picard import (

@@ -1,15 +1,15 @@
 """Census of all voltage assignments on a base graph at a fixed prime.
 
 Assignments are enumerated in lexicographic order over one orientation of the
-edges.  Each row records connectivity (breadth-first search, cross-checked
-against the generated-subgroup criterion), Picard invariant factors, the set
-of vanishing mod-p L-values, and verdict summaries.  Output is one JSON
-object per line; reruns skip keys already present, so runs are resumable,
-also after a crash that left a partly written last line; a file with any
-other line that is not a row or a cursor is refused, as is a row for another
-prime or a cursor over another number of assignments.  A run cut short by its
-budget ends with a cursor line, and the next run starts at the last cursor in
-the file, so repeated budgeted runs advance through the assignments.
+edges.  Each row records connectivity (breadth-first search, checked against
+the generated-subgroup criterion as ``census.connectivity``), Picard invariant
+factors, the set of vanishing mod-p L-values, and verdict summaries.  Output
+is one JSON object per line; reruns skip keys already present, so runs are
+resumable, also after a crash that left a partly written last line; a file
+with any other line that is not a row or a cursor is refused, as is a row for
+another prime or a cursor over another number of assignments.  A run cut short
+by its budget ends with a cursor line, and the next run starts at the last
+cursor in the file, so repeated budgeted runs advance through the assignments.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from contextlib import suppress
 from itertools import islice, product
 from typing import Iterable
 
+from .arith import VerificationError
 from .herbrand import build_report
 from .serre import SerreGraph
 from .voltage import VoltageSpec, connected_by_voltage_criterion, derive
@@ -35,6 +36,11 @@ def census_row(base: SerreGraph, p: int, voltages: tuple[int, ...]) -> dict:
     cover = derive(spec)
     connected = cover.is_connected()
     by_criterion = connected_by_voltage_criterion(spec)
+    if connected != by_criterion:
+        raise VerificationError(
+            "census.connectivity",
+            f"voltages {list(voltages)}: search {connected}, criterion {by_criterion}",
+        )
     row = {
         "key": assignment_key(voltages),
         "p": p,

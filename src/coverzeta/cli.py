@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VerificationError as exc:  # raised by build_report in analyze and census
+    except VerificationError as exc:  # raised by build_report, and by census_row
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (OSError, CensusFileError) as exc:  # an --out file that cannot be written or resumed

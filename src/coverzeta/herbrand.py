@@ -1,23 +1,25 @@
-"""End-to-end verification on a cover: eigenspace orders against p-adic
-absolute values of L-values, mod-p vanishing against eigenspace dimensions,
-the Fitting-ideal consequences, duality, and the dimension inequality.
+"""End-to-end verification on a cover, one row per nontrivial character.
 
-A FAIL on a valid connected cover indicates an implementation bug, not new
-mathematics, so failures carry a diagnostic payload (Smith data, precisions)
-for debugging.  Reports serialize deterministically.
+A row holds the character's order of A, dimension of C and L-value, each
+computed once, with its main22 verdict (the order against the L-value's p-adic
+absolute value) and its main11 verdict (C-eigenspace vanishing against the
+L-value mod p).  The global verdicts are derived from the rows and from the
+intermediates the rows share.  A FAIL on a valid connected cover indicates an
+implementation bug, not new mathematics, so failures carry a diagnostic
+payload (Smith data, precisions) for debugging.  Reports serialize
+deterministically.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import prod
 
 from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup
-from .padic import PrecisionExhausted
+from .padic import PAdicInt
 from .picard import (
     ElementaryQuotient,
     PicardModule,
@@ -37,7 +39,6 @@ RETRY_DOUBLINGS = 4
 
 PASS = "PASS"
 FAIL = "FAIL"
-SKIPPED = "SKIPPED"
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,6 @@ class Verdict:
 
     def to_dict(self) -> dict:
         return {"status": self.status, "reason": self.reason}
-
-    @property
-    def ok(self) -> bool:
-        return self.status in (PASS, SKIPPED)
 
 
 def default_precision(pm: PicardModule) -> int:
@@ -63,29 +60,44 @@ def default_precision(pm: PicardModule) -> int:
     return p_valuation(pm.order, pm.p) + 2 if pm.order % pm.p == 0 else 2
 
 
-class CoverAnalysis:
-    """Owner of every intermediate the verification passes share.
+@dataclass(frozen=True)
+class CharacterRow:
+    """A character's row; ``h`` is its L-value at the last precision tried,
+    whose ``valuation`` is None when it vanished at every precision."""
 
-    Computed once per analysis: the Picard module with the deck generator's
-    matrix on Pic0 and its Sylow part, the elementary quotient with the deck
-    generator's matrix on it (from a sparse echelon form mod p of the Picard
-    module's Laplacian, its dimension checked against the Sylow part's
-    rank), the base graph's Picard factors (kept on the graph), whose
-    product is its tree count, the equivariant Laplacian and the special
-    value eta(1), whose Berkowitz-against-substitution check runs here, the
-    norms N_d of eta(1) at the rational orbits of characters (those of order
-    d, for each d > 1 dividing p - 1), and the class-number check that ties
-    the order of Pic0 to their product.
-    Per-character quantities are computed on demand and cached, so the
-    verification passes can share one analysis without recomputation; in
-    particular each character's layer ranks come from eigenspaces of the
-    deck generator's matrix on the layers of A and give both its order of A
-    and its dimension of C, which is checked against an eigenspace of the
-    deck generator's matrix on C; each L-value, with its
-    eta-against-determinant check, is computed once per (character,
-    precision), and the F_p value, the valuation retries and the report's
-    p-adic expansion read the same cached value; the Fitting-identity pass
-    reads the main22 verdicts.
+    i: int
+    dim_C: int
+    order_A: int
+    h_mod_p: int
+    h: PAdicInt
+    valuation: int | None
+    verdicts: dict[str, Verdict]
+
+    def to_dict(self) -> dict:
+        return {
+            "i": self.i,
+            "dimC": self.dim_C,
+            "h_mod_p": self.h_mod_p,
+            "orderA": self.order_A,
+            "valuation": self.valuation,
+            "h_padic": None if self.valuation is None else self.h.expansion_str(),
+            "verdicts": {name: v.to_dict() for name, v in self.verdicts.items()},
+        }
+
+
+class CoverAnalysis:
+    """The intermediates every character's row reads, computed once.
+
+    They are the Picard module with the deck generator's matrix on Pic0 and
+    its Sylow part, the elementary quotient with the deck generator's matrix
+    on it (from a sparse echelon form mod p of the Picard module's Laplacian,
+    its dimension checked against the Sylow part's rank), the base graph's
+    Picard factors (kept on the graph), whose product is its tree count, the
+    equivariant Laplacian and the special value eta(1), whose
+    Berkowitz-against-substitution check runs here, the norms N_d of eta(1) at
+    the rational orbits of characters (those of order d, for each d > 1
+    dividing p - 1), and the class-number check that ties the order of Pic0
+    to their product.
     """
 
     def __init__(self, cover: DerivedCover, precision: int | None = None):
@@ -112,10 +124,6 @@ class CoverAnalysis:
         self._check_class_number()
         self.precision = precision if precision is not None else default_precision(self.pic)
         self.precision = max(self.precision, self.sylow.exponent, 1)
-        self._l_values: dict[tuple[int, int], object] = {}
-        self._ranks: dict[int, tuple[int, ...]] = {}
-        self._dims: dict[int, int] = {}
-        self._valuations: dict[int, tuple[int | None, int]] = {}
 
     def _check_class_number(self) -> None:
         """Check (p - 1) #Pic0(Y) = kappa(X) prod of N_d over d | p - 1, d > 1.
@@ -132,129 +140,35 @@ class CoverAnalysis:
                 f"orbit norms {self.orbit_norms}",
             )
 
-    def zp_value(self, i: int, precision: int):
-        key = (i, precision)
-        if key not in self._l_values:
-            chi = Character(self.group, i, precision)
-            self._l_values[key] = l_value(self.cover, chi, self.eta1, self.lap).value
-        return self._l_values[key]
-
-    def fp_value(self, i: int) -> int:
-        """The F_p L-value: the Teichmuller lift reduces to the F_p character."""
-        return self.zp_value(i, self.precision).value % self.p
-
-    def ranks(self, i: int) -> tuple[int, ...]:
-        """Layer ranks of the i-th component of A: eigenspaces of the deck generator."""
-        if i not in self._ranks:
-            self._ranks[i] = layer_ranks(self.sylow, Character(self.group, i))
-        return self._ranks[i]
-
-    def dim_C(self, i: int) -> int:
-        if i not in self._dims:
-            chi = Character(self.group, i)
-            self._dims[i] = eigenspace_dim_C(self.elemq, self.sylow, chi, self.ranks(i))
-        return self._dims[i]
-
-    def order_A(self, i: int) -> int:
-        return self.p ** sum(self.ranks(i))
-
-    def valuation_with_retry(self, i: int) -> tuple[int | None, int]:
-        """(valuation or None, precision used) with capped doubling retries."""
-        if i in self._valuations:
-            return self._valuations[i]
-        precision = self.precision
-        result = None, precision
-        for _ in range(RETRY_DOUBLINGS + 1):
-            try:
-                result = self.zp_value(i, precision).valuation(), precision
+    def character_row(self, i: int) -> CharacterRow:
+        """The i-th character's row.  Its layer ranks (eigenspaces of the deck
+        generator on the layers of A) give its order of A and its dimension of
+        C; its L-value is taken at the working precision, doubled up to
+        ``RETRY_DOUBLINGS`` times while the value vanishes."""
+        p = self.p
+        chi = Character(self.group, i)
+        ranks = layer_ranks(self.sylow, chi)
+        dim = eigenspace_dim_C(self.elemq, self.sylow, chi, ranks)
+        order = p ** sum(ranks)
+        for k in range(RETRY_DOUBLINGS + 1):
+            lifted = Character(self.group, i, self.precision << k)
+            h = l_value(self.cover, lifted, self.eta1, self.lap).value
+            if not h.is_zero():
                 break
-            except PrecisionExhausted:
-                precision *= 2
+        val = None if h.is_zero() else h.valuation()
+        h_mod_p = h.value % p  # the Teichmuller lift reduces to the F_p character
+        if (dim > 0) == (h_mod_p == 0):
+            main11 = Verdict(PASS, f"dim = {dim}, h = {h_mod_p}")
         else:
-            result = None, precision // 2
-        self._valuations[i] = result
-        return result
-
-    @cached_property
-    def main22(self) -> dict[int, Verdict]:
-        """Per nontrivial character: eigenspace order of A versus p^valuation."""
-        out: dict[int, Verdict] = {}
-        for i in range(1, self.p - 1):
-            order = self.order_A(i)
-            val, used = self.valuation_with_retry(i)
-            if val is None:
-                out[i] = Verdict(
-                    FAIL,
-                    f"L-value vanished mod {self.p}^{used} after retries; order side is {order}",
-                )
-                continue
-            side = self.p**val
-            if side == order:
-                out[i] = Verdict(PASS, f"#component = {order} = p^{val}")
-            else:
-                out[i] = Verdict(FAIL, f"#component = {order} but |h|^-1 = {side}")
-        return out
-
-
-def verify_main22(
-    cover: DerivedCover, precision: int | None = None, analysis: CoverAnalysis | None = None
-) -> dict[int, Verdict]:
-    """Per nontrivial character: eigenspace order of A versus p^valuation."""
-    return (analysis or CoverAnalysis(cover, precision)).main22
-
-
-def verify_main11(
-    cover: DerivedCover, precision: int | None = None, analysis: CoverAnalysis | None = None
-) -> dict[int, Verdict]:
-    """Per nontrivial character: C-eigenspace vanishing iff L-value is 0 mod p."""
-    a = analysis or CoverAnalysis(cover, precision)
-    out: dict[int, Verdict] = {}
-    for i in range(1, a.p - 1):
-        dim = a.dim_C(i)
-        h = a.fp_value(i)
-        if (dim > 0) == (h == 0):
-            out[i] = Verdict(PASS, f"dim = {dim}, h = {h}")
+            main11 = Verdict(FAIL, f"dim = {dim} inconsistent with h = {h_mod_p}")
+        if val is None:
+            reason = f"L-value vanished mod {p}^{h.precision} after retries; order side is {order}"
+            main22 = Verdict(FAIL, reason)
+        elif p**val == order:
+            main22 = Verdict(PASS, f"#component = {order} = p^{val}")
         else:
-            out[i] = Verdict(FAIL, f"dim = {dim} inconsistent with h = {h}")
-    return out
-
-
-def verify_fitting_identity(
-    cover: DerivedCover, precision: int | None = None, analysis: CoverAnalysis | None = None
-) -> Verdict:
-    """Testable consequences of the Fitting-ideal equality.
-
-    (a) the special value annihilates the whole Picard group through the deck
-    action; (b) for each nontrivial character the ideal generated by the
-    L-value matches the order of the character component.  Part (b) is the
-    main22 comparison, so it reads the analysis' main22 verdicts.
-    """
-    if not cover.is_connected():
-        return Verdict(SKIPPED, "cover is disconnected, not Galois with the full group")
-    a = analysis or CoverAnalysis(cover, precision)
-    if not a.pic.annihilated_by(a.eta1):
-        return Verdict(FAIL, "special value does not annihilate the Picard group")
-    for i, verdict in a.main22.items():
-        if verdict.status == FAIL:
-            val, used = a.valuation_with_retry(i)
-            if val is None:
-                return Verdict(FAIL, f"character {i}: L-value vanished mod p^{used}")
-            return Verdict(
-                FAIL, f"character {i}: ideal p^{val} != component order {a.order_A(i)}"
-            )
-    return Verdict(PASS, "annihilation and per-character ideals verified")
-
-
-def _dimension_inequality(a: CoverAnalysis) -> tuple[Verdict, bool]:
-    base_dim = sum(1 for d in a.base_factors if d % a.p == 0)
-    vanishing = sum(1 for i in range(1, a.p - 1) if a.fp_value(i) == 0)
-    dim_c = a.elemq.dimension
-    rhs = base_dim + vanishing
-    if dim_c >= rhs:
-        strict = dim_c > rhs
-        word = "strict" if strict else "tight"
-        return Verdict(PASS, f"dim C = {dim_c} >= {rhs} ({word})"), strict
-    return Verdict(FAIL, f"dim C = {dim_c} < {rhs}"), False
+            main22 = Verdict(FAIL, f"#component = {order} but |h|^-1 = {p**val}")
+        return CharacterRow(i, dim, order, h_mod_p, h, val, {"main11": main11, "main22": main22})
 
 
 @dataclass
@@ -278,12 +192,8 @@ class TheoremReport:
 
     @property
     def all_ok(self) -> bool:
-        row_ok = all(
-            v["verdicts"][k]["status"] in (PASS, SKIPPED)
-            for v in self.rows
-            for k in v["verdicts"]
-        )
-        return row_ok and all(v.ok for v in self.global_verdicts.values())
+        """Every global verdict passes; main11 and main22 fail with any row."""
+        return all(v.status == PASS for v in self.global_verdicts.values())
 
     def to_dict(self) -> dict:
         out = {
@@ -325,47 +235,49 @@ class TheoremReport:
 def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremReport:
     """Run every verification on a connected cover and assemble the report."""
     a = CoverAnalysis(cover, precision)
-    m22 = verify_main22(cover, analysis=a)
-    m11 = verify_main11(cover, analysis=a)
-    rows = []
-    for i in range(1, a.p - 1):
-        val, used = a.valuation_with_retry(i)
-        rows.append(
-            {
-                "i": i,
-                "dimC": a.dim_C(i),
-                "h_mod_p": a.fp_value(i),
-                "orderA": a.order_A(i),
-                "valuation": val,
-                "h_padic": a.zp_value(i, used).expansion_str() if val is not None else None,
-                "verdicts": {
-                    "main11": m11[i].to_dict(),
-                    "main22": m22[i].to_dict(),
-                },
-            }
-        )
-    dim_verdict, strict = _dimension_inequality(a)
-    trivial_ok = trivial_character_check(a.sylow, a.kappa_base)
-    order_product = prod(a.order_A(i) for i in range(1, a.p - 1)) * p_part(a.kappa_base, a.p)
-    global_verdicts = {
-        "main22": _combine([m22[i] for i in m22]),
-        "main11": _combine([m11[i] for i in m11]),
-        "fitting": verify_fitting_identity(cover, analysis=a),
-        "duality": Verdict(PASS, "L-values match at contragredient pairs")
+    rows = [a.character_row(i) for i in range(1, a.p - 1)]
+    verdicts = {}
+    for name in ("main11", "main22"):
+        failed = [r.verdicts[name] for r in rows if r.verdicts[name].status == FAIL]
+        verdicts[name] = failed[0] if failed else Verdict(PASS, f"{len(rows)} characters verified")
+    # The Fitting-ideal consequences: (a) eta(1) annihilates Pic0 through the
+    # deck action; (b) each L-value generates the ideal of its component's
+    # order, which is main22, so (b) names the first failing main22 row.
+    bad = next((r for r in rows if r.verdicts["main22"].status == FAIL), None)
+    if not a.pic.annihilated_by(a.eta1):
+        fitting = Verdict(FAIL, "special value does not annihilate the Picard group")
+    elif bad is None:
+        fitting = Verdict(PASS, "annihilation and per-character ideals verified")
+    elif bad.valuation is None:
+        fitting = Verdict(FAIL, f"character {bad.i}: L-value vanished mod p^{bad.h.precision}")
+    else:
+        reason = f"character {bad.i}: ideal p^{bad.valuation} != component order {bad.order_A}"
+        fitting = Verdict(FAIL, reason)
+    verdicts["fitting"] = fitting
+    verdicts["duality"] = (
+        Verdict(PASS, "L-values match at contragredient pairs")
         if duality_check(cover, precision=min(a.precision, 3), eta1=a.eta1)
-        else Verdict(FAIL, "a contragredient pair disagrees"),
-        "dim_inequality": dim_verdict,
-        "trivial_character": Verdict(
-            PASS, f"trivial component order equals p-part of kappa(X) = {a.kappa_base}"
-        )
-        if trivial_ok
-        else Verdict(FAIL, "trivial component order differs from p-part of kappa(X)"),
-        "order_product": Verdict(
-            PASS, "component orders multiply to the order of the p-primary part"
-        )
+        else Verdict(FAIL, "a contragredient pair disagrees")
+    )
+    dim_c = a.elemq.dimension
+    rhs = sum(1 for d in a.base_factors if d % a.p == 0) + sum(1 for r in rows if r.h_mod_p == 0)
+    strict = dim_c > rhs
+    verdicts["dim_inequality"] = (
+        Verdict(PASS, f"dim C = {dim_c} >= {rhs} ({'strict' if strict else 'tight'})")
+        if dim_c >= rhs
+        else Verdict(FAIL, f"dim C = {dim_c} < {rhs}")
+    )
+    verdicts["trivial_character"] = (
+        Verdict(PASS, f"trivial component order equals p-part of kappa(X) = {a.kappa_base}")
+        if trivial_character_check(a.sylow, a.kappa_base)
+        else Verdict(FAIL, "trivial component order differs from p-part of kappa(X)")
+    )
+    order_product = prod(r.order_A for r in rows) * p_part(a.kappa_base, a.p)
+    verdicts["order_product"] = (
+        Verdict(PASS, "component orders multiply to the order of the p-primary part")
         if order_product == a.sylow.order
-        else Verdict(FAIL, f"product {order_product} != {a.sylow.order}"),
-    }
+        else Verdict(FAIL, f"product {order_product} != {a.sylow.order}")
+    )
     report = TheoremReport(
         p=a.p,
         generator=a.group.generator,
@@ -377,10 +289,10 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
         total_edges=cover.total.num_undirected_edges,
         pic0=a.pic.factors,
         sylow_factors=a.sylow.factors,
-        dim_C=a.elemq.dimension,
+        dim_C=dim_c,
         kappa_base=a.kappa_base,
-        rows=rows,
-        global_verdicts=global_verdicts,
+        rows=[r.to_dict() for r in rows],
+        global_verdicts=verdicts,
         strict_dimension_inequality=strict,
     )
     if not report.all_ok:
@@ -391,11 +303,3 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
             "eta_at_one_coeffs": list(a.eta1.coeffs),
         }
     return report
-
-
-def _combine(verdicts: list[Verdict]) -> Verdict:
-    """One verdict for a per-character pass, whose verdicts are PASS or FAIL."""
-    bad = [v for v in verdicts if v.status == FAIL]
-    if bad:
-        return Verdict(FAIL, bad[0].reason)
-    return Verdict(PASS, f"{len(verdicts)} characters verified")

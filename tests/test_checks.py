@@ -189,6 +189,19 @@ def corrupted(a, b):
 """
 
 
+# Negates the generated-subgroup criterion, so that it disagrees with the
+# breadth-first search on every census row.
+CONNECTIVITY_SABOTAGE = """
+import coverzeta.census as module
+
+name = "connected_by_voltage_criterion"
+real = module.connected_by_voltage_criterion
+
+def corrupted(spec):
+    return not real(spec)
+"""
+
+
 def test_package_has_no_assert_statements():
     found = [
         f"{path.name}:{node.lineno}"
@@ -359,3 +372,22 @@ def test_diagonal_sort_fault_exits_4(monkeypatch, capsys):
     _assert_sabotage_exits_4(
         SORT_SABOTAGE, "example2", "snf.cokernel_generators", monkeypatch, capsys
     )
+
+
+def test_census_connectivity_check_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
+    argv = ["census", str(base), "--p", "5", "--out", str(tmp_path / "census.ndjson")]
+    namespace = {}
+    exec(CONNECTIVITY_SABOTAGE, namespace)
+    with monkeypatch.context() as m:
+        m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+        assert main(argv) == 4
+    assert "error: check census.connectivity failed:" in capsys.readouterr().err
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + CONNECTIVITY_SABOTAGE
+    script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
+    script += f"sys.exit(main({argv!r}))\n"
+    sabotaged = _run_optimized("-c", script)
+    assert sabotaged.returncode == 4, sabotaged.stderr
+    assert "error: check census.connectivity failed:" in sabotaged.stderr

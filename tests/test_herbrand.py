@@ -3,58 +3,57 @@ import pathlib
 
 import pytest
 
-from coverzeta import (
-    VoltageSpec,
-    bouquet,
-    build_report,
-    bundled_spec,
-    derive,
-    verify_fitting_identity,
-    verify_main11,
-    verify_main22,
-)
-from coverzeta.herbrand import PASS, SKIPPED, CoverAnalysis, default_precision
+import coverzeta.herbrand as hb
+from coverzeta import VoltageSpec, bouquet, build_report, bundled_spec, derive
+from coverzeta.census import census_row
+from coverzeta.herbrand import PASS, default_precision
 from coverzeta.picard import picard_module
+from coverzeta.zeta import LValue
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 
+def _main22(cover):
+    return {row["i"]: row["verdicts"]["main22"] for row in build_report(cover).rows}
+
+
 def test_main22_passes_on_examples(ex1_cover, ex2_cover, ex3_cover):
     for cover in (ex1_cover, ex2_cover, ex3_cover):
-        verdicts = verify_main22(cover)
-        assert all(v.status == PASS for v in verdicts.values())
+        verdicts = _main22(cover)
+        assert all(v["status"] == PASS for v in verdicts.values())
 
 
 def test_main22_matches_worked_orders(ex2_cover, ex3_cover):
-    v2 = verify_main22(ex2_cover)
+    v2 = _main22(ex2_cover)
     assert set(v2) == {1, 2, 3}
-    assert "5" in v2[2].reason
-    v3 = verify_main22(ex3_cover)
+    assert "5" in v2[2]["reason"]
+    v3 = _main22(ex3_cover)
     assert set(v3) == set(range(1, 10))
-    assert "121" in v3[1].reason and "121" in v3[9].reason
+    assert "121" in v3[1]["reason"] and "121" in v3[9]["reason"]
 
 
 def test_main11_passes_and_locates_vanishing(ex3_cover, ex4_cover):
-    v3 = verify_main11(ex3_cover)
-    assert all(v.status == PASS for v in v3.values())
-    a3 = CoverAnalysis(ex3_cover)
-    assert {i for i in range(1, 10) if a3.fp_value(i) == 0} == {1, 9}
-    assert {i: a3.dim_C(i) for i in range(1, 10) if a3.dim_C(i)} == {1: 1, 9: 1}
-    a4 = CoverAnalysis(ex4_cover)
-    assert {i for i in range(1, 10) if a4.fp_value(i) == 0} == {3, 7}
-    assert {i: a4.dim_C(i) for i in range(1, 10) if a4.dim_C(i)} == {3: 2, 7: 2}
+    r3 = build_report(ex3_cover).rows
+    assert all(row["verdicts"]["main11"]["status"] == PASS for row in r3)
+    assert {row["i"] for row in r3 if row["h_mod_p"] == 0} == {1, 9}
+    assert {row["i"]: row["dimC"] for row in r3 if row["dimC"]} == {1: 1, 9: 1}
+    r4 = build_report(ex4_cover).rows
+    assert {row["i"] for row in r4 if row["h_mod_p"] == 0} == {3, 7}
+    assert {row["i"]: row["dimC"] for row in r4 if row["dimC"]} == {3: 2, 7: 2}
 
 
 def test_fitting_identity_on_examples(ex1_cover, ex2_cover):
-    assert verify_fitting_identity(ex1_cover).status == PASS
-    assert verify_fitting_identity(ex2_cover).status == PASS
+    assert build_report(ex1_cover).global_verdicts["fitting"].status == PASS
+    assert build_report(ex2_cover).global_verdicts["fitting"].status == PASS
 
 
 def test_fitting_identity_skips_disconnected():
-    cover = derive(VoltageSpec(bouquet(2), 5, (1, 1)))
-    verdict = verify_fitting_identity(cover)
-    assert verdict.status == SKIPPED
-    assert "disconnected" in verdict.reason
+    # A report needs a connected cover; a census row is the one place that
+    # marks a disconnected cover's verdicts SKIPPED.
+    assert not derive(VoltageSpec(bouquet(2), 5, (1, 1))).is_connected()
+    row = census_row(bouquet(2), 5, (1, 1))
+    assert not row["connected"]
+    assert row["verdicts"]["fitting"] == "SKIPPED"
 
 
 def test_default_precision_rule(ex2_cover, ex3_cover):
@@ -108,7 +107,7 @@ def test_precision_retry_recovers(ex3_cover):
 def test_nonpositive_precision_rejected(ex2_cover):
     for precision in (0, -3):
         with pytest.raises(ValueError, match="precision must be at least 1"):
-            CoverAnalysis(ex2_cover, precision)
+            build_report(ex2_cover, precision)
 
 
 def test_table_rendering(ex3_cover):
@@ -351,3 +350,109 @@ def test_report_on_a_24_vertex_base():
     assert report.all_ok
     assert report.sylow_factors == (25, 25)
     assert prod(report.pic0) == dense_tree_count(cover.total)
+
+
+
+def _scaled_l_value(real, factor):
+    def scaled(*args, **kwargs):
+        value = real(*args, **kwargs)
+        return LValue(value.character, value.value * factor)
+
+    return scaled
+
+
+# Each case replaces one name (a dotted path, patched while example4's report
+# is built: p = 11, A = (Z/11)^4, C = F_11^4 at characters 3 and 7, default
+# precision 6) and gives the global verdicts that must then fail, with their
+# exact reasons; every other global verdict stays as in the golden report.
+FAIL_CASES = {
+    "l_value_times_p": (
+        "coverzeta.herbrand.l_value",
+        lambda: _scaled_l_value(hb.l_value, 11),
+        {
+            "main22": "#component = 1 but |h|^-1 = 11",
+            "main11": "dim = 0 inconsistent with h = 0",
+            "fitting": "character 1: ideal p^1 != component order 1",
+            "dim_inequality": "dim C = 4 < 9",
+        },
+    ),
+    "l_value_times_0": (
+        "coverzeta.herbrand.l_value",
+        lambda: _scaled_l_value(hb.l_value, 0),
+        {
+            "main22": "L-value vanished mod 11^96 after retries; order side is 1",
+            "main11": "dim = 0 inconsistent with h = 0",
+            "fitting": "character 1: L-value vanished mod p^96",
+            "dim_inequality": "dim C = 4 < 9",
+        },
+    ),
+    "not_annihilated": (
+        "coverzeta.picard.PicardModule.annihilated_by",
+        lambda: lambda pm, elem: False,
+        {"fitting": "special value does not annihilate the Picard group"},
+    ),
+    "trivial_character": (
+        "coverzeta.herbrand.trivial_character_check",
+        lambda: lambda sylow, kappa: False,
+        {"trivial_character": "trivial component order differs from p-part of kappa(X)"},
+    ),
+    "p_part_doubled": (
+        "coverzeta.herbrand.p_part",
+        lambda: lambda n, p, real=hb.p_part: 2 * real(n, p),
+        {"order_product": "product 29282 != 14641"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIL_CASES))
+def test_fail_branches_name_their_reasons(case, tmp_path, monkeypatch, capsys):
+    from coverzeta.cli import main
+
+    target, corrupted, failures = FAIL_CASES[case]
+    want = json.loads((GOLDENS / "example4_report.json").read_text())["global"]
+    for name, reason in failures.items():
+        want[name] = {"status": "FAIL", "reason": reason}
+    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+    monkeypatch.setattr(target, corrupted())
+    report = build_report(derive(bundled_spec("example4")))
+    assert not report.all_ok
+    assert {name: v.to_dict() for name, v in report.global_verdicts.items()} == want
+    out = tmp_path / "report.json"
+    assert main(["analyze", "example4", "--out", str(out)]) == 4
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["global"] == want
+    assert set(doc["diagnostics"]) == {
+        "laplacian",
+        "invariant_factors",
+        "precision",
+        "eta_at_one_coeffs",
+    }
+
+
+def _covers_for_precision_test():
+    import random
+
+    from conftest import random_connected_cover
+
+    rng = random.Random(20261019)
+    covers = [derive(bundled_spec(f"example{k}")) for k in range(1, 5)]
+    covers += [random_connected_cover(rng, p) for p in (3, 5, 7, 11, 13) for _ in range(4)]
+    return covers
+
+
+def test_answer_does_not_depend_on_starting_precision():
+    # h_mod_p and the valuation are read from the L-value at the last retry
+    # precision; neither, nor any verdict, may depend on where the retries start.
+    def answer(report):
+        rows = [
+            {k: row[k] for k in ("i", "dimC", "h_mod_p", "orderA", "valuation", "verdicts")}
+            for row in report.rows
+        ]
+        return rows, {name: v.to_dict() for name, v in report.global_verdicts.items()}
+
+    for cover in _covers_for_precision_test():
+        default = build_report(cover)
+        assert default.all_ok
+        for precision in (1, 2):
+            assert answer(build_report(cover, precision=precision)) == answer(default)
