@@ -707,3 +707,41 @@ def test_quotient_of_a_wide_ladder_cover():
     assert report.total_vertices == 528
     assert report.all_ok
     assert report.dim_C == len(report.sylow_factors)
+
+
+def dense_layer_ranks(ref, p, lam):
+    """Layer ranks of A at chi(g) = lam from the dense reference: on the
+    Smith generators of exponent at least j, the lam-eigenspace of g's block."""
+    exponents = [p_valuation(d, p) for d in ref.factors]
+    ranks = []
+    for j in range(1, max(exponents, default=0) + 1):
+        layer = [i for i, a in enumerate(exponents) if a >= j]
+        shifted = [[ref.action[i][k] - lam * (i == k) for k in layer] for i in layer]
+        ranks.append(len(layer) - dense_rank_mod(shifted, p))
+    return ranks
+
+
+def test_report_picard_numbers_match_the_dense_reference(layered_covers):
+    # Examples 1-4, random covers and covers whose A has mixed exponents: the
+    # report's Sylow factors, dim C, each row's dimC and orderA, and the
+    # trivial_character and order_product verdicts, against the dense Smith
+    # form of the whole Laplacian and g's matrix from it.
+    for cover, _ in layered_covers:
+        p = cover.p
+        ref = DensePicardReference(cover)
+        report = build_report(cover)
+        sylow = tuple(p ** p_valuation(d, p) for d in ref.factors if d % p == 0)
+        assert report.sylow_factors == sylow
+        assert report.dim_C == len(sylow)
+        orders = []
+        for row in report.rows:
+            ranks = dense_layer_ranks(ref, p, pow(ref.generator, row["i"], p))
+            assert row["dimC"] == (ranks[0] if ranks else 0)
+            assert row["orderA"] == p ** sum(ranks)
+            orders.append(row["orderA"])
+        kappa_part = p ** p_valuation(dense_tree_count(cover.base), p)
+        trivial = p ** sum(dense_layer_ranks(ref, p, 1)) == kappa_part
+        verdicts = report.global_verdicts
+        assert (verdicts["trivial_character"].status == "PASS") == trivial
+        product = prod(orders) * kappa_part == prod(sylow)
+        assert (verdicts["order_product"].status == "PASS") == product
