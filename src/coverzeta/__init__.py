@@ -14,19 +14,7 @@ from .herbrand import (
     default_precision,
 )
 from .padic import PAdicInt, PrecisionExhausted, abs_p_inverse, teichmuller
-from .picard import (
-    ElementaryQuotient,
-    PicardModule,
-    SylowPModule,
-    eigenspace_dim_C,
-    eigenspace_order_A,
-    elementary_quotient,
-    picard_factors,
-    picard_module,
-    spanning_tree_count,
-    sylow_p_module,
-    trivial_character_check,
-)
+from .picard import PicardModule, picard_factors, spanning_tree_count
 from .serre import DirectedEdge, SerreGraph, bouquet, cycle_graph, path_graph
 from .snf import SmithDecomposition, integer_determinant, smith_normal_form
 from .specfile import bundled_spec, load_spec, spec_from_dict, spec_to_dict

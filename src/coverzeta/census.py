@@ -7,7 +7,7 @@ factors, the set of vanishing mod-p L-values, and verdict summaries.  Output
 is one JSON object per line; reruns skip keys already present, so runs are
 resumable, also after a crash that left a partly written last line; a file
 with any other line that is not a row or a cursor is refused, as is a row for
-another prime or a cursor over another number of assignments.  A run cut short
+another prime or edge count or a cursor over another number of assignments.  A run cut short
 by its budget ends with a cursor line, and the next run starts at the last
 cursor in the file, so repeated budgeted runs advance through the assignments.
 """
@@ -64,7 +64,21 @@ class CensusFileError(ValueError):
     """A census output file with a complete line that is not a row or a cursor."""
 
 
-def _resume_state(out_path: str, p: int, total: int) -> tuple[set[str], int]:
+def _is_row(doc, p: int, num_edges: int) -> bool:
+    """Whether a parsed line is a row of a census at p over ``num_edges``
+    edges: its voltages are that many units mod p, and its key is theirs."""
+    if not isinstance(doc, dict) or doc.get("p") != p:
+        return False
+    voltages = doc.get("voltages")
+    return (
+        type(voltages) is list
+        and len(voltages) == num_edges
+        and all(type(a) is int and 0 < a < p for a in voltages)
+        and doc.get("key") == assignment_key(voltages)
+    )
+
+
+def _resume_state(out_path: str, p: int, num_edges: int) -> tuple[set[str], int]:
     """Keys of the rows already in the output file, which may not exist, and
     the index of the last cursor in it (0 without one).
 
@@ -72,10 +86,13 @@ def _resume_state(out_path: str, p: int, total: int) -> tuple[set[str], int]:
     is cut back to its last complete line, so that row is computed again and
     the next row does not land on the fragment.  Any other line that is not
     a row or a cursor raises ``CensusFileError`` and leaves the file as it is.
-    So do a row for a prime other than ``p`` and a cursor over other than
-    ``total`` assignments, whose keys and indices belong to another census,
-    and a cursor at ``total`` or past it, which no run writes.
+    So do lines whose keys and indices belong to another census: a row for a
+    prime other than ``p``, a row whose voltages are not ``num_edges`` units
+    mod p or whose key is not theirs, and a cursor over other than the
+    (p - 1)^num_edges assignments; and so does a cursor at that total or
+    past it, which no run writes.
     """
+    total = (p - 1) ** num_edges
     done, start = set(), 0
     with suppress(FileNotFoundError), open(out_path, "rb+") as fh:
         data = fh.read()
@@ -87,7 +104,7 @@ def _resume_state(out_path: str, p: int, total: int) -> tuple[set[str], int]:
                 doc = json.loads(line.decode("utf-8"))
             except ValueError:  # not UTF-8, or not JSON
                 doc = None
-            if isinstance(doc, dict) and type(doc.get("key")) is str and doc.get("p") == p:
+            if _is_row(doc, p, num_edges):
                 done.add(doc["key"])
                 continue
             cursor = doc.get("cursor") if isinstance(doc, dict) else None
@@ -114,7 +131,7 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
         raise ValueError("census base graph must be connected")
     num_edges = base.num_undirected_edges
     total = (p - 1) ** num_edges
-    done, start = _resume_state(out_path, p, total)
+    done, start = _resume_state(out_path, p, num_edges)
     processed = 0
     written = 0
     cursor = None

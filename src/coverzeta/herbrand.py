@@ -20,18 +20,7 @@ from .arith import VerificationError, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup
 from .padic import PAdicInt
-from .picard import (
-    ElementaryQuotient,
-    PicardModule,
-    SylowPModule,
-    eigenspace_dim_C,
-    elementary_quotient,
-    layer_ranks,
-    picard_factors,
-    picard_module,
-    sylow_p_module,
-    trivial_character_check,
-)
+from .picard import PicardModule, picard_factors
 from .voltage import DerivedCover, require_connected_cover
 from .zeta import duality_check, equivariant_laplacian, eta_at_one, l_value, orbit_norms
 
@@ -88,10 +77,9 @@ class CharacterRow:
 class CoverAnalysis:
     """The intermediates every character's row reads, computed once.
 
-    They are the Picard module with the deck generator's matrix on Pic0 and
-    its Sylow part, the elementary quotient with the deck generator's matrix
-    on it (from a sparse echelon form mod p of the Picard module's Laplacian,
-    its dimension checked against the Sylow part's rank), the base graph's
+    They are the Picard module (the deck generator's matrix on Pic0, the
+    exponents of A, and the deck generator's matrix on C, whose size dim C
+    is checked against the number of cyclic summands of A), the base graph's
     Picard factors (kept on the graph), whose product is its tree count, the
     equivariant Laplacian and the special value eta(1), whose
     Berkowitz-against-substitution check runs here, the norms N_d of eta(1) at
@@ -107,14 +95,14 @@ class CoverAnalysis:
         self.cover = cover
         self.p = cover.p
         self.group = CyclicGroup.for_prime(self.p)
-        self.pic: PicardModule = picard_module(cover)
-        self.sylow: SylowPModule = sylow_p_module(self.pic, self.p)
-        self.elemq: ElementaryQuotient = elementary_quotient(self.pic)
-        if self.elemq.dimension != self.sylow.rank():
+        self.pic = PicardModule(cover)
+        self.dim_c = len(self.pic.deck)
+        summands = sum(a > 0 for a in self.pic.exponents)
+        if self.dim_c != summands:
             raise VerificationError(
                 "picard.quotient_dimension",
-                f"mod-{self.p} span of the Laplacian leaves dim C = {self.elemq.dimension}, "
-                f"but A has {self.sylow.rank()} cyclic summands",
+                f"mod-{self.p} span of the Laplacian leaves dim C = {self.dim_c}, "
+                f"but A has {summands} cyclic summands",
             )
         self.base_factors = picard_factors(cover.base)
         self.kappa_base = prod(self.base_factors)  # certified by snf.cokernel_order
@@ -123,7 +111,7 @@ class CoverAnalysis:
         self.orbit_norms = orbit_norms(self.eta1)
         self._check_class_number()
         self.precision = precision if precision is not None else default_precision(self.pic)
-        self.precision = max(self.precision, self.sylow.exponent, 1)
+        self.precision = max(self.precision, *self.pic.exponents, 1)
 
     def _check_class_number(self) -> None:
         """Check (p - 1) #Pic0(Y) = kappa(X) prod of N_d over d | p - 1, d > 1.
@@ -146,9 +134,9 @@ class CoverAnalysis:
         C; its L-value is taken at the working precision, doubled up to
         ``RETRY_DOUBLINGS`` times while the value vanishes."""
         p = self.p
-        chi = Character(self.group, i)
-        ranks = layer_ranks(self.sylow, chi)
-        dim = eigenspace_dim_C(self.elemq, self.sylow, chi, ranks)
+        lam = pow(self.group.generator, i, p)  # chi(g) mod p
+        ranks = self.pic.layer_ranks(lam)
+        dim = self.pic.dim_C(lam, ranks)
         order = p ** sum(ranks)
         for k in range(RETRY_DOUBLINGS + 1):
             lifted = Character(self.group, i, self.precision << k)
@@ -259,7 +247,7 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
         if duality_check(cover, precision=min(a.precision, 3), eta1=a.eta1)
         else Verdict(FAIL, "a contragredient pair disagrees")
     )
-    dim_c = a.elemq.dimension
+    dim_c = a.dim_c
     rhs = sum(1 for d in a.base_factors if d % a.p == 0) + sum(1 for r in rows if r.h_mod_p == 0)
     strict = dim_c > rhs
     verdicts["dim_inequality"] = (
@@ -267,16 +255,18 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
         if dim_c >= rhs
         else Verdict(FAIL, f"dim C = {dim_c} < {rhs}")
     )
+    # The trivial character has chi(g) = 1; its piece of A has order p^(sum of its ranks).
     verdicts["trivial_character"] = (
         Verdict(PASS, f"trivial component order equals p-part of kappa(X) = {a.kappa_base}")
-        if trivial_character_check(a.sylow, a.kappa_base)
+        if sum(a.pic.layer_ranks(1)) == p_valuation(a.kappa_base, a.p)
         else Verdict(FAIL, "trivial component order differs from p-part of kappa(X)")
     )
+    order_a = a.p ** sum(a.pic.exponents)
     order_product = prod(r.order_A for r in rows) * p_part(a.kappa_base, a.p)
     verdicts["order_product"] = (
         Verdict(PASS, "component orders multiply to the order of the p-primary part")
-        if order_product == a.sylow.order
-        else Verdict(FAIL, f"product {order_product} != {a.sylow.order}")
+        if order_product == order_a
+        else Verdict(FAIL, f"product {order_product} != {order_a}")
     )
     report = TheoremReport(
         p=a.p,
@@ -288,7 +278,7 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
         total_vertices=cover.total.num_vertices,
         total_edges=cover.total.num_undirected_edges,
         pic0=a.pic.factors,
-        sylow_factors=a.sylow.factors,
+        sylow_factors=tuple(a.p**e for e in a.pic.exponents if e),
         dim_C=dim_c,
         kappa_base=a.kappa_base,
         rows=[r.to_dict() for r in rows],
@@ -296,9 +286,10 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
         strict_dimension_inequality=strict,
     )
     if not report.all_ok:
+        ones = [1] * (cover.total.num_vertices - 1 - len(a.pic.factors))
         report.diagnostics = {
             "laplacian": cover.total.laplacian_matrix(),
-            "invariant_factors": list(a.pic.full_diagonal),
+            "invariant_factors": [*ones, *a.pic.factors, 0],  # the Laplacian's Smith diagonal
             "precision": a.precision,
             "eta_at_one_coeffs": list(a.eta1.coeffs),
         }

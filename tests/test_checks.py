@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import coverzeta
-from coverzeta import VerificationError, build_report, derive, elementary_quotient, picard_module
+from coverzeta import PicardModule, VerificationError, build_report, derive
 from coverzeta.cli import main
 from coverzeta.specfile import BUNDLED, load_spec
 
@@ -67,13 +67,16 @@ CERTIFICATE_SABOTAGES = {
     ),
 }
 
-# Doubles the first invariant factor of Pic0 prime to p after the Picard
-# module is built and certified, so that only the class-number identity sees it.
+# Each of the next four replaces the Picard module the report builds with one
+# that has one quantity corrupted after it is built and certified.
+
+# Doubles the first invariant factor of Pic0 prime to p, so that only the
+# class-number identity sees it.
 CLASS_NUMBER_SABOTAGE = """
 import coverzeta.herbrand as module
 
-name = "picard_module"
-real = module.picard_module
+name = "PicardModule"
+real = module.PicardModule
 
 def corrupted(cover):
     pm = real(cover)
@@ -82,18 +85,19 @@ def corrupted(cover):
     return pm
 """
 
-# Drops one basis class of C, so that the mod-p span of the Laplacian and the
-# elimination modulo kappa disagree on the dimension of C.
+# Drops the last basis class of C from the deck generator's matrix on C, so
+# that the mod-p span of the Laplacian and the elimination modulo kappa
+# disagree on the dimension of C.
 QUOTIENT_SABOTAGE = """
-import dataclasses
 import coverzeta.herbrand as module
 
-name = "elementary_quotient"
-real = module.elementary_quotient
+name = "PicardModule"
+real = module.PicardModule
 
-def corrupted(pm):
-    q = real(pm)
-    return dataclasses.replace(q, basis=q.basis[:-1])
+def corrupted(cover):
+    pm = real(cover)
+    pm.deck = tuple(row[:-1] for row in pm.deck[:-1])
+    return pm
 """
 
 # Puts the identity in place of the deck generator's matrix on Pic0, so every
@@ -101,12 +105,12 @@ def corrupted(pm):
 ACTION_SABOTAGE = """
 import coverzeta.herbrand as module
 
-name = "picard_module"
-real = module.picard_module
+name = "PicardModule"
+real = module.PicardModule
 
 def corrupted(cover):
     pm = real(cover)
-    r = pm.rank()
+    r = len(pm.factors)
     pm.action = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
     return pm
 """
@@ -114,16 +118,16 @@ def corrupted(cover):
 # Makes the deck generator act on C as the identity, so the eigenspace of
 # every nontrivial character value is 0 while the layer ranks of A stand.
 DECK_SABOTAGE = """
-import dataclasses
 import coverzeta.herbrand as module
 
-name = "elementary_quotient"
-real = module.elementary_quotient
+name = "PicardModule"
+real = module.PicardModule
 
-def corrupted(pm):
-    q = real(pm)
-    identity = tuple(tuple(int(i == j) for j in range(q.dimension)) for i in range(q.dimension))
-    return dataclasses.replace(q, deck=identity)
+def corrupted(cover):
+    pm = real(cover)
+    n = len(pm.deck)
+    pm.deck = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return pm
 """
 
 # Zeroes the first diagonal entry of every Laplacian read as sparse rows.  The
@@ -258,7 +262,7 @@ def test_fixed_point_check_runs_when_C_is_large(tmp_path, monkeypatch, capsys):
     spec = tmp_path / "star.json"
     spec.write_text(json.dumps({"p": 3, "vertices": ["c", *leaves], "edges": edges}))
     cover = derive(load_spec(str(spec)))
-    assert elementary_quotient(picard_module(cover)).dimension == 14
+    assert len(PicardModule(cover).deck) == 14
     namespace = {}
     exec(DECK_SABOTAGE, namespace)
     with monkeypatch.context() as m:

@@ -326,14 +326,16 @@ def test_census_refuses_an_output_file_that_is_not_a_census(tmp_path, capsys, li
     "first, second, line",
     [
         ((3, "5", "20"), (3, "7", "5"), "line 1"),  # rows and cursor of another prime
-        ((2, "5", "3"), (3, "5", "5"), "line 4"),  # a cursor over another base's 16
+        ((2, "5", "0"), (3, "5", "5"), "line 1"),  # a lone cursor over another base's 16
+        ((3, "5", "64"), (2, "5", "16"), "line 1"),  # a finished census of three edges
     ],
-    ids=["other_prime", "other_total"],
+    ids=["other_prime", "other_total", "other_edge_count"],
 )
 def test_census_refuses_to_resume_another_census(tmp_path, capsys, first, second, line):
     # Keys and cursor indices of one census mean nothing in another: a run
     # at p = 7 would start at index 20 of its own enumeration and skip the
-    # assignments whose keys match p = 5 rows.
+    # assignments whose keys match p = 5 rows, and a two-edge run would
+    # append its rows to a finished three-edge census, which has no cursor.
     def census(loops, p, budget):
         base = write(tmp_path, f"base{loops}.json", {"vertices": ["v"], "edges": [LOOP] * loops})
         return main(["census", base, "--p", p, "--out", str(out), "--budget", budget])

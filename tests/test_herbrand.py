@@ -7,7 +7,7 @@ import coverzeta.herbrand as hb
 from coverzeta import VoltageSpec, bouquet, build_report, bundled_spec, derive
 from coverzeta.census import census_row
 from coverzeta.herbrand import PASS, default_precision
-from coverzeta.picard import picard_module
+from coverzeta.picard import PicardModule
 from coverzeta.zeta import LValue
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -57,8 +57,8 @@ def test_fitting_identity_skips_disconnected():
 
 
 def test_default_precision_rule(ex2_cover, ex3_cover):
-    assert default_precision(picard_module(ex2_cover)) == 3  # 5-part order 5
-    assert default_precision(picard_module(ex3_cover)) == 6  # 11-part order 11^4
+    assert default_precision(PicardModule(ex2_cover)) == 3  # 5-part order 5
+    assert default_precision(PicardModule(ex3_cover)) == 6  # 11-part order 11^4
 
 
 def test_reports_are_deterministic(ex2_cover):
@@ -143,7 +143,11 @@ def test_failed_report_carries_diagnostics(ex2_cover, monkeypatch):
     report = build_report(ex2_cover)
     assert not report.all_ok
     assert report.diagnostics is not None
-    assert "invariant_factors" in report.diagnostics
+    # The Smith diagonal of the whole Laplacian, (1, ..., 1, factors, 0).
+    from coverzeta.snf import smith_normal_form
+
+    dense = smith_normal_form(report.diagnostics["laplacian"]).diagonal
+    assert report.diagnostics["invariant_factors"] == list(dense)
 
 
 @pytest.mark.parametrize("precision", [None, 1])
@@ -166,7 +170,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     targets = {
         "eta_at_one": (hb, zeta),
         "equivariant_laplacian": (hb, zeta),
-        "sylow_p_module": (hb, picard),
+        "PicardModule": (hb, picard),
         "picard_factors": (hb, picard),
         "ring_determinant": (groupring, zeta),
         "eta_polynomial": (zeta,),
@@ -231,7 +235,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     assert calls == {
         "eta_at_one": 1,
         "equivariant_laplacian": 1,
-        "sylow_p_module": 1,
+        "PicardModule": 1,
         "picard_factors": 1,
         "ring_determinant": 1,
         "eta_polynomial": 0,
@@ -392,8 +396,9 @@ FAIL_CASES = {
         {"fitting": "special value does not annihilate the Picard group"},
     ),
     "trivial_character": (
-        "coverzeta.herbrand.trivial_character_check",
-        lambda: lambda sylow, kappa: False,
+        # chi(g) = 1 only at the trivial character: its layer ranks read (1,).
+        "coverzeta.picard.PicardModule.layer_ranks",
+        lambda: lambda pm, lam, real=PicardModule.layer_ranks: (1,) if lam == 1 else real(pm, lam),
         {"trivial_character": "trivial component order differs from p-part of kappa(X)"},
     ),
     "p_part_doubled": (

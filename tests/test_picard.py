@@ -16,19 +16,14 @@ from coverzeta import (
     VoltageSpec,
     cycle_graph,
     derive,
-    eigenspace_dim_C,
-    eigenspace_order_A,
-    elementary_quotient,
     path_graph,
     picard_factors,
-    picard_module,
+    PicardModule,
     spanning_tree_count,
-    sylow_p_module,
-    trivial_character_check,
 )
-from coverzeta.picard import ModPEchelon, _pic0, _reduced, layer_ranks
+from coverzeta.picard import ModPEchelon, _pic0, _reduced
 from coverzeta.serre import SerreGraph
-from coverzeta.arith import VerificationError, p_valuation
+from coverzeta.arith import VerificationError, p_part, p_valuation
 from coverzeta.groupring import GroupRingElement, idempotent_mod
 from coverzeta.snf import integer_determinant, smith_normal_form
 from coverzeta.specfile import spec_from_dict
@@ -41,6 +36,34 @@ def c6_over_c3_cover():
     # Degree-2 cover of the triangle: voltages (1, 1, 2) mod 3 unroll it
     # into a hexagon.
     return derive(VoltageSpec(cycle_graph(3), 3, (1, 1, 2)))
+
+
+def sylow_factors(pm):
+    """The invariant factors p^a of A."""
+    return tuple(pm.p**a for a in pm.exponents if a)
+
+
+def chi_of_g(pm, chi) -> int:
+    """chi(g) mod p for the deck generator g, also for a lifted character."""
+    value = chi.value(pm.generator)
+    return (value if chi.precision is None else value.value) % pm.p
+
+
+def order_A(pm, chi) -> int:
+    """#e_chi A: p to the sum of the layer ranks at chi(g)."""
+    return pm.p ** sum(pm.layer_ranks(chi_of_g(pm, chi)))
+
+
+def dim_C(pm, chi) -> int:
+    """dim e_chi C, checked against the eigenspace of g on C."""
+    lam = chi_of_g(pm, chi)
+    return pm.dim_C(lam, pm.layer_ranks(lam))
+
+
+def trivial_order_matches(pm, kappa_base) -> bool:
+    """Order of the trivial-character piece of A against the p-part of the
+    base graph's spanning tree count."""
+    return order_A(pm, Character(CyclicGroup.for_prime(pm.p), 0)) == p_part(kappa_base, pm.p)
 
 
 def test_picard_factors_of_plain_graphs():
@@ -63,13 +86,13 @@ def test_picard_factors_match_dense_smith_form():
 
 
 def test_picard_module_first_example(ex1_cover):
-    pm = picard_module(ex1_cover)
+    pm = PicardModule(ex1_cover)
     assert pm.factors == (3, 12)
     assert pm.order == 36
 
 
 def test_picard_module_hexagon_cover():
-    pm = picard_module(c6_over_c3_cover())
+    pm = PicardModule(c6_over_c3_cover())
     assert pm.factors == (6,)
 
 
@@ -105,127 +128,123 @@ def test_order_matches_tree_count_randomly():
     for p in (3, 5):
         for _ in range(8):
             cover = random_connected_cover(rng, p)
-            pm = picard_module(cover)
+            pm = PicardModule(cover)
             assert pm.order == dense_tree_count(cover.total)
 
 
 def test_sylow_modules_of_examples(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
-    assert sylow_p_module(picard_module(ex1_cover), 5).factors == ()
-    assert sylow_p_module(picard_module(ex2_cover), 5).factors == (5,)
-    assert sylow_p_module(picard_module(ex3_cover), 11).factors == (121, 121)
-    assert sylow_p_module(picard_module(ex4_cover), 11).factors == (11, 11, 11, 11)
+    assert sylow_factors(PicardModule(ex1_cover)) == ()
+    assert sylow_factors(PicardModule(ex2_cover)) == (5,)
+    assert sylow_factors(PicardModule(ex3_cover)) == (121, 121)
+    assert sylow_factors(PicardModule(ex4_cover)) == (11, 11, 11, 11)
 
 
 def test_eigenspace_orders_trivial_module(ex1_cover):
-    sylow = sylow_p_module(picard_module(ex1_cover), 5)
+    pm = PicardModule(ex1_cover)
     g = CyclicGroup.for_prime(5)
     for i in range(4):
-        assert eigenspace_order_A(sylow, Character(g, i, 2)) == 1
+        assert order_A(pm, Character(g, i, 2)) == 1
 
 
 def test_eigenspace_orders_worked_examples(ex2_cover, ex3_cover):
     g5 = CyclicGroup.for_prime(5)
-    sylow2 = sylow_p_module(picard_module(ex2_cover), 5)
-    assert eigenspace_order_A(sylow2, Character(g5, 2, 3)) == 5
+    pm2 = PicardModule(ex2_cover)
+    assert order_A(pm2, Character(g5, 2, 3)) == 5
     g11 = CyclicGroup.for_prime(11)
-    sylow3 = sylow_p_module(picard_module(ex3_cover), 11)
-    assert eigenspace_order_A(sylow3, Character(g11, 1, 4)) == 121
-    assert eigenspace_order_A(sylow3, Character(g11, 9, 4)) == 121
-    assert eigenspace_order_A(sylow3, Character(g11, 2, 4)) == 1
+    pm3 = PicardModule(ex3_cover)
+    assert order_A(pm3, Character(g11, 1, 4)) == 121
+    assert order_A(pm3, Character(g11, 9, 4)) == 121
+    assert order_A(pm3, Character(g11, 2, 4)) == 1
 
 
 def test_eigenspace_orders_multiply_to_module_order(ex3_cover, ex4_cover):
     for cover in (ex3_cover, ex4_cover):
         p = cover.p
-        sylow = sylow_p_module(picard_module(cover), p)
+        pm = PicardModule(cover)
         g = CyclicGroup.for_prime(p)
-        orders = [
-            eigenspace_order_A(sylow, Character(g, i, max(sylow.exponent, 1)))
-            for i in range(p - 1)
-        ]
-        assert prod(orders) == sylow.order
+        orders = [order_A(pm, Character(g, i, max([1, *pm.exponents]))) for i in range(p - 1)]
+        assert prod(orders) == prod(sylow_factors(pm))
 
 
 def test_eigenspace_order_reads_only_chi_mod_p(ex3_cover):
     # A = Z/121 + Z/121: a character at precision 1 or in F_p sees the
     # whole component, not only its p-torsion.
-    sylow = sylow_p_module(picard_module(ex3_cover), 11)
+    pm = PicardModule(ex3_cover)
     g11 = CyclicGroup.for_prime(11)
-    assert sylow.exponent == 2
-    assert eigenspace_order_A(sylow, Character(g11, 1, 1)) == 121
+    assert max(pm.exponents) == 2
+    assert order_A(pm, Character(g11, 1, 1)) == 121
     for i in range(10):
-        orders = {eigenspace_order_A(sylow, Character(g11, i, k)) for k in (None, 1, 2, 5)}
+        orders = {order_A(pm, Character(g11, i, k)) for k in (None, 1, 2, 5)}
         assert len(orders) == 1
 
 
 def test_elementary_quotient_dimensions(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
     for cover in (ex1_cover, ex2_cover, ex3_cover, ex4_cover):
-        pm = picard_module(cover)
-        q = elementary_quotient(pm)
+        pm = PicardModule(cover)
         p_divisible = sum(1 for d in pm.factors if d % cover.p == 0)
-        assert q.dimension == p_divisible
+        assert len(pm.deck) == p_divisible
 
 
-def residual(q, divisor) -> dict[int, int]:
+def quotient_span(cover):
+    """The span mod p of the Laplacian columns and e_0, built as the Picard
+    module builds it, and the basis e_v - e_0 of C at its free columns."""
+    n = cover.total.num_vertices
+    span = ModPEchelon(cover.p, [{0: 1}, *cover.total.laplacian_rows()])
+    free = [v for v in range(n) if v not in span.pivots]
+    return span, [[int(w == v) - int(w == 0) for w in range(n)] for v in free]
+
+
+def residual(span, divisor) -> dict[int, int]:
     """Residual mod p of a degree-zero divisor against the span of the
     Laplacian columns and e_0."""
     assert sum(divisor) == 0
-    return q.membership.reduce(dict(enumerate(divisor)))
+    return span.reduce(dict(enumerate(divisor)))
 
 
-def in_sublattice(q, divisor) -> bool:
+def in_sublattice(span, divisor) -> bool:
     """Whether an integer degree-zero divisor lies in p*Div0 + Pr."""
-    return not any(residual(q, divisor))
+    return not any(residual(span, divisor))
 
 
 def test_elementary_quotient_membership(ex2_cover):
-    q = elementary_quotient(picard_module(ex2_cover))
+    span, basis = quotient_span(ex2_cover)
+    assert len(basis) == len(PicardModule(ex2_cover).deck)
     n = ex2_cover.total.num_vertices
     p = ex2_cover.p
     lap = ex2_cover.total.laplacian_matrix()
     # Laplacian columns are principal divisors, hence in the sublattice.
     for j in range(n):
-        assert in_sublattice(q, [lap[i][j] for i in range(n)])
+        assert in_sublattice(span, [lap[i][j] for i in range(n)])
     # p times any degree-zero vector lies in it as well.
     for j in range(1, n):
         vec = [0] * n
         vec[0], vec[j] = -p, p
-        assert in_sublattice(q, vec)
+        assert in_sublattice(span, vec)
     # Basis representatives are nonzero classes.
-    for eps in q.basis:
+    for eps in basis:
         assert sum(eps) == 0
-        assert not in_sublattice(q, list(eps))
+        assert not in_sublattice(span, eps)
 
 
 def test_eigenspace_dims_worked_examples(ex1_cover, ex4_cover):
     g5 = CyclicGroup.for_prime(5)
-    pm1 = picard_module(ex1_cover)
-    q1, sylow1 = elementary_quotient(pm1), sylow_p_module(pm1, 5)
+    pm1 = PicardModule(ex1_cover)
     for i in range(1, 4):
-        assert eigenspace_dim_C(q1, sylow1, Character(g5, i, None)) == 0
+        assert dim_C(pm1, Character(g5, i, None)) == 0
     g11 = CyclicGroup.for_prime(11)
-    pm4 = picard_module(ex4_cover)
-    q4, sylow4 = elementary_quotient(pm4), sylow_p_module(pm4, 11)
-    assert eigenspace_dim_C(q4, sylow4, Character(g11, 3, None)) == 2
-    assert eigenspace_dim_C(q4, sylow4, Character(g11, 7, None)) == 2
-    assert eigenspace_dim_C(q4, sylow4, Character(g11, 1, None)) == 0
+    pm4 = PicardModule(ex4_cover)
+    assert dim_C(pm4, Character(g11, 3, None)) == 2
+    assert dim_C(pm4, Character(g11, 7, None)) == 2
+    assert dim_C(pm4, Character(g11, 1, None)) == 0
 
 
 def test_eigenspace_dims_sum_to_total(ex3_cover, ex4_cover):
     for cover in (ex3_cover, ex4_cover):
         p = cover.p
         g = CyclicGroup.for_prime(p)
-        pm = picard_module(cover)
-        q, sylow = elementary_quotient(pm), sylow_p_module(pm, p)
-        dims = [eigenspace_dim_C(q, sylow, Character(g, i, None)) for i in range(p - 1)]
-        assert sum(dims) == q.dimension
-
-
-def test_eigenspace_dim_rejects_lifted_characters(ex2_cover):
-    pm = picard_module(ex2_cover)
-    q, sylow = elementary_quotient(pm), sylow_p_module(pm, 5)
-    with pytest.raises(ValueError):
-        eigenspace_dim_C(q, sylow, Character(CyclicGroup.for_prime(5), 1, 2))
+        pm = PicardModule(cover)
+        dims = [dim_C(pm, Character(g, i, None)) for i in range(p - 1)]
+        assert sum(dims) == len(pm.deck)
 
 
 def dense_rank_mod(rows, p) -> int:
@@ -259,7 +278,7 @@ def multigraph_laplacians(draw, max_vertices=8):
     pairs += [(v, v) for v in draw(st.lists(st.integers(0, n - 1), max_size=2))]  # loops
     rows = SerreGraph(n, pairs).laplacian_rows()
     if draw(st.booleans()):
-        rows = [{0: 1}, *rows]  # the unit row elementary_quotient adds
+        rows = [{0: 1}, *rows]  # the unit row the Picard module adds for C
     return n, rows, draw(st.sampled_from([2, 3, 5, 7, 11]))
 
 
@@ -300,16 +319,17 @@ def act_divisor(cover, elem, divisor) -> list[int]:
     return out
 
 
-def enumerated_fixed_points(cover, q, f_lift) -> int:
+def enumerated_fixed_points(cover, f_lift) -> int:
     """Reference count: try every combination of the basis classes of C."""
-    p = q.p
+    p = cover.p
+    span, basis = quotient_span(cover)
     residuals = []
-    for eps in q.basis:
+    for eps in basis:
         defect = [a - b for a, b in zip(act_divisor(cover, f_lift, eps), eps)]
-        residuals.append(residual(q, defect))
+        residuals.append(residual(span, defect))
     support = set().union(*residuals)
     count = 0
-    for lam in product(range(p), repeat=q.dimension):
+    for lam in product(range(p), repeat=len(basis)):
         count += not any(sum(c * r.get(j, 0) for c, r in zip(lam, residuals)) % p for j in support)
     return count
 
@@ -319,16 +339,15 @@ def check_fixed_point_counts(cover, max_classes=None) -> int:
     its piece of C, for every character of a cover; returns dim C, or None
     when C has more than ``max_classes`` classes."""
     p = cover.p
-    pm = picard_module(cover)
-    q, sylow = elementary_quotient(pm), sylow_p_module(pm, p)
-    if max_classes is not None and p**q.dimension > max_classes:
+    pm = PicardModule(cover)
+    if max_classes is not None and p ** len(pm.deck) > max_classes:
         return None
     g = CyclicGroup.for_prime(p)
     for i in range(p - 1):
         chi = Character(g, i, None)
-        count = enumerated_fixed_points(cover, q, idempotent_mod(chi, 1))
-        assert count == p ** eigenspace_dim_C(q, sylow, chi)
-    return q.dimension
+        count = enumerated_fixed_points(cover, idempotent_mod(chi, 1))
+        assert count == p ** dim_C(pm, chi)
+    return len(pm.deck)
 
 
 def test_fixed_point_sweep_agrees_with_projector(ex1_cover, ex2_cover, ex3_cover, ex4_cover):
@@ -383,23 +402,22 @@ def test_deck_matrix_on_C_is_diagonalizable(ex1_cover, ex2_cover, ex3_cover, ex4
     split = 0
     for cover in covers:
         p = cover.p
-        pm = picard_module(cover)
-        q, sylow = elementary_quotient(pm), sylow_p_module(pm, p)
-        n = q.dimension
+        pm = PicardModule(cover)
+        n = len(pm.deck)
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         power = identity
         for _ in range(p - 1):
-            power = _mat_mul(power, q.deck, p)
+            power = _mat_mul(power, pm.deck, p)
         assert power == identity
         g = CyclicGroup.for_prime(p)
         dims = []
         for i in range(p - 1):
-            lam = pow(q.generator, i, p)
+            lam = pow(pm.generator, i, p)
             shifted = [
-                [x - lam * (j == k) for j, x in enumerate(row)] for k, row in enumerate(q.deck)
+                [x - lam * (j == k) for j, x in enumerate(row)] for k, row in enumerate(pm.deck)
             ]
             dims.append(_kernel_dim(shifted, p))
-            assert dims[-1] == eigenspace_dim_C(q, sylow, Character(g, i, None))
+            assert dims[-1] == dim_C(pm, Character(g, i, None))
         assert sum(dims) == n
         split += sum(1 for d in dims if d) > 1
     assert split >= 3
@@ -407,26 +425,26 @@ def test_deck_matrix_on_C_is_diagonalizable(ex1_cover, ex2_cover, ex3_cover, ex4
 
 def test_trivial_character_check_examples(ex1_cover, ex3_cover):
     for cover in (ex3_cover, ex1_cover):
-        sylow = sylow_p_module(picard_module(cover), cover.p)
-        assert trivial_character_check(sylow, spanning_tree_count(cover.base))
+        pm = PicardModule(cover)
+        assert trivial_order_matches(pm, spanning_tree_count(cover.base))
     cover = c6_over_c3_cover()
-    sylow = sylow_p_module(picard_module(cover), 3)
-    assert sylow.factors == (3,)
-    assert trivial_character_check(sylow, spanning_tree_count(cover.base))
+    pm = PicardModule(cover)
+    assert sylow_factors(pm) == (3,)
+    assert trivial_order_matches(pm, spanning_tree_count(cover.base))
 
 
 def test_trivial_component_orders(ex3_cover):
     # The trivial-character component has the order of the p-part of the
     # base tree count: 2 spanning trees for this base, so trivial component.
-    sylow = sylow_p_module(picard_module(ex3_cover), 11)
+    pm = PicardModule(ex3_cover)
     g11 = CyclicGroup.for_prime(11)
     assert spanning_tree_count(ex3_cover.base) == 2
-    assert eigenspace_order_A(sylow, Character(g11, 0, 2)) == 1
+    assert order_A(pm, Character(g11, 0, 2)) == 1
     # For the hexagon cover the whole 3-part is the trivial component.
     cover = c6_over_c3_cover()
-    sylow3 = sylow_p_module(picard_module(cover), 3)
+    pm3 = PicardModule(cover)
     g3 = CyclicGroup.for_prime(3)
-    assert eigenspace_order_A(sylow3, Character(g3, 0, 1)) == 3
+    assert order_A(pm3, Character(g3, 0, 1)) == 3
 
 
 class DensePicardReference:
@@ -490,14 +508,16 @@ def route_covers():
 
 @pytest.fixture(scope="module")
 def route_pairs():
-    return [(cover, picard_module(cover), DensePicardReference(cover)) for cover in route_covers()]
+    return [(cover, PicardModule(cover), DensePicardReference(cover)) for cover in route_covers()]
 
 
 def test_modular_route_matches_dense_smith_form(route_pairs):
     assert len(route_pairs) >= 49
     for cover, pm, ref in route_pairs:
         assert pm.factors == ref.factors
-        assert pm.full_diagonal == ref.full_diagonal
+        # The Smith diagonal of the whole Laplacian, as a failing report's diagnostics give it.
+        ones = (1,) * (cover.total.num_vertices - 1 - len(pm.factors))
+        assert ones + pm.factors + (0,) == ref.full_diagonal
         assert pm.order == dense_tree_count(cover.total)
 
 
@@ -507,8 +527,9 @@ def test_generator_powers_match_dense_transport(route_pairs):
     # each generator w_j of the modular route to sum_i (action^k)_ij w_i.
     checked = 0
     for cover, pm, ref in route_pairs:
-        p, r = cover.p, pm.rank()
-        gens = [list(w) + [-sum(w)] for w in _pic0(_reduced(pm.laplacian))[1].generators]
+        p, r = cover.p, len(pm.factors)
+        coker = _pic0(_reduced(cover.total.laplacian_rows()))[1]
+        gens = [list(w) + [-sum(w)] for w in coker.generators]
         coords = [ref.coordinates(w) for w in gens]
         power = [[int(i == j) for j in range(r)] for i in range(r)]
         for k in range(p - 1):
@@ -530,15 +551,14 @@ def test_modular_route_gives_the_same_character_pieces(route_pairs):
     nontrivial = 0
     for cover, pm, ref in route_pairs:
         p = cover.p
-        new, old = sylow_p_module(pm, p), sylow_p_module(ref, p)
-        assert new.exponents == old.exponents
+        assert pm.exponents == tuple(p_valuation(d, p) for d in ref.factors)
         g = CyclicGroup.for_prime(p)
         for i in range(p - 1):
-            lifted = Character(g, i, max(new.exponent, 1))
-            assert eigenspace_order_A(new, lifted) == eigenspace_order_A(old, lifted)
-            chi = Character(g, i, None)
-            ranks = layer_ranks(new, chi)
-            assert ranks == layer_ranks(old, chi)
+            lifted = Character(g, i, max([1, *pm.exponents]))
+            lam = pow(pm.generator, i, p)
+            assert order_A(pm, lifted) == p ** sum(dense_layer_ranks(ref, p, lam))
+            ranks = pm.layer_ranks(lam)
+            assert list(ranks) == dense_layer_ranks(ref, p, lam)
             nontrivial += bool(ranks) and ranks[0] > 0
     assert nontrivial >= 10
 
@@ -570,7 +590,7 @@ def transport_per_form(pm, coker, terms):
     form f, extended by 0 at the last vertex, reads each deck element tau on
     each generator w as the sum of w_v (f[tau(v)] - f[tau(last)]) over the
     support of w, and row 0 as f[tau(last)]; all unreduced."""
-    last = len(pm.laplacian) - 1
+    last = pm.cover.total.num_vertices - 1
     perms = [(c, pm.cover.deck_vertex_map(tau)) for c, tau in terms]
     gens = [[(v, x) for v, x in enumerate(w) if x] for w in coker.generators]
     out = []
@@ -592,7 +612,7 @@ def test_transport_matches_the_per_form_reference(route_pairs):
     for cover, pm, _ in route_pairs:
         group = CyclicGroup.for_prime(cover.p)
         m = group.order
-        coker = _pic0(_reduced(pm.laplacian))[1]
+        coker = _pic0(_reduced(cover.total.laplacian_rows()))[1]
         eta = eta_at_one(cover)
         elems = [eta.coeffs, [int(k == 1) for k in range(m)]]
         for _ in range(3):
@@ -605,32 +625,37 @@ def test_transport_matches_the_per_form_reference(route_pairs):
     assert augmentations == {True, False}
 
 
-def smith_index_order(m, chi):
+def smith_index_order(pm, chi):
     """#e_chi A as #A over the index in Z^r of the lattice spanned by the
     projector columns mod p^k, for chi lifted to precision k, and the
-    relations diag(p^a): the image of e_chi in A = Z^r / diag(p^a)."""
-    if m.rank() == 0:
+    relations diag(p^a): the image of e_chi in A = Z^r / diag(p^a), on the
+    p-power rows and columns of g's matrix on Pic0."""
+    keep = [i for i, a in enumerate(pm.exponents) if a]
+    if not keep:
         return 1
-    p, r, modulus = m.p, m.rank(), m.p**m.exponent
-    lifted = Character(chi.group, chi.exponent, m.exponent)
+    factors = sylow_factors(pm)
+    p, r, k = pm.p, len(keep), max(pm.exponents)
+    modulus, order = p**k, prod(factors)
+    action = [[pm.action[i][j] % modulus for j in keep] for i in keep]
+    lifted = Character(chi.group, chi.exponent, k)
     # powers[k] is the matrix of g^k, the inverse of sigma = g^-k.
     powers = [[[int(i == j) for j in range(r)] for i in range(r)]]
     while len(powers) < p - 1:
-        powers.append(_mat_mul(m.action, powers[-1], modulus))
+        powers.append(_mat_mul(action, powers[-1], modulus))
     proj = [[0] * r for _ in range(r)]
     for k, mat in enumerate(powers):
-        v = lifted.value(pow(m.generator, -k, p)).value
+        v = lifted.value(pow(pm.generator, -k, p)).value
         for i in range(r):
             for j in range(r):
                 proj[i][j] += v * mat[i][j]
     inv = pow(p - 1, -1, modulus)
     aug = [
-        [x * inv % modulus for x in row] + [m.factors[i] * (i == j) for j in range(r)]
+        [x * inv % modulus for x in row] + [factors[i] * (i == j) for j in range(r)]
         for i, row in enumerate(proj)
     ]
     index = prod(smith_normal_form(aug).diagonal)
-    assert index and m.order % index == 0
-    return m.order // index
+    assert index and order % index == 0
+    return order // index
 
 
 @pytest.fixture(scope="module")
@@ -645,37 +670,36 @@ def layered_covers():
         # Mixed exponents need #A >= p^3; skip the module when the tree count rules that out.
         if len(plain) == 20 and p_valuation(spanning_tree_count(cover.total), cover.p) < 3:
             continue
-        sylow = sylow_p_module(picard_module(cover), cover.p)
-        kind = mixed if len(set(sylow.exponents)) > 1 else plain
+        pm = PicardModule(cover)
+        kind = mixed if len(set(sylow_factors(pm))) > 1 else plain
         if len(kind) < 20:
-            kind.append((cover, sylow))
+            kind.append((cover, pm))
         if len(mixed) == 20 and len(plain) == 20:
             break
     assert len(mixed) == 20 and len(plain) == 20
-    fixed = [(cover, sylow_p_module(picard_module(cover), cover.p)) for cover in route_covers()]
+    fixed = [(cover, PicardModule(cover)) for cover in route_covers()]
     return fixed + mixed + plain
 
 
 def test_layer_ranks_match_smith_index(layered_covers):
     mixed = 0
-    for cover, sylow in layered_covers:
+    for cover, pm in layered_covers:
         g = CyclicGroup.for_prime(cover.p)
-        mixed += len(set(sylow.exponents)) > 1
+        mixed += len(set(sylow_factors(pm))) > 1
         for i in range(cover.p - 1):
             chi = Character(g, i, None)
-            assert eigenspace_order_A(sylow, chi) == smith_index_order(sylow, chi)
+            assert order_A(pm, chi) == smith_index_order(pm, chi)
     assert mixed >= 20
 
 
 def test_layer_ranks_partition_each_layer(layered_covers):
     # The idempotents sum to 1, so on each layer p^(j-1) A / p^j A the
     # character pieces split the generators of exponent at least j.
-    for cover, sylow in layered_covers:
-        g = CyclicGroup.for_prime(cover.p)
-        ranks = [layer_ranks(sylow, Character(g, i, None)) for i in range(cover.p - 1)]
-        for j in range(1, sylow.exponent + 1):
-            assert sum(r[j - 1] for r in ranks) == sum(a >= j for a in sylow.exponents)
-        if sylow.rank() == 0:
+    for cover, pm in layered_covers:
+        ranks = [pm.layer_ranks(pow(pm.generator, i, cover.p)) for i in range(cover.p - 1)]
+        for j in range(1, max(pm.exponents, default=0) + 1):
+            assert sum(r[j - 1] for r in ranks) == sum(a >= j for a in pm.exponents)
+        if not sylow_factors(pm):
             assert ranks == [()] * (cover.p - 1)
 
 

@@ -20,7 +20,7 @@ from coverzeta import (
     eta_polynomial,
     l_value,
     path_graph,
-    picard_module,
+    PicardModule,
 )
 from coverzeta.groupring import convolution, ring_determinant
 from coverzeta.snf import integer_determinant
@@ -150,12 +150,12 @@ def test_special_value_annihilates_picard_group(ex1_cover, ex2_cover):
     rng = random.Random(9)
     covers = [ex1_cover, ex2_cover] + [random_connected_cover(rng, 5) for _ in range(4)]
     for cover in covers:
-        pm = picard_module(cover)
+        pm = PicardModule(cover)
         assert pm.annihilated_by(eta_at_one(cover))
 
 
 def test_nonannihilating_element_detected(ex1_cover):
-    pm = picard_module(ex1_cover)
+    pm = PicardModule(ex1_cover)
     one = GroupRingElement.one(CyclicGroup.for_prime(5))
     assert not pm.annihilated_by(one)
 
