@@ -3,7 +3,14 @@
 Assignments are enumerated in lexicographic order over one orientation of the
 edges.  Each row records connectivity (breadth-first search, checked against
 the generated-subgroup criterion as ``census.connectivity``), Picard invariant
-factors, the set of vanishing mod-p L-values, and verdict summaries.  Output
+factors, the set of vanishing mod-p L-values, and verdict summaries.
+Assignments that differ by switching, a' = c_u^-1 a c_v on each edge u -> v,
+give covers that are isomorphic by (v, x) -> (v, x c_v), which commutes with
+the deck group (Gross and Tucker, Topological Graph Theory, 1987), so their
+rows agree but for the key and the voltages.  A run builds one report per
+switching class and hands its fields to the later assignments of the class,
+each after checking the isomorphism on its own cover (``census.switching``);
+the table lives for one ``run_census`` call and holds no cover or report.  Output
 is one JSON object per line; reruns skip keys already present, so runs are
 resumable, also after a crash that left a partly written last line; a file
 with any other line that is not a row or a cursor is refused, as is a row for
@@ -22,7 +29,7 @@ from typing import Iterable
 from .arith import VerificationError
 from .herbrand import build_report
 from .serre import SerreGraph
-from .voltage import VoltageSpec, connected_by_voltage_criterion, derive
+from .voltage import DerivedCover, VoltageSpec, connected_by_voltage_criterion, derive, gauge
 
 VERDICTS = ("main11", "main22", "fitting", "duality", "dim_inequality")
 
@@ -31,7 +38,20 @@ def assignment_key(voltages: Iterable[int]) -> str:
     return ",".join(str(a) for a in voltages)
 
 
-def census_row(base: SerreGraph, p: int, voltages: tuple[int, ...]) -> dict:
+def census_row(
+    base: SerreGraph, p: int, voltages: tuple[int, ...], classes: dict | None = None
+) -> dict:
+    """The row of one assignment.
+
+    ``classes`` maps each switching class met so far (its gauge-fixed
+    voltages, ``gauge``) to the relabeled edges (``_relabeled_edges``) and
+    the row fields of its first connected cover.  A later cover of the class
+    takes those fields only if its own relabeled edges are the same: the two
+    relabelings then make an isomorphism of the covers that commutes with
+    the deck group, so Pic0, the L-values and every verdict agree.  If they
+    differ, ``census.switching`` fails.  Without ``classes`` the row gets a
+    table of its own, so a connected cover gets its own report.
+    """
     spec = VoltageSpec(base, p, voltages)
     cover = derive(spec)
     connected = cover.is_connected()
@@ -53,11 +73,52 @@ def census_row(base: SerreGraph, p: int, voltages: tuple[int, ...]) -> dict:
         row["vanishing"] = None
         row["verdicts"] = dict.fromkeys(VERDICTS, "SKIPPED")
         return row
-    report = build_report(cover)
-    row["pic0"] = list(report.pic0)
-    row["vanishing"] = [r["i"] for r in report.rows if r["h_mod_p"] == 0]
-    row["verdicts"] = {name: report.global_verdicts[name].status for name in VERDICTS}
+    classes = {} if classes is None else classes
+    potential, key = gauge(spec)
+    edges = _relabeled_edges(cover, potential)
+    if key not in classes:
+        report = build_report(cover)
+        classes[key] = edges, (
+            tuple(report.pic0),
+            tuple(r["i"] for r in report.rows if r["h_mod_p"] == 0),
+            tuple(report.global_verdicts[name].status for name in VERDICTS),
+        )
+    elif classes[key][0] != edges:
+        raise VerificationError(
+            "census.switching",
+            f"voltages {list(voltages)}: the relabeled cover differs from "
+            f"the first one of switching class {list(key)}",
+        )
+    pic0, vanishing, statuses = classes[key][1]
+    row["pic0"] = list(pic0)
+    row["vanishing"] = list(vanishing)
+    row["verdicts"] = dict(zip(VERDICTS, statuses))
     return row
+
+
+def _relabeled_edges(cover: DerivedCover, potential: list[int]) -> tuple[int, ...]:
+    """The total graph's edges after relabeling (v, x) -> (v, x * phi(v)^-1),
+    flat: the edge over base edge k from relabeled (u, t) sits at
+    2 * (k * (p - 1) + t - 1) as its two relabeled ends.
+
+    Equal tuples of two covers of one base map each edge of either onto the
+    same relabeled edge, so the relabelings make an isomorphism of the total
+    graphs, edge for edge; relabeling multiplies fiber coordinates on the
+    right, so it commutes with the deck group.
+    """
+    p, f = cover.p, cover.fiber_size
+    inverse = [pow(x, -1, p) for x in potential]
+
+    def relabel(w: int) -> int:
+        v, x = divmod(w, f)
+        return v * f + (x + 1) * inverse[v] % p - 1
+
+    flat = [-1] * (2 * cover.total.num_undirected_edges)
+    for j, (w, w2) in enumerate(cover.total.edge_pairs):
+        a = relabel(w)
+        slot = 2 * (j - j % f + a % f)
+        flat[slot], flat[slot + 1] = a, relabel(w2)
+    return tuple(flat)
 
 
 class CensusFileError(ValueError):
@@ -136,6 +197,7 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
     written = 0
     cursor = None
     stop = total if budget is None else min(total, start + budget)
+    classes: dict = {}  # switching class -> its first cover's edges and fields
     with open(out_path, "a", encoding="utf-8") as fh:
         iterator = product(range(1, p), repeat=num_edges)
         for voltages in islice(iterator, start, stop):
@@ -143,7 +205,7 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
             key = assignment_key(voltages)
             if key in done:
                 continue
-            row = census_row(base, p, tuple(voltages))
+            row = census_row(base, p, tuple(voltages), classes)
             fh.write(json.dumps(row, sort_keys=True) + "\n")
             written += 1
         if stop < total:

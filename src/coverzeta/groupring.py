@@ -13,7 +13,7 @@ The algorithm runs on coefficient vectors, each ring given by its product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
 from .padic import PAdicInt, PrecisionExhausted
@@ -33,7 +33,10 @@ class CyclicGroup:
             raise ValueError(f"{self.generator} does not generate the units mod {self.p}")
 
     @classmethod
+    @cache
     def for_prime(cls, p: int) -> "CyclicGroup":
+        """The group at p with its least primitive root, built once per prime,
+        so its element tables and convolution are built once too."""
         return cls(p, smallest_primitive_root(p))
 
     @property

@@ -417,20 +417,25 @@ def _eliminate(mat: Matrix, modulus: int, ids, ops: list):
     whose row k has id ``ids[k]``.
 
     Each step pivots on the first entry x, in row order, that is a unit.
-    With none left it takes an entry x of least gcd g with the modulus and,
-    while g does not divide some y in x's column or row, a Bezout step of
-    determinant 1 on the two rows or columns replaces x by gcd(x, y), which
-    strictly lowers g.  Row steps clear x's column; x's row goes with it, as
-    g divides the row, and det = +-x det(rest).  Rows are reduced as the
-    search reads them; a cleared row takes m times the reduced pivot row, so
-    its entries grow by less than modulus^2 a step.
+    With none left it takes the first entry x of least gcd g with the modulus
+    and, while g does not divide some y in x's column or row, a Bezout step
+    of determinant 1 on the two rows or columns replaces x by gcd(x, y),
+    which strictly lowers g.  Row steps clear x's column; x's row goes with
+    it, as g divides the row, and det = +-x det(rest).  Rows are reduced as
+    the search reads them; a cleared row takes m times the reduced pivot row,
+    so its entries grow by less than modulus^2 a step.
+
+    Once a search that read every entry finds g dividing all of them, every
+    later entry is a multiple of g, as steps only combine entries modulo a
+    multiple of g: no gcd falls below g, so later searches stop at the first
+    entry of gcd g, the one a search of every entry would take.
 
     Row steps are appended to ``ops`` as ``_replay`` reads them.
     Returns ``(sign, pivots)``, pivots listing (id, x) in order: the rows not
     listed are left zero, and if none is, det = sign * prod(x) mod modulus.
     """
     ids = list(ids)
-    sign, pivots = 1, []
+    sign, pivots, floor = 1, [], 1  # no entry has a gcd below floor
     while mat:
         g, k = modulus, None
         for i, row in enumerate(mat):
@@ -438,13 +443,15 @@ def _eliminate(mat: Matrix, modulus: int, ids, ops: list):
             for j, x in enumerate(row):
                 if x and (h := gcd(x, modulus)) < g:
                     g, k, c = h, i, j
-                    if g == 1:
+                    if g == floor:
                         break
-            if g == 1 and k is not None:
+            if g == floor and k is not None:
                 break
-        else:  # every row is reduced and holds no unit
+        else:  # every row is reduced and holds no entry of gcd floor
             if k is None:  # every entry is 0
                 break
+            if all(x % g == 0 for row in mat for x in row):
+                floor = g
             while bad := [(i, c) for i, row in enumerate(mat) if row[c] % g] or [
                 (k, j) for j, y in enumerate(mat[k]) if y % g
             ]:

@@ -48,7 +48,8 @@ class DerivedCover:
     """Derived graph of a voltage assignment, with fiber bookkeeping.
 
     Total vertices are ordered fiber-major: (v, s) sits at v*(p-1) + (s-1),
-    with units s enumerated 1, ..., p-1.
+    with units s enumerated 1, ..., p-1, and so are total edges: the edge at
+    k*(p-1) + (s-1) lies over base edge k = (u, v) and runs from (u, s).
     """
 
     def __init__(self, spec: VoltageSpec):
@@ -147,12 +148,18 @@ def require_connected_cover(cover: DerivedCover) -> DerivedCover:
     return cover
 
 
-def cycle_voltage_subgroup(spec: VoltageSpec) -> frozenset[int]:
-    """Subgroup of units generated by net voltages of fundamental cycles.
+def gauge(spec: VoltageSpec) -> tuple[list[int], tuple[int, ...]]:
+    """Potentials along a spanning tree and the gauge-fixed voltages.
 
-    Gauge along a spanning tree: each vertex gets a potential, and every
-    non-tree edge contributes potential(u) * voltage * potential(v)^-1.
-    The derived graph is connected iff this subgroup is all of the units.
+    A depth-first search of the base from vertex 0 gives each vertex a
+    potential phi (phi(0) = 1, phi(v) = phi(u) * a along a tree edge u -> v
+    with voltage a); the tree depends on the base alone.  The gauge-fixed
+    voltage of an edge u -> v is phi(u) * a * phi(v)^-1, which is 1 on the
+    tree edges.  Switching a to c_u^-1 * a * c_v on every edge u -> v leaves
+    the gauge-fixed voltages as they are, and they are switching-equivalent
+    to a, so they name a's switching class; relabeling the cover by
+    (v, x) -> (v, x * phi(v)^-1) turns it into the cover of the gauge-fixed
+    voltages and commutes with the deck group.
     """
     base = spec.base
     if not base.is_connected():
@@ -160,21 +167,29 @@ def cycle_voltage_subgroup(spec: VoltageSpec) -> frozenset[int]:
     p = spec.p
     potential = [None] * base.num_vertices
     potential[0] = 1
-    tree_edges = set()
     stack = [0]
     while stack:
         w = stack.pop()
         for e in base.edges_from(w):
             if potential[e.terminus] is None:
                 potential[e.terminus] = potential[w] * spec.voltage(e.id) % p
-                tree_edges.add(e.id // 2)
                 stack.append(e.terminus)
-    generators = set()
-    for k, (u, v) in enumerate(base.edge_pairs):
-        if k in tree_edges:
-            continue
-        net = potential[u] * spec.voltages[k] * pow(potential[v], -1, p) % p
-        generators.add(net)
+    fixed = tuple(
+        potential[u] * a * pow(potential[v], -1, p) % p
+        for (u, v), a in zip(base.edge_pairs, spec.voltages)
+    )
+    return potential, fixed
+
+
+def cycle_voltage_subgroup(spec: VoltageSpec) -> frozenset[int]:
+    """Subgroup of units generated by net voltages of fundamental cycles.
+
+    The gauge-fixed voltages (``gauge``) of the non-tree edges are those net
+    voltages, and the tree edges add only 1.  The derived graph is connected
+    iff this subgroup is all of the units.
+    """
+    p = spec.p
+    generators = set(gauge(spec)[1])
     subgroup = {1}
     frontier = [1]
     while frontier:

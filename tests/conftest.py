@@ -1,9 +1,21 @@
+import importlib.util
+import pathlib
 import random
 
 import pytest
 
 from coverzeta import GroupRingElement, SerreGraph, VoltageSpec, bundled_spec, derive
 from coverzeta.snf import integer_determinant
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def bench_inputs():
+    """The benchmark's input generators (bench/inputs.py), loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

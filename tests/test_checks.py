@@ -206,6 +206,21 @@ def corrupted(spec):
 """
 
 
+# Keys every switching class by the gauge-fixed voltage of its first edge
+# alone, so classes that differ on another edge merge, and a row whose cover
+# is not isomorphic to its class's first one would take that one's fields.
+SWITCHING_SABOTAGE = """
+import coverzeta.census as module
+
+name = "gauge"
+real = module.gauge
+
+def corrupted(spec):
+    potential, fixed = real(spec)
+    return potential, fixed[:1]
+"""
+
+
 def test_package_has_no_assert_statements():
     found = [
         f"{path.name}:{node.lineno}"
@@ -378,20 +393,37 @@ def test_diagonal_sort_fault_exits_4(monkeypatch, capsys):
     )
 
 
-def test_census_connectivity_check_exits_4(tmp_path, monkeypatch, capsys):
+def _assert_census_sabotage_exits_4(sabotage, check, tmp_path, monkeypatch, capsys):
+    """Install a sabotage and require ``census`` on the two-loop bouquet at
+    p = 5 to exit 4 naming the check, in process and under -O."""
     monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
     argv = ["census", str(base), "--p", "5", "--out", str(tmp_path / "census.ndjson")]
     namespace = {}
-    exec(CONNECTIVITY_SABOTAGE, namespace)
+    exec(sabotage, namespace)
     with monkeypatch.context() as m:
         m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
         assert main(argv) == 4
-    assert "error: check census.connectivity failed:" in capsys.readouterr().err
-    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + CONNECTIVITY_SABOTAGE
+    assert f"error: check {check} failed:" in capsys.readouterr().err
+    (tmp_path / "census.ndjson").unlink()
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
     script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
     script += f"sys.exit(main({argv!r}))\n"
     sabotaged = _run_optimized("-c", script)
     assert sabotaged.returncode == 4, sabotaged.stderr
-    assert "error: check census.connectivity failed:" in sabotaged.stderr
+    assert f"error: check {check} failed:" in sabotaged.stderr
+
+
+def test_census_connectivity_check_exits_4(tmp_path, monkeypatch, capsys):
+    _assert_census_sabotage_exits_4(
+        CONNECTIVITY_SABOTAGE, "census.connectivity", tmp_path, monkeypatch, capsys
+    )
+
+
+def test_census_switching_check_exits_4(tmp_path, monkeypatch, capsys):
+    # On the bouquet every voltage is gauge-fixed: (1, 2) is the first
+    # connected assignment, and (1, 3), keyed with it, has another cover.
+    _assert_census_sabotage_exits_4(
+        SWITCHING_SABOTAGE, "census.switching", tmp_path, monkeypatch, capsys
+    )

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from coverzeta import bundled_spec, spec_from_dict, spec_to_dict
+from coverzeta import VoltageSpec, bundled_spec, spec_from_dict, spec_to_dict
 from coverzeta.census import read_census, run_census
 from coverzeta.cli import main
 from coverzeta.serre import bouquet
 from coverzeta.specfile import dump_spec, load_spec
+from coverzeta.voltage import gauge
 
 
 def write(tmp_path, name, doc):
@@ -253,7 +254,8 @@ def test_census_budgeted_runs_advance(tmp_path):
 def test_census_computes_the_base_picard_group_once(tmp_path, monkeypatch):
     # The covers of a census share one base graph, which keeps its Pic0: one
     # base cokernel, with its tree count, per run, however many of its
-    # covers are connected.
+    # covers are connected.  Each run takes one cover cokernel per connected
+    # switching class among its rows.
     import coverzeta.picard as picard
 
     sizes = []
@@ -265,11 +267,16 @@ def test_census_computes_the_base_picard_group_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(picard, "cokernel", cokernel)
     out = tmp_path / "census.ndjson"
+    classes = 0
     for runs in (1, 2):
         base = bundled_spec("example2").base
         run_census(base, 5, str(out), budget=12)
         assert sizes.count(base.num_vertices) == runs
-    assert sizes.count(4 * base.num_vertices) == sum(row["connected"] for row in read_census(str(out)))
+        rows = read_census(str(out))[12 * (runs - 1) :]
+        classes += len(
+            {gauge(VoltageSpec(base, 5, row["voltages"]))[1] for row in rows if row["connected"]}
+        )
+    assert sizes.count(4 * base.num_vertices) == classes
     assert len(sizes) > 8
 
 

@@ -56,6 +56,16 @@ def test_generator_is_smallest_primitive_root():
     assert G5.elements == (1, 2, 4, 3)
 
 
+def test_one_group_per_prime():
+    # The report path asks for the group of its prime in several places; each
+    # gets the same object, with its element table and convolution built once.
+    for p in (5, 7, 331):
+        group = CyclicGroup.for_prime(p)
+        assert CyclicGroup.for_prime(p) is group
+        assert group.product is CyclicGroup.for_prime(p).product
+    assert CyclicGroup.for_prime(5) is G5
+
+
 def test_identity_multiplication():
     one = GroupRingElement.one(G5)
     b = elem(G5, 3, -1, 4, 7)

@@ -1,5 +1,3 @@
-import importlib.util
-import pathlib
 import random
 from itertools import product
 from math import prod
@@ -7,7 +5,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_tree_count, random_connected_base, random_connected_cover
+from conftest import bench_inputs, dense_tree_count, random_connected_base, random_connected_cover
 from coverzeta import (
     Character,
     build_report,
@@ -28,8 +26,6 @@ from coverzeta.groupring import GroupRingElement, idempotent_mod
 from coverzeta.snf import integer_determinant, smith_normal_form
 from coverzeta.specfile import spec_from_dict
 from coverzeta.zeta import eta_at_one
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def c6_over_c3_cover():
@@ -701,13 +697,6 @@ def test_layer_ranks_partition_each_layer(layered_covers):
             assert sum(r[j - 1] for r in ranks) == sum(a >= j for a in pm.exponents)
         if not sylow_factors(pm):
             assert ranks == [()] * (cover.p - 1)
-
-
-def bench_inputs():
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("p, n", [(19, 4), (29, 2), (101, 3)])
