@@ -5,9 +5,10 @@ generator, so multiplication is cyclic convolution in Z[x]/(x^(p-1) - 1).
 A matrix over Z[G] is a list of rows of such vectors; the cover's Laplacian
 is built that way from the base graph, a base edge j -> i with voltage a
 adding the group element a to entry (i, j) of A.
-Determinants are computed by Berkowitz's division-free algorithm: the group
-ring has zero divisors, so elimination, even fraction-free, would be unsound.
-The algorithm runs on coefficient vectors, each ring given by its product.
+Determinants are taken by elimination on unit pivots (+-g^k), which is exact
+although the group ring has zero divisors, and Berkowitz's division-free
+algorithm on the core left without units.  Both run on coefficient vectors,
+each ring given by its product and its unit test.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import cache, cached_property
 
 from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
 from .padic import PAdicInt, PrecisionExhausted
+from .snf import ring_unit_pivots
 
 
 @dataclass(frozen=True)
@@ -225,19 +227,34 @@ def convolution(order: int, degrees: int = 1):
     return product
 
 
-def ring_determinant(entries, product):
-    """Determinant of a square matrix over a commutative ring given by its product.
+def unit_inverse(order: int):
+    """The unit test of Z[G] and of Z[G][u]/(u^D), G cyclic of the given
+    order: ``inverse(x)`` is +-g^(-k) for x = +-g^k, and None for any other x.
+    Multiplying by either is a cyclic shift of the coefficients."""
+
+    def inverse(x):
+        if x.count(0) == len(x) - 1:  # one nonzero coefficient
+            for c in (1, -1):
+                if c in x and (k := x.index(c)) < order:
+                    out = [0] * len(x)
+                    out[-k % order] = c
+                    return out
+        return None
+
+    return inverse
+
+
+def ring_determinant(entries, product, inverse=None):
+    """Determinant of a square matrix over a commutative ring given by its
+    product and, optionally, its unit test.
 
     Elements are integer coefficient vectors of one length that add
     coefficientwise, with the first basis vector as the identity;
-    ``product(out, x, y)`` adds x * y into the list ``out``.  Returns a tuple.
-
-    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984): the
-    characteristic polynomial of each trailing principal submatrix follows
-    from that of the next smaller one through the Toeplitz column
-    1, -a, -R C, -R A C, -R A^2 C, ...  It takes O(n^4) ring operations and
-    needs only +, - and *, so it is sound in rings with zero divisors.  The
-    matrix-vector products skip zero entries.
+    ``product(out, x, y)`` adds x * y into the list ``out``, and
+    ``inverse(x)`` is the inverse of a unit x or None (``unit_inverse``).
+    ``snf.ring_unit_pivots`` eliminates on the units the test accepts, and
+    Berkowitz's algorithm takes the core they leave, the whole matrix when
+    no test is given.  Returns a tuple.
     """
     n = len(entries)
     if n == 0:
@@ -245,6 +262,28 @@ def ring_determinant(entries, product):
     for row in entries:
         if len(row) != n:
             raise ValueError("matrix is not square")
+    if inverse is None:
+        return _berkowitz(entries, product)
+    scale, core = ring_unit_pivots([dict(enumerate(row)) for row in entries], inverse, product)
+    if not core:
+        return tuple(scale)
+    det = _berkowitz(core, product)
+    if scale[0] == 1 and not any(scale[1:]):  # no pivot, or an even matching of 1s
+        return det
+    out = [0] * len(scale)
+    product(out, scale, det)
+    return tuple(out)
+
+
+def _berkowitz(entries, product):
+    """Berkowitz's division-free determinant (Inf. Process. Lett. 18, 1984)
+    of a nonempty square matrix, as a tuple: the characteristic polynomial
+    of each trailing principal submatrix follows from that of the next
+    smaller one through the Toeplitz column 1, -a, -R C, -R A C, -R A^2 C, ...
+    It takes O(n^4) ring operations and needs only +, - and *, so it is sound
+    in rings with zero divisors.  The matrix-vector products skip zero entries.
+    """
+    n = len(entries)
     size = len(entries[0][0])
     sparse = [[(j, x) for j, x in enumerate(row) if any(x)] for row in entries]
 

@@ -1,6 +1,6 @@
 """Equivariant Ihara zeta data for a cover: the determinant polynomial
-det(I - A u + (D - I) u^2), of degree at most 2n, taken by Berkowitz's
-algorithm in Z[G][u]/(u^(2n+1)); its value at 1 (the group-ring determinant
+det(I - A u + (D - I) u^2), of degree at most 2n, taken in Z[G][u]/(u^(2n+1))
+by ``groupring.ring_determinant``; its value at 1 (the group-ring determinant
 of the Laplacian); and character L-values.
 
 Matrices over Z[G] are lists of rows of integer coefficient vectors, read
@@ -11,10 +11,13 @@ valences on the diagonal.
 Everything is exact.  Two computation routes exist by construction --
 evaluate the character after taking the group-ring determinant, or evaluate
 entrywise first and take an ordinary determinant -- and both are run and
-compared whenever an L-value is produced, the ordinary determinant by
-elimination modulo the character's modulus p or p^K.  The special value
-itself is taken twice: by Berkowitz's algorithm over the group ring, and by
-elimination modulo B^(p-1) - 1 after Kronecker substitution (``snf.det_mod``).
+compared whenever an L-value is produced, the ordinary determinant by dense
+elimination modulo the character's modulus p or p^K (``snf.det_mod``).  The
+special value itself is taken twice, each time by sparse elimination on unit
+pivots (``snf.ring_unit_pivots``) and a dense determinant of the core left:
+over the group ring, on the units +-g^k, with Berkowitz's algorithm on the
+core; and modulo M = B^(p-1) - 1 after Kronecker substitution, on the
+residues prime to M, with ``snf.det_mod`` on the core.
 
 Over Q the group ring splits as the product of the cyclotomic fields
 Q(zeta_d), d dividing p - 1, one for each rational orbit of characters (those
@@ -35,10 +38,10 @@ from operator import mul
 
 from .arith import VerificationError
 from .characters import Character
-from .groupring import CyclicGroup, GroupRingElement, convolution, ring_determinant
+from .groupring import CyclicGroup, GroupRingElement, convolution, ring_determinant, unit_inverse
 from .padic import PAdicInt
 from .serre import SerreGraph
-from .snf import det_mod, integer_determinant
+from .snf import det_mod, integer_determinant, sparse_det_mod
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -109,7 +112,7 @@ def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]
     ]
     for i, valence in enumerate(valences):
         entries[i][i][0], entries[i][i][2 * order] = 1, valence - 1
-    det = ring_determinant(entries, convolution(order, width))
+    det = ring_determinant(entries, convolution(order, width), unit_inverse(order))
     coeffs = [det[d * order : (d + 1) * order] for d in range(width)]
     while len(coeffs) > 1 and not any(coeffs[-1]):
         coeffs.pop()
@@ -136,16 +139,20 @@ def eta_at_one(cover: DerivedCover, lap=None) -> GroupRingElement:
     """Special value at u = 1: the group-ring determinant of the Laplacian.
 
     At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  Its
-    determinant is taken by Berkowitz over the group ring and again by
-    elimination modulo B^(p-1) - 1 after Kronecker substitution; the results
-    must agree exactly.  ``lap`` is the cover's equivariant Laplacian, built here
-    when omitted.
+    determinant is taken over the group ring, by unit pivots +-g^k and
+    Berkowitz on the core, and again modulo B^(p-1) - 1 after Kronecker
+    substitution, by pivots on the residues prime to it and ``det_mod`` on
+    the core; the results must agree exactly.  Both share the pivot kernel,
+    so a fault in it that both routes repeat, such as a wrong sign, is caught
+    by the class-number identity, which reads eta(1)'s orbit norms.  ``lap``
+    is the cover's equivariant Laplacian, built here when omitted.
     """
     require_connected_cover(cover)
     group = CyclicGroup.for_prime(cover.p)
     if lap is None:
         lap = equivariant_laplacian(cover)
-    direct = GroupRingElement(group, ring_determinant(lap, group.product))
+    det = ring_determinant(lap, group.product, unit_inverse(group.order))
+    direct = GroupRingElement(group, det)
     substituted = _substitution_determinant(lap, group)
     if direct != substituted:
         raise VerificationError(
@@ -163,14 +170,16 @@ def _substitution_determinant(mat, group: CyclicGroup) -> GroupRingElement:
     at most beta, the product of the rows' l1 norms.  With B = 2 beta + 1 the
     integer sum of c_k B^k lies strictly between -M/2 and M/2, M = B^(p-1) - 1,
     so it is the symmetric residue of the substituted matrix's determinant
-    modulo M, and its balanced base-B digits are the c_k.
+    modulo M, taken by ``sparse_det_mod``, and its balanced base-B digits are
+    the c_k.
     """
     m = group.order
     beta = max(prod(sum(sum(map(abs, x)) for x in row) for row in mat), 1)
     base = 2 * beta + 1
     modulus = base**m - 1
     powers = [base**k for k in range(m)]
-    det = det_mod([[sum(map(mul, x, powers)) for x in row] for row in mat], modulus)
+    rows = [{j: v for j, x in enumerate(row) if (v := sum(map(mul, x, powers)))} for row in mat]
+    det = sparse_det_mod(rows, modulus)
     if det > modulus // 2:
         det -= modulus
     coeffs = []

@@ -42,8 +42,8 @@ import coverzeta.zeta as module
 name = "ring_determinant"
 real = module.ring_determinant
 
-def corrupted(entries, product):
-    det = real(entries, product)
+def corrupted(entries, product, inverse):
+    det = real(entries, product, inverse)
     return (det[0] + 1,) + det[1:]
 """,
 }
@@ -175,6 +175,26 @@ def corrupted(a):
     return -unit, ids, core, ops
 """,
 }
+
+
+# Negates the scale that the unit-pivot kernel hands on.  The kernel serves
+# both routes of eta(1), Z[G] and Z/M, so both negate it and agree; so does
+# every L-value chi(eta(1)).  The norm N_d of -eta(1) is (-1)^phi(d) N_d, and
+# phi(d) over the divisors d > 1 of p - 1 sums to p - 2, which is odd: the
+# product of the norms changes sign and the class-number identity fails.
+# ``modules`` names every module that calls the kernel by its name.
+SCALE_SABOTAGE = """
+import coverzeta.groupring
+import coverzeta.snf as module
+
+name = "ring_unit_pivots"
+modules = (module, coverzeta.groupring)
+real = module.ring_unit_pivots
+
+def corrupted(rows, inverse, product):
+    scale, core = real(rows, inverse, product)
+    return [-x for x in scale], core
+"""
 
 
 # Adds 1 to the Bezout coefficient s of the diagonal sort's step on the
@@ -328,16 +348,19 @@ def test_certificate_checks_exit_4(check, monkeypatch, capsys):
 
 
 def _assert_sabotage_exits_4(sabotage, example, check, monkeypatch, capsys):
-    """Install a sabotage and require exit 4 naming the check, in process and under -O."""
+    """Install a sabotage, in ``module`` or in each of ``modules``, and require
+    exit 4 naming the check, in process and under -O."""
     monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     namespace = {}
     exec(sabotage, namespace)
     with monkeypatch.context() as m:
-        m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+        for module in namespace.get("modules", (namespace["module"],)):
+            m.setattr(module, namespace["name"], namespace["corrupted"])
         assert main(["analyze", example]) == 4
     assert f"error: check {check} failed:" in capsys.readouterr().err
     script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
-    script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
+    script += "for module in globals().get('modules', (module,)):\n"
+    script += "    setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
     script += f"sys.exit(main(['analyze', '{example}']))\n"
     sabotaged = _run_optimized("-c", script)
     assert sabotaged.returncode == 4, sabotaged.stderr
@@ -364,6 +387,22 @@ def test_quotient_dimension_check_exits_4(monkeypatch, capsys):
     # example4 has A = (Z/11)^4, so C loses one of its four basis classes.
     _assert_sabotage_exits_4(
         QUOTIENT_SABOTAGE, "example4", "picard.quotient_dimension", monkeypatch, capsys
+    )
+
+
+@pytest.mark.parametrize("example", sorted(BUNDLED))
+def test_kernel_sign_fault_exits_4(example, monkeypatch, capsys):
+    _assert_sabotage_exits_4(SCALE_SABOTAGE, example, "picard.class_number", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("example", sorted(BUNDLED))
+def test_berkowitz_fault_exits_4_on_every_example(example, monkeypatch, capsys):
+    # The sabotage corrupts ring_determinant's result, whatever core the unit
+    # pivots leave.  The core of a Laplacian is never empty: the product of
+    # the pivots is a unit, of augmentation +-1, while det L has augmentation
+    # det of the base Laplacian, 0.
+    _assert_sabotage_exits_4(
+        SABOTAGES["berkowitz"], example, "zeta.eta_routes", monkeypatch, capsys
     )
 
 

@@ -5,18 +5,23 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bench_inputs
+
 from coverzeta import (
     Character,
     CyclicGroup,
+    derive,
+    groupring,
+    spec_from_dict,
     GroupRingElement,
     PAdicInt,
     idempotent_mod,
     zp_characters,
 )
 from coverzeta.arith import multiplicative_order
-from coverzeta.groupring import convolution, ring_determinant
+from coverzeta.groupring import convolution, ring_determinant, unit_inverse
 from coverzeta.padic import PrecisionExhausted
-from coverzeta.zeta import _substitution_determinant
+from coverzeta.zeta import _substitution_determinant, eta_at_one
 
 G5 = CyclicGroup.for_prime(5)
 G7 = CyclicGroup.for_prime(7)
@@ -452,8 +457,10 @@ def test_berkowitz_matches_leibniz_over_polynomials_in_u(n):
                     coeffs.append(GroupRingElement.of(G5, rng.choice(G5.elements)))
                 row.append(_Poly(coeffs))
             entries.append(row)
-        det = ring_determinant([[flat(e) for e in row] for row in entries], convolution(4, width))
+        flats = [[flat(e) for e in row] for row in entries]
+        det = ring_determinant(flats, convolution(4, width))
         assert det == flat(_leibniz(entries, _Poly([GroupRingElement.zero(G5)])))
+        assert ring_determinant(flats, convolution(4, width), unit_inverse(4)) == det
         if tight:
             assert sorted(det[-4:]) == [0, 0, 0, 1]
 
@@ -526,3 +533,91 @@ def test_substitution_route_with_every_coefficient_negative(p):
         det = _det(group, rows)
         assert all(c < 0 for c in det.coeffs)
         assert _substitution_determinant(_coeffs(rows), group) == det
+
+
+def _pivoted(group, entries):
+    """The determinant by unit pivots and Berkowitz on the core, as an element."""
+    det = ring_determinant(_coeffs(entries), group.product, unit_inverse(group.order))
+    return GroupRingElement(group, det)
+
+
+@st.composite
+def unit_sparse_matrices(draw):
+    """A sparse square matrix over Z[G] with a permuted diagonal, so that the
+    matching takes either parity, and up to two more entries a row.  Entries
+    are units +-g^k, or not: 2 g^k, 1 - g and the norm, a zero divisor.  Rows
+    times 1 - g or 2 hold no unit, so they go to the core."""
+    group = CyclicGroup.for_prime(draw(st.sampled_from([3, 5, 7])))
+    zero, one, sigma, delta, norm, _ = _special_elements(group)
+    n = draw(st.integers(1, 5))
+    unit = st.builds(
+        lambda sign, k: _monomial(group, sign, k),
+        st.sampled_from([1, -1]),
+        st.integers(0, group.order - 1),
+    )
+    entries = st.one_of(unit, unit.map(lambda x: x * 2), st.sampled_from([delta, norm]))
+    a = [[zero] * n for _ in range(n)]
+    for i, k in enumerate(draw(st.permutations(range(n)))):
+        a[i][k] = draw(entries)
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            a[i][j] = draw(entries)
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        a[i] = [x * draw(st.sampled_from([delta, one * 2])) for x in a[i]]
+    return group, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_sparse_matrices())
+def test_unit_pivots_match_berkowitz(case):
+    group, a = case
+    assert _pivoted(group, a) == _det(group, a)
+
+
+def test_unit_pivot_cores_and_signs(monkeypatch):
+    cores = []
+    real = groupring._berkowitz
+    monkeypatch.setattr(groupring, "_berkowitz", lambda e, p: cores.append(e) or real(e, p))
+    zero, one, sigma, delta, norm, _ = _special_elements(G7)
+    # Units times a permutation: the core is empty, and the determinant is
+    # the permutation's sign, of either parity, times the product of units.
+    for perm, sign in (((0,), 1), ((1, 0), -1), ((1, 2, 0), 1), ((3, 0, 1, 2), -1)):
+        units = [_monomial(G7, (-1) ** i, 2 * i + 1) for i in range(len(perm))]
+        a = [[units[i] if j == k else zero for j in range(len(perm))] for i, k in enumerate(perm)]
+        assert _pivoted(G7, a) == prod(units, start=one) * sign == _det(G7, a)
+    assert len(cores) == 4
+    cores.clear()
+    # The Berkowitz calls above are the plain determinants; from here on
+    # the pivoted ones are counted, each followed by its plain reference.
+    # 1x1 without a unit; then 1 - g and the norm, zero divisors with a
+    # product of 0, which no unit pivot reaches; then a row of 1 - g and 2 g
+    # that row 1's unit sigma leaves without a unit.
+    cases = [
+        [[delta]],
+        [[delta, zero], [zero, norm]],
+        [[delta, sigma * 2], [one, sigma]],
+    ]
+    for a in cases:
+        assert _pivoted(G7, a) == _det(G7, a)
+    assert [len(core) for core in cores[::2]] == [1, 2, 1]
+    assert _pivoted(G7, cases[1]).is_zero()
+
+
+def test_unit_inverse_recognises_signed_group_elements():
+    inverse = unit_inverse(4)
+    assert inverse((0, 0, 0, -1)) == [0, -1, 0, 0]
+    assert inverse((1, 0, 0, 0)) == [1, 0, 0, 0]
+    # 2 g, 1 - g and 0 are no units; in Z[G][u]/(u^2) neither is u g.
+    assert [inverse(x) for x in ((0, 2, 0, 0), (1, -1, 0, 0), (0, 0, 0, 0))] == [None] * 3
+    assert unit_inverse(4)((0,) * 4 + (0, 1, 0, 0)) is None
+    assert unit_inverse(4)((0, 0, 1, 0) + (0,) * 4) == [0, 0, 1, 0] + [0] * 4
+
+
+def test_wide_base_core_is_small(monkeypatch):
+    # The (5, 100) base is a tree plus 3 edges: unit pivots leave at most 8
+    # of its 100 rows to Berkowitz.
+    doc = bench_inputs().random_cover(random.Random(1), 5, 100, 3)
+    cores = []
+    real = groupring._berkowitz
+    monkeypatch.setattr(groupring, "_berkowitz", lambda e, p: cores.append(len(e)) or real(e, p))
+    eta_at_one(derive(spec_from_dict(doc)))
+    assert len(cores) == 1 and 1 <= cores[0] <= 8
