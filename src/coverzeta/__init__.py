@@ -6,7 +6,7 @@ comparison of eigenspace sizes with p-adic absolute values of L-values.
 
 from .arith import VerificationError, is_odd_prime, p_part, smallest_primitive_root
 from .characters import Character, zp_characters
-from .groupring import CyclicGroup, GroupRingElement, idempotent_mod
+from .groupring import CyclicGroup, GroupRingElement
 from .herbrand import (
     TheoremReport,
     Verdict,
@@ -16,7 +16,7 @@ from .herbrand import (
 from .padic import PAdicInt, PrecisionExhausted, abs_p_inverse, teichmuller
 from .picard import PicardModule, picard_factors, spanning_tree_count
 from .serre import DirectedEdge, SerreGraph, bouquet, cycle_graph, path_graph
-from .snf import SmithDecomposition, integer_determinant, smith_normal_form
+from .snf import integer_determinant
 from .specfile import bundled_spec, load_spec, spec_from_dict, spec_to_dict
 from .voltage import (
     DerivedCover,
@@ -28,13 +28,11 @@ from .voltage import (
     require_connected_cover,
 )
 from .zeta import (
-    EtaPolynomial,
     LValue,
     duality_check,
     equivariant_adjacency,
     equivariant_laplacian,
     eta_at_one,
-    eta_polynomial,
     l_value,
 )
 

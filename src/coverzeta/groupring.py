@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
-from .padic import PAdicInt, PrecisionExhausted
+from .padic import PAdicInt
 from .snf import ring_unit_pivots
 
 
@@ -90,13 +90,6 @@ class GroupRingElement:
     @classmethod
     def one(cls, group: CyclicGroup) -> "GroupRingElement":
         return cls(group, (1,) + (0,) * (group.order - 1))
-
-    @classmethod
-    def of(cls, group: CyclicGroup, sigma: int, coefficient: int = 1) -> "GroupRingElement":
-        """coefficient * sigma for a single group element sigma."""
-        c = [0] * group.order
-        c[group.index_of(sigma)] = coefficient
-        return cls(group, tuple(c))
 
     def coefficient(self, sigma: int) -> int:
         return self.coeffs[self.group.index_of(sigma)]
@@ -176,34 +169,6 @@ class GroupRingElement:
         return " + ".join(terms) if terms else "0"
 
 
-def idempotent_mod(character, k: int) -> GroupRingElement:
-    """Reduction mod p^k of the idempotent attached to a character.
-
-    The idempotent is (1/#G) * sum over sigma of character(sigma) * sigma^(-1);
-    #G = p-1 is a unit mod p^k.  The character must carry at least k digits of
-    precision (an F_p-valued character suffices only for k = 1).
-    """
-    group: CyclicGroup = character.group
-    p = group.p
-    if k < 1:
-        raise ValueError("modulus exponent must be at least 1")
-    if character.precision is None:
-        if k > 1:
-            raise PrecisionExhausted("F_p-valued character only determines the idempotent mod p")
-    elif character.precision < k:
-        raise PrecisionExhausted(
-            f"character precision {character.precision} below requested exponent {k}"
-        )
-    modulus = p**k
-    inv_order = pow(group.order, -1, modulus)
-    coeffs = [0] * group.order
-    for sigma in group.elements:
-        v = character.value(sigma)
-        v = v.value if isinstance(v, PAdicInt) else v
-        coeffs[group.index_of(group.inverse(sigma))] = v * inv_order % modulus
-    return GroupRingElement(group, tuple(coeffs))
-
-
 def convolution(order: int, degrees: int = 1):
     """The product of Z[G][u]/(u^degrees): ``product(out, x, y)`` adds x * y into ``out``.
 
@@ -244,17 +209,16 @@ def unit_inverse(order: int):
     return inverse
 
 
-def ring_determinant(entries, product, inverse=None):
+def ring_determinant(entries, product, inverse):
     """Determinant of a square matrix over a commutative ring given by its
-    product and, optionally, its unit test.
+    product and its unit test.
 
     Elements are integer coefficient vectors of one length that add
     coefficientwise, with the first basis vector as the identity;
     ``product(out, x, y)`` adds x * y into the list ``out``, and
     ``inverse(x)`` is the inverse of a unit x or None (``unit_inverse``).
     ``snf.ring_unit_pivots`` eliminates on the units the test accepts, and
-    Berkowitz's algorithm takes the core they leave, the whole matrix when
-    no test is given.  Returns a tuple.
+    Berkowitz's algorithm takes the core they leave.  Returns a tuple.
     """
     n = len(entries)
     if n == 0:
@@ -262,8 +226,6 @@ def ring_determinant(entries, product, inverse=None):
     for row in entries:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if inverse is None:
-        return _berkowitz(entries, product)
     scale, core = ring_unit_pivots([dict(enumerate(row)) for row in entries], inverse, product)
     if not core:
         return tuple(scale)

@@ -1,7 +1,6 @@
-"""Equivariant Ihara zeta data for a cover: the determinant polynomial
-det(I - A u + (D - I) u^2), of degree at most 2n, taken in Z[G][u]/(u^(2n+1))
-by ``groupring.ring_determinant``; its value at 1 (the group-ring determinant
-of the Laplacian); and character L-values.
+"""Equivariant Ihara zeta data for a cover: the value at u = 1 of the
+determinant polynomial det(I - A u + (D - I) u^2), which is the group-ring
+determinant of the Laplacian D - A, and character L-values.
 
 Matrices over Z[G] are lists of rows of integer coefficient vectors, read
 off the base graph: a base edge j -> i with voltage a adds the group element
@@ -38,34 +37,10 @@ from operator import mul
 
 from .arith import VerificationError
 from .characters import Character
-from .groupring import CyclicGroup, GroupRingElement, convolution, ring_determinant, unit_inverse
+from .groupring import CyclicGroup, GroupRingElement, ring_determinant, unit_inverse
 from .padic import PAdicInt
-from .serre import SerreGraph
 from .snf import det_mod, integer_determinant, sparse_det_mod
 from .voltage import DerivedCover, require_connected_cover
-
-
-@dataclass(frozen=True)
-class EtaPolynomial:
-    """det(I - A u + (D - I) u^2) over the group ring, as coefficients in u."""
-
-    group: CyclicGroup
-    coeffs: tuple[GroupRingElement, ...]
-
-    def coefficient(self, k: int) -> GroupRingElement:
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return GroupRingElement.zero(self.group)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def involution_applied(self) -> "EtaPolynomial":
-        return EtaPolynomial(self.group, tuple(c.involution() for c in self.coeffs))
-
-    def is_involution_invariant(self) -> bool:
-        return all(c == c.involution() for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -96,43 +71,6 @@ def equivariant_laplacian(cover: DerivedCover) -> list[list[list[int]]]:
     for i, row in enumerate(lap):
         row[i][0] += cover.base.valence(i)
     return lap
-
-
-def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]:
-    """det(I - A u + (D - I) u^2) over Z[G], G cyclic of the given order, with
-    ``adjacency[i][j]`` the coefficient vector of A's entry (i, j).
-
-    It is taken in Z[G][u]/(u^(2n+1)), which loses nothing since its degree is
-    at most 2n.  Returns its coefficients of u^0, u^1, ..., trailing zeros dropped.
-    """
-    width = 2 * len(valences) + 1
-    entries = [
-        [[0] * order + [-c for c in a] + [0] * ((width - 2) * order) for a in row]
-        for row in adjacency
-    ]
-    for i, valence in enumerate(valences):
-        entries[i][i][0], entries[i][i][2 * order] = 1, valence - 1
-    det = ring_determinant(entries, convolution(order, width), unit_inverse(order))
-    coeffs = [det[d * order : (d + 1) * order] for d in range(width)]
-    while len(coeffs) > 1 and not any(coeffs[-1]):
-        coeffs.pop()
-    return coeffs
-
-
-def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
-    """The determinant polynomial of the cover over the group ring."""
-    require_connected_cover(cover)
-    group = CyclicGroup.for_prime(cover.p)
-    base = cover.base
-    coeffs = _ihara_determinant(
-        group.order, equivariant_adjacency(cover), [base.valence(i) for i in base.vertices]
-    )
-    poly = EtaPolynomial(group, tuple(GroupRingElement(group, c) for c in coeffs))
-    if poly.coefficient(0) != GroupRingElement.one(group):
-        raise VerificationError(
-            "zeta.constant_term", f"constant term {poly.coefficient(0)} is not the ring identity"
-        )
-    return poly
 
 
 def eta_at_one(cover: DerivedCover, lap=None) -> GroupRingElement:
@@ -238,13 +176,6 @@ def duality_check(
         eta1 = eta_at_one(cover)
     modulus = cover.p**precision
     return all((a - b) % modulus == 0 for a, b in zip(eta1.coeffs, eta1.involution().coeffs))
-
-
-def _int_poly_det(g: SerreGraph) -> list[int]:
-    """Coefficients of det(I - A u + (D - I) u^2) over the integers."""
-    n = g.num_vertices
-    adjacency = [[(g.adjacency_count(i, j),) for j in range(n)] for i in range(n)]
-    return [c for (c,) in _ihara_determinant(1, adjacency, [g.valence(i) for i in range(n)])]
 
 
 @cache

@@ -1,0 +1,326 @@
+"""Reference routes that no report or census runs, kept for the tests to
+compare the library against:
+
+- the dense Smith normal form over Z with full transforms, which verifies
+  U*A*V = D and that the tracked inverses of U and V are inverses;
+- the determinant polynomial det(I - A u + (D - I) u^2) of a cover over the
+  group ring, in Z[G][u]/(u^(2n+1)), and of a graph over the integers;
+- the idempotents of the group ring modulo p^k, and single group elements.
+
+A failed self-check raises AssertionError under the name of the check, never
+a bare ``assert``, which ``python -O`` strips; ``VerificationError`` stays the
+library's exit-4 error.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from coverzeta.groupring import (
+    CyclicGroup,
+    GroupRingElement,
+    convolution,
+    ring_determinant,
+    unit_inverse,
+)
+from coverzeta.padic import PAdicInt, PrecisionExhausted
+from coverzeta.serre import SerreGraph
+from coverzeta.snf import Matrix, _identity, _xgcd
+from coverzeta.voltage import DerivedCover, require_connected_cover
+from coverzeta.zeta import equivariant_adjacency
+
+
+def _mat_mul(a, b) -> Matrix:
+    out = []
+    for ai in a:
+        oi = [0] * (len(b[0]) if b else 0)
+        for c, bk in zip(ai, b):
+            if c:
+                oi = [x + c * y for x, y in zip(oi, bk)]
+        out.append(oi)
+    return out
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U * A * V = D with D diagonal and d_1 | d_2 | ... | d_r >= 0."""
+
+    matrix: tuple[tuple[int, ...], ...]
+    left: tuple[tuple[int, ...], ...]
+    left_inverse: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
+    right_inverse: tuple[tuple[int, ...], ...]
+    diagonal: tuple[int, ...]
+
+
+def smith_normal_form(a) -> SmithDecomposition:
+    """Smith decomposition of an integer matrix, with self-verification.
+
+    Pivots are the nonzero entries of least absolute value (ties: lowest row,
+    then column).  Entries in a pivot row/column are cleared with single
+    unimodular 2x2 Bezout transforms rather than repeated quotient steps;
+    this keeps the coefficient growth of the worked matrix and the
+    transforms polynomial.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    for row in a:
+        if len(row) != n:
+            raise ValueError("ragged matrix")
+    d = [list(map(int, row)) for row in a]
+    u, uinv = _identity(m), _identity(m)
+    v, vinv = _identity(n), _identity(n)
+
+    def row_swap(i, k):
+        d[i], d[k] = d[k], d[i]
+        u[i], u[k] = u[k], u[i]
+        for r in uinv:
+            r[i], r[k] = r[k], r[i]
+
+    def row_add(i, k, c):
+        # row_i += c * row_k
+        d[i] = [x + c * y for x, y in zip(d[i], d[k])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
+        for r in uinv:
+            r[k] -= c * r[i]
+
+    def row_negate(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+        for r in uinv:
+            r[i] = -r[i]
+
+    def row_combine(t, i):
+        # Unimodular transform of rows (t, i) making d[t][t] = gcd and
+        # d[i][t] = 0.  E = [[x, y], [-b/g, a/g]], so E^-1 = [[a/g, -y], [b/g, x]].
+        a_, b_ = d[t][t], d[i][t]
+        if b_ == 0:
+            return
+        if a_ != 0 and b_ % a_ == 0:
+            row_add(i, t, -(b_ // a_))
+            return
+        g, x, y = _xgcd(a_, b_)
+        ag, bg = a_ // g, b_ // g
+        d[t], d[i] = (
+            [x * p + y * q for p, q in zip(d[t], d[i])],
+            [-bg * p + ag * q for p, q in zip(d[t], d[i])],
+        )
+        u[t], u[i] = (
+            [x * p + y * q for p, q in zip(u[t], u[i])],
+            [-bg * p + ag * q for p, q in zip(u[t], u[i])],
+        )
+        for r in uinv:
+            r[t], r[i] = ag * r[t] + bg * r[i], -y * r[t] + x * r[i]
+
+    def col_swap(j, k):
+        for r in d:
+            r[j], r[k] = r[k], r[j]
+        for r in v:
+            r[j], r[k] = r[k], r[j]
+        vinv[j], vinv[k] = vinv[k], vinv[j]
+
+    def col_combine(t, j):
+        # Unimodular transform of columns (t, j) making d[t][t] = gcd and
+        # d[t][j] = 0.  F = [[x, -b/g], [y, a/g]], so F^-1 = [[a/g, b/g], [-y, x]].
+        a_, b_ = d[t][t], d[t][j]
+        if b_ == 0:
+            return
+        if a_ != 0 and b_ % a_ == 0:
+            q = -(b_ // a_)
+            for r in d:
+                r[j] += q * r[t]
+            for r in v:
+                r[j] += q * r[t]
+            vinv[t] = [x - q * y for x, y in zip(vinv[t], vinv[j])]
+            return
+        g, x, y = _xgcd(a_, b_)
+        ag, bg = a_ // g, b_ // g
+        for r in d:
+            r[t], r[j] = x * r[t] + y * r[j], -bg * r[t] + ag * r[j]
+        for r in v:
+            r[t], r[j] = x * r[t] + y * r[j], -bg * r[t] + ag * r[j]
+        vinv[t], vinv[j] = (
+            [ag * p + bg * q for p, q in zip(vinv[t], vinv[j])],
+            [-y * p + x * q for p, q in zip(vinv[t], vinv[j])],
+        )
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = d[i][j]
+                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            row_swap(t, i)
+        if j != t:
+            col_swap(t, j)
+        while True:
+            for i in range(m):
+                if i != t:
+                    row_combine(t, i)
+            for j in range(n):
+                if j != t:
+                    col_combine(t, j)
+            if any(d[i][t] for i in range(m) if i != t):
+                continue  # column clearing re-dirtied by the column pass
+            # Force divisibility: pivot must divide the remaining submatrix.
+            pivot = d[t][t]
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % pivot != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        if d[t][t] < 0:
+            row_negate(t)
+        t += 1
+
+    diag = tuple(d[i][i] for i in range(min(m, n)))
+    dec = SmithDecomposition(
+        matrix=tuple(tuple(map(int, row)) for row in a),
+        left=tuple(tuple(r) for r in u),
+        left_inverse=tuple(tuple(r) for r in uinv),
+        right=tuple(tuple(r) for r in v),
+        right_inverse=tuple(tuple(r) for r in vinv),
+        diagonal=diag,
+    )
+    _verify(dec, d)
+    return dec
+
+
+def _verify(dec: SmithDecomposition, d: Matrix) -> None:
+    m, n = len(dec.left), len(dec.right)
+    uav = _mat_mul(_mat_mul(dec.left, dec.matrix), dec.right)
+    for i in range(m):
+        for j in range(n):
+            want = dec.diagonal[i] if i == j and i < len(dec.diagonal) else 0
+            if uav[i][j] != want:
+                raise AssertionError(f"snf.transform: U*A*V != D at ({i}, {j})")
+            if d[i][j] != want:
+                raise AssertionError(f"snf.diagonal: worked matrix not diagonal at ({i}, {j})")
+    for i in range(len(dec.diagonal) - 1):
+        a, b = dec.diagonal[i], dec.diagonal[i + 1]
+        if a < 0 or b < 0:
+            raise AssertionError(f"snf.sign: negative invariant factor among {a}, {b}")
+        if not ((a == 0 and b == 0) or (a != 0 and b % a == 0)):
+            raise AssertionError(f"snf.divisibility: {a} does not divide {b}")
+    if _mat_mul(dec.left, dec.left_inverse) != _identity(m):
+        raise AssertionError("snf.left_unimodular: U * U^-1 is not the identity")
+    if _mat_mul(dec.right, dec.right_inverse) != _identity(n):
+        raise AssertionError("snf.right_unimodular: V * V^-1 is not the identity")
+
+
+@dataclass(frozen=True)
+class EtaPolynomial:
+    """det(I - A u + (D - I) u^2) over the group ring, as coefficients in u."""
+
+    group: CyclicGroup
+    coeffs: tuple[GroupRingElement, ...]
+
+    def coefficient(self, k: int) -> GroupRingElement:
+        if k < len(self.coeffs):
+            return self.coeffs[k]
+        return GroupRingElement.zero(self.group)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def involution_applied(self) -> "EtaPolynomial":
+        return EtaPolynomial(self.group, tuple(c.involution() for c in self.coeffs))
+
+    def is_involution_invariant(self) -> bool:
+        return all(c == c.involution() for c in self.coeffs)
+
+
+def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]:
+    """det(I - A u + (D - I) u^2) over Z[G], G cyclic of the given order, with
+    ``adjacency[i][j]`` the coefficient vector of A's entry (i, j).
+
+    It is taken in Z[G][u]/(u^(2n+1)), which loses nothing since its degree is
+    at most 2n.  Returns its coefficients of u^0, u^1, ..., trailing zeros dropped.
+    """
+    width = 2 * len(valences) + 1
+    entries = [
+        [[0] * order + [-c for c in a] + [0] * ((width - 2) * order) for a in row]
+        for row in adjacency
+    ]
+    for i, valence in enumerate(valences):
+        entries[i][i][0], entries[i][i][2 * order] = 1, valence - 1
+    det = ring_determinant(entries, convolution(order, width), unit_inverse(order))
+    coeffs = [det[d * order : (d + 1) * order] for d in range(width)]
+    while len(coeffs) > 1 and not any(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
+
+
+def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
+    """The determinant polynomial of the cover over the group ring."""
+    require_connected_cover(cover)
+    group = CyclicGroup.for_prime(cover.p)
+    base = cover.base
+    coeffs = _ihara_determinant(
+        group.order, equivariant_adjacency(cover), [base.valence(i) for i in base.vertices]
+    )
+    poly = EtaPolynomial(group, tuple(GroupRingElement(group, c) for c in coeffs))
+    if poly.coefficient(0) != GroupRingElement.one(group):
+        raise AssertionError(
+            f"zeta.constant_term: constant term {poly.coefficient(0)} is not the ring identity"
+        )
+    return poly
+
+
+def _int_poly_det(g: SerreGraph) -> list[int]:
+    """Coefficients of det(I - A u + (D - I) u^2) over the integers."""
+    n = g.num_vertices
+    adjacency = [[(g.adjacency_count(i, j),) for j in range(n)] for i in range(n)]
+    return [c for (c,) in _ihara_determinant(1, adjacency, [g.valence(i) for i in range(n)])]
+
+
+def group_element(group: CyclicGroup, sigma: int, coefficient: int = 1) -> GroupRingElement:
+    """coefficient * sigma for a single group element sigma."""
+    c = [0] * group.order
+    c[group.index_of(sigma)] = coefficient
+    return GroupRingElement(group, tuple(c))
+
+
+def idempotent_mod(character, k: int) -> GroupRingElement:
+    """Reduction mod p^k of the idempotent attached to a character.
+
+    The idempotent is (1/#G) * sum over sigma of character(sigma) * sigma^(-1);
+    #G = p-1 is a unit mod p^k.  The character must carry at least k digits of
+    precision (an F_p-valued character suffices only for k = 1).
+    """
+    group: CyclicGroup = character.group
+    p = group.p
+    if k < 1:
+        raise ValueError("modulus exponent must be at least 1")
+    if character.precision is None:
+        if k > 1:
+            raise PrecisionExhausted("F_p-valued character only determines the idempotent mod p")
+    elif character.precision < k:
+        raise PrecisionExhausted(
+            f"character precision {character.precision} below requested exponent {k}"
+        )
+    modulus = p**k
+    inv_order = pow(group.order, -1, modulus)
+    coeffs = [0] * group.order
+    for sigma in group.elements:
+        v = character.value(sigma)
+        v = v.value if isinstance(v, PAdicInt) else v
+        coeffs[group.index_of(group.inverse(sigma))] = v * inv_order % modulus
+    return GroupRingElement(group, tuple(coeffs))

@@ -17,10 +17,8 @@ from coverzeta import (
     bundled_spec,
     derive,
     eta_at_one,
-    eta_polynomial,
     l_value,
     p_part,
-    smith_normal_form,
     spanning_tree_count,
     teichmuller,
 )
@@ -28,6 +26,7 @@ from coverzeta.census import read_census, run_census
 from coverzeta.herbrand import PASS
 from coverzeta.snf import integer_determinant
 from coverzeta.zeta import equivariant_laplacian
+from reference import eta_polynomial, smith_normal_form
 
 
 @contextmanager

@@ -12,7 +12,6 @@ from coverzeta import (
     cycle_graph,
     derive,
     integer_determinant,
-    smith_normal_form,
     snf,
     spec_from_dict,
 )
@@ -27,6 +26,7 @@ from coverzeta.snf import (
     det_mod,
     sparse_det_mod,
 )
+from reference import smith_normal_form
 
 
 @st.composite

@@ -15,9 +15,9 @@ from coverzeta import (
     derive,
     picard_factors,
     require_connected_cover,
-    smith_normal_form,
     spanning_tree_count,
 )
+from reference import smith_normal_form
 
 
 def test_derive_sizes_first_example(ex1_cover):

@@ -17,14 +17,14 @@ from coverzeta import (
     equivariant_adjacency,
     equivariant_laplacian,
     eta_at_one,
-    eta_polynomial,
     l_value,
     path_graph,
     PicardModule,
 )
-from coverzeta.groupring import convolution, ring_determinant
+from coverzeta.groupring import _berkowitz, convolution
 from coverzeta.snf import integer_determinant
-from coverzeta.zeta import _int_poly_det, cyclotomic, orbit_norms
+from coverzeta.zeta import cyclotomic, orbit_norms
+from reference import _int_poly_det, eta_polynomial
 
 
 def brute_force_closed_reduced_paths(g, max_length):
@@ -300,7 +300,7 @@ def circulant_determinant(poly):
         [[c.coeffs[(i - j) % m] for c in poly.coeffs] + [0] * (width - len(poly.coeffs)) for j in range(m)]
         for i in range(m)
     ]
-    det = list(ring_determinant(entries, convolution(1, width)))
+    det = list(_berkowitz(entries, convolution(1, width)))
     while len(det) > 1 and not det[-1]:
         det.pop()
     return det
