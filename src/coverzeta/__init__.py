@@ -27,13 +27,6 @@ from .voltage import (
     derive,
     require_connected_cover,
 )
-from .zeta import (
-    LValue,
-    duality_check,
-    equivariant_adjacency,
-    equivariant_laplacian,
-    eta_at_one,
-    l_value,
-)
+from .zeta import duality_check, equivariant_laplacian, eta_at_one, l_value
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Elements are integer coefficient vectors indexed by powers of a fixed
 generator, so multiplication is cyclic convolution in Z[x]/(x^(p-1) - 1).
-A matrix over Z[G] is a list of rows of such vectors; the cover's Laplacian
-is built that way from the base graph, a base edge j -> i with voltage a
+A matrix over Z[G] is a list of sparse rows {column: vector}, as the cover's
+Laplacian is built from the base graph, a base edge j -> i with voltage a
 adding the group element a to entry (i, j) of A.
 Determinants are taken by elimination on unit pivots (+-g^k), which is exact
 although the group ring has zero divisors, and Berkowitz's division-free
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
-from .padic import PAdicInt
 from .snf import ring_unit_pivots
 
 
@@ -146,18 +145,13 @@ class GroupRingElement:
     def reduce(self, modulus: int) -> "GroupRingElement":
         return GroupRingElement(self.group, tuple(a % modulus for a in self.coeffs))
 
-    def evaluate(self, character):
-        """Image under the ring morphism sending sigma to character.value(sigma).
-
-        Returns an element of F_p (a plain int in [0, p)) or a PAdicInt,
-        depending on the character's codomain.  The sum runs over the
+    def evaluate(self, character) -> int:
+        """Image under the ring morphism sending sigma to character.value(sigma),
+        as a residue in range(character.modulus).  The sum runs over the
         character's shared value table for this element's generator.
         """
         table = character.table(self.group)
-        total = sum(a * v for a, v in zip(self.coeffs, table)) % character.modulus
-        if character.precision is None:
-            return total
-        return PAdicInt(self.group.p, character.precision, total)
+        return sum(a * v for a, v in zip(self.coeffs, table)) % character.modulus
 
     def __str__(self):
         terms = []
@@ -209,9 +203,9 @@ def unit_inverse(order: int):
     return inverse
 
 
-def ring_determinant(entries, product, inverse):
-    """Determinant of a square matrix over a commutative ring given by its
-    product and its unit test.
+def ring_determinant(rows, product, inverse):
+    """Determinant of a square matrix, given as sparse rows {column: element},
+    over a commutative ring given by its product and its unit test.
 
     Elements are integer coefficient vectors of one length that add
     coefficientwise, with the first basis vector as the identity;
@@ -220,13 +214,12 @@ def ring_determinant(entries, product, inverse):
     ``snf.ring_unit_pivots`` eliminates on the units the test accepts, and
     Berkowitz's algorithm takes the core they leave.  Returns a tuple.
     """
-    n = len(entries)
+    n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    for row in entries:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    scale, core = ring_unit_pivots([dict(enumerate(row)) for row in entries], inverse, product)
+    if any(j not in range(n) for row in rows for j in row):
+        raise ValueError("matrix is not square")
+    scale, core = ring_unit_pivots(rows, inverse, product)
     if not core:
         return tuple(scale)
     det = _berkowitz(core, product)

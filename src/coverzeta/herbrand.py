@@ -140,9 +140,10 @@ class CoverAnalysis:
         order = p ** sum(ranks)
         for k in range(RETRY_DOUBLINGS + 1):
             lifted = Character(self.group, i, self.precision << k)
-            h = l_value(self.cover, lifted, self.eta1, self.lap).value
-            if not h.is_zero():
+            value = l_value(lifted, self.eta1, self.lap)
+            if value:
                 break
+        h = PAdicInt(p, lifted.precision, value)
         val = None if h.is_zero() else h.valuation()
         h_mod_p = h.value % p  # the Teichmuller lift reduces to the F_p character
         if (dim > 0) == (h_mod_p == 0):
@@ -244,7 +245,7 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
     verdicts["fitting"] = fitting
     verdicts["duality"] = (
         Verdict(PASS, "L-values match at contragredient pairs")
-        if duality_check(cover, precision=min(a.precision, 3), eta1=a.eta1)
+        if duality_check(a.eta1, precision=min(a.precision, 3))
         else Verdict(FAIL, "a contragredient pair disagrees")
     )
     dim_c = a.dim_c

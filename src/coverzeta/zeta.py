@@ -2,10 +2,13 @@
 determinant polynomial det(I - A u + (D - I) u^2), which is the group-ring
 determinant of the Laplacian D - A, and character L-values.
 
-Matrices over Z[G] are lists of rows of integer coefficient vectors, read
-off the base graph: a base edge j -> i with voltage a adds the group element
-a to entry (i, j) of the adjacency A, and the Laplacian is D - A with the
-valences on the diagonal.
+The Laplacian D - A over Z[G] is read off the base graph as sparse rows
+{column: integer coefficient vector}: row i holds the valence of i at the
+identity on its diagonal and one entry per neighbour, a base edge j -> i with
+voltage a adding the group element a to entry (i, j) of the adjacency A.
+The special value and the L-values read those rows in place; their caller
+(``herbrand.CoverAnalysis``) builds the Laplacian and eta(1) once per cover
+and passes them in.
 
 Everything is exact.  Two computation routes exist by construction --
 evaluate the character after taking the group-ring determinant, or evaluate
@@ -21,16 +24,10 @@ residues prime to M, with ``snf.det_mod`` on the core.
 Over Q the group ring splits as the product of the cyclotomic fields
 Q(zeta_d), d dividing p - 1, one for each rational orbit of characters (those
 of order d); ``orbit_norms`` reads an element's norm in each of them.
-
-The functions take the cover's equivariant Laplacian and special value as
-optional arguments, so a caller that holds them (``herbrand.CoverAnalysis``)
-builds the Laplacian and runs ``eta_at_one`` once per cover; each function
-computes what it is not given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import prod
 from operator import mul
@@ -38,43 +35,32 @@ from operator import mul
 from .arith import VerificationError
 from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement, ring_determinant, unit_inverse
-from .padic import PAdicInt
 from .snf import det_mod, integer_determinant, sparse_det_mod
 from .voltage import DerivedCover, require_connected_cover
 
 
-@dataclass(frozen=True)
-class LValue:
-    character: Character
-    value: object  # int mod p, or PAdicInt
+def equivariant_laplacian(cover: DerivedCover) -> list[dict[int, tuple[int, ...]]]:
+    """D - A over Z[G] as sparse rows {column: coefficient vector}, in one
+    pass over the base's directed edges.
 
-
-def equivariant_adjacency(cover: DerivedCover) -> list[list[list[int]]]:
-    """Adjacency of the cover as a matrix over Z[G], read off the base graph.
-
-    Entries are coefficient vectors over the powers of the group's generator.
-    A base edge j -> i with voltage a adds the group element a to entry (i, j)
-    (Gross-Tucker): its lift landing on the unit-1 point over i starts at the
-    point of unit a^(-1) over j.
+    Row i holds its diagonal, the valence at the identity, and one entry per
+    neighbour.  A base edge j -> i with voltage a adds the group element a to
+    entry (i, j) of A (Gross-Tucker): its lift landing on the unit-1 point
+    over i starts at the point of unit a^(-1) over j.  Entries are tuples, so
+    the routes that read the Laplacian share it unchanged.
     """
     group = CyclicGroup.for_prime(cover.p)
-    n = cover.base.num_vertices
-    adjacency = [[[0] * group.order for _ in range(n)] for _ in range(n)]
+    rows = [{i: [0] * group.order} for i in cover.base.vertices]
     for e in cover.base.directed_edges:
-        adjacency[e.terminus][e.origin][group.index_of(cover.spec.voltage(e.id))] += 1
-    return adjacency
+        rows[e.origin][e.origin][0] += 1
+        entry = rows[e.terminus].setdefault(e.origin, [0] * group.order)
+        entry[group.index_of(cover.spec.voltage(e.id))] -= 1
+    return [{j: tuple(x) for j, x in row.items()} for row in rows]
 
 
-def equivariant_laplacian(cover: DerivedCover) -> list[list[list[int]]]:
-    """D - A over Z[G] as coefficient vectors, the valences at the identity."""
-    lap = [[[-c for c in x] for x in row] for row in equivariant_adjacency(cover)]
-    for i, row in enumerate(lap):
-        row[i][0] += cover.base.valence(i)
-    return lap
-
-
-def eta_at_one(cover: DerivedCover, lap=None) -> GroupRingElement:
-    """Special value at u = 1: the group-ring determinant of the Laplacian.
+def eta_at_one(cover: DerivedCover, lap: list[dict]) -> GroupRingElement:
+    """Special value at u = 1: the group-ring determinant of the Laplacian
+    ``lap`` (``equivariant_laplacian``).
 
     At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  Its
     determinant is taken over the group ring, by unit pivots +-g^k and
@@ -82,13 +68,10 @@ def eta_at_one(cover: DerivedCover, lap=None) -> GroupRingElement:
     substitution, by pivots on the residues prime to it and ``det_mod`` on
     the core; the results must agree exactly.  Both share the pivot kernel,
     so a fault in it that both routes repeat, such as a wrong sign, is caught
-    by the class-number identity, which reads eta(1)'s orbit norms.  ``lap``
-    is the cover's equivariant Laplacian, built here when omitted.
+    by the class-number identity, which reads eta(1)'s orbit norms.
     """
     require_connected_cover(cover)
     group = CyclicGroup.for_prime(cover.p)
-    if lap is None:
-        lap = equivariant_laplacian(cover)
     det = ring_determinant(lap, group.product, unit_inverse(group.order))
     direct = GroupRingElement(group, det)
     substituted = _substitution_determinant(lap, group)
@@ -100,8 +83,9 @@ def eta_at_one(cover: DerivedCover, lap=None) -> GroupRingElement:
     return direct
 
 
-def _substitution_determinant(mat, group: CyclicGroup) -> GroupRingElement:
-    """Group-ring determinant through the ring map Z[G] -> Z/(B^(p-1) - 1).
+def _substitution_determinant(rows: list[dict], group: CyclicGroup) -> GroupRingElement:
+    """Group-ring determinant, through the ring map Z[G] -> Z/(B^(p-1) - 1),
+    of a square matrix given as sparse rows {column: coefficient vector}.
 
     sigma_g^k maps to B^k.  Every Leibniz term is a product of one entry per
     row, so the absolute values of the determinant's coefficients c_k sum to
@@ -112,12 +96,12 @@ def _substitution_determinant(mat, group: CyclicGroup) -> GroupRingElement:
     the c_k.
     """
     m = group.order
-    beta = max(prod(sum(sum(map(abs, x)) for x in row) for row in mat), 1)
+    beta = max(prod(sum(sum(map(abs, x)) for x in row.values()) for row in rows), 1)
     base = 2 * beta + 1
     modulus = base**m - 1
     powers = [base**k for k in range(m)]
-    rows = [{j: v for j, x in enumerate(row) if (v := sum(map(mul, x, powers)))} for row in mat]
-    det = sparse_det_mod(rows, modulus)
+    subst = [{j: v for j, x in row.items() if (v := sum(map(mul, x, powers)))} for row in rows]
+    det = sparse_det_mod(subst, modulus)
     if det > modulus // 2:
         det -= modulus
     coeffs = []
@@ -130,51 +114,37 @@ def _substitution_determinant(mat, group: CyclicGroup) -> GroupRingElement:
     return GroupRingElement(group, tuple(coeffs))
 
 
-def l_value(
-    cover: DerivedCover,
-    chi: Character,
-    eta1: GroupRingElement | None = None,
-    lap=None,
-) -> LValue:
-    """Character L-value at u = 1, cross-checked along both routes.
-
-    ``eta1`` and ``lap`` are the cover's special value and equivariant
-    Laplacian; each is computed here when omitted.  The Laplacian is
-    evaluated entrywise by one dot product with the character's value table.
+def l_value(chi: Character, eta1: GroupRingElement, lap: list[dict]) -> int:
+    """Character L-value at u = 1, in range(chi.modulus), cross-checked
+    along both routes: chi(eta1) against the determinant of the Laplacian
+    ``lap`` evaluated at chi, whose stored entries are each one dot product
+    with the character's value table.
     """
-    if lap is None:
-        lap = equivariant_laplacian(cover)
-    if eta1 is None:
-        eta1 = eta_at_one(cover, lap)
     table, modulus = chi.table(eta1.group), chi.modulus
-    evaluated = [[sum(map(mul, x, table)) for x in row] for row in lap]
+    evaluated = [[0] * len(lap) for _ in lap]
+    for out, row in zip(evaluated, lap):
+        for j, x in row.items():
+            out[j] = sum(map(mul, x, table))
     by_eta = eta1.evaluate(chi)
     by_det = det_mod(evaluated, modulus)
-    if chi.precision is not None:
-        by_det = PAdicInt(chi.group.p, chi.precision, by_det)
     if by_eta != by_det:
         raise VerificationError(
             "zeta.l_routes",
             f"character {chi.exponent}: value of eta(1) {by_eta} != "
             f"determinant of the evaluated Laplacian {by_det}",
         )
-    return LValue(chi, by_eta)
+    return by_eta
 
 
-def duality_check(
-    cover: DerivedCover, precision: int = 2, eta1: GroupRingElement | None = None
-) -> bool:
+def duality_check(eta1: GroupRingElement, precision: int = 2) -> bool:
     """L-values at a character and its contragredient always coincide.
 
     chi*(x) = chi(x*), x* the image of x under g -> g^(-1), and the table of
     the characters modulo p^precision is invertible (a Vandermonde matrix of
     roots of unity distinct mod p), so every pair agrees there, and mod p,
-    exactly when eta(1) = eta(1)* modulo p^precision.  ``eta1`` is the
-    cover's special value, computed here when omitted.
+    exactly when the cover's special value eta1 = eta1* modulo p^precision.
     """
-    if eta1 is None:
-        eta1 = eta_at_one(cover)
-    modulus = cover.p**precision
+    modulus = eta1.group.p**precision
     return all((a - b) % modulus == 0 for a, b in zip(eta1.coeffs, eta1.involution().coeffs))
 
 

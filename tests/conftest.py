@@ -68,6 +68,11 @@ def dense_tree_count(g: SerreGraph) -> int:
     return integer_determinant([row[:-1] for row in g.laplacian_matrix()[:-1]])
 
 
-def evaluate_matrix(group, matrix, chi):
-    """Entrywise character values of a matrix of coefficient vectors over Z[G]."""
-    return [[GroupRingElement(group, tuple(x)).evaluate(chi) for x in row] for row in matrix]
+def evaluate_matrix(group, rows, chi):
+    """Entrywise character values, as a dense matrix, of a square matrix over
+    Z[G] given as sparse rows {column: coefficient vector}."""
+    zero = (0,) * group.order
+    return [
+        [GroupRingElement(group, row.get(j, zero)).evaluate(chi) for j in range(len(rows))]
+        for row in rows
+    ]

@@ -5,7 +5,10 @@ compare the library against:
   U*A*V = D and that the tracked inverses of U and V are inverses;
 - the determinant polynomial det(I - A u + (D - I) u^2) of a cover over the
   group ring, in Z[G][u]/(u^(2n+1)), and of a graph over the integers;
-- the idempotents of the group ring modulo p^k, and single group elements.
+- the idempotents of the group ring modulo p^k, and single group elements;
+- the cover's adjacency over the group ring as a dense matrix, and the
+  sparse rows {column: entry} of a dense matrix, which the library's
+  determinants take.
 
 A failed self-check raises AssertionError under the name of the check, never
 a bare ``assert``, which ``python -O`` strips; ``VerificationError`` stays the
@@ -27,7 +30,6 @@ from coverzeta.padic import PAdicInt, PrecisionExhausted
 from coverzeta.serre import SerreGraph
 from coverzeta.snf import Matrix, _identity, _xgcd
 from coverzeta.voltage import DerivedCover, require_connected_cover
-from coverzeta.zeta import equivariant_adjacency
 
 
 def _mat_mul(a, b) -> Matrix:
@@ -247,6 +249,23 @@ class EtaPolynomial:
         return all(c == c.involution() for c in self.coeffs)
 
 
+def sparse_rows(mat) -> list[dict]:
+    """The sparse rows {column: entry} of a dense square matrix, every entry kept."""
+    return [dict(enumerate(row)) for row in mat]
+
+
+def equivariant_adjacency(cover: DerivedCover) -> list[list[list[int]]]:
+    """Adjacency of the cover as a dense matrix over Z[G], read off the base
+    graph: a base edge j -> i with voltage a adds the group element a to
+    entry (i, j), as coefficient vectors over the powers of the generator."""
+    group = CyclicGroup.for_prime(cover.p)
+    n = cover.base.num_vertices
+    adjacency = [[[0] * group.order for _ in range(n)] for _ in range(n)]
+    for e in cover.base.directed_edges:
+        adjacency[e.terminus][e.origin][group.index_of(cover.spec.voltage(e.id))] += 1
+    return adjacency
+
+
 def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]:
     """det(I - A u + (D - I) u^2) over Z[G], G cyclic of the given order, with
     ``adjacency[i][j]`` the coefficient vector of A's entry (i, j).
@@ -261,7 +280,7 @@ def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]
     ]
     for i, valence in enumerate(valences):
         entries[i][i][0], entries[i][i][2 * order] = 1, valence - 1
-    det = ring_determinant(entries, convolution(order, width), unit_inverse(order))
+    det = ring_determinant(sparse_rows(entries), convolution(order, width), unit_inverse(order))
     coeffs = [det[d * order : (d + 1) * order] for d in range(width)]
     while len(coeffs) > 1 and not any(coeffs[-1]):
         coeffs.pop()

@@ -12,6 +12,7 @@ from conftest import dense_tree_count, evaluate_matrix, random_connected_cover
 from coverzeta import (
     Character,
     CyclicGroup,
+    PAdicInt,
     bouquet,
     build_report,
     bundled_spec,
@@ -61,7 +62,9 @@ def test_criterion_2_second_example():
         assert report.sylow_factors == (5,)
         assert [row["h_mod_p"] for row in report.rows] == [4, 0, 4]
         assert report.rows[1]["orderA"] == 5
-        h = l_value(cover, Character(CyclicGroup.for_prime(5), 2, 4)).value
+        lap = equivariant_laplacian(cover)
+        chi = Character(CyclicGroup.for_prime(5), 2, 4)
+        h = PAdicInt(5, 4, l_value(chi, eta_at_one(cover, lap), lap))
         assert h.valuation() == 1
         assert h.digits()[1] == 4
         assert report.all_ok
@@ -76,7 +79,9 @@ def test_criterion_3_third_example():
         dims = {row["i"]: row["dimC"] for row in report.rows}
         assert dims[1] == 1 and dims[9] == 1
         assert sum(dims.values()) == 2
-        h = l_value(cover, Character(CyclicGroup.for_prime(11), 1, 6)).value
+        lap = equivariant_laplacian(cover)
+        chi = Character(CyclicGroup.for_prime(11), 1, 6)
+        h = PAdicInt(11, 6, l_value(chi, eta_at_one(cover, lap), lap))
         assert h.valuation() == 2
         assert h.digits()[2:5] == (2, 7, 9)
         assert report.all_ok
@@ -91,7 +96,9 @@ def test_criterion_4_fourth_example():
         dims = {row["i"]: row["dimC"] for row in report.rows}
         assert dims[3] == 2 and dims[7] == 2
         assert sum(dims.values()) == 4
-        h = l_value(cover, Character(CyclicGroup.for_prime(11), 3, 6)).value
+        lap = equivariant_laplacian(cover)
+        chi = Character(CyclicGroup.for_prime(11), 3, 6)
+        h = PAdicInt(11, 6, l_value(chi, eta_at_one(cover, lap), lap))
         assert h.valuation() == 2
         assert h.digits()[2:6] == (9, 0, 7, 9)
         assert report.dim_C == 4
@@ -125,7 +132,7 @@ def test_criterion_5_randomized_property_suite():
                     assert h[i] == h[star.exponent]
                 # Character evaluation commutes with the determinant.
                 lap = equivariant_laplacian(cover)
-                eta1 = eta_at_one(cover)
+                eta1 = eta_at_one(cover, lap)
                 for i in range(p - 1):
                     chi = Character(group, i, None)
                     direct = integer_determinant(evaluate_matrix(group, lap, chi)) % p

@@ -197,6 +197,20 @@ def corrupted(rows, inverse, product):
 """
 
 
+# Adds 1 to the determinant of every evaluated Laplacian, the second route of
+# each L-value, so that it disagrees with chi(eta(1)) at the first character
+# evaluated.  ``det_mod`` is the name in ``zeta`` that ``l_value`` looks up.
+L_ROUTES_SABOTAGE = """
+import coverzeta.zeta as module
+
+name = "det_mod"
+real = module.det_mod
+
+def corrupted(rows, modulus):
+    return real(rows, modulus) + 1
+"""
+
+
 # Adds 1 to the Bezout coefficient s of the diagonal sort's step on the
 # summands (420, 7) of example2's Pic0, so that s 420 + t 7 is no longer
 # gcd = 7: U loses determinant 1, and form 0 misreads generator 0.  The pair
@@ -404,6 +418,11 @@ def test_berkowitz_fault_exits_4_on_every_example(example, monkeypatch, capsys):
     _assert_sabotage_exits_4(
         SABOTAGES["berkowitz"], example, "zeta.eta_routes", monkeypatch, capsys
     )
+
+
+@pytest.mark.parametrize("example", sorted(BUNDLED))
+def test_l_value_fault_exits_4_on_every_example(example, monkeypatch, capsys):
+    _assert_sabotage_exits_4(L_ROUTES_SABOTAGE, example, "zeta.l_routes", monkeypatch, capsys)
 
 
 def test_tree_count_check_exits_4(monkeypatch, capsys):

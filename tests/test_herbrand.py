@@ -8,7 +8,6 @@ from coverzeta import VoltageSpec, bouquet, build_report, bundled_spec, derive
 from coverzeta.census import census_row
 from coverzeta.herbrand import PASS, default_precision
 from coverzeta.picard import PicardModule
-from coverzeta.zeta import LValue
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -139,7 +138,7 @@ def test_json_schema_keys(ex2_cover):
 def test_failed_report_carries_diagnostics(ex2_cover, monkeypatch):
     import coverzeta.herbrand as hb
 
-    monkeypatch.setattr(hb, "duality_check", lambda cover, precision=2, eta1=None: False)
+    monkeypatch.setattr(hb, "duality_check", lambda eta1, precision=2: False)
     report = build_report(ex2_cover)
     assert not report.all_ok
     assert report.diagnostics is not None
@@ -164,7 +163,8 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
     # Deck maps are needed for the generator, whose matrix is read on Pic0
     # and on C, and for the units in the support of eta(1), which the
     # annihilation test transports: 6 of the 10 units of example4.
-    eta = zeta.eta_at_one(derive(bundled_spec("example4")))
+    fresh = derive(bundled_spec("example4"))
+    eta = zeta.eta_at_one(fresh, zeta.equivariant_laplacian(fresh))
     units = {eta.group.generator} | {eta.group.element(k) for k, c in enumerate(eta.coeffs) if c}
     assert len(units) == 6
     targets = {
@@ -194,9 +194,9 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     real_l_value = hb.l_value
 
-    def l_value(cover, chi, *args, **kwargs):
+    def l_value(chi, *args, **kwargs):
         l_keys.append((chi.exponent, chi.precision))
-        return real_l_value(cover, chi, *args, **kwargs)
+        return real_l_value(chi, *args, **kwargs)
 
     real_cokernel = picard.cokernel
 
@@ -274,7 +274,7 @@ def test_report_reads_one_transport_and_one_eigenspace_per_character(
     monkeypatch, ex1_cover, ex4_cover
 ):
     import coverzeta.picard as picard
-    from coverzeta.zeta import eta_at_one
+    from coverzeta.zeta import equivariant_laplacian, eta_at_one
 
     transported, eigenspaces = [], []
     real_transport, real_eigenspace = picard.PicardModule._transport, picard._eigenspace_dim
@@ -296,7 +296,7 @@ def test_report_reads_one_transport_and_one_eigenspace_per_character(
         assert build_report(cover).all_ok
         # The Picard module transports the generator g = 2 alone; the
         # annihilation test transports eta(1) once.
-        eta = eta_at_one(cover)
+        eta = eta_at_one(cover, equivariant_laplacian(cover))
         support = sorted(eta.group.element(k) for k, c in enumerate(eta.coeffs) if c)
         assert transported == [[2], support]
 
@@ -358,8 +358,7 @@ def test_report_on_a_24_vertex_base():
 
 def _scaled_l_value(real, factor):
     def scaled(*args, **kwargs):
-        value = real(*args, **kwargs)
-        return LValue(value.character, value.value * factor)
+        return real(*args, **kwargs) * factor
 
     return scaled
 

@@ -25,7 +25,7 @@ from coverzeta.arith import VerificationError, p_part, p_valuation
 from coverzeta.groupring import GroupRingElement
 from coverzeta.snf import integer_determinant
 from coverzeta.specfile import spec_from_dict
-from coverzeta.zeta import eta_at_one
+from coverzeta.zeta import equivariant_laplacian, eta_at_one
 from reference import group_element, idempotent_mod, smith_normal_form
 
 
@@ -566,7 +566,7 @@ def test_annihilation_matches_dense_route(route_pairs):
     for cover, pm, ref in route_pairs:
         group = CyclicGroup.for_prime(cover.p)
         m = group.order
-        eta = eta_at_one(cover)
+        eta = eta_at_one(cover, equivariant_laplacian(cover))
         exponent = ref.factors[-1] if ref.factors else 1
         elems = [eta, GroupRingElement.one(group)]
         for _ in range(3):
@@ -610,7 +610,7 @@ def test_transport_matches_the_per_form_reference(route_pairs):
         group = CyclicGroup.for_prime(cover.p)
         m = group.order
         coker = _pic0(_reduced(cover.total.laplacian_rows()))[1]
-        eta = eta_at_one(cover)
+        eta = eta_at_one(cover, equivariant_laplacian(cover))
         elems = [eta.coeffs, [int(k == 1) for k in range(m)]]
         for _ in range(3):
             coeffs = [rng.randint(-4, 4) for _ in range(m - 1)]
