@@ -9,8 +9,11 @@ give covers that are isomorphic by (v, x) -> (v, x c_v), which commutes with
 the deck group (Gross and Tucker, Topological Graph Theory, 1987), so their
 rows agree but for the key and the voltages.  A run builds one report per
 switching class and hands its fields to the later assignments of the class,
-each after checking the isomorphism on its own cover (``census.switching``);
-the table lives for one ``run_census`` call and holds no cover or report.  Output
+each after checking the isomorphism on its own cover (``census.switching``).
+The table holds one entry per class, its first cover's relabeled edges and
+its fields, and no cover or report; a resumed run seeds it from the first
+written row of each class, so a class keeps its one report across the runs
+that write one file.  Output
 is one JSON object per line; reruns skip keys already present, so runs are
 resumable, also after a crash that left a partly written last line; a file
 with any other line that is not a row or a cursor is refused, as is a row for
@@ -45,7 +48,8 @@ def census_row(
 
     ``classes`` maps each switching class met so far (its gauge-fixed
     voltages, ``gauge``) to the relabeled edges (``_relabeled_edges``) and
-    the row fields of its first connected cover.  A later cover of the class
+    the row fields of its first connected cover, built here or seeded from a
+    written row (``_seed_classes``).  A later cover of the class
     takes those fields only if its own relabeled edges are the same: the two
     relabelings then make an isomorphism of the covers that commutes with
     the deck group, so Pic0, the L-values and every verdict agree.  If they
@@ -55,7 +59,8 @@ def census_row(
     spec = VoltageSpec(base, p, voltages)
     cover = derive(spec)
     connected = cover.is_connected()
-    by_criterion = connected_by_voltage_criterion(spec)
+    potential, key = gauge(spec)
+    by_criterion = connected_by_voltage_criterion(p, key)
     if connected != by_criterion:
         raise VerificationError(
             "census.connectivity",
@@ -74,7 +79,6 @@ def census_row(
         row["verdicts"] = dict.fromkeys(VERDICTS, "SKIPPED")
         return row
     classes = {} if classes is None else classes
-    potential, key = gauge(spec)
     edges = _relabeled_edges(cover, potential)
     if key not in classes:
         report = build_report(cover)
@@ -108,16 +112,13 @@ def _relabeled_edges(cover: DerivedCover, potential: list[int]) -> tuple[int, ..
     """
     p, f = cover.p, cover.fiber_size
     inverse = [pow(x, -1, p) for x in potential]
-
-    def relabel(w: int) -> int:
-        v, x = divmod(w, f)
-        return v * f + (x + 1) * inverse[v] % p - 1
-
+    # The relabeled index of each total vertex (v, s), at v * f + s - 1.
+    relabel = [v * f + s * inverse[v] % p - 1 for v in cover.base.vertices for s in range(1, p)]
     flat = [-1] * (2 * cover.total.num_undirected_edges)
     for j, (w, w2) in enumerate(cover.total.edge_pairs):
-        a = relabel(w)
+        a = relabel[w]
         slot = 2 * (j - j % f + a % f)
-        flat[slot], flat[slot + 1] = a, relabel(w2)
+        flat[slot], flat[slot + 1] = a, relabel[w2]
     return tuple(flat)
 
 
@@ -139,26 +140,52 @@ def _is_row(doc, p: int, num_edges: int) -> bool:
     )
 
 
-def _resume_state(out_path: str, p: int, num_edges: int) -> tuple[set[str], int]:
-    """Keys of the rows already in the output file, which may not exist, and
-    the index of the last cursor in it (0 without one).
+def _written_fields(doc, p: int) -> tuple | None:
+    """The Picard factors, vanishing exponents and verdict statuses of a
+    connected row, as the tuples ``census_row`` keeps, if they have the shape
+    a report writes: factors above 1, exponents in 1..p - 2, and each name
+    of ``VERDICTS`` once, PASS or FAIL; otherwise None."""
+    pic0, vanishing, verdicts = doc.get("pic0"), doc.get("vanishing"), doc.get("verdicts")
+    if (
+        type(pic0) is list
+        and all(type(d) is int and d > 1 for d in pic0)
+        and type(vanishing) is list
+        and all(type(i) is int and 0 < i < p - 1 for i in vanishing)
+        and type(verdicts) is dict
+        and verdicts.keys() == set(VERDICTS)
+        and all(status in ("PASS", "FAIL") for status in verdicts.values())
+    ):
+        return tuple(pic0), tuple(vanishing), tuple(verdicts[name] for name in VERDICTS)
+    return None
+
+
+def _resume_state(out_path: str, base: SerreGraph, p: int) -> tuple[set[str], int, dict]:
+    """Keys of the rows already in the output file, which may not exist, the
+    index of the last cursor in it (0 without one), and the class table of
+    ``census_row`` seeded from its connected rows (``_seed_classes``).  The
+    file is read line by line; of each connected row only the voltages and
+    the fields (``_written_fields``) are kept, equal fields shared.
 
     A run killed mid-write leaves a last line without its newline; the file
     is cut back to its last complete line, so that row is computed again and
     the next row does not land on the fragment.  Any other line that is not
     a row or a cursor raises ``CensusFileError`` and leaves the file as it is.
     So do lines whose keys and indices belong to another census: a row for a
-    prime other than ``p``, a row whose voltages are not ``num_edges`` units
-    mod p or whose key is not theirs, and a cursor over other than the
-    (p - 1)^num_edges assignments; and so does a cursor at that total or
-    past it, which no run writes.
+    prime other than ``p``, a row whose voltages are not one unit mod p per
+    base edge or whose key is not theirs, and a cursor over other than the
+    (p - 1)^E assignments (E the base's edges); so does a cursor at that
+    total or past it, which no run writes, and a connected row whose cover
+    is not.
     """
+    num_edges = base.num_undirected_edges
     total = (p - 1) ** num_edges
-    done, start = set(), 0
+    done, start, seeds, shared, classes = set(), 0, [], {}, {}
     with suppress(FileNotFoundError), open(out_path, "rb+") as fh:
-        data = fh.read()
-        end = data.rfind(b"\n") + 1
-        for number, line in enumerate(data[:end].splitlines(), 1):
+        end = 0  # the end of the last complete line
+        for number, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                break
+            end += len(line)
             if not line.strip():
                 continue
             try:
@@ -167,6 +194,8 @@ def _resume_state(out_path: str, p: int, num_edges: int) -> tuple[set[str], int]
                 doc = None
             if _is_row(doc, p, num_edges):
                 done.add(doc["key"])
+                if doc.get("connected") is True and (fields := _written_fields(doc, p)):
+                    seeds.append((tuple(doc["voltages"]), shared.setdefault(fields, fields)))
                 continue
             cursor = doc.get("cursor") if isinstance(doc, dict) else None
             start = cursor.get("next_index") if isinstance(cursor, dict) else None
@@ -175,9 +204,33 @@ def _resume_state(out_path: str, p: int, num_edges: int) -> tuple[set[str], int]
                     f"{out_path}, line {number}: not a row or cursor of the census "
                     f"at p = {p} over {total} assignments"
                 )
-        if end < len(data):
+        classes = _seed_classes(base, p, seeds, out_path)
+        if end < fh.tell():
             fh.truncate(end)
-    return done, start
+    return done, start, classes
+
+
+def _seed_classes(base: SerreGraph, p: int, seeds: list, out_path: str) -> dict:
+    """The class table of ``census_row``, seeded from written rows: the first
+    seed of each switching class gives the relabeled edges of its own cover
+    and its written fields.  The fields are trusted as the report that wrote
+    them; a later row of the class takes them only after ``census.switching``
+    compares its cover with this one.  A seed whose cover is disconnected,
+    although its row says connected, raises ``CensusFileError``."""
+    classes: dict = {}
+    for voltages, fields in seeds:
+        spec = VoltageSpec(base, p, voltages)
+        potential, key = gauge(spec)
+        if key in classes:
+            continue
+        cover = derive(spec)
+        if not cover.is_connected():
+            raise CensusFileError(
+                f"{out_path}: row {assignment_key(voltages)} says connected, "
+                "but the cover of its voltages is not"
+            )
+        classes[key] = _relabeled_edges(cover, potential), fields
+    return classes
 
 
 def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = None) -> dict:
@@ -192,12 +245,12 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
         raise ValueError("census base graph must be connected")
     num_edges = base.num_undirected_edges
     total = (p - 1) ** num_edges
-    done, start = _resume_state(out_path, p, num_edges)
+    # classes: switching class -> its first cover's edges and fields
+    done, start, classes = _resume_state(out_path, base, p)
     processed = 0
     written = 0
     cursor = None
     stop = total if budget is None else min(total, start + budget)
-    classes: dict = {}  # switching class -> its first cover's edges and fields
     with open(out_path, "a", encoding="utf-8") as fh:
         iterator = product(range(1, p), repeat=num_edges)
         for voltages in islice(iterator, start, stop):

@@ -83,15 +83,8 @@ class GroupRingElement:
             raise ValueError("coefficient vector has wrong length")
 
     @classmethod
-    def zero(cls, group: CyclicGroup) -> "GroupRingElement":
-        return cls(group, (0,) * group.order)
-
-    @classmethod
     def one(cls, group: CyclicGroup) -> "GroupRingElement":
         return cls(group, (1,) + (0,) * (group.order - 1))
-
-    def coefficient(self, sigma: int) -> int:
-        return self.coeffs[self.group.index_of(sigma)]
 
     def _check(self, other: "GroupRingElement"):
         if self.group != other.group:
@@ -141,9 +134,6 @@ class GroupRingElement:
     def augmentation(self) -> int:
         """Sum of coefficients: evaluation at the trivial character over Z."""
         return sum(self.coeffs)
-
-    def reduce(self, modulus: int) -> "GroupRingElement":
-        return GroupRingElement(self.group, tuple(a % modulus for a in self.coeffs))
 
     def evaluate(self, character) -> int:
         """Image under the ring morphism sending sigma to character.value(sigma),
@@ -203,12 +193,13 @@ def unit_inverse(order: int):
     return inverse
 
 
-def ring_determinant(rows, product, inverse):
+def ring_determinant(rows, product, inverse, size: int):
     """Determinant of a square matrix, given as sparse rows {column: element},
     over a commutative ring given by its product and its unit test.
 
-    Elements are integer coefficient vectors of one length that add
-    coefficientwise, with the first basis vector as the identity;
+    Elements are integer coefficient vectors of length ``size`` (the group's
+    order for Z[G]) that add coefficientwise, with the first basis vector as
+    the identity;
     ``product(out, x, y)`` adds x * y into the list ``out``, and
     ``inverse(x)`` is the inverse of a unit x or None (``unit_inverse``).
     ``snf.ring_unit_pivots`` eliminates on the units the test accepts, and
@@ -219,7 +210,7 @@ def ring_determinant(rows, product, inverse):
         raise ValueError("empty matrix")
     if any(j not in range(n) for row in rows for j in row):
         raise ValueError("matrix is not square")
-    scale, core = ring_unit_pivots(rows, inverse, product)
+    scale, core = ring_unit_pivots(rows, inverse, product, size)
     if not core:
         return tuple(scale)
     det = _berkowitz(core, product)

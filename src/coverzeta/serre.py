@@ -23,7 +23,7 @@ class DirectedEdge:
 
 class SerreGraph:
     """Multigraph given by vertex count and one (origin, terminus) per
-    undirected edge; both orientations are materialized automatically."""
+    undirected edge; both orientations are derived from it on demand."""
 
     def __init__(
         self,
@@ -47,15 +47,7 @@ class SerreGraph:
         self._n = int(num_vertices)
         self._pairs = tuple(pairs)
         self._labels = labels
-        edges = []
-        for k, (u, v) in enumerate(self._pairs):
-            edges.append(DirectedEdge(2 * k, u, v, 2 * k + 1))
-            edges.append(DirectedEdge(2 * k + 1, v, u, 2 * k))
-        self._edges = tuple(edges)
-        out: list[list[DirectedEdge]] = [[] for _ in range(self._n)]
-        for e in self._edges:
-            out[e.origin].append(e)
-        self._out = tuple(tuple(es) for es in out)
+        self._directed: Optional[tuple] = None  # (edges, out-lists), built by _edge_lists
         self._connected: Optional[bool] = None
         self._picard_factors: Optional[tuple[int, ...]] = None  # kept by picard.picard_factors
 
@@ -80,20 +72,36 @@ class SerreGraph:
         """The chosen orientation: one directed representative per edge."""
         return self._pairs
 
+    def _edge_lists(self) -> tuple:
+        """The directed edges, edge 2k and its inverse 2k + 1 over pair k,
+        and each vertex's out-list, built on first use and kept.  The
+        connectivity search and the Laplacian rows read the pairs, so a
+        derived cover on the report path never builds them."""
+        if self._directed is None:
+            edges = []
+            for k, (u, v) in enumerate(self._pairs):
+                edges.append(DirectedEdge(2 * k, u, v, 2 * k + 1))
+                edges.append(DirectedEdge(2 * k + 1, v, u, 2 * k))
+            out: list[list[DirectedEdge]] = [[] for _ in range(self._n)]
+            for e in edges:
+                out[e.origin].append(e)
+            self._directed = tuple(edges), tuple(tuple(es) for es in out)
+        return self._directed
+
     @property
     def directed_edges(self) -> tuple[DirectedEdge, ...]:
-        return self._edges
+        return self._edge_lists()[0]
 
     @property
     def num_undirected_edges(self) -> int:
         return len(self._pairs)
 
     def edge(self, edge_id: int) -> DirectedEdge:
-        return self._edges[edge_id]
+        return self._edge_lists()[0][edge_id]
 
     def edges_from(self, w: int) -> tuple[DirectedEdge, ...]:
         self._check_vertex(w)
-        return self._out[w]
+        return self._edge_lists()[1][w]
 
     def _check_vertex(self, w: int) -> None:
         if not (0 <= w < self._n):
@@ -102,13 +110,13 @@ class SerreGraph:
     def valence(self, w: int) -> int:
         """Number of directed edges leaving w (a loop counts twice)."""
         self._check_vertex(w)
-        return len(self._out[w])
+        return len(self._edge_lists()[1][w])
 
     def adjacency_count(self, w: int, w2: int) -> int:
         """Number of directed edges from w2 to w."""
         self._check_vertex(w)
         self._check_vertex(w2)
-        return sum(1 for e in self._out[w2] if e.terminus == w)
+        return sum(1 for e in self._edge_lists()[1][w2] if e.terminus == w)
 
     def euler_characteristic(self) -> int:
         return self._n - self.num_undirected_edges
@@ -123,20 +131,24 @@ class SerreGraph:
         return self._connected
 
     def _reaches_every_vertex(self) -> bool:
-        """Breadth-first search from vertex 0."""
+        """Breadth-first search from vertex 0 over neighbour lists read off
+        the pairs."""
         if self._n == 0:
             return False
+        neighbours: list[list[int]] = [[] for _ in range(self._n)]
+        for u, v in self._pairs:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
         seen = [False] * self._n
         seen[0] = True
         queue = deque([0])
         count = 1
         while queue:
-            w = queue.popleft()
-            for e in self._out[w]:
-                if not seen[e.terminus]:
-                    seen[e.terminus] = True
+            for w in neighbours[queue.popleft()]:
+                if not seen[w]:
+                    seen[w] = True
                     count += 1
-                    queue.append(e.terminus)
+                    queue.append(w)
         return count == self._n
 
     def laplacian_matrix(self) -> list[list[int]]:
@@ -147,25 +159,29 @@ class SerreGraph:
         form is the independent reference for tests and failure diagnostics.
         """
         n = self._n
+        edges, out_lists = self._edge_lists()
         out = [[0] * n for _ in range(n)]
         for w in range(n):
-            out[w][w] = len(self._out[w])
-        for e in self._edges:
+            out[w][w] = len(out_lists[w])
+        for e in edges:
             out[e.terminus][e.origin] -= 1
         return out
 
     def laplacian_rows(self) -> list[dict[int, int]]:
         """The same matrix as sparse rows {column: entry}; row w is also column w.
 
-        One pass over the directed edges skips loops, which cancel on the
-        diagonal, so no zero is stored and an isolated vertex has an empty row.
+        One pass over the pairs, each read as its two directed edges u -> v
+        and v -> u, skips loops, which cancel on the diagonal, so no zero is
+        stored and an isolated vertex has an empty row.
         """
         rows: list[dict[int, int]] = [{} for _ in range(self._n)]
-        for e in self._edges:
-            w, w2 = e.terminus, e.origin
-            if w != w2:
-                rows[w2][w2] = rows[w2].get(w2, 0) + 1
-                rows[w][w2] = rows[w].get(w2, 0) - 1
+        for u, v in self._pairs:
+            if u != v:
+                ru, rv = rows[u], rows[v]
+                ru[u] = ru.get(u, 0) + 1
+                rv[u] = rv.get(u, 0) - 1
+                rv[v] = rv.get(v, 0) + 1
+                ru[v] = ru.get(v, 0) - 1
         return rows
 
     def to_dot(self, name: str = "G") -> str:

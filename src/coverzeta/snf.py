@@ -213,14 +213,15 @@ def _matching(match: dict[int, int], n: int):
     return sign, ids, free
 
 
-def ring_unit_pivots(rows: list[dict], inverse, product):
+def ring_unit_pivots(rows: list[dict], inverse, product, size: int):
     """Sparse elimination on unit pivots over a commutative ring, which may
     have zero divisors: det = scale * det(core), the empty core of det 1.
 
     ``rows`` is a square matrix as sparse rows {column: element}.  Elements
-    are integer coefficient vectors of one length, read off the first element
-    given (1 if none is), that add coefficientwise, with the first basis
-    vector as the identity; ``product(out, x, y)`` adds x * y into the list
+    are integer coefficient vectors of length ``size`` that add
+    coefficientwise, with the first basis vector as the identity, so a
+    matrix that stores no element still has its zero and its one;
+    ``product(out, x, y)`` adds x * y into the list
     ``out``, and ``inverse(x)`` is the inverse of x if the ring's unit test
     accepts it, else None.  Pivots as in ``_unit_pivots``: the shortest live row of a
     heap keyed by length pivots at its unit column with the fewest active
@@ -231,7 +232,7 @@ def ring_unit_pivots(rows: list[dict], inverse, product):
     pivots; the rows left, on the columns left, form the dense ``core``.
     """
     n = len(rows)
-    zero = [0] * len(next((x for row in rows for x in row.values()), [0]))
+    zero = [0] * size
     rows = [{j: x for j, x in row.items() if any(x)} for row in rows]
     if all(inverse(x) is None for row in rows for x in row.values()):  # no pivot at all
         return [1] + zero[1:], [[row.get(j, zero) for j in range(n)] for row in rows]
@@ -310,7 +311,7 @@ def sparse_det_mod(rows: list[dict[int, int]], modulus: int) -> int:
         out[0] = (out[0] + x[0] * y[0]) % modulus
 
     sparse = [{j: [x % modulus] for j, x in row.items()} for row in rows]
-    (scale,), core = ring_unit_pivots(sparse, inverse, product)
+    (scale,), core = ring_unit_pivots(sparse, inverse, product, 1)
     return scale * det_mod([[x[0] for x in row] for row in core], modulus) % modulus
 
 

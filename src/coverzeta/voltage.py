@@ -60,14 +60,13 @@ class DerivedCover:
         self._fiber = fiber
         labels = None
         if base.num_vertices:
-            labels = [
-                f"{base.label_of(v)}:{s}" for v in base.vertices for s in range(1, p)
-            ]
+            names = [base.label_of(v) for v in base.vertices]
+            labels = [f"{name}:{s}" for name in names for s in range(1, p)]
         pairs = []
-        for k, (u, v) in enumerate(base.edge_pairs):
-            a = spec.voltages[k]
-            for s in range(1, p):
-                pairs.append((self.vertex_at(u, s), self.vertex_at(v, s * a % p)))
+        for (u, v), a in zip(base.edge_pairs, spec.voltages):
+            # (u, s) -> (v, s a), at u f - 1 + s and v f - 1 + (s a mod p)
+            uf, vf = u * fiber - 1, v * fiber - 1
+            pairs += [(uf + s, vf + s * a % p) for s in range(1, p)]
         self.total = SerreGraph(base.num_vertices * fiber, pairs, labels)
         self._deck_maps: dict[int, tuple[int, ...]] = {}
 
@@ -181,15 +180,14 @@ def gauge(spec: VoltageSpec) -> tuple[list[int], tuple[int, ...]]:
     return potential, fixed
 
 
-def cycle_voltage_subgroup(spec: VoltageSpec) -> frozenset[int]:
-    """Subgroup of units generated by net voltages of fundamental cycles.
+def cycle_voltage_subgroup(p: int, fixed: tuple[int, ...]) -> frozenset[int]:
+    """Subgroup of units mod p generated by net voltages of fundamental cycles.
 
-    The gauge-fixed voltages (``gauge``) of the non-tree edges are those net
-    voltages, and the tree edges add only 1.  The derived graph is connected
-    iff this subgroup is all of the units.
+    ``fixed`` are the gauge-fixed voltages (``gauge``): those of the non-tree
+    edges are the net voltages, and the tree edges add only 1.  The derived
+    graph is connected iff this subgroup is all of the units.
     """
-    p = spec.p
-    generators = set(gauge(spec)[1])
+    generators = set(fixed)
     subgroup = {1}
     frontier = [1]
     while frontier:
@@ -202,5 +200,6 @@ def cycle_voltage_subgroup(spec: VoltageSpec) -> frozenset[int]:
     return frozenset(subgroup)
 
 
-def connected_by_voltage_criterion(spec: VoltageSpec) -> bool:
-    return len(cycle_voltage_subgroup(spec)) == spec.p - 1
+def connected_by_voltage_criterion(p: int, fixed: tuple[int, ...]) -> bool:
+    """Whether the gauge-fixed voltages ``fixed`` generate the units mod p."""
+    return len(cycle_voltage_subgroup(p, fixed)) == p - 1

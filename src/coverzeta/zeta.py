@@ -72,7 +72,7 @@ def eta_at_one(cover: DerivedCover, lap: list[dict]) -> GroupRingElement:
     """
     require_connected_cover(cover)
     group = CyclicGroup.for_prime(cover.p)
-    det = ring_determinant(lap, group.product, unit_inverse(group.order))
+    det = ring_determinant(lap, group.product, unit_inverse(group.order), group.order)
     direct = GroupRingElement(group, det)
     substituted = _substitution_determinant(lap, group)
     if direct != substituted:

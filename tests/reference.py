@@ -5,7 +5,8 @@ compare the library against:
   U*A*V = D and that the tracked inverses of U and V are inverses;
 - the determinant polynomial det(I - A u + (D - I) u^2) of a cover over the
   group ring, in Z[G][u]/(u^(2n+1)), and of a graph over the integers;
-- the idempotents of the group ring modulo p^k, and single group elements;
+- the idempotents of the group ring modulo p^k, single group elements, the
+  zero of the group ring, and the coefficient and reduction of an element;
 - the cover's adjacency over the group ring as a dense matrix, and the
   sparse rows {column: entry} of a dense matrix, which the library's
   determinants take.
@@ -236,7 +237,7 @@ class EtaPolynomial:
     def coefficient(self, k: int) -> GroupRingElement:
         if k < len(self.coeffs):
             return self.coeffs[k]
-        return GroupRingElement.zero(self.group)
+        return ring_zero(self.group)
 
     @property
     def degree(self) -> int:
@@ -280,7 +281,9 @@ def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]
     ]
     for i, valence in enumerate(valences):
         entries[i][i][0], entries[i][i][2 * order] = 1, valence - 1
-    det = ring_determinant(sparse_rows(entries), convolution(order, width), unit_inverse(order))
+    det = ring_determinant(
+        sparse_rows(entries), convolution(order, width), unit_inverse(order), order * width
+    )
     coeffs = [det[d * order : (d + 1) * order] for d in range(width)]
     while len(coeffs) > 1 and not any(coeffs[-1]):
         coeffs.pop()
@@ -315,6 +318,20 @@ def group_element(group: CyclicGroup, sigma: int, coefficient: int = 1) -> Group
     c = [0] * group.order
     c[group.index_of(sigma)] = coefficient
     return GroupRingElement(group, tuple(c))
+
+
+def ring_zero(group: CyclicGroup) -> GroupRingElement:
+    return GroupRingElement(group, (0,) * group.order)
+
+
+def coefficient(element: GroupRingElement, sigma: int) -> int:
+    """The coefficient of the group element sigma in ``element``."""
+    return element.coeffs[element.group.index_of(sigma)]
+
+
+def reduce_mod(element: GroupRingElement, modulus: int) -> GroupRingElement:
+    """``element`` with each coefficient reduced modulo ``modulus``."""
+    return GroupRingElement(element.group, tuple(a % modulus for a in element.coeffs))
 
 
 def idempotent_mod(character, k: int) -> GroupRingElement:

@@ -42,8 +42,8 @@ import coverzeta.zeta as module
 name = "ring_determinant"
 real = module.ring_determinant
 
-def corrupted(entries, product, inverse):
-    det = real(entries, product, inverse)
+def corrupted(entries, product, inverse, size):
+    det = real(entries, product, inverse, size)
     return (det[0] + 1,) + det[1:]
 """,
 }
@@ -191,8 +191,8 @@ name = "ring_unit_pivots"
 modules = (module, coverzeta.groupring)
 real = module.ring_unit_pivots
 
-def corrupted(rows, inverse, product):
-    scale, core = real(rows, inverse, product)
+def corrupted(rows, inverse, product, size):
+    scale, core = real(rows, inverse, product, size)
     return [-x for x in scale], core
 """
 
@@ -235,14 +235,16 @@ import coverzeta.census as module
 name = "connected_by_voltage_criterion"
 real = module.connected_by_voltage_criterion
 
-def corrupted(spec):
-    return not real(spec)
+def corrupted(p, fixed):
+    return not real(p, fixed)
 """
 
 
-# Keys every switching class by the gauge-fixed voltage of its first edge
-# alone, so classes that differ on another edge merge, and a row whose cover
-# is not isomorphic to its class's first one would take that one's fields.
+# Keys every switching class by its gauge-fixed voltages in sorted order, so
+# classes whose voltages differ by a permutation of the edges merge, and a
+# row whose cover is not isomorphic to its class's first one would take that
+# one's fields.  The voltages generate the same subgroup in any order, so the
+# connectivity criterion, which reads them too, still holds.
 SWITCHING_SABOTAGE = """
 import coverzeta.census as module
 
@@ -251,7 +253,7 @@ real = module.gauge
 
 def corrupted(spec):
     potential, fixed = real(spec)
-    return potential, fixed[:1]
+    return potential, tuple(sorted(fixed))
 """
 
 
@@ -451,20 +453,27 @@ def test_diagonal_sort_fault_exits_4(monkeypatch, capsys):
     )
 
 
-def _assert_census_sabotage_exits_4(sabotage, check, tmp_path, monkeypatch, capsys):
+def _assert_census_sabotage_exits_4(sabotage, check, tmp_path, monkeypatch, capsys, budget=None):
     """Install a sabotage and require ``census`` on the two-loop bouquet at
-    p = 5 to exit 4 naming the check, in process and under -O."""
+    p = 5 to exit 4 naming the check, in process and under -O.  With a
+    budget, an unsabotaged run first writes that many rows, which the
+    sabotaged runs resume from."""
     monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
-    argv = ["census", str(base), "--p", "5", "--out", str(tmp_path / "census.ndjson")]
+    out = tmp_path / "census.ndjson"
+    argv = ["census", str(base), "--p", "5", "--out", str(out)]
+    written = b""
+    if budget is not None:
+        assert main(argv + ["--budget", str(budget)]) == 0
+        written = out.read_bytes()
     namespace = {}
     exec(sabotage, namespace)
     with monkeypatch.context() as m:
         m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
         assert main(argv) == 4
     assert f"error: check {check} failed:" in capsys.readouterr().err
-    (tmp_path / "census.ndjson").unlink()
+    out.write_bytes(written)
     script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
     script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
     script += f"sys.exit(main({argv!r}))\n"
@@ -481,7 +490,18 @@ def test_census_connectivity_check_exits_4(tmp_path, monkeypatch, capsys):
 
 def test_census_switching_check_exits_4(tmp_path, monkeypatch, capsys):
     # On the bouquet every voltage is gauge-fixed: (1, 2) is the first
-    # connected assignment, and (1, 3), keyed with it, has another cover.
+    # connected assignment, and (2, 1), keyed with it, has another cover.
     _assert_census_sabotage_exits_4(
         SWITCHING_SABOTAGE, "census.switching", tmp_path, monkeypatch, capsys
+    )
+
+
+def test_census_switching_check_exits_4_on_a_seeded_class(tmp_path, monkeypatch, capsys):
+    # A first run writes rows 0..11, (1, 1) to (3, 4), which hold the first
+    # assignment (a, b), a < b, of every pair the sabotage merges.  The
+    # resumed run meets (4, 1) first, keyed with the written (1, 4): only
+    # the class table seeded from the file can fail it, since the resumed
+    # run builds no class that a later row of its own shares.
+    _assert_census_sabotage_exits_4(
+        SWITCHING_SABOTAGE, "census.switching", tmp_path, monkeypatch, capsys, budget=12
     )

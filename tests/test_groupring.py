@@ -20,7 +20,7 @@ from coverzeta.arith import multiplicative_order
 from coverzeta.groupring import convolution, ring_determinant, unit_inverse
 from coverzeta.padic import PrecisionExhausted
 from coverzeta.zeta import _substitution_determinant, equivariant_laplacian, eta_at_one
-from reference import group_element, idempotent_mod, sparse_rows
+from reference import coefficient, group_element, idempotent_mod, reduce_mod, ring_zero, sparse_rows
 
 G5 = CyclicGroup.for_prime(5)
 G7 = CyclicGroup.for_prime(7)
@@ -106,6 +106,7 @@ def test_involution_examples():
     one = GroupRingElement.one(G5)
     assert one.involution() == one
     three_sigma = group_element(G5, 2, 3)
+    assert [coefficient(three_sigma, s) for s in (1, 2, 3, 4)] == [0, 3, 0, 0]
     assert three_sigma.involution() == group_element(G5, 3, 3)  # 2^-1 = 3 mod 5
 
 
@@ -225,14 +226,14 @@ def test_idempotent_system(p, k):
     chars = zp_characters(group, k)
     idems = [idempotent_mod(chi, k) for chi in chars]
     for i, e in enumerate(idems):
-        assert (e * e).reduce(modulus) == e.reduce(modulus)
+        assert reduce_mod(e * e, modulus) == reduce_mod(e, modulus)
         for j, f in enumerate(idems):
             if i != j:
-                assert (e * f).reduce(modulus).is_zero()
-    total = GroupRingElement.zero(group)
+                assert reduce_mod(e * f, modulus).is_zero()
+    total = ring_zero(group)
     for e in idems:
         total = total + e
-    assert total.reduce(modulus) == GroupRingElement.one(group)
+    assert reduce_mod(total, modulus) == GroupRingElement.one(group)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (5, 3), (7, 2)])
@@ -342,7 +343,7 @@ def test_evaluation_does_not_depend_on_the_presentation():
     groups = [CyclicGroup(11, g) for g in _generators(11)]
     assert len(groups) == 4
     elements = [
-        sum((group_element(g, s, m) for s, m in counts.items()), GroupRingElement.zero(g))
+        sum((group_element(g, s, m) for s, m in counts.items()), ring_zero(g))
         for g in groups
     ]
     for exponent in range(10):
@@ -374,7 +375,7 @@ def _special_elements(group):
     one = GroupRingElement.one(group)
     sigma = group_element(group, group.generator)
     norm = GroupRingElement(group, (1,) * group.order)
-    return [GroupRingElement.zero(group), one, sigma, one - sigma, norm, sigma * 3 - norm]
+    return [ring_zero(group), one, sigma, one - sigma, norm, sigma * 3 - norm]
 
 
 def _random_entry(rng, group, spread=3):
@@ -392,7 +393,7 @@ def _random_matrix(rng, group, n, spread=3):
 def test_berkowitz_matches_leibniz_over_the_group_ring(p, n):
     rng = random.Random(1000 * p + n)
     group = CyclicGroup.for_prime(p)
-    zero = GroupRingElement.zero(group)
+    zero = ring_zero(group)
     for _ in range(4):
         entries = _random_matrix(rng, group, n)
         det = groupring._berkowitz(_coeffs(entries), convolution(group.order))
@@ -460,8 +461,8 @@ def test_berkowitz_matches_leibniz_over_polynomials_in_u(n):
             entries.append(row)
         flats = [[flat(e) for e in row] for row in entries]
         det = groupring._berkowitz(flats, convolution(4, width))
-        assert det == flat(_leibniz(entries, _Poly([GroupRingElement.zero(G5)])))
-        assert ring_determinant(sparse_rows(flats), convolution(4, width), unit_inverse(4)) == det
+        assert det == flat(_leibniz(entries, _Poly([ring_zero(G5)])))
+        assert ring_determinant(sparse_rows(flats), convolution(4, width), unit_inverse(4), 4 * width) == det
         if tight:
             assert sorted(det[-4:]) == [0, 0, 0, 1]
 
@@ -497,7 +498,7 @@ def test_substitution_route_at_the_l1_bound(p):
     # of the row norms, so its one nonzero coefficient is a balanced digit of
     # largest absolute value, on either sign.
     group = CyclicGroup.for_prime(p)
-    zero = GroupRingElement.zero(group)
+    zero = ring_zero(group)
     rng = random.Random(p)
     signs = set()
     for sign in (1, -1):
@@ -539,7 +540,9 @@ def test_substitution_route_with_every_coefficient_negative(p):
 
 def _pivoted(group, entries):
     """The determinant by unit pivots and Berkowitz on the core, as an element."""
-    det = ring_determinant(sparse_rows(_coeffs(entries)), group.product, unit_inverse(group.order))
+    det = ring_determinant(
+        sparse_rows(_coeffs(entries)), group.product, unit_inverse(group.order), group.order
+    )
     return GroupRingElement(group, det)
 
 
@@ -602,6 +605,17 @@ def test_unit_pivot_cores_and_signs(monkeypatch):
         assert _pivoted(G7, a) == _det(G7, a)
     assert [len(core) for core in cores[::2]] == [1, 2, 1]
     assert _pivoted(G7, cases[1]).is_zero()
+
+
+def test_zero_rows_give_a_zero_of_the_ring_length():
+    # A row that stores nothing, or only zeros, has no element to read the
+    # length off: the determinant is the zero of Z[G], of length 4 at p = 5.
+    for rows in ([{}], [{0: (0, 0, 0, 0)}], [{}, {1: (1, 0, 0, 0)}], [{0: (0, 0, 0, 0)}, {}]):
+        assert ring_determinant(rows, G5.product, unit_inverse(4), 4) == (0, 0, 0, 0)
+    # Over Z[G][u]/(u^3) the length is 4 * 3, whatever the rows store.
+    assert ring_determinant([{}], convolution(4, 3), unit_inverse(4), 12) == (0,) * 12
+    one = (1, 0, 0, 0)
+    assert ring_determinant([{0: one}, {1: one}], G5.product, unit_inverse(4), 4) == one
 
 
 def test_unit_inverse_recognises_signed_group_elements():

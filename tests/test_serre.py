@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coverzeta import SerreGraph, bouquet, bundled_spec, cycle_graph, path_graph
+import coverzeta.serre as serre
+from coverzeta import SerreGraph, bouquet, bundled_spec, cycle_graph, derive, path_graph
+from coverzeta.serre import DirectedEdge
 
 
 @st.composite
@@ -139,6 +141,53 @@ def test_laplacian_rows_of_loops_and_isolated_vertices():
     assert g.laplacian_matrix()[2] == [0, 0, 0, 0]
     assert sparse_equals_dense(g)
     assert bouquet(3).laplacian_rows() == [{}]
+
+
+def eager_edges(g):
+    """The directed edges as the constructor once built them for every
+    graph: edge 2k over pair k and its inverse 2k + 1."""
+    edges = []
+    for k, (u, v) in enumerate(g.edge_pairs):
+        edges += [DirectedEdge(2 * k, u, v, 2 * k + 1), DirectedEdge(2 * k + 1, v, u, 2 * k)]
+    return edges
+
+
+@given(small_graphs())
+def test_directed_edges_equal_the_eager_list(g):
+    eager = eager_edges(g)
+    assert g.directed_edges == tuple(eager)
+    assert g.directed_edges is g.directed_edges  # built once and kept
+    for w in g.vertices:
+        assert g.edges_from(w) == tuple(e for e in eager if e.origin == w)
+        assert g.valence(w) == sum(e.origin == w for e in eager)
+        for w2 in g.vertices:
+            assert g.adjacency_count(w, w2) == sum(e.origin == w2 and e.terminus == w for e in eager)
+    assert all(g.edge(e.id) is e for e in g.directed_edges)
+    # The rows read off the pairs hold their entries in the order of the
+    # pass over the directed edges they replace.
+    rows = [{} for _ in g.vertices]
+    for e in eager:
+        w, w2 = e.terminus, e.origin
+        if w != w2:
+            rows[w2][w2] = rows[w2].get(w2, 0) + 1
+            rows[w][w2] = rows[w].get(w2, 0) - 1
+    assert [list(row.items()) for row in g.laplacian_rows()] == [list(row.items()) for row in rows]
+
+
+def test_report_path_builds_no_directed_edge(monkeypatch):
+    # A derived cover's connectivity search and Laplacian rows read its
+    # pairs; the directed edges are built only when asked for.
+    made = []
+    monkeypatch.setattr(serre, "DirectedEdge", lambda *a: made.append(a) or DirectedEdge(*a))
+    for name in ("example1", "example2", "example3", "example4"):
+        cover = derive(bundled_spec(name))
+        assert cover.is_connected()
+        assert cover.total.laplacian_rows()
+        assert not SerreGraph(2, [(0, 0), (1, 1)]).is_connected()
+        assert made == []
+        assert cover.total.directed_edges == tuple(eager_edges(cover.total))
+        assert len(made) == 2 * cover.total.num_undirected_edges
+        made.clear()
 
 
 def test_constructor_validation():

@@ -645,4 +645,7 @@ def test_sparse_det_mod_cores_and_signs(monkeypatch):
     a = [[2, 0, 4], [4, 6, 2], [1, 3, 5]]
     assert sparse_det_mod(_sparse(a), m) == integer_determinant(a) % m == det_mod(a, m)
     assert sparse_det_mod([{}, {}], m) == 0
-    assert [len(core) for core, _ in cores] == [1, 2, 2]
+    # Stored zeros, 0 and m, are no entries: those rows are empty.
+    assert sparse_det_mod([{0: 0}, {1: m}], m) == 0
+    assert sparse_det_mod([{0: m, 1: 1}, {0: 1}], m) == m - 1
+    assert [len(core) for core, _ in cores] == [1, 2, 2, 2, 0]

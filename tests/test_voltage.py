@@ -17,6 +17,7 @@ from coverzeta import (
     require_connected_cover,
     spanning_tree_count,
 )
+from coverzeta.voltage import gauge
 from reference import smith_normal_form
 
 
@@ -165,14 +166,14 @@ def test_subgroup_criterion_matches_bfs(seed, p):
     voltages = tuple(rng.randint(1, p - 1) for _ in base.edge_pairs)
     spec = VoltageSpec(base, p, voltages)
     cover = derive(spec)
-    assert connected_by_voltage_criterion(spec) == cover.is_connected()
+    assert connected_by_voltage_criterion(p, gauge(spec)[1]) == cover.is_connected()
 
 
 def test_subgroup_criterion_values():
     spec = VoltageSpec(bouquet(2), 5, (2, 4))
-    assert cycle_voltage_subgroup(spec) == frozenset({1, 2, 3, 4})
+    assert cycle_voltage_subgroup(5, gauge(spec)[1]) == frozenset({1, 2, 3, 4})
     spec_trivial = VoltageSpec(bouquet(2), 5, (1, 1))
-    assert cycle_voltage_subgroup(spec_trivial) == frozenset({1})
+    assert cycle_voltage_subgroup(5, gauge(spec_trivial)[1]) == frozenset({1})
     spec_half = VoltageSpec(bouquet(1), 5, (4,))
-    assert cycle_voltage_subgroup(spec_half) == frozenset({1, 4})
-    assert not connected_by_voltage_criterion(spec_half)
+    assert cycle_voltage_subgroup(5, gauge(spec_half)[1]) == frozenset({1, 4})
+    assert not connected_by_voltage_criterion(5, gauge(spec_half)[1])
