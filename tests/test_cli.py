@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +12,13 @@ from coverzeta.cli import main
 from coverzeta.serre import bouquet
 from coverzeta.specfile import dump_spec, load_spec
 from coverzeta.voltage import gauge
+
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+# The DOT text of the four examples and the examples listing, written before
+# the graph layer was cut to its edge pairs.
+TEXT_GOLDENS = [(["dot", f"example{n}"], f"example{n}.dot") for n in range(1, 5)]
+TEXT_GOLDENS.append((["examples"], "examples.txt"))
 
 
 def write(tmp_path, name, doc):
@@ -170,6 +181,24 @@ def test_dot_disconnected_warns_but_renders(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "disconnected" in captured.err
     assert "graph cover" in captured.out
+
+
+@pytest.mark.parametrize("argv, golden", TEXT_GOLDENS)
+def test_dot_and_examples_match_goldens(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDENS / golden).read_text()
+
+
+def test_dot_and_examples_match_goldens_under_python_O():
+    src = str(pathlib.Path(main.__code__.co_filename).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, golden in TEXT_GOLDENS:
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "coverzeta.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (GOLDENS / golden).read_text()
 
 
 def test_census_bouquet_full_run(tmp_path):
