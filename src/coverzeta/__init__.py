@@ -5,7 +5,7 @@ comparison of eigenspace sizes with p-adic absolute values of L-values.
 """
 
 from .arith import VerificationError, is_odd_prime, p_part, smallest_primitive_root
-from .characters import Character, zp_characters
+from .characters import Character
 from .groupring import CyclicGroup, GroupRingElement
 from .herbrand import (
     TheoremReport,
@@ -13,9 +13,9 @@ from .herbrand import (
     build_report,
     default_precision,
 )
-from .padic import PAdicInt, PrecisionExhausted, abs_p_inverse, teichmuller
-from .picard import PicardModule, picard_factors, spanning_tree_count
-from .serre import DirectedEdge, SerreGraph, bouquet, cycle_graph, path_graph
+from .padic import PAdicInt, PrecisionExhausted, teichmuller
+from .picard import PicardModule, picard_factors
+from .serre import SerreGraph, bouquet
 from .snf import integer_determinant
 from .specfile import bundled_spec, load_spec, spec_from_dict, spec_to_dict
 from .voltage import (

@@ -273,11 +273,14 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
 
 
 def read_census(path: str) -> list[dict]:
+    """The rows of a census file.  A last line without its newline, which a
+    run killed mid-write leaves and the next run computes again, is skipped."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
+            if not line.endswith(b"\n"):
+                break
+            if line.strip():
                 doc = json.loads(line)
                 if "key" in doc:
                     rows.append(doc)

@@ -1,8 +1,8 @@
-"""Characters of the unit group mod p, valued in F_p or in truncated Z_p.
+"""Characters of the unit group mod p, valued in truncated Z_p.
 
-The F_p-valued character of exponent i sends sigma to sigma^i mod p.  Its
-canonical lift replaces sigma by its Teichmuller representative, so reduction
-mod p recovers the F_p value on every group element.
+The character of exponent i sends sigma to omega(sigma)^i mod p^N, omega(sigma)
+the Teichmuller representative of sigma, so reduction mod p recovers sigma^i
+on every group element; at precision 1 the values are sigma^i mod p.
 
 Value tables chi(h^k), k = 0, ..., p-2, for the generator h of the
 presentation a character is evaluated against are kept in one module-level
@@ -21,22 +21,20 @@ from .padic import teichmuller
 
 @dataclass(frozen=True)
 class Character:
-    """Character of exponent i; precision None means F_p-valued."""
+    """Character of exponent i, valued modulo p^precision."""
 
     group: CyclicGroup
     exponent: int
-    precision: int | None = None
+    precision: int
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", self.exponent % self.group.order)
-        if self.precision is not None and self.precision < 1:
+        if self.precision < 1:
             raise ValueError("precision must be at least 1")
 
     @property
     def modulus(self) -> int:
-        """p for an F_p-valued character, p^precision for a lift."""
-        p = self.group.p
-        return p if self.precision is None else p**self.precision
+        return self.group.p**self.precision
 
     def table(self, group: CyclicGroup) -> tuple[int, ...]:
         """Values chi(h^k) mod the modulus for k = 0, ..., p-2.
@@ -48,33 +46,14 @@ class Character:
             raise ValueError(f"character mod {self.group.p} on a group mod {group.p}")
         return _table(group.p, group.generator, self.exponent, self.precision)
 
-    def value(self, sigma: int):
-        """Character value on a unit sigma mod p."""
-        p = self.group.p
-        sigma %= p
-        if sigma == 0:
-            raise ValueError(f"{sigma} is not a unit mod {p}")
-        if self.precision is None:
-            return pow(sigma, self.exponent, p)
-        return teichmuller(sigma, p, self.precision) ** self.exponent
-
-    def contragredient(self) -> "Character":
-        return Character(self.group, -self.exponent % self.group.order, self.precision)
-
 
 @lru_cache(maxsize=1024)
-def _table(p: int, h: int, exponent: int, precision: int | None) -> tuple[int, ...]:
-    """chi(h^k) for k = 0, ..., p-2, from one Teichmuller lift of h when
-    lifted, since chi(h^k) = omega(h)^(i k) with omega multiplicative."""
-    modulus = p if precision is None else p**precision
-    if precision is not None:
-        h = teichmuller(h, p, precision).value
-    step = pow(h, exponent, modulus)
+def _table(p: int, h: int, exponent: int, precision: int) -> tuple[int, ...]:
+    """chi(h^k) for k = 0, ..., p-2, from one Teichmuller lift of h, since
+    chi(h^k) = omega(h)^(i k) with omega multiplicative."""
+    modulus = p**precision
+    step = pow(teichmuller(h, p, precision).value, exponent, modulus)
     values = [1]
     for _ in range(p - 2):
         values.append(values[-1] * step % modulus)
     return tuple(values)
-
-
-def zp_characters(group: CyclicGroup, precision: int) -> tuple[Character, ...]:
-    return tuple(Character(group, i, precision) for i in range(group.order))

@@ -65,9 +65,6 @@ class CyclicGroup:
             raise ValueError(f"{sigma} is not a unit mod {self.p}")
         return self._log[sigma]
 
-    def inverse(self, sigma: int) -> int:
-        return self.element(-self.index_of(sigma))
-
     @cached_property
     def product(self):
         return convolution(self.order)
@@ -82,47 +79,6 @@ class GroupRingElement:
         if len(self.coeffs) != self.group.order:
             raise ValueError("coefficient vector has wrong length")
 
-    @classmethod
-    def one(cls, group: CyclicGroup) -> "GroupRingElement":
-        return cls(group, (1,) + (0,) * (group.order - 1))
-
-    def _check(self, other: "GroupRingElement"):
-        if self.group != other.group:
-            raise ValueError("group mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        return GroupRingElement(self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        return GroupRingElement(self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return GroupRingElement(self.group, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(self.group, tuple(other * a for a in self.coeffs))
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        out = [0] * self.group.order
-        self.group.product(out, self.coeffs, other.coeffs)
-        return GroupRingElement(self.group, tuple(out))
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
     def involution(self) -> "GroupRingElement":
         """Coefficientwise pullback along sigma -> sigma^(-1)."""
         n = self.group.order
@@ -136,7 +92,7 @@ class GroupRingElement:
         return sum(self.coeffs)
 
     def evaluate(self, character) -> int:
-        """Image under the ring morphism sending sigma to character.value(sigma),
+        """Image under the ring morphism sending sigma to chi(sigma),
         as a residue in range(character.modulus).  The sum runs over the
         character's shared value table for this element's generator.
         """
@@ -153,18 +109,11 @@ class GroupRingElement:
         return " + ".join(terms) if terms else "0"
 
 
-def convolution(order: int, degrees: int = 1):
-    """The product of Z[G][u]/(u^degrees): ``product(out, x, y)`` adds x * y into ``out``.
-
-    G is cyclic of the given order, and the coefficient of u^d g^k sits at
-    index d * order + k, so the product is cyclic in k and truncated in d.
-    """
-    # Row i: the index of basis vector i times j, for each j it keeps below u^degrees.
-    targets = [
-        [(di + dj) * order + (ki + kj) % order for dj in range(degrees - di) for kj in range(order)]
-        for di in range(degrees)
-        for ki in range(order)
-    ]
+def convolution(order: int):
+    """The product of Z[G], G cyclic of the given order: ``product(out, x, y)``
+    adds x * y into ``out``, cyclically in the powers of the generator."""
+    # Row i: the index of g^i times g^j, for each j.
+    targets = [[(i + j) % order for j in range(order)] for i in range(order)]
 
     def product(out, x, y):
         for a, row in zip(x, targets):
@@ -176,21 +125,16 @@ def convolution(order: int, degrees: int = 1):
     return product
 
 
-def unit_inverse(order: int):
-    """The unit test of Z[G] and of Z[G][u]/(u^D), G cyclic of the given
-    order: ``inverse(x)`` is +-g^(-k) for x = +-g^k, and None for any other x.
-    Multiplying by either is a cyclic shift of the coefficients."""
-
-    def inverse(x):
-        if x.count(0) == len(x) - 1:  # one nonzero coefficient
-            for c in (1, -1):
-                if c in x and (k := x.index(c)) < order:
-                    out = [0] * len(x)
-                    out[-k % order] = c
-                    return out
-        return None
-
-    return inverse
+def unit_inverse(x):
+    """The unit test of Z[G]: the inverse +-g^(-k) of x = +-g^k, and None for
+    any other x.  Multiplying by either is a cyclic shift of the coefficients."""
+    if x.count(0) == len(x) - 1:  # one nonzero coefficient
+        for c in (1, -1):
+            if c in x:
+                out = [0] * len(x)
+                out[-x.index(c) % len(x)] = c
+                return out
+    return None
 
 
 def ring_determinant(rows, product, inverse, size: int):

@@ -1,9 +1,10 @@
 """Truncated p-adic integers with explicit precision, and Teichmuller lifts.
 
-A value is a residue modulo p^N together with the precision N.  All operations
-are exact; combining two values keeps the smaller precision.  The valuation of
-a value that is 0 mod p^N cannot be told apart from N, so asking for it raises
-``PrecisionExhausted`` and the caller must recompute at higher precision.
+A value is a residue modulo p^N together with the precision N; the analysis
+only reads its valuation and its digits, so it carries no arithmetic.  The
+valuation of a value that is 0 mod p^N cannot be told apart from N, so asking
+for it raises ``PrecisionExhausted`` and the caller must recompute at higher
+precision.
 """
 
 from __future__ import annotations
@@ -31,65 +32,8 @@ class PAdicInt:
             raise ValueError("precision must be at least 1")
         object.__setattr__(self, "value", self.value % self.p**self.precision)
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def reduce(self, precision: int) -> "PAdicInt":
-        if precision > self.precision:
-            raise ValueError("cannot increase precision by reduction")
-        return PAdicInt(self.p, precision, self.value)
-
-    def _coerce(self, other) -> "PAdicInt | None":
-        if isinstance(other, PAdicInt):
-            if other.p != self.p:
-                raise ValueError(f"mixed primes {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return PAdicInt(self.p, self.precision, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.precision, o.precision)
-        return PAdicInt(self.p, n, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PAdicInt(self.p, self.precision, -self.value)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.precision, o.precision)
-        return PAdicInt(self.p, n, self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.precision, o.precision)
-        return PAdicInt(self.p, n, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        return PAdicInt(self.p, self.precision, pow(self.value, exponent, self.modulus))
 
     def valuation(self) -> int:
         """Exact p-adic valuation; raises if indistinguishable from >= N."""
@@ -126,9 +70,6 @@ class PAdicInt:
         terms.append(f"O({self.p}^{self.precision})")
         return " + ".join(terms)
 
-    def __str__(self):
-        return self.expansion_str()
-
 
 @lru_cache(maxsize=None)
 def teichmuller(a: int, p: int, precision: int) -> PAdicInt:
@@ -155,8 +96,3 @@ def teichmuller(a: int, p: int, precision: int) -> PAdicInt:
             "padic.teichmuller", f"{x} is not fixed by x -> x^{p} mod {p}^{precision}"
         )
     return PAdicInt(p, precision, x)
-
-
-def abs_p_inverse(x: PAdicInt) -> int:
-    """Reciprocal of the p-adic absolute value, i.e. p^(valuation)."""
-    return x.p ** x.valuation()

@@ -32,13 +32,6 @@ from .snf import Cokernel, cokernel
 from .voltage import DerivedCover, require_connected_cover
 
 
-def spanning_tree_count(g: SerreGraph) -> int:
-    """Number of spanning trees, as a principal minor of the Laplacian."""
-    if not g.is_connected():
-        raise ValueError("spanning trees are only counted for connected graphs")
-    return _pic0(_reduced(g.laplacian_rows()))[0]
-
-
 def _reduced(lap: list[dict[int, int]]) -> list[dict[int, int]]:
     """L0: the Laplacian without the last vertex's row and column."""
     last = len(lap) - 1

@@ -29,19 +29,14 @@ class VoltageSpec:
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        object.__setattr__(self, "voltages", tuple(int(a) for a in self.voltages))
+        object.__setattr__(self, "voltages", tuple(self.voltages))
         if len(self.voltages) != self.base.num_undirected_edges:
             raise ValueError("one voltage per undirected edge is required")
         for a in self.voltages:
+            if type(a) is not int:  # int() would truncate 2.7 and turn True into 1
+                raise ValueError(f"voltage {a!r} is not an integer")
             if not (1 <= a <= self.p - 1):
                 raise ValueError(f"voltage {a} is not a unit mod {self.p}")
-
-    def voltage(self, edge_id: int) -> int:
-        """Voltage of a directed edge; reversed edges carry the inverse."""
-        a = self.voltages[edge_id // 2]
-        if edge_id % 2 == 0:
-            return a
-        return pow(a, -1, self.p)
 
 
 class DerivedCover:
@@ -82,47 +77,22 @@ class DerivedCover:
     def fiber_size(self) -> int:
         return self._fiber
 
-    def vertex_at(self, v: int, sigma: int) -> int:
-        sigma %= self.p
-        if sigma == 0:
-            raise ValueError("fiber coordinate must be a unit")
-        return v * self._fiber + (sigma - 1)
-
-    def fiber_coords(self, w: int) -> tuple[int, int]:
-        """(base vertex, unit) coordinates of a total-graph vertex."""
-        if not (0 <= w < self.total.num_vertices):
-            raise ValueError(f"unknown vertex {w}")
-        return w // self._fiber, w % self._fiber + 1
-
-    def projection(self, w: int) -> int:
-        return w // self._fiber
-
-    def deck_act(self, tau: int, w: int) -> int:
-        """Image of a total vertex under the deck transformation of tau."""
-        tau %= self.p
-        if tau == 0:
-            raise ValueError("deck transformations are indexed by units")
-        v, sigma = self.fiber_coords(w)
-        return self.vertex_at(v, tau * sigma % self.p)
-
     def deck_vertex_map(self, tau: int) -> tuple[int, ...]:
         """Images of all total vertices under the deck transformation of tau.
 
         The cover is immutable, so each map is built once and kept.
         """
         tau %= self.p
+        if tau == 0:
+            raise ValueError("deck transformations are indexed by units")
         if tau not in self._deck_maps:
             self._deck_maps[tau] = self._build_deck_map(tau)
         return self._deck_maps[tau]
 
     def _build_deck_map(self, tau: int) -> tuple[int, ...]:
-        """``deck_act`` at every vertex: tau rotates each fiber, (v, s) -> (v, tau s)."""
-        rotation = [self.vertex_at(0, tau * s) for s in range(1, self.p)]
+        """tau rotates each fiber, (v, s) -> (v, tau s), at v f + (tau s mod p) - 1."""
+        rotation = [tau * s % self.p - 1 for s in range(1, self.p)]
         return tuple(v * self._fiber + x for v in self.base.vertices for x in rotation)
-
-    def base_transversal(self) -> tuple[int, ...]:
-        """One vertex per fiber: the unit-1 point over each base vertex."""
-        return tuple(self.vertex_at(v, 1) for v in self.base.vertices)
 
     def is_connected(self) -> bool:
         return self.total.is_connected()
@@ -164,15 +134,21 @@ def gauge(spec: VoltageSpec) -> tuple[list[int], tuple[int, ...]]:
     if not base.is_connected():
         raise ValueError("base graph must be connected")
     p = spec.p
+    # Out-lists read off the pairs: u -> v with a, then v -> u with a^-1,
+    # pair by pair, so each vertex's edges come in the order of the pairs.
+    out: list[list[tuple[int, int]]] = [[] for _ in base.vertices]
+    for (u, v), a in zip(base.edge_pairs, spec.voltages):
+        out[u].append((v, a))
+        out[v].append((u, pow(a, -1, p)))
     potential = [None] * base.num_vertices
     potential[0] = 1
     stack = [0]
     while stack:
         w = stack.pop()
-        for e in base.edges_from(w):
-            if potential[e.terminus] is None:
-                potential[e.terminus] = potential[w] * spec.voltage(e.id) % p
-                stack.append(e.terminus)
+        for t, a in out[w]:
+            if potential[t] is None:
+                potential[t] = potential[w] * a % p
+                stack.append(t)
     fixed = tuple(
         potential[u] * a * pow(potential[v], -1, p) % p
         for (u, v), a in zip(base.edge_pairs, spec.voltages)

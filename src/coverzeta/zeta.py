@@ -41,20 +41,25 @@ from .voltage import DerivedCover, require_connected_cover
 
 def equivariant_laplacian(cover: DerivedCover) -> list[dict[int, tuple[int, ...]]]:
     """D - A over Z[G] as sparse rows {column: coefficient vector}, in one
-    pass over the base's directed edges.
+    pass over the base's edge pairs, each read as its two directed edges:
+    u -> v with voltage a and v -> u with a^(-1).
 
     Row i holds its diagonal, the valence at the identity, and one entry per
     neighbour.  A base edge j -> i with voltage a adds the group element a to
     entry (i, j) of A (Gross-Tucker): its lift landing on the unit-1 point
-    over i starts at the point of unit a^(-1) over j.  Entries are tuples, so
-    the routes that read the Laplacian share it unchanged.
+    over i starts at the point of unit a^(-1) over j.  A loop adds both a and
+    a^(-1) to its diagonal entry, which over Z[G] do not cancel.  Entries are
+    tuples, so the routes that read the Laplacian share it unchanged.
     """
     group = CyclicGroup.for_prime(cover.p)
-    rows = [{i: [0] * group.order} for i in cover.base.vertices]
-    for e in cover.base.directed_edges:
-        rows[e.origin][e.origin][0] += 1
-        entry = rows[e.terminus].setdefault(e.origin, [0] * group.order)
-        entry[group.index_of(cover.spec.voltage(e.id))] -= 1
+    m = group.order
+    rows = [{i: [0] * m} for i in cover.base.vertices]
+    for (u, v), a in zip(cover.base.edge_pairs, cover.spec.voltages):
+        k = group.index_of(a)
+        rows[u][u][0] += 1
+        rows[v].setdefault(u, [0] * m)[k] -= 1
+        rows[v][v][0] += 1
+        rows[u].setdefault(v, [0] * m)[-k % m] -= 1
     return [{j: tuple(x) for j, x in row.items()} for row in rows]
 
 
@@ -72,7 +77,7 @@ def eta_at_one(cover: DerivedCover, lap: list[dict]) -> GroupRingElement:
     """
     require_connected_cover(cover)
     group = CyclicGroup.for_prime(cover.p)
-    det = ring_determinant(lap, group.product, unit_inverse(group.order), group.order)
+    det = ring_determinant(lap, group.product, unit_inverse, group.order)
     direct = GroupRingElement(group, det)
     substituted = _substitution_determinant(lap, group)
     if direct != substituted:

@@ -6,8 +6,17 @@ import pytest
 
 from coverzeta import GroupRingElement, SerreGraph, VoltageSpec, bundled_spec, derive
 from coverzeta.snf import integer_determinant
+from reference import laplacian_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# The members of SerreGraph that reports and censuses read: the vertex count,
+# the labels and the edge pairs, and what is computed from the pairs alone.
+PAIR_READERS = frozenset({
+    "_n", "_pairs", "_labels", "_connected", "_picard_factors", "num_vertices", "vertices",
+    "label_of", "edge_pairs", "num_undirected_edges", "is_connected",
+    "_reaches_every_vertex", "laplacian_rows",
+})
 
 
 def bench_inputs():
@@ -65,7 +74,7 @@ def random_connected_cover(rng: random.Random, p: int, max_vertices=4, max_edges
 def dense_tree_count(g: SerreGraph) -> int:
     """Matrix-Tree count by the dense Bareiss determinant of the reduced
     Laplacian, independent of the sparse determinant the library uses."""
-    return integer_determinant([row[:-1] for row in g.laplacian_matrix()[:-1]])
+    return integer_determinant([row[:-1] for row in laplacian_matrix(g)[:-1]])
 
 
 def evaluate_matrix(group, rows, chi):

@@ -4,9 +4,17 @@ compare the library against:
 - the dense Smith normal form over Z with full transforms, which verifies
   U*A*V = D and that the tracked inverses of U and V are inverses;
 - the determinant polynomial det(I - A u + (D - I) u^2) of a cover over the
-  group ring, in Z[G][u]/(u^(2n+1)), and of a graph over the integers;
-- the idempotents of the group ring modulo p^k, single group elements, the
-  zero of the group ring, and the coefficient and reduction of an element;
+  group ring, in Z[G][u]/(u^(2n+1)) with its own product and unit test, and
+  of a graph over the integers;
+- the ring operations of Z[G] (one, +, -, *), the idempotents modulo p^k,
+  single group elements, the zero, and the coefficient and reduction of an
+  element;
+- the directed edges of a graph (edge 2k over pair k and its inverse
+  2k + 1), the valences, adjacency counts, Euler characteristic and dense
+  Laplacian read from them, and the cycle and path graphs;
+- the voltage of a directed edge and the fiber coordinates of a cover;
+- the arithmetic of truncated p-adic integers, and character values,
+  contragredients and the full set of characters at a precision;
 - the cover's adjacency over the group ring as a dense matrix, and the
   sparse rows {column: entry} of a dense matrix, which the library's
   determinants take.
@@ -19,18 +27,14 @@ library's exit-4 error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from coverzeta.groupring import (
-    CyclicGroup,
-    GroupRingElement,
-    convolution,
-    ring_determinant,
-    unit_inverse,
-)
-from coverzeta.padic import PAdicInt, PrecisionExhausted
+from coverzeta.characters import Character
+from coverzeta.groupring import CyclicGroup, GroupRingElement, ring_determinant
+from coverzeta.padic import PAdicInt, PrecisionExhausted, teichmuller
 from coverzeta.serre import SerreGraph
 from coverzeta.snf import Matrix, _identity, _xgcd
-from coverzeta.voltage import DerivedCover, require_connected_cover
+from coverzeta.voltage import DerivedCover, VoltageSpec, require_connected_cover
 
 
 def _mat_mul(a, b) -> Matrix:
@@ -262,9 +266,49 @@ def equivariant_adjacency(cover: DerivedCover) -> list[list[list[int]]]:
     group = CyclicGroup.for_prime(cover.p)
     n = cover.base.num_vertices
     adjacency = [[[0] * group.order for _ in range(n)] for _ in range(n)]
-    for e in cover.base.directed_edges:
-        adjacency[e.terminus][e.origin][group.index_of(cover.spec.voltage(e.id))] += 1
+    for e in directed_edges(cover.base):
+        adjacency[e.terminus][e.origin][group.index_of(edge_voltage(cover.spec, e.id))] += 1
     return adjacency
+
+
+def truncated_convolution(order: int, degrees: int):
+    """The product of Z[G][u]/(u^degrees): ``product(out, x, y)`` adds x * y into ``out``.
+
+    G is cyclic of the given order, and the coefficient of u^d g^k sits at
+    index d * order + k, so the product is cyclic in k and truncated in d.
+    """
+    # Row i: the index of basis vector i times j, for each j it keeps below u^degrees.
+    targets = [
+        [(di + dj) * order + (ki + kj) % order for dj in range(degrees - di) for kj in range(order)]
+        for di in range(degrees)
+        for ki in range(order)
+    ]
+
+    def product(out, x, y):
+        for a, row in zip(x, targets):
+            if a:
+                for k, b in zip(row, y):
+                    if b:
+                        out[k] += a * b
+
+    return product
+
+
+def truncated_unit_inverse(order: int):
+    """The unit test of Z[G][u]/(u^D), G cyclic of the given order, on the
+    units +-g^k it pivots on: ``inverse(x)`` is +-g^(-k) for x = +-g^k, and
+    None for any other x, u g among them."""
+
+    def inverse(x):
+        if x.count(0) == len(x) - 1:  # one nonzero coefficient
+            for c in (1, -1):
+                if c in x and (k := x.index(c)) < order:
+                    out = [0] * len(x)
+                    out[-k % order] = c
+                    return out
+        return None
+
+    return inverse
 
 
 def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]:
@@ -282,7 +326,10 @@ def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]
     for i, valence in enumerate(valences):
         entries[i][i][0], entries[i][i][2 * order] = 1, valence - 1
     det = ring_determinant(
-        sparse_rows(entries), convolution(order, width), unit_inverse(order), order * width
+        sparse_rows(entries),
+        truncated_convolution(order, width),
+        truncated_unit_inverse(order),
+        order * width,
     )
     coeffs = [det[d * order : (d + 1) * order] for d in range(width)]
     while len(coeffs) > 1 and not any(coeffs[-1]):
@@ -296,10 +343,10 @@ def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
     group = CyclicGroup.for_prime(cover.p)
     base = cover.base
     coeffs = _ihara_determinant(
-        group.order, equivariant_adjacency(cover), [base.valence(i) for i in base.vertices]
+        group.order, equivariant_adjacency(cover), [valence(base, i) for i in base.vertices]
     )
     poly = EtaPolynomial(group, tuple(GroupRingElement(group, c) for c in coeffs))
-    if poly.coefficient(0) != GroupRingElement.one(group):
+    if poly.coefficient(0) != ring_one(group):
         raise AssertionError(
             f"zeta.constant_term: constant term {poly.coefficient(0)} is not the ring identity"
         )
@@ -309,8 +356,8 @@ def eta_polynomial(cover: DerivedCover) -> EtaPolynomial:
 def _int_poly_det(g: SerreGraph) -> list[int]:
     """Coefficients of det(I - A u + (D - I) u^2) over the integers."""
     n = g.num_vertices
-    adjacency = [[(g.adjacency_count(i, j),) for j in range(n)] for i in range(n)]
-    return [c for (c,) in _ihara_determinant(1, adjacency, [g.valence(i) for i in range(n)])]
+    adjacency = [[(adjacency_count(g, i, j),) for j in range(n)] for i in range(n)]
+    return [c for (c,) in _ihara_determinant(1, adjacency, [valence(g, i) for i in range(n)])]
 
 
 def group_element(group: CyclicGroup, sigma: int, coefficient: int = 1) -> GroupRingElement:
@@ -339,16 +386,13 @@ def idempotent_mod(character, k: int) -> GroupRingElement:
 
     The idempotent is (1/#G) * sum over sigma of character(sigma) * sigma^(-1);
     #G = p-1 is a unit mod p^k.  The character must carry at least k digits of
-    precision (an F_p-valued character suffices only for k = 1).
+    precision.
     """
     group: CyclicGroup = character.group
     p = group.p
     if k < 1:
         raise ValueError("modulus exponent must be at least 1")
-    if character.precision is None:
-        if k > 1:
-            raise PrecisionExhausted("F_p-valued character only determines the idempotent mod p")
-    elif character.precision < k:
+    if character.precision < k:
         raise PrecisionExhausted(
             f"character precision {character.precision} below requested exponent {k}"
         )
@@ -356,7 +400,229 @@ def idempotent_mod(character, k: int) -> GroupRingElement:
     inv_order = pow(group.order, -1, modulus)
     coeffs = [0] * group.order
     for sigma in group.elements:
-        v = character.value(sigma)
-        v = v.value if isinstance(v, PAdicInt) else v
-        coeffs[group.index_of(group.inverse(sigma))] = v * inv_order % modulus
+        v = character_value(character, sigma)
+        coeffs[group.index_of(pow(sigma, -1, p))] = v * inv_order % modulus
     return GroupRingElement(group, tuple(coeffs))
+
+
+# The ring operations of Z[G], which the library's determinants do on
+# coefficient vectors.
+
+
+def _same_group(a: GroupRingElement, b: GroupRingElement) -> None:
+    if a.group != b.group:
+        raise ValueError("group mismatch")
+
+
+def ring_one(group: CyclicGroup) -> GroupRingElement:
+    return GroupRingElement(group, (1,) + (0,) * (group.order - 1))
+
+
+def ring_add(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
+    _same_group(a, b)
+    return GroupRingElement(a.group, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def ring_neg(a: GroupRingElement) -> GroupRingElement:
+    return GroupRingElement(a.group, tuple(-x for x in a.coeffs))
+
+
+def ring_sub(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
+    return ring_add(a, ring_neg(b))
+
+
+def ring_mul(a: GroupRingElement, b) -> GroupRingElement:
+    """a * b for b in Z[G] or in Z."""
+    if isinstance(b, int):
+        return GroupRingElement(a.group, tuple(b * x for x in a.coeffs))
+    _same_group(a, b)
+    out = [0] * a.group.order
+    a.group.product(out, a.coeffs, b.coeffs)
+    return GroupRingElement(a.group, tuple(out))
+
+
+def ring_is_zero(a: GroupRingElement) -> bool:
+    return not any(a.coeffs)
+
+
+# The directed edges of a graph, which the library reads straight off the pairs.
+
+
+@dataclass(frozen=True)
+class DirectedEdge:
+    id: int
+    origin: int
+    terminus: int
+    inverse_id: int
+
+
+@cache
+def directed_edges(g: SerreGraph) -> tuple[DirectedEdge, ...]:
+    """Edge 2k, u -> v, and its inverse 2k + 1, v -> u, over pair k = (u, v);
+    built once per graph and kept."""
+    edges = []
+    for k, (u, v) in enumerate(g.edge_pairs):
+        edges += [DirectedEdge(2 * k, u, v, 2 * k + 1), DirectedEdge(2 * k + 1, v, u, 2 * k)]
+    return tuple(edges)
+
+
+def edge(g: SerreGraph, edge_id: int) -> DirectedEdge:
+    return directed_edges(g)[edge_id]
+
+
+def _check_vertex(g: SerreGraph, w: int) -> None:
+    if not (0 <= w < g.num_vertices):
+        raise ValueError(f"unknown vertex {w}")
+
+
+def edges_from(g: SerreGraph, w: int) -> tuple[DirectedEdge, ...]:
+    _check_vertex(g, w)
+    return tuple(e for e in directed_edges(g) if e.origin == w)
+
+
+def valence(g: SerreGraph, w: int) -> int:
+    """Number of directed edges leaving w (a loop counts twice)."""
+    return len(edges_from(g, w))
+
+
+def adjacency_count(g: SerreGraph, w: int, w2: int) -> int:
+    """Number of directed edges from w2 to w."""
+    _check_vertex(g, w)
+    return sum(1 for e in edges_from(g, w2) if e.terminus == w)
+
+
+def euler_characteristic(g: SerreGraph) -> int:
+    return g.num_vertices - g.num_undirected_edges
+
+
+def laplacian_matrix(g: SerreGraph) -> list[list[int]]:
+    """Valence-minus-adjacency matrix, dense, in one pass over the directed
+    edges: an edge from w2 to w adds 1 at (w2, w2) and subtracts 1 at (w, w2)."""
+    n = g.num_vertices
+    out = [[0] * n for _ in range(n)]
+    for e in directed_edges(g):
+        out[e.origin][e.origin] += 1
+        out[e.terminus][e.origin] -= 1
+    return out
+
+
+def cycle_graph(n: int) -> SerreGraph:
+    if n < 1:
+        raise ValueError("cycle needs at least one vertex")
+    return SerreGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> SerreGraph:
+    if n < 1:
+        raise ValueError("path needs at least one vertex")
+    return SerreGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# Voltages of directed edges and fiber coordinates of a cover.
+
+
+def edge_voltage(spec: VoltageSpec, edge_id: int) -> int:
+    """Voltage of a directed edge; reversed edges carry the inverse."""
+    a = spec.voltages[edge_id // 2]
+    return a if edge_id % 2 == 0 else pow(a, -1, spec.p)
+
+
+def vertex_at(cover: DerivedCover, v: int, sigma: int) -> int:
+    """The total vertex (v, sigma), at v (p - 1) + sigma - 1."""
+    sigma %= cover.p
+    if sigma == 0:
+        raise ValueError("fiber coordinate must be a unit")
+    return v * cover.fiber_size + (sigma - 1)
+
+
+def fiber_coords(cover: DerivedCover, w: int) -> tuple[int, int]:
+    """(base vertex, unit) coordinates of a total-graph vertex."""
+    if not (0 <= w < cover.total.num_vertices):
+        raise ValueError(f"unknown vertex {w}")
+    return w // cover.fiber_size, w % cover.fiber_size + 1
+
+
+def projection(cover: DerivedCover, w: int) -> int:
+    return w // cover.fiber_size
+
+
+def deck_act(cover: DerivedCover, tau: int, w: int) -> int:
+    """Image of a total vertex under the deck transformation of tau."""
+    tau %= cover.p
+    if tau == 0:
+        raise ValueError("deck transformations are indexed by units")
+    v, sigma = fiber_coords(cover, w)
+    return vertex_at(cover, v, tau * sigma % cover.p)
+
+
+def base_transversal(cover: DerivedCover) -> tuple[int, ...]:
+    """One vertex per fiber: the unit-1 point over each base vertex."""
+    return tuple(vertex_at(cover, v, 1) for v in cover.base.vertices)
+
+
+# Truncated p-adic arithmetic: combining two values keeps the smaller precision.
+
+
+def _padic_pair(x: PAdicInt, y) -> tuple[PAdicInt, int]:
+    """y as a p-adic value beside x (an int takes x's precision), and the
+    precision of the result."""
+    if isinstance(y, int):
+        y = PAdicInt(x.p, x.precision, y)
+    if y.p != x.p:
+        raise ValueError(f"mixed primes {x.p} and {y.p}")
+    return y, min(x.precision, y.precision)
+
+
+def padic_add(x: PAdicInt, y) -> PAdicInt:
+    y, n = _padic_pair(x, y)
+    return PAdicInt(x.p, n, x.value + y.value)
+
+
+def padic_sub(x: PAdicInt, y) -> PAdicInt:
+    y, n = _padic_pair(x, y)
+    return PAdicInt(x.p, n, x.value - y.value)
+
+
+def padic_mul(x: PAdicInt, y) -> PAdicInt:
+    y, n = _padic_pair(x, y)
+    return PAdicInt(x.p, n, x.value * y.value)
+
+
+def padic_neg(x: PAdicInt) -> PAdicInt:
+    return PAdicInt(x.p, x.precision, -x.value)
+
+
+def padic_pow(x: PAdicInt, exponent: int) -> PAdicInt:
+    return PAdicInt(x.p, x.precision, pow(x.value, exponent, x.p**x.precision))
+
+
+def padic_reduce(x: PAdicInt, precision: int) -> PAdicInt:
+    if precision > x.precision:
+        raise ValueError("cannot increase precision by reduction")
+    return PAdicInt(x.p, precision, x.value)
+
+
+def abs_p_inverse(x: PAdicInt) -> int:
+    """Reciprocal of the p-adic absolute value, i.e. p^(valuation)."""
+    return x.p ** x.valuation()
+
+
+# Character values, one sigma at a time, beside the library's value tables.
+
+
+def character_value(chi: Character, sigma: int) -> int:
+    """chi(sigma) modulo p^precision: the exponent-th power of the
+    Teichmuller lift of sigma."""
+    p = chi.group.p
+    sigma %= p
+    if sigma == 0:
+        raise ValueError(f"{sigma} is not a unit mod {p}")
+    return padic_pow(teichmuller(sigma, p, chi.precision), chi.exponent).value
+
+
+def contragredient(chi: Character) -> Character:
+    return Character(chi.group, -chi.exponent % chi.group.order, chi.precision)
+
+
+def zp_characters(group: CyclicGroup, precision: int) -> tuple[Character, ...]:
+    return tuple(Character(group, i, precision) for i in range(group.order))

@@ -252,6 +252,16 @@ def test_census_resumes_after_a_truncated_last_line(tmp_path):
         }
 
 
+@pytest.mark.parametrize("torn", [b'{"key": "1,4", "p"', b'{"key": "4,\xff'])
+def test_read_census_skips_a_torn_last_line(tmp_path, torn):
+    out = tmp_path / "census.ndjson"
+    run_census(bouquet(2), 5, str(out), budget=3)
+    written = read_census(str(out))
+    assert [row["key"] for row in written] == ["1,1", "1,2", "1,3"]
+    out.write_bytes(out.read_bytes() + torn)
+    assert read_census(str(out)) == written
+
+
 def test_census_budget_cursor(tmp_path):
     out = tmp_path / "census.ndjson"
     summary = run_census(bouquet(2), 5, str(out), budget=5)

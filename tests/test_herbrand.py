@@ -143,8 +143,9 @@ def test_failed_report_carries_diagnostics(ex2_cover, monkeypatch):
     assert not report.all_ok
     assert report.diagnostics is not None
     # The Smith diagonal of the whole Laplacian, (1, ..., 1, factors, 0).
-    from reference import smith_normal_form
+    from reference import laplacian_matrix, smith_normal_form
 
+    assert report.diagnostics["laplacian"] == laplacian_matrix(ex2_cover.total)
     dense = smith_normal_form(report.diagnostics["laplacian"]).diagonal
     assert report.diagnostics["invariant_factors"] == list(dense)
 
@@ -251,17 +252,26 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
 
 
 def test_report_builds_no_dense_laplacian(tmp_path, monkeypatch):
-    # The dense Laplacian is the tests' reference and the diagnostics of a
-    # failing report; a passing report and a census read sparse rows only.
+    # A graph is its pairs: a passing report and a census read each graph
+    # only through the members that read the pairs, and any other read is
+    # refused.  The dense Laplacian is the tests' reference and the
+    # diagnostics of a failing report, densified from the sparse rows; a
+    # passing report carries none.
+    from conftest import PAIR_READERS
     from coverzeta.census import read_census, run_census
     from coverzeta.serre import SerreGraph
 
-    def refuse(graph):
-        raise AssertionError("dense Laplacian built")
+    real = object.__getattribute__
 
-    monkeypatch.setattr(SerreGraph, "laplacian_matrix", refuse)
+    def refuse(graph, name):
+        if not name.startswith("__") and name not in PAIR_READERS:
+            raise AssertionError(f"graph member {name} read")
+        return real(graph, name)
+
+    monkeypatch.setattr(SerreGraph, "__getattribute__", refuse)
     for k in range(1, 5):
-        assert build_report(derive(bundled_spec(f"example{k}"))).all_ok
+        report = build_report(derive(bundled_spec(f"example{k}")))
+        assert report.all_ok and report.diagnostics is None
     out = tmp_path / "census.ndjson"
     summary = run_census(bundled_spec("example2").base, 5, str(out), budget=12)
     assert summary["processed"] == 12

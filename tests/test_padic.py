@@ -6,8 +6,18 @@ from coverzeta import (
     CyclicGroup,
     PAdicInt,
     PrecisionExhausted,
-    abs_p_inverse,
     teichmuller,
+)
+from reference import (
+    abs_p_inverse,
+    character_value,
+    contragredient,
+    padic_add,
+    padic_mul,
+    padic_neg,
+    padic_pow,
+    padic_reduce,
+    padic_sub,
 )
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -43,7 +53,7 @@ def test_teichmuller_multiplicative_and_reduces(p, a, b, n):
     if a == 0 or b == 0:
         return
     ta, tb = teichmuller(a, p, n), teichmuller(b, p, n)
-    assert ta * tb == teichmuller(a * b % p, p, n)
+    assert padic_mul(ta, tb) == teichmuller(a * b % p, p, n)
     assert ta.value % p == a
     assert pow(ta.value, p - 1, p**n) == 1
 
@@ -65,27 +75,27 @@ def test_abs_p_inverse():
 def test_arithmetic_and_precision_mixing():
     x = PAdicInt(5, 3, 117)
     y = PAdicInt(5, 2, 9)
-    assert (x + y).precision == 2
-    assert (x + y).value == (117 + 9) % 25
-    assert (x - y).value == (117 - 9) % 25
-    assert (x * y).value == 117 * 9 % 25
-    assert (x + 1).precision == 3
-    assert (3 * x).value == 3 * 117 % 125
-    assert (1 - x).value == (1 - 117) % 125
-    assert (-x).value == (125 - 117) % 125
-    assert (x**2).value == 117**2 % 125
+    assert padic_add(x, y).precision == 2
+    assert padic_add(x, y).value == (117 + 9) % 25
+    assert padic_sub(x, y).value == (117 - 9) % 25
+    assert padic_mul(x, y).value == 117 * 9 % 25
+    assert padic_add(x, 1).precision == 3
+    assert padic_mul(x, 3).value == 3 * 117 % 125
+    assert padic_sub(PAdicInt(5, 3, 1), x).value == (1 - 117) % 125
+    assert padic_neg(x).value == (125 - 117) % 125
+    assert padic_pow(x, 2).value == 117**2 % 125
 
 
 def test_mixed_primes_rejected():
     with pytest.raises(ValueError):
-        PAdicInt(5, 2, 1) + PAdicInt(7, 2, 1)
+        padic_add(PAdicInt(5, 2, 1), PAdicInt(7, 2, 1))
 
 
 def test_reduce():
     x = PAdicInt(5, 3, 117)
-    assert x.reduce(1).value == 117 % 5
+    assert padic_reduce(x, 1).value == 117 % 5
     with pytest.raises(ValueError):
-        x.reduce(4)
+        padic_reduce(x, 4)
 
 
 def test_expansion_rendering():
@@ -97,23 +107,23 @@ def test_expansion_rendering():
 
 def test_character_values():
     g5 = CyclicGroup.for_prime(5)
-    trivial = Character(g5, 0, None)
+    trivial = Character(g5, 0, 1)
     for sigma in (1, 2, 3, 4):
-        assert trivial.value(sigma) == 1
-    identity_char = Character(g5, 1, None)
-    assert identity_char.value(2) == 2
+        assert character_value(trivial, sigma) == 1
+    identity_char = Character(g5, 1, 1)
+    assert character_value(identity_char, 2) == 2
     lifted = Character(g5, 1, 2)
-    assert lifted.value(2).value == 7
+    assert character_value(lifted, 2) == 7
 
 
 def test_character_reduction_compatibility():
     for p in (5, 7, 11):
         group = CyclicGroup.for_prime(p)
         for i in range(p - 1):
-            fp = Character(group, i, None)
+            fp = Character(group, i, 1)
             zp = Character(group, i, 4)
             for sigma in range(1, p):
-                assert zp.value(sigma).value % p == fp.value(sigma)
+                assert character_value(zp, sigma) % p == character_value(fp, sigma)
 
 
 def test_character_column_orthogonality():
@@ -121,20 +131,40 @@ def test_character_column_orthogonality():
         group = CyclicGroup.for_prime(p)
         for i in range(1, p - 1):
             chi = Character(group, i, 4)
-            total = sum(chi.value(s).value for s in group.elements)
+            total = sum(character_value(chi, s) for s in group.elements)
             assert total % p**4 == 0
 
 
 def test_character_contragredient():
     g7 = CyclicGroup.for_prime(7)
-    chi = Character(g7, 2, None)
-    star = chi.contragredient()
+    chi = Character(g7, 2, 1)
+    star = contragredient(chi)
     assert star.exponent == 4
     for sigma in range(1, 7):
-        assert star.value(sigma) == chi.value(pow(sigma, -1, 7))
+        assert character_value(star, sigma) == character_value(chi, pow(sigma, -1, 7))
 
 
 def test_character_rejects_non_units():
     g5 = CyclicGroup.for_prime(5)
     with pytest.raises(ValueError):
-        Character(g5, 1, None).value(5)
+        character_value(Character(g5, 1, 1), 5)
+
+
+def test_precision_one_table_is_the_power_map_mod_p():
+    # The Teichmuller lift at precision 1 is h mod p, so chi(h^k) = h^(i k) mod p.
+    for p in (3, 5, 7, 11, 13):
+        group = CyclicGroup.for_prime(p)
+        h = group.generator
+        for i in range(p - 1):
+            table = Character(group, i, 1).table(group)
+            assert table == tuple(pow(h, i * k, p) for k in range(p - 1))
+
+
+def test_character_requires_a_precision():
+    g5 = CyclicGroup.for_prime(5)
+    with pytest.raises(TypeError):
+        Character(g5, 1)
+    for precision in (0, -1):
+        with pytest.raises(ValueError):
+            Character(g5, 1, precision)
+    assert Character(g5, 1, 3).modulus == 125

@@ -15,10 +15,22 @@ from coverzeta import (
     derive,
     picard_factors,
     require_connected_cover,
-    spanning_tree_count,
 )
 from coverzeta.voltage import gauge
-from reference import smith_normal_form
+from conftest import dense_tree_count
+from reference import (
+    adjacency_count,
+    base_transversal,
+    deck_act,
+    edge_voltage,
+    edges_from,
+    fiber_coords,
+    laplacian_matrix,
+    projection,
+    smith_normal_form,
+    valence,
+    vertex_at,
+)
 
 
 def test_derive_sizes_first_example(ex1_cover):
@@ -36,7 +48,7 @@ def test_trivial_voltages_give_disjoint_copies():
     cover = derive(VoltageSpec(base, 5, (1, 1)))
     # Four components: the Laplacian's corank, which PicardModule relies on,
     # counts them.
-    assert smith_normal_form(cover.total.laplacian_matrix()).diagonal.count(0) == 4
+    assert smith_normal_form(laplacian_matrix(cover.total)).diagonal.count(0) == 4
     assert cover.total.num_undirected_edges == 4 * base.num_undirected_edges
     with pytest.raises(DisconnectedCover):
         require_connected_cover(cover)
@@ -46,12 +58,12 @@ def test_bouquet_order4_voltages_give_doubled_cycle():
     # Both loop voltages of multiplicative order 4 trace out the same
     # 4-cycle on the fiber, so every edge of that cycle is doubled.
     cover = derive(VoltageSpec(bouquet(2), 5, (2, 3)))
-    idx = {s: cover.vertex_at(0, s) for s in (1, 2, 3, 4)}
+    idx = {s: vertex_at(cover, 0, s) for s in (1, 2, 3, 4)}
     for a, b in [(1, 2), (2, 4), (4, 3), (3, 1)]:
-        assert cover.total.adjacency_count(idx[a], idx[b]) == 2
+        assert adjacency_count(cover.total, idx[a], idx[b]) == 2
     for a, b in [(1, 4), (2, 3)]:
-        assert cover.total.adjacency_count(idx[a], idx[b]) == 0
-    assert spanning_tree_count(cover.total) == 32
+        assert adjacency_count(cover.total, idx[a], idx[b]) == 0
+    assert dense_tree_count(cover.total) == 32
     assert picard_factors(cover.total) == (2, 2, 8)
 
 
@@ -74,14 +86,22 @@ def test_voltage_validation():
 
 def test_reverse_orientation_carries_inverse_voltage():
     spec = VoltageSpec(bouquet(1), 7, (3,))
-    assert spec.voltage(0) == 3
-    assert spec.voltage(1) == 5  # 3 * 5 = 15 = 1 mod 7
+    assert edge_voltage(spec, 0) == 3
+    assert edge_voltage(spec, 1) == 5  # 3 * 5 = 15 = 1 mod 7
+
+
+@pytest.mark.parametrize("voltage", [2.7, 2.0, True, "2"])
+def test_voltages_must_be_integers(voltage):
+    # int() would store 2.7 as 2 and True as 1; a voltage is a JSON integer.
+    with pytest.raises(ValueError, match="is not an integer"):
+        VoltageSpec(bouquet(1), 5, (voltage,))
+    assert VoltageSpec(bouquet(1), 5, [2]).voltages == (2,)
 
 
 def test_connected_single_loop_cover_is_cycle():
     cover = require_connected_cover(derive(VoltageSpec(bouquet(1), 5, (2,))))
     assert cover.total.num_vertices == 4
-    assert all(cover.total.valence(w) == 2 for w in cover.total.vertices)
+    assert all(valence(cover.total, w) == 2 for w in cover.total.vertices)
     assert cover.total.is_connected()
 
 
@@ -91,25 +111,25 @@ def test_second_example_cover_is_connected(ex2_cover):
 
 def test_deck_action_identity_and_order(ex1_cover):
     for w in ex1_cover.total.vertices:
-        assert ex1_cover.deck_act(1, w) == w
+        assert deck_act(ex1_cover, 1, w) == w
     w = 0
     for _ in range(4):
-        w = ex1_cover.deck_act(2, w)
+        w = deck_act(ex1_cover, 2, w)
     assert w == 0  # 2 has order 4 in the units mod 5
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3))
 def test_deck_action_composes(tau1, tau2, w):
     cover = derive(bundled_spec("example1"))
-    lhs = cover.deck_act(tau1, cover.deck_act(tau2, w))
-    rhs = cover.deck_act(tau1 * tau2 % 5, w)
+    lhs = deck_act(cover, tau1, deck_act(cover, tau2, w))
+    rhs = deck_act(cover, tau1 * tau2 % 5, w)
     assert lhs == rhs
 
 
 def test_deck_action_free_on_fibers(ex2_cover):
     for tau in range(2, 5):
         for w in ex2_cover.total.vertices:
-            assert ex2_cover.deck_act(tau, w) != w
+            assert deck_act(ex2_cover, tau, w) != w
 
 
 def test_deck_action_is_graph_automorphism(ex2_cover):
@@ -118,7 +138,7 @@ def test_deck_action_is_graph_automorphism(ex2_cover):
         perm = ex2_cover.deck_vertex_map(tau)
         for u in g.vertices:
             for v in g.vertices:
-                assert g.adjacency_count(perm[u], perm[v]) == g.adjacency_count(u, v)
+                assert adjacency_count(g, perm[u], perm[v]) == adjacency_count(g, u, v)
 
 
 def test_deck_maps_rotate_fibers_as_deck_act():
@@ -131,29 +151,29 @@ def test_deck_maps_rotate_fibers_as_deck_act():
         vertices = cover.total.vertices
         for tau in range(1, 2 * cover.p):
             if tau % cover.p:
-                assert cover.deck_vertex_map(tau) == tuple(cover.deck_act(tau, w) for w in vertices)
+                assert cover.deck_vertex_map(tau) == tuple(deck_act(cover, tau, w) for w in vertices)
         with pytest.raises(ValueError):
             cover.deck_vertex_map(cover.p)
 
 
 def test_transversal_is_unit_section(ex2_cover):
-    trans = ex2_cover.base_transversal()
+    trans = base_transversal(ex2_cover)
     assert len(trans) == ex2_cover.base.num_vertices
     for v, w in enumerate(trans):
-        assert ex2_cover.fiber_coords(w) == (v, 1)
+        assert fiber_coords(ex2_cover, w) == (v, 1)
 
 
 def test_projection_preserves_valence(ex3_cover):
     for w in ex3_cover.total.vertices:
-        v = ex3_cover.projection(w)
-        assert ex3_cover.total.valence(w) == ex3_cover.base.valence(v)
+        v = projection(ex3_cover, w)
+        assert valence(ex3_cover.total, w) == valence(ex3_cover.base, v)
 
 
 def test_fiber_size_and_coordinates(ex1_cover):
     assert ex1_cover.fiber_size == 4
     for w in ex1_cover.total.vertices:
-        v, s = ex1_cover.fiber_coords(w)
-        assert ex1_cover.vertex_at(v, s) == w
+        v, s = fiber_coords(ex1_cover, w)
+        assert vertex_at(ex1_cover, v, s) == w
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,3 +197,34 @@ def test_subgroup_criterion_values():
     spec_half = VoltageSpec(bouquet(1), 5, (4,))
     assert cycle_voltage_subgroup(5, gauge(spec_half)[1]) == frozenset({1, 4})
     assert not connected_by_voltage_criterion(5, gauge(spec_half)[1])
+
+
+def directed_edge_gauge(spec):
+    """The potentials of ``gauge`` by the depth-first search over the
+    directed edges, each vertex's out-edges in edge order: edge 2k out of u,
+    then 2k + 1 out of v, for pair k = (u, v)."""
+    p = spec.p
+    potential = [None] * spec.base.num_vertices
+    potential[0] = 1
+    stack = [0]
+    while stack:
+        w = stack.pop()
+        for e in edges_from(spec.base, w):
+            if potential[e.terminus] is None:
+                potential[e.terminus] = potential[w] * edge_voltage(spec, e.id) % p
+                stack.append(e.terminus)
+    return potential
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([3, 5, 7, 11]))
+def test_gauge_visits_the_pairs_in_directed_edge_order(seed, p):
+    # The search over the pairs grows the same spanning tree, so the same
+    # potentials and gauge-fixed voltages name each switching class.
+    rng = random.Random(seed)
+    base = random_connected_base(rng, 5, 9)
+    spec = VoltageSpec(base, p, tuple(rng.randint(1, p - 1) for _ in base.edge_pairs))
+    potential, fixed = gauge(spec)
+    assert potential == directed_edge_gauge(spec)
+    for (u, v), a, b in zip(base.edge_pairs, spec.voltages, fixed):
+        assert b == potential[u] * a * pow(potential[v], -1, p) % p
