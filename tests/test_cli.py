@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import coverzeta
 from coverzeta import VoltageSpec, bundled_spec, spec_from_dict, spec_to_dict
 from coverzeta.census import read_census, run_census
 from coverzeta.cli import main
@@ -15,8 +16,7 @@ from coverzeta.voltage import gauge
 
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
-# The DOT text of the four examples and the examples listing, written before
-# the graph layer was cut to its edge pairs.
+# The DOT text of the four examples and the examples listing, byte for byte.
 TEXT_GOLDENS = [(["dot", f"example{n}"], f"example{n}.dot") for n in range(1, 5)]
 TEXT_GOLDENS.append((["examples"], "examples.txt"))
 
@@ -190,7 +190,7 @@ def test_dot_and_examples_match_goldens(argv, golden, capsys):
 
 
 def test_dot_and_examples_match_goldens_under_python_O():
-    src = str(pathlib.Path(main.__code__.co_filename).parent.parent)
+    src = str(pathlib.Path(coverzeta.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for argv, golden in TEXT_GOLDENS:
         run = subprocess.run(

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_connected_base, random_connected_cover
+from conftest import dense_tree_count, random_connected_base, random_connected_cover
 from coverzeta import (
     DisconnectedCover,
     SerreGraph,
@@ -17,7 +17,6 @@ from coverzeta import (
     require_connected_cover,
 )
 from coverzeta.voltage import gauge
-from conftest import dense_tree_count
 from reference import (
     adjacency_count,
     base_transversal,
