@@ -5,19 +5,21 @@ generator, so multiplication is cyclic convolution in Z[x]/(x^(p-1) - 1).
 A matrix over Z[G] is a list of sparse rows {column: vector}, as the cover's
 Laplacian is built from the base graph, a base edge j -> i with voltage a
 adding the group element a to entry (i, j) of A.
-Determinants are taken by elimination on unit pivots (+-g^k), which is exact
-although the group ring has zero divisors, and Berkowitz's division-free
-algorithm on the core left without units.  Both run on coefficient vectors,
-each ring given by its product and its unit test.
+Its determinant is taken by elimination on unit pivots (+-g^k), which is
+exact although the group ring has zero divisors (``ring_unit_pivots``), and
+Berkowitz's division-free algorithm on the dense core left without units
+(``berkowitz``).  Both run on coefficient vectors, the ring given by its
+product and, for the elimination, its unit test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from heapq import heappop, heappush
 
 from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
-from .snf import ring_unit_pivots
+from .snf import _matching
 
 
 @dataclass(frozen=True)
@@ -137,35 +139,80 @@ def unit_inverse(x):
     return None
 
 
-def ring_determinant(rows, product, inverse, size: int):
-    """Determinant of a square matrix, given as sparse rows {column: element},
-    over a commutative ring given by its product and its unit test.
+def ring_unit_pivots(rows: list[dict], inverse, product, size: int):
+    """Sparse elimination on unit pivots over a commutative ring, which may
+    have zero divisors: det = scale * det(core), the empty core of det 1.
 
-    Elements are integer coefficient vectors of length ``size`` (the group's
-    order for Z[G]) that add coefficientwise, with the first basis vector as
-    the identity;
+    ``rows`` is a square matrix as sparse rows {column: element}.  Elements
+    are integer coefficient vectors of length ``size`` that add
+    coefficientwise, with the first basis vector as the identity, so a
+    matrix that stores no element still has its zero and its one;
     ``product(out, x, y)`` adds x * y into the list ``out``, and
-    ``inverse(x)`` is the inverse of a unit x or None (``unit_inverse``).
-    ``snf.ring_unit_pivots`` eliminates on the units the test accepts, and
-    Berkowitz's algorithm takes the core they leave.  Returns a tuple.
+    ``inverse(x)`` is the inverse of x if the ring's unit test accepts it,
+    else None (``unit_inverse`` for Z[G]).  Pivots as in
+    ``snf._unit_pivots``: the shortest live row of a heap keyed by length
+    pivots at its unit column with the fewest active rows (ties: the
+    lowest), and a row holding no unit leaves the heap until an update
+    pushes it back.  A row step subtracts a multiple of the pivot
+    row, so it keeps the determinant in any commutative ring.  scale is the
+    sign of the matching (see ``snf._matching``) times the product of the
+    pivots; the rows left, on the columns left, form the dense ``core``.
     """
     n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(j not in range(n) for row in rows for j in row):
-        raise ValueError("matrix is not square")
-    scale, core = ring_unit_pivots(rows, inverse, product, size)
-    if not core:
-        return tuple(scale)
-    det = _berkowitz(core, product)
-    if scale[0] == 1 and not any(scale[1:]):  # no pivot, or an even matching of 1s
-        return det
-    out = [0] * len(scale)
-    product(out, scale, det)
-    return tuple(out)
+    zero = [0] * size
+    rows = [{j: x for j, x in row.items() if any(x)} for row in rows]
+    if all(inverse(x) is None for row in rows for x in row.values()):  # no pivot at all
+        return [1] + zero[1:], [[row.get(j, zero) for j in range(n)] for row in rows]
+    cols: list[set[int]] = [set() for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    match, scale = {}, [1] + zero[1:]  # match: row -> column
+    heap = sorted((len(row), i) for i, row in enumerate(rows))  # sorted, so a heap
+    while heap:
+        length, r = heappop(heap)
+        top = rows[r]
+        if r in match or length != len(top):  # pivoted, or pushed again since
+            continue
+        for _, c in sorted((len(cols[j]), j) for j in top):
+            if (inv := inverse(top[c])) is not None:
+                break
+        else:
+            continue
+        # -top / top[c], off its pivot: row_i += row_i[c] * step[j] clears column c.
+        minus = [-x for x in inv]
+        step = []
+        for j, y in top.items():
+            if j != c:
+                out = list(zero)
+                product(out, minus, y)
+                step.append((j, out))
+        for i in cols[c] - {r}:
+            row = rows[i]
+            m = row.pop(c)
+            for j, y in step:
+                x = list(row.get(j, zero))
+                product(x, m, y)
+                if any(x):
+                    row[j] = x
+                    cols[j].add(i)
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            heappush(heap, (len(row), i))
+        for j in top:
+            cols[j].discard(r)
+        out = list(zero)
+        product(out, scale, top[c])
+        scale = out
+        match[r] = c
+    sign, ids, free = _matching(match, n)
+    if sign < 0:
+        scale = [-x for x in scale]
+    return scale, [[rows[i].get(j, zero) for j in free] for i in ids]
 
 
-def _berkowitz(entries, product):
+def berkowitz(entries, product):
     """Berkowitz's division-free determinant (Inf. Process. Lett. 18, 1984)
     of a nonempty square matrix, as a tuple: the characteristic polynomial
     of each trailing principal submatrix follows from that of the next

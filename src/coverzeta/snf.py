@@ -4,9 +4,9 @@ all arithmetic is in Python integers.
 ``integer_determinant`` is a dense Bareiss determinant.  ``det_mod`` takes
 a determinant modulo M by one dense elimination modulo M (``_eliminate``)
 on units and, where none is left, after Bezout steps of determinant 1
-(Cohen, GTM 138, 2.4).  ``ring_unit_pivots`` eliminates a sparse matrix over
-a commutative ring on the entries its unit test accepts and leaves a dense
-core; ``sparse_det_mod`` runs it over Z/M and ``det_mod`` on the core.
+(Cohen, GTM 138, 2.4).  Every matrix here holds integers or residues; the
+sparse elimination over the group ring, which shares ``_matching`` with
+``cokernel``'s first phase, is ``groupring.ring_unit_pivots``.
 
 ``cokernel`` gives det A and coker A for a square A given as sparse rows
 {column: entry} (Dumas, Saunders and Villard): pivots +-1 over Z leave a
@@ -213,78 +213,6 @@ def _matching(match: dict[int, int], n: int):
     return sign, ids, free
 
 
-def ring_unit_pivots(rows: list[dict], inverse, product, size: int):
-    """Sparse elimination on unit pivots over a commutative ring, which may
-    have zero divisors: det = scale * det(core), the empty core of det 1.
-
-    ``rows`` is a square matrix as sparse rows {column: element}.  Elements
-    are integer coefficient vectors of length ``size`` that add
-    coefficientwise, with the first basis vector as the identity, so a
-    matrix that stores no element still has its zero and its one;
-    ``product(out, x, y)`` adds x * y into the list
-    ``out``, and ``inverse(x)`` is the inverse of x if the ring's unit test
-    accepts it, else None.  Pivots as in ``_unit_pivots``: the shortest live row of a
-    heap keyed by length pivots at its unit column with the fewest active
-    rows (ties: the lowest), and a row holding no unit leaves the heap until
-    an update pushes it back.  A row step subtracts a multiple of the pivot
-    row, so it keeps the determinant in any commutative ring.  scale is the
-    sign of the matching (see ``_matching``) times the product of the
-    pivots; the rows left, on the columns left, form the dense ``core``.
-    """
-    n = len(rows)
-    zero = [0] * size
-    rows = [{j: x for j, x in row.items() if any(x)} for row in rows]
-    if all(inverse(x) is None for row in rows for x in row.values()):  # no pivot at all
-        return [1] + zero[1:], [[row.get(j, zero) for j in range(n)] for row in rows]
-    cols: list[set[int]] = [set() for _ in rows]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-    match, scale = {}, [1] + zero[1:]  # match: row -> column
-    heap = sorted((len(row), i) for i, row in enumerate(rows))  # sorted, so a heap
-    while heap:
-        length, r = heappop(heap)
-        top = rows[r]
-        if r in match or length != len(top):  # pivoted, or pushed again since
-            continue
-        for _, c in sorted((len(cols[j]), j) for j in top):
-            if (inv := inverse(top[c])) is not None:
-                break
-        else:
-            continue
-        # -top / top[c], off its pivot: row_i += row_i[c] * step[j] clears column c.
-        minus = [-x for x in inv]
-        step = []
-        for j, y in top.items():
-            if j != c:
-                out = list(zero)
-                product(out, minus, y)
-                step.append((j, out))
-        for i in cols[c] - {r}:
-            row = rows[i]
-            m = row.pop(c)
-            for j, y in step:
-                x = list(row.get(j, zero))
-                product(x, m, y)
-                if any(x):
-                    row[j] = x
-                    cols[j].add(i)
-                elif j in row:
-                    del row[j]
-                    cols[j].discard(i)
-            heappush(heap, (len(row), i))
-        for j in top:
-            cols[j].discard(r)
-        out = list(zero)
-        product(out, scale, top[c])
-        scale = out
-        match[r] = c
-    sign, ids, free = _matching(match, n)
-    if sign < 0:
-        scale = [-x for x in scale]
-    return scale, [[rows[i].get(j, zero) for j in free] for i in ids]
-
-
 def det_mod(rows, modulus: int) -> int:
     """Determinant of a square integer matrix modulo ``modulus`` >= 1, in
     range(modulus), by ``_eliminate``."""
@@ -296,23 +224,6 @@ def det_mod(rows, modulus: int) -> int:
     for _, x in pivots:
         det = det * x % modulus
     return det % modulus if len(pivots) == n else 0
-
-
-def sparse_det_mod(rows: list[dict[int, int]], modulus: int) -> int:
-    """Determinant modulo ``modulus`` >= 1, in range(modulus), of a square
-    integer matrix given as sparse rows {column: entry}: ``ring_unit_pivots``
-    on the units of Z/modulus, the x with gcd(x, modulus) = 1, then
-    ``det_mod`` on the core."""
-
-    def inverse(x):
-        return [pow(x[0], -1, modulus)] if gcd(x[0], modulus) == 1 else None
-
-    def product(out, x, y):
-        out[0] = (out[0] + x[0] * y[0]) % modulus
-
-    sparse = [{j: [x % modulus] for j, x in row.items()} for row in rows]
-    (scale,), core = ring_unit_pivots(sparse, inverse, product, 1)
-    return scale * det_mod([[x[0] for x in row] for row in core], modulus) % modulus
 
 
 def _eliminate(mat: Matrix, modulus: int, ids, ops: list):

@@ -136,22 +136,25 @@ def gauge(spec: VoltageSpec) -> tuple[list[int], tuple[int, ...]]:
     p = spec.p
     # Out-lists read off the pairs: u -> v with a, then v -> u with a^-1,
     # pair by pair, so each vertex's edges come in the order of the pairs.
-    out: list[list[tuple[int, int]]] = [[] for _ in base.vertices]
+    out: list[list[tuple[int, int, bool]]] = [[] for _ in base.vertices]
     for (u, v), a in zip(base.edge_pairs, spec.voltages):
-        out[u].append((v, a))
-        out[v].append((u, pow(a, -1, p)))
-    potential = [None] * base.num_vertices
-    potential[0] = 1
+        out[u].append((v, a, True))
+        out[v].append((u, a, False))
+    # The inverse potentials ride along the tree: one inverse per tree edge.
+    potential, inverse = [None] * base.num_vertices, [None] * base.num_vertices
+    potential[0] = inverse[0] = 1
     stack = [0]
     while stack:
         w = stack.pop()
-        for t, a in out[w]:
+        for t, a, forward in out[w]:
             if potential[t] is None:
-                potential[t] = potential[w] * a % p
+                b = pow(a, -1, p)
+                if not forward:  # w -> t carries a^-1
+                    a, b = b, a
+                potential[t], inverse[t] = potential[w] * a % p, inverse[w] * b % p
                 stack.append(t)
     fixed = tuple(
-        potential[u] * a * pow(potential[v], -1, p) % p
-        for (u, v), a in zip(base.edge_pairs, spec.voltages)
+        potential[u] * a * inverse[v] % p for (u, v), a in zip(base.edge_pairs, spec.voltages)
     )
     return potential, fixed
 

@@ -14,12 +14,13 @@ Everything is exact.  Two computation routes exist by construction --
 evaluate the character after taking the group-ring determinant, or evaluate
 entrywise first and take an ordinary determinant -- and both are run and
 compared whenever an L-value is produced, the ordinary determinant by dense
-elimination modulo the character's modulus p or p^K (``snf.det_mod``).  The
-special value itself is taken twice, each time by sparse elimination on unit
-pivots (``snf.ring_unit_pivots``) and a dense determinant of the core left:
-over the group ring, on the units +-g^k, with Berkowitz's algorithm on the
-core; and modulo M = B^(p-1) - 1 after Kronecker substitution, on the
-residues prime to M, with ``snf.det_mod`` on the core.
+elimination modulo the character's modulus p or p^K (``snf.det_mod``).  For
+the special value the Laplacian is eliminated once over the group ring, on
+the unit pivots +-g^k (``groupring.ring_unit_pivots``), and the dense core
+left has its determinant taken twice: by Berkowitz's algorithm over the
+group ring, and by ``snf.det_mod`` modulo M = B^(p-1) - 1 after Kronecker
+substitution.  The evaluated Laplacians of the L-values never pass through
+that elimination, so they check it.
 
 Over Q the group ring splits as the product of the cyclotomic fields
 Q(zeta_d), d dividing p - 1, one for each rational orbit of characters (those
@@ -34,8 +35,8 @@ from operator import mul
 
 from .arith import VerificationError
 from .characters import Character
-from .groupring import CyclicGroup, GroupRingElement, ring_determinant, unit_inverse
-from .snf import det_mod, integer_determinant, sparse_det_mod
+from .groupring import CyclicGroup, GroupRingElement, berkowitz, ring_unit_pivots, unit_inverse
+from .snf import det_mod, integer_determinant
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -67,46 +68,54 @@ def eta_at_one(cover: DerivedCover, lap: list[dict]) -> GroupRingElement:
     """Special value at u = 1: the group-ring determinant of the Laplacian
     ``lap`` (``equivariant_laplacian``).
 
-    At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  Its
-    determinant is taken over the group ring, by unit pivots +-g^k and
-    Berkowitz on the core, and again modulo B^(p-1) - 1 after Kronecker
-    substitution, by pivots on the residues prime to it and ``det_mod`` on
-    the core; the results must agree exactly.  Both share the pivot kernel,
-    so a fault in it that both routes repeat, such as a wrong sign, is caught
-    by the class-number identity, which reads eta(1)'s orbit norms.
+    At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  One
+    elimination on its unit pivots +-g^k (``ring_unit_pivots``) gives
+    det = scale * det(core), and the core's determinant is taken twice: by
+    Berkowitz over the group ring, and modulo B^(p-1) - 1 after Kronecker
+    substitution by ``det_mod``; the results must agree exactly.  The core
+    is never empty: the scale is a unit, of augmentation +-1, while the
+    augmentation of det(D - A) is the determinant of the base Laplacian, 0.
+    Both routes read the one core, so a fault of the elimination is caught
+    by the checks that do not: ``l_value``'s determinant of the evaluated
+    Laplacian, and the class-number identity, which reads eta(1)'s orbit
+    norms.
     """
     require_connected_cover(cover)
     group = CyclicGroup.for_prime(cover.p)
-    det = ring_determinant(lap, group.product, unit_inverse, group.order)
-    direct = GroupRingElement(group, det)
-    substituted = _substitution_determinant(lap, group)
+    scale, core = ring_unit_pivots(lap, unit_inverse, group.product, group.order)
+    if not core:
+        raise VerificationError(
+            "zeta.eta_routes", f"the unit pivots left no core, so det L would be the unit {scale}"
+        )
+    direct = GroupRingElement(group, berkowitz(core, group.product))
+    substituted = _substitution_determinant(core, group)
     if direct != substituted:
         raise VerificationError(
             "zeta.eta_routes",
             f"Berkowitz determinant {direct} != Kronecker-substituted determinant {substituted}",
         )
-    return direct
+    det = [0] * group.order
+    group.product(det, scale, direct.coeffs)
+    return GroupRingElement(group, tuple(det))
 
 
-def _substitution_determinant(rows: list[dict], group: CyclicGroup) -> GroupRingElement:
+def _substitution_determinant(rows: list[list], group: CyclicGroup) -> GroupRingElement:
     """Group-ring determinant, through the ring map Z[G] -> Z/(B^(p-1) - 1),
-    of a square matrix given as sparse rows {column: coefficient vector}.
+    of a square matrix given as dense rows of coefficient vectors.
 
     sigma_g^k maps to B^k.  Every Leibniz term is a product of one entry per
     row, so the absolute values of the determinant's coefficients c_k sum to
     at most beta, the product of the rows' l1 norms.  With B = 2 beta + 1 the
     integer sum of c_k B^k lies strictly between -M/2 and M/2, M = B^(p-1) - 1,
     so it is the symmetric residue of the substituted matrix's determinant
-    modulo M, taken by ``sparse_det_mod``, and its balanced base-B digits are
-    the c_k.
+    modulo M, taken by ``det_mod``, and its balanced base-B digits are the c_k.
     """
     m = group.order
-    beta = max(prod(sum(sum(map(abs, x)) for x in row.values()) for row in rows), 1)
+    beta = max(prod(sum(sum(map(abs, x)) for x in row) for row in rows), 1)
     base = 2 * beta + 1
     modulus = base**m - 1
     powers = [base**k for k in range(m)]
-    subst = [{j: v for j, x in row.items() if (v := sum(map(mul, x, powers)))} for row in rows]
-    det = sparse_det_mod(subst, modulus)
+    det = det_mod([[sum(map(mul, x, powers)) for x in row] for row in rows], modulus)
     if det > modulus // 2:
         det -= modulus
     coeffs = []

@@ -8,7 +8,7 @@ import types
 import pytest
 
 import coverzeta
-from coverzeta import characters, groupring, padic, picard, serre, voltage
+from coverzeta import characters, groupring, padic, picard, serre, snf, voltage
 
 PUBLIC = {
     "Character",
@@ -47,7 +47,8 @@ PUBLIC = {
     "teichmuller",
 }
 
-# Members that moved to tests/reference.py or went, by their owner.
+# Members that moved to tests/reference.py or to another module, or went,
+# by their owner.
 REMOVED = [
     (serre, ["DirectedEdge", "cycle_graph", "path_graph"]),
     (
@@ -87,6 +88,8 @@ REMOVED = [
         ["one", "_check", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "is_zero"],
     ),
     (groupring.CyclicGroup, ["inverse"]),
+    (groupring, ["ring_determinant"]),
+    (snf, ["ring_unit_pivots", "sparse_det_mod"]),
     (characters, ["zp_characters"]),
     (characters.Character, ["value", "contragredient"]),
     (

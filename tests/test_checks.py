@@ -18,11 +18,13 @@ PACKAGE = pathlib.Path(coverzeta.__file__).parent
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
-# Each sabotage corrupts one side of the eta(1) check, so that check alone
-# fails: a coefficient of the Kronecker-substitution route, or the result of
-# the Berkowitz group-ring determinant.  Each defines the attribute it
-# replaces (``module``, ``name``) and its replacement (``corrupted``); both
-# are names in ``zeta``, which ``eta_at_one`` looks up when it runs.
+# Each sabotage makes the eta(1) check alone fail.  It corrupts one side of
+# it, a coefficient of the Kronecker-substitution route or of the Berkowitz
+# group-ring determinant, both taken on the core that the unit pivots leave,
+# or it drops that core, which the Laplacian never leaves empty.  Each
+# defines the attribute it replaces (``module``, ``name``) and its
+# replacement (``corrupted``); both are names in ``zeta``, which
+# ``eta_at_one`` looks up when it runs.
 SABOTAGES = {
     "substitution": """
 import coverzeta.zeta as module
@@ -31,20 +33,30 @@ from coverzeta.groupring import GroupRingElement
 name = "_substitution_determinant"
 real = module._substitution_determinant
 
-def corrupted(mat, group):
-    c = list(real(mat, group).coeffs)
+def corrupted(core, group):
+    c = list(real(core, group).coeffs)
     c[1] += 1
     return GroupRingElement(group, tuple(c))
 """,
     "berkowitz": """
 import coverzeta.zeta as module
 
-name = "ring_determinant"
-real = module.ring_determinant
+name = "berkowitz"
+real = module.berkowitz
 
-def corrupted(entries, product, inverse, size):
-    det = real(entries, product, inverse, size)
+def corrupted(core, product):
+    det = real(core, product)
     return (det[0] + 1,) + det[1:]
+""",
+    "core": """
+import coverzeta.zeta as module
+
+name = "ring_unit_pivots"
+real = module.ring_unit_pivots
+
+def corrupted(rows, inverse, product, size):
+    scale, core = real(rows, inverse, product, size)
+    return scale, []
 """,
 }
 
@@ -177,18 +189,18 @@ def corrupted(a):
 }
 
 
-# Negates the scale that the unit-pivot kernel hands on.  The kernel serves
-# both routes of eta(1), Z[G] and Z/M, so both negate it and agree; so does
-# every L-value chi(eta(1)).  The norm N_d of -eta(1) is (-1)^phi(d) N_d, and
-# phi(d) over the divisors d > 1 of p - 1 sums to p - 2, which is odd: the
-# product of the norms changes sign and the class-number identity fails.
-# ``modules`` names every module that calls the kernel by its name.
+# Each corrupts the scale that the unit-pivot kernel hands on, which both
+# routes of eta(1) share, so they agree.  ``eta_at_one`` looks the kernel up
+# in ``zeta``, its only caller in the package.
+#
+# Negating it negates eta(1).  The norm N_d of -eta(1) is (-1)^phi(d) N_d,
+# and phi(d) over the divisors d > 1 of p - 1 sums to p - 2, which is odd:
+# the product of the norms changes sign, and the class-number identity,
+# which runs before any L-value, fails.
 SCALE_SABOTAGE = """
-import coverzeta.groupring
-import coverzeta.snf as module
+import coverzeta.zeta as module
 
 name = "ring_unit_pivots"
-modules = (module, coverzeta.groupring)
 real = module.ring_unit_pivots
 
 def corrupted(rows, inverse, product, size):
@@ -196,10 +208,28 @@ def corrupted(rows, inverse, product, size):
     return [-x for x in scale], core
 """
 
+# Multiplying it by g^2, as a doubled pivot +-g^k would, multiplies eta(1) by
+# the unit g^2, whose norms are all 1: every N_d stands, and the class-number
+# identity passes.  chi(eta(1)) is multiplied by chi(g)^2, which is not 1 for
+# a character of order above 2, while the evaluated Laplacian never passes
+# through the kernel, so the L-value routes disagree.
+UNIT_SABOTAGE = """
+import coverzeta.zeta as module
+
+name = "ring_unit_pivots"
+real = module.ring_unit_pivots
+
+def corrupted(rows, inverse, product, size):
+    scale, core = real(rows, inverse, product, size)
+    return scale[-2:] + scale[:-2], core
+"""
+
 
 # Adds 1 to the determinant of every evaluated Laplacian, the second route of
 # each L-value, so that it disagrees with chi(eta(1)) at the first character
-# evaluated.  ``det_mod`` is the name in ``zeta`` that ``l_value`` looks up.
+# evaluated.  ``det_mod`` is the name in ``zeta`` that ``l_value`` looks up;
+# the substitution route of eta(1) looks it up too, but modulo B^(p-1) - 1,
+# which is even as B is odd, while the characters' moduli p^K are odd.
 L_ROUTES_SABOTAGE = """
 import coverzeta.zeta as module
 
@@ -207,7 +237,7 @@ name = "det_mod"
 real = module.det_mod
 
 def corrupted(rows, modulus):
-    return real(rows, modulus) + 1
+    return real(rows, modulus) + modulus % 2
 """
 
 
@@ -364,19 +394,17 @@ def test_certificate_checks_exit_4(check, monkeypatch, capsys):
 
 
 def _assert_sabotage_exits_4(sabotage, example, check, monkeypatch, capsys):
-    """Install a sabotage, in ``module`` or in each of ``modules``, and require
-    exit 4 naming the check, in process and under -O."""
+    """Install a sabotage and require exit 4 naming the check, in process and
+    under -O."""
     monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     namespace = {}
     exec(sabotage, namespace)
     with monkeypatch.context() as m:
-        for module in namespace.get("modules", (namespace["module"],)):
-            m.setattr(module, namespace["name"], namespace["corrupted"])
+        m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
         assert main(["analyze", example]) == 4
     assert f"error: check {check} failed:" in capsys.readouterr().err
     script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
-    script += "for module in globals().get('modules', (module,)):\n"
-    script += "    setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
+    script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
     script += f"sys.exit(main(['analyze', '{example}']))\n"
     sabotaged = _run_optimized("-c", script)
     assert sabotaged.returncode == 4, sabotaged.stderr
@@ -412,11 +440,17 @@ def test_kernel_sign_fault_exits_4(example, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("example", sorted(BUNDLED))
+def test_kernel_unit_fault_exits_4(example, monkeypatch, capsys):
+    # The examples are at p = 5 and 11, so g^2 is not 1.
+    _assert_sabotage_exits_4(UNIT_SABOTAGE, example, "zeta.l_routes", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("example", sorted(BUNDLED))
 def test_berkowitz_fault_exits_4_on_every_example(example, monkeypatch, capsys):
-    # The sabotage corrupts ring_determinant's result, whatever core the unit
-    # pivots leave.  The core of a Laplacian is never empty: the product of
-    # the pivots is a unit, of augmentation +-1, while det L has augmentation
-    # det of the base Laplacian, 0.
+    # The sabotage corrupts the Berkowitz determinant of the core that the
+    # unit pivots leave.  The core of a Laplacian is never empty: the product
+    # of the pivots is a unit, of augmentation +-1, while det L has
+    # augmentation det of the base Laplacian, 0.
     _assert_sabotage_exits_4(
         SABOTAGES["berkowitz"], example, "zeta.eta_routes", monkeypatch, capsys
     )

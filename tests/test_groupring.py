@@ -15,10 +15,11 @@ from coverzeta import (
     derive,
     groupring,
     spec_from_dict,
+    zeta,
     GroupRingElement,
 )
 from coverzeta.arith import multiplicative_order
-from coverzeta.groupring import convolution, ring_determinant, unit_inverse
+from coverzeta.groupring import convolution, ring_unit_pivots, unit_inverse
 from coverzeta.padic import PrecisionExhausted
 from coverzeta.zeta import _substitution_determinant, equivariant_laplacian, eta_at_one
 from reference import (
@@ -29,6 +30,7 @@ from reference import (
     idempotent_mod,
     reduce_mod,
     ring_add,
+    ring_determinant,
     ring_is_zero,
     ring_mul,
     ring_neg,
@@ -55,7 +57,7 @@ def _coeffs(entries):
 
 def _det(group, entries):
     """Berkowitz determinant of a matrix of group-ring elements, as an element."""
-    return GroupRingElement(group, groupring._berkowitz(_coeffs(entries), group.product))
+    return GroupRingElement(group, groupring.berkowitz(_coeffs(entries), group.product))
 
 
 def _evaluate(entries, chi):
@@ -415,7 +417,7 @@ def test_berkowitz_matches_leibniz_over_the_group_ring(p, n):
     zero = ring_zero(group)
     for _ in range(4):
         entries = _random_matrix(rng, group, n)
-        det = groupring._berkowitz(_coeffs(entries), convolution(group.order))
+        det = groupring.berkowitz(_coeffs(entries), convolution(group.order))
         assert det == _leibniz(entries, zero, *RING_OPS).coeffs
 
 
@@ -432,8 +434,8 @@ def test_berkowitz_finds_zero_divisor_determinants():
     ]
     for entries in cases:
         det = _leibniz(entries, zero, *RING_OPS)
-        assert groupring._berkowitz(_coeffs(entries), product) == det.coeffs
-    assert not any(groupring._berkowitz(_coeffs(cases[0]), product))
+        assert groupring.berkowitz(_coeffs(entries), product) == det.coeffs
+    assert not any(groupring.berkowitz(_coeffs(cases[0]), product))
 
 
 class _Poly(tuple):
@@ -480,7 +482,7 @@ def test_berkowitz_matches_leibniz_over_polynomials_in_u(n):
                 row.append(_Poly(coeffs))
             entries.append(row)
         flats = [[flat(e) for e in row] for row in entries]
-        det = groupring._berkowitz(flats, truncated_convolution(4, width))
+        det = groupring.berkowitz(flats, truncated_convolution(4, width))
         assert det == flat(_leibniz(entries, _Poly([ring_zero(G5)])))
         product, inverse = truncated_convolution(4, width), truncated_unit_inverse(4)
         assert ring_determinant(sparse_rows(flats), product, inverse, 4 * width) == det
@@ -495,18 +497,31 @@ def test_berkowitz_matches_leibniz_over_the_integers(n):
     rng = random.Random(n)
     for _ in range(20):
         entries = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
-        (det,) = groupring._berkowitz([[(x,) for x in row] for row in entries], convolution(1))
+        (det,) = groupring.berkowitz([[(x,) for x in row] for row in entries], convolution(1))
         assert det == _leibniz(entries, 0) == integer_determinant(entries)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_substitution_route_matches_berkowitz(p, n):
+    # The route takes the dense core that the unit pivots leave: random
+    # matrices, the core the pivots leave of each, a 1 x 1 core and an
+    # n x n core with no unit, whose entries are multiples of 1 - g or of 2.
     rng = random.Random(7000 + 100 * p + n)
     group = CyclicGroup.for_prime(p)
+    delta = _special_elements(group)[3]
     for spread in (1, 4, 50):
         m = _random_matrix(rng, group, n, spread)
-        assert _substitution_determinant(sparse_rows(_coeffs(m)), group) == _det(group, m)
+        assert _substitution_determinant(_coeffs(m), group) == _det(group, m)
+        _, core = ring_unit_pivots(sparse_rows(_coeffs(m)), unit_inverse, group.product, group.order)
+        if core:
+            det = GroupRingElement(group, groupring.berkowitz(core, group.product))
+            assert _substitution_determinant(core, group) == det
+        one_by_one = [[_random_entry(rng, group, spread)]]
+        assert _substitution_determinant(_coeffs(one_by_one), group) == one_by_one[0][0]
+        no_unit = [[ring_mul(x, rng.choice([delta, 2])) for x in row] for row in m]
+        assert not any(unit_inverse(x) for row in _coeffs(no_unit) for x in row)
+        assert _substitution_determinant(_coeffs(no_unit), group) == _det(group, no_unit)
 
 
 def _monomial(group, coefficient, k):
@@ -524,7 +539,7 @@ def test_substitution_route_at_the_l1_bound(p):
     signs = set()
     for sign in (1, -1):
         m = [[_monomial(group, sign * 7, 1)]]
-        det = _substitution_determinant(sparse_rows(_coeffs(m)), group)
+        det = _substitution_determinant(_coeffs(m), group)
         assert det == _det(group, m) == m[0][0]
         for n in (2, 3, 4):
             cs = [rng.randint(1, 9) for _ in range(n)]
@@ -537,7 +552,7 @@ def test_substitution_route_at_the_l1_bound(p):
                 rows[i][perm[i]] = _monomial(group, cs[i], ks[i])
             det = _det(group, rows)
             assert sum(map(abs, det.coeffs)) == prod(abs(c) for c in cs)
-            assert _substitution_determinant(sparse_rows(_coeffs(rows)), group) == det
+            assert _substitution_determinant(_coeffs(rows), group) == det
             signs.add(sum(det.coeffs) > 0)
     assert signs == {True, False}
 
@@ -558,7 +573,7 @@ def test_substitution_route_with_every_coefficient_negative(p):
     for rows in cases:
         det = _det(group, rows)
         assert all(c < 0 for c in det.coeffs)
-        assert _substitution_determinant(sparse_rows(_coeffs(rows)), group) == det
+        assert _substitution_determinant(_coeffs(rows), group) == det
 
 
 def _pivoted(group, entries):
@@ -601,8 +616,8 @@ def test_unit_pivots_match_berkowitz(case):
 
 def test_unit_pivot_cores_and_signs(monkeypatch):
     cores = []
-    real = groupring._berkowitz
-    monkeypatch.setattr(groupring, "_berkowitz", lambda e, p: cores.append(e) or real(e, p))
+    real = groupring.berkowitz
+    monkeypatch.setattr(groupring, "berkowitz", lambda e, p: cores.append(e) or real(e, p))
     zero, one, sigma, delta, norm, _ = _special_elements(G7)
     # Units times a permutation: the core is empty, and the determinant is
     # the permutation's sign, of either parity, times the product of units.
@@ -655,8 +670,8 @@ def test_wide_base_core_is_small(monkeypatch):
     # of its 100 rows to Berkowitz.
     doc = bench_inputs().random_cover(random.Random(1), 5, 100, 3)
     cores = []
-    real = groupring._berkowitz
-    monkeypatch.setattr(groupring, "_berkowitz", lambda e, p: cores.append(len(e)) or real(e, p))
+    real = zeta.berkowitz
+    monkeypatch.setattr(zeta, "berkowitz", lambda e, p: cores.append(len(e)) or real(e, p))
     cover = derive(spec_from_dict(doc))
     eta_at_one(cover, equivariant_laplacian(cover))
     assert len(cores) == 1 and 1 <= cores[0] <= 8

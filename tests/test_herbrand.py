@@ -173,7 +173,8 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "equivariant_laplacian": (hb, zeta),
         "PicardModule": (hb, picard),
         "picard_factors": (hb, picard),
-        "ring_determinant": (groupring, zeta),
+        "ring_unit_pivots": (groupring, zeta),
+        "berkowitz": (groupring, zeta),
     }
     calls = dict.fromkeys(targets, 0)
     l_keys = []
@@ -237,7 +238,8 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "equivariant_laplacian": 1,
         "PicardModule": 1,
         "picard_factors": 1,
-        "ring_determinant": 1,
+        "ring_unit_pivots": 1,
+        "berkowitz": 1,
     }
     assert not hasattr(zeta, "eta_polynomial")
     assert len(l_keys) == len(set(l_keys))

@@ -23,7 +23,6 @@ from coverzeta.snf import (
     _unit_pivots,
     cokernel,
     det_mod,
-    sparse_det_mod,
 )
 from reference import cycle_graph, laplacian_matrix, smith_normal_form
 
@@ -456,8 +455,28 @@ def matrices_mod(draw, max_dim=6):
     return [a[i] for i in draw(st.permutations(range(n)))], m
 
 
+@st.composite
+def sparse_matrices_mod(draw, max_dim=7):
+    """A sparse square matrix and a modulus m: a permuted diagonal, so that
+    the pivots take either parity, and up to two more entries a row.
+    Entries with a factor f of m are no unit of Z/m, and rows scaled by f
+    hold none; a row may also be left zero."""
+    m = draw(moduli())
+    f = next(q for q in range(2, m + 1) if m % q == 0)
+    n = draw(st.integers(1, max_dim))
+    entries = st.one_of(st.integers(-3 * m, 3 * m), st.integers(-3 * m, 3 * m).map(f.__mul__))
+    a = [[0] * n for _ in range(n)]
+    for i, k in enumerate(draw(st.permutations(range(n)))):
+        a[i][k] = draw(entries)
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            a[i][j] = draw(entries)
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        a[i] = [f * x for x in a[i]]
+    return a, m
+
+
 @settings(max_examples=400, deadline=None)
-@given(matrices_mod())
+@given(st.one_of(matrices_mod(), sparse_matrices_mod()))
 def test_det_mod_matches_the_integer_determinant(case):
     a, m = case
     assert det_mod(a, m) == integer_determinant(a) % m
@@ -487,6 +506,20 @@ def test_det_mod_edge_cases():
     assert det_mod([], 5) == 1
     assert det_mod([[3]], 1) == det_mod([], 1) == 0
     assert det_mod([[4, 2], [2, 1]], 8) == 0
+    m = 3**5 - 1
+    # Units times a permutation, of either parity.
+    for perm, sign in (((0,), 1), ((1, 0), -1), ((1, 2, 0), 1), ((3, 0, 1, 2), -1)):
+        a = [[5 * (j == k) for j in range(len(perm))] for k in perm]
+        assert det_mod(a, m) == sign * 5 ** len(perm) % m
+    # 2 is no unit modulo the even m; nor is any entry of rows 0 and 1 below,
+    # nor of the multiples of row 2 that clear its unit 1 from them.
+    assert det_mod([[2]], m) == 2
+    a = [[2, 0, 4], [4, 6, 2], [1, 3, 5]]
+    assert det_mod(a, m) == integer_determinant(a) % m
+    # Zero rows, and entries 0 and m, which are zero modulo m.
+    assert det_mod([[0, 0], [0, 0]], m) == 0
+    assert det_mod([[0, 0], [0, m]], m) == 0
+    assert det_mod([[m, 1], [1, 0]], m) == m - 1
     with pytest.raises(ValueError):
         det_mod([[1, 2]], 5)
 
@@ -592,59 +625,3 @@ def test_eliminate_matches_the_full_pivot_search_on_a_cover_core(monkeypatch):
     assert len(got[1]) == len(core) == 101
     # The full search takes about 316k gcds here, the stopping one about 9k.
     assert 10 * searched["stopping"] < searched["full"]
-
-
-def _sparse(a):
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
-
-
-@st.composite
-def sparse_matrices_mod(draw, max_dim=7):
-    """A sparse square matrix and a modulus m: a permuted diagonal, so that
-    the matching takes either parity, and up to two more entries a row.
-    Entries with a factor f of m are no unit of Z/m, and rows scaled by f
-    hold none, so they go to the core; a row may also be left empty."""
-    m = draw(moduli())
-    f = next(q for q in range(2, m + 1) if m % q == 0)
-    n = draw(st.integers(1, max_dim))
-    entries = st.one_of(st.integers(-3 * m, 3 * m), st.integers(-3 * m, 3 * m).map(f.__mul__))
-    a = [[0] * n for _ in range(n)]
-    for i, k in enumerate(draw(st.permutations(range(n)))):
-        a[i][k] = draw(entries)
-        for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-            a[i][j] = draw(entries)
-    for i in draw(st.sets(st.integers(0, n - 1))):
-        a[i] = [f * x for x in a[i]]
-    return a, m
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(matrices_mod(), sparse_matrices_mod()))
-def test_sparse_det_mod_matches_det_mod(case):
-    a, m = case
-    assert sparse_det_mod(_sparse(a), m) == det_mod(a, m)
-
-
-def test_sparse_det_mod_cores_and_signs(monkeypatch):
-    cores = []
-    monkeypatch.setattr(snf, "det_mod", counting(cores, snf.det_mod))
-    m = 3**5 - 1
-    # Units times a permutation: the core is empty and the matching's sign
-    # is the permutation's, of either parity.
-    for perm, sign in (((0,), 1), ((1, 0), -1), ((1, 2, 0), 1), ((3, 0, 1, 2), -1)):
-        a = [[5 * (j == k) for j in range(len(perm))] for k in perm]
-        assert sparse_det_mod(_sparse(a), m) == sign * 5 ** len(perm) % m == det_mod(a, m)
-    assert [len(core) for core, _ in cores] == [0] * 4
-    cores.clear()
-    # 1x1: 2 is no unit modulo the even m, so it is the core.
-    assert sparse_det_mod([{0: 2}], m) == 2
-    # Rows 0 and 1 are even, so they hold no unit modulo the even m, and the
-    # multiples of row 2 that clear its unit 1 from them are even: they are
-    # the core.  The zero matrix is all core.
-    a = [[2, 0, 4], [4, 6, 2], [1, 3, 5]]
-    assert sparse_det_mod(_sparse(a), m) == integer_determinant(a) % m == det_mod(a, m)
-    assert sparse_det_mod([{}, {}], m) == 0
-    # Stored zeros, 0 and m, are no entries: those rows are empty.
-    assert sparse_det_mod([{0: 0}, {1: m}], m) == 0
-    assert sparse_det_mod([{0: m, 1: 1}, {0: 1}], m) == m - 1
-    assert [len(core) for core, _ in cores] == [1, 2, 2, 2, 0]

@@ -19,7 +19,7 @@ from coverzeta import (
     PAdicInt,
     PicardModule,
 )
-from coverzeta.groupring import _berkowitz
+from coverzeta.groupring import berkowitz
 from coverzeta.snf import integer_determinant
 from coverzeta.zeta import cyclotomic, orbit_norms
 from reference import (
@@ -358,7 +358,7 @@ def circulant_determinant(poly):
         [[c.coeffs[(i - j) % m] for c in poly.coeffs] + [0] * (width - len(poly.coeffs)) for j in range(m)]
         for i in range(m)
     ]
-    det = list(_berkowitz(entries, truncated_convolution(1, width)))
+    det = list(berkowitz(entries, truncated_convolution(1, width)))
     while len(det) > 1 and not det[-1]:
         det.pop()
     return det
