@@ -7,15 +7,18 @@ factors, the set of vanishing mod-p L-values, and verdict summaries.
 Assignments that differ by switching, a' = c_u^-1 a c_v on each edge u -> v,
 give covers that are isomorphic by (v, x) -> (v, x c_v), which commutes with
 the deck group (Gross and Tucker, Topological Graph Theory, 1987), so their
-rows agree but for the key and the voltages.  A run builds one report per
-switching class and hands its fields to the later assignments of the class,
-each after checking the isomorphism on its own cover (``census.switching``).
-The table holds one entry per class, its first cover's relabeled edges and
-its fields, and no cover or report; a resumed run seeds it from the first
-written row of each class, so a class keeps its one report across the runs
-that write one file.  Output
-is one JSON object per line; reruns skip keys already present, so runs are
-resumable, also after a crash that left a partly written last line; a file
+rows agree but for the key and the voltages.  A unit k mod p - 1 relabels
+the fibers by s -> s^k, which takes the cover of a onto that of a^k and the
+character chi_ik of the one to chi_i of the other, so their rows agree but
+for the key, the voltages and the vanishing exponents, which k permutes.  A
+run builds one report per orbit of switching classes under these power maps
+and hands its fields to the later assignments of the orbit, each after
+checking the isomorphism on its own cover (``census.switching``).  The table
+holds one entry per class, its first cover's relabeled edges and its fields,
+and no cover or report; a resumed run seeds it from the first written row of
+each class, so an orbit keeps its one report across the runs that write one
+file.  Output is one JSON object per line; reruns skip keys already
+present, so runs are resumable, also after a crash that left a partly written last line; a file
 with any other line that is not a row or a cursor is refused, as is a row for
 another prime or edge count or a cursor over another number of assignments.  A run cut short
 by its budget ends with a cursor line, and the next run starts at the last
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 from contextlib import suppress
 from itertools import islice, product
+from math import gcd
 from typing import Iterable
 
 from .arith import VerificationError
@@ -53,8 +57,11 @@ def census_row(
     takes those fields only if its own relabeled edges are the same: the two
     relabelings then make an isomorphism of the covers that commutes with
     the deck group, so Pic0, the L-values and every verdict agree.  If they
-    differ, ``census.switching`` fails.  Without ``classes`` the row gets a
-    table of its own, so a connected cover gets its own report.
+    differ, ``census.switching`` fails.  The first cover of a class not in
+    the table takes, permuted, the fields of a class of its orbit under the
+    power maps, if one is there (``_mate_fields``), and builds a report
+    otherwise; either way its class gets an entry.  Without ``classes`` the
+    row gets a table of its own, so a connected cover gets its own report.
     """
     spec = VoltageSpec(base, p, voltages)
     cover = derive(spec)
@@ -81,12 +88,15 @@ def census_row(
     classes = {} if classes is None else classes
     edges = _relabeled_edges(cover, potential)
     if key not in classes:
-        report = build_report(cover)
-        classes[key] = edges, (
-            tuple(report.pic0),
-            tuple(r["i"] for r in report.rows if r["h_mod_p"] == 0),
-            tuple(report.global_verdicts[name].status for name in VERDICTS),
-        )
+        fields = _mate_fields(cover, potential, key, classes)
+        if fields is None:
+            report = build_report(cover)
+            fields = (
+                tuple(report.pic0),
+                tuple(r["i"] for r in report.rows if r["h_mod_p"] == 0),
+                tuple(report.global_verdicts[name].status for name in VERDICTS),
+            )
+        classes[key] = edges, fields
     elif classes[key][0] != edges:
         raise VerificationError(
             "census.switching",
@@ -100,20 +110,55 @@ def census_row(
     return row
 
 
-def _relabeled_edges(cover: DerivedCover, potential: list[int]) -> tuple[int, ...]:
+def _mate_fields(
+    cover: DerivedCover, potential: list[int], key: tuple, classes: dict
+) -> tuple | None:
+    """The fields of a class in ``classes`` whose key K has ``key`` = K^k,
+    coefficientwise, for a unit k != 1 mod p - 1, permuted for this class;
+    None if there is none.
+
+    The power map (v, s) -> (v, s^m), m = k^-1, takes the cover of ``key``
+    onto that of K and the deck transformation of t to that of t^m, so Pic0
+    and the verdicts agree, and L(Y_key, chi_i) = L(Y_K, chi_ik): the
+    vanishing exponents here are j * m mod p - 1 for those j of K.  The
+    fields are taken only if this cover, relabeled by its potentials and
+    then by the power map, equals K's relabeled cover, edge for edge;
+    otherwise ``census.switching`` fails.
+    """
+    p = cover.p
+    for m in (m for m in range(2, p - 1) if gcd(m, p - 1) == 1):
+        mate = tuple(pow(x, m, p) for x in key)
+        if mate in classes:
+            edges, (pic0, vanishing, statuses) = classes[mate]
+            if _relabeled_edges(cover, potential, m) != edges:
+                raise VerificationError(
+                    "census.switching",
+                    f"voltages {list(cover.spec.voltages)}: the relabeled cover, "
+                    f"raised to the power {m}, differs from that of class {list(mate)}",
+                )
+            return pic0, tuple(sorted(j * m % (p - 1) for j in vanishing)), statuses
+    return None
+
+
+def _relabeled_edges(cover: DerivedCover, potential: list[int], power: int = 1) -> tuple[int, ...]:
     """The total graph's edges after relabeling (v, x) -> (v, x * phi(v)^-1),
-    flat: the edge over base edge k from relabeled (u, t) sits at
-    2 * (k * (p - 1) + t - 1) as its two relabeled ends.
+    then (v, s) -> (v, s^power), flat: the edge over base edge k from
+    relabeled (u, t) sits at 2 * (k * (p - 1) + t - 1) as its two relabeled
+    ends.
 
     Equal tuples of two covers of one base map each edge of either onto the
     same relabeled edge, so the relabelings make an isomorphism of the total
     graphs, edge for edge; relabeling multiplies fiber coordinates on the
-    right, so it commutes with the deck group.
+    right, so it commutes with the deck group, and a power map, a unit mod
+    p - 1, takes the deck transformation of t to that of t^power.
     """
     p, f = cover.p, cover.fiber_size
     inverse = [pow(x, -1, p) for x in potential]
     # The relabeled index of each total vertex (v, s), at v * f + s - 1.
     relabel = [v * f + s * inverse[v] % p - 1 for v in cover.base.vertices for s in range(1, p)]
+    if power != 1:
+        powered = [pow(s, power, p) - 1 for s in range(1, p)]
+        relabel = [a - a % f + powered[a % f] for a in relabel]
     flat = [-1] * (2 * cover.total.num_undirected_edges)
     for j, (w, w2) in enumerate(cover.total.edge_pairs):
         a = relabel[w]
@@ -143,14 +188,17 @@ def _is_row(doc, p: int, num_edges: int) -> bool:
 def _written_fields(doc, p: int) -> tuple | None:
     """The Picard factors, vanishing exponents and verdict statuses of a
     connected row, as the tuples ``census_row`` keeps, if they have the shape
-    a report writes: factors above 1, exponents in 1..p - 2, and each name
-    of ``VERDICTS`` once, PASS or FAIL; otherwise None."""
+    a report writes: factors above 1, each dividing the next, exponents in
+    1..p - 2 in increasing order, and each name of ``VERDICTS`` once, PASS
+    or FAIL; otherwise None."""
     pic0, vanishing, verdicts = doc.get("pic0"), doc.get("vanishing"), doc.get("verdicts")
     if (
         type(pic0) is list
         and all(type(d) is int and d > 1 for d in pic0)
+        and all(b % a == 0 for a, b in zip(pic0, pic0[1:]))
         and type(vanishing) is list
         and all(type(i) is int and 0 < i < p - 1 for i in vanishing)
+        and all(i < j for i, j in zip(vanishing, vanishing[1:]))
         and type(verdicts) is dict
         and verdicts.keys() == set(VERDICTS)
         and all(status in ("PASS", "FAIL") for status in verdicts.values())

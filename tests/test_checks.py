@@ -287,6 +287,33 @@ def corrupted(spec):
 """
 
 
+# Relabel the cover of a class that meets its orbit mate K, key = K^k for a
+# unit k mod p - 1, without the power map s -> s^(k^-1), or with k in place
+# of k^-1.  On the two-loop bouquet at p = 11 the first is caught at (1, 6) =
+# (1, 2)^9 and the second at (1, 7) = (1, 2)^7, since 7^-1 = 3 mod 10; at
+# p = 5 and 7 every unit is its own inverse, so only the first would show.
+POWER_SABOTAGES = {
+    "dropped": """
+import coverzeta.census as module
+
+name = "_relabeled_edges"
+real = module._relabeled_edges
+
+def corrupted(cover, potential, power=1):
+    return real(cover, potential)
+""",
+    "inverted": """
+import coverzeta.census as module
+
+name = "_relabeled_edges"
+real = module._relabeled_edges
+
+def corrupted(cover, potential, power=1):
+    return real(cover, potential, pow(power, -1, cover.p - 1))
+""",
+}
+
+
 def test_package_has_no_assert_statements():
     found = [
         f"{path.name}:{node.lineno}"
@@ -487,16 +514,18 @@ def test_diagonal_sort_fault_exits_4(monkeypatch, capsys):
     )
 
 
-def _assert_census_sabotage_exits_4(sabotage, check, tmp_path, monkeypatch, capsys, budget=None):
+def _assert_census_sabotage_exits_4(
+    sabotage, check, tmp_path, monkeypatch, capsys, budget=None, p=5
+):
     """Install a sabotage and require ``census`` on the two-loop bouquet at
-    p = 5 to exit 4 naming the check, in process and under -O.  With a
-    budget, an unsabotaged run first writes that many rows, which the
-    sabotaged runs resume from."""
+    p to exit 4 naming the check, in process and under -O.  With a budget,
+    an unsabotaged run first writes that many rows, which the sabotaged
+    runs resume from."""
     monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
     out = tmp_path / "census.ndjson"
-    argv = ["census", str(base), "--p", "5", "--out", str(out)]
+    argv = ["census", str(base), "--p", str(p), "--out", str(out)]
     written = b""
     if budget is not None:
         assert main(argv + ["--budget", str(budget)]) == 0
@@ -538,4 +567,11 @@ def test_census_switching_check_exits_4_on_a_seeded_class(tmp_path, monkeypatch,
     # run builds no class that a later row of its own shares.
     _assert_census_sabotage_exits_4(
         SWITCHING_SABOTAGE, "census.switching", tmp_path, monkeypatch, capsys, budget=12
+    )
+
+
+@pytest.mark.parametrize("case", sorted(POWER_SABOTAGES))
+def test_census_power_map_check_exits_4(case, tmp_path, monkeypatch, capsys):
+    _assert_census_sabotage_exits_4(
+        POWER_SABOTAGES[case], "census.switching", tmp_path, monkeypatch, capsys, p=11
     )

@@ -293,10 +293,10 @@ def test_census_budgeted_runs_advance(tmp_path):
 def test_census_computes_the_base_picard_group_once(tmp_path, monkeypatch):
     # The covers of a census share one base graph, which keeps its Pic0: one
     # base cokernel, with its tree count, per run, however many of its
-    # covers are connected.  The file takes one cover cokernel per connected
-    # switching class among its rows: the second run seeds the classes of
-    # the first one's rows and builds reports only for the classes it meets
-    # first.
+    # covers are connected.  The file takes one cover cokernel per orbit of
+    # connected switching classes among its rows: the second run seeds the
+    # classes of the first one's rows and builds reports only for the orbits
+    # it meets first.
     import coverzeta.picard as picard
 
     sizes = []
@@ -317,9 +317,13 @@ def test_census_computes_the_base_picard_group_once(tmp_path, monkeypatch):
         per_run.append(
             {gauge(VoltageSpec(base, 5, row["voltages"]))[1] for row in rows if row["connected"]}
         )
-    # 10 classes in the first run's rows and 8 in the second's, 6 of them shared.
+    # 10 classes in the first run's rows and 8 in the second's, 6 of them
+    # shared; the unit 3 = -1 mod 4 pairs the 12 into orbits, one cover
+    # cokernel each.
     assert [len(keys) for keys in per_run] == [10, 8]
-    assert sizes.count(4 * base.num_vertices) == len(per_run[0] | per_run[1]) == 12
+    orbits = {frozenset({key, tuple(pow(a, 3, 5) for a in key)}) for key in per_run[0] | per_run[1]}
+    assert len(per_run[0] | per_run[1]) == 12
+    assert sizes.count(4 * base.num_vertices) == len(orbits) == 6
 
 
 @pytest.mark.parametrize(
