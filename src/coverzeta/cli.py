@@ -90,7 +90,7 @@ def cmd_analyze(args) -> int:
         print(report.format_table())
     if args.dot:
         print(spec.base.to_dot("base"))
-        print(cover.total.to_dot("cover"))
+        print(cover.to_dot("cover"))
     payload = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -111,7 +111,7 @@ def cmd_dot(args) -> int:
         return EXIT_PARSE
     if not cover.is_connected():
         print("warning: derived cover is disconnected", file=sys.stderr)
-    text = spec.base.to_dot("base") + "\n" + cover.total.to_dot("cover")
+    text = spec.base.to_dot("base") + "\n" + cover.to_dot("cover")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -5,21 +5,20 @@ generator, so multiplication is cyclic convolution in Z[x]/(x^(p-1) - 1).
 A matrix over Z[G] is a list of sparse rows {column: vector}, as the cover's
 Laplacian is built from the base graph, a base edge j -> i with voltage a
 adding the group element a to entry (i, j) of A.
-Its determinant is taken by elimination on unit pivots (+-g^k), which is
-exact although the group ring has zero divisors (``ring_unit_pivots``), and
-Berkowitz's division-free algorithm on the dense core left without units
-(``berkowitz``).  Both run on coefficient vectors, the ring given by its
-product and, for the elimination, its unit test.
+Its determinant is taken by ``snf.unit_pivots`` on the unit pivots +-g^k,
+which is exact although the group ring has zero divisors, with Z[G] given
+as the record ``CyclicGroup.ring`` (``vector_ring``), and by Berkowitz's
+division-free algorithm on the dense core left without units
+(``berkowitz``), which takes the ring by its product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from heapq import heappop, heappush
 
 from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
-from .snf import _matching
+from .snf import Ring
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,11 @@ class CyclicGroup:
     @cached_property
     def product(self):
         return convolution(self.order)
+
+    @cached_property
+    def ring(self) -> Ring:
+        """Z[G] on coefficient tuples, as ``snf.unit_pivots`` takes it."""
+        return vector_ring(self.product, self.order, self.order)
 
 
 @dataclass(frozen=True)
@@ -127,89 +131,28 @@ def convolution(order: int):
     return product
 
 
-def unit_inverse(x):
-    """The unit test of Z[G]: the inverse +-g^(-k) of x = +-g^k, and None for
-    any other x.  Multiplying by either is a cyclic shift of the coefficients."""
-    if x.count(0) == len(x) - 1:  # one nonzero coefficient
-        for c in (1, -1):
-            if c in x:
-                out = [0] * len(x)
-                out[-x.index(c) % len(x)] = c
-                return out
-    return None
-
-
-def ring_unit_pivots(rows: list[dict], inverse, product, size: int):
-    """Sparse elimination on unit pivots over a commutative ring, which may
-    have zero divisors: det = scale * det(core), the empty core of det 1.
-
-    ``rows`` is a square matrix as sparse rows {column: element}.  Elements
-    are integer coefficient vectors of length ``size`` that add
-    coefficientwise, with the first basis vector as the identity, so a
-    matrix that stores no element still has its zero and its one;
-    ``product(out, x, y)`` adds x * y into the list ``out``, and
-    ``inverse(x)`` is the inverse of x if the ring's unit test accepts it,
-    else None (``unit_inverse`` for Z[G]).  Pivots as in
-    ``snf._unit_pivots``: the shortest live row of a heap keyed by length
-    pivots at its unit column with the fewest active rows (ties: the
-    lowest), and a row holding no unit leaves the heap until an update
-    pushes it back.  A row step subtracts a multiple of the pivot
-    row, so it keeps the determinant in any commutative ring.  scale is the
-    sign of the matching (see ``snf._matching``) times the product of the
-    pivots; the rows left, on the columns left, form the dense ``core``.
+def vector_ring(product, size: int, order: int) -> Ring:
+    """A ring on integer coefficient tuples of length ``size``, as
+    ``snf.unit_pivots`` takes it: they add coefficientwise, the first basis
+    vector is the one, and ``product(out, x, y)`` adds x * y into the list
+    ``out``.  Its basis vectors k < ``order`` are the group elements g^k of a
+    cyclic group of that order, and the units it pivots on are +-g^k, with
+    inverses +-g^(-k): Z[G] itself, or Z[G][u]/(u^D) in the tests' reference.
     """
-    n = len(rows)
-    zero = [0] * size
-    rows = [{j: x for j, x in row.items() if any(x)} for row in rows]
-    if all(inverse(x) is None for row in rows for x in row.values()):  # no pivot at all
-        return [1] + zero[1:], [[row.get(j, zero) for j in range(n)] for row in rows]
-    cols: list[set[int]] = [set() for _ in rows]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-    match, scale = {}, [1] + zero[1:]  # match: row -> column
-    heap = sorted((len(row), i) for i, row in enumerate(rows))  # sorted, so a heap
-    while heap:
-        length, r = heappop(heap)
-        top = rows[r]
-        if r in match or length != len(top):  # pivoted, or pushed again since
-            continue
-        for _, c in sorted((len(cols[j]), j) for j in top):
-            if (inv := inverse(top[c])) is not None:
-                break
-        else:
-            continue
-        # -top / top[c], off its pivot: row_i += row_i[c] * step[j] clears column c.
-        minus = [-x for x in inv]
-        step = []
-        for j, y in top.items():
-            if j != c:
-                out = list(zero)
-                product(out, minus, y)
-                step.append((j, out))
-        for i in cols[c] - {r}:
-            row = rows[i]
-            m = row.pop(c)
-            for j, y in step:
-                x = list(row.get(j, zero))
-                product(x, m, y)
-                if any(x):
-                    row[j] = x
-                    cols[j].add(i)
-                elif j in row:
-                    del row[j]
-                    cols[j].discard(i)
-            heappush(heap, (len(row), i))
-        for j in top:
-            cols[j].discard(r)
-        out = list(zero)
-        product(out, scale, top[c])
-        scale = out
-        match[r] = c
-    sign, ids, free = _matching(match, n)
-    if sign < 0:
-        scale = [-x for x in scale]
-    return scale, [[rows[i].get(j, zero) for j in free] for i in ids]
+    zero = (0,) * size
+    inverses = {}
+    for k in range(order):
+        for c in (1, -1):
+            x, y = [0] * size, [0] * size
+            x[k], y[-k % order] = c, c
+            inverses[tuple(x)] = tuple(y)
+
+    def fma(x, m, y):
+        out = list(x)
+        product(out, m, y)
+        return tuple(out)
+
+    return Ring(zero, (1,) + zero[1:], inverses.get, lambda x: tuple(-c for c in x), fma)
 
 
 def berkowitz(entries, product):

@@ -113,13 +113,15 @@ class SerreGraph:
                 ru[v] = ru.get(v, 0) - 1
         return rows
 
-    def to_dot(self, name: str = "G") -> str:
-        """Undirected DOT rendering, one line per undirected edge."""
+    def to_dot(self, name: str = "G", labels: Optional[Sequence[str]] = None) -> str:
+        """Undirected DOT rendering, one line per undirected edge, its
+        vertices named by ``labels`` if given, else by ``label_of``."""
+        label = self.label_of if labels is None else labels.__getitem__
         lines = [f"graph {name} {{"]
         for w in self.vertices:
-            lines.append(f'  "{self.label_of(w)}";')
+            lines.append(f'  "{label(w)}";')
         for u, v in self._pairs:
-            lines.append(f'  "{self.label_of(u)}" -- "{self.label_of(v)}";')
+            lines.append(f'  "{label(u)}" -- "{label(v)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -1,16 +1,17 @@
-"""Determinants over Z and modulo M, and cokernels of nonsingular matrices;
-all arithmetic is in Python integers.
+"""Determinants over Z and modulo M, cokernels of nonsingular matrices, and
+the one sparse elimination on unit pivots that Pic0 and eta(1) share.
 
-``integer_determinant`` is a dense Bareiss determinant.  ``det_mod`` takes
-a determinant modulo M by one dense elimination modulo M (``_eliminate``)
-on units and, where none is left, after Bezout steps of determinant 1
-(Cohen, GTM 138, 2.4).  Every matrix here holds integers or residues; the
-sparse elimination over the group ring, which shares ``_matching`` with
-``cokernel``'s first phase, is ``groupring.ring_unit_pivots``.
+``unit_pivots`` eliminates a square matrix of sparse rows over a commutative
+ring given as a small record (``Ring``): Z on Python integers (``INTEGERS``)
+or Z[G] on coefficient tuples (``groupring.CyclicGroup.ring``).  Everything
+else here is on integers or residues.  ``integer_determinant`` is a dense
+Bareiss determinant.  ``det_mod`` takes a determinant modulo M by one dense
+elimination modulo M (``_eliminate``) on units and, where none is left,
+after Bezout steps of determinant 1 (Cohen, GTM 138, 2.4).
 
 ``cokernel`` gives det A and coker A for a square A given as sparse rows
-{column: entry} (Dumas, Saunders and Villard): pivots +-1 over Z leave a
-dense core whose Bareiss determinant gives det A, and ``_eliminate``
+{column: entry} (Dumas, Saunders and Villard): ``unit_pivots`` over Z leaves
+a dense core whose Bareiss determinant gives det A, and ``_eliminate``
 reduces the core modulo kappa = |det A|, which kills coker A (Domich,
 Kannan and Trotter).  2x2 gcd/lcm steps sort its summands into invariant
 factors, one replay of its row operations modulo the exponent d_r gives the
@@ -19,9 +20,11 @@ forms and generators, and the result is certified without transforms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd, prod
+from typing import Callable
 
 from .arith import VerificationError
 
@@ -104,7 +107,7 @@ def cokernel(a: list[dict[int, int]]) -> tuple[int, Cokernel | None]:
     sorts the summands above 1 into invariant factors, and one ``_replay``
     carries its rows of U and columns of U^-1 back to a, modulo the exponent.
     """
-    unit, ids, core, ops = _unit_pivots(a)
+    unit, ids, core, ops = unit_pivots(a, INTEGERS)
     det = unit * integer_determinant(core)
     if not det:
         return 0, None
@@ -150,67 +153,103 @@ def _sort_diagonal(summands: list[int], modulus: int):
     return d, rows, cols
 
 
-def _unit_pivots(a: list[dict[int, int]]):
-    """Phase 1 of ``cokernel``: pivots over Z on entries +-1, which are
-    unimodular, so the core left has the cokernel of a.
+@dataclass(frozen=True)
+class Ring:
+    """A commutative ring, which may have zero divisors, as ``unit_pivots``
+    takes it.  Elements compare with ==, so each has one form; ``inverse(x)``
+    is the inverse of x if the elimination may pivot on x, else None;
+    ``neg(x)`` is -x and ``fma(x, m, y)`` is x + m y."""
 
-    The shortest live row of a heap keyed by length pivots at its +-1 column
-    with the fewest active rows (ties: the lowest) and clears that column by
-    row steps, ``(i, r, m)`` in ``ops`` for row_i -= m row_r; a row holding
-    no +-1 leaves the heap until an update pushes it back.  The rows ``ids``
-    left, on the columns left, both in order, form the dense ``core``, and
-    det a = unit * det(core): unit is the product of the pivots times the
-    sign of the permutation matching each row with its pivot column, and
-    the core's rows with its columns in order.
+    zero: object
+    one: object
+    inverse: Callable
+    neg: Callable
+    fma: Callable
+
+
+# Z on Python integers, pivoting on +-1.
+INTEGERS = Ring(0, 1, {1: 1, -1: -1}.get, operator.neg, lambda x, m, y: x + m * y)
+
+
+def unit_pivots(a: list[dict], ring: Ring):
+    """Sparse elimination on unit pivots of a square matrix over ``ring``,
+    given as sparse rows {column: element}: returns ``(scale, ids, core,
+    ops)`` with det a = scale * det(core), the empty core of det 1.
+
+    The shortest live row of a heap keyed by length pivots at its unit
+    column with the fewest active rows (ties: the lowest) and clears that
+    column by row steps, ``(i, r, m)`` in ``ops`` for row_i -= m row_r, which
+    keep the determinant in any commutative ring; a row holding no unit
+    leaves the heap until an update pushes it back.  The rows ``ids`` left,
+    on the columns left, both in order, form the dense ``core``.  scale is
+    the product of the pivots times the sign of the permutation matching
+    each row with its pivot column, and the core's rows with its columns in
+    order.  Over Z (``INTEGERS``) the pivots +-1 are unimodular, so the core
+    has the cokernel of a.
     """
-    rows = [{j: x for j, x in row.items() if x} for row in a]
+    zero, inverse, neg, fma = ring.zero, ring.inverse, ring.neg, ring.fma
+    rows = [{j: x for j, x in row.items() if x != zero} for row in a]
     cols: list[set[int]] = [set() for _ in a]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    match, unit, ops = {}, 1, []  # match: row -> column
+    match, scale, ops = {}, ring.one, []  # match: row -> column
+
+    def markowitz(j):  # the fewest active rows, then the lowest column
+        return len(cols[j]), j
+
     heap = sorted((len(row), i) for i, row in enumerate(rows))  # sorted, so a heap
     while heap:
         size, r = heappop(heap)
         top = rows[r]
-        live = r not in match and size == len(top)  # not pivoted, nor pushed again since
-        units = [j for j, x in top.items() if x in (1, -1)] if live else ()
-        if units:
-            c = min(units, key=lambda j: (len(cols[j]), j))
-            for i in cols[c] - {r}:
-                row = rows[i]
-                m = row[c] * top[c]  # the pivot +-1 is its own inverse
-                for j, y in top.items():
-                    if x := row.get(j, 0) - m * y:
+        if r in match or size != len(top):  # pivoted, or pushed again since
+            continue
+        units = [j for j, x in top.items() if inverse(x) is not None]
+        if not units:
+            continue
+        c = min(units, key=markowitz)
+        pivot = top.pop(c)  # no row keeps column c, so cols[c] is not read again
+        minus = neg(inverse(pivot))
+        for i in cols[c] - {r}:
+            row = rows[i]
+            m = fma(zero, row.pop(c), minus)  # row_i += m row_r
+            for j, y in top.items():
+                if j in row:
+                    if (x := fma(row[j], m, y)) != zero:
                         row[j] = x
-                        cols[j].add(i)
-                    else:  # only an entry present cancels, as m y != 0
+                    else:
                         del row[j]
                         cols[j].discard(i)
-                ops.append((i, r, m))
-                heappush(heap, (len(row), i))
-            for j in top:
-                cols[j].discard(r)
-            unit *= top[c]
-            match[r] = c
+                elif (x := fma(zero, m, y)) != zero:  # m y may be 0 over zero divisors
+                    row[j] = x
+                    cols[j].add(i)
+            ops.append((i, r, neg(m)))
+            heappush(heap, (len(row), i))
+        for j in top:
+            cols[j].discard(r)
+        scale = fma(zero, scale, pivot)
+        match[r] = c
     sign, ids, free = _matching(match, len(a))
-    return sign * unit, ids, [[rows[i].get(j, 0) for j in free] for i in ids], ops
+    if sign < 0:
+        scale = neg(scale)
+    return scale, ids, [[rows[i].get(j, zero) for j in free] for i in ids], ops
 
 
 def _matching(match: dict[int, int], n: int):
     """Complete ``match``, each pivot row -> its column, by the rows left and
     the columns left, both in order, consuming it.  Returns the sign of that
-    permutation of range(n), the rows left and the columns left."""
+    permutation of range(n), (-1)^(n - its cycles), the rows left and the
+    columns left."""
     ids = [i for i in range(n) if i not in match]
-    free = sorted(set(range(n)) - set(match.values()))
+    free = sorted(set(range(n)).difference(match.values()))
     match.update(zip(ids, free))
-    sign = 1
-    for i in range(n):  # a cycle of length L flips the sign L + 1 times, its sign
-        if i in match:
-            sign = -sign
-            while i in match:
-                i, sign = match.pop(i), -sign
-    return sign, ids, free
+    cycles = 0
+    for i in range(n):
+        if (j := match.pop(i, None)) is not None:  # a cycle starts at i: walk it
+            cycles += 1
+            while (j := match.pop(j, None)) is not None:
+                pass
+    return (-1) ** (n - cycles), ids, free
 
 
 def det_mod(rows, modulus: int) -> int:

@@ -53,16 +53,12 @@ class DerivedCover:
         base = spec.base
         fiber = p - 1
         self._fiber = fiber
-        labels = None
-        if base.num_vertices:
-            names = [base.label_of(v) for v in base.vertices]
-            labels = [f"{name}:{s}" for name in names for s in range(1, p)]
         pairs = []
         for (u, v), a in zip(base.edge_pairs, spec.voltages):
             # (u, s) -> (v, s a), at u f - 1 + s and v f - 1 + (s a mod p)
             uf, vf = u * fiber - 1, v * fiber - 1
             pairs += [(uf + s, vf + s * a % p) for s in range(1, p)]
-        self.total = SerreGraph(base.num_vertices * fiber, pairs, labels)
+        self.total = SerreGraph(base.num_vertices * fiber, pairs)
         self._deck_maps: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -96,6 +92,12 @@ class DerivedCover:
 
     def is_connected(self) -> bool:
         return self.total.is_connected()
+
+    def to_dot(self, name: str) -> str:
+        """DOT rendering of the derived graph, vertex (v, s) labeled "<label
+        of v>:s", unique because the base's labels are and s holds no colon."""
+        names = [self.base.label_of(v) for v in self.base.vertices]
+        return self.total.to_dot(name, [f"{n}:{s}" for n in names for s in range(1, self.p)])
 
     def __repr__(self):
         return f"DerivedCover(p={self.p}, {self.base!r} -> {self.total!r})"

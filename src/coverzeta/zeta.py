@@ -16,11 +16,12 @@ entrywise first and take an ordinary determinant -- and both are run and
 compared whenever an L-value is produced, the ordinary determinant by dense
 elimination modulo the character's modulus p or p^K (``snf.det_mod``).  For
 the special value the Laplacian is eliminated once over the group ring, on
-the unit pivots +-g^k (``groupring.ring_unit_pivots``), and the dense core
-left has its determinant taken twice: by Berkowitz's algorithm over the
-group ring, and by ``snf.det_mod`` modulo M = B^(p-1) - 1 after Kronecker
-substitution.  The evaluated Laplacians of the L-values never pass through
-that elimination, so they check it.
+the unit pivots +-g^k, by the kernel that also takes Pic0's first phase over
+Z (``snf.unit_pivots``), and the dense core left has its determinant taken
+twice: by Berkowitz's algorithm over the group ring, and by ``snf.det_mod``
+modulo M = B^(p-1) - 1 after Kronecker substitution.  The evaluated
+Laplacians of the L-values never pass through that elimination, so they
+check it.
 
 Over Q the group ring splits as the product of the cyclotomic fields
 Q(zeta_d), d dividing p - 1, one for each rational orbit of characters (those
@@ -35,8 +36,8 @@ from operator import mul
 
 from .arith import VerificationError
 from .characters import Character
-from .groupring import CyclicGroup, GroupRingElement, berkowitz, ring_unit_pivots, unit_inverse
-from .snf import det_mod, integer_determinant
+from .groupring import CyclicGroup, GroupRingElement, berkowitz
+from .snf import det_mod, integer_determinant, unit_pivots
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -69,7 +70,7 @@ def eta_at_one(cover: DerivedCover, lap: list[dict]) -> GroupRingElement:
     ``lap`` (``equivariant_laplacian``).
 
     At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  One
-    elimination on its unit pivots +-g^k (``ring_unit_pivots``) gives
+    elimination on its unit pivots +-g^k (``unit_pivots``) gives
     det = scale * det(core), and the core's determinant is taken twice: by
     Berkowitz over the group ring, and modulo B^(p-1) - 1 after Kronecker
     substitution by ``det_mod``; the results must agree exactly.  The core
@@ -78,11 +79,11 @@ def eta_at_one(cover: DerivedCover, lap: list[dict]) -> GroupRingElement:
     Both routes read the one core, so a fault of the elimination is caught
     by the checks that do not: ``l_value``'s determinant of the evaluated
     Laplacian, and the class-number identity, which reads eta(1)'s orbit
-    norms.
+    norms; and, as Pic0 runs the same kernel, by Pic0's own checks.
     """
     require_connected_cover(cover)
     group = CyclicGroup.for_prime(cover.p)
-    scale, core = ring_unit_pivots(lap, unit_inverse, group.product, group.order)
+    scale, _, core, _ = unit_pivots(lap, group.ring)
     if not core:
         raise VerificationError(
             "zeta.eta_routes", f"the unit pivots left no core, so det L would be the unit {scale}"

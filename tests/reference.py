@@ -4,9 +4,9 @@ compare the library against:
 - the dense Smith normal form over Z with full transforms, which verifies
   U*A*V = D and that the tracked inverses of U and V are inverses;
 - the determinant of a sparse matrix over a ring given by its product and
-  unit test, by the library's unit pivots and Berkowitz on the core;
+  its record for ``snf.unit_pivots``, by those pivots and Berkowitz on the core;
 - the determinant polynomial det(I - A u + (D - I) u^2) of a cover over the
-  group ring, in Z[G][u]/(u^(2n+1)) with its own product and unit test, and
+  group ring, in Z[G][u]/(u^(2n+1)) with its own product and record, and
   of a graph over the integers;
 - the ring operations of Z[G] (one, +, -, *), the idempotents modulo p^k,
   single group elements, the zero, and the coefficient and reduction of an
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from coverzeta.characters import Character
-from coverzeta import groupring
+from coverzeta import groupring, snf
 from coverzeta.groupring import CyclicGroup, GroupRingElement
 from coverzeta.padic import PAdicInt, PrecisionExhausted, teichmuller
 from coverzeta.serre import SerreGraph
@@ -297,36 +297,27 @@ def truncated_convolution(order: int, degrees: int):
     return product
 
 
-def truncated_unit_inverse(order: int):
-    """The unit test of Z[G][u]/(u^D), G cyclic of the given order, on the
-    units +-g^k it pivots on: ``inverse(x)`` is +-g^(-k) for x = +-g^k, and
-    None for any other x, u g among them."""
-
-    def inverse(x):
-        if x.count(0) == len(x) - 1:  # one nonzero coefficient
-            for c in (1, -1):
-                if c in x and (k := x.index(c)) < order:
-                    out = [0] * len(x)
-                    out[-k % order] = c
-                    return out
-        return None
-
-    return inverse
+def truncated_ring(order: int, degrees: int):
+    """Z[G][u]/(u^degrees), G cyclic of the given order, as ``snf.unit_pivots``
+    takes it: its units to pivot on are +-g^k, and u g is none."""
+    return groupring.vector_ring(truncated_convolution(order, degrees), order * degrees, order)
 
 
-def ring_determinant(rows, product, inverse, size: int):
+def ring_determinant(rows, product, ring):
     """Determinant, as a tuple, of a square matrix of sparse rows {column:
-    element} over a commutative ring given as ``groupring.ring_unit_pivots``
-    takes it: that elimination, then ``groupring.berkowitz`` on the core."""
+    coefficient vector} over a ring given by its product and its record as
+    ``snf.unit_pivots`` takes it: that elimination, then
+    ``groupring.berkowitz`` on the core."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
     if any(j not in range(n) for row in rows for j in row):
         raise ValueError("matrix is not square")
-    scale, core = groupring.ring_unit_pivots(rows, inverse, product, size)
+    tuples = [{j: tuple(x) for j, x in row.items()} for row in rows]
+    scale, _, core, _ = snf.unit_pivots(tuples, ring)
     if not core:
         return tuple(scale)
-    out = [0] * size
+    out = [0] * len(ring.zero)
     product(out, scale, groupring.berkowitz(core, product))
     return tuple(out)
 
@@ -346,10 +337,7 @@ def _ihara_determinant(order: int, adjacency, valences) -> list[tuple[int, ...]]
     for i, valence in enumerate(valences):
         entries[i][i][0], entries[i][i][2 * order] = 1, valence - 1
     det = ring_determinant(
-        sparse_rows(entries),
-        truncated_convolution(order, width),
-        truncated_unit_inverse(order),
-        order * width,
+        sparse_rows(entries), truncated_convolution(order, width), truncated_ring(order, width)
     )
     coeffs = [det[d * order : (d + 1) * order] for d in range(width)]
     while len(coeffs) > 1 and not any(coeffs[-1]):

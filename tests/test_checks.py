@@ -24,7 +24,8 @@ README = pathlib.Path(__file__).parent.parent / "README.md"
 # or it drops that core, which the Laplacian never leaves empty.  Each
 # defines the attribute it replaces (``module``, ``name``) and its
 # replacement (``corrupted``); both are names in ``zeta``, which
-# ``eta_at_one`` looks up when it runs.
+# ``eta_at_one`` looks up when it runs.  ``zeta.unit_pivots`` is zeta's own
+# name for the kernel, which ``snf.cokernel`` does not read.
 SABOTAGES = {
     "substitution": """
 import coverzeta.zeta as module
@@ -51,12 +52,12 @@ def corrupted(core, product):
     "core": """
 import coverzeta.zeta as module
 
-name = "ring_unit_pivots"
-real = module.ring_unit_pivots
+name = "unit_pivots"
+real = module.unit_pivots
 
-def corrupted(rows, inverse, product, size):
-    scale, core = real(rows, inverse, product, size)
-    return scale, []
+def corrupted(rows, ring):
+    scale, ids, core, ops = real(rows, ring)
+    return scale, ids, [], ops
 """,
 }
 
@@ -159,39 +160,40 @@ def corrupted(graph):
     return rows
 """
 
-# Each corrupts what phase 1 of the Pic0 elimination (``snf._unit_pivots``)
-# hands on, for the base graph and the cover alike.  Doubling the first row of
-# the dense core doubles det L0, so the cokernel taken modulo it is larger
-# than coker L0 and no coordinate forms of it kill L0; negating the sign of
-# the pivot permutation makes det L0 negative.
+# Each corrupts what phase 1 of the Pic0 elimination (``snf.unit_pivots``,
+# the name ``snf.cokernel`` looks up) hands on, for the base graph and the
+# cover alike.  Doubling the first row of the dense core doubles det L0, so
+# the cokernel taken modulo it is larger than coker L0 and no coordinate
+# forms of it kill L0; negating the sign of the pivot permutation makes
+# det L0 negative.
 CORE_SABOTAGES = {
     "snf.cokernel_relations": """
 import coverzeta.snf as module
 
-name = "_unit_pivots"
-real = module._unit_pivots
+name = "unit_pivots"
+real = module.unit_pivots
 
-def corrupted(a):
-    unit, ids, core, ops = real(a)
+def corrupted(a, ring):
+    unit, ids, core, ops = real(a, ring)
     core[:1] = [[2 * x for x in row] for row in core[:1]]
     return unit, ids, core, ops
 """,
     "picard.tree_count": """
 import coverzeta.snf as module
 
-name = "_unit_pivots"
-real = module._unit_pivots
+name = "unit_pivots"
+real = module.unit_pivots
 
-def corrupted(a):
-    unit, ids, core, ops = real(a)
+def corrupted(a, ring):
+    unit, ids, core, ops = real(a, ring)
     return -unit, ids, core, ops
 """,
 }
 
 
-# Each corrupts the scale that the unit-pivot kernel hands on, which both
-# routes of eta(1) share, so they agree.  ``eta_at_one`` looks the kernel up
-# in ``zeta``, its only caller in the package.
+# Each corrupts the scale that the unit-pivot kernel hands to eta(1), which
+# both of its routes share, so they agree.  ``eta_at_one`` looks the kernel
+# up as ``zeta.unit_pivots``, which Pic0 does not read.
 #
 # Negating it negates eta(1).  The norm N_d of -eta(1) is (-1)^phi(d) N_d,
 # and phi(d) over the divisors d > 1 of p - 1 sums to p - 2, which is odd:
@@ -200,12 +202,12 @@ def corrupted(a):
 SCALE_SABOTAGE = """
 import coverzeta.zeta as module
 
-name = "ring_unit_pivots"
-real = module.ring_unit_pivots
+name = "unit_pivots"
+real = module.unit_pivots
 
-def corrupted(rows, inverse, product, size):
-    scale, core = real(rows, inverse, product, size)
-    return [-x for x in scale], core
+def corrupted(rows, ring):
+    scale, ids, core, ops = real(rows, ring)
+    return ring.neg(scale), ids, core, ops
 """
 
 # Multiplying it by g^2, as a doubled pivot +-g^k would, multiplies eta(1) by
@@ -216,14 +218,88 @@ def corrupted(rows, inverse, product, size):
 UNIT_SABOTAGE = """
 import coverzeta.zeta as module
 
-name = "ring_unit_pivots"
-real = module.ring_unit_pivots
+name = "unit_pivots"
+real = module.unit_pivots
 
-def corrupted(rows, inverse, product, size):
-    scale, core = real(rows, inverse, product, size)
-    return scale[-2:] + scale[:-2], core
+def corrupted(rows, ring):
+    scale, ids, core, ops = real(rows, ring)
+    return scale[-2:] + scale[:-2], ids, core, ops
 """
 
+
+def _kernel_mutation(old, new):
+    """A sabotage that installs the unit-pivot kernel with the line ``old`` of
+    its source replaced by ``new``, under both names that look it up."""
+    return f"""
+import inspect
+import coverzeta.snf as snf
+import coverzeta.zeta as zeta
+
+source = inspect.getsource(snf.unit_pivots)
+if {old!r} not in source:
+    raise LookupError({old!r})
+namespace = dict(vars(snf))
+exec(source.replace({old!r}, {new!r}), namespace)
+corrupted = namespace["unit_pivots"]
+targets = [(snf, "unit_pivots"), (zeta, "unit_pivots")]
+"""
+
+
+# Each puts one fault into the one unit-pivot kernel where both of its
+# callers see it: Pic0, the cokernel of L0 over Z, and eta(1) over Z[G].  It
+# goes through ``snf._matching``, which the kernel looks up in ``snf``, or it
+# replaces the kernel under both names that the callers look up (``targets``).
+KERNEL_FAULTS = {
+    # The matching's sign negated: det L0 < 0, and Pic0 is computed first.
+    "negated_scale": """
+import coverzeta.snf as module
+
+name = "_matching"
+real = module._matching
+
+def corrupted(match, n):
+    sign, ids, free = real(match, n)
+    return -sign, ids, free
+""",
+    # The first pivot multiplied into the scale twice, so the scale is off
+    # by that pivot: by -1 over Z, which negates det L0, and by a unit +-g^k
+    # other than 1 over Z[G], which moves eta(1) off the evaluated Laplacians.
+    "doubled_pivot": _kernel_mutation(
+        "scale = fma(zero, scale, pivot)",
+        "scale = fma(zero, scale if match else fma(zero, scale, pivot), pivot)",
+    ),
+    # The core dropped, with its rows: det L0 = +-1 and Pic0 = 0, or eta(1)
+    # with no core left.
+    "dropped_core": """
+import coverzeta.snf as snf
+import coverzeta.zeta as zeta
+
+real = snf.unit_pivots
+
+def corrupted(a, ring):
+    scale, ids, core, ops = real(a, ring)
+    return scale, [], [], ops
+
+targets = [(snf, "unit_pivots"), (zeta, "unit_pivots")]
+""",
+    # Each row step recorded with the multiplier's sign lost, row_i += m row_r
+    # in place of row_i -= m row_r, so the replay that carries Pic0's forms
+    # back to L0 is wrong; eta(1) reads no step.
+    "op_multiplier": _kernel_mutation("ops.append((i, r, neg(m)))", "ops.append((i, r, m))"),
+}
+
+# A leaf on a vertex with two loops at p = 17.  Over Z the cover's first
+# pivot is 1, so a doubled first pivot leaves Pic0 as it is; over Z[G] it is
+# -g^15, whose norms multiply to 1, so only the L-value routes see it.
+LEAF_SPEC = {
+    "p": 17,
+    "vertices": ["v0", "v1"],
+    "edges": [
+        {"from": "v0", "to": "v1", "voltage": 3},
+        {"from": "v0", "to": "v0", "voltage": 6},
+        {"from": "v0", "to": "v0", "voltage": 6},
+    ],
+}
 
 # Adds 1 to the determinant of every evaluated Laplacian, the second route of
 # each L-value, so that it disagrees with chi(eta(1)) at the first character
@@ -348,10 +424,8 @@ def test_failed_check_exits_4_with_its_name(tmp_path, monkeypatch, capsys):
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
     for case, sabotage in SABOTAGES.items():
-        namespace = {}
-        exec(sabotage, namespace)
         with monkeypatch.context() as m:
-            m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+            _install(sabotage, m)
             assert main(["analyze", "example3"]) == 4, case
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -371,16 +445,24 @@ def test_fixed_point_check_runs_when_C_is_large(tmp_path, monkeypatch, capsys):
     spec.write_text(json.dumps({"p": 3, "vertices": ["c", *leaves], "edges": edges}))
     cover = derive(load_spec(str(spec)))
     assert len(PicardModule(cover).deck) == 14
-    namespace = {}
-    exec(DECK_SABOTAGE, namespace)
     with monkeypatch.context() as m:
-        m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+        _install(DECK_SABOTAGE, m)
         with pytest.raises(VerificationError) as exc:
             build_report(cover)
     assert exc.value.check == "picard.fixed_point_sweep"
     _assert_sabotage_exits_4(
         DECK_SABOTAGE, str(spec), "picard.fixed_point_sweep", monkeypatch, capsys
     )
+
+
+def _install(sabotage, m):
+    """Run a sabotage's source and install its ``corrupted`` with the
+    monkeypatch context m under each (module, name) its ``targets`` lists,
+    or else under its one ``module`` and ``name``."""
+    namespace = {}
+    exec(sabotage, namespace)
+    for module, name in namespace.get("targets") or [(namespace["module"], namespace["name"])]:
+        m.setattr(module, name, namespace["corrupted"])
 
 
 def _run_optimized(*args):
@@ -392,12 +474,19 @@ def _run_optimized(*args):
     )
 
 
+def _run_sabotaged_optimized(sabotage, argv):
+    """Run the CLI on argv in a fresh interpreter under -O, with the sabotage
+    installed as ``_install`` installs it; the script exits 99 without -O."""
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
+    script += "for module, name in globals().get('targets') or [(module, name)]:\n"
+    script += "    setattr(module, name, corrupted)\n"
+    script += f"from coverzeta.cli import main\nsys.exit(main({argv!r}))\n"
+    return _run_optimized("-c", script)
+
+
 def test_checks_survive_python_O():
     for sabotage in SABOTAGES.values():
-        script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
-        script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
-        script += "sys.exit(main(['analyze', 'example3']))\n"
-        sabotaged = _run_optimized("-c", script)
+        sabotaged = _run_sabotaged_optimized(sabotage, ["analyze", "example3"])
         assert sabotaged.returncode == 4, sabotaged.stderr
         assert "error: check zeta.eta_routes failed:" in sabotaged.stderr
     for name in BUNDLED:
@@ -424,16 +513,11 @@ def _assert_sabotage_exits_4(sabotage, example, check, monkeypatch, capsys):
     """Install a sabotage and require exit 4 naming the check, in process and
     under -O."""
     monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
-    namespace = {}
-    exec(sabotage, namespace)
     with monkeypatch.context() as m:
-        m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+        _install(sabotage, m)
         assert main(["analyze", example]) == 4
     assert f"error: check {check} failed:" in capsys.readouterr().err
-    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
-    script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
-    script += f"sys.exit(main(['analyze', '{example}']))\n"
-    sabotaged = _run_optimized("-c", script)
+    sabotaged = _run_sabotaged_optimized(sabotage, ["analyze", example])
     assert sabotaged.returncode == 4, sabotaged.stderr
     assert f"error: check {check} failed:" in sabotaged.stderr
 
@@ -500,6 +584,45 @@ def test_phase_1_faults_exit_4(check, monkeypatch, capsys):
     _assert_sabotage_exits_4(CORE_SABOTAGES[check], "example2", check, monkeypatch, capsys)
 
 
+@pytest.mark.parametrize("example", sorted(BUNDLED))
+def test_kernel_negated_scale_exits_4(example, monkeypatch, capsys):
+    _assert_sabotage_exits_4(
+        KERNEL_FAULTS["negated_scale"], example, "picard.tree_count", monkeypatch, capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "example, check", [("example1", "picard.tree_count"), ("leaf", "zeta.l_routes")]
+)
+def test_kernel_doubled_pivot_exits_4(example, check, tmp_path, monkeypatch, capsys):
+    if example == "leaf":
+        example = str(tmp_path / "leaf.json")
+        pathlib.Path(example).write_text(json.dumps(LEAF_SPEC))
+    _assert_sabotage_exits_4(KERNEL_FAULTS["doubled_pivot"], example, check, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize(
+    "example, check",
+    [
+        ("example1", "zeta.eta_routes"),
+        ("example2", "picard.tree_count"),
+        ("example3", "picard.quotient_dimension"),
+        ("example4", "picard.tree_count"),
+    ],
+)
+def test_kernel_dropped_core_exits_4(example, check, monkeypatch, capsys):
+    # Which check fires first depends on the cover: det L0 = -1, or Pic0 = 0
+    # beside a nonzero C read from L0 mod p, or eta(1) with no core.
+    _assert_sabotage_exits_4(KERNEL_FAULTS["dropped_core"], example, check, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("example", sorted(BUNDLED))
+def test_kernel_op_multiplier_exits_4(example, monkeypatch, capsys):
+    _assert_sabotage_exits_4(
+        KERNEL_FAULTS["op_multiplier"], example, "snf.cokernel_relations", monkeypatch, capsys
+    )
+
+
 def test_diagonal_sort_fault_exits_4(monkeypatch, capsys):
     import coverzeta.snf as snf
 
@@ -530,17 +653,12 @@ def _assert_census_sabotage_exits_4(
     if budget is not None:
         assert main(argv + ["--budget", str(budget)]) == 0
         written = out.read_bytes()
-    namespace = {}
-    exec(sabotage, namespace)
     with monkeypatch.context() as m:
-        m.setattr(namespace["module"], namespace["name"], namespace["corrupted"])
+        _install(sabotage, m)
         assert main(argv) == 4
     assert f"error: check {check} failed:" in capsys.readouterr().err
     out.write_bytes(written)
-    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n" + sabotage
-    script += "setattr(module, name, corrupted)\nfrom coverzeta.cli import main\n"
-    script += f"sys.exit(main({argv!r}))\n"
-    sabotaged = _run_optimized("-c", script)
+    sabotaged = _run_sabotaged_optimized(sabotage, argv)
     assert sabotaged.returncode == 4, sabotaged.stderr
     assert f"error: check {check} failed:" in sabotaged.stderr
 

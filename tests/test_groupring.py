@@ -19,7 +19,8 @@ from coverzeta import (
     GroupRingElement,
 )
 from coverzeta.arith import multiplicative_order
-from coverzeta.groupring import convolution, ring_unit_pivots, unit_inverse
+from coverzeta.groupring import convolution
+from coverzeta.snf import unit_pivots
 from coverzeta.padic import PrecisionExhausted
 from coverzeta.zeta import _substitution_determinant, equivariant_laplacian, eta_at_one
 from reference import (
@@ -39,7 +40,7 @@ from reference import (
     ring_zero,
     sparse_rows,
     truncated_convolution,
-    truncated_unit_inverse,
+    truncated_ring,
     zp_characters,
 )
 
@@ -484,8 +485,8 @@ def test_berkowitz_matches_leibniz_over_polynomials_in_u(n):
         flats = [[flat(e) for e in row] for row in entries]
         det = groupring.berkowitz(flats, truncated_convolution(4, width))
         assert det == flat(_leibniz(entries, _Poly([ring_zero(G5)])))
-        product, inverse = truncated_convolution(4, width), truncated_unit_inverse(4)
-        assert ring_determinant(sparse_rows(flats), product, inverse, 4 * width) == det
+        product, ring = truncated_convolution(4, width), truncated_ring(4, width)
+        assert ring_determinant(sparse_rows(flats), product, ring) == det
         if tight:
             assert sorted(det[-4:]) == [0, 0, 0, 1]
 
@@ -513,14 +514,14 @@ def test_substitution_route_matches_berkowitz(p, n):
     for spread in (1, 4, 50):
         m = _random_matrix(rng, group, n, spread)
         assert _substitution_determinant(_coeffs(m), group) == _det(group, m)
-        _, core = ring_unit_pivots(sparse_rows(_coeffs(m)), unit_inverse, group.product, group.order)
+        _, _, core, _ = unit_pivots(sparse_rows(_coeffs(m)), group.ring)
         if core:
             det = GroupRingElement(group, groupring.berkowitz(core, group.product))
             assert _substitution_determinant(core, group) == det
         one_by_one = [[_random_entry(rng, group, spread)]]
         assert _substitution_determinant(_coeffs(one_by_one), group) == one_by_one[0][0]
         no_unit = [[ring_mul(x, rng.choice([delta, 2])) for x in row] for row in m]
-        assert not any(unit_inverse(x) for row in _coeffs(no_unit) for x in row)
+        assert not any(group.ring.inverse(x) for row in _coeffs(no_unit) for x in row)
         assert _substitution_determinant(_coeffs(no_unit), group) == _det(group, no_unit)
 
 
@@ -578,7 +579,7 @@ def test_substitution_route_with_every_coefficient_negative(p):
 
 def _pivoted(group, entries):
     """The determinant by unit pivots and Berkowitz on the core, as an element."""
-    det = ring_determinant(sparse_rows(_coeffs(entries)), group.product, unit_inverse, group.order)
+    det = ring_determinant(sparse_rows(_coeffs(entries)), group.product, group.ring)
     return GroupRingElement(group, det)
 
 
@@ -647,22 +648,21 @@ def test_zero_rows_give_a_zero_of_the_ring_length():
     # A row that stores nothing, or only zeros, has no element to read the
     # length off: the determinant is the zero of Z[G], of length 4 at p = 5.
     for rows in ([{}], [{0: (0, 0, 0, 0)}], [{}, {1: (1, 0, 0, 0)}], [{0: (0, 0, 0, 0)}, {}]):
-        assert ring_determinant(rows, G5.product, unit_inverse, 4) == (0, 0, 0, 0)
+        assert ring_determinant(rows, G5.product, G5.ring) == (0, 0, 0, 0)
     # Over Z[G][u]/(u^3) the length is 4 * 3, whatever the rows store.
-    product, inverse = truncated_convolution(4, 3), truncated_unit_inverse(4)
-    assert ring_determinant([{}], product, inverse, 12) == (0,) * 12
+    assert ring_determinant([{}], truncated_convolution(4, 3), truncated_ring(4, 3)) == (0,) * 12
     one = (1, 0, 0, 0)
-    assert ring_determinant([{0: one}, {1: one}], G5.product, unit_inverse, 4) == one
+    assert ring_determinant([{0: one}, {1: one}], G5.product, G5.ring) == one
 
 
 def test_unit_inverse_recognises_signed_group_elements():
-    inverse = unit_inverse
-    assert inverse((0, 0, 0, -1)) == [0, -1, 0, 0]
-    assert inverse((1, 0, 0, 0)) == [1, 0, 0, 0]
+    inverse = G5.ring.inverse
+    assert inverse((0, 0, 0, -1)) == (0, -1, 0, 0)
+    assert inverse((1, 0, 0, 0)) == (1, 0, 0, 0)
     # 2 g, 1 - g and 0 are no units; in Z[G][u]/(u^2) neither is u g.
     assert [inverse(x) for x in ((0, 2, 0, 0), (1, -1, 0, 0), (0, 0, 0, 0))] == [None] * 3
-    assert truncated_unit_inverse(4)((0,) * 4 + (0, 1, 0, 0)) is None
-    assert truncated_unit_inverse(4)((0, 0, 1, 0) + (0,) * 4) == [0, 0, 1, 0] + [0] * 4
+    assert truncated_ring(4, 2).inverse((0,) * 4 + (0, 1, 0, 0)) is None
+    assert truncated_ring(4, 2).inverse((0, 0, 1, 0) + (0,) * 4) == (0, 0, 1, 0) + (0,) * 4
 
 
 def test_wide_base_core_is_small(monkeypatch):

@@ -173,7 +173,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "equivariant_laplacian": (hb, zeta),
         "PicardModule": (hb, picard),
         "picard_factors": (hb, picard),
-        "ring_unit_pivots": (groupring, zeta),
+        "unit_pivots": (zeta,),
         "berkowitz": (groupring, zeta),
     }
     calls = dict.fromkeys(targets, 0)
@@ -238,7 +238,7 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "equivariant_laplacian": 1,
         "PicardModule": 1,
         "picard_factors": 1,
-        "ring_unit_pivots": 1,
+        "unit_pivots": 1,
         "berkowitz": 1,
     }
     assert not hasattr(zeta, "eta_polynomial")

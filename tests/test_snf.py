@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import bench_inputs, random_connected_cover
 from coverzeta import (
+    CyclicGroup,
     VerificationError,
     bundled_spec,
     derive,
@@ -20,9 +21,10 @@ from coverzeta.snf import (
     _eliminate,
     _replay,
     _sort_diagonal,
-    _unit_pivots,
+    INTEGERS,
     cokernel,
     det_mod,
+    unit_pivots,
 )
 from reference import cycle_graph, laplacian_matrix, smith_normal_form
 
@@ -384,7 +386,7 @@ def test_cokernel_mod_phase_1_clears_a_unimodular_matrix(monkeypatch):
     assert integer_determinant(a) == -1
     searched = []
     monkeypatch.setattr(snf, "gcd", counting(searched, snf.gcd))
-    unit, ids, core, ops = _unit_pivots(rows(a))
+    unit, ids, core, ops = unit_pivots(rows(a), INTEGERS)
     assert (unit, ids, core) == (-1, [], [])
     assert ops == [(1, 0, 2), (2, 0, -3), (2, 1, 1), (3, 1, 4), (3, 2, -2)]
     assert cokernel(rows(a)) == (-1, snf.Cokernel((), (), ()))
@@ -402,7 +404,7 @@ def test_cokernel_mod_without_unit_entries(a):
     pushed = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(snf, "heappush", counting(pushed, snf.heappush))
-        assert _unit_pivots(rows(a))[1:3] == (list(range(len(a))), a)
+        assert unit_pivots(rows(a), INTEGERS)[1:3] == (list(range(len(a))), a)
         assert cokernel(rows(a))[1].factors == dense_factors(a)
     assert pushed == []
 
@@ -414,7 +416,7 @@ def test_cokernel_mod_core_needs_bezout_steps(monkeypatch):
     a = [[1, 1, 1], [4, 2, 4], [3, 6, 6]]
     assert integer_determinant(a) == -6
     monkeypatch.setattr(snf, "gcd", reduced_gcd(6))
-    unit, ids, core, ops = _unit_pivots(rows(a))
+    unit, ids, core, ops = unit_pivots(rows(a), INTEGERS)
     assert (unit, ids, core, ops) == (1, [1, 2], [[-2, 0], [3, 3]], [(1, 0, 4), (2, 0, 3)])
     _, pivots = _eliminate(core, 6, ids, ops)
     assert any(len(op) == 6 for op in ops[2:])
@@ -423,6 +425,27 @@ def test_cokernel_mod_core_needs_bezout_steps(monkeypatch):
     assert det == -6
     assert coker.factors == (6,) == dense_factors(a)
 
+
+@settings(max_examples=200, deadline=None)
+@given(unit_seeded(), st.sampled_from([3, 5, 7]))
+def test_unit_pivots_take_one_path_over_every_ring(a, p):
+    # The kernel has no path of its own for a ring: an integer matrix over Z,
+    # and the same matrix as constants c * 1 over Z[G], whose units among
+    # them are +-1 as over Z, take the same pivots and steps.
+    ring = CyclicGroup.for_prime(p).ring
+
+    def embed(c):
+        return (c,) + ring.zero[1:]
+
+    scale, ids, core, ops = unit_pivots([dict(enumerate(row)) for row in a], INTEGERS)
+    embedded = unit_pivots([{j: embed(x) for j, x in enumerate(row)} for row in a], ring)
+    assert embedded == (
+        embed(scale),
+        ids,
+        [[embed(x) for x in row] for row in core],
+        [(i, r, embed(m)) for i, r, m in ops],
+    )
+    assert scale * integer_determinant(core) == integer_determinant(a)
 
 @st.composite
 def moduli(draw):
@@ -609,7 +632,7 @@ def test_eliminate_matches_the_full_pivot_search_on_a_cover_core(monkeypatch):
     # factors, so few core entries are units modulo kappa.
     doc = bench_inputs().random_cover(random.Random(0), 101, 3, 3)
     reduced = _reduced(derive(spec_from_dict(doc)).total.laplacian_rows())
-    unit, ids, core, _ = _unit_pivots(reduced)
+    unit, ids, core, _ = unit_pivots(reduced, INTEGERS)
     kappa = abs(unit * integer_determinant(core))
     searched, real = Counter(), gcd
 
