@@ -30,18 +30,6 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n (n != 0)."""
-    if n == 0:
-        raise ValueError("p_part of 0 is undefined")
-    n = abs(n)
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
-
-
 def p_valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
@@ -51,6 +39,11 @@ def p_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def p_part(n: int, p: int) -> int:
+    """Largest power of p dividing n; ValueError for n = 0."""
+    return p ** p_valuation(n, p)
 
 
 def multiplicative_order(a: int, p: int) -> int:

@@ -2,12 +2,14 @@
 
 Subcommands: ``analyze`` a cover spec and emit a verification report,
 ``dot`` render base and cover, ``census`` sweep all assignments on a base,
-``examples`` list the bundled fixtures.  Exit codes: 0 success, 2 parse
-error (including a disconnected base graph, a precision below 1, a census
-prime that is not an odd prime, a negative census budget, an output file
-that cannot be written and a census file to resume that is not a census), 3
-disconnected cover, 4 verification failure: a FAIL verdict, or an internal
-cross-check that raised ``VerificationError``.
+``examples`` list the bundled fixtures.  A report takes its L-values at one
+p-adic precision, by default the p-valuation of #Pic0 plus two; ``--precision
+N`` sets it to N, or to that valuation plus one if N is lower.  Exit codes: 0
+success, 2 parse error (including a disconnected base graph, a precision
+below 1, a census prime that is not an odd prime, a negative census budget,
+an output file that cannot be written and a census file to resume that is
+not a census), 3 disconnected cover, 4 verification failure: a FAIL verdict,
+or an internal cross-check that raised ``VerificationError``.
 """
 
 from __future__ import annotations
@@ -36,30 +38,6 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_VERIFICATION = 4
 
-PRECISION_ENV = "HERBRAND_PRECISION"
-
-
-def _resolve_precision(value: int | None) -> int | None:
-    """The --precision flag, else HERBRAND_PRECISION, else None (default rule).
-
-    A non-integer environment value is ignored with a warning; a value below
-    1 from either source raises ValueError.
-    """
-    source = "--precision"
-    if value is None:
-        env = os.environ.get(PRECISION_ENV)
-        if not env:
-            return None
-        try:
-            value = int(env)
-        except ValueError:
-            print(f"warning: ignoring non-integer {PRECISION_ENV}={env!r}", file=sys.stderr)
-            return None
-        source = PRECISION_ENV
-    if value < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value}")
-    return value
-
 
 def _derive(spec):
     """The derived cover, or None after an error line if the base is disconnected."""
@@ -72,7 +50,8 @@ def _derive(spec):
 
 def cmd_analyze(args) -> int:
     try:
-        precision = _resolve_precision(args.precision)
+        if args.precision is not None and args.precision < 1:
+            raise ValueError(f"--precision must be a positive integer, got {args.precision}")
         spec = load_spec(args.spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -85,7 +64,7 @@ def cmd_analyze(args) -> int:
     except DisconnectedCover as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    report = build_report(cover, precision=precision)
+    report = build_report(cover, precision=args.precision)
     if args.table:
         print(report.format_table())
     if args.dot:
@@ -180,7 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--table", action="store_true", help="print the character table")
     pa.add_argument("--dot", action="store_true", help="also print DOT drawings")
     pa.add_argument("--out", help="write the JSON report here instead of stdout")
-    pa.add_argument("--precision", type=int, help="working p-adic precision override")
+    pa.add_argument(
+        "--precision",
+        type=int,
+        help="p-adic precision of the L-values; a value below the p-valuation "
+        "of #Pic0 plus one is raised to it",
+    )
     pa.set_defaults(func=cmd_analyze)
 
     pd = sub.add_parser("dot", help="render base and derived cover as DOT")

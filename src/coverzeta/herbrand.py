@@ -24,8 +24,6 @@ from .picard import PicardModule, picard_factors
 from .voltage import DerivedCover, require_connected_cover
 from .zeta import duality_check, equivariant_laplacian, eta_at_one, l_value, orbit_norms
 
-RETRY_DOUBLINGS = 4
-
 PASS = "PASS"
 FAIL = "FAIL"
 
@@ -40,19 +38,19 @@ class Verdict:
 
 
 def default_precision(pm: PicardModule) -> int:
-    """Working p-adic precision: valuation of the group order plus two.
+    """Working p-adic precision: the p-valuation of #Pic0 plus two.
 
-    Eigenspace orders divide the p-part of the Picard group, so on valid
-    inputs every L-value valuation stays strictly below this precision and
-    an exhaustion signals a bug rather than a tight margin.
+    The class-number check bounds every nontrivial L-value's valuation by
+    the p-valuation of #Pic0, so one less than this already suffices and a
+    value that vanishes at it signals a bug rather than a tight margin.
     """
-    return p_valuation(pm.order, pm.p) + 2 if pm.order % pm.p == 0 else 2
+    return p_valuation(pm.order, pm.p) + 2
 
 
 @dataclass(frozen=True)
 class CharacterRow:
-    """A character's row; ``h`` is its L-value at the last precision tried,
-    whose ``valuation`` is None when it vanished at every precision."""
+    """A character's row; ``h`` is its L-value at the report's precision,
+    whose ``valuation`` is None when it vanished there."""
 
     i: int
     dim_C: int
@@ -110,8 +108,10 @@ class CoverAnalysis:
         self.eta1 = eta_at_one(cover, self.lap)
         self.orbit_norms = orbit_norms(self.eta1)
         self._check_class_number()
-        self.precision = precision if precision is not None else default_precision(self.pic)
-        self.precision = max(self.precision, *self.pic.exponents, 1)
+        # The class-number check bounds every L-value's valuation by that of
+        # #Pic0, so a requested precision is raised to one more than that.
+        k = default_precision(self.pic)
+        self.precision = k if precision is None else max(precision, k - 1)
 
     def _check_class_number(self) -> None:
         """Check (p - 1) #Pic0(Y) = kappa(X) prod of N_d over d | p - 1, d > 1.
@@ -131,19 +131,14 @@ class CoverAnalysis:
     def character_row(self, i: int) -> CharacterRow:
         """The i-th character's row.  Its layer ranks (eigenspaces of the deck
         generator on the layers of A) give its order of A and its dimension of
-        C; its L-value is taken at the working precision, doubled up to
-        ``RETRY_DOUBLINGS`` times while the value vanishes."""
+        C; its L-value is taken once, at the report's precision."""
         p = self.p
         lam = pow(self.group.generator, i, p)  # chi(g) mod p
         ranks = self.pic.layer_ranks(lam)
         dim = self.pic.dim_C(lam, ranks)
         order = p ** sum(ranks)
-        for k in range(RETRY_DOUBLINGS + 1):
-            lifted = Character(self.group, i, self.precision << k)
-            value = l_value(lifted, self.eta1, self.lap)
-            if value:
-                break
-        h = PAdicInt(p, lifted.precision, value)
+        value = l_value(Character(self.group, i, self.precision), self.eta1, self.lap)
+        h = PAdicInt(p, self.precision, value)
         val = None if h.is_zero() else h.valuation()
         h_mod_p = h.value % p  # the Teichmuller lift reduces to the F_p character
         if (dim > 0) == (h_mod_p == 0):
@@ -151,8 +146,7 @@ class CoverAnalysis:
         else:
             main11 = Verdict(FAIL, f"dim = {dim} inconsistent with h = {h_mod_p}")
         if val is None:
-            reason = f"L-value vanished mod {p}^{h.precision} after retries; order side is {order}"
-            main22 = Verdict(FAIL, reason)
+            main22 = Verdict(FAIL, f"L-value vanished mod {p}^{h.precision}; order side is {order}")
         elif p**val == order:
             main22 = Verdict(PASS, f"#component = {order} = p^{val}")
         else:

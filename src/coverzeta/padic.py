@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import VerificationError, is_odd_prime
+from .arith import VerificationError, is_odd_prime, p_valuation
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -41,11 +41,7 @@ class PAdicInt:
             raise PrecisionExhausted(
                 f"value is 0 mod {self.p}^{self.precision}; recompute at higher precision"
             )
-        v, x = 0, self.value
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        return p_valuation(self.value, self.p)
 
     def digits(self) -> tuple[int, ...]:
         """Base-p digits c_0, ..., c_{N-1} with value = sum c_k p^k."""

@@ -24,20 +24,23 @@ class SerreGraph:
         edge_pairs: Sequence[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
     ):
-        if num_vertices < 0:
-            raise ValueError("negative vertex count")
+        # Vertices are ints: int() would truncate 1.5 and turn True into 1.
+        if type(num_vertices) is not int or num_vertices < 0:
+            raise ValueError(f"vertex count {num_vertices!r} is not a non-negative integer")
         pairs = []
         for u, v in edge_pairs:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an end that is not an integer")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge ({u}, {v}) references a missing vertex")
-            pairs.append((int(u), int(v)))
+            pairs.append((u, v))
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != num_vertices:
                 raise ValueError("label count does not match vertex count")
             if len(set(labels)) != len(labels):
                 raise ValueError("vertex labels must be unique")
-        self._n = int(num_vertices)
+        self._n = num_vertices
         self._pairs = tuple(pairs)
         self._labels = labels
         self._connected: Optional[bool] = None

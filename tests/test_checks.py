@@ -420,7 +420,6 @@ def test_readme_documents_every_check():
 
 
 def test_failed_check_exits_4_with_its_name(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
     for case, sabotage in SABOTAGES.items():
@@ -468,7 +467,6 @@ def _install(sabotage, m):
 def _run_optimized(*args):
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    env.pop("HERBRAND_PRECISION", None)
     return subprocess.run(
         [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120
     )
@@ -499,7 +497,6 @@ def test_checks_survive_python_O():
 def test_certificate_checks_exit_4(check, monkeypatch, capsys):
     import coverzeta.snf as snf
 
-    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     real = snf.Cokernel
     corrupt = CERTIFICATE_SABOTAGES[check]
     monkeypatch.setattr(snf, "Cokernel", lambda *parts: real(*corrupt(*parts)))
@@ -512,7 +509,6 @@ def test_certificate_checks_exit_4(check, monkeypatch, capsys):
 def _assert_sabotage_exits_4(sabotage, example, check, monkeypatch, capsys):
     """Install a sabotage and require exit 4 naming the check, in process and
     under -O."""
-    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     with monkeypatch.context() as m:
         _install(sabotage, m)
         assert main(["analyze", example]) == 4
@@ -644,7 +640,6 @@ def _assert_census_sabotage_exits_4(
     p to exit 4 naming the check, in process and under -O.  With a budget,
     an unsabotaged run first writes that many rows, which the sabotaged
     runs resume from."""
-    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}))
     out = tmp_path / "census.ndjson"

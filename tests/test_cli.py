@@ -112,41 +112,27 @@ def test_analyze_verification_failure_exit_code(tmp_path, monkeypatch):
     assert main(["analyze", "example1", "--out", str(out)]) == 4
 
 
-def test_analyze_precision_flag_and_env(tmp_path, monkeypatch, capsys):
+def test_analyze_precision_flag_and_env(tmp_path, monkeypatch):
+    # The flag is the one way to set the precision: the environment is not read.
     out = tmp_path / "r.json"
+    monkeypatch.setenv("HERBRAND_PRECISION", "6")
     assert main(["analyze", "example2", "--out", str(out), "--precision", "7"]) == 0
     assert json.loads(out.read_text())["precision"] == 7
-    monkeypatch.setenv("HERBRAND_PRECISION", "6")
-    assert main(["analyze", "example2", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["precision"] == 6
-    monkeypatch.setenv("HERBRAND_PRECISION", "junk")
     assert main(["analyze", "example2", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["precision"] == 3
-    assert "ignoring" in capsys.readouterr().err
+    # A request below the p-valuation of #Pic0 plus one is raised to it.
+    assert main(["analyze", "example3", "--out", str(out), "--precision", "1"]) == 0
+    assert json.loads(out.read_text())["precision"] == 5
 
 
-def test_analyze_rejects_nonpositive_precision_flag(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
+def test_analyze_rejects_nonpositive_precision_flag(tmp_path, capsys):
     out = tmp_path / "r.json"
     for value in ("-3", "0"):
         assert main(["analyze", "example2", "--out", str(out), "--precision", value]) == 2
         assert f"--precision must be a positive integer, got {value}" in capsys.readouterr().err
     assert not out.exists()
-    # The flag wins over the environment, so a valid flag masks a bad variable.
-    monkeypatch.setenv("HERBRAND_PRECISION", "0")
     assert main(["analyze", "example2", "--out", str(out), "--precision", "4"]) == 0
     assert json.loads(out.read_text())["precision"] == 4
-
-
-def test_analyze_rejects_nonpositive_precision_env(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "r.json"
-    for value in ("0", "-2"):
-        monkeypatch.setenv("HERBRAND_PRECISION", value)
-        assert main(["analyze", "example2", "--out", str(out)]) == 2
-        assert f"HERBRAND_PRECISION must be a positive integer, got {value}" in (
-            capsys.readouterr().err
-        )
-    assert not out.exists()
 
 
 def test_dot_bundled_example(capsys):
@@ -574,13 +560,12 @@ def test_spec_round_trip(tmp_path):
     assert spec_from_dict(spec_to_dict(spec)).voltages == spec.voltages
 
 
-def test_repeated_main_calls_match_fresh_ones(tmp_path, capsys, monkeypatch):
+def test_repeated_main_calls_match_fresh_ones(tmp_path, capsys):
     # main builds its parser once per process; a parse error, then analyze,
     # then census must give the same outputs and exit codes with the kept
     # parser as with one built afresh for every call.
     from coverzeta.cli import build_parser
 
-    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     loops = {"vertices": ["v"], "edges": [{"from": "v", "to": "v"}] * 2}
     base = write(tmp_path, "base.json", loops)
     calls = [

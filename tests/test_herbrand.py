@@ -1,10 +1,12 @@
 import json
 import pathlib
+from math import prod
 
 import pytest
 
 import coverzeta.herbrand as hb
 from coverzeta import VoltageSpec, bouquet, build_report, bundled_spec, derive
+from coverzeta.arith import p_valuation
 from coverzeta.census import census_row
 from coverzeta.herbrand import PASS, default_precision
 from coverzeta.picard import PicardModule
@@ -96,11 +98,25 @@ def test_report_renders_padic_expansions(ex3_cover):
 
 
 def test_precision_retry_recovers(ex3_cover):
-    # Start below the valuation of the interesting L-values; the doubling
-    # retry must land on a sufficient precision and still pass everywhere.
+    # Ask for less than the valuation of the interesting L-values; the
+    # report raises it to one more than the p-valuation of #Pic0 and passes.
     report = build_report(ex3_cover, precision=1)
     assert report.all_ok
     assert [row["valuation"] for row in report.rows] == [2, 0, 0, 0, 0, 0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("precision", [None, 1, 2, 7])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+def test_every_l_value_is_at_the_report_precision(name, precision):
+    # One precision K per report, at least the p-valuation of #Pic0 plus
+    # one, which bounds every L-value's valuation from above.
+    report = build_report(derive(bundled_spec(name)), precision)
+    floor = p_valuation(prod(report.pic0), report.p) + 1
+    k = report.precision
+    assert k == (floor + 1 if precision is None else max(precision, floor))
+    assert all(row["h_padic"].endswith(f"O({report.p}^{k})") for row in report.rows)
+    assert all(row["valuation"] < floor for row in report.rows)
+    assert report.all_ok
 
 
 def test_nonpositive_precision_rejected(ex2_cover):
@@ -242,8 +258,9 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
         "berkowitz": 1,
     }
     assert not hasattr(zeta, "eta_polynomial")
-    assert len(l_keys) == len(set(l_keys))
-    assert not [key for key in l_keys if key[1] is None]
+    # One L-value per nontrivial character, all at the report's precision.
+    assert sorted(l_keys) == [(i, report.precision) for i in range(1, cover.p - 1)]
+    assert len(l_keys) == cover.p - 2
     # One cokernel, with its tree count, per graph: the cover's and the base's.
     assert sorted(cokernels) == [cover.base.num_vertices, cover.total.num_vertices]
     assert searched == [id(cover.total)]  # the base was searched by derive
@@ -348,7 +365,6 @@ def test_report_on_a_24_vertex_base():
     # A spanning tree on 24 vertices plus 3 edges at p = 5: far past what a
     # determinant over all column subsets could take.
     import random
-    from math import prod
 
     from conftest import dense_tree_count
     from coverzeta import SerreGraph
@@ -394,9 +410,9 @@ FAIL_CASES = {
         "coverzeta.herbrand.l_value",
         lambda: _scaled_l_value(hb.l_value, 0),
         {
-            "main22": "L-value vanished mod 11^96 after retries; order side is 1",
+            "main22": "L-value vanished mod 11^6; order side is 1",
             "main11": "dim = 0 inconsistent with h = 0",
-            "fitting": "character 1: L-value vanished mod p^96",
+            "fitting": "character 1: L-value vanished mod p^6",
             "dim_inequality": "dim C = 4 < 9",
         },
     ),
@@ -427,7 +443,6 @@ def test_fail_branches_name_their_reasons(case, tmp_path, monkeypatch, capsys):
     want = json.loads((GOLDENS / "example4_report.json").read_text())["global"]
     for name, reason in failures.items():
         want[name] = {"status": "FAIL", "reason": reason}
-    monkeypatch.delenv("HERBRAND_PRECISION", raising=False)
     monkeypatch.setattr(target, corrupted())
     report = build_report(derive(bundled_spec("example4")))
     assert not report.all_ok
@@ -457,8 +472,8 @@ def _covers_for_precision_test():
 
 
 def test_answer_does_not_depend_on_starting_precision():
-    # h_mod_p and the valuation are read from the L-value at the last retry
-    # precision; neither, nor any verdict, may depend on where the retries start.
+    # h_mod_p and the valuation are read from the L-value at the report's
+    # precision; neither, nor any verdict, may depend on the precision asked for.
     def answer(report):
         rows = [
             {k: row[k] for k in ("i", "dimC", "h_mod_p", "orderA", "valuation", "verdicts")}

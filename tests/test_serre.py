@@ -220,6 +220,13 @@ def test_constructor_validation():
         SerreGraph(2, [], labels=["a", "a"])
     with pytest.raises(ValueError):
         SerreGraph(2, [], labels=["a"])
+    # Non-integer vertex counts and ends are refused, not truncated.
+    for count in (2.7, 2.0, True):
+        with pytest.raises(ValueError, match="vertex count"):
+            SerreGraph(count, [])
+    for pair in ((0, 1.5), (True, 0), (0, 1.0), (0, "1")):
+        with pytest.raises(ValueError, match="not an integer"):
+            SerreGraph(2, [pair])
 
 
 def test_isolated_vertices_accepted():
