@@ -281,11 +281,9 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
         strict_dimension_inequality=strict,
     )
     if not report.all_ok:
-        n = cover.total.num_vertices
-        ones = [1] * (n - 1 - len(a.pic.factors))
-        laplacian = [[row.get(j, 0) for j in range(n)] for row in cover.total.laplacian_rows()]
+        ones = [1] * (cover.total.num_vertices - 1 - len(a.pic.factors))
         report.diagnostics = {
-            "laplacian": laplacian,
+            "laplacian": [sorted(map(list, row.items())) for row in cover.total.laplacian_rows()],
             "invariant_factors": [*ones, *a.pic.factors, 0],  # the Laplacian's Smith diagonal
             "precision": a.precision,
             "eta_at_one_coeffs": list(a.eta1.coeffs),

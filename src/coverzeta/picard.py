@@ -1,34 +1,29 @@
 """Degree-zero Picard groups of covers, with the deck generator acting on them.
 
 Pic0 of a connected graph is the cokernel of the reduced Laplacian L0 (last
-vertex deleted) in the basis e_v - e_last of the degree-zero divisors, read
-as sparse rows built once per graph.  One elimination (``snf.cokernel``),
-for base graphs and covers alike, gives its determinant kappa, the number of
-spanning trees, which must be positive as L0 is positive definite, and,
-modulo kappa, which kills the cokernel, its invariant factors and
-generators.  A deck transformation permutes vertices, hence acts on
-degree-zero divisors; reading the image of the deck generator g with the
-cokernel's coordinate forms gives g's matrix on Pic0, which determines the
-action of the cyclic deck group.  That group has order p - 1, prime to p,
-so g acts diagonalizably on each layer p^(j-1) A / p^j A of the p-primary
-part A, and e_chi is the projection onto its chi(g)-eigenspace there; the
-eigenspace dimensions, the layer ranks, give the order of e_chi A and, at
-j = 1, the dimension of e_chi C for the mod-p quotient C.  ``PicardModule``
-holds all of this for a cover, and also reads C independently, with no
-arithmetic shared with the elimination modulo kappa: g's matrix on C comes
-from a sparse echelon form mod p of the Laplacian's rows with Markowitz
-pivots (``ModPEchelon``), and its chi(g)-eigenspace must have dimension r_1.
+vertex deleted) in the basis e_v - e_last of the degree-zero divisors.  One
+``snf.cokernel`` gives its determinant kappa, the number of spanning trees,
+and its invariant factors and generators; reading the deck generator g's
+images with their coordinate forms gives g's matrix on Pic0.  The deck
+group has order p - 1, prime to p, so g acts diagonalizably on each layer
+p^(j-1) A / p^j A of the p-primary part A, and its chi(g)-eigenspaces, the
+layer ranks, give the order of e_chi A and, at j = 1, the dimension of
+e_chi C for C = Pic0 / p.  ``PicardModule`` also reads C with no arithmetic
+shared with the elimination modulo kappa: from the rows of Pic0's certified
+first phase over Z and ``snf.unit_pivots`` over F_p on its core; g's
+chi(g)-eigenspace there must have dimension r_1.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from functools import cached_property
 from math import prod
 
 from .arith import VerificationError, p_valuation
 from .groupring import CyclicGroup, GroupRingElement
 from .serre import SerreGraph
-from .snf import Cokernel, cokernel
+from .snf import INTEGERS, Cokernel, cokernel, prime_field, unit_pivots
 from .voltage import DerivedCover, require_connected_cover
 
 
@@ -38,11 +33,11 @@ def _reduced(lap: list[dict[int, int]]) -> list[dict[int, int]]:
     return [{j: x for j, x in row.items() if j != last} for row in lap[:-1]]
 
 
-def _pic0(reduced: list[dict[int, int]]) -> tuple[int, Cokernel]:
+def _pic0(reduced: list[dict[int, int]], first=None) -> tuple[int, Cokernel]:
     """The tree count kappa = det L0 and Pic0 = coker L0 of a connected
-    graph, from the sparse rows of its reduced Laplacian L0, which is
-    positive definite (Sylvester), so det L0 > 0 is required."""
-    kappa, coker = cokernel(reduced)
+    graph, from the sparse rows of its reduced Laplacian L0 (and ``first``),
+    which is positive definite (Sylvester), so det L0 > 0 is required."""
+    kappa, coker = cokernel(reduced, first)
     if kappa <= 0:
         raise VerificationError("picard.tree_count", f"det L0 = {kappa} is not positive")
     return kappa, coker
@@ -65,38 +60,38 @@ class PicardModule:
     of the deck generator ``generator`` on their generators, row i modulo
     factor i; the deck group is cyclic, so g's matrix determines the action.
     ``exponents`` are the factors' p-adic valuations: A is the sum of the
-    Z/p^a over those a > 0.
-
-    ``deck`` is g's matrix on C = Pic0 / p, read with no arithmetic shared
-    with the elimination modulo kappa.  The span mod p of the Laplacian's
-    rows (its columns, by symmetry) and the unit row e_0 is the kernel of
-    v -> v - deg(v) e_0 from F_p^N onto C, so the unit vectors e_v at the
-    free columns of its echelon form, congruent to e_v - e_0, are a basis
-    of C; a residual is zero at every pivot, so its coordinates in that
-    basis are its entries at the free columns.
+    Z/p^a over those a > 0.  ``deck`` is g's matrix on C = F_p^(N-1) / L0 mod p:
+    the pivot rows of the first phase over Z and of its core over F_p span L0
+    mod p, so the e_v - e_last at the other columns are a basis of residuals.
     """
 
     def __init__(self, cover: DerivedCover):
         require_connected_cover(cover)
         self.cover = cover
-        lap = cover.total.laplacian_rows()
-        coker = _pic0(_reduced(lap))[1]
+        p, lap = cover.p, cover.total.laplacian_rows()
+        last, reduced = len(lap) - 1, _reduced(lap)
+        first = unit_pivots(reduced, INTEGERS)  # Pic0's first phase, which C reads too
+        core = [{k: y for k, x in enumerate(row) if (y := x % p)} for row in first[2]]
+        coker = _pic0(reduced, first)[1]
         self.factors = coker.factors
-        self.exponents = tuple(p_valuation(d, self.p) for d in self.factors)
-        last = len(lap) - 1
+        self.exponents = tuple(p_valuation(d, p) for d in self.factors)
         self._forms = tuple(f + (0,) for f in coker.forms)
         divisors = ((0,) * last + (1,), *(w + (-sum(w),) for w in coker.generators))
         self._divisors = tuple(tuple((v, x) for v, x in enumerate(w) if x) for w in divisors)
-        self.generator = CyclicGroup.for_prime(self.p).generator
+        self.generator = CyclicGroup.for_prime(p).generator
         self.action = tuple(
             tuple(x % d for x in row[1:])
             for d, row in zip(self.factors, self._transport([(1, self.generator)]))
         )
-        span = ModPEchelon(self.p, [{0: 1}, *lap])
-        free = [v for v in range(len(lap)) if v not in span.pivots]
-        perm = cover.deck_vertex_map(self.generator)
-        images = [span.reduce({perm[v]: 1, perm[0]: -1}) for v in free]
-        self.deck = tuple(tuple(image.get(w, 0) for w in free) for image in images)
+        pivots, perm = first[4], cover.deck_vertex_map(self.generator)
+        free = sorted(set(range(last)).difference(c for _, c, _ in pivots))
+        rest = unit_pivots(core, prime_field(p))[4]  # on the columns ``free``
+        basis = sorted(set(range(len(free))).difference(c for _, c, _ in rest))
+        # g (e_v - e_last) = e_gv - e_g(last), v = free[k]: e_last is 0, and unread
+        images = ({perm[free[k]]: 1, perm[last]: -1} for k in basis)
+        images = (_reduce(pivots, image, p) for image in images)
+        images = (_reduce(rest, {k: r[v] for k, v in enumerate(free) if v in r}, p) for r in images)
+        self.deck = tuple(tuple(image.get(b, 0) for b in basis) for image in images)
 
     def _transport(self, terms: list[tuple[int, int]]) -> list[list[int]]:
         """The coordinate forms read on x = sum of c tau over ``terms``.
@@ -150,22 +145,21 @@ class PicardModule:
         is a direct summand of A and e_chi projects onto the lam-eigenspace of
         g, so that eigenspace has dimension r_j = dim p^(j-1) e_chi A / p^j
         e_chi A, the number of summands of e_chi A of order at least p^j.
-        Nothing is read when A = 0.
         """
-        ranks = []
-        for j in range(1, max(self.exponents, default=0) + 1):
-            layer = [i for i, a in enumerate(self.exponents) if a >= j]
-            block = [[self.action[i][k] for k in layer] for i in layer]
-            ranks.append(_eigenspace_dim(block, lam, self.p))
-        return tuple(ranks)
+        return tuple(dims[lam] for dims in self._dims[:-1])
+
+    @cached_property
+    def _dims(self) -> list[dict[int, int]]:
+        """g's eigenspace dimensions at every lam, on each layer of A and on C."""
+        heights = range(1, max(self.exponents, default=0) + 1)
+        layers = [[i for i, a in enumerate(self.exponents) if a >= j] for j in heights]
+        blocks = [[[self.action[i][k] for k in layer] for i in layer] for layer in layers]
+        return _eigenspace_dims([*blocks, self.deck], self.p)
 
     def dim_C(self, lam: int, ranks: tuple[int, ...]) -> int:
         """F_p-dimension of e_chi C for chi(g) = lam: the first layer rank r_1
-        of A in ``ranks``.  The classes of C fixed by e_chi form the
-        lam-eigenspace of g on C, whose dimension, read from ``deck``, is
-        required to equal it."""
-        dim = ranks[0] if ranks else 0
-        eigen = _eigenspace_dim(self.deck, lam, self.p)
+        of A in ``ranks``, which g's lam-eigenspace on C, from ``deck``, must equal."""
+        dim, eigen = (ranks[0] if ranks else 0), self._dims[-1][lam]
         if eigen != dim:
             raise VerificationError(
                 "picard.fixed_point_sweep",
@@ -175,77 +169,30 @@ class PicardModule:
         return dim
 
 
-def _eigenspace_dim(mat, lam: int, p: int) -> int:
-    """Dimension of the lam-eigenspace of a square matrix over F_p."""
-    shifted = ({**dict(enumerate(row)), k: row[k] - lam} for k, row in enumerate(mat))
-    return len(mat) - ModPEchelon(p, shifted).rank
+def _eigenspace_dims(mats, p: int) -> list[dict[int, int]]:
+    """Each matrix's lam-eigenspace dimensions over F_p, lam in range(1, p)."""
+    rows, blocks = [], []  # the block diagonal of every mat - lam I; blocks[column]: (mat, lam)
+    for k, mat in enumerate(mats):
+        for lam in range(1, p):
+            start = len(rows)
+            for i, row in enumerate(mat):
+                shifted = enumerate(x - lam * (i == j) for j, x in enumerate(row))
+                rows.append({start + j: y for j, x in shifted if (y := x % p)})
+                blocks.append((k, lam))
+    ranks = Counter(blocks[c] for _, c, _ in (unit_pivots(rows, prime_field(p))[4] if rows else ()))
+    return [{lam: len(mat) - ranks[k, lam] for lam in range(1, p)} for k, mat in enumerate(mats)]
 
 
-class ModPEchelon:
-    """Echelon basis of the span over F_p of sparse rows {column: entry}.
-
-    Elimination pivots on the shortest active row, at its column with the
-    fewest other active rows (Markowitz; ties: the lowest row, then column),
-    and clears that column from every other active row, so each pivot row is
-    zero at every earlier pivot column.  ``pivots`` maps the pivot columns,
-    in pivot order, to their rows scaled to 1 there, stored without that
-    entry.
-    """
-
-    def __init__(self, p: int, rows):
-        self.p = p
-        active: dict[int, dict[int, int]] = {}
-        where: defaultdict[int, set[int]] = defaultdict(set)  # column -> active rows there
-        for i, row in enumerate(rows):
-            row = {j: y for j, x in row.items() if (y := x % p)}
-            if row:
-                active[i] = row
-                for j in row:
-                    where[j].add(i)
-        self.pivots: dict[int, dict[int, int]] = {}
-        while active:
-            i = min(zip(map(len, active.values()), active))[1]
-            row = active.pop(i)
-            for j in row:
-                where[j].discard(i)
-            c = min(zip(map(len, map(where.__getitem__, row)), row))[1]
-            inv = pow(row.pop(c), -1, p)
-            tail = {j: x * inv % p for j, x in row.items()}
-            for k in where.pop(c):
-                other = active[k]
-                f = other.pop(c)
-                for j, y in tail.items():
-                    if j in other:
-                        z = (other[j] - f * y) % p
-                        if z:
-                            other[j] = z
-                        else:
-                            del other[j]
-                            where[j].discard(k)
-                    else:
-                        other[j] = -f * y % p
-                        where[j].add(k)
-                if not other:
-                    del active[k]
-            self.pivots[c] = tail
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        """Residual of a sparse vector against the pivot rows, taken in pivot
-        order: linear in vec, congruent to it modulo the span, and zero at
-        every pivot column, as each row is zero at the pivots before it."""
-        p = self.p
-        out = {j: y for j, x in vec.items() if (y := x % p)}
-        for c, tail in self.pivots.items():
-            x = out.pop(c, 0)
-            if x:
-                for j, y in tail.items():
-                    z = (out.get(j, 0) - x * y) % p
-                    if z:
-                        out[j] = z
-                    else:
-                        del out[j]
-        return out
+def _reduce(pivots, vec: dict[int, int], p: int) -> dict[int, int]:
+    """Residual mod p of a sparse vector against pivot rows read mod p, in
+    pivot order: congruent to vec modulo their span and zero at each pivot."""
+    out = {j: y for j, x in vec.items() if (y := x % p)}
+    for row, c, x in pivots:
+        if y := out.pop(c, 0):
+            m = -y * pow(x, -1, p)
+            for j, z in row.items():
+                if w := (out.get(j, 0) + m * z) % p:
+                    out[j] = w
+                else:
+                    out.pop(j, None)
+    return out

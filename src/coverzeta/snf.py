@@ -1,29 +1,27 @@
 """Determinants over Z and modulo M, cokernels of nonsingular matrices, and
-the one sparse elimination on unit pivots that Pic0 and eta(1) share.
-
-``unit_pivots`` eliminates a square matrix of sparse rows over a commutative
-ring given as a small record (``Ring``): Z on Python integers (``INTEGERS``)
-or Z[G] on coefficient tuples (``groupring.CyclicGroup.ring``).  Everything
-else here is on integers or residues.  ``integer_determinant`` is a dense
-Bareiss determinant.  ``det_mod`` takes a determinant modulo M by one dense
-elimination modulo M (``_eliminate``) on units and, where none is left,
-after Bezout steps of determinant 1 (Cohen, GTM 138, 2.4).
+the one sparse elimination on unit pivots (``unit_pivots``), which certifies
+each result, over a ring record (``Ring``): Z (``INTEGERS``), F_p
+(``prime_field``) or Z[G] (``groupring.CyclicGroup.ring``).
 
 ``cokernel`` gives det A and coker A for a square A given as sparse rows
-{column: entry} (Dumas, Saunders and Villard): ``unit_pivots`` over Z leaves
-a dense core whose Bareiss determinant gives det A, and ``_eliminate``
-reduces the core modulo kappa = |det A|, which kills coker A (Domich,
-Kannan and Trotter).  2x2 gcd/lcm steps sort its summands into invariant
-factors, one replay of its row operations modulo the exponent d_r gives the
-forms and generators, and the result is certified without transforms.
+(Dumas, Saunders and Villard): ``unit_pivots`` over Z leaves a dense core
+whose Bareiss determinant gives det A, and ``_eliminate`` reduces the core
+modulo kappa = |det A|, which kills coker A (Domich, Kannan and Trotter), on
+units and, where none is left, after Bezout steps of determinant 1 (Cohen,
+GTM 138, 2.4), as ``det_mod`` does for any modulus.  2x2 gcd/lcm steps sort
+its summands into invariant factors, one replay of its row operations modulo
+the exponent gives the forms and generators, certified without transforms.
 """
 
 from __future__ import annotations
 
-import operator
+import random
+from bisect import bisect, insort
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from heapq import heappop, heappush
 from math import gcd, prod
+from operator import mul, neg, sub
 from typing import Callable
 
 from .arith import VerificationError
@@ -98,16 +96,16 @@ class Cokernel:
     generators: tuple[tuple[int, ...], ...]
 
 
-def cokernel(a: list[dict[int, int]]) -> tuple[int, Cokernel | None]:
-    """det a and coker a (None when det a = 0) for a square integer matrix
-    given as sparse rows {column: entry} with columns in range(len(a)).
+def cokernel(a: list[dict[int, int]], first=None) -> tuple[int, Cokernel | None]:
+    """det a and coker a (None when det a = 0) for a square integer matrix of
+    sparse rows, columns in range(len(a)), after ``first`` = its unit pivots.
 
     Each pivot x of the core's elimination modulo kappa = |det a| gives a
     summand Z/gcd(x, kappa), each row left zero Z/kappa.  ``_sort_diagonal``
     sorts the summands above 1 into invariant factors, and one ``_replay``
     carries its rows of U and columns of U^-1 back to a, modulo the exponent.
     """
-    unit, ids, core, ops = unit_pivots(a, INTEGERS)
+    unit, ids, core, ops, _ = first or unit_pivots(a, INTEGERS)
     det = unit * integer_determinant(core)
     if not det:
         return 0, None
@@ -155,62 +153,73 @@ def _sort_diagonal(summands: list[int], modulus: int):
 
 @dataclass(frozen=True)
 class Ring:
-    """A commutative ring, which may have zero divisors, as ``unit_pivots``
-    takes it.  Elements compare with ==, so each has one form; ``inverse(x)``
-    is the inverse of x if the elimination may pivot on x, else None;
-    ``neg(x)`` is -x and ``fma(x, m, y)`` is x + m y."""
+    """A commutative ring, maybe with zero divisors, as ``unit_pivots`` takes
+    it: elements compare with ==; ``inverse(x)`` is None where the kernel may
+    not pivot; ``neg(x)`` is -x and ``fma(x, m, y)`` is x + m y.  Its
+    certificate reads elements modulo ``modulus``, through ``image`` if set."""
 
     zero: object
     one: object
     inverse: Callable
     neg: Callable
     fma: Callable
+    image: Callable | None
+    modulus: int
 
 
-# Z on Python integers, pivoting on +-1.
-INTEGERS = Ring(0, 1, {1: 1, -1: -1}.get, operator.neg, lambda x, m, y: x + m * y)
+# Z on Python integers, pivoting on +-1, read modulo the prime 2^61 - 1.
+INTEGERS = Ring(0, 1, {1: 1, -1: -1}.get, neg, lambda x, m, y: x + m * y, None, 2**61 - 1)
+
+
+@cache
+def prime_field(p: int) -> Ring:
+    """F_p on residues in range(p), each but 0 a unit."""
+    inverse = {x: pow(x, -1, p) for x in range(1, p)}.get
+    return Ring(0, 1, inverse, lambda x: -x % p, lambda x, m, y: (x + m * y) % p, None, p)
 
 
 def unit_pivots(a: list[dict], ring: Ring):
-    """Sparse elimination on unit pivots of a square matrix over ``ring``,
-    given as sparse rows {column: element}: returns ``(scale, ids, core,
-    ops)`` with det a = scale * det(core), the empty core of det 1.
+    """Sparse elimination on unit pivots over ``ring`` of the rows ``a``,
+    {column: element}, columns in range(len(a)): ``(scale, ids, core, ops,
+    pivots)``, certified, with det a = scale * det(core) for a square a.
 
-    The shortest live row of a heap keyed by length pivots at its unit
-    column with the fewest active rows (ties: the lowest) and clears that
-    column by row steps, ``(i, r, m)`` in ``ops`` for row_i -= m row_r, which
-    keep the determinant in any commutative ring; a row holding no unit
-    leaves the heap until an update pushes it back.  The rows ``ids`` left,
-    on the columns left, both in order, form the dense ``core``.  scale is
-    the product of the pivots times the sign of the permutation matching
-    each row with its pivot column, and the core's rows with its columns in
-    order.  Over Z (``INTEGERS``) the pivots +-1 are unimodular, so the core
-    has the cokernel of a.
+    The shortest row of a heap keyed by length, where a row is queued again
+    as it shrinks, at its length when a shorter entry of it comes up, and
+    after a step if it held no unit, pivots at its unit column with the
+    fewest active rows, ties to the lowest, which row steps ``(i, r, m)``,
+    row_i -= m row_r, clear.  ``pivots`` lists (row, column, pivot) in order,
+    each row frozen without its pivot; the rows ``ids`` and columns left, in
+    order, form the dense ``core`` (empty: det 1); scale is the pivots'
+    product times the sign of the matching.  Over Z the core has coker a.
     """
     zero, inverse, neg, fma = ring.zero, ring.inverse, ring.neg, ring.fma
-    rows = [{j: x for j, x in row.items() if x != zero} for row in a]
+    rows = list(map(dict, a))  # copies, from which a row holding zeros drops them
+    rows = [{j: x for j, x in r.items() if x != zero} if zero in r.values() else r for r in rows]
     cols: list[set[int]] = [set() for _ in a]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    match, scale, ops = {}, ring.one, []  # match: row -> column
-
-    def markowitz(j):  # the fewest active rows, then the lowest column
-        return len(cols[j]), j
-
+    match, order, scale, ops = {}, [], ring.one, []  # match: row -> column
     heap = sorted((len(row), i) for i, row in enumerate(rows))  # sorted, so a heap
+    queued = [len(row) for row in rows]  # the one length each row is queued at
     while heap:
         size, r = heappop(heap)
         top = rows[r]
-        if r in match or size != len(top):  # pivoted, or pushed again since
+        if r in match or size != queued[r]:  # pivoted, or queued again since
+            continue
+        if size < len(top):  # grown since: queued again at its length
+            heappush(heap, (len(top), r))
+            queued[r] = len(top)
             continue
         units = [j for j, x in top.items() if inverse(x) is not None]
         if not units:
+            queued[r] = len(a) + 1  # the next step that changes the row queues it
             continue
-        c = min(units, key=markowitz)
+        c = min(zip(map(len, map(cols.__getitem__, units)), units))[1]
         pivot = top.pop(c)  # no row keeps column c, so cols[c] is not read again
         minus = neg(inverse(pivot))
-        for i in cols[c] - {r}:
+        cols[c].discard(r)
+        for i in cols[c]:
             row = rows[i]
             m = fma(zero, row.pop(c), minus)  # row_i += m row_r
             for j, y in top.items():
@@ -224,22 +233,26 @@ def unit_pivots(a: list[dict], ring: Ring):
                     row[j] = x
                     cols[j].add(i)
             ops.append((i, r, neg(m)))
-            heappush(heap, (len(row), i))
+            if len(row) < queued[i]:
+                heappush(heap, (len(row), i))
+                queued[i] = len(row)
         for j in top:
             cols[j].discard(r)
         scale = fma(zero, scale, pivot)
         match[r] = c
+        order.append((r, c, pivot))
     sign, ids, free = _matching(match, len(a))
     if sign < 0:
         scale = neg(scale)
-    return scale, ids, [[rows[i].get(j, zero) for j in free] for i in ids], ops
+    core = [[rows[i].get(j, zero) for j in free] for i in ids]
+    _certify_pivots(a, ring, rows, order, (scale, ids, core, ops))
+    return scale, ids, core, ops, [(rows[r], c, x) for r, c, x in order]
 
 
 def _matching(match: dict[int, int], n: int):
     """Complete ``match``, each pivot row -> its column, by the rows left and
-    the columns left, both in order, consuming it.  Returns the sign of that
-    permutation of range(n), (-1)^(n - its cycles), the rows left and the
-    columns left."""
+    the columns left, both in order, consuming it: the permutation's sign,
+    (-1)^(n - its cycles), the rows left and the columns left."""
     ids = [i for i in range(n) if i not in match]
     free = sorted(set(range(n)).difference(match.values()))
     match.update(zip(ids, free))
@@ -250,6 +263,63 @@ def _matching(match: dict[int, int], n: int):
             while (j := match.pop(j, None)) is not None:
                 pass
     return (-1) ** (n - cycles), ids, free
+
+
+@lru_cache(maxsize=256)
+def _vector(n: int, bound: int) -> tuple[int, ...]:
+    """The certificate's seeded vector of length n, entries in range(bound)."""
+    return tuple(random.Random(n).choices(range(bound), k=n))
+
+
+def _certify_pivots(a, ring: Ring, rows, order, result) -> None:
+    """The check ``snf.unit_pivots`` on the kernel's ``result``, linear in a,
+    the steps and the result (Freivalds; Kaltofen, Nehring and Saunders).
+    Structure: the pivots, (r, c, pivot) in ``order``, are units on distinct
+    rows and columns, each pivot row zero at its own and earlier pivot
+    columns, each row left at all of them, the core those rows on the other
+    columns; no step adds a row to itself.  Scale: the pivots' product,
+    negated for an odd count of inversions of the matching.  Row steps: on a x
+    they give B x, B the final rows with pivots, mod ``ring.modulus``, for a
+    seeded x below b = min(modulus, 2^30): a wrong row passes with chance 1/b.
+    """
+    scale, ids, core, ops = result
+    n, image, modulus = len(a), ring.image, ring.modulus
+    prows, pcols, pivots = list(zip(*order)) or [(), (), ()]
+    tails, done = list(map(rows.__getitem__, prows)), set()
+    for r, c in zip(prows, pcols):
+        done.add(c)
+        if not done.isdisjoint(rows[r]):
+            raise VerificationError("snf.unit_pivots", f"pivot row {r} is not zero at the pivots")
+    free = sorted(set(range(n)).difference(done))
+    if (
+        min(len(done), len(set(prows))) < len(order) or None in map(ring.inverse, pivots)
+        or ids != sorted(set(range(n)).difference(prows))
+        or [len(row) for row in core] != [len(free)] * len(ids)
+        or not all(map(done.isdisjoint, map(rows.__getitem__, ids)))
+        or any(i == r for i, r, _ in ops)
+    ):
+        raise VerificationError("snf.unit_pivots", "the pivots are not units of a core off them")
+    in_order = prows + tuple(ids)
+    perm = dict(zip(in_order, pcols + tuple(free)))  # row -> column
+    seen, inversions = [], 0
+    for j in map(perm.__getitem__, range(n)):
+        inversions += len(seen) - bisect(seen, j)
+        insort(seen, j)
+    if image:  # read each element once, as an integer
+        a, tails = ([dict(zip(row, map(image, row.values()))) for row in m] for m in (a, tails))
+        pivots, scale = list(map(image, pivots)), image(scale)
+        core, ops = [list(map(image, row)) for row in core], [(i, r, image(m)) for i, r, m in ops]
+    if (prod(pivots) * (-1) ** inversions - scale) % modulus:
+        raise VerificationError("snf.unit_pivots", f"scale {result[0]} != the signed product")
+    get = _vector(n, min(modulus, 1 << 30)).__getitem__
+    y = [sum(map(mul, row.values(), map(get, row))) for row in a]
+    for i, r, m in ops:
+        y[i] = (y[i] - m * y[r]) % modulus
+    bx = zip(tails, pcols, pivots)
+    bx = [v * get(c) + sum(map(mul, t.values(), map(get, t))) for t, c, v in bx]
+    bx += [sum(map(mul, row, map(get, free))) for row in core]
+    if any(map(modulus.__rmod__, map(sub, map(y.__getitem__, in_order), bx))):
+        raise VerificationError("snf.unit_pivots", "the recorded steps do not take a to B")
 
 
 def det_mod(rows, modulus: int) -> int:

@@ -2,26 +2,14 @@
 determinant polynomial det(I - A u + (D - I) u^2), which is the group-ring
 determinant of the Laplacian D - A, and character L-values.
 
-The Laplacian D - A over Z[G] is read off the base graph as sparse rows
-{column: integer coefficient vector}: row i holds the valence of i at the
-identity on its diagonal and one entry per neighbour, a base edge j -> i with
-voltage a adding the group element a to entry (i, j) of the adjacency A.
-The special value and the L-values read those rows in place; their caller
-(``herbrand.CoverAnalysis``) builds the Laplacian and eta(1) once per cover
-and passes them in.
-
-Everything is exact.  Two computation routes exist by construction --
-evaluate the character after taking the group-ring determinant, or evaluate
-entrywise first and take an ordinary determinant -- and both are run and
-compared whenever an L-value is produced, the ordinary determinant by dense
-elimination modulo the character's modulus p or p^K (``snf.det_mod``).  For
-the special value the Laplacian is eliminated once over the group ring, on
-the unit pivots +-g^k, by the kernel that also takes Pic0's first phase over
-Z (``snf.unit_pivots``), and the dense core left has its determinant taken
-twice: by Berkowitz's algorithm over the group ring, and by ``snf.det_mod``
-modulo M = B^(p-1) - 1 after Kronecker substitution.  The evaluated
-Laplacians of the L-values never pass through that elimination, so they
-check it.
+The Laplacian D - A over Z[G], sparse rows {column: coefficient vector},
+and eta(1) are built once per cover by ``herbrand.CoverAnalysis`` and passed
+in.  Everything is exact, and each value is taken along two routes that are
+compared: a character of eta(1) against the determinant of the evaluated
+Laplacian modulo p or p^K (``snf.det_mod``); and eta(1) itself by the
+certified elimination on the unit pivots +-g^k (``snf.unit_pivots``), whose
+dense core has its determinant taken by Berkowitz's algorithm over Z[G] and
+by ``snf.det_mod`` modulo M = B^(p-1) - 1 after Kronecker substitution.
 
 Over Q the group ring splits as the product of the cyclotomic fields
 Q(zeta_d), d dividing p - 1, one for each rational orbit of characters (those
@@ -67,23 +55,16 @@ def equivariant_laplacian(cover: DerivedCover) -> list[dict[int, tuple[int, ...]
 
 def eta_at_one(cover: DerivedCover, lap: list[dict]) -> GroupRingElement:
     """Special value at u = 1: the group-ring determinant of the Laplacian
-    ``lap`` (``equivariant_laplacian``).
-
-    At u = 1 the matrix I - A u + (D - I) u^2 is the Laplacian D - A.  One
-    elimination on its unit pivots +-g^k (``unit_pivots``) gives
-    det = scale * det(core), and the core's determinant is taken twice: by
-    Berkowitz over the group ring, and modulo B^(p-1) - 1 after Kronecker
-    substitution by ``det_mod``; the results must agree exactly.  The core
-    is never empty: the scale is a unit, of augmentation +-1, while the
-    augmentation of det(D - A) is the determinant of the base Laplacian, 0.
-    Both routes read the one core, so a fault of the elimination is caught
-    by the checks that do not: ``l_value``'s determinant of the evaluated
-    Laplacian, and the class-number identity, which reads eta(1)'s orbit
-    norms; and, as Pic0 runs the same kernel, by Pic0's own checks.
+    ``lap`` (``equivariant_laplacian``), I - A u + (D - I) u^2 at u = 1.  Its
+    unit pivots (``unit_pivots``) give det = scale * det(core), and the
+    core's determinant is taken by Berkowitz and modulo B^(p-1) - 1 after
+    Kronecker substitution by ``det_mod``, which must agree.  The core is
+    never empty: the scale is a unit, of augmentation +-1, while det(D - A)
+    has augmentation 0, the determinant of the base Laplacian.
     """
     require_connected_cover(cover)
     group = CyclicGroup.for_prime(cover.p)
-    scale, _, core, _ = unit_pivots(lap, group.ring)
+    scale, _, core, _, _ = unit_pivots(lap, group.ring)
     if not core:
         raise VerificationError(
             "zeta.eta_routes", f"the unit pivots left no core, so det L would be the unit {scale}"

@@ -19,7 +19,10 @@ compare the library against:
   contragredients and the full set of characters at a precision;
 - the cover's adjacency over the group ring as a dense matrix, and the
   sparse rows {column: entry} of a dense matrix, which the library's
-  determinants take.
+  determinants take;
+- the echelon form mod p that picks each pivot row by a scan of every
+  active row (``ModPEchelon``), whose pivots and residuals ``snf.unit_pivots``
+  over F_p must reproduce.
 
 A failed self-check raises AssertionError under the name of the check, never
 a bare ``assert``, which ``python -O`` strips; ``VerificationError`` stays the
@@ -28,6 +31,7 @@ library's exit-4 error.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 
@@ -314,7 +318,7 @@ def ring_determinant(rows, product, ring):
     if any(j not in range(n) for row in rows for j in row):
         raise ValueError("matrix is not square")
     tuples = [{j: tuple(x) for j, x in row.items()} for row in rows]
-    scale, _, core, _ = snf.unit_pivots(tuples, ring)
+    scale, _, core, _, _ = snf.unit_pivots(tuples, ring)
     if not core:
         return tuple(scale)
     out = [0] * len(ring.zero)
@@ -634,3 +638,73 @@ def contragredient(chi: Character) -> Character:
 
 def zp_characters(group: CyclicGroup, precision: int) -> tuple[Character, ...]:
     return tuple(Character(group, i, precision) for i in range(group.order))
+
+
+class ModPEchelon:
+    """Echelon basis of the span over F_p of sparse rows {column: entry}.
+
+    Elimination pivots on the shortest active row, found by a scan of every
+    active row, at its column with the fewest other active rows (Markowitz;
+    ties: the lowest row, then column), and clears that column from every
+    other active row, so each pivot row is zero at every earlier pivot
+    column.  ``pivots`` maps the pivot columns, in pivot order, to their
+    rows scaled to 1 there, stored without that entry.
+    """
+
+    def __init__(self, p: int, rows):
+        self.p = p
+        active: dict[int, dict[int, int]] = {}
+        where: defaultdict[int, set[int]] = defaultdict(set)  # column -> active rows there
+        for i, row in enumerate(rows):
+            row = {j: y for j, x in row.items() if (y := x % p)}
+            if row:
+                active[i] = row
+                for j in row:
+                    where[j].add(i)
+        self.pivots: dict[int, dict[int, int]] = {}
+        while active:
+            i = min(zip(map(len, active.values()), active))[1]
+            row = active.pop(i)
+            for j in row:
+                where[j].discard(i)
+            c = min(zip(map(len, map(where.__getitem__, row)), row))[1]
+            inv = pow(row.pop(c), -1, p)
+            tail = {j: x * inv % p for j, x in row.items()}
+            for k in where.pop(c):
+                other = active[k]
+                f = other.pop(c)
+                for j, y in tail.items():
+                    if j in other:
+                        z = (other[j] - f * y) % p
+                        if z:
+                            other[j] = z
+                        else:
+                            del other[j]
+                            where[j].discard(k)
+                    else:
+                        other[j] = -f * y % p
+                        where[j].add(k)
+                if not other:
+                    del active[k]
+            self.pivots[c] = tail
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """Residual of a sparse vector against the pivot rows, taken in pivot
+        order: linear in vec, congruent to it modulo the span, and zero at
+        every pivot column, as each row is zero at the pivots before it."""
+        p = self.p
+        out = {j: y for j, x in vec.items() if (y := x % p)}
+        for c, tail in self.pivots.items():
+            x = out.pop(c, 0)
+            if x:
+                for j, y in tail.items():
+                    z = (out.get(j, 0) - x * y) % p
+                    if z:
+                        out[j] = z
+                    else:
+                        del out[j]
+        return out

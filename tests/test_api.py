@@ -97,7 +97,7 @@ REMOVED = [
         ["fiber_coords", "projection", "deck_act", "base_transversal", "vertex_at"],
     ),
     (voltage.VoltageSpec, ["voltage"]),
-    (picard, ["spanning_tree_count"]),
+    (picard, ["spanning_tree_count", "ModPEchelon"]),
 ]
 
 

@@ -56,8 +56,8 @@ name = "unit_pivots"
 real = module.unit_pivots
 
 def corrupted(rows, ring):
-    scale, ids, core, ops = real(rows, ring)
-    return scale, ids, [], ops
+    scale, ids, core, ops, pivots = real(rows, ring)
+    return scale, ids, [], ops, pivots
 """,
 }
 
@@ -160,33 +160,38 @@ def corrupted(graph):
     return rows
 """
 
-# Each corrupts what phase 1 of the Pic0 elimination (``snf.unit_pivots``,
-# the name ``snf.cokernel`` looks up) hands on, for the base graph and the
-# cover alike.  Doubling the first row of the dense core doubles det L0, so
-# the cokernel taken modulo it is larger than coker L0 and no coordinate
-# forms of it kill L0; negating the sign of the pivot permutation makes
-# det L0 negative.
+# Each corrupts what phase 1 of the Pic0 elimination (``snf.unit_pivots``
+# over Z, under the names ``snf.cokernel`` and the Picard module look up)
+# hands on, for the base graph and the cover alike.  Doubling the first row
+# of the dense core doubles det L0, so the cokernel taken modulo it is larger
+# than coker L0 and no coordinate forms of it kill L0; negating the sign of
+# the pivot permutation makes det L0 negative.
 CORE_SABOTAGES = {
     "snf.cokernel_relations": """
-import coverzeta.snf as module
+import coverzeta.picard as picard
+import coverzeta.snf as snf
 
-name = "unit_pivots"
-real = module.unit_pivots
+real = snf.unit_pivots
 
 def corrupted(a, ring):
-    unit, ids, core, ops = real(a, ring)
-    core[:1] = [[2 * x for x in row] for row in core[:1]]
-    return unit, ids, core, ops
+    unit, ids, core, ops, pivots = real(a, ring)
+    if ring is snf.INTEGERS:
+        core[:1] = [[2 * x for x in row] for row in core[:1]]
+    return unit, ids, core, ops, pivots
+
+targets = [(snf, "unit_pivots"), (picard, "unit_pivots")]
 """,
     "picard.tree_count": """
-import coverzeta.snf as module
+import coverzeta.picard as picard
+import coverzeta.snf as snf
 
-name = "unit_pivots"
-real = module.unit_pivots
+real = snf.unit_pivots
 
 def corrupted(a, ring):
-    unit, ids, core, ops = real(a, ring)
-    return -unit, ids, core, ops
+    unit, ids, core, ops, pivots = real(a, ring)
+    return (-unit if ring is snf.INTEGERS else unit), ids, core, ops, pivots
+
+targets = [(snf, "unit_pivots"), (picard, "unit_pivots")]
 """,
 }
 
@@ -206,8 +211,8 @@ name = "unit_pivots"
 real = module.unit_pivots
 
 def corrupted(rows, ring):
-    scale, ids, core, ops = real(rows, ring)
-    return ring.neg(scale), ids, core, ops
+    scale, ids, core, ops, pivots = real(rows, ring)
+    return ring.neg(scale), ids, core, ops, pivots
 """
 
 # Multiplying it by g^2, as a doubled pivot +-g^k would, multiplies eta(1) by
@@ -222,35 +227,42 @@ name = "unit_pivots"
 real = module.unit_pivots
 
 def corrupted(rows, ring):
-    scale, ids, core, ops = real(rows, ring)
-    return scale[-2:] + scale[:-2], ids, core, ops
+    scale, ids, core, ops, pivots = real(rows, ring)
+    return scale[-2:] + scale[:-2], ids, core, ops, pivots
 """
 
 
-def _kernel_mutation(old, new):
+def _kernel_mutation(old, new, target="True"):
     """A sabotage that installs the unit-pivot kernel with the line ``old`` of
-    its source replaced by ``new``, under both names that look it up."""
+    its source replaced by ``new``, under every name that looks it up; ``new``
+    may read ``TARGET(ring)``, the condition ``target`` on the kernel's ring."""
     return f"""
 import inspect
+import coverzeta.picard as picard
 import coverzeta.snf as snf
 import coverzeta.zeta as zeta
 
 source = inspect.getsource(snf.unit_pivots)
 if {old!r} not in source:
     raise LookupError({old!r})
-namespace = dict(vars(snf))
+namespace = dict(vars(snf), TARGET=lambda ring: {target})
 exec(source.replace({old!r}, {new!r}), namespace)
 corrupted = namespace["unit_pivots"]
-targets = [(snf, "unit_pivots"), (zeta, "unit_pivots")]
+targets = [(snf, "unit_pivots"), (zeta, "unit_pivots"), (picard, "unit_pivots")]
 """
 
 
-# Each puts one fault into the one unit-pivot kernel where both of its
-# callers see it: Pic0, the cokernel of L0 over Z, and eta(1) over Z[G].  It
-# goes through ``snf._matching``, which the kernel looks up in ``snf``, or it
-# replaces the kernel under both names that the callers look up (``targets``).
+# Each puts one fault into the one unit-pivot kernel where all of its
+# callers see it: Pic0, the cokernel of L0 over Z, C's span and eigenspaces
+# over F_p, and eta(1) over Z[G].  It goes through ``snf._matching``, which
+# the kernel looks up in ``snf``, or it replaces the kernel under the three
+# names that the callers look up (``targets``).  The kernel certifies what
+# it computed before it returns, so the check ``snf.unit_pivots`` catches a
+# fault inside it on the first call, Pic0's; a wrapper that corrupts what
+# the kernel returned is caught downstream.
 KERNEL_FAULTS = {
-    # The matching's sign negated: det L0 < 0, and Pic0 is computed first.
+    # The matching's sign negated: the certificate signs the pivots' product
+    # by its own count of inversions.
     "negated_scale": """
 import coverzeta.snf as module
 
@@ -262,8 +274,8 @@ def corrupted(match, n):
     return -sign, ids, free
 """,
     # The first pivot multiplied into the scale twice, so the scale is off
-    # by that pivot: by -1 over Z, which negates det L0, and by a unit +-g^k
-    # other than 1 over Z[G], which moves eta(1) off the evaluated Laplacians.
+    # by that pivot wherever it is not 1: -1 over Z, or a unit +-g^k over
+    # Z[G], and the certificate's product of the pivots disagrees.
     "doubled_pivot": _kernel_mutation(
         "scale = fma(zero, scale, pivot)",
         "scale = fma(zero, scale if match else fma(zero, scale, pivot), pivot)",
@@ -271,26 +283,29 @@ def corrupted(match, n):
     # The core dropped, with its rows: det L0 = +-1 and Pic0 = 0, or eta(1)
     # with no core left.
     "dropped_core": """
+import coverzeta.picard as picard
 import coverzeta.snf as snf
 import coverzeta.zeta as zeta
 
 real = snf.unit_pivots
 
 def corrupted(a, ring):
-    scale, ids, core, ops = real(a, ring)
-    return scale, [], [], ops
+    scale, ids, core, ops, pivots = real(a, ring)
+    return scale, [], [], ops, pivots
 
-targets = [(snf, "unit_pivots"), (zeta, "unit_pivots")]
+targets = [(snf, "unit_pivots"), (zeta, "unit_pivots"), (picard, "unit_pivots")]
 """,
     # Each row step recorded with the multiplier's sign lost, row_i += m row_r
-    # in place of row_i -= m row_r, so the replay that carries Pic0's forms
-    # back to L0 is wrong; eta(1) reads no step.
+    # in place of row_i -= m row_r, so the certificate's replay of the steps
+    # on a x misses B x.
     "op_multiplier": _kernel_mutation("ops.append((i, r, neg(m)))", "ops.append((i, r, m))"),
 }
 
 # A leaf on a vertex with two loops at p = 17.  Over Z the cover's first
 # pivot is 1, so a doubled first pivot leaves Pic0 as it is; over Z[G] it is
-# -g^15, whose norms multiply to 1, so only the L-value routes see it.
+# -g^15, whose norms multiply to 1, so of the checks downstream only the
+# L-value routes would see it.  Its kernel calls take unit pivots and row
+# steps over all three rings.
 LEAF_SPEC = {
     "p": 17,
     "vertices": ["v0", "v1"],
@@ -299,6 +314,30 @@ LEAF_SPEC = {
         {"from": "v0", "to": "v0", "voltage": 6},
         {"from": "v0", "to": "v0", "voltage": 6},
     ],
+}
+
+# One fault inside the kernel for each part of its certificate, on the ring
+# that a condition of ``RINGS`` picks: the lowest other row in each pivot's
+# column left uncleared there (structure), the first recorded multiplier plus
+# one (row steps), or the scale negated (scale).
+RINGS = {
+    "Z": "ring is snf.INTEGERS",
+    "Z[G]": "isinstance(ring.zero, tuple)",
+    "F_p": "ring.image is None and ring is not snf.INTEGERS",
+}
+CERTIFICATE_FAULTS = {
+    "structure": (
+        "for i in cols[c]:",
+        "for i in sorted(cols[c])[bool(TARGET(ring)):]:",
+        ("is not zero at the pivots", "are not units of a core"),
+    ),
+    "row steps": (
+        "ops.append((i, r, neg(m)))",
+        "ops.append((i, r, fma(neg(m), ring.one, ring.one)"
+        " if TARGET(ring) and not ops else neg(m)))",
+        ("the recorded steps do not take a to B",),
+    ),
+    "scale": ("    if sign < 0:", "    if (sign < 0) != TARGET(ring):", ("!= the signed product",)),
 }
 
 # Adds 1 to the determinant of every evaluated Laplacian, the second route of
@@ -508,14 +547,16 @@ def test_certificate_checks_exit_4(check, monkeypatch, capsys):
 
 def _assert_sabotage_exits_4(sabotage, example, check, monkeypatch, capsys):
     """Install a sabotage and require exit 4 naming the check, in process and
-    under -O."""
+    under -O; returns both error outputs."""
     with monkeypatch.context() as m:
         _install(sabotage, m)
         assert main(["analyze", example]) == 4
-    assert f"error: check {check} failed:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: check {check} failed:" in err
     sabotaged = _run_sabotaged_optimized(sabotage, ["analyze", example])
     assert sabotaged.returncode == 4, sabotaged.stderr
     assert f"error: check {check} failed:" in sabotaged.stderr
+    return err, sabotaged.stderr
 
 
 def test_class_number_check_exits_4(monkeypatch, capsys):
@@ -583,12 +624,12 @@ def test_phase_1_faults_exit_4(check, monkeypatch, capsys):
 @pytest.mark.parametrize("example", sorted(BUNDLED))
 def test_kernel_negated_scale_exits_4(example, monkeypatch, capsys):
     _assert_sabotage_exits_4(
-        KERNEL_FAULTS["negated_scale"], example, "picard.tree_count", monkeypatch, capsys
+        KERNEL_FAULTS["negated_scale"], example, "snf.unit_pivots", monkeypatch, capsys
     )
 
 
 @pytest.mark.parametrize(
-    "example, check", [("example1", "picard.tree_count"), ("leaf", "zeta.l_routes")]
+    "example, check", [("example1", "snf.unit_pivots"), ("leaf", "snf.unit_pivots")]
 )
 def test_kernel_doubled_pivot_exits_4(example, check, tmp_path, monkeypatch, capsys):
     if example == "leaf":
@@ -600,7 +641,7 @@ def test_kernel_doubled_pivot_exits_4(example, check, tmp_path, monkeypatch, cap
 @pytest.mark.parametrize(
     "example, check",
     [
-        ("example1", "zeta.eta_routes"),
+        ("example1", "picard.quotient_dimension"),
         ("example2", "picard.tree_count"),
         ("example3", "picard.quotient_dimension"),
         ("example4", "picard.tree_count"),
@@ -608,15 +649,28 @@ def test_kernel_doubled_pivot_exits_4(example, check, tmp_path, monkeypatch, cap
 )
 def test_kernel_dropped_core_exits_4(example, check, monkeypatch, capsys):
     # Which check fires first depends on the cover: det L0 = -1, or Pic0 = 0
-    # beside a nonzero C read from L0 mod p, or eta(1) with no core.
+    # beside the nonzero C that the columns left by the first phase span.
     _assert_sabotage_exits_4(KERNEL_FAULTS["dropped_core"], example, check, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("example", sorted(BUNDLED))
 def test_kernel_op_multiplier_exits_4(example, monkeypatch, capsys):
     _assert_sabotage_exits_4(
-        KERNEL_FAULTS["op_multiplier"], example, "snf.cokernel_relations", monkeypatch, capsys
+        KERNEL_FAULTS["op_multiplier"], example, "snf.unit_pivots", monkeypatch, capsys
     )
+
+
+@pytest.mark.parametrize("part", sorted(CERTIFICATE_FAULTS))
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_certificate_part_catches_its_kernel_fault(ring, part, tmp_path, monkeypatch, capsys):
+    # The leaf at p = 17 has unit pivots and row steps over all three rings.
+    old, new, messages = CERTIFICATE_FAULTS[part]
+    example = tmp_path / "leaf.json"
+    example.write_text(json.dumps(LEAF_SPEC))
+    sabotage = _kernel_mutation(old, new, RINGS[ring])
+    check = "snf.unit_pivots"
+    for err in _assert_sabotage_exits_4(sabotage, str(example), check, monkeypatch, capsys):
+        assert any(message in err for message in messages), err
 
 
 def test_diagonal_sort_fault_exits_4(monkeypatch, capsys):

@@ -158,12 +158,16 @@ def test_failed_report_carries_diagnostics(ex2_cover, monkeypatch):
     report = build_report(ex2_cover)
     assert not report.all_ok
     assert report.diagnostics is not None
-    # The Smith diagonal of the whole Laplacian, (1, ..., 1, factors, 0).
+    # The Laplacian as sparse rows of [column, entry] pairs in column order,
+    # and its Smith diagonal, (1, ..., 1, factors, 0).
     from reference import laplacian_matrix, smith_normal_form
 
-    assert report.diagnostics["laplacian"] == laplacian_matrix(ex2_cover.total)
-    dense = smith_normal_form(report.diagnostics["laplacian"]).diagonal
-    assert report.diagnostics["invariant_factors"] == list(dense)
+    rows = report.diagnostics["laplacian"]
+    assert all(row == sorted(row) and all(x for _, x in row) for row in rows)
+    n = ex2_cover.total.num_vertices
+    dense = [[dict(row).get(j, 0) for j in range(n)] for row in rows]
+    assert dense == laplacian_matrix(ex2_cover.total)
+    assert report.diagnostics["invariant_factors"] == list(smith_normal_form(dense).diagonal)
 
 
 @pytest.mark.parametrize("precision", [None, 1])
@@ -218,9 +222,9 @@ def test_report_computes_each_l_value_once(monkeypatch, precision):
 
     real_cokernel = picard.cokernel
 
-    def cokernel(reduced):
+    def cokernel(reduced, *first):
         cokernels.append(len(reduced) + 1)
-        return real_cokernel(reduced)
+        return real_cokernel(reduced, *first)
 
     real_search = SerreGraph._reaches_every_vertex
     real_laplacian = SerreGraph.laplacian_rows
@@ -306,18 +310,18 @@ def test_report_reads_one_transport_and_one_eigenspace_per_character(
     from coverzeta.zeta import equivariant_laplacian, eta_at_one
 
     transported, eigenspaces = [], []
-    real_transport, real_eigenspace = picard.PicardModule._transport, picard._eigenspace_dim
+    real_transport, real_eigenspace = picard.PicardModule._transport, picard._eigenspace_dims
 
     def transport(pm, terms):
         transported.append(sorted(tau for _, tau in terms))
         return real_transport(pm, terms)
 
-    def eigenspace(mat, lam, p):
-        eigenspaces.append((len(mat), lam))
-        return real_eigenspace(mat, lam, p)
+    def eigenspace(mats, p):
+        eigenspaces.append([len(mat) for mat in mats])
+        return real_eigenspace(mats, p)
 
     monkeypatch.setattr(picard.PicardModule, "_transport", transport)
-    monkeypatch.setattr(picard, "_eigenspace_dim", eigenspace)
+    monkeypatch.setattr(picard, "_eigenspace_dims", eigenspace)
 
     def run(cover):
         transported.clear()
@@ -329,15 +333,14 @@ def test_report_reads_one_transport_and_one_eigenspace_per_character(
         support = sorted(eta.group.element(k) for k, c in enumerate(eta.coeffs) if c)
         assert transported == [[2], support]
 
-    # A = 0 and C = 0 for example1: no eigenspace of a nonempty matrix.
+    # Every character reads its eigenspaces of g from one table, taken by
+    # one elimination over the layers of A and C.  A = 0 and C = 0 for
+    # example1: only the empty matrix on C.
     run(ex1_cover)
-    assert eigenspaces and all(size == 0 for size, _ in eigenspaces)
-    # A = (Z/11)^4 for example4: the order of A and the dimension of C of each
-    # nontrivial character read one eigenspace of g on A / pA and one on C,
-    # and the trivial check one more on A / pA.
+    assert eigenspaces == [[0]]
+    # A = (Z/11)^4 for example4: one layer of A, and C, both of dimension 4.
     run(ex4_cover)
-    on_A = [(4, pow(2, i, 11)) for i in range(10)]
-    assert sorted(eigenspaces) == sorted(on_A + on_A[1:])
+    assert eigenspaces == [[4, 4]]
 
 
 def test_report_reduces_each_basis_class_of_C_once(monkeypatch):
@@ -346,19 +349,21 @@ def test_report_reduces_each_basis_class_of_C_once(monkeypatch):
     # example4 has dim C = 4 and nine nontrivial characters.  Apart from
     # building echelon forms, a report reduces only the image of each basis
     # class of C under the deck generator, a divisor e_u - e_v, against the
-    # Laplacian span.
+    # Laplacian span: against the pivot rows of Pic0's first phase, then what
+    # is left against the echelon form of its core mod p.
     cover = derive(bundled_spec("example4"))
     reduced = []
-    real_reduce = picard.ModPEchelon.reduce
+    real_reduce = picard._reduce
 
-    def reduce(span, vec):
+    def reduce(pivots, vec, p):
         reduced.append(sorted(vec.values()))
-        return real_reduce(span, vec)
+        return real_reduce(pivots, vec, p)
 
-    monkeypatch.setattr(picard.ModPEchelon, "reduce", reduce)
+    monkeypatch.setattr(picard, "_reduce", reduce)
     report = build_report(cover)
     assert report.all_ok and report.dim_C == 4
-    assert reduced == [[-1, 1]] * 4
+    assert len(reduced) == 2 * 4
+    assert all(values in ([-1, 1], [-1]) for values in reduced[::2])
 
 
 def test_report_on_a_24_vertex_base():

@@ -3,7 +3,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import bench_inputs, dense_tree_count, random_connected_base, random_connected_cover
 from coverzeta import (
@@ -16,14 +16,15 @@ from coverzeta import (
     picard_factors,
     PicardModule,
 )
-from coverzeta.picard import ModPEchelon, _pic0, _reduced
+from coverzeta.picard import _pic0, _reduce, _reduced
 from coverzeta.serre import SerreGraph
 from coverzeta.arith import VerificationError, p_part, p_valuation
 from coverzeta.groupring import GroupRingElement
-from coverzeta.snf import integer_determinant
+from coverzeta.snf import integer_determinant, prime_field, unit_pivots
 from coverzeta.specfile import spec_from_dict
 from coverzeta.zeta import equivariant_laplacian, eta_at_one
 from reference import (
+    ModPEchelon,
     character_value,
     cycle_graph,
     deck_act,
@@ -191,20 +192,28 @@ def test_elementary_quotient_dimensions(ex1_cover, ex2_cover, ex3_cover, ex4_cov
         assert len(pm.deck) == p_divisible
 
 
+def span_mod(p, rows):
+    """The pivots of the kernel over F_p on integer rows, read mod p."""
+    return unit_pivots([{j: x % p for j, x in row.items()} for row in rows], prime_field(p))[4]
+
+
 def quotient_span(cover):
-    """The span mod p of the Laplacian columns and e_0, built as the Picard
-    module builds it, and the basis e_v - e_0 of C at its free columns."""
+    """The span mod p of the Laplacian columns and e_0, by the kernel over
+    F_p on all N + 1 rows, and the basis e_v - e_0 of C at its free columns;
+    the Picard module reads C from Pic0's first phase instead."""
     n = cover.total.num_vertices
-    span = ModPEchelon(cover.p, [{0: 1}, *cover.total.laplacian_rows()])
-    free = [v for v in range(n) if v not in span.pivots]
-    return span, [[int(w == v) - int(w == 0) for w in range(n)] for v in free]
+    span = span_mod(cover.p, [{0: 1}, *cover.total.laplacian_rows()])
+    pivots = {c for _, c, _ in span}
+    free = [v for v in range(n) if v not in pivots]
+    return (span, cover.p), [[int(w == v) - int(w == 0) for w in range(n)] for v in free]
 
 
 def residual(span, divisor) -> dict[int, int]:
     """Residual mod p of a degree-zero divisor against the span of the
     Laplacian columns and e_0."""
     assert sum(divisor) == 0
-    return span.reduce(dict(enumerate(divisor)))
+    pivots, p = span
+    return _reduce(pivots, dict(enumerate(divisor)), p)
 
 
 def in_sublattice(span, divisor) -> bool:
@@ -293,25 +302,56 @@ def multigraph_laplacians(draw, max_vertices=8):
 def test_mod_p_echelon_matches_dense_elimination(case, data):
     n, rows, p = case
     dense = [[row.get(j, 0) for j in range(n)] for row in rows]
-    span = ModPEchelon(p, rows)
-    assert span.rank == dense_rank_mod(dense, p)
+    span = span_mod(p, rows)
+    pivots = {c for _, c, _ in span}
+    assert len(span) == dense_rank_mod(dense, p)
     # The unit vectors at the free columns complete the span to F_p^n.
-    free = [j for j in range(n) if j not in span.pivots]
+    free = [j for j in range(n) if j not in pivots]
     units = [[int(j == k) for j in range(n)] for k in free]
-    assert len(free) == n - span.rank
+    assert len(free) == n - len(span)
     assert dense_rank_mod(dense + units, p) == n
     vector = st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n)
     v, w = data.draw(vector), data.draw(vector)
     a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
-    rv, rw = span.reduce(dict(enumerate(v))), span.reduce(dict(enumerate(w)))
-    combined = span.reduce({j: a * x + b * y for j, (x, y) in enumerate(zip(v, w))})
+    rv, rw = _reduce(span, dict(enumerate(v)), p), _reduce(span, dict(enumerate(w)), p)
+    combined = _reduce(span, {j: a * x + b * y for j, (x, y) in enumerate(zip(v, w))}, p)
     # Linear, zero at every pivot, and congruent to the vector modulo the span.
     for j in range(n):
         assert combined.get(j, 0) == (a * rv.get(j, 0) + b * rw.get(j, 0)) % p
-    assert not set(rv) & set(span.pivots)
+    assert not set(rv) & pivots
     assert all(0 < x < p for x in rv.values())
     difference = [x - rv.get(j, 0) for j, x in enumerate(v)]
-    assert dense_rank_mod(dense + [difference], p) == span.rank
+    assert dense_rank_mod(dense + [difference], p) == len(span)
+
+
+@st.composite
+def sparse_rows_mod(draw):
+    """Random sparse rows on n columns at a prime p, n or n + 1 of them (the
+    span of the Laplacian and e_0 has N + 1 rows on N columns), some of them
+    empty, with entries already reduced mod p, zeros among them, and a
+    vector to reduce."""
+    p = draw(st.sampled_from([3, 5, 7, 23]))
+    n = draw(st.integers(1, 8))
+    entry = st.dictionaries(st.integers(0, n - 1), st.integers(0, p - 1), max_size=n)
+    rows = draw(st.lists(entry, min_size=n, max_size=n + 1))
+    return p, n, rows, draw(st.dictionaries(st.integers(0, n - 1), st.integers(-p, p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows_mod())
+@example((3, 1, [{0: 2}], {0: 1}))
+@example((5, 1, [{}, {0: 0}], {0: 4}))
+@example((7, 2, [{}, {0: 3, 1: 1}, {1: 6}], {0: 1, 1: -1}))
+def test_kernel_over_f_p_matches_the_scan_echelon(case):
+    # The kernel picks its pivot rows from a heap, the reference by a scan
+    # of every active row: the same pivot columns in the same order, so the
+    # same rank, and the same residual for any vector.
+    p, n, rows, vec = case
+    span, ref = span_mod(p, rows), ModPEchelon(p, rows)
+    assert [c for _, c, _ in span] == list(ref.pivots)
+    assert len(span) == ref.rank
+    for vec in (vec, {0: 1}, {j: j + 1 for j in range(n)}):
+        assert _reduce(span, vec, p) == ref.reduce(vec)
 
 
 def act_divisor(cover, elem, divisor) -> list[int]:

@@ -386,7 +386,7 @@ def test_cokernel_mod_phase_1_clears_a_unimodular_matrix(monkeypatch):
     assert integer_determinant(a) == -1
     searched = []
     monkeypatch.setattr(snf, "gcd", counting(searched, snf.gcd))
-    unit, ids, core, ops = unit_pivots(rows(a), INTEGERS)
+    unit, ids, core, ops, _ = unit_pivots(rows(a), INTEGERS)
     assert (unit, ids, core) == (-1, [], [])
     assert ops == [(1, 0, 2), (2, 0, -3), (2, 1, 1), (3, 1, 4), (3, 2, -2)]
     assert cokernel(rows(a)) == (-1, snf.Cokernel((), (), ()))
@@ -416,7 +416,7 @@ def test_cokernel_mod_core_needs_bezout_steps(monkeypatch):
     a = [[1, 1, 1], [4, 2, 4], [3, 6, 6]]
     assert integer_determinant(a) == -6
     monkeypatch.setattr(snf, "gcd", reduced_gcd(6))
-    unit, ids, core, ops = unit_pivots(rows(a), INTEGERS)
+    unit, ids, core, ops, _ = unit_pivots(rows(a), INTEGERS)
     assert (unit, ids, core, ops) == (1, [1, 2], [[-2, 0], [3, 3]], [(1, 0, 4), (2, 0, 3)])
     _, pivots = _eliminate(core, 6, ids, ops)
     assert any(len(op) == 6 for op in ops[2:])
@@ -437,13 +437,14 @@ def test_unit_pivots_take_one_path_over_every_ring(a, p):
     def embed(c):
         return (c,) + ring.zero[1:]
 
-    scale, ids, core, ops = unit_pivots([dict(enumerate(row)) for row in a], INTEGERS)
+    scale, ids, core, ops, pivots = unit_pivots([dict(enumerate(row)) for row in a], INTEGERS)
     embedded = unit_pivots([{j: embed(x) for j, x in enumerate(row)} for row in a], ring)
     assert embedded == (
         embed(scale),
         ids,
         [[embed(x) for x in row] for row in core],
         [(i, r, embed(m)) for i, r, m in ops],
+        [({j: embed(y) for j, y in row.items()}, c, embed(x)) for row, c, x in pivots],
     )
     assert scale * integer_determinant(core) == integer_determinant(a)
 
@@ -632,7 +633,7 @@ def test_eliminate_matches_the_full_pivot_search_on_a_cover_core(monkeypatch):
     # factors, so few core entries are units modulo kappa.
     doc = bench_inputs().random_cover(random.Random(0), 101, 3, 3)
     reduced = _reduced(derive(spec_from_dict(doc)).total.laplacian_rows())
-    unit, ids, core, _ = unit_pivots(reduced, INTEGERS)
+    unit, ids, core, _, _ = unit_pivots(reduced, INTEGERS)
     kappa = abs(unit * integer_determinant(core))
     searched, real = Counter(), gcd
 
