@@ -7,28 +7,28 @@ factors, the set of vanishing mod-p L-values, and verdict summaries.
 Assignments that differ by switching, a' = c_u^-1 a c_v on each edge u -> v,
 give covers that are isomorphic by (v, x) -> (v, x c_v), which commutes with
 the deck group (Gross and Tucker, Topological Graph Theory, 1987), so their
-rows agree but for the key and the voltages.  A unit k mod p - 1 relabels
-the fibers by s -> s^k, which takes the cover of a onto that of a^k and the
-character chi_ik of the one to chi_i of the other, so their rows agree but
-for the key, the voltages and the vanishing exponents, which k permutes.  A
-run builds one report per orbit of switching classes under these power maps
-and hands its fields to the later assignments of the orbit, each after
-checking the isomorphism on its own cover (``census.switching``).  The table
-holds one entry per class, its first cover's relabeled edges and its fields,
-and no cover or report; a resumed run seeds it from the first written row of
-each class, so an orbit keeps its one report across the runs that write one
-file.  Output is one JSON object per line; reruns skip keys already
-present, so runs are resumable, also after a crash that left a partly written last line; a file
-with any other line that is not a row or a cursor is refused, as is a row for
-another prime or edge count or a cursor over another number of assignments.  A run cut short
-by its budget ends with a cursor line, and the next run starts at the last
-cursor in the file, so repeated budgeted runs advance through the assignments.
+rows agree but for the key and the voltages.  A unit m mod p - 1 relabels
+the fibers by s -> s^m, which takes the cover of a onto that of a^m and the
+character chi_jm of the one to chi_j of the other, so their rows agree but
+for the key, the voltages and the vanishing exponents, which m permutes.  A
+run builds one report per orbit of switching classes under these power maps,
+from a table with one entry per orbit (``census_row``) that holds no cover
+or report; a resumed run seeds it from the first written row of each orbit,
+so an orbit keeps its one report across the runs that write one file.
+Output is one JSON object per line; reruns skip keys already present, so
+runs are resumable, also after a crash that left a partly written last line;
+a file with any other line that is not a row or a cursor is refused, as is a
+row for another prime or edge count or a cursor over another number of
+assignments.  A run cut short by its budget ends with a cursor line, and the
+next run starts at the last cursor in the file, so repeated budgeted runs
+advance through the assignments.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import suppress
+from functools import lru_cache
 from itertools import islice, product
 from math import gcd
 from typing import Iterable
@@ -50,18 +50,18 @@ def census_row(
 ) -> dict:
     """The row of one assignment.
 
-    ``classes`` maps each switching class met so far (its gauge-fixed
-    voltages, ``gauge``) to the relabeled edges (``_relabeled_edges``) and
-    the row fields of its first connected cover, built here or seeded from a
-    written row (``_seed_classes``).  A later cover of the class
-    takes those fields only if its own relabeled edges are the same: the two
-    relabelings then make an isomorphism of the covers that commutes with
-    the deck group, so Pic0, the L-values and every verdict agree.  If they
-    differ, ``census.switching`` fails.  The first cover of a class not in
-    the table takes, permuted, the fields of a class of its orbit under the
-    power maps, if one is there (``_mate_fields``), and builds a report
-    otherwise; either way its class gets an entry.  Without ``classes`` the
-    row gets a table of its own, so a connected cover gets its own report.
+    ``classes`` maps the representative of each orbit met so far
+    (``_representative``: the least key^m over the units m, and that m) to
+    the cover of its voltages, as edges (``_relabeled_edges``), and the
+    fields of the orbit's first connected cover, built here or seeded from a
+    written row (``_seed_classes``), each vanishing exponent j kept as
+    j * m^-1 (``_stored``).  A connected cover, relabeled by its potentials
+    and then by s -> s^m, must give those edges, or ``census.switching``
+    fails: that makes an isomorphism of the two covers taking the deck
+    transformation of t to that of t^m, so Pic0 and the verdicts agree and
+    L(Y, chi_jm) = L(Y_rep, chi_j), and the row's vanishing exponents are
+    the kept j times m.  Without ``classes`` the row gets a table of its
+    own, so a connected cover gets its own report.
     """
     spec = VoltageSpec(base, p, voltages)
     cover = derive(spec)
@@ -86,58 +86,50 @@ def census_row(
         row["verdicts"] = dict.fromkeys(VERDICTS, "SKIPPED")
         return row
     classes = {} if classes is None else classes
-    edges = _relabeled_edges(cover, potential)
-    if key not in classes:
-        fields = _mate_fields(cover, potential, key, classes)
-        if fields is None:
-            report = build_report(cover)
-            fields = (
-                tuple(report.pic0),
-                tuple(r["i"] for r in report.rows if r["h_mod_p"] == 0),
-                tuple(report.global_verdicts[name].status for name in VERDICTS),
-            )
-        classes[key] = edges, fields
-    elif classes[key][0] != edges:
+    representative, m = _representative(p, key)
+    edges = _relabeled_edges(cover, potential, m)
+    if representative not in classes:
+        report = build_report(cover)
+        fields = (
+            tuple(report.pic0),
+            [r["i"] for r in report.rows if r["h_mod_p"] == 0],
+            tuple(report.global_verdicts[name].status for name in VERDICTS),
+        )
+        classes[representative] = edges, _stored(fields, m, p)
+    stored, (pic0, vanishing, statuses) = classes[representative]
+    if stored != edges:
         raise VerificationError(
             "census.switching",
-            f"voltages {list(voltages)}: the relabeled cover differs from "
-            f"the first one of switching class {list(key)}",
+            f"voltages {list(voltages)}: the relabeled cover, raised to the power {m}, "
+            f"differs from that of orbit {list(representative)}",
         )
-    pic0, vanishing, statuses = classes[key][1]
     row["pic0"] = list(pic0)
-    row["vanishing"] = list(vanishing)
+    row["vanishing"] = sorted(j * m % (p - 1) for j in vanishing)
     row["verdicts"] = dict(zip(VERDICTS, statuses))
     return row
 
 
-def _mate_fields(
-    cover: DerivedCover, potential: list[int], key: tuple, classes: dict
-) -> tuple | None:
-    """The fields of a class in ``classes`` whose key K has ``key`` = K^k,
-    coefficientwise, for a unit k != 1 mod p - 1, permuted for this class;
-    None if there is none.
+@lru_cache(maxsize=1 << 16)
+def _representative(p: int, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The least key^m, coefficientwise, over the units m mod p - 1, and the
+    least such m: the key of its orbit under the power maps."""
+    units = (m for m in range(1, p - 1) if gcd(m, p - 1) == 1)
+    return min((tuple(pow(x, m, p) for x in key), m) for m in units)
 
-    The power map (v, s) -> (v, s^m), m = k^-1, takes the cover of ``key``
-    onto that of K and the deck transformation of t to that of t^m, so Pic0
-    and the verdicts agree, and L(Y_key, chi_i) = L(Y_K, chi_ik): the
-    vanishing exponents here are j * m mod p - 1 for those j of K.  The
-    fields are taken only if this cover, relabeled by its potentials and
-    then by the power map, equals K's relabeled cover, edge for edge;
-    otherwise ``census.switching`` fails.
-    """
-    p = cover.p
-    for m in (m for m in range(2, p - 1) if gcd(m, p - 1) == 1):
-        mate = tuple(pow(x, m, p) for x in key)
-        if mate in classes:
-            edges, (pic0, vanishing, statuses) = classes[mate]
-            if _relabeled_edges(cover, potential, m) != edges:
-                raise VerificationError(
-                    "census.switching",
-                    f"voltages {list(cover.spec.voltages)}: the relabeled cover, "
-                    f"raised to the power {m}, differs from that of class {list(mate)}",
-                )
-            return pic0, tuple(sorted(j * m % (p - 1) for j in vanishing)), statuses
-    return None
+
+def _stored(fields: tuple, m: int, p: int) -> tuple:
+    """The fields of a cover whose gauge-fixed voltages the unit m carries to
+    its orbit's representative, as the table keeps them: each vanishing
+    exponent j as j * m^-1 mod p - 1, sorted."""
+    pic0, vanishing, statuses = fields
+    inverse = pow(m, -1, p - 1)
+    return pic0, tuple(sorted(j * inverse % (p - 1) for j in vanishing)), statuses
+
+
+@lru_cache(maxsize=None)
+def _powers(p: int, m: int) -> tuple[int, ...]:
+    """s^m - 1 at index s, for s in 1..p - 1; index 0 is unused."""
+    return (-1,) + tuple(pow(s, m, p) - 1 for s in range(1, p))
 
 
 def _relabeled_edges(cover: DerivedCover, potential: list[int], power: int = 1) -> tuple[int, ...]:
@@ -154,11 +146,9 @@ def _relabeled_edges(cover: DerivedCover, potential: list[int], power: int = 1) 
     """
     p, f = cover.p, cover.fiber_size
     inverse = [pow(x, -1, p) for x in potential]
+    powered = _powers(p, power)
     # The relabeled index of each total vertex (v, s), at v * f + s - 1.
-    relabel = [v * f + s * inverse[v] % p - 1 for v in cover.base.vertices for s in range(1, p)]
-    if power != 1:
-        powered = [pow(s, power, p) - 1 for s in range(1, p)]
-        relabel = [a - a % f + powered[a % f] for a in relabel]
+    relabel = [v * f + powered[s * inverse[v] % p] for v in cover.base.vertices for s in range(1, p)]
     flat = [-1] * (2 * cover.total.num_undirected_edges)
     for j, (w, w2) in enumerate(cover.total.edge_pairs):
         a = relabel[w]
@@ -260,16 +250,18 @@ def _resume_state(out_path: str, base: SerreGraph, p: int) -> tuple[set[str], in
 
 def _seed_classes(base: SerreGraph, p: int, seeds: list, out_path: str) -> dict:
     """The class table of ``census_row``, seeded from written rows: the first
-    seed of each switching class gives the relabeled edges of its own cover
-    and its written fields.  The fields are trusted as the report that wrote
-    them; a later row of the class takes them only after ``census.switching``
+    seed of each orbit gives its own cover, relabeled onto the orbit's
+    representative, and its written fields, stored as ``census_row`` stores
+    a report's.  The fields are trusted as the report that wrote them; a
+    later row of the orbit takes them only after ``census.switching``
     compares its cover with this one.  A seed whose cover is disconnected,
     although its row says connected, raises ``CensusFileError``."""
     classes: dict = {}
     for voltages, fields in seeds:
         spec = VoltageSpec(base, p, voltages)
         potential, key = gauge(spec)
-        if key in classes:
+        representative, m = _representative(p, key)
+        if representative in classes:
             continue
         cover = derive(spec)
         if not cover.is_connected():
@@ -277,7 +269,7 @@ def _seed_classes(base: SerreGraph, p: int, seeds: list, out_path: str) -> dict:
                 f"{out_path}: row {assignment_key(voltages)} says connected, "
                 "but the cover of its voltages is not"
             )
-        classes[key] = _relabeled_edges(cover, potential), fields
+        classes[representative] = _relabeled_edges(cover, potential, m), _stored(fields, m, p)
     return classes
 
 
@@ -293,7 +285,7 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
         raise ValueError("census base graph must be connected")
     num_edges = base.num_undirected_edges
     total = (p - 1) ** num_edges
-    # classes: switching class -> its first cover's edges and fields
+    # classes: orbit representative -> its cover's edges and fields
     done, start, classes = _resume_state(out_path, base, p)
     processed = 0
     written = 0

@@ -87,8 +87,8 @@ class CoverAnalysis:
     """
 
     def __init__(self, cover: DerivedCover, precision: int | None = None):
-        if precision is not None and precision < 1:
-            raise ValueError(f"precision must be at least 1, got {precision}")
+        if precision is not None and (type(precision) is not int or precision < 1):
+            raise ValueError(f"precision must be at least 1 and an int, got {precision!r}")
         require_connected_cover(cover)
         self.cover = cover
         self.p = cover.p

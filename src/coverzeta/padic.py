@@ -3,7 +3,9 @@
 A value is a residue modulo p^N together with the precision N; the analysis
 only reads its valuation and its digits, so it carries no arithmetic.  The
 valuation of a value that is 0 mod p^N cannot be told apart from N, so asking
-for it raises ``PrecisionExhausted`` and the caller must recompute at higher
+for it raises ``PrecisionExhausted``.  A report's precision exceeds the
+valuation of every nontrivial L-value (``herbrand.default_precision``), so
+such a value that is 0 at that precision is a bug, not a reason to raise the
 precision.
 """
 
@@ -39,7 +41,8 @@ class PAdicInt:
         """Exact p-adic valuation; raises if indistinguishable from >= N."""
         if self.value == 0:
             raise PrecisionExhausted(
-                f"value is 0 mod {self.p}^{self.precision}; recompute at higher precision"
+                f"value is 0 mod {self.p}^{self.precision}; at a report's precision "
+                "(herbrand.default_precision) that is a bug"
             )
         return p_valuation(self.value, self.p)
 

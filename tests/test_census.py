@@ -166,8 +166,9 @@ def test_resumed_benchmark_round_builds_one_report_per_class(tmp_path, monkeypat
     # The benchmark's census round at seed 1: a budgeted run of 932 rows,
     # which meets all 182 connected classes, then one that resumes into the
     # same file.  Each run used to build the reports of its own classes, 364
-    # in all; the resumed run now seeds every class from the first run's
+    # in all; the resumed run now seeds every orbit from the first run's
     # rows, and the unit 5 = -1 mod 6 pairs the classes into 91 orbits.
+    # Seeding keeps one table entry per orbit and derives one cover for it.
     inputs = bench_inputs()
     variant = inputs.census_variant(1)
     assert variant["budget"] == 932
@@ -178,6 +179,11 @@ def test_resumed_benchmark_round_builds_one_report_per_class(tmp_path, monkeypat
     built = count_reports(monkeypatch)
     run_census(base, p, str(out), budget=variant["budget"])
     first = len(built)
+    derived, real_derive = [], census.derive
+    with monkeypatch.context() as m:
+        m.setattr(census, "derive", lambda spec: derived.append(spec) or real_derive(spec))
+        _, start, classes = census._resume_state(str(out), base, p)
+    assert start == 932 and len(classes) == len(derived) == 91
     run_census(base, p, str(out))
     rows = read_census(str(out))
     assert len(rows) == variant["total"] == 1296
@@ -354,4 +360,5 @@ def test_power_map_row_read_through_the_table_is_the_fresh_row(case):
     census_row(base, p, voltages, classes)
     with mock.patch.object(census, "build_report", side_effect=AssertionError("report built")):
         assert census_row(base, p, powered, classes) == fresh
-    assert len(classes) == fresh["connected"] * len({key, power(p, key, k)})
+    # One entry for the orbit, which holds both classes.
+    assert len(classes) == fresh["connected"]

@@ -402,11 +402,12 @@ def corrupted(spec):
 """
 
 
-# Relabel the cover of a class that meets its orbit mate K, key = K^k for a
-# unit k mod p - 1, without the power map s -> s^(k^-1), or with k in place
-# of k^-1.  On the two-loop bouquet at p = 11 the first is caught at (1, 6) =
-# (1, 2)^9 and the second at (1, 7) = (1, 2)^7, since 7^-1 = 3 mod 10; at
-# p = 5 and 7 every unit is its own inverse, so only the first would show.
+# Relabel the cover of a class whose key is not its orbit's representative
+# R, key^m = R for a unit m mod p - 1, without the power map s -> s^m, or
+# with m^-1 in place of m.  On the two-loop bouquet at p = 11 the first is
+# caught at (1, 6), (1, 6)^9 = (1, 2), and the second at (1, 7),
+# (1, 7)^3 = (1, 2), since 3^-1 = 7 mod 10; at p = 5 and 7 every unit is its
+# own inverse, so only the first would show.
 POWER_SABOTAGES = {
     "dropped": """
 import coverzeta.census as module

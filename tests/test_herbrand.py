@@ -125,6 +125,13 @@ def test_nonpositive_precision_rejected(ex2_cover):
             build_report(ex2_cover, precision)
 
 
+@pytest.mark.parametrize("precision", [True, 3.0, 7.5])
+def test_non_integer_precision_rejected(ex2_cover, precision):
+    # bool passes isinstance(x, int), and a float would reach padic's pow.
+    with pytest.raises(ValueError, match="and an int, got"):
+        build_report(ex2_cover, precision)
+
+
 def test_table_rendering(ex3_cover):
     table = build_report(ex3_cover).format_table()
     lines = table.strip().splitlines()
