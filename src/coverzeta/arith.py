@@ -20,7 +20,8 @@ class VerificationError(Exception):
 
 
 def is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
+    """Whether n is an odd prime; False for anything not an int, bool included."""
+    if type(n) is not int or n < 3 or n % 2 == 0:
         return False
     d = 3
     while d * d <= n:
@@ -57,7 +58,7 @@ def multiplicative_order(a: int, p: int) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # 5.0 is not 5's entry
 def smallest_primitive_root(p: int) -> int:
     """Least generator of the cyclic group of units mod an odd prime p."""
     if not is_odd_prime(p):

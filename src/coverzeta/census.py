@@ -33,7 +33,7 @@ from itertools import islice, product
 from math import gcd
 from typing import Iterable
 
-from .arith import VerificationError
+from .arith import VerificationError, is_odd_prime
 from .herbrand import build_report
 from .serre import SerreGraph
 from .voltage import DerivedCover, VoltageSpec, connected_by_voltage_criterion, derive, gauge
@@ -45,9 +45,7 @@ def assignment_key(voltages: Iterable[int]) -> str:
     return ",".join(str(a) for a in voltages)
 
 
-def census_row(
-    base: SerreGraph, p: int, voltages: tuple[int, ...], classes: dict | None = None
-) -> dict:
+def census_row(base: SerreGraph, p: int, voltages: tuple[int, ...], classes: dict) -> dict:
     """The row of one assignment.
 
     ``classes`` maps the representative of each orbit met so far
@@ -60,8 +58,7 @@ def census_row(
     fails: that makes an isomorphism of the two covers taking the deck
     transformation of t to that of t^m, so Pic0 and the verdicts agree and
     L(Y, chi_jm) = L(Y_rep, chi_j), and the row's vanishing exponents are
-    the kept j times m.  Without ``classes`` the row gets a table of its
-    own, so a connected cover gets its own report.
+    the kept j times m.
     """
     spec = VoltageSpec(base, p, voltages)
     cover = derive(spec)
@@ -85,7 +82,6 @@ def census_row(
         row["vanishing"] = None
         row["verdicts"] = dict.fromkeys(VERDICTS, "SKIPPED")
         return row
-    classes = {} if classes is None else classes
     representative, m = _representative(p, key)
     edges = _relabeled_edges(cover, potential, m)
     if representative not in classes:
@@ -132,7 +128,7 @@ def _powers(p: int, m: int) -> tuple[int, ...]:
     return (-1,) + tuple(pow(s, m, p) - 1 for s in range(1, p))
 
 
-def _relabeled_edges(cover: DerivedCover, potential: list[int], power: int = 1) -> tuple[int, ...]:
+def _relabeled_edges(cover: DerivedCover, potential: list[int], power: int) -> tuple[int, ...]:
     """The total graph's edges after relabeling (v, x) -> (v, x * phi(v)^-1),
     then (v, s) -> (v, s^power), flat: the edge over base edge k from
     relabeled (u, t) sits at 2 * (k * (p - 1) + t - 1) as its two relabeled
@@ -281,6 +277,8 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
     assignment it is partial, and both the file and the summary carry the
     cursor of the next assignment.
     """
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p!r}")
     if not base.is_connected():
         raise ValueError("census base graph must be connected")
     num_edges = base.num_undirected_edges

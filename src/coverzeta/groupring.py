@@ -11,7 +11,7 @@ although Z[G] has zero divisors, with Z[G] as the record ``CyclicGroup.ring``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from operator import mul, neg
 
 from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
@@ -32,7 +32,7 @@ class CyclicGroup:
             raise ValueError(f"{self.generator} does not generate the units mod {self.p}")
 
     @classmethod
-    @cache
+    @lru_cache(maxsize=None, typed=True)  # 5.0 is not 5's entry
     def for_prime(cls, p: int) -> "CyclicGroup":
         """The group at p with its least primitive root, built once per prime,
         so its element tables and convolution are built once too."""

@@ -1,10 +1,12 @@
 """End-to-end verification on a cover, one row per nontrivial character.
 
-A row holds the character's order of A, dimension of C and L-value, each
-computed once, with its main22 verdict (the order against the L-value's p-adic
-absolute value) and its main11 verdict (C-eigenspace vanishing against the
-L-value mod p).  The global verdicts are derived from the rows and from the
-intermediates the rows share.  A FAIL on a valid connected cover indicates an
+``build_report`` is one pass over the cover.  It computes the intermediates
+the rows share, with the checks that tie them together, then each row as the
+dict the report writes: the character's order of A, dimension of C and
+L-value, each computed once, with its main22 verdict (the order against the
+L-value's p-adic absolute value) and its main11 verdict (C-eigenspace
+vanishing against the L-value mod p).  The global verdicts are derived from
+the rows and from the shared intermediates.  A FAIL on a valid connected cover indicates an
 implementation bug, not new mathematics, so failures carry a diagnostic
 payload (Smith data, precisions) for debugging.  Reports serialize
 deterministically.
@@ -21,7 +23,7 @@ from .characters import Character
 from .groupring import CyclicGroup
 from .padic import PAdicInt
 from .picard import PicardModule, picard_factors
-from .voltage import DerivedCover, require_connected_cover
+from .voltage import DerivedCover
 from .zeta import duality_check, equivariant_laplacian, eta_at_one, l_value, orbit_norms
 
 PASS = "PASS"
@@ -44,114 +46,7 @@ def default_precision(pm: PicardModule) -> int:
     the p-valuation of #Pic0, so one less than this already suffices and a
     value that vanishes at it signals a bug rather than a tight margin.
     """
-    return p_valuation(pm.order, pm.p) + 2
-
-
-@dataclass(frozen=True)
-class CharacterRow:
-    """A character's row; ``h`` is its L-value at the report's precision,
-    whose ``valuation`` is None when it vanished there."""
-
-    i: int
-    dim_C: int
-    order_A: int
-    h_mod_p: int
-    h: PAdicInt
-    valuation: int | None
-    verdicts: dict[str, Verdict]
-
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "dimC": self.dim_C,
-            "h_mod_p": self.h_mod_p,
-            "orderA": self.order_A,
-            "valuation": self.valuation,
-            "h_padic": None if self.valuation is None else self.h.expansion_str(),
-            "verdicts": {name: v.to_dict() for name, v in self.verdicts.items()},
-        }
-
-
-class CoverAnalysis:
-    """The intermediates every character's row reads, computed once.
-
-    They are the Picard module (the deck generator's matrix on Pic0, the
-    exponents of A, and the deck generator's matrix on C, whose size dim C
-    is checked against the number of cyclic summands of A), the base graph's
-    Picard factors (kept on the graph), whose product is its tree count, the
-    equivariant Laplacian and the special value eta(1), whose
-    Berkowitz-against-substitution check runs here, the norms N_d of eta(1) at
-    the rational orbits of characters (those of order d, for each d > 1
-    dividing p - 1), and the class-number check that ties the order of Pic0
-    to their product.
-    """
-
-    def __init__(self, cover: DerivedCover, precision: int | None = None):
-        if precision is not None and (type(precision) is not int or precision < 1):
-            raise ValueError(f"precision must be at least 1 and an int, got {precision!r}")
-        require_connected_cover(cover)
-        self.cover = cover
-        self.p = cover.p
-        self.group = CyclicGroup.for_prime(self.p)
-        self.pic = PicardModule(cover)
-        self.dim_c = len(self.pic.deck)
-        summands = sum(a > 0 for a in self.pic.exponents)
-        if self.dim_c != summands:
-            raise VerificationError(
-                "picard.quotient_dimension",
-                f"mod-{self.p} span of the Laplacian leaves dim C = {self.dim_c}, "
-                f"but A has {summands} cyclic summands",
-            )
-        self.base_factors = picard_factors(cover.base)
-        self.kappa_base = prod(self.base_factors)  # certified by snf.cokernel_order
-        self.lap = equivariant_laplacian(cover)
-        self.eta1 = eta_at_one(cover, self.lap)
-        self.orbit_norms = orbit_norms(self.eta1)
-        self._check_class_number()
-        # The class-number check bounds every L-value's valuation by that of
-        # #Pic0, so a requested precision is raised to one more than that.
-        k = default_precision(self.pic)
-        self.precision = k if precision is None else max(precision, k - 1)
-
-    def _check_class_number(self) -> None:
-        """Check (p - 1) #Pic0(Y) = kappa(X) prod of N_d over d | p - 1, d > 1.
-
-        N_d, kept in ``orbit_norms``, is the product of chi(eta(1)) over the
-        characters of order d, so the product of the N_d is the product of
-        the nontrivial L-values at u = 1.
-        """
-        norms = prod(self.orbit_norms.values())
-        if (self.p - 1) * self.pic.order != self.kappa_base * norms:
-            raise VerificationError(
-                "picard.class_number",
-                f"(p - 1) #Pic0 = {(self.p - 1) * self.pic.order}, kappa(X) = {self.kappa_base}, "
-                f"orbit norms {self.orbit_norms}",
-            )
-
-    def character_row(self, i: int) -> CharacterRow:
-        """The i-th character's row.  Its layer ranks (eigenspaces of the deck
-        generator on the layers of A) give its order of A and its dimension of
-        C; its L-value is taken once, at the report's precision."""
-        p = self.p
-        lam = pow(self.group.generator, i, p)  # chi(g) mod p
-        ranks = self.pic.layer_ranks(lam)
-        dim = self.pic.dim_C(lam, ranks)
-        order = p ** sum(ranks)
-        value = l_value(Character(self.group, i, self.precision), self.eta1, self.lap)
-        h = PAdicInt(p, self.precision, value)
-        val = None if h.is_zero() else h.valuation()
-        h_mod_p = h.value % p  # the Teichmuller lift reduces to the F_p character
-        if (dim > 0) == (h_mod_p == 0):
-            main11 = Verdict(PASS, f"dim = {dim}, h = {h_mod_p}")
-        else:
-            main11 = Verdict(FAIL, f"dim = {dim} inconsistent with h = {h_mod_p}")
-        if val is None:
-            main22 = Verdict(FAIL, f"L-value vanished mod {p}^{h.precision}; order side is {order}")
-        elif p**val == order:
-            main22 = Verdict(PASS, f"#component = {order} = p^{val}")
-        else:
-            main22 = Verdict(FAIL, f"#component = {order} but |h|^-1 = {p**val}")
-        return CharacterRow(i, dim, order, h_mod_p, h, val, {"main11": main11, "main22": main22})
+    return sum(pm.exponents) + 2
 
 
 @dataclass
@@ -216,34 +111,94 @@ class TheoremReport:
 
 
 def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremReport:
-    """Run every verification on a connected cover and assemble the report."""
-    a = CoverAnalysis(cover, precision)
-    rows = [a.character_row(i) for i in range(1, a.p - 1)]
+    """Run every verification on a connected cover and assemble the report.
+
+    The intermediates the rows share are computed once: the Picard module,
+    whose dim C is checked against the number of cyclic summands of A; the
+    base graph's Picard factors, whose product is its tree count; the
+    equivariant Laplacian and eta(1); and the norms N_d of eta(1) at the
+    rational orbits of characters, whose product, the product of the
+    nontrivial L-values at u = 1, the class-number check ties to #Pic0.
+    """
+    if precision is not None and (type(precision) is not int or precision < 1):
+        raise ValueError(f"precision must be at least 1 and an int, got {precision!r}")
+    p = cover.p
+    group = CyclicGroup.for_prime(p)
+    pm = PicardModule(cover)
+    dim_c, summands = len(pm.deck), sum(a > 0 for a in pm.exponents)
+    if dim_c != summands:
+        raise VerificationError(
+            "picard.quotient_dimension",
+            f"mod-{p} span of the Laplacian leaves dim C = {dim_c}, but A has {summands} cyclic summands",
+        )
+    base_factors = picard_factors(cover.base)
+    kappa_base = prod(base_factors)  # certified by snf.cokernel_order
+    lap = equivariant_laplacian(cover)
+    eta1 = eta_at_one(cover, lap)
+    norms = orbit_norms(eta1)
+    # (p - 1) #Pic0(Y) = kappa(X) prod of N_d over d | p - 1, d > 1.
+    if (p - 1) * pm.order != kappa_base * prod(norms.values()):
+        raise VerificationError(
+            "picard.class_number",
+            f"(p - 1) #Pic0 = {(p - 1) * pm.order}, kappa(X) = {kappa_base}, orbit norms {norms}",
+        )
+    # The class-number check bounds every L-value's valuation by that of
+    # #Pic0, so a requested precision is raised to one more than that.
+    k = default_precision(pm)
+    precision = k if precision is None else max(precision, k - 1)
+    # Each row's layer ranks, g's eigenspaces on the layers of A at chi(g),
+    # give its order of A and, the first, its dimension of C; its L-value
+    # is taken once.  The Teichmuller lift reduces to the F_p character.
+    rows = []
+    for i in range(1, p - 1):
+        ranks = pm.layer_ranks(pow(group.generator, i, p))
+        dim, order = (ranks[0] if ranks else 0), p ** sum(ranks)
+        h = PAdicInt(p, precision, l_value(Character(group, i, precision), eta1, lap))
+        val = None if h.is_zero() else h.valuation()
+        h_mod_p = h.value % p
+        if (dim > 0) == (h_mod_p == 0):
+            main11 = Verdict(PASS, f"dim = {dim}, h = {h_mod_p}")
+        else:
+            main11 = Verdict(FAIL, f"dim = {dim} inconsistent with h = {h_mod_p}")
+        if val is None:
+            main22 = Verdict(FAIL, f"L-value vanished mod {p}^{precision}; order side is {order}")
+        elif p**val == order:
+            main22 = Verdict(PASS, f"#component = {order} = p^{val}")
+        else:
+            main22 = Verdict(FAIL, f"#component = {order} but |h|^-1 = {p**val}")
+        rows.append({
+            "i": i,
+            "dimC": dim,
+            "h_mod_p": h_mod_p,
+            "orderA": order,
+            "valuation": val,
+            "h_padic": None if val is None else h.expansion_str(),
+            "verdicts": {"main11": main11.to_dict(), "main22": main22.to_dict()},
+        })
     verdicts = {}
     for name in ("main11", "main22"):
-        failed = [r.verdicts[name] for r in rows if r.verdicts[name].status == FAIL]
-        verdicts[name] = failed[0] if failed else Verdict(PASS, f"{len(rows)} characters verified")
+        failed = next((r["verdicts"][name] for r in rows if r["verdicts"][name]["status"] == FAIL), None)
+        verdicts[name] = Verdict(**failed) if failed else Verdict(PASS, f"{len(rows)} characters verified")
     # The Fitting-ideal consequences: (a) eta(1) annihilates Pic0 through the
     # deck action; (b) each L-value generates the ideal of its component's
     # order, which is main22, so (b) names the first failing main22 row.
-    bad = next((r for r in rows if r.verdicts["main22"].status == FAIL), None)
-    if not a.pic.annihilated_by(a.eta1):
+    bad = next((r for r in rows if r["verdicts"]["main22"]["status"] == FAIL), None)
+    if not pm.annihilated_by(eta1):
         fitting = Verdict(FAIL, "special value does not annihilate the Picard group")
     elif bad is None:
         fitting = Verdict(PASS, "annihilation and per-character ideals verified")
-    elif bad.valuation is None:
-        fitting = Verdict(FAIL, f"character {bad.i}: L-value vanished mod p^{bad.h.precision}")
+    elif bad["valuation"] is None:
+        fitting = Verdict(FAIL, f"character {bad['i']}: L-value vanished mod p^{precision}")
     else:
-        reason = f"character {bad.i}: ideal p^{bad.valuation} != component order {bad.order_A}"
+        reason = f"character {bad['i']}: ideal p^{bad['valuation']} != component order {bad['orderA']}"
         fitting = Verdict(FAIL, reason)
     verdicts["fitting"] = fitting
     verdicts["duality"] = (
         Verdict(PASS, "L-values match at contragredient pairs")
-        if duality_check(a.eta1, precision=min(a.precision, 3))
+        if duality_check(eta1, precision=min(precision, 3))
         else Verdict(FAIL, "a contragredient pair disagrees")
     )
-    dim_c = a.dim_c
-    rhs = sum(1 for d in a.base_factors if d % a.p == 0) + sum(1 for r in rows if r.h_mod_p == 0)
+    rhs = sum(1 for d in base_factors if d % p == 0) + sum(1 for r in rows if r["h_mod_p"] == 0)
     strict = dim_c > rhs
     verdicts["dim_inequality"] = (
         Verdict(PASS, f"dim C = {dim_c} >= {rhs} ({'strict' if strict else 'tight'})")
@@ -252,40 +207,40 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
     )
     # The trivial character has chi(g) = 1; its piece of A has order p^(sum of its ranks).
     verdicts["trivial_character"] = (
-        Verdict(PASS, f"trivial component order equals p-part of kappa(X) = {a.kappa_base}")
-        if sum(a.pic.layer_ranks(1)) == p_valuation(a.kappa_base, a.p)
+        Verdict(PASS, f"trivial component order equals p-part of kappa(X) = {kappa_base}")
+        if sum(pm.layer_ranks(1)) == p_valuation(kappa_base, p)
         else Verdict(FAIL, "trivial component order differs from p-part of kappa(X)")
     )
-    order_a = a.p ** sum(a.pic.exponents)
-    order_product = prod(r.order_A for r in rows) * p_part(a.kappa_base, a.p)
+    order_a = p ** sum(pm.exponents)
+    order_product = prod(r["orderA"] for r in rows) * p_part(kappa_base, p)
     verdicts["order_product"] = (
         Verdict(PASS, "component orders multiply to the order of the p-primary part")
         if order_product == order_a
         else Verdict(FAIL, f"product {order_product} != {order_a}")
     )
     report = TheoremReport(
-        p=a.p,
-        generator=a.group.generator,
-        precision=a.precision,
+        p=p,
+        generator=group.generator,
+        precision=precision,
         voltages=cover.spec.voltages,
         base_vertices=cover.base.num_vertices,
         base_edges=cover.base.num_undirected_edges,
         total_vertices=cover.total.num_vertices,
         total_edges=cover.total.num_undirected_edges,
-        pic0=a.pic.factors,
-        sylow_factors=tuple(a.p**e for e in a.pic.exponents if e),
+        pic0=pm.factors,
+        sylow_factors=tuple(p**e for e in pm.exponents if e),
         dim_C=dim_c,
-        kappa_base=a.kappa_base,
-        rows=[r.to_dict() for r in rows],
+        kappa_base=kappa_base,
+        rows=rows,
         global_verdicts=verdicts,
         strict_dimension_inequality=strict,
     )
     if not report.all_ok:
-        ones = [1] * (cover.total.num_vertices - 1 - len(a.pic.factors))
+        ones = [1] * (cover.total.num_vertices - 1 - len(pm.factors))
         report.diagnostics = {
             "laplacian": [sorted(map(list, row.items())) for row in cover.total.laplacian_rows()],
-            "invariant_factors": [*ones, *a.pic.factors, 0],  # the Laplacian's Smith diagonal
-            "precision": a.precision,
-            "eta_at_one_coeffs": list(a.eta1.coeffs),
+            "invariant_factors": [*ones, *pm.factors, 0],  # the Laplacian's Smith diagonal
+            "precision": precision,
+            "eta_at_one_coeffs": list(eta1.coeffs),
         }
     return report

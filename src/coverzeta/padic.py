@@ -70,7 +70,7 @@ class PAdicInt:
         return " + ".join(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # 5.0 is not 5's entry
 def teichmuller(a: int, p: int, precision: int) -> PAdicInt:
     """The (p-1)th root of unity congruent to a mod p, to the given precision.
 

@@ -11,7 +11,7 @@ layer ranks, give the order of e_chi A and, at j = 1, the dimension of
 e_chi C for C = Pic0 / p.  ``PicardModule`` also reads C with no arithmetic
 shared with the elimination modulo kappa: from the rows of Pic0's certified
 first phase over Z and ``snf.unit_pivots`` over F_p on its core; g's
-chi(g)-eigenspace there must have dimension r_1.
+lam-eigenspace there must have dimension r_1 at every lam, 1 included.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class PicardModule:
 
     def layer_ranks(self, lam: int) -> tuple[int, ...]:
         """Ranks r_1, ..., r_k (k the exponent of A) of e_chi A, for the
-        character with chi(g) = lam mod p.
+        character with chi(g) = lam mod p; r_1 is also the dimension of e_chi C.
 
         p^(j-1) A / p^j A is the F_p-space on the generators of exponent at
         least j, on which g acts by the matching block of ``action``.  e_chi A
@@ -146,27 +146,25 @@ class PicardModule:
         g, so that eigenspace has dimension r_j = dim p^(j-1) e_chi A / p^j
         e_chi A, the number of summands of e_chi A of order at least p^j.
         """
-        return tuple(dims[lam] for dims in self._dims[:-1])
+        return tuple(dims[lam] for dims in self._dims)
 
     @cached_property
     def _dims(self) -> list[dict[int, int]]:
-        """g's eigenspace dimensions at every lam, on each layer of A and on C."""
+        """g's eigenspace dimensions at every lam on each layer of A, the first
+        checked at every lam against g's on C, from ``deck``: C = A / pA."""
+        p = self.p
         heights = range(1, max(self.exponents, default=0) + 1)
         layers = [[i for i, a in enumerate(self.exponents) if a >= j] for j in heights]
         blocks = [[[self.action[i][k] for k in layer] for i in layer] for layer in layers]
-        return _eigenspace_dims([*blocks, self.deck], self.p)
-
-    def dim_C(self, lam: int, ranks: tuple[int, ...]) -> int:
-        """F_p-dimension of e_chi C for chi(g) = lam: the first layer rank r_1
-        of A in ``ranks``, which g's lam-eigenspace on C, from ``deck``, must equal."""
-        dim, eigen = (ranks[0] if ranks else 0), self._dims[-1][lam]
-        if eigen != dim:
-            raise VerificationError(
-                "picard.fixed_point_sweep",
-                f"layer rank r_1 = {dim} of A disagrees with the {lam}-eigenspace of the "
-                f"deck generator {self.generator} on C, of dimension {eigen}",
-            )
-        return dim
+        *dims, on_c = _eigenspace_dims([*blocks, self.deck], p)
+        for lam in range(1, p):
+            if (r1 := dims[0][lam] if dims else 0) != on_c[lam]:
+                raise VerificationError(
+                    "picard.fixed_point_sweep",
+                    f"layer rank r_1 = {r1} of A disagrees with the {lam}-eigenspace of the "
+                    f"deck generator {self.generator} on C, of dimension {on_c[lam]}",
+                )
+        return dims
 
 
 def _eigenspace_dims(mats, p: int) -> list[dict[int, int]]:

@@ -3,7 +3,7 @@ determinant polynomial det(I - A u + (D - I) u^2), which is the group-ring
 determinant of the Laplacian D - A, and character L-values.
 
 The Laplacian D - A over Z[G], sparse rows {column: coefficient vector},
-and eta(1) are built once per cover by ``herbrand.CoverAnalysis`` and passed
+and eta(1) are built once per cover by ``herbrand.build_report`` and passed
 in.  Everything is exact, and each value is taken along two routes that are
 compared: a character of eta(1) against the determinant of the evaluated
 Laplacian modulo p or p^K (``snf.det_mod``); and eta(1) itself by the

@@ -8,7 +8,7 @@ import types
 import pytest
 
 import coverzeta
-from coverzeta import census, characters, groupring, padic, picard, serre, snf, voltage
+from coverzeta import census, characters, groupring, herbrand, padic, picard, serre, snf, voltage
 
 PUBLIC = {
     "Character",
@@ -98,7 +98,9 @@ REMOVED = [
     ),
     (voltage.VoltageSpec, ["voltage"]),
     (picard, ["spanning_tree_count", "ModPEchelon"]),
+    (picard.PicardModule, ["dim_C"]),
     (census, ["_mate_fields"]),
+    (herbrand, ["CoverAnalysis", "CharacterRow"]),
 ]
 
 

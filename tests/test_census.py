@@ -321,8 +321,8 @@ def test_switching_keeps_every_row_field(case):
     switched = switch(base, p, voltages, units)
     assert gauge(VoltageSpec(base, p, voltages))[1] == gauge(VoltageSpec(base, p, switched))[1]
     # Fresh base objects: nothing is shared between the two reports.
-    row = census_row(SerreGraph(n, pairs), p, voltages)
-    other = census_row(SerreGraph(n, pairs), p, switched)
+    row = census_row(SerreGraph(n, pairs), p, voltages, {})
+    other = census_row(SerreGraph(n, pairs), p, switched, {})
     assert {k: row[k] for k in ROW_FIELDS} == {k: other[k] for k in ROW_FIELDS}
     # Through a table, the switched row reuses the first one's fields.
     classes = {}
@@ -355,7 +355,7 @@ def test_power_map_row_read_through_the_table_is_the_fresh_row(case):
     key = gauge(VoltageSpec(base, p, voltages))[1]
     assert gauge(VoltageSpec(base, p, powered))[1] == power(p, key, k)
     # Fresh base objects: nothing is shared with the table's report.
-    fresh = census_row(SerreGraph(n, pairs), p, powered)
+    fresh = census_row(SerreGraph(n, pairs), p, powered, {})
     classes = {}
     census_row(base, p, voltages, classes)
     with mock.patch.object(census, "build_report", side_effect=AssertionError("report built")):

@@ -80,7 +80,7 @@ CERTIFICATE_SABOTAGES = {
     ),
 }
 
-# Each of the next four replaces the Picard module the report builds with one
+# Each of the next five replaces the Picard module the report builds with one
 # that has one quantity corrupted after it is built and certified.
 
 # Doubles the first invariant factor of Pic0 prime to p, so that only the
@@ -140,6 +140,23 @@ def corrupted(cover):
     pm = real(cover)
     n = len(pm.deck)
     pm.deck = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return pm
+"""
+
+# Sends the first basis class of C to the sum of all three, on the tripled
+# triangle below, where g fixes that class and swaps the other two: a fixed
+# class goes to itself plus a fixed class, so g's fixed space on C drops from
+# a plane to a line while its (-1)-eigenspace, the only nontrivial
+# character's, stays a line.
+FIXED_SPACE_SABOTAGE = """
+import coverzeta.herbrand as module
+
+name = "PicardModule"
+real = module.PicardModule
+
+def corrupted(cover):
+    pm = real(cover)
+    pm.deck = ((1, 1, 1),) + pm.deck[1:]
     return pm
 """
 
@@ -415,8 +432,8 @@ import coverzeta.census as module
 name = "_relabeled_edges"
 real = module._relabeled_edges
 
-def corrupted(cover, potential, power=1):
-    return real(cover, potential)
+def corrupted(cover, potential, power):
+    return real(cover, potential, 1)
 """,
     "inverted": """
 import coverzeta.census as module
@@ -424,7 +441,7 @@ import coverzeta.census as module
 name = "_relabeled_edges"
 real = module._relabeled_edges
 
-def corrupted(cover, potential, power=1):
+def corrupted(cover, potential, power):
     return real(cover, potential, pow(power, -1, cover.p - 1))
 """,
 }
@@ -491,6 +508,21 @@ def test_fixed_point_check_runs_when_C_is_large(tmp_path, monkeypatch, capsys):
     assert exc.value.check == "picard.fixed_point_sweep"
     _assert_sabotage_exits_4(
         DECK_SABOTAGE, str(spec), "picard.fixed_point_sweep", monkeypatch, capsys
+    )
+
+
+def test_fixed_point_check_covers_the_trivial_character(tmp_path, monkeypatch, capsys):
+    # The triangle with every edge tripled, p = 3, one voltage 2: Pic0 is
+    # Z/3 + Z/3 + Z/126, and C has a fixed plane and a (-1)-line.
+    edges = [{"from": u, "to": v, "voltage": 1} for u, v in ("ab", "bc", "ca") for _ in range(3)]
+    edges[-1]["voltage"] = 2
+    spec = tmp_path / "triangle.json"
+    spec.write_text(json.dumps({"p": 3, "vertices": ["a", "b", "c"], "edges": edges}))
+    pm = PicardModule(derive(load_spec(str(spec))))
+    assert pm.factors == (3, 3, 126)
+    assert pm.deck == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+    _assert_sabotage_exits_4(
+        FIXED_SPACE_SABOTAGE, str(spec), "picard.fixed_point_sweep", monkeypatch, capsys
     )
 
 

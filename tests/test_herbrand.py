@@ -52,7 +52,7 @@ def test_fitting_identity_skips_disconnected():
     # A report needs a connected cover; a census row is the one place that
     # marks a disconnected cover's verdicts SKIPPED.
     assert not derive(VoltageSpec(bouquet(2), 5, (1, 1))).is_connected()
-    row = census_row(bouquet(2), 5, (1, 1))
+    row = census_row(bouquet(2), 5, (1, 1), {})
     assert not row["connected"]
     assert row["verdicts"]["fitting"] == "SKIPPED"
 

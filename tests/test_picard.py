@@ -61,9 +61,10 @@ def order_A(pm, chi) -> int:
 
 
 def dim_C(pm, chi) -> int:
-    """dim e_chi C, checked against the eigenspace of g on C."""
-    lam = chi_of_g(pm, chi)
-    return pm.dim_C(lam, pm.layer_ranks(lam))
+    """dim e_chi C: the first layer rank r_1 of A at chi(g), which the
+    Picard module checks against the eigenspace of g on C."""
+    ranks = pm.layer_ranks(chi_of_g(pm, chi))
+    return ranks[0] if ranks else 0
 
 
 def trivial_order_matches(pm, kappa_base) -> bool:

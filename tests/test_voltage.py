@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_tree_count, random_connected_base, random_connected_cover
 from coverzeta import (
+    CyclicGroup,
     DisconnectedCover,
+    PAdicInt,
     SerreGraph,
     VoltageSpec,
     bouquet,
@@ -13,9 +15,12 @@ from coverzeta import (
     connected_by_voltage_criterion,
     cycle_voltage_subgroup,
     derive,
+    is_odd_prime,
     picard_factors,
     require_connected_cover,
+    teichmuller,
 )
+from coverzeta.census import run_census
 from coverzeta.voltage import gauge
 from reference import (
     adjacency_count,
@@ -95,6 +100,28 @@ def test_voltages_must_be_integers(voltage):
     with pytest.raises(ValueError, match="is not an integer"):
         VoltageSpec(bouquet(1), 5, (voltage,))
     assert VoltageSpec(bouquet(1), 5, [2]).voltages == (2,)
+
+
+@pytest.mark.parametrize("p", [5.0, True, "5"])
+def test_primes_must_be_integers(p, tmp_path):
+    # 5.0 passed as prime, and derive, a p-adic value or a census then failed
+    # with TypeError (the census after creating its output file) or stored 7.0.
+    # The cached builders hold an entry at 5 that 5.0 must not be read from.
+    assert not is_odd_prime(p)
+    assert teichmuller(2, 5, 3) and CyclicGroup.for_prime(5).generator == 2
+    for build in (
+        lambda: VoltageSpec(bouquet(2), p, (1, 2)),
+        lambda: CyclicGroup(p, 2),
+        lambda: CyclicGroup.for_prime(p),
+        lambda: PAdicInt(p, 2, 7),
+        lambda: teichmuller(2, p, 3),
+    ):
+        with pytest.raises(ValueError, match="odd prime"):
+            build()
+    out = tmp_path / "census.ndjson"
+    with pytest.raises(ValueError, match="must be an odd prime"):
+        run_census(bouquet(2), p, str(out))
+    assert not out.exists()
 
 
 def test_connected_single_loop_cover_is_cycle():
