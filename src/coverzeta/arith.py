@@ -31,6 +31,11 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
+def is_precision(n: int) -> bool:
+    """Whether n is a p-adic precision: an int of at least 1, bool excluded."""
+    return type(n) is int and n >= 1
+
+
 def p_valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is undefined")

@@ -224,7 +224,7 @@ def _resume_state(out_path: str, base: SerreGraph, p: int) -> tuple[set[str], in
                 continue
             try:
                 doc = json.loads(line.decode("utf-8"))
-            except ValueError:  # not UTF-8, or not JSON
+            except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
                 doc = None
             if _is_row(doc, p, num_edges):
                 done.add(doc["key"])
@@ -275,10 +275,13 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
     The run starts at the file's last cursor and takes at most ``budget``
     assignments.  Returns a summary dict; when the run stops before the last
     assignment it is partial, and both the file and the summary carry the
-    cursor of the next assignment.
+    cursor of the next assignment.  A bad p, base or budget raises
+    ``ValueError`` before the file is read or opened.
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p!r}")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError(f"budget must be a non-negative int, got {budget!r}")
     if not base.is_connected():
         raise ValueError("census base graph must be connected")
     num_edges = base.num_undirected_edges

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import is_precision
 from .groupring import CyclicGroup
 from .padic import teichmuller
 
@@ -29,8 +30,8 @@ class Character:
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", self.exponent % self.group.order)
-        if self.precision < 1:
-            raise ValueError("precision must be at least 1")
+        if not is_precision(self.precision):
+            raise ValueError(f"precision must be at least 1 and an int, got {self.precision!r}")
 
     @property
     def modulus(self) -> int:

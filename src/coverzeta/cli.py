@@ -4,12 +4,18 @@ Subcommands: ``analyze`` a cover spec and emit a verification report,
 ``dot`` render base and cover, ``census`` sweep all assignments on a base,
 ``examples`` list the bundled fixtures.  A report takes its L-values at one
 p-adic precision, by default the p-valuation of #Pic0 plus two; ``--precision
-N`` sets it to N, or to that valuation plus one if N is lower.  Exit codes: 0
-success, 2 parse error (including a disconnected base graph, a precision
-below 1, a census prime that is not an odd prime, a negative census budget,
-an output file that cannot be written and a census file to resume that is
-not a census), 3 disconnected cover, 4 verification failure: a FAIL verdict,
-or an internal cross-check that raised ``VerificationError``.
+N`` sets it to N, or to that valuation plus one if N is lower.
+
+The commands are plain call sequences into the library, which checks each
+input once; ``main`` alone turns an error into an exit code, printed as
+``error: <message>``.  Exit codes: 0 success; 2 a ``ValueError`` or
+``OSError`` from reading, checking or writing an input or output (a spec,
+base or census file that cannot be read or is malformed, a disconnected base
+graph, a precision below 1, a census prime that is not an odd prime, a
+negative census budget, an output file that cannot be written); 3
+``DisconnectedCover``, the cover is not Galois with all of F_p^x; 4
+``VerificationError``, an internal cross-check failed, or a report with a
+FAIL verdict, which ``analyze`` returns.
 """
 
 from __future__ import annotations
@@ -19,19 +25,11 @@ import functools
 import os
 import sys
 
-from .arith import VerificationError, is_odd_prime
-from .census import CensusFileError, run_census
+from .arith import VerificationError
+from .census import run_census
 from .herbrand import build_report
-from .specfile import (
-    BUNDLED,
-    SpecFileError,
-    bundled_spec,
-    dump_spec,
-    load_base,
-    load_spec,
-    spec_to_dict,
-)
-from .voltage import DisconnectedCover, derive, require_connected_cover
+from .specfile import BUNDLED, bundled_spec, dump_spec, load_base, load_spec, spec_to_dict
+from .voltage import DisconnectedCover, derive
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,85 +37,39 @@ EXIT_DISCONNECTED = 3
 EXIT_VERIFICATION = 4
 
 
-def _derive(spec):
-    """The derived cover, or None after an error line if the base is disconnected."""
-    try:
-        return derive(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file ``out``, or to stdout if none is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
 
 
 def cmd_analyze(args) -> int:
-    try:
-        if args.precision is not None and args.precision < 1:
-            raise ValueError(f"--precision must be a positive integer, got {args.precision}")
-        spec = load_spec(args.spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    cover = _derive(spec)
-    if cover is None:
-        return EXIT_PARSE
-    try:
-        require_connected_cover(cover)
-    except DisconnectedCover as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    report = build_report(cover, precision=args.precision)
+    if args.precision is not None and args.precision < 1:
+        raise ValueError(f"--precision must be a positive integer, got {args.precision}")
+    report = build_report(derive(load_spec(args.spec)), precision=args.precision)
     if args.table:
         print(report.format_table())
-    if args.dot:
-        print(spec.base.to_dot("base"))
-        print(cover.to_dot("cover"))
-    payload = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        print(payload, end="")
+    _emit(report.to_json(), args.out)
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
 
 def cmd_dot(args) -> int:
-    try:
-        spec = load_spec(args.spec)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    cover = _derive(spec)
-    if cover is None:
-        return EXIT_PARSE
+    spec = load_spec(args.spec)
+    cover = derive(spec)
     if not cover.is_connected():
         print("warning: derived cover is disconnected", file=sys.stderr)
-    text = spec.base.to_dot("base") + "\n" + cover.to_dot("cover")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(spec.base.to_dot("base") + "\n" + cover.to_dot("cover"), args.out)
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
-    try:
-        base, file_p = load_base(args.base)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    base, file_p = load_base(args.base)
     p = file_p if args.p is None else args.p
     if p is None:
-        print("error: prime p must come from --p or the base file", file=sys.stderr)
-        return EXIT_PARSE
-    if not is_odd_prime(p):
-        print(f"error: p must be an odd prime, got {p}", file=sys.stderr)
-        return EXIT_PARSE
-    if args.budget is not None and args.budget < 0:
-        print(f"error: --budget must not be negative, got {args.budget}", file=sys.stderr)
-        return EXIT_PARSE
-    if not base.is_connected():
-        print("error: census base graph must be connected", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("prime p must come from --p or the base file")
     summary = run_census(base, p, args.out, budget=args.budget)
     print(
         f"census: {summary['written']} new rows of {summary['total_assignments']} "
@@ -157,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="verify a cover spec and write a report")
     pa.add_argument("spec", help="spec file path or bundled example name")
     pa.add_argument("--table", action="store_true", help="print the character table")
-    pa.add_argument("--dot", action="store_true", help="also print DOT drawings")
     pa.add_argument("--out", help="write the JSON report here instead of stdout")
     pa.add_argument(
         "--precision",
@@ -189,12 +140,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VerificationError as exc:  # raised by build_report, and by census_row
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except (OSError, CensusFileError) as exc:  # an --out file that cannot be written or resumed
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except VerificationError as exc:  # a cross-check of a report or a census row
+        code, error = EXIT_VERIFICATION, exc
+    except DisconnectedCover as exc:
+        code, error = EXIT_DISCONNECTED, exc
+    except (ValueError, OSError) as exc:  # reading, checking or writing an input or output
+        code, error = EXIT_PARSE, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from math import prod
 
-from .arith import VerificationError, p_part, p_valuation
+from .arith import VerificationError, is_precision, p_part, p_valuation
 from .characters import Character
 from .groupring import CyclicGroup
 from .padic import PAdicInt
@@ -120,7 +120,7 @@ def build_report(cover: DerivedCover, precision: int | None = None) -> TheoremRe
     rational orbits of characters, whose product, the product of the
     nontrivial L-values at u = 1, the class-number check ties to #Pic0.
     """
-    if precision is not None and (type(precision) is not int or precision < 1):
+    if precision is not None and not is_precision(precision):
         raise ValueError(f"precision must be at least 1 and an int, got {precision!r}")
     p = cover.p
     group = CyclicGroup.for_prime(p)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import VerificationError, is_odd_prime, p_valuation
+from .arith import VerificationError, is_odd_prime, is_precision, p_valuation
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -30,8 +30,8 @@ class PAdicInt:
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.precision < 1:
-            raise ValueError("precision must be at least 1")
+        if not is_precision(self.precision):
+            raise ValueError(f"precision must be at least 1 and an int, got {self.precision!r}")
         object.__setattr__(self, "value", self.value % self.p**self.precision)
 
     def is_zero(self) -> bool:
@@ -79,8 +79,8 @@ def teichmuller(a: int, p: int, precision: int) -> PAdicInt:
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
+    if not is_precision(precision):
+        raise ValueError(f"precision must be at least 1 and an int, got {precision!r}")
     if a % p == 0:
         raise ValueError(f"{a} is not a unit mod {p}")
     modulus = p**precision

@@ -118,13 +118,15 @@ class SerreGraph:
 
     def to_dot(self, name: str = "G", labels: Optional[Sequence[str]] = None) -> str:
         """Undirected DOT rendering, one line per undirected edge, its
-        vertices named by ``labels`` if given, else by ``label_of``."""
-        label = self.label_of if labels is None else labels.__getitem__
+        vertices named by ``labels`` if given, else by ``label_of``, each a
+        quoted DOT string with its backslashes and quotes escaped."""
+        names = [self.label_of(w) if labels is None else labels[w] for w in self.vertices]
+        quoted = ['"' + n.replace("\\", "\\\\").replace('"', '\\"') + '"' for n in names]
         lines = [f"graph {name} {{"]
         for w in self.vertices:
-            lines.append(f'  "{label(w)}";')
+            lines.append(f"  {quoted[w]};")
         for u, v in self._pairs:
-            lines.append(f'  "{label(u)}" -- "{label(v)}";')
+            lines.append(f"  {quoted[u]} -- {quoted[v]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

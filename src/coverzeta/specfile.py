@@ -94,6 +94,14 @@ def spec_to_dict(spec: VoltageSpec) -> dict:
     }
 
 
+def _parse(text: bytes, path: str):
+    """The JSON document a file holds, or SpecFileError."""
+    try:
+        return json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise SpecFileError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def load_spec(path_or_name: str) -> VoltageSpec:
     """Load a spec from a filesystem path, or by bundled example name."""
     text = None
@@ -106,11 +114,7 @@ def load_spec(path_or_name: str) -> VoltageSpec:
             text = resources.files("coverzeta").joinpath(f"data/{name}.json").read_bytes()
     if text is None:
         raise SpecFileError(f"cannot read {path_or_name}: no such file or bundled example")
-    try:
-        doc = json.loads(text.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise SpecFileError(f"invalid JSON in {path_or_name}: {exc}") from exc
-    return spec_from_dict(doc)
+    return spec_from_dict(_parse(text, path_or_name))
 
 
 def dump_spec(spec: VoltageSpec, path: str) -> None:
@@ -134,9 +138,7 @@ def base_from_dict(doc: dict) -> tuple[SerreGraph, int | None]:
 def load_base(path: str) -> tuple[SerreGraph, int | None]:
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
+            text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise SpecFileError(f"invalid JSON in {path}: {exc}") from exc
-    return base_from_dict(doc)
+    return base_from_dict(_parse(text, path))

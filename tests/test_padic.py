@@ -168,3 +168,16 @@ def test_character_requires_a_precision():
         with pytest.raises(ValueError):
             Character(g5, 1, precision)
     assert Character(g5, 1, 3).modulus == 125
+
+
+@pytest.mark.parametrize("precision", [2.0, True, "2"])
+def test_precision_must_be_an_int(precision):
+    # Character took 2.0 and then failed in l_value with TypeError, PAdicInt
+    # stored 7.0 or rendered O(5^True), and teichmuller raised TypeError.
+    for build in (
+        lambda: Character(CyclicGroup.for_prime(5), 1, precision),
+        lambda: PAdicInt(5, precision, 7),
+        lambda: teichmuller(2, 5, precision),
+    ):
+        with pytest.raises(ValueError, match="precision"):
+            build()

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import coverzeta.serre as serre
 from conftest import PAIR_READERS
-from coverzeta import SerreGraph, bouquet, build_report, bundled_spec, derive
+from coverzeta import SerreGraph, VoltageSpec, bouquet, build_report, bundled_spec, derive
 from reference import (
     DirectedEdge,
     adjacency_count,
@@ -233,6 +234,23 @@ def test_isolated_vertices_accepted():
     g = SerreGraph(3, [(0, 1)])
     assert valence(g, 2) == 0
     assert not g.is_connected()
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    # Unescaped, a"b gave "a"b" and c\ gave "c\", whose closing quote is escaped.
+    labels = ['a"b', "c\\", 'd\\"']
+    base = SerreGraph(3, [(0, 1), (1, 2), (2, 0)], labels=labels)
+    cover = derive(VoltageSpec(base, 3, (1, 1, 2)))
+    string = re.compile(r'"((?:[^"\\]|\\.)*)"')  # a quoted DOT string
+    for text, names in (
+        (base.to_dot("base"), labels),
+        (cover.to_dot("cover"), [f"{n}:{s}" for n in labels for s in (1, 2)]),
+    ):
+        lines = text.splitlines()[1:-1]
+        # Every quote is in a string, so the rest of each line is plain DOT.
+        assert {string.sub("X", line) for line in lines} == {"  X;", "  X -- X;"}
+        declared = [string.search(line).group(1) for line in lines[: len(names)]]
+        assert [re.sub(r"\\(.)", r"\1", name) for name in declared] == names
 
 
 def test_dot_output_is_deterministic():
