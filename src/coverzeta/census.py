@@ -16,7 +16,8 @@ from a table with one entry per orbit (``census_row``) that holds no cover
 or report; a resumed run seeds it from the first written row of each orbit,
 so an orbit keeps its one report across the runs that write one file.
 Output is one JSON object per line; reruns skip keys already present, so
-runs are resumable, also after a crash that left a partly written last line;
+runs are resumable, also after a crash that left a partly written last line,
+which is not JSON;
 a file with any other line that is not a row or a cursor is refused, as is a
 row for another prime or edge count or a cursor over another number of
 assignments.  A run cut short by its budget ends with a cursor line, and the
@@ -200,10 +201,13 @@ def _resume_state(out_path: str, base: SerreGraph, p: int) -> tuple[set[str], in
     file is read line by line; of each connected row only the voltages and
     the fields (``_written_fields``) are kept, equal fields shared.
 
-    A run killed mid-write leaves a last line without its newline; the file
-    is cut back to its last complete line, so that row is computed again and
-    the next row does not land on the fragment.  Any other line that is not
-    a row or a cursor raises ``CensusFileError`` and leaves the file as it is.
+    A run killed mid-write leaves a last line without its newline that is
+    not JSON; the file is cut back to its last complete line, so that row is
+    computed again and the next row does not land on the fragment.  A last
+    line without its newline that is JSON is complete and read as any other,
+    and gets its newline once the file is accepted.  Any other line that is
+    not a row or a cursor, the only line of a file that no census wrote
+    included, raises ``CensusFileError`` and leaves the file as it is.
     So do lines whose keys and indices belong to another census: a row for a
     prime other than ``p``, a row whose voltages are not one unit mod p per
     base edge or whose key is not theirs, and a cursor over other than the
@@ -216,16 +220,19 @@ def _resume_state(out_path: str, base: SerreGraph, p: int) -> tuple[set[str], in
     done, start, seeds, shared, classes = set(), 0, [], {}, {}
     with suppress(FileNotFoundError), open(out_path, "rb+") as fh:
         end = 0  # the end of the last complete line
+        newline = True  # whether the last line read ends in one
         for number, line in enumerate(fh, 1):
-            if not line.endswith(b"\n"):
-                break
-            end += len(line)
-            if not line.strip():
+            newline = line.endswith(b"\n")
+            if newline and not line.strip():
+                end += len(line)
                 continue
             try:
                 doc = json.loads(line.decode("utf-8"))
             except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
+                if not newline:
+                    break  # a torn write
                 doc = None
+            end += len(line)
             if _is_row(doc, p, num_edges):
                 done.add(doc["key"])
                 if doc.get("connected") is True and (fields := _written_fields(doc, p)):
@@ -241,6 +248,8 @@ def _resume_state(out_path: str, base: SerreGraph, p: int) -> tuple[set[str], in
         classes = _seed_classes(base, p, seeds, out_path)
         if end < fh.tell():
             fh.truncate(end)
+        elif not newline:  # a complete last line, written up to its newline
+            fh.write(b"\n")
     return done, start, classes
 
 
@@ -314,15 +323,20 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
 
 
 def read_census(path: str) -> list[dict]:
-    """The rows of a census file.  A last line without its newline, which a
-    run killed mid-write leaves and the next run computes again, is skipped."""
+    """The rows of a census file.  A last line without its newline that is
+    not JSON, which a run killed mid-write leaves and the next run computes
+    again, is skipped."""
     rows = []
     with open(path, "rb") as fh:
         for line in fh:
-            if not line.endswith(b"\n"):
-                break
-            if line.strip():
+            if not line.strip():
+                continue
+            try:
                 doc = json.loads(line)
-                if "key" in doc:
-                    rows.append(doc)
+            except ValueError:  # not JSON or not UTF-8
+                if line.endswith(b"\n"):
+                    raise
+                break
+            if "key" in doc:
+                rows.append(doc)
     return rows

@@ -12,6 +12,9 @@ e_chi C for C = Pic0 / p.  ``PicardModule`` also reads C with no arithmetic
 shared with the elimination modulo kappa: from the rows of Pic0's certified
 first phase over Z and ``snf.unit_pivots`` over F_p on its core; g's
 lam-eigenspace there must have dimension r_1 at every lam, 1 included.
+Whether an element of Z[G] kills the whole cokernel of the Laplacian is read
+on the n vertices (u, 1), one per fibre, which generate it over Z[G], so it
+costs n reads per form whatever the number of invariant factors.
 """
 
 from __future__ import annotations
@@ -93,21 +96,23 @@ class PicardModule:
         images = (_reduce(rest, {k: r[v] for k, v in enumerate(free) if v in r}, p) for r in images)
         self.deck = tuple(tuple(image.get(b, 0) for b in basis) for image in images)
 
-    def _transport(self, terms: list[tuple[int, int]]) -> list[list[int]]:
-        """The coordinate forms read on x = sum of c tau over ``terms``.
+    def _transport(self, terms: list[tuple[int, int]], divisors=None) -> list[list[int]]:
+        """The coordinate forms read on x = sum of c tau over ``terms``, applied
+        to each of ``divisors``, by default e_last and the generators of Pic0.
 
-        Row i holds form i read on the sum of c (e_tau(last) - e_last), which
-        is x e_last when x has augmentation 0, then on x w_j for each
-        generator w_j of Pic0; the integers are not reduced.
+        Row i holds form i read on each x D, D a divisor as (vertex,
+        coefficient) pairs; the integers are not reduced.  By default that is
+        the sum of c (e_tau(last) - e_last), which is x e_last when x has
+        augmentation 0, then x w_j for each generator w_j of Pic0.
 
         A form extended by 0 at the last vertex reads e_w - e_last at w for
         every w, so it reads a divisor of degree 0 as a dot product.  Each
-        image x e_last and x (w_j - |w_j| e_last) is built once, on a small
-        support, where every form reads it.
+        image x D, as x (w_j - |w_j| e_last) for a generator, is built once,
+        on a small support, where every form reads it.
         """
         perms = [(c, self.cover.deck_vertex_map(tau)) for c, tau in terms]
         reads = []
-        for divisor in self._divisors:
+        for divisor in self._divisors if divisors is None else divisors:
             image = defaultdict(int)
             for c, perm in perms:
                 for v, x in divisor:
@@ -124,16 +129,24 @@ class PicardModule:
         return prod(self.factors)
 
     def annihilated_by(self, elem: GroupRingElement) -> bool:
-        """Whether elem kills the whole cokernel of the Laplacian.
+        """Whether elem kills the whole cokernel of the Laplacian, Pic.
 
-        The divisor group is spanned by the degree-zero divisors and one
-        vertex, so elem must have augmentation 0, kill every generator of
-        Pic0, and send the last vertex to a degree-zero divisor of class 0.
+        The deck group G permutes each fibre freely, so the divisor group
+        Div is the free Z[G]-module on the vertices (u, 1), one per fibre
+        (Gross and Tucker, Topological Graph Theory, 1987).  L commutes with
+        G, so Pic = Div / im L is a Z[G]-module generated by the n classes
+        of those vertices, and as Z[G] is commutative, elem kills Pic
+        exactly when it kills each of them.  elem (u, 1) has degree the
+        augmentation of elem, so that must be 0, and then elem (u, 1) is a
+        degree-zero divisor whose class in Pic0 must be 0: every form must
+        read it as 0 modulo its factor.  That is n images of up to p - 1
+        vertices and n reads per form, whatever the number of factors.
         """
         if elem.augmentation() != 0:
             return False
         terms = [(c, elem.group.element(k)) for k, c in enumerate(elem.coeffs) if c]
-        rows = self._transport(terms)
+        fibres = [((u * self.cover.fiber_size, 1),) for u in self.cover.base.vertices]
+        rows = self._transport(terms, fibres)
         return not any(x % d for d, row in zip(self.factors, rows) for x in row)
 
     def layer_ranks(self, lam: int) -> tuple[int, ...]:

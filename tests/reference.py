@@ -22,7 +22,10 @@ compare the library against:
   determinants take;
 - the echelon form mod p that picks each pivot row by a scan of every
   active row (``ModPEchelon``), whose pivots and residuals ``snf.unit_pivots``
-  over F_p must reproduce.
+  over F_p must reproduce;
+- the annihilation test on e_last and the generators of Pic0
+  (``annihilated_on_generators``), with which the library's test on one
+  vertex per fibre must agree.
 
 A failed self-check raises AssertionError under the name of the check, never
 a bare ``assert``, which ``python -O`` strips; ``VerificationError`` stays the
@@ -708,3 +711,21 @@ class ModPEchelon:
                     else:
                         del out[j]
         return out
+
+
+def annihilated_on_generators(pm, elem: GroupRingElement) -> bool:
+    """Whether elem kills the cokernel of the Laplacian of ``pm``'s cover,
+    read on the generators of Pic0.
+
+    The divisor group is spanned by the degree-zero divisors and the last
+    vertex, so elem must have augmentation 0, kill every generator w_j of
+    Pic0, and send e_last to a degree-zero divisor of class 0: every form
+    must read elem e_last and each elem w_j (``PicardModule._transport``) as
+    0 modulo its factor.  That is r + 1 images and r (r + 1) reads, r the
+    number of invariant factors.
+    """
+    if elem.augmentation() != 0:
+        return False
+    terms = [(c, elem.group.element(k)) for k, c in enumerate(elem.coeffs) if c]
+    rows = pm._transport(terms)
+    return not any(x % d for d, row in zip(pm.factors, rows) for x in row)

@@ -411,6 +411,31 @@ def test_census_redoes_a_torn_last_line_that_is_not_utf8(tmp_path):
     assert len(read_census(str(out))) == 16
 
 
+@pytest.mark.parametrize("newline", [b"", b"\n"], ids=["no_newline", "newline"])
+def test_census_refuses_its_own_base_file_as_output(tmp_path, capsys, newline):
+    # A one-line base file is JSON but not a census, whether or not its line
+    # ends in a newline; without one it used to be cut back as a torn write
+    # and replaced by the 16 rows.
+    base = tmp_path / "base.json"
+    base.write_bytes(json.dumps({"vertices": ["v"], "edges": [LOOP, LOOP]}).encode() + newline)
+    before = base.read_bytes()
+    assert main(["census", str(base), "--p", "5", "--out", str(base)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1" in err
+    assert base.read_bytes() == before
+
+
+def test_census_keeps_a_complete_last_row_without_its_newline(tmp_path):
+    full = tmp_path / "full.ndjson"
+    run_census(bouquet(2), 5, str(full))
+    lines = full.read_bytes().splitlines(keepends=True)
+    out = tmp_path / "census.ndjson"
+    out.write_bytes(b"".join(lines[:3]).rstrip(b"\n"))
+    assert [row["key"] for row in read_census(str(out))] == ["1,1", "1,2", "1,3"]
+    assert run_census(bouquet(2), 5, str(out))["written"] == 13
+    assert out.read_bytes() == full.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["analyze", "dot", "census"])
 def test_output_in_a_missing_directory_exits_2(tmp_path, capsys, command):
     spec = "example1"

@@ -1,14 +1,16 @@
 import json
 import pathlib
 from math import prod
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import coverzeta.herbrand as hb
 from coverzeta import VoltageSpec, bouquet, build_report, bundled_spec, derive
 from coverzeta.arith import p_valuation
 from coverzeta.census import census_row
-from coverzeta.herbrand import PASS, default_precision
+from coverzeta.herbrand import PASS, TheoremReport, default_precision
 from coverzeta.picard import PicardModule
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -72,6 +74,43 @@ def test_reports_match_goldens(name):
     got = build_report(cover).to_json()
     want = (GOLDENS / f"{name}_report.json").read_text()
     assert got == want
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters())
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(max_value=-(2**64), min_value=-(2**200))
+    | JSON_TEXT
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def _to_json(doc):
+    """``TheoremReport.to_json`` on a report whose dict is ``doc``."""
+    return TheoremReport.to_json(SimpleNamespace(to_dict=lambda: doc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_DOCUMENTS)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [{}, [[]]], "d": [None, True, False, -(2**70), 2**70, ""]})
+def test_report_writer_matches_indented_json(doc):
+    assert _to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {1: 2}, {"a": [{(1,): 2}]}, {1, 2}, object()])
+def test_report_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        _to_json(doc)
 
 
 def test_report_contents_fourth_example(ex4_cover):
@@ -319,9 +358,9 @@ def test_report_reads_one_transport_and_one_eigenspace_per_character(
     transported, eigenspaces = [], []
     real_transport, real_eigenspace = picard.PicardModule._transport, picard._eigenspace_dims
 
-    def transport(pm, terms):
+    def transport(pm, terms, *divisors):
         transported.append(sorted(tau for _, tau in terms))
-        return real_transport(pm, terms)
+        return real_transport(pm, terms, *divisors)
 
     def eigenspace(mats, p):
         eigenspaces.append([len(mat) for mat in mats])

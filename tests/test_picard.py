@@ -25,6 +25,7 @@ from coverzeta.specfile import spec_from_dict
 from coverzeta.zeta import equivariant_laplacian, eta_at_one
 from reference import (
     ModPEchelon,
+    annihilated_on_generators,
     character_value,
     cycle_graph,
     deck_act,
@@ -610,31 +611,74 @@ def test_modular_route_gives_the_same_character_pieces(route_pairs):
     assert nontrivial >= 10
 
 
+def annihilation_candidates(rng, eta, exponent):
+    """eta(1), 1, and three rounds of: a random element of augmentation 0,
+    a multiple of eta(1), and multiples of the exponent of Pic0."""
+    group = eta.group
+    m = group.order
+    elems = [eta, ring_one(group)]
+    for _ in range(3):
+        coeffs = [rng.randint(-4, 4) for _ in range(m - 1)]
+        x = GroupRingElement(group, tuple(coeffs + [-sum(coeffs)]))
+        y = GroupRingElement(group, tuple(rng.randint(-3, 3) for _ in range(m)))
+        sigma = group_element(group, group.element(rng.randrange(1, m)))
+        elems += [
+            x,
+            ring_mul(eta, y),
+            ring_mul(ring_sub(sigma, ring_one(group)), exponent),
+            ring_mul(x, exponent),
+        ]
+    return elems
+
+
 def test_annihilation_matches_dense_route(route_pairs):
     rng = random.Random(62)
     verdicts = set()
     for cover, pm, ref in route_pairs:
-        group = CyclicGroup.for_prime(cover.p)
-        m = group.order
         eta = eta_at_one(cover, equivariant_laplacian(cover))
         exponent = ref.factors[-1] if ref.factors else 1
-        elems = [eta, ring_one(group)]
-        for _ in range(3):
-            coeffs = [rng.randint(-4, 4) for _ in range(m - 1)]
-            x = GroupRingElement(group, tuple(coeffs + [-sum(coeffs)]))
-            y = GroupRingElement(group, tuple(rng.randint(-3, 3) for _ in range(m)))
-            sigma = group_element(group, group.element(rng.randrange(1, m)))
-            elems += [
-                x,
-                ring_mul(eta, y),
-                ring_mul(ring_sub(sigma, ring_one(group)), exponent),
-                ring_mul(x, exponent),
-            ]
-        for elem in elems:
+        for elem in annihilation_candidates(rng, eta, exponent):
             verdict = pm.annihilated_by(elem)
             assert verdict == ref.annihilated_by(elem)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_annihilation_on_fibres_matches_the_generator_route(route_pairs):
+    # The benchmark's deep_fiber covers with the most invariant factors,
+    # where the generator route reads the most: r = 29 and r = 23.
+    pool = {c["id"]: c for c in bench_inputs().load_pool()["deep_fiber"]}
+    ids = ("deep_fiber-p29-n3-6", "deep_fiber-p23-n3-0")
+    heavy = [derive(spec_from_dict(pool[i]["spec"])) for i in ids]
+    pairs = [(cover, pm) for cover, pm, _ in route_pairs] + [(c, PicardModule(c)) for c in heavy]
+    assert [len(pm.factors) for _, pm in pairs[-2:]] == [29, 23]
+    rng = random.Random(64)
+    for covers in (pairs[:-2], pairs[-2:]):
+        verdicts = set()
+        for cover, pm in covers:
+            eta = eta_at_one(cover, equivariant_laplacian(cover))
+            exponent = pm.factors[-1] if pm.factors else 1
+            for elem in annihilation_candidates(rng, eta, exponent):
+                verdict = pm.annihilated_by(elem)
+                assert verdict == annihilated_on_generators(pm, elem)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def test_annihilation_reads_one_divisor_per_fibre(route_pairs, monkeypatch):
+    read = []
+    real = PicardModule._transport
+
+    def transport(pm, terms, divisors=None):
+        read.append(divisors)
+        return real(pm, terms, divisors)
+
+    monkeypatch.setattr(PicardModule, "_transport", transport)
+    for cover, pm, _ in route_pairs:
+        read.clear()
+        assert pm.annihilated_by(eta_at_one(cover, equivariant_laplacian(cover)))
+        fibres = [((u * cover.fiber_size, 1),) for u in cover.base.vertices]
+        assert [list(divisors) for divisors in read] == [fibres]
 
 
 def transport_per_form(pm, coker, terms):
