@@ -325,18 +325,21 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
 def read_census(path: str) -> list[dict]:
     """The rows of a census file.  A last line without its newline that is
     not JSON, which a run killed mid-write leaves and the next run computes
-    again, is skipped."""
+    again, is skipped; any other line that is not a JSON object with a
+    ``key`` (a row) or a ``cursor`` raises ``CensusFileError``."""
     rows = []
     with open(path, "rb") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
                 doc = json.loads(line)
-            except ValueError:  # not JSON or not UTF-8
-                if line.endswith(b"\n"):
-                    raise
-                break
+            except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
+                if not line.endswith(b"\n"):
+                    break
+                doc = None
+            if not (isinstance(doc, dict) and ("key" in doc or "cursor" in doc)):
+                raise CensusFileError(f"{path}, line {number}: not a census row or cursor")
             if "key" in doc:
                 rows.append(doc)
     return rows

@@ -4,15 +4,16 @@ Elements are integer coefficient vectors indexed by powers of a fixed
 generator, so multiplication is cyclic convolution in Z[x]/(x^(p-1) - 1).
 A matrix over Z[G] is a list of sparse rows {column: vector}.  Its
 determinant is taken by ``snf.unit_pivots`` on the units +-g^k, exact
-although Z[G] has zero divisors, with Z[G] as the record ``CyclicGroup.ring``
-(``vector_ring``), and by Berkowitz's division-free algorithm on the core.
+although Z[G] has zero divisors and certified in Z[G] itself, with Z[G] as
+the record ``CyclicGroup.ring`` (``vector_ring``), and by Berkowitz's
+division-free algorithm on the core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul, neg
+from operator import neg
 
 from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
 from .snf import Ring
@@ -131,15 +132,12 @@ def convolution(order: int):
 def vector_ring(product, size: int, order: int) -> Ring:
     """A ring on integer coefficient tuples of length ``size``, as
     ``snf.unit_pivots`` takes it: they add coefficientwise, the first basis
-    vector is the one, and ``product(out, x, y)`` adds x * y into the list
-    ``out``.  Its basis vectors k < ``order`` are the group elements g^k of a
-    cyclic group of that order, and the units it pivots on are +-g^k, with
-    inverses +-g^(-k): Z[G] itself, or Z[G][u]/(u^D) in the tests' reference,
-    which the certificate reads through g -> B = 2^64 mod B^order - 1, u -> 0,
-    one-to-one on Z[G] where coefficients are below 2^63.
-    """
+    vector is the one, the integer c is (c, 0, ..., 0), and ``product(out, x,
+    y)`` adds x * y into the list ``out``.  Its basis vectors k < ``order``
+    are the group elements g^k of a cyclic group of that order, and the units
+    it pivots on are +-g^k, with inverses +-g^(-k): Z[G] itself, or
+    Z[G][u]/(u^D) in the tests' reference."""
     zero = (0,) * size
-    powers = [1 << 64 * k for k in range(order)]
     inverses = {}
     for k in range(order):
         for c in (1, -1):
@@ -152,9 +150,10 @@ def vector_ring(product, size: int, order: int) -> Ring:
         product(out, m, y)
         return tuple(out)
 
-    image = lru_cache(1 << 12)(lambda x: sum(map(mul, x, powers)))  # zip stops at ``order``
-    one, modulus = (1,) + zero[1:], (1 << 64 * order) - 1
-    return Ring(zero, one, inverses.get, lambda x: tuple(map(neg, x)), fma, image, modulus)
+    def scalar(c):
+        return (c,) + zero[1:]
+
+    return Ring(zero, scalar(1), inverses.get, lambda x: tuple(map(neg, x)), fma, scalar)
 
 
 def berkowitz(entries, product):

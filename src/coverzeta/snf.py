@@ -1,7 +1,8 @@
 """Determinants over Z and modulo M, cokernels of nonsingular matrices, and
-the one sparse elimination on unit pivots (``unit_pivots``), which certifies
-each result, over a ring record (``Ring``): Z (``INTEGERS``), F_p
-(``prime_field``) or Z[G] (``groupring.CyclicGroup.ring``).
+the one sparse elimination on unit pivots (``unit_pivots``) over a ring
+record (``Ring``): Z (``INTEGERS``), F_p (``prime_field``) or Z[G]
+(``groupring.CyclicGroup.ring``), which certifies each result in that ring's
+own arithmetic.
 
 ``cokernel`` gives det A and coker A for a square A given as sparse rows
 (Dumas, Saunders and Villard): ``unit_pivots`` over Z leaves a dense core
@@ -18,10 +19,10 @@ from __future__ import annotations
 import random
 from bisect import bisect, insort
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial, reduce
 from heapq import heappop, heappush
 from math import gcd, prod
-from operator import mul, neg, sub
+from operator import neg
 from typing import Callable
 
 from .arith import VerificationError
@@ -155,27 +156,26 @@ def _sort_diagonal(summands: list[int], modulus: int):
 class Ring:
     """A commutative ring, maybe with zero divisors, as ``unit_pivots`` takes
     it: elements compare with ==; ``inverse(x)`` is None where the kernel may
-    not pivot; ``neg(x)`` is -x and ``fma(x, m, y)`` is x + m y.  Its
-    certificate reads elements modulo ``modulus``, through ``image`` if set."""
+    not pivot; ``neg(x)`` is -x, ``fma(x, m, y)`` is x + m y and
+    ``scalar(c)`` is the integer c times one."""
 
     zero: object
     one: object
     inverse: Callable
     neg: Callable
     fma: Callable
-    image: Callable | None
-    modulus: int
+    scalar: Callable
 
 
-# Z on Python integers, pivoting on +-1, read modulo the prime 2^61 - 1.
-INTEGERS = Ring(0, 1, {1: 1, -1: -1}.get, neg, lambda x, m, y: x + m * y, None, 2**61 - 1)
+# Z on Python integers, pivoting on +-1.
+INTEGERS = Ring(0, 1, {1: 1, -1: -1}.get, neg, lambda x, m, y: x + m * y, int)
 
 
 @cache
 def prime_field(p: int) -> Ring:
     """F_p on residues in range(p), each but 0 a unit."""
     inverse = {x: pow(x, -1, p) for x in range(1, p)}.get
-    return Ring(0, 1, inverse, lambda x: -x % p, lambda x, m, y: (x + m * y) % p, None, p)
+    return Ring(0, 1, inverse, lambda x: -x % p, lambda x, m, y: (x + m * y) % p, p.__rmod__)
 
 
 def unit_pivots(a: list[dict], ring: Ring):
@@ -266,24 +266,24 @@ def _matching(match: dict[int, int], n: int):
 
 
 @lru_cache(maxsize=256)
-def _vector(n: int, bound: int) -> tuple[int, ...]:
-    """The certificate's seeded vector of length n, entries in range(bound)."""
-    return tuple(random.Random(n).choices(range(bound), k=n))
+def _vector(n: int) -> tuple[int, ...]:
+    """The certificate's seeded vector of length n, entries below 2^30."""
+    return tuple(random.Random(n).choices(range(1 << 30), k=n))
 
 
 def _certify_pivots(a, ring: Ring, rows, order, result) -> None:
-    """The check ``snf.unit_pivots`` on the kernel's ``result``, linear in a,
-    the steps and the result (Freivalds; Kaltofen, Nehring and Saunders).
-    Structure: the pivots, (r, c, pivot) in ``order``, are units on distinct
-    rows and columns, each pivot row zero at its own and earlier pivot
+    """The check ``snf.unit_pivots`` on the kernel's ``result``, in the ring,
+    linear in a, the steps and the result (Freivalds; Kaltofen, Nehring and
+    Saunders).  Structure: the pivots, (r, c, pivot) in ``order``, are units on
+    distinct rows and columns, each pivot row zero at its own and earlier pivot
     columns, each row left at all of them, the core those rows on the other
-    columns; no step adds a row to itself.  Scale: the pivots' product,
-    negated for an odd count of inversions of the matching.  Row steps: on a x
-    they give B x, B the final rows with pivots, mod ``ring.modulus``, for a
-    seeded x below b = min(modulus, 2^30): a wrong row passes with chance 1/b.
-    """
+    columns; no step adds a row to itself.  Scale: the pivots' product, negated
+    for an odd count of inversions of the matching.  Row steps: undone on B x,
+    B the final rows with pivots, they give a x, x seeded integers below 2^30
+    times one: a wrong row passes with chance <= 2^-30 over a free Z-module
+    (Z, Z[G]), about 1/p over F_p."""
     scale, ids, core, ops = result
-    n, image, modulus = len(a), ring.image, ring.modulus
+    n, zero, fma = len(a), ring.zero, ring.fma
     prows, pcols, pivots = list(zip(*order)) or [(), (), ()]
     tails, done = list(map(rows.__getitem__, prows)), set()
     for r, c in zip(prows, pcols):
@@ -299,26 +299,27 @@ def _certify_pivots(a, ring: Ring, rows, order, result) -> None:
         or any(i == r for i, r, _ in ops)
     ):
         raise VerificationError("snf.unit_pivots", "the pivots are not units of a core off them")
-    in_order = prows + tuple(ids)
-    perm = dict(zip(in_order, pcols + tuple(free)))  # row -> column
+    perm = dict(zip(prows + tuple(ids), pcols + tuple(free)))  # row -> column
     seen, inversions = [], 0
     for j in map(perm.__getitem__, range(n)):
         inversions += len(seen) - bisect(seen, j)
         insort(seen, j)
-    if image:  # read each element once, as an integer
-        a, tails = ([dict(zip(row, map(image, row.values()))) for row in m] for m in (a, tails))
-        pivots, scale = list(map(image, pivots)), image(scale)
-        core, ops = [list(map(image, row)) for row in core], [(i, r, image(m)) for i, r, m in ops]
-    if (prod(pivots) * (-1) ** inversions - scale) % modulus:
-        raise VerificationError("snf.unit_pivots", f"scale {result[0]} != the signed product")
-    get = _vector(n, min(modulus, 1 << 30)).__getitem__
-    y = [sum(map(mul, row.values(), map(get, row))) for row in a]
-    for i, r, m in ops:
-        y[i] = (y[i] - m * y[r]) % modulus
-    bx = zip(tails, pcols, pivots)
-    bx = [v * get(c) + sum(map(mul, t.values(), map(get, t))) for t, c, v in bx]
-    bx += [sum(map(mul, row, map(get, free))) for row in core]
-    if any(map(modulus.__rmod__, map(sub, map(y.__getitem__, in_order), bx))):
+    product = reduce(partial(fma, zero), pivots, ring.one)
+    if (ring.neg(product) if inversions % 2 else product) != scale:
+        raise VerificationError("snf.unit_pivots", f"scale {scale} != the signed product")
+    x = list(map(ring.scalar, _vector(n)))
+
+    def dot(terms):  # the sum of e x_j over the pairs (j, e)
+        acc = zero
+        for j, e in terms:
+            acc = fma(acc, x[j], e)
+        return acc
+
+    bx = dict(zip(ids, (dot(zip(free, row)) for row in core)))
+    bx.update((r, fma(dot(t.items()), x[c], v)) for r, t, c, v in zip(prows, tails, pcols, pivots))
+    for i, r, m in reversed(ops):  # undo row_i -= m row_r
+        bx[i] = fma(bx[i], m, bx[r])
+    if any(bx[i] != dot(row.items()) for i, row in enumerate(a)):
         raise VerificationError("snf.unit_pivots", "the recorded steps do not take a to B")
 
 

@@ -2,6 +2,7 @@
 not grow back unnoticed.  Reference routes the tests still need live in
 tests/reference.py."""
 
+import dataclasses
 import inspect
 import types
 
@@ -133,3 +134,11 @@ def test_group_ring_product_and_unit_test_are_for_z_g_only():
     # builds only Z[G]'s product, and a ring record from a product it is given.
     assert list(inspect.signature(groupring.convolution).parameters) == ["order"]
     assert list(inspect.signature(groupring.vector_ring).parameters) == ["product", "size", "order"]
+
+
+def test_ring_record_carries_no_integer_image():
+    # The certificate works in each ring's own arithmetic: a record gives
+    # the integers as ring elements through ``scalar``, and no map out.
+    assert [f.name for f in dataclasses.fields(snf.Ring)] == [
+        "zero", "one", "inverse", "neg", "fma", "scalar"
+    ]

@@ -340,7 +340,7 @@ LEAF_SPEC = {
 RINGS = {
     "Z": "ring is snf.INTEGERS",
     "Z[G]": "isinstance(ring.zero, tuple)",
-    "F_p": "ring.image is None and ring is not snf.INTEGERS",
+    "F_p": "not isinstance(ring.zero, tuple) and ring is not snf.INTEGERS",
 }
 CERTIFICATE_FAULTS = {
     "structure": (
@@ -704,6 +704,48 @@ def test_certificate_part_catches_its_kernel_fault(ring, part, tmp_path, monkeyp
     check = "snf.unit_pivots"
     for err in _assert_sabotage_exits_4(sabotage, str(example), check, monkeypatch, capsys):
         assert any(message in err for message in messages), err
+
+
+# The kernel over the tests' Z[G][u]/(u^3), G of order 4, with u (basis
+# vector 4) added to the first recorded multiplier: the rows it computes are
+# right and the record is wrong by u times the pivot row, which is not 0.
+# Each 3 x 3 matrix has a unit +-g^k in each row and no zero entry, so the
+# first pivot records two row steps.  A certificate that reads u as 0 lets
+# this through.  The script sets ``caught``, the number of matrices on which
+# the mutated kernel raised the check ``snf.unit_pivots``.
+U_MULTIPLIER_FAULT = _kernel_mutation(
+    "ops.append((i, r, neg(m)))",
+    "ops.append((i, r, fma(neg(m), ring.one, tuple(int(k == 4) for k in range(len(zero))))"
+    " if not ops else neg(m)))",
+) + """
+import random
+from coverzeta.arith import VerificationError
+from reference import truncated_ring
+
+ring, rng, caught = truncated_ring(4, 3), random.Random(38), 0
+for _ in range(25):
+    entry = lambda: tuple(rng.choice([-2, -1, 1, 2]) for _ in ring.zero)
+    a = [{j: entry() for j in range(3)} for _ in range(3)]
+    for row in a:
+        k, j = rng.randrange(4), rng.randrange(3)
+        row[j] = tuple(rng.choice([-1, 1]) * (i == k) for i in range(len(ring.zero)))
+    if not snf.unit_pivots(a, ring)[3]:
+        raise LookupError("no row step recorded")
+    try:
+        corrupted(a, ring)
+    except VerificationError as exc:
+        caught += exc.check == "snf.unit_pivots" and "do not take a to B" in str(exc)
+"""
+
+
+def test_certificate_sees_every_coordinate_of_a_multiplier():
+    namespace = {}
+    exec(U_MULTIPLIER_FAULT, namespace)
+    assert namespace["caught"] == 25
+    script = f"import sys\nsys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+    script += "if not sys.flags.optimize:\n    sys.exit(99)\n" + U_MULTIPLIER_FAULT
+    run = _run_optimized("-c", script + "sys.exit(0 if caught == 25 else 1)\n")
+    assert run.returncode == 0, run.stderr
 
 
 def test_diagonal_sort_fault_exits_4(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import coverzeta
 from coverzeta import VoltageSpec, bundled_spec, spec_from_dict, spec_to_dict
-from coverzeta.census import read_census, run_census
+from coverzeta.census import CensusFileError, read_census, run_census
 from coverzeta.cli import main
 from coverzeta.serre import bouquet
 from coverzeta.specfile import dump_spec, load_spec
@@ -245,6 +245,22 @@ def test_read_census_skips_a_torn_last_line(tmp_path, torn):
     assert [row["key"] for row in written] == ["1,1", "1,2", "1,3"]
     out.write_bytes(out.read_bytes() + torn)
     assert read_census(str(out)) == written
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"5\n", b"[1]\n", b'{"x": 1}\n', b"[" * 100000 + b"]" * 100000 + b"\n"],
+    ids=["number", "list", "object_without_key_or_cursor", "nested_past_recursion_limit"],
+)
+def test_read_census_refuses_a_line_that_is_not_a_row_or_cursor(tmp_path, line):
+    # The number and the list are JSON but not objects, the object has
+    # neither a key nor a cursor, and the nesting is past the parser's
+    # recursion limit.
+    out = tmp_path / "census.ndjson"
+    run_census(bouquet(2), 5, str(out), budget=3)
+    out.write_bytes(out.read_bytes() + line)
+    with pytest.raises(CensusFileError, match="line 5: not a census row or cursor"):
+        read_census(str(out))
 
 
 def test_census_budget_cursor(tmp_path):
