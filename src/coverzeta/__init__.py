@@ -23,7 +23,6 @@ from .voltage import (
     DisconnectedCover,
     VoltageSpec,
     connected_by_voltage_criterion,
-    cycle_voltage_subgroup,
     derive,
     require_connected_cover,
 )

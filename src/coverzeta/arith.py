@@ -20,14 +20,34 @@ class VerificationError(Exception):
 
 
 def is_odd_prime(n: int) -> bool:
-    """Whether n is an odd prime; False for anything not an int, bool included."""
+    """Whether n is an odd prime; False for anything not an int, bool included.
+
+    Trial division below 2^20, where it is the faster; above, Miller-Rabin to
+    the first 13 prime bases, exact below 3.3 * 10^24 (Sorenson and Webster,
+    Math. Comp. 86, 2017) and a strong probable-prime test beyond.
+    """
     if type(n) is not int or n < 3 or n % 2 == 0:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n < 1 << 20:
+        d = 3
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:  # b witnesses that n is composite
             return False
-        d += 2
     return True
 
 

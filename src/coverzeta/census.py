@@ -1,9 +1,10 @@
 """Census of all voltage assignments on a base graph at a fixed prime.
 
 Assignments are enumerated in lexicographic order over one orientation of the
-edges.  Each row records connectivity (breadth-first search, checked against
-the generated-subgroup criterion as ``census.connectivity``), Picard invariant
-factors, the set of vanishing mod-p L-values, and verdict summaries.
+edges.  Each row records connectivity (a union-find pass over the cover's
+edges, checked against the criterion that the cycle voltages generate the
+units as ``census.connectivity``), Picard invariant factors, the set of
+vanishing mod-p L-values, and verdict summaries.
 Assignments that differ by switching, a' = c_u^-1 a c_v on each edge u -> v,
 give covers that are isomorphic by (v, x) -> (v, x c_v), which commutes with
 the deck group (Gross and Tucker, Topological Graph Theory, 1987), so their
@@ -37,7 +38,14 @@ from typing import Iterable
 from .arith import VerificationError, is_odd_prime
 from .herbrand import build_report
 from .serre import SerreGraph
-from .voltage import DerivedCover, VoltageSpec, connected_by_voltage_criterion, derive, gauge
+from .voltage import (
+    DerivedCover,
+    VoltageSpec,
+    check_cover_size,
+    connected_by_voltage_criterion,
+    derive,
+    gauge,
+)
 
 VERDICTS = ("main11", "main22", "fitting", "duality", "dim_inequality")
 
@@ -284,9 +292,11 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
     The run starts at the file's last cursor and takes at most ``budget``
     assignments.  Returns a summary dict; when the run stops before the last
     assignment it is partial, and both the file and the summary carry the
-    cursor of the next assignment.  A bad p, base or budget raises
-    ``ValueError`` before the file is read or opened.
+    cursor of the next assignment.  A bad p, base or budget, or a cover above
+    ``voltage.MAX_COVER_VERTICES``, raises ``ValueError`` before the file is
+    read or opened.
     """
+    check_cover_size(base.num_vertices, p)
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p!r}")
     if budget is not None and (type(budget) is not int or budget < 0):

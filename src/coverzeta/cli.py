@@ -12,7 +12,8 @@ input once; ``main`` alone turns an error into an exit code, printed as
 ``OSError`` from reading, checking or writing an input or output (a spec,
 base or census file that cannot be read or is malformed, a disconnected base
 graph, a precision below 1, a census prime that is not an odd prime, a
-negative census budget, an output file that cannot be written); 3
+cover of more than ``voltage.MAX_COVER_VERTICES`` vertices, a negative census
+budget, an output file that cannot be written); 3
 ``DisconnectedCover``, the cover is not Galois with all of F_p^x; 4
 ``VerificationError``, an internal cross-check failed, or a report with a
 FAIL verdict, which ``analyze`` returns.

@@ -52,7 +52,9 @@ class CyclicGroup:
         return tuple(out)
 
     @cached_property
-    def _log(self) -> dict[int, int]:
+    def log(self) -> dict[int, int]:
+        """The discrete logarithm: each unit in range(p) -> its index in
+        ``elements``."""
         return {s: k for k, s in enumerate(self.elements)}
 
     def element(self, k: int) -> int:
@@ -60,9 +62,9 @@ class CyclicGroup:
 
     def index_of(self, sigma: int) -> int:
         sigma %= self.p
-        if sigma not in self._log:
+        if sigma not in self.log:
             raise ValueError(f"{sigma} is not a unit mod {self.p}")
-        return self._log[sigma]
+        return self.log[sigma]
 
     @cached_property
     def product(self):

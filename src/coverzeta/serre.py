@@ -5,12 +5,14 @@ Serre's formalism reads pair k as two mutually inverse directed edges, u -> v
 and v -> u; a loop is two distinct directed edges with equal endpoints, so it
 adds 2 to the valence of its vertex and cancels in the Laplacian.  Every
 reader here and in the covers takes the two orientations straight from the
-pairs.  Graphs are immutable after construction and safe to share.
+pairs.  Graphs are immutable after construction and safe to share.  The
+constructor checks every end and label; a derived cover, whose pairs are
+built in range from a checked base, stores them through
+``SerreGraph._from_pairs`` without that check.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 
@@ -46,6 +48,16 @@ class SerreGraph:
         self._connected: Optional[bool] = None
         self._picard_factors: Optional[tuple[int, ...]] = None  # kept by picard.picard_factors
 
+    @classmethod
+    def _from_pairs(cls, num_vertices: int, pairs: tuple[tuple[int, int], ...]) -> "SerreGraph":
+        """The unlabeled graph on ``pairs`` as they are, with the fields of
+        ``__init__`` and none of its checks: derived covers build their pairs
+        in range from a checked base, so the checks would only repeat."""
+        graph = cls.__new__(cls)
+        graph._n, graph._pairs, graph._labels = num_vertices, pairs, None
+        graph._connected = graph._picard_factors = None
+        return graph
+
     @property
     def num_vertices(self) -> int:
         return self._n
@@ -71,32 +83,28 @@ class SerreGraph:
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph (empty: False).
 
-        The graph is immutable, so the search runs once and its answer is kept.
+        The graph is immutable, so the pass runs once and its answer is kept.
         """
         if self._connected is None:
             self._connected = self._reaches_every_vertex()
         return self._connected
 
     def _reaches_every_vertex(self) -> bool:
-        """Breadth-first search from vertex 0 over neighbour lists read off
-        the pairs."""
+        """One union-find pass over the pairs, with path halving: connected
+        when the pairs merge the vertices into one class."""
         if self._n == 0:
             return False
-        neighbours: list[list[int]] = [[] for _ in range(self._n)]
+        parent = list(range(self._n))
+        classes = self._n
         for u, v in self._pairs:
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-        seen = [False] * self._n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            for w in neighbours[queue.popleft()]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self._n
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                classes -= 1
+        return classes == 1
 
     def laplacian_rows(self) -> list[dict[int, int]]:
         """The Laplacian, valence minus adjacency, as sparse rows {column:

@@ -281,9 +281,17 @@ def _certify_pivots(a, ring: Ring, rows, order, result) -> None:
     for an odd count of inversions of the matching.  Row steps: undone on B x,
     B the final rows with pivots, they give a x, x seeded integers below 2^30
     times one: a wrong row passes with chance <= 2^-30 over a free Z-module
-    (Z, Z[G]), about 1/p over F_p."""
+    (Z, Z[G]), about 1/p over F_p.  A call without pivots must return a
+    itself, densified: no steps, every row left, scale one and core a, each
+    compared exactly, with no arithmetic."""
     scale, ids, core, ops = result
     n, zero, fma = len(a), ring.zero, ring.fma
+    if not order:
+        if ops or scale != ring.one or ids != list(range(n)) or core != [
+            [row.get(j, zero) for j in range(n)] for row in a
+        ]:
+            raise VerificationError("snf.unit_pivots", "a call without pivots does not return a")
+        return
     prows, pcols, pivots = list(zip(*order)) or [(), (), ()]
     tails, done = list(map(rows.__getitem__, prows)), set()
     for r, c in zip(prows, pcols):

@@ -5,19 +5,40 @@ orientation carries the inverse unit.  The derived graph has vertex set
 (base vertex, unit) and, for an edge u -> v with voltage a, an edge
 (u, s) -> (v, s*a) for every unit s.  Multiplication by a unit on fiber
 coordinates is the deck action; the cover is Galois with the full unit group
-exactly when the derived graph is connected.
+exactly when the derived graph is connected, that is when the cycle voltages
+generate the units, which their discrete logarithms decide.  A spec whose
+cover would have more than ``MAX_COVER_VERTICES`` vertices is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import is_odd_prime
+from .groupring import CyclicGroup
 from .serre import SerreGraph
+
+
+# The most vertices a cover may have, n (p - 1) over n base vertices; a
+# larger one is refused before any table of its size is built.
+MAX_COVER_VERTICES = 10**6
 
 
 class DisconnectedCover(Exception):
     """The voltages do not generate the full unit group along cycles."""
+
+
+def check_cover_size(num_vertices: int, p) -> None:
+    """ValueError, naming the size, for a cover at p over ``num_vertices``
+    base vertices with more than ``MAX_COVER_VERTICES`` vertices.  It runs
+    before the prime test, which takes seconds on a prime of thousands of
+    digits; a p that is not an int is left to that test."""
+    if type(p) is int and num_vertices * (p - 1) > MAX_COVER_VERTICES:
+        raise ValueError(
+            f"the cover at p = {p} would have {num_vertices} x {p - 1} = "
+            f"{num_vertices * (p - 1)} vertices, more than the limit of {MAX_COVER_VERTICES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -27,6 +48,7 @@ class VoltageSpec:
     voltages: tuple[int, ...]
 
     def __post_init__(self):
+        check_cover_size(self.base.num_vertices, self.p)
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         object.__setattr__(self, "voltages", tuple(self.voltages))
@@ -53,12 +75,15 @@ class DerivedCover:
         base = spec.base
         fiber = p - 1
         self._fiber = fiber
-        pairs = []
-        for (u, v), a in zip(base.edge_pairs, spec.voltages):
-            # (u, s) -> (v, s a), at u f - 1 + s and v f - 1 + (s a mod p)
-            uf, vf = u * fiber - 1, v * fiber - 1
-            pairs += [(uf + s, vf + s * a % p) for s in range(1, p)]
-        self.total = SerreGraph(base.num_vertices * fiber, pairs)
+        # (u, s) -> (v, s a), at u f - 1 + s and v f - 1 + (s a mod p): in
+        # range, as the base's ends are, so stored without a second check.
+        pairs = [
+            (uf + s, vf + s * a % p)
+            for (u, v), a in zip(base.edge_pairs, spec.voltages)
+            for uf, vf in ((u * fiber - 1, v * fiber - 1),)
+            for s in range(1, p)
+        ]
+        self.total = SerreGraph._from_pairs(base.num_vertices * fiber, tuple(pairs))
         self._deck_maps: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -161,26 +186,14 @@ def gauge(spec: VoltageSpec) -> tuple[list[int], tuple[int, ...]]:
     return potential, fixed
 
 
-def cycle_voltage_subgroup(p: int, fixed: tuple[int, ...]) -> frozenset[int]:
-    """Subgroup of units mod p generated by net voltages of fundamental cycles.
-
-    ``fixed`` are the gauge-fixed voltages (``gauge``): those of the non-tree
-    edges are the net voltages, and the tree edges add only 1.  The derived
-    graph is connected iff this subgroup is all of the units.
-    """
-    generators = set(fixed)
-    subgroup = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = x * g % p
-            if y not in subgroup:
-                subgroup.add(y)
-                frontier.append(y)
-    return frozenset(subgroup)
-
-
 def connected_by_voltage_criterion(p: int, fixed: tuple[int, ...]) -> bool:
-    """Whether the gauge-fixed voltages ``fixed`` generate the units mod p."""
-    return len(cycle_voltage_subgroup(p, fixed)) == p - 1
+    """Whether the gauge-fixed voltages ``fixed`` (``gauge``), units in
+    range(1, p), generate the units mod p, which holds iff the derived graph
+    is connected.
+
+    Those of the non-tree edges are the net voltages of the fundamental
+    cycles, and the tree edges add only 1.  The units are cyclic of order
+    p - 1, generated by g, so the g^k generate them iff gcd(p - 1, k, ...)
+    = 1: one read of the discrete logarithm per voltage.
+    """
+    return gcd(p - 1, *map(CyclicGroup.for_prime(p).log.__getitem__, fixed)) == 1

@@ -14,7 +14,10 @@ compare the library against:
 - the directed edges of a graph (edge 2k over pair k and its inverse
   2k + 1), the valences, adjacency counts, Euler characteristic and dense
   Laplacian read from them, and the cycle and path graphs;
-- the voltage of a directed edge and the fiber coordinates of a cover;
+- the voltage of a directed edge and the fiber coordinates of a cover, and
+  the subgroup of units that the cycle voltages generate, element by
+  element, against which the library's criterion by discrete logarithms is
+  tested;
 - the arithmetic of truncated p-adic integers, and character values,
   contragredients and the full set of characters at a precision;
 - the cover's adjacency over the group ring as a dense matrix, and the
@@ -573,6 +576,24 @@ def deck_act(cover: DerivedCover, tau: int, w: int) -> int:
 def base_transversal(cover: DerivedCover) -> tuple[int, ...]:
     """One vertex per fiber: the unit-1 point over each base vertex."""
     return tuple(vertex_at(cover, v, 1) for v in cover.base.vertices)
+
+
+def cycle_voltage_subgroup(p: int, fixed: tuple[int, ...]) -> frozenset[int]:
+    """Subgroup of units mod p generated by net voltages of fundamental cycles,
+    one element at a time from the gauge-fixed voltages ``fixed``: those of
+    the non-tree edges are the net voltages, and the tree edges add only 1.
+    The derived graph is connected iff this subgroup is all of the units."""
+    generators = set(fixed)
+    subgroup = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = x * g % p
+            if y not in subgroup:
+                subgroup.add(y)
+                frontier.append(y)
+    return frozenset(subgroup)
 
 
 # Truncated p-adic arithmetic: combining two values keeps the smaller precision.

@@ -29,7 +29,6 @@ PUBLIC = {
     "build_report",
     "bundled_spec",
     "connected_by_voltage_criterion",
-    "cycle_voltage_subgroup",
     "default_precision",
     "derive",
     "duality_check",
@@ -98,6 +97,7 @@ REMOVED = [
         ["fiber_coords", "projection", "deck_act", "base_transversal", "vertex_at"],
     ),
     (voltage.VoltageSpec, ["voltage"]),
+    (voltage, ["cycle_voltage_subgroup"]),
     (picard, ["spanning_tree_count", "ModPEchelon"]),
     (picard.PicardModule, ["dim_C"]),
     (census, ["_mate_fields"]),

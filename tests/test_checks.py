@@ -333,10 +333,26 @@ LEAF_SPEC = {
     ],
 }
 
+# The theta graph with a loop at p = 5, voltages (1, 1, 2, 2): its report
+# makes a kernel call without pivots over each ring, which returns its input
+# as the core: the base's 1 x 1 reduced Laplacian over Z, its 2 x 2
+# Laplacian over Z[G], and the cover's 3 x 3 phase-1 core, 0 mod 5, over F_p.
+THETA_SPEC = {
+    "p": 5,
+    "vertices": ["a", "b"],
+    "edges": [
+        {"from": "a", "to": "b", "voltage": 1},
+        {"from": "a", "to": "b", "voltage": 1},
+        {"from": "a", "to": "b", "voltage": 2},
+        {"from": "a", "to": "a", "voltage": 2},
+    ],
+}
+
 # One fault inside the kernel for each part of its certificate, on the ring
-# that a condition of ``RINGS`` picks: the lowest other row in each pivot's
-# column left uncleared there (structure), the first recorded multiplier plus
-# one (row steps), or the scale negated (scale).
+# that a condition of ``RINGS`` picks, with the spec it runs on: the lowest
+# other row in each pivot's column left uncleared there (structure), the
+# first recorded multiplier plus one (row steps), the scale negated (scale),
+# or, on a call without pivots, the first core entry plus one (no pivot).
 RINGS = {
     "Z": "ring is snf.INTEGERS",
     "Z[G]": "isinstance(ring.zero, tuple)",
@@ -347,14 +363,29 @@ CERTIFICATE_FAULTS = {
         "for i in cols[c]:",
         "for i in sorted(cols[c])[bool(TARGET(ring)):]:",
         ("is not zero at the pivots", "are not units of a core"),
+        LEAF_SPEC,
     ),
     "row steps": (
         "ops.append((i, r, neg(m)))",
         "ops.append((i, r, fma(neg(m), ring.one, ring.one)"
         " if TARGET(ring) and not ops else neg(m)))",
         ("the recorded steps do not take a to B",),
+        LEAF_SPEC,
     ),
-    "scale": ("    if sign < 0:", "    if (sign < 0) != TARGET(ring):", ("!= the signed product",)),
+    "scale": (
+        "    if sign < 0:",
+        "    if (sign < 0) != TARGET(ring):",
+        ("!= the signed product",),
+        LEAF_SPEC,
+    ),
+    "no pivot": (
+        "    core = [[rows[i].get(j, zero) for j in free] for i in ids]\n",
+        "    core = [[rows[i].get(j, zero) for j in free] for i in ids]\n"
+        "    if TARGET(ring) and not order and core:\n"
+        "        core[0][0] = fma(core[0][0], ring.one, ring.one)\n",
+        ("a call without pivots does not return a",),
+        THETA_SPEC,
+    ),
 }
 
 # Adds 1 to the determinant of every evaluated Laplacian, the second route of
@@ -696,10 +727,11 @@ def test_kernel_op_multiplier_exits_4(example, monkeypatch, capsys):
 @pytest.mark.parametrize("part", sorted(CERTIFICATE_FAULTS))
 @pytest.mark.parametrize("ring", sorted(RINGS))
 def test_certificate_part_catches_its_kernel_fault(ring, part, tmp_path, monkeypatch, capsys):
-    # The leaf at p = 17 has unit pivots and row steps over all three rings.
-    old, new, messages = CERTIFICATE_FAULTS[part]
-    example = tmp_path / "leaf.json"
-    example.write_text(json.dumps(LEAF_SPEC))
+    # The leaf at p = 17 has unit pivots and row steps over all three rings,
+    # and the theta graph a call without pivots over each.
+    old, new, messages, spec = CERTIFICATE_FAULTS[part]
+    example = tmp_path / "spec.json"
+    example.write_text(json.dumps(spec))
     sabotage = _kernel_mutation(old, new, RINGS[ring])
     check = "snf.unit_pivots"
     for err in _assert_sabotage_exits_4(sabotage, str(example), check, monkeypatch, capsys):

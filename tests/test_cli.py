@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -485,6 +486,24 @@ def test_deeply_nested_input_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "dot", "census"])
+def test_a_huge_prime_exits_2_at_once(tmp_path, capsys, command):
+    # 2^61 - 1 is prime: trial division took about 7.6e8 divisions on it.
+    # The cover it gives is refused by its size before any table of p - 1
+    # entries is built, and before census opens its output file.
+    p = 2**61 - 1
+    doc = {"p": p, "vertices": ["v"], "edges": [dict(LOOP, voltage=2)]}
+    if command == "census":
+        doc = {"p": p, "vertices": ["v"], "edges": [LOOP]}
+    out = tmp_path / "out.txt"
+    start = time.perf_counter()
+    assert main([command, write(tmp_path, "huge.json", doc), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"would have 1 x {p - 1} = {p - 1} vertices" in err
+    assert not out.exists()
 
 
 def test_census_refuses_a_deeply_nested_line_to_resume(tmp_path, capsys):

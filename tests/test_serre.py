@@ -215,19 +215,40 @@ def test_report_path_builds_no_directed_edge(monkeypatch):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        SerreGraph(1, [(0, 1)])
-    with pytest.raises(ValueError):
-        SerreGraph(2, [], labels=["a", "a"])
+    # Input from outside is checked pair by pair and label by label, with
+    # these messages; only derived covers, built in range from a checked
+    # base, skip the checks.
+    for pair in ((0, 2), (2, 0), (-1, 0)):
+        with pytest.raises(ValueError) as info:
+            SerreGraph(2, [(0, 1), pair])
+        assert str(info.value) == f"edge {pair} references a missing vertex"
+    with pytest.raises(ValueError) as info:
+        SerreGraph(2, [(0, 1)], labels=["a", "a"])
+    assert str(info.value) == "vertex labels must be unique"
     with pytest.raises(ValueError):
         SerreGraph(2, [], labels=["a"])
     # Non-integer vertex counts and ends are refused, not truncated.
     for count in (2.7, 2.0, True):
         with pytest.raises(ValueError, match="vertex count"):
             SerreGraph(count, [])
-    for pair in ((0, 1.5), (True, 0), (0, 1.0), (0, "1")):
-        with pytest.raises(ValueError, match="not an integer"):
-            SerreGraph(2, [pair])
+    for u, v in ((0, 1.5), (True, 0), (0, 1.0), (0, "1")):
+        with pytest.raises(ValueError) as info:
+            SerreGraph(2, [(0, 1), (u, v)])
+        assert str(info.value) == f"edge ({u!r}, {v!r}) has an end that is not an integer"
+
+
+@given(small_graphs())
+def test_connectivity_matches_a_breadth_first_search(g):
+    # The union-find pass over the pairs against a search over the directed
+    # edges, isolated vertices and loops included.
+    seen, frontier = {0}, [0]
+    while frontier and g.num_vertices:
+        w = frontier.pop()
+        for e in edges_from(g, w):
+            if e.terminus not in seen:
+                seen.add(e.terminus)
+                frontier.append(e.terminus)
+    assert g.is_connected() == (g.num_vertices > 0 and len(seen) == g.num_vertices)
 
 
 def test_isolated_vertices_accepted():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from coverzeta import (
     bouquet,
     bundled_spec,
     connected_by_voltage_criterion,
-    cycle_voltage_subgroup,
     derive,
     is_odd_prime,
     picard_factors,
@@ -21,10 +21,11 @@ from coverzeta import (
     teichmuller,
 )
 from coverzeta.census import run_census
-from coverzeta.voltage import gauge
+from coverzeta.voltage import MAX_COVER_VERTICES, gauge
 from reference import (
     adjacency_count,
     base_transversal,
+    cycle_voltage_subgroup,
     deck_act,
     edge_voltage,
     edges_from,
@@ -100,6 +101,51 @@ def test_voltages_must_be_integers(voltage):
     with pytest.raises(ValueError, match="is not an integer"):
         VoltageSpec(bouquet(1), 5, (voltage,))
     assert VoltageSpec(bouquet(1), 5, [2]).voltages == (2,)
+
+
+def _trial_division(n):
+    return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(-3, 10**5) if is_odd_prime(n)] == [
+        n for n in range(-3, 10**5) if _trial_division(n)
+    ]
+    # Above the trial-division range, Miller-Rabin: primes and products of
+    # two primes either side of 2^20.
+    rng = random.Random(7)
+    for n in [rng.randrange(1 << 20, 1 << 24) | 1 for _ in range(500)] + [1048573 * 1048583]:
+        assert is_odd_prime(n) == _trial_division(n), n
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        (3825123056546413051, False),  # ... to the first nine prime bases
+        (2**61 - 1, True),
+        (2**89 - 1, True),
+        ((2**61 - 1) * (2**31 - 1), False),
+    ],
+)
+def test_primality_of_large_integers(n, prime):
+    assert is_odd_prime(n) is prime
+
+
+def test_cover_size_limit_names_the_size():
+    # n (p - 1) vertices: at the limit a spec is accepted, above it refused
+    # before the prime test, so even a prime of thousands of digits is
+    # answered at once.
+    limit = MAX_COVER_VERTICES
+    assert limit >= 10**5
+    VoltageSpec(SerreGraph(limit // 4, []), 5, ())
+    with pytest.raises(ValueError, match=f"x 4 = {limit + 4} vertices"):
+        VoltageSpec(SerreGraph(limit // 4 + 1, []), 5, ())
+    huge = 2**61 - 1
+    with pytest.raises(ValueError, match=f"would have 1 x {huge - 1} = {huge - 1} vertices"):
+        VoltageSpec(bouquet(1), huge, (2,))
+    with pytest.raises(ValueError, match="vertices, more than the limit"):
+        VoltageSpec(bouquet(1), 10**4000 + 1, (2,))
 
 
 @pytest.mark.parametrize("p", [5.0, True, "5"])
@@ -213,6 +259,58 @@ def test_subgroup_criterion_matches_bfs(seed, p):
     spec = VoltageSpec(base, p, voltages)
     cover = derive(spec)
     assert connected_by_voltage_criterion(p, gauge(spec)[1]) == cover.is_connected()
+
+
+ODD_PRIMES_BELOW_100 = [p for p in range(3, 100, 2) if all(p % d for d in range(3, p, 2))]
+
+
+@st.composite
+def gauge_fixed_voltages(draw):
+    """An odd prime below 100 and a tuple of units mod it: the empty tuple,
+    all ones, or units drawn from a few, so that they repeat."""
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_100))
+    size = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["any", "ones", "repeated"]))
+    if kind == "ones":
+        return p, (1,) * size
+    units = st.integers(1, p - 1)
+    if kind == "repeated":
+        units = st.sampled_from(draw(st.lists(units, min_size=1, max_size=2)))
+    return p, tuple(draw(st.lists(units, min_size=size, max_size=size)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gauge_fixed_voltages())
+def test_criterion_by_logarithms_matches_the_generated_subgroup(case):
+    # The gcd of the voltages' discrete logarithms with p - 1 against the
+    # subgroup that the reference builds element by element.
+    p, fixed = case
+    assert connected_by_voltage_criterion(p, fixed) == (
+        len(cycle_voltage_subgroup(p, fixed)) == p - 1
+    )
+
+
+def test_criterion_edge_cases():
+    for p in ODD_PRIMES_BELOW_100:
+        assert not connected_by_voltage_criterion(p, ())
+        assert not connected_by_voltage_criterion(p, (1, 1, 1))
+        assert connected_by_voltage_criterion(p, (1, CyclicGroup.for_prime(p).generator))
+        assert connected_by_voltage_criterion(p, (p - 1,)) == (p == 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([3, 5, 7, 11, 13]))
+def test_derived_pairs_are_those_a_validating_graph_stores(seed, p):
+    # Derived covers store their pairs unchecked; the checking constructor,
+    # given the same pairs, must accept them and store the same tuple.
+    rng = random.Random(seed)
+    base = random_connected_base(rng, 5, 9)
+    cover = derive(VoltageSpec(base, p, tuple(rng.randint(1, p - 1) for _ in base.edge_pairs)))
+    checked = SerreGraph(cover.total.num_vertices, list(cover.total.edge_pairs))
+    assert type(cover.total.edge_pairs) is tuple
+    assert cover.total.edge_pairs == checked.edge_pairs
+    assert cover.total.num_vertices == checked.num_vertices == base.num_vertices * (p - 1)
+    assert vars(cover.total) == vars(checked)
 
 
 def test_subgroup_criterion_values():
