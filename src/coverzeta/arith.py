@@ -72,15 +72,25 @@ def p_part(n: int, p: int) -> int:
     return p ** p_valuation(n, p)
 
 
-def multiplicative_order(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ValueError("not a unit mod p")
-    k, x = 1, a
-    while x != 1:
-        x = x * a % p
-        k += 1
-    return k
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division up to the
+    square root of what is left: O(sqrt(n)) steps at most."""
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def is_primitive_root(g: int, p: int) -> bool:
+    """Whether g generates the units mod the odd prime p: g^((p - 1)/q) is
+    not 1 for any prime q dividing p - 1."""
+    return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 
 @lru_cache(maxsize=None, typed=True)  # 5.0 is not 5's entry
@@ -89,6 +99,6 @@ def smallest_primitive_root(p: int) -> int:
     if not is_odd_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
     for g in range(2, p):
-        if multiplicative_order(g, p) == p - 1:
+        if is_primitive_root(g, p):
             return g
     raise AssertionError("unreachable: every odd prime has a primitive root")

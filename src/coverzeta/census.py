@@ -31,8 +31,9 @@ from __future__ import annotations
 import json
 from contextlib import suppress
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import gcd
+from operator import itemgetter
 from typing import Iterable
 
 from .arith import VerificationError, is_odd_prime
@@ -51,25 +52,27 @@ VERDICTS = ("main11", "main22", "fitting", "duality", "dim_inequality")
 
 
 def assignment_key(voltages: Iterable[int]) -> str:
-    return ",".join(str(a) for a in voltages)
+    return ",".join(map(str, voltages))
 
 
 def census_row(base: SerreGraph, p: int, voltages: tuple[int, ...], classes: dict) -> dict:
-    """The row of one assignment.
+    """The row of one assignment, a tuple of units mod p, one per edge of
+    ``base``, at the odd prime p that ``run_census`` has checked.
 
     ``classes`` maps the representative of each orbit met so far
     (``_representative``: the least key^m over the units m, and that m) to
-    the cover of its voltages, as edges (``_relabeled_edges``), and the
-    fields of the orbit's first connected cover, built here or seeded from a
-    written row (``_seed_classes``), each vanishing exponent j kept as
-    j * m^-1 (``_stored``).  A connected cover, relabeled by its potentials
-    and then by s -> s^m, must give those edges, or ``census.switching``
-    fails: that makes an isomorphism of the two covers taking the deck
-    transformation of t to that of t^m, so Pic0 and the verdicts agree and
+    the cover of its voltages, as edges (``_relabeled_edges``), the fields of
+    the orbit's first connected cover, built here or seeded from a written
+    row (``_seed_classes``), each vanishing exponent j kept as j * m^-1
+    (``_stored``), and those fields as the rows of each power m met so far
+    write them.  A connected cover, relabeled by its potentials and then by
+    s -> s^m, must give those edges, or ``census.switching`` fails: that
+    makes an isomorphism of the two covers taking the deck transformation of
+    t to that of t^m, so Pic0 and the verdicts agree and
     L(Y, chi_jm) = L(Y_rep, chi_j), and the row's vanishing exponents are
     the kept j times m.
     """
-    spec = VoltageSpec(base, p, voltages)
+    spec = VoltageSpec._unchecked(base, p, voltages)
     cover = derive(spec)
     connected = cover.is_connected()
     potential, key = gauge(spec)
@@ -93,24 +96,32 @@ def census_row(base: SerreGraph, p: int, voltages: tuple[int, ...], classes: dic
         return row
     representative, m = _representative(p, key)
     edges = _relabeled_edges(cover, potential, m)
-    if representative not in classes:
+    entry = classes.get(representative)
+    if entry is None:
         report = build_report(cover)
         fields = (
             tuple(report.pic0),
             [r["i"] for r in report.rows if r["h_mod_p"] == 0],
             tuple(report.global_verdicts[name].status for name in VERDICTS),
         )
-        classes[representative] = edges, _stored(fields, m, p)
-    stored, (pic0, vanishing, statuses) = classes[representative]
+        entry = classes[representative] = edges, _stored(fields, m, p), {}
+    stored, (pic0, vanishing, statuses), finished = entry
     if stored != edges:
         raise VerificationError(
             "census.switching",
             f"voltages {list(voltages)}: the relabeled cover, raised to the power {m}, "
             f"differs from that of orbit {list(representative)}",
         )
+    if m not in finished:
+        finished[m] = (
+            pic0,
+            tuple(sorted(j * m % (p - 1) for j in vanishing)),
+            tuple(zip(VERDICTS, statuses)),
+        )
+    pic0, vanishing, verdicts = finished[m]
     row["pic0"] = list(pic0)
-    row["vanishing"] = sorted(j * m % (p - 1) for j in vanishing)
-    row["verdicts"] = dict(zip(VERDICTS, statuses))
+    row["vanishing"] = list(vanishing)
+    row["verdicts"] = dict(verdicts)
     return row
 
 
@@ -131,12 +142,6 @@ def _stored(fields: tuple, m: int, p: int) -> tuple:
     return pic0, tuple(sorted(j * inverse % (p - 1) for j in vanishing)), statuses
 
 
-@lru_cache(maxsize=None)
-def _powers(p: int, m: int) -> tuple[int, ...]:
-    """s^m - 1 at index s, for s in 1..p - 1; index 0 is unused."""
-    return (-1,) + tuple(pow(s, m, p) - 1 for s in range(1, p))
-
-
 def _relabeled_edges(cover: DerivedCover, potential: list[int], power: int) -> tuple[int, ...]:
     """The total graph's edges after relabeling (v, x) -> (v, x * phi(v)^-1),
     then (v, s) -> (v, s^power), flat: the edge over base edge k from
@@ -147,19 +152,34 @@ def _relabeled_edges(cover: DerivedCover, potential: list[int], power: int) -> t
     same relabeled edge, so the relabelings make an isomorphism of the total
     graphs, edge for edge; relabeling multiplies fiber coordinates on the
     right, so it commutes with the deck group, and a power map, a unit mod
-    p - 1, takes the deck transformation of t to that of t^power.
+    p - 1, takes the deck transformation of t to that of t^power.  Both ends
+    of every pair of the cover are read and relabeled (``_relabeling``).
     """
-    p, f = cover.p, cover.fiber_size
+    if not cover.total.edge_pairs:
+        return ()
+    relabel, by_slot = _relabeling(cover.base, cover.p, tuple(potential), power)
+    return itemgetter(*chain.from_iterable(by_slot(cover.total.edge_pairs)))(relabel)
+
+
+@lru_cache(maxsize=256)
+def _relabeling(base: SerreGraph, p: int, potential: tuple[int, ...], power: int) -> tuple:
+    """The tables ``_relabeled_edges`` reads for the covers of ``base`` at p
+    with these potentials: the relabeled index of each total vertex (v, s),
+    at v f + s - 1, and a getter of the pairs in slot order, the edge from
+    (u, s), at k f + s - 1, going to slot k f + t - 1 for its relabeled
+    (u, t).  A census meets each (potentials, power) on many rows, in runs
+    as it enumerates the voltages, so the tables are built once per run.
+    """
+    f = p - 1
     inverse = [pow(x, -1, p) for x in potential]
-    powered = _powers(p, power)
-    # The relabeled index of each total vertex (v, s), at v * f + s - 1.
-    relabel = [v * f + powered[s * inverse[v] % p] for v in cover.base.vertices for s in range(1, p)]
-    flat = [-1] * (2 * cover.total.num_undirected_edges)
-    for j, (w, w2) in enumerate(cover.total.edge_pairs):
-        a = relabel[w]
-        slot = 2 * (j - j % f + a % f)
-        flat[slot], flat[slot + 1] = a, relabel[w2]
-    return tuple(flat)
+    # t - 1 for (v, s) -> (v, t), t = (s x_v^-1)^power, at v f + s - 1.
+    local = [pow(s * inverse[v] % p, power, p) - 1 for v in base.vertices for s in range(1, p)]
+    relabel = tuple(v * f + t for v in base.vertices for t in local[v * f : v * f + f])
+    order = [0] * (base.num_undirected_edges * f)
+    for k, (u, _) in enumerate(base.edge_pairs):
+        for i in range(f):
+            order[k * f + local[u * f + i]] = k * f + i
+    return relabel, itemgetter(*order)
 
 
 class CensusFileError(ValueError):
@@ -271,7 +291,7 @@ def _seed_classes(base: SerreGraph, p: int, seeds: list, out_path: str) -> dict:
     although its row says connected, raises ``CensusFileError``."""
     classes: dict = {}
     for voltages, fields in seeds:
-        spec = VoltageSpec(base, p, voltages)
+        spec = VoltageSpec._unchecked(base, p, voltages)
         potential, key = gauge(spec)
         representative, m = _representative(p, key)
         if representative in classes:
@@ -282,7 +302,7 @@ def _seed_classes(base: SerreGraph, p: int, seeds: list, out_path: str) -> dict:
                 f"{out_path}: row {assignment_key(voltages)} says connected, "
                 "but the cover of its voltages is not"
             )
-        classes[representative] = _relabeled_edges(cover, potential, m), _stored(fields, m, p)
+        classes[representative] = _relabeled_edges(cover, potential, m), _stored(fields, m, p), {}
     return classes
 
 
@@ -315,10 +335,9 @@ def run_census(base: SerreGraph, p: int, out_path: str, budget: int | None = Non
         iterator = product(range(1, p), repeat=num_edges)
         for voltages in islice(iterator, start, stop):
             processed += 1
-            key = assignment_key(voltages)
-            if key in done:
+            if done and assignment_key(voltages) in done:
                 continue
-            row = census_row(base, p, tuple(voltages), classes)
+            row = census_row(base, p, voltages, classes)
             fh.write(json.dumps(row, sort_keys=True) + "\n")
             written += 1
         if stop < total:

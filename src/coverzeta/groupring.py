@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import neg
 
-from .arith import is_odd_prime, multiplicative_order, smallest_primitive_root
+from .arith import is_odd_prime, is_primitive_root, smallest_primitive_root
 from .snf import Ring
 
 
@@ -29,7 +29,7 @@ class CyclicGroup:
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        if multiplicative_order(self.generator, self.p) != self.p - 1:
+        if type(self.generator) is not int or not is_primitive_root(self.generator, self.p):
             raise ValueError(f"{self.generator} does not generate the units mod {self.p}")
 
     @classmethod

@@ -91,12 +91,15 @@ class SerreGraph:
 
     def _reaches_every_vertex(self) -> bool:
         """One union-find pass over the pairs, with path halving: connected
-        when the pairs merge the vertices into one class."""
+        when the pairs merge the vertices into one class, which ends the
+        pass."""
         if self._n == 0:
             return False
         parent = list(range(self._n))
         classes = self._n
         for u, v in self._pairs:
+            if classes == 1:
+                break
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:

@@ -13,6 +13,7 @@ cover would have more than ``MAX_COVER_VERTICES`` vertices is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .arith import is_odd_prime
@@ -60,6 +61,18 @@ class VoltageSpec:
             if not (1 <= a <= self.p - 1):
                 raise ValueError(f"voltage {a} is not a unit mod {self.p}")
 
+    @classmethod
+    def _unchecked(cls, base: SerreGraph, p: int, voltages: tuple[int, ...]) -> "VoltageSpec":
+        """The spec as given, with none of ``__post_init__``'s checks: for a
+        census, which checks p and the cover's size once per run and
+        enumerates, or reads back as checked rows, tuples of units mod p, one
+        per edge."""
+        spec = cls.__new__(cls)
+        object.__setattr__(spec, "base", base)
+        object.__setattr__(spec, "p", p)
+        object.__setattr__(spec, "voltages", voltages)
+        return spec
+
 
 class DerivedCover:
     """Derived graph of a voltage assignment, with fiber bookkeeping.
@@ -73,17 +86,12 @@ class DerivedCover:
         self.spec = spec
         p = spec.p
         base = spec.base
-        fiber = p - 1
-        self._fiber = fiber
-        # (u, s) -> (v, s a), at u f - 1 + s and v f - 1 + (s a mod p): in
-        # range, as the base's ends are, so stored without a second check.
-        pairs = [
-            (uf + s, vf + s * a % p)
-            for (u, v), a in zip(base.edge_pairs, spec.voltages)
-            for uf, vf in ((u * fiber - 1, v * fiber - 1),)
-            for s in range(1, p)
-        ]
-        self.total = SerreGraph._from_pairs(base.num_vertices * fiber, tuple(pairs))
+        self._fiber = p - 1
+        # In range, as the base's ends are, so stored without a second check.
+        pairs: list[tuple[int, int]] = []
+        for (u, v), a in zip(base.edge_pairs, spec.voltages):
+            pairs += _fibre_pairs(u, v, p, a)
+        self.total = SerreGraph._from_pairs(base.num_vertices * self._fiber, tuple(pairs))
         self._deck_maps: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -128,6 +136,16 @@ class DerivedCover:
         return f"DerivedCover(p={self.p}, {self.base!r} -> {self.total!r})"
 
 
+@lru_cache(maxsize=1 << 10)
+def _fibre_pairs(u: int, v: int, p: int, a: int) -> tuple[tuple[int, int], ...]:
+    """The pairs over an edge u -> v with voltage a, (u, s) -> (v, s a) for
+    s = 1, ..., p - 1, at u f - 1 + s and v f - 1 + (s a mod p).  A census
+    meets each (edge, voltage) on many rows, and its covers share these
+    immutable blocks."""
+    uf, vf = u * (p - 1) - 1, v * (p - 1) - 1
+    return tuple((uf + s, vf + s * a % p) for s in range(1, p))
+
+
 def derive(spec: VoltageSpec) -> DerivedCover:
     """Build the derived cover; the base must be connected."""
     if not spec.base.is_connected():
@@ -147,43 +165,57 @@ def require_connected_cover(cover: DerivedCover) -> DerivedCover:
 def gauge(spec: VoltageSpec) -> tuple[list[int], tuple[int, ...]]:
     """Potentials along a spanning tree and the gauge-fixed voltages.
 
-    A depth-first search of the base from vertex 0 gives each vertex a
-    potential phi (phi(0) = 1, phi(v) = phi(u) * a along a tree edge u -> v
-    with voltage a); the tree depends on the base alone.  The gauge-fixed
-    voltage of an edge u -> v is phi(u) * a * phi(v)^-1, which is 1 on the
-    tree edges.  Switching a to c_u^-1 * a * c_v on every edge u -> v leaves
-    the gauge-fixed voltages as they are, and they are switching-equivalent
-    to a, so they name a's switching class; relabeling the cover by
-    (v, x) -> (v, x * phi(v)^-1) turns it into the cover of the gauge-fixed
-    voltages and commutes with the deck group.
+    A depth-first search of the base from vertex 0 (``_spanning_tree``)
+    gives each vertex a potential phi (phi(0) = 1, phi(v) = phi(u) * a along
+    a tree edge u -> v with voltage a); the tree depends on the base alone.
+    The gauge-fixed voltage of an edge u -> v is phi(u) * a * phi(v)^-1,
+    which is 1 on the tree edges.  Switching a to c_u^-1 * a * c_v on every
+    edge u -> v leaves the gauge-fixed voltages as they are, and they are
+    switching-equivalent to a, so they name a's switching class; relabeling
+    the cover by (v, x) -> (v, x * phi(v)^-1) turns it into the cover of the
+    gauge-fixed voltages and commutes with the deck group.
     """
     base = spec.base
     if not base.is_connected():
         raise ValueError("base graph must be connected")
-    p = spec.p
-    # Out-lists read off the pairs: u -> v with a, then v -> u with a^-1,
-    # pair by pair, so each vertex's edges come in the order of the pairs.
-    out: list[list[tuple[int, int, bool]]] = [[] for _ in base.vertices]
-    for (u, v), a in zip(base.edge_pairs, spec.voltages):
-        out[u].append((v, a, True))
-        out[v].append((u, a, False))
+    p, voltages = spec.p, spec.voltages
     # The inverse potentials ride along the tree: one inverse per tree edge.
-    potential, inverse = [None] * base.num_vertices, [None] * base.num_vertices
-    potential[0] = inverse[0] = 1
-    stack = [0]
-    while stack:
-        w = stack.pop()
-        for t, a, forward in out[w]:
-            if potential[t] is None:
-                b = pow(a, -1, p)
-                if not forward:  # w -> t carries a^-1
-                    a, b = b, a
-                potential[t], inverse[t] = potential[w] * a % p, inverse[w] * b % p
-                stack.append(t)
+    potential, inverse = [1] * base.num_vertices, [1] * base.num_vertices
+    for w, t, k, forward in _spanning_tree(base):
+        a = voltages[k]
+        b = pow(a, -1, p)
+        if not forward:  # w -> t carries a^-1
+            a, b = b, a
+        potential[t], inverse[t] = potential[w] * a % p, inverse[w] * b % p
     fixed = tuple(
-        potential[u] * a * inverse[v] % p for (u, v), a in zip(base.edge_pairs, spec.voltages)
+        potential[u] * a * inverse[v] % p for (u, v), a in zip(base.edge_pairs, voltages)
     )
     return potential, fixed
+
+
+@lru_cache(maxsize=64)
+def _spanning_tree(base: SerreGraph) -> tuple[tuple[int, int, int, bool], ...]:
+    """The tree edges of a depth-first search of a connected base from
+    vertex 0, in the order they are found: (w, t, k, forward) reaches t from
+    w along pair k, as u -> v if forward, else as v -> u.  Out-lists are read
+    off the pairs, u -> v then v -> u, pair by pair, so each vertex's edges
+    come in the order of the pairs.  A census gauges every row on one base,
+    so the search runs once per base."""
+    out: list[list[tuple[int, int, bool]]] = [[] for _ in base.vertices]
+    for k, (u, v) in enumerate(base.edge_pairs):
+        out[u].append((v, k, True))
+        out[v].append((u, k, False))
+    seen = [False] * base.num_vertices
+    seen[0] = True
+    tree, stack = [], [0]
+    while stack:
+        w = stack.pop()
+        for t, k, forward in out[w]:
+            if not seen[t]:
+                seen[t] = True
+                tree.append((w, t, k, forward))
+                stack.append(t)
+    return tuple(tree)
 
 
 def connected_by_voltage_criterion(p: int, fixed: tuple[int, ...]) -> bool:

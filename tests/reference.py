@@ -18,6 +18,12 @@ compare the library against:
   the subgroup of units that the cycle voltages generate, element by
   element, against which the library's criterion by discrete logarithms is
   tested;
+- the order of a unit mod p by repeated products, against which primitive
+  roots are tested;
+- the census's tables built afresh on every call: the depth-first search
+  of ``gauge`` (``search_gauge``), the derived pairs by one comprehension
+  (``derived_pairs``) and the relabeled edges scattered slot by slot
+  (``scattered_relabeled_edges``);
 - the arithmetic of truncated p-adic integers, and character values,
   contragredients and the full set of characters at a precision;
 - the cover's adjacency over the group ring as a dense matrix, and the
@@ -576,6 +582,72 @@ def deck_act(cover: DerivedCover, tau: int, w: int) -> int:
 def base_transversal(cover: DerivedCover) -> tuple[int, ...]:
     """One vertex per fiber: the unit-1 point over each base vertex."""
     return tuple(vertex_at(cover, v, 1) for v in cover.base.vertices)
+
+
+def search_gauge(spec: VoltageSpec) -> tuple[list[int], tuple[int, ...]]:
+    """``voltage.gauge`` with its depth-first search run on every call: out
+    lists u -> v with a, then v -> u with a^-1, pair by pair, and the
+    inverse potentials riding along the tree."""
+    base, p = spec.base, spec.p
+    out: list[list[tuple[int, int, bool]]] = [[] for _ in base.vertices]
+    for (u, v), a in zip(base.edge_pairs, spec.voltages):
+        out[u].append((v, a, True))
+        out[v].append((u, a, False))
+    potential, inverse = [None] * base.num_vertices, [None] * base.num_vertices
+    potential[0] = inverse[0] = 1
+    stack = [0]
+    while stack:
+        w = stack.pop()
+        for t, a, forward in out[w]:
+            if potential[t] is None:
+                b = pow(a, -1, p)
+                if not forward:
+                    a, b = b, a
+                potential[t], inverse[t] = potential[w] * a % p, inverse[w] * b % p
+                stack.append(t)
+    fixed = tuple(
+        potential[u] * a * inverse[v] % p for (u, v), a in zip(base.edge_pairs, spec.voltages)
+    )
+    return potential, fixed
+
+
+def derived_pairs(spec: VoltageSpec) -> tuple[tuple[int, int], ...]:
+    """The derived cover's pairs, (u, s) -> (v, s a) at u f - 1 + s and
+    v f - 1 + (s a mod p), by one comprehension."""
+    p, f = spec.p, spec.p - 1
+    return tuple(
+        (u * f - 1 + s, v * f - 1 + s * a % p)
+        for (u, v), a in zip(spec.base.edge_pairs, spec.voltages)
+        for s in range(1, p)
+    )
+
+
+def scattered_relabeled_edges(cover: DerivedCover, potential, power: int) -> tuple[int, ...]:
+    """``census._relabeled_edges`` with its tables built on every call: each
+    edge over base edge k is scattered to slot k f + t - 1 for its relabeled
+    origin (u, t)."""
+    p, f = cover.p, cover.fiber_size
+    inverse = [pow(x, -1, p) for x in potential]
+    powered = (-1,) + tuple(pow(s, power, p) - 1 for s in range(1, p))
+    relabel = [v * f + powered[s * inverse[v] % p] for v in cover.base.vertices for s in range(1, p)]
+    flat = [-1] * (2 * cover.total.num_undirected_edges)
+    for j, (w, w2) in enumerate(cover.total.edge_pairs):
+        a = relabel[w]
+        slot = 2 * (j - j % f + a % f)
+        flat[slot], flat[slot + 1] = a, relabel[w2]
+    return tuple(flat)
+
+
+def multiplicative_order(a: int, p: int) -> int:
+    """The order of the unit a mod p, by multiplying until 1: O(p)."""
+    a %= p
+    if a == 0:
+        raise ValueError("not a unit mod p")
+    k, x = 1, a
+    while x != 1:
+        x = x * a % p
+        k += 1
+    return k
 
 
 def cycle_voltage_subgroup(p: int, fixed: tuple[int, ...]) -> frozenset[int]:

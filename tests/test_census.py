@@ -1,6 +1,7 @@
 """The census builds one report per orbit of switching classes under the
 power maps a -> a^k, k a unit mod p - 1, and reuses its fields."""
 
+import hashlib
 import json
 import pathlib
 from itertools import product
@@ -18,6 +19,7 @@ from coverzeta.census import census_row, read_census, run_census
 from coverzeta.cli import main
 from coverzeta.specfile import load_base
 from coverzeta.voltage import gauge
+from reference import derived_pairs, scattered_relabeled_edges, search_gauge
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 # The triangle a-b-c with a loop at a, at p = 5: 256 assignments in 16
@@ -31,6 +33,11 @@ TRIANGLE_ROWS = GOLDENS / "triangle_loop_p5_census.ndjson"
 # show: 16 of these rows have a vanishing set that x3 moves.
 BOUQUET = GOLDENS / "bouquet2_base.json"
 BOUQUET_ROWS = GOLDENS / "bouquet2_p11_census.ndjson"
+# The path a-b-c with a second edge c-b and a loop at c, at p = 13: 20736
+# assignments over a spanning tree of depth 2, so the potentials of two tree
+# edges key the relabeling tables.  Its output is recorded by digest only.
+PATH_LOOP = GOLDENS / "path_loop_base.json"
+PATH_LOOP_SHA256 = GOLDENS / "path_loop_p13_census.sha256"
 ROW_FIELDS = ("connected", "criterion_connected", "pic0", "vanishing", "verdicts")
 
 
@@ -73,6 +80,20 @@ def test_p11_census_matches_the_golden_in_one_run_and_in_chunks(tmp_path):
     lines = chunks.read_bytes().splitlines(keepends=True)
     assert [json.loads(x)["cursor"]["next_index"] for x in lines if b"cursor" in x] == [13, 53, 54]
     assert b"".join(x for x in lines if b"cursor" not in x) == BOUQUET_ROWS.read_bytes()
+
+
+def test_p13_census_matches_its_digest_in_one_run_and_in_chunks(tmp_path):
+    want = PATH_LOOP_SHA256.read_text().split()[0]
+    base, p = load_base(str(PATH_LOOP))
+    out = tmp_path / "rows.ndjson"
+    assert run_census(base, p, str(out))["written"] == 20736
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+    chunks = tmp_path / "chunks.ndjson"
+    for budget in (5000, 9000, 1, None):
+        run_census(load_base(str(PATH_LOOP))[0], p, str(chunks), budget=budget)
+    lines = chunks.read_bytes().splitlines(keepends=True)
+    rows = b"".join(x for x in lines if b"cursor" not in x)
+    assert hashlib.sha256(rows).hexdigest() == want
 
 
 def count_reports(monkeypatch):
@@ -362,3 +383,53 @@ def test_power_map_row_read_through_the_table_is_the_fresh_row(case):
         assert census_row(base, p, powered, classes) == fresh
     # One entry for the orbit, which holds both classes.
     assert len(classes) == fresh["connected"]
+
+
+@st.composite
+def census_bases(draw, below=60):
+    """A connected base on 1-5 vertices with at most 7 edges, loops and
+    parallel edges, its tree edges in either orientation and all edges in
+    a drawn order, an odd prime below ``below``, and voltages."""
+    n = draw(st.integers(1, 5))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in pairs]
+    pairs += draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=7 - len(pairs))
+    )
+    pairs = draw(st.permutations(pairs))
+    p = draw(st.sampled_from([q for q in range(3, below, 2) if all(q % d for d in range(3, q, 2))]))
+    voltages = tuple(draw(st.integers(1, p - 1)) for _ in pairs)
+    return SerreGraph(n, pairs), p, voltages
+
+
+@settings(max_examples=200, deadline=None)
+@given(census_bases(), st.integers(0, 10**6))
+def test_tables_match_the_references(case, pick):
+    # The base's tree, the fibre blocks and the relabeling tables give what
+    # the references build afresh, at every unit power.
+    base, p, voltages = case
+    spec = VoltageSpec(base, p, voltages)
+    assert gauge(spec) == search_gauge(spec)
+    cover = derive(spec)
+    assert cover.total.edge_pairs == derived_pairs(spec)
+    potential = gauge(spec)[0]
+    units = units_mod(p - 1)
+    for m in {1, units[pick % len(units)]}:
+        assert census._relabeled_edges(cover, potential, m) == scattered_relabeled_edges(
+            cover, potential, m
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(census_bases(below=14), st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+def test_census_row_reads_the_same_row_from_filled_tables(case, picks):
+    # A row computed with a fresh class table, which builds a report for
+    # every connected row, equals the one read through a table that earlier
+    # rows of the same base filled.
+    base, p, voltages = case
+    rows = [voltages] + [
+        tuple(a * (1 + x % (p - 1)) % p for a in voltages) for x in picks
+    ]
+    classes = {}
+    for voltages in rows + rows:
+        assert census_row(base, p, voltages, classes) == census_row(base, p, voltages, {})

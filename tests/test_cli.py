@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coverzeta
 from coverzeta import VoltageSpec, bundled_spec, spec_from_dict, spec_to_dict
@@ -703,3 +708,90 @@ def test_repeated_main_calls_match_fresh_ones(tmp_path, capsys):
     assert "unrecognized arguments: --bogus" in kept[0][2]
     assert json.loads(kept[1][1])["pic0"] == [3, 12]
     assert kept[2][1].startswith("census: 16 new rows")
+
+
+# Values that a mutation puts where a document holds a prime, a voltage, a
+# label or an end: ints in and out of range, and every other JSON type.
+ODD_VALUES = st.one_of(
+    st.integers(-3, 60),
+    st.sampled_from([2.5, 5.0, float("nan"), "5", "", True, False, None, [], {}, [5], {"p": 5}]),
+)
+
+
+@st.composite
+def documents(draw):
+    """A spec document on at most 6 vertices at an odd prime below 60,
+    then a few mutations of its types, keys, voltages and primes."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 23, 31, 59]))
+    n = draw(st.integers(1, 6))
+    labels = [f"v{i}" for i in range(n)]
+    ends = st.sampled_from(labels)
+    edges = [
+        {"from": labels[draw(st.integers(0, v - 1))], "to": labels[v], "voltage": draw(st.integers(1, p - 1))}
+        for v in range(1, n)
+    ]
+    edges += draw(
+        st.lists(
+            st.fixed_dictionaries({"from": ends, "to": ends, "voltage": st.integers(1, p - 1)}),
+            max_size=3,
+        )
+    )
+    doc = {"p": p, "vertices": labels, "edges": edges}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["p", "drop", "extra", "voltage", "end", "label", "vertices", "edges", "whole"]))
+        if kind == "p":
+            doc["p"] = draw(ODD_VALUES)
+        elif kind == "drop" and doc:
+            doc.pop(draw(st.sampled_from(sorted(doc))))
+        elif kind == "extra":
+            doc[draw(st.sampled_from(["q", "P", "edge", "voltage"]))] = draw(ODD_VALUES)
+        elif kind in ("voltage", "end") and edges:
+            edge = draw(st.sampled_from(edges))
+            field = "voltage" if kind == "voltage" else draw(st.sampled_from(["from", "to"]))
+            if draw(st.booleans()):
+                edge.pop(field, None)
+            else:
+                edge[field] = draw(st.one_of(ODD_VALUES, st.just("v9")))
+        elif kind == "label" and labels:
+            labels[draw(st.integers(0, len(labels) - 1))] = draw(st.one_of(ODD_VALUES, st.just("v0")))
+        elif kind in ("vertices", "edges"):
+            doc[kind] = draw(ODD_VALUES)
+        elif kind == "whole":
+            return draw(ODD_VALUES)
+    return doc
+
+
+class CaseTimeout(BaseException):
+    """A case that ran past its alarm; not an Exception, so no handler in
+    the program under test can swallow it."""
+
+
+def _on_alarm(signum, frame):
+    raise CaseTimeout()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(documents(), st.sampled_from(["analyze", "dot", "census"]))
+def test_every_document_is_answered_or_refused_promptly(doc, command):
+    # Each input exits 0, 2, 3 or 4 within 5 s, with an error line when it
+    # fails and never a traceback; a census takes a budget, so a base with
+    # many assignments answers promptly too.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = [command, path, "--out", os.path.join(tmp, "out")]
+        if command == "census":
+            argv += ["--budget", "20"]
+        err = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.alarm(5)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().startswith("error:") == (code != 0)
+    assert "Traceback" not in err.getvalue()

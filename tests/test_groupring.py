@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import time
 from functools import reduce
 from math import prod
 
@@ -18,7 +19,7 @@ from coverzeta import (
     zeta,
     GroupRingElement,
 )
-from coverzeta.arith import multiplicative_order
+from coverzeta.arith import is_odd_prime, is_primitive_root, smallest_primitive_root
 from coverzeta.groupring import convolution
 from coverzeta.snf import unit_pivots
 from coverzeta.padic import PrecisionExhausted
@@ -29,6 +30,7 @@ from reference import (
     contragredient,
     group_element,
     idempotent_mod,
+    multiplicative_order,
     reduce_mod,
     ring_add,
     ring_determinant,
@@ -80,6 +82,32 @@ def test_generator_is_smallest_primitive_root():
     assert G7.generator == 3
     assert CyclicGroup.for_prime(11).generator == 2
     assert G5.elements == (1, 2, 4, 3)
+
+
+def test_primitive_root_of_a_word_sized_prime_is_prompt():
+    # 2^31 - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331 + 1: primitivity is read
+    # from those six factors, not from an order found by O(p) products.
+    start = time.perf_counter()
+    assert CyclicGroup.for_prime(2**31 - 1).generator == 7
+    assert time.perf_counter() - start < 1.0
+
+
+def test_primitive_roots_agree_with_the_brute_force_order():
+    for p in filter(is_odd_prime, range(3, 3000, 2)):
+        g = smallest_primitive_root(p)
+        assert multiplicative_order(g, p) == p - 1
+        assert all(multiplicative_order(h, p) < p - 1 for h in range(2, g))
+    for p in filter(is_odd_prime, range(3, 200, 2)):
+        assert [g for g in range(1, p) if is_primitive_root(g, p)] == [
+            g for g in range(1, p) if multiplicative_order(g, p) == p - 1
+        ]
+
+
+def test_a_non_generator_is_refused():
+    with pytest.raises(ValueError, match="does not generate"):
+        CyclicGroup(7, 2)  # 2^3 = 1 mod 7
+    with pytest.raises(ValueError, match="does not generate"):
+        CyclicGroup(7, 7)
 
 
 def test_one_group_per_prime():
